@@ -407,7 +407,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
         t = after
         steps += 1
     else:
-        if rewrite_step(sys, t) is not None:
+        if next(redexes(sys, t), None) is not None:
             return CrsOutcome("exhausted", t, steps)
     kind: NormalKind = "constructor" if is_constructor_term(t, sys.signature) else "stuck"
     return CrsOutcome(kind, t, steps)

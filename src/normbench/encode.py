@@ -344,7 +344,7 @@ def run_phi(image: PhiImage, budget: int = 10_000, rng=None, check: bool = True,
     if out.kind != "exhausted":
         rb = readback(out.term, image.registry)
         if check and out.kind == "constructor":
-            assert lam.reduce(rb, "cbv", 0).kind == "normal" or lam.cbv_step(rb) is None
+            assert lam.reduce(rb, "cbv", 0).kind == "normal"
     return PhiRun(out, rb)
 
 

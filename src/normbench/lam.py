@@ -5,6 +5,16 @@ counts 1, and for terminating weak CBV runs the count is independent of
 the redex order (one-step diamond), so `reduce` reports *the* step count
 of its input.  Variable names are plain strings under their lexicographic
 order; free-variable sequences are always sorted by that order.
+
+The step relation (`cbv_step`, `cbn_step`, built on `substitute`) is the
+reference semantics.  `reduce` runs two environment machines instead: a
+CEK machine for CBV and a Krivine machine for CBN (Accattoli, Barenbaum
+& Mazza, "Distilling Abstract Machines", ICFP 2014).  They never
+substitute: a beta step binds the argument in a persistent environment,
+so its cost does not depend on the size of the term.  One readback at
+the end turns the final closures back into a term, which is `==` to the
+term the step relation reaches in the same number of steps (on open
+inputs, equal up to the names of renamed binders).
 """
 
 from __future__ import annotations
@@ -89,6 +99,23 @@ def _free_set(t: Term) -> set[str]:
         else:
             bound[arg] -= 1
     return free
+
+
+def _names(t: Term) -> set[str]:
+    # every variable and binder name of t
+    names: set[str] = set()
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Var):
+            names.add(s.name)
+        elif isinstance(s, Abs):
+            names.add(s.binder)
+            todo.append(s.body)
+        else:
+            todo.append(s.fun)
+            todo.append(s.arg)
+    return names
 
 
 def free_vars(t: Term) -> tuple[str, ...]:
@@ -306,6 +333,10 @@ def cbn_step(t: Term) -> Optional[Term]:
 
 
 # --- full reduction ----------------------------------------------------------
+#
+# A closure is a pair (term, env); an environment is None or a persistent
+# linked frame (binder, closure, parent).  A variable is looked up by
+# walking the frames to the nearest one with its name.
 
 OutcomeKind = Literal["normal", "exhausted"]
 
@@ -317,94 +348,199 @@ class ReductionOutcome:
     steps: int
 
 
-class SizeLimitExceeded(Exception):
-    """Raised by reduce(max_size=...) when an intermediate term outgrows it."""
-
-    def __init__(self, steps: int, size: int):
-        super().__init__(f"term grew to {size} nodes after {steps} steps")
-        self.steps = steps
-        self.size = size
-
-
-def _reduce_cbv_machine(t: Term, budget: int, max_size: Optional[int]) -> ReductionOutcome:
-    # Left-to-right evaluation, which fires the leftmost weak CBV redex at
-    # every step.  Frames: (0, arg) = function done next evaluate arg,
-    # (1, fun_nf) = argument under evaluation.
+def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
+    # CEK machine, left to right: the function, then the argument, then
+    # the beta step, which fires the leftmost weak CBV redex every time.
+    # Values are closures of abstractions, (Var, None) for a free variable
+    # and (None, (fun, arg)) for a stuck application; the last two arise
+    # on open inputs only.  Frames: (term, env) = argument still to
+    # evaluate; (None, fun) = function value waiting for its argument.
     steps = 0
-    stack: list[tuple[int, Term]] = []
-    control: Term = t
-    descending = True
+    stack: list[tuple] = []
+    term, env = t, None
     while True:
-        if descending:
-            if isinstance(control, App):
-                stack.append((0, control.arg))
-                control = control.fun
-                continue
-            descending = False
-            continue
-        if not stack:
-            return ReductionOutcome("normal", control, steps)
-        tag, payload = stack.pop()
-        if tag == 0:
-            stack.append((1, control))
-            control = payload
-            descending = True
-            continue
-        fun_nf = payload
-        if isinstance(fun_nf, Abs) and is_value(control):
-            if steps >= budget:
-                last = App(fun_nf, control)
-                for tag2, pay2 in reversed(stack):
-                    last = App(last, pay2) if tag2 == 0 else App(pay2, last)
-                return ReductionOutcome("exhausted", last, steps)
-            steps += 1
-            control = substitute(fun_nf.body, fun_nf.binder, control)
-            if max_size is not None and size(control) > max_size:
-                raise SizeLimitExceeded(steps, size(control))
-            descending = True
+        while type(term) is App:
+            stack.append((term.arg, env))
+            term = term.fun
+        if type(term) is Abs:
+            val = (term, env)
         else:
-            control = App(fun_nf, control)
+            e = env
+            while e is not None and e[0] != term.name:
+                e = e[2]
+            val = (term, None) if e is None else e[1]
+        while True:
+            if not stack:
+                return ReductionOutcome("normal", _readback([val], t)[0], steps)
+            arg, fun = stack.pop()
+            if arg is not None:
+                stack.append((None, val))
+                term, env = arg, fun
+                break
+            if type(fun[0]) is Abs and val[0] is not None:
+                if steps >= budget:
+                    # the last term reached: this redex inside the frames
+                    frames = stack[::-1]
+                    parts = _readback([fun, val] + [f[1] if f[0] is None else f
+                                                    for f in frames], t)
+                    last = App(parts[0], parts[1])
+                    for f, part in zip(frames, parts[2:]):
+                        last = App(part, last) if f[0] is None else App(last, part)
+                    return ReductionOutcome("exhausted", last, steps)
+                steps += 1
+                term, env = fun[0].body, (fun[0].binder, val, fun[1])
+                break
+            val = (None, (fun, val))
 
 
-def _reduce_cbn_machine(t: Term, budget: int, max_size: Optional[int]) -> ReductionOutcome:
+def _reduce_cbn_machine(t: Term, budget: int) -> ReductionOutcome:
+    # Krivine machine: a head closure and the stack of its argument
+    # closures.  A variable argument is pushed as the closure it is bound
+    # to, never as an indirection to it, so omega keeps one closure per
+    # step instead of a chain one link longer each time.
     steps = 0
-    args: list[Term] = []
-    control: Term = t
+    kind: OutcomeKind = "normal"
+    args: list[tuple] = []
+    term, env = t, None
     while True:
-        if isinstance(control, App):
-            args.append(control.arg)
-            control = control.fun
-            continue
-        if isinstance(control, Abs) and args:
+        if type(term) is App:
+            a = term.arg
+            if type(a) is Var:
+                e = env
+                while e is not None and e[0] != a.name:
+                    e = e[2]
+                args.append((a, None) if e is None else e[1])
+            else:
+                args.append((a, env))
+            term = term.fun
+        elif type(term) is Abs:
+            if not args:
+                break
             if steps >= budget:
+                kind = "exhausted"
                 break
             steps += 1
-            control = substitute(control.body, control.binder, args.pop())
-            if max_size is not None and size(control) > max_size:
-                raise SizeLimitExceeded(steps, size(control))
-            continue
-        break
-    for a in reversed(args):
-        control = App(control, a)
-    kind: OutcomeKind = "exhausted" if steps >= budget and cbn_step(control) is not None else "normal"
-    return ReductionOutcome(kind, control, steps)
+            env = (term.binder, args.pop(), env)
+            term = term.body
+        else:
+            e = env
+            while e is not None and e[0] != term.name:
+                e = e[2]
+            if e is None:
+                break           # free head variable
+            term, env = e[1]
+    parts = _readback([(term, env)] + args[::-1], t)
+    out = parts[0]
+    for a in parts[1:]:
+        out = App(out, a)
+    return ReductionOutcome(kind, out, steps)
+
+
+def _readback(closures: list[tuple], t: Term) -> list[Term]:
+    """The terms of machine closures over the input t, in order.
+
+    Closed inputs never need a rename.  On an open t a second pass renames
+    every binder named after a free variable of the result, as
+    `substitute` would, so that the variable is not captured.
+    """
+    terms, free = _read(closures, frozenset(), frozenset())
+    if free:
+        terms, _ = _read(closures, free, free | _names(t))
+    return terms
+
+
+# readback operations
+_GO, _CLOSURE, _MEMO, _ABS, _APP = range(5)
+
+
+def _read(closures: list[tuple], rename: frozenset[str],
+          avoid: frozenset[str]) -> tuple[list[Term], frozenset[str]]:
+    # Iterative, because CBN closure chains go deeper than the recursion
+    # limit.  A binder shadows the environment entries of its name: the
+    # walk pushes a local frame for it, bound to None, or to the fresh Var
+    # that renames it if the binder is in `rename`.  The walk stops at a
+    # closure without environment, which has nothing to substitute.  Each
+    # closure is read back once (memo keyed by the closure), so the result
+    # shares what the closures share, and untouched subterms of the input
+    # are kept as they are.  Also returns the variables found free.
+    free: set[str] = set()
+    memo: dict[int, Term] = {}
+    results: list[Term] = []
+    todo: list[tuple] = [(_CLOSURE, c, None) for c in reversed(closures)]
+    while todo:
+        op, a, b = todo.pop()
+        if op == _GO:                       # term a in environment b
+            if type(a) is Var:
+                e = b
+                while e is not None and e[0] != a.name:
+                    e = e[2]
+                if e is None:
+                    free.add(a.name)
+                    results.append(a)
+                elif e[1] is None:
+                    results.append(a)       # bound by a binder of the walk
+                elif type(e[1]) is Var:
+                    results.append(e[1])    # bound by a renamed binder
+                else:
+                    todo.append((_CLOSURE, e[1], None))
+            elif type(a) is Abs:
+                name, local = a.binder, None
+                if name in rename:
+                    name = fresh_name(name, avoid)
+                    local = Var(name)
+                todo.append((_ABS, a, name))
+                todo.append((_GO, a.body, (a.binder, local, b)))
+            else:
+                todo.append((_APP, a, None))
+                todo.append((_GO, a.arg, b))
+                todo.append((_GO, a.fun, b))
+        elif op == _CLOSURE:
+            if a[0] is None:                # stuck CBV application
+                todo.append((_APP, None, None))
+                todo.append((_CLOSURE, a[1][1], None))
+                todo.append((_CLOSURE, a[1][0], None))
+            elif id(a) in memo:
+                results.append(memo[id(a)])
+            elif a[1] is None:              # nothing to substitute
+                free |= _free_set(a[0])
+                memo[id(a)] = a[0]
+                results.append(a[0])
+            else:
+                todo.append((_MEMO, id(a), None))
+                todo.append((_GO, a[0], a[1]))
+        elif op == _MEMO:
+            memo[a] = results[-1]
+        elif op == _ABS:
+            body = results.pop()
+            results.append(a if body is a.body and b is a.binder else Abs(b, body))
+        else:
+            x = results.pop()
+            f = results.pop()
+            if a is not None and f is a.fun and x is a.arg:
+                results.append(a)
+            else:
+                results.append(App(f, x))
+    return results, frozenset(free)
 
 
 def reduce(t: Term, strategy: Literal["cbv", "cbn"] = "cbv", budget: int = 10_000,
-           rng=None, max_size: Optional[int] = None) -> ReductionOutcome:
-    """Iterate the chosen step relation up to `budget` beta steps.
+           rng=None) -> ReductionOutcome:
+    """Reduce up to `budget` beta steps under the chosen strategy.
 
-    On "normal" the steps field is Time(t) (cbv) resp. Time_w(t) (cbn).
-    "exhausted" carries the last term reached, so runs are resumable.
-    With max_size set, SizeLimitExceeded aborts runs whose intermediate
-    terms outgrow it.
+    CBV runs the CEK machine and CBN the Krivine machine above, each over
+    closures with one readback at the end; they take exactly the steps of
+    the reference step relation (`cbv_step`, `cbn_step`) and reach the
+    same term.  With `rng`, CBV instead iterates `cbv_step` under the
+    random policy.  On "normal" the steps field is Time(t) (cbv) resp.
+    Time_w(t) (cbn).  "exhausted" carries the last term reached, so runs
+    are resumable.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if strategy == "cbn":
-        return _reduce_cbn_machine(t, budget, max_size)
+        return _reduce_cbn_machine(t, budget)
     if rng is None:
-        return _reduce_cbv_machine(t, budget, max_size)
+        return _reduce_cbv_machine(t, budget)
     steps = 0
     while steps < budget:
         nxt = cbv_step(t, rng)
@@ -412,9 +548,8 @@ def reduce(t: Term, strategy: Literal["cbv", "cbn"] = "cbv", budget: int = 10_00
             return ReductionOutcome("normal", t, steps)
         t = nxt
         steps += 1
-    if cbv_step(t) is None:
-        return ReductionOutcome("normal", t, steps)
-    return ReductionOutcome("exhausted", t, steps)
+    kind: OutcomeKind = "normal" if next(cbv_redexes(t), None) is None else "exhausted"
+    return ReductionOutcome(kind, t, steps)
 
 
 # --- surface syntax ----------------------------------------------------------

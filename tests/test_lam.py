@@ -1,9 +1,11 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normbench import lam
+from normbench import lam, workbench
 from normbench.lam import Abs, App, Var
 
 
@@ -158,24 +160,29 @@ def test_budget_zero():
     assert out.kind == "exhausted" and out.steps == 0
 
 
+def _step_loop(t, step, budget):
+    # the reference: iterate the step relation, (kind, steps, term)
+    steps = 0
+    while True:
+        nxt = step(t)
+        if nxt is None:
+            return "normal", steps, t
+        if steps == budget:
+            return "exhausted", steps, t
+        t, steps = nxt, steps + 1
+
+
+def _assert_machine_matches(t, strategy, budget):
+    step = lam.cbv_step if strategy == "cbv" else lam.cbn_step
+    fast = lam.reduce(t, strategy, budget)
+    assert (fast.kind, fast.steps, fast.term) == _step_loop(t, step, budget)
+
+
 def test_machine_matches_step_loop():
-    rng = random.Random(1)
-    for _ in range(200):
-        t = random_closed(rng, 24)
-        fast = lam.reduce(t, "cbv", 200)
-        slow_steps = 0
-        cur = t
-        while slow_steps < 200:
-            nxt = lam.cbv_step(cur)
-            if nxt is None:
-                break
-            cur = nxt
-            slow_steps += 1
-        if fast.kind == "normal":
-            assert slow_steps == fast.steps
-            assert cur == fast.term
-        else:
-            assert slow_steps == 200
+    for budget in (0, 3, 7, 150):
+        rng = random.Random(1)
+        for _ in range(200):
+            _assert_machine_matches(random_closed(rng, 24), "cbv", budget)
 
 
 # --- properties -------------------------------------------------------------------
@@ -238,21 +245,58 @@ def test_cbn_step_deterministic():
 
 
 def test_cbn_machine_matches_step_loop():
-    rng = random.Random(23)
-    for _ in range(200):
-        t = random_closed(rng, 22)
-        fast = lam.reduce(t, "cbn", 150)
-        cur, steps = t, 0
-        while steps < 150:
-            nxt = lam.cbn_step(cur)
-            if nxt is None:
-                break
-            cur, steps = nxt, steps + 1
-        if fast.kind == "normal":
-            assert steps == fast.steps
-            assert cur == fast.term
-        else:
-            assert steps == 150
+    for budget in (0, 3, 7, 150):
+        rng = random.Random(23)
+        for _ in range(200):
+            _assert_machine_matches(random_closed(rng, 22), "cbn", budget)
+
+
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+def test_machines_match_step_loop_on_corpus(strategy):
+    corpus = workbench.Corpus.load(Path(__file__).resolve().parents[1] / "corpus")
+    assert len(corpus.lambda_entries) >= 60
+    for entry in corpus.lambda_entries:
+        _assert_machine_matches(entry.term, strategy, workbench.DEFAULT_BUDGET)
+
+
+# --- the environment machines: open inputs, long runs, deep terms -------------------
+
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+@pytest.mark.parametrize("src, expected", [
+    ("(\\x. \\y. x) y", "\\w. y"),
+    ("(\\x. \\y. x y) (\\z. y)", "\\w. (\\z. y) w"),
+])
+def test_open_input_readback_avoids_capture(strategy, src, expected):
+    # the free y must stay free: readback renames the binder as substitute does
+    step = lam.cbv_step if strategy == "cbv" else lam.cbn_step
+    out = lam.reduce(p(src), strategy, 10)
+    assert (out.kind, out.steps) == ("normal", 1)
+    assert lam.alpha_eq(out.term, p(expected))
+    assert lam.alpha_eq(out.term, step(p(src)))
+
+
+def test_cbn_omega_runs_in_constant_time_per_step():
+    # a variable argument is pushed as its closure; an indirection per
+    # step would make this run quadratic (minutes instead of well under 1 s)
+    omega = p("(\\x. x x) (\\x. x x)")
+    start = time.perf_counter()
+    out = lam.reduce(omega, "cbn", 100_000)
+    assert time.perf_counter() - start < 30
+    assert (out.kind, out.steps) == ("exhausted", 100_000)
+    assert out.term == omega
+
+
+@pytest.mark.parametrize("strategy", ["cbv", "cbn"])
+@pytest.mark.parametrize("nesting", ["left", "right"])
+def test_machines_on_deep_applications(strategy, nesting):
+    n = 10**5
+    ident = p("\\x. x")
+    t = ident
+    for _ in range(n):
+        t = App(t, ident) if nesting == "left" else App(ident, t)
+    out = lam.reduce(t, strategy, 2 * n)
+    assert (out.kind, out.steps) == ("normal", n)
+    assert lam.size(out.term) == 2      # not ==: dataclass equality recurses
 
 
 def test_closedness_preserved():

@@ -52,12 +52,20 @@ def random_closed(rng, max_size, env=()):
 
 
 def tame(t, strategy, step_cap, size_cap):
-    """(kind, steps) if the reduction resolves without the term ever
-    exceeding size_cap; None when it blows up."""
-    try:
-        out = lam.reduce(t, strategy, step_cap, max_size=size_cap)
-    except lam.SizeLimitExceeded:
-        return None
+    """(kind, steps) of the reduction, or None when the term it reaches
+    has more than size_cap nodes.  The count stops at the cap: a blown-up
+    result shares its subterms and can be exponentially large as a tree."""
+    out = lam.reduce(t, strategy, step_cap)
+    n, todo = 0, [out.term]
+    while todo:
+        s = todo.pop()
+        n += 1
+        if n > size_cap:
+            return None
+        if isinstance(s, Abs):
+            todo.append(s.body)
+        elif isinstance(s, App):
+            todo += (s.fun, s.arg)
     return out.kind, out.steps
 
 
