@@ -6,13 +6,22 @@ function symbols applied to constructor patterns.  A redex only fires when
 the matching substitution binds every variable to a constructor term, so
 redexes are never nested and the step count to normal form does not depend
 on the position policy.
+
+`reduce` runs the leftmost-innermost policy on an innermost evaluation
+machine: arguments are evaluated to constructor values left to right,
+then their node is matched once, and a firing continues with the rule's
+right-hand side under the match, so a step costs the same whatever the
+size of the term.  `redexes`, `replace_at` and `rewrite_step` are the
+from-the-root step relation, kept as the reference: the random policy
+and the tests use it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterable, Iterator, Literal, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -257,10 +266,10 @@ def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
     return CrsSystem(signature, rules)
 
 
-def match_pattern(p: Term, t: Term) -> Optional[dict[str, Term]]:
-    """Match a pattern against a constructor term; t must be function-free."""
+def _match_args(patterns: tuple[Term, ...], args: Iterable[Term]) -> Optional[dict[str, Term]]:
+    # Plain left-linear matching: a variable binds whatever it meets.
     subst: dict[str, Term] = {}
-    todo = [(p, t)]
+    todo = list(zip(patterns, args))
     while todo:
         pp, tt = todo.pop()
         if isinstance(pp, Var):
@@ -270,6 +279,11 @@ def match_pattern(p: Term, t: Term) -> Optional[dict[str, Term]]:
             return None
         todo.extend(zip(pp.children, tt.children))
     return subst
+
+
+def match_pattern(p: Term, t: Term) -> Optional[dict[str, Term]]:
+    """Match a pattern against a constructor term; t must be function-free."""
+    return _match_args((p,), (t,))
 
 
 def apply_subst(t: Term, subst: dict[str, Term]) -> Term:
@@ -294,21 +308,12 @@ def apply_subst(t: Term, subst: dict[str, Term]) -> Term:
     return results[0]
 
 
-def _match_rule(sys: CrsSystem, rule: Rule, args: tuple[Term, ...],
+def _match_rule(rule: Rule, args: tuple[Term, ...],
                 sig: Signature) -> Optional[dict[str, Term]]:
     # CBV condition: every binding must be a constructor term.
-    subst: dict[str, Term] = {}
-    todo = list(zip(rule.lhs, args))
-    while todo:
-        pp, tt = todo.pop()
-        if isinstance(pp, Var):
-            if not is_constructor_term(tt, sig):
-                return None
-            subst[pp.name] = tt
-            continue
-        if not isinstance(tt, Node) or tt.symbol != pp.symbol:
-            return None
-        todo.extend(zip(pp.children, tt.children))
+    subst = _match_args(rule.lhs, args)
+    if subst is None or not all(is_constructor_term(v, sig) for v in subst.values()):
+        return None
     return subst
 
 
@@ -322,7 +327,7 @@ def match_at(sys: CrsSystem, t: Term) -> Optional[tuple[Rule, dict[str, Term]]]:
     hits = []
     first = t.children[0] if t.children else None
     for rule in sys.candidates(t.symbol, first):
-        subst = _match_rule(sys, rule, t.children, sys.signature)
+        subst = _match_rule(rule, t.children, sys.signature)
         if subst is not None:
             hits.append((rule, subst))
     assert len(hits) <= 1, f"orthogonality violated at {t.symbol}"
@@ -330,17 +335,24 @@ def match_at(sys: CrsSystem, t: Term) -> Optional[tuple[Rule, dict[str, Term]]]:
 
 
 def redexes(sys: CrsSystem, t: Term) -> Iterator[tuple[Path, Rule, dict[str, Term]]]:
-    """Redex occurrences in leftmost-innermost order."""
-
-    def walk(t: Term, path: Path) -> Iterator[tuple[Path, Rule, dict[str, Term]]]:
-        if isinstance(t, Node):
-            for i, c in enumerate(t.children):
-                yield from walk(c, path + (i,))
-            hit = match_at(sys, t)
-            if hit is not None:
-                yield path, hit[0], hit[1]
-
-    yield from walk(t, ())
+    """Redex occurrences in leftmost-innermost order: post-order, children
+    left to right.  The reference walk behind the random policy."""
+    stack: list[list] = [[t, 0]]      # a node and the index of its next child
+    path: list[int] = []              # the index of each stack node but the root
+    while stack:
+        frame = stack[-1]
+        node, i = frame
+        if isinstance(node, Node) and i < len(node.children):
+            frame[1] = i + 1
+            path.append(i)
+            stack.append([node.children[i], 0])
+            continue
+        stack.pop()
+        hit = match_at(sys, node)
+        if hit is not None:
+            yield tuple(path), hit[0], hit[1]
+        if path:
+            path.pop()
 
 
 def subterm_at(t: Term, path: Path) -> Term:
@@ -350,21 +362,23 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    i = path[0]
-    kids = list(t.children)
-    kids[i] = replace_at(kids[i], path[1:], new)
-    return Node(t.symbol, tuple(kids))
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        new = Node(node.symbol, node.children[:i] + (new,) + node.children[i + 1:])
+    return new
+
+
+def _random_redex(sys: CrsSystem, t: Term, rng) -> Optional[tuple[Path, Rule, dict[str, Term]]]:
+    hits = list(redexes(sys, t))
+    return hits[rng.randrange(len(hits))] if hits else None
 
 
 def rewrite_step(sys: CrsSystem, t: Term, rng=None) -> Optional[Term]:
     """One rewrite step (leftmost-innermost by default) or None if normal."""
-    if rng is None:
-        hit = next(redexes(sys, t), None)
-    else:
-        all_hits = list(redexes(sys, t))
-        hit = all_hits[rng.randrange(len(all_hits))] if all_hits else None
+    hit = next(redexes(sys, t), None) if rng is None else _random_redex(sys, t, rng)
     if hit is None:
         return None
     path, rule, subst = hit
@@ -386,18 +400,22 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     """Reduce to normal form or until the step budget is exhausted.
 
     A normal form is classified "constructor" when it contains no function
-    symbol and "stuck" otherwise (the error case of the simulation).
-    `on_step(rule, before, after)` is invoked after each firing.
+    symbol and "stuck" otherwise (the error case of the simulation).  The
+    leftmost-innermost policy (no rng) runs an innermost evaluation
+    machine that matches each node once; with an rng, every step walks
+    the term with `redexes` and fires a redex picked uniformly.
+    `on_step(rule, before, after)` is invoked after each firing; `before`
+    is the previous call's `after` object (t for the first firing), so
+    the machine builds one whole term per step, and only when on_step is
+    given.
     """
     if not is_closed(t):
         raise CrsError("reduction input must be closed")
+    if rng is None:
+        return _reduce_innermost(sys, t, budget, on_step)
     steps = 0
     while steps < budget:
-        if rng is None:
-            hit = next(redexes(sys, t), None)
-        else:
-            all_hits = list(redexes(sys, t))
-            hit = all_hits[rng.randrange(len(all_hits))] if all_hits else None
+        hit = _random_redex(sys, t, rng)
         if hit is None:
             break
         path, rule, subst = hit
@@ -411,6 +429,85 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
             return CrsOutcome("exhausted", t, steps)
     kind: NormalKind = "constructor" if is_constructor_term(t, sys.signature) else "stuck"
     return CrsOutcome(kind, t, steps)
+
+
+def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutcome:
+    # Innermost evaluation machine, children left to right.  A frame
+    # [node, env, kids, values] holds the evaluated children of node so
+    # far and whether all of them are values (constructor terms); env is
+    # the substitution of the rule whose rhs the node belongs to, None
+    # for a node of the input.  A rhs variable evaluates at once to its
+    # binding, a value, which is never walked again.  A node is checked
+    # once, when its last child is done: a constructor over values is a
+    # value; a function symbol over values is matched against its
+    # candidate rules and fires, the control becoming the rule's rhs
+    # under the match; anything else is normal, and no ancestor of it can
+    # fire.  Post-order firing is leftmost-innermost: everything left of
+    # the fired node is normal and unchanged, and its bindings are values.
+    cons = sys.signature.constructors
+    steps = 0
+    before = t
+    stack: list[list] = []
+    term, env = t, None
+    while True:
+        while True:
+            if type(term) is Var:
+                val = env[term.name]
+                if not stack:
+                    return CrsOutcome("constructor", val, steps)
+                stack[-1][2].append(val)
+                break
+            stack.append([term, env, [], True])
+            if not term.children:
+                break
+            term = term.children[0]
+        while True:
+            node, env, kids, values = stack[-1]
+            if len(kids) < len(node.children):
+                term = node.children[len(kids)]
+                break
+            stack.pop()
+            hit = None
+            if values and node.symbol not in cons:
+                for rule in sys.candidates(node.symbol, kids[0] if kids else None):
+                    subst = _match_args(rule.lhs, kids)
+                    if subst is not None:
+                        hit = rule, subst
+                        break
+            if hit is not None:
+                if steps >= budget:
+                    return CrsOutcome("exhausted",
+                                      _fill(stack, Node(node.symbol, tuple(kids))), steps)
+                steps += 1
+                rule, env = hit
+                term = rule.rhs
+                if on_step is not None:
+                    after = _fill(stack, apply_subst(term, env))
+                    on_step(rule, before, after)
+                    before = after
+                break
+            if all(map(operator.is_, kids, node.children)):
+                val = node
+            else:
+                val = Node(node.symbol, tuple(kids))
+            values = values and node.symbol in cons
+            if not stack:
+                return CrsOutcome("constructor" if values else "stuck", val, steps)
+            parent = stack[-1]
+            parent[2].append(val)
+            if not values:
+                parent[3] = False
+
+
+def _fill(stack: list[list], focus: Term) -> Term:
+    # The whole term of a machine state: focus in the hole of the frames,
+    # whose children not yet evaluated are instantiated under their env.
+    for node, env, kids, _ in reversed(stack):
+        rest = node.children[len(kids) + 1:]
+        if env is not None:
+            rest = tuple(apply_subst(c, env) for c in rest)
+        focus = Node(node.symbol, (*kids, focus, *rest))
+    return focus
 
 
 # --- text format ---------------------------------------------------------------

@@ -1,9 +1,14 @@
 import random
+import time
+from pathlib import Path
 
 import pytest
 
-from normbench import crs
+from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
+from tests_util import random_closed_term, random_system
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def nat_sig(**extra_fns):
@@ -234,3 +239,155 @@ def test_deep_terms_no_recursion_blowup():
     assert crs.is_constructor_term(t, sig)
     assert crs.count_symbol(t, "succ") == 50_000
     assert crs.is_closed(t)
+
+
+def test_reference_walk_is_iterative():
+    # a redex 10^5 nodes deep: the recursive walk and replace_at overflowed
+    sys = add_system()
+    t = Node("add", (nat(0), nat(0)))
+    for _ in range(100_000):
+        t = Node("succ", (t,))
+    hits = list(crs.redexes(sys, t))
+    assert [h[0] for h in hits] == [(0,) * 100_000]
+    assert crs.term_size(crs.rewrite_step(sys, t)) == 100_001
+    out = crs.reduce(sys, t, rng=random.Random(0))
+    assert (out.kind, out.steps, crs.term_size(out.term)) == ("constructor", 1, 100_001)
+
+
+# --- the innermost machine against the reference loop ----------------------------
+
+BUDGETS = (0, 1, 3, 7, 30)
+MAX_NODES = 400
+
+
+def reference_reduce(system, t, budget):
+    """reduce's leftmost path spelled out as the from-the-root step loop;
+    the outcome and the on_step calls, or None once the term passes
+    MAX_NODES nodes."""
+    calls = []
+    steps = 0
+    while True:
+        hit = next(crs.redexes(system, t), None)
+        if hit is None:
+            kind = "constructor" if crs.is_constructor_term(t, system.signature) else "stuck"
+            return crs.CrsOutcome(kind, t, steps), calls
+        if steps >= budget:
+            return crs.CrsOutcome("exhausted", t, steps), calls
+        path, rule, subst = hit
+        after = crs.replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        calls.append((rule, t, after))
+        t = after
+        steps += 1
+        if crs.term_size(t) > MAX_NODES:
+            return None
+
+
+def agrees_with_reference(system, t, budgets=BUDGETS):
+    """Assert the machine equals the reference loop at every budget, in
+    outcome and in on_step calls; False if the case was skipped for size."""
+    for budget in budgets:
+        ref = reference_reduce(system, t, budget)
+        if ref is None:
+            return False
+        calls = []
+        out = crs.reduce(system, t, budget, on_step=lambda *c: calls.append(c))
+        assert out == ref[0], (crs.term_to_str(t), budget)
+        assert calls == ref[1], (crs.term_to_str(t), budget)
+        assert all(a[0] is b[0] for a, b in zip(calls, ref[1]))
+        # before is the previous after, so the machine builds one term per step
+        befores = [c[1] for c in calls]
+        assert all(b is a for b, a in zip(befores, [t] + [c[2] for c in calls]))
+    return True
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_machine_matches_reference_on_random_systems(seed):
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(30):
+        system = random_system(rng)
+        for _ in range(4):
+            t = random_closed_term(rng, system.signature, 4)
+            compared += agrees_with_reference(system, t)
+    assert compared > 100
+
+
+def test_machine_matches_reference_on_corpus_systems():
+    corpus = workbench.Corpus.load(CORPUS)
+    assert len(corpus.crs_entries) >= 8
+    for entry in corpus.crs_entries:
+        assert agrees_with_reference(entry.system, entry.term, (0, 1, 3, 7, 30, 10_000)), \
+            entry.name
+
+
+def test_machine_matches_reference_on_lambda_images():
+    corpus = workbench.Corpus.load(CORPUS)
+    compared = 0
+    for entry in corpus.lambda_entries:
+        for image in (encode.encode_cbv(entry.term), encode.encode_cbn(entry.term)):
+            compared += agrees_with_reference(image.system, image.term)
+    assert compared >= 120
+
+
+def test_stuck_subterm_left_of_redex():
+    sig = Signature({"zero": 0, "succ": 1, "pair": 2}, {"add": 2, "f": 1})
+    sys = crs.validate_system(sig, ADD_RULES + [
+        Rule("f", (Node("succ", (Var("x"),)),), Var("x"))])
+    t = Node("pair", (Node("f", (nat(0),)), Node("add", (nat(1), nat(0)))))
+    out = crs.reduce(sys, t, 10)
+    assert (out.kind, out.steps) == ("stuck", 2)
+    assert out.term == Node("pair", (Node("f", (nat(0),)), nat(1)))
+    assert agrees_with_reference(sys, t)
+
+
+def test_exhausted_inside_rhs_with_pending_siblings():
+    # after f fires, the budget runs out inside its rhs while the second
+    # add of the pair is still a rhs node under the match
+    sig = Signature({"zero": 0, "succ": 1, "pair": 2}, {"add": 2, "f": 1})
+    rhs = Node("pair", (Node("add", (Var("x"), Var("x"))), Node("add", (Var("x"), nat(0)))))
+    sys = crs.validate_system(sig, ADD_RULES + [Rule("f", (Node("succ", (Var("x"),)),), rhs)])
+    t = Node("succ", (Node("f", (nat(3),)),))
+    out = crs.reduce(sys, t, 2)
+    assert out.kind == "exhausted"
+    assert out.term == Node("succ", (Node("pair", (
+        Node("succ", (Node("add", (nat(1), nat(2))),)),
+        Node("add", (nat(2), nat(0))))),))
+    assert agrees_with_reference(sys, t, range(12))
+
+
+def test_rhs_bare_variable():
+    sys = add_system()
+    out = crs.reduce(sys, Node("add", (nat(0), nat(2))), 10)
+    assert (out.kind, out.steps, out.term) == ("constructor", 1, nat(2))
+    t = Node("succ", (Node("add", (nat(0), Node("add", (nat(0), nat(1))))),))
+    out = crs.reduce(sys, t, 10)
+    assert (out.kind, out.steps, out.term) == ("constructor", 2, nat(2))
+    assert agrees_with_reference(sys, t, range(4))
+
+
+def test_nullary_function_rule():
+    sig = Signature({"zero": 0, "succ": 1}, {"add": 2, "one": 0, "none": 0})
+    sys = crs.validate_system(sig, ADD_RULES + [Rule("one", (), nat(1))])
+    t = Node("add", (Node("one"), Node("one")))
+    out = crs.reduce(sys, t, 10)
+    assert (out.kind, out.steps, out.term) == ("constructor", 4, nat(2))
+    assert agrees_with_reference(sys, t, range(6))
+    t = Node("add", (Node("one"), Node("none")))
+    out = crs.reduce(sys, t, 10)
+    assert (out.kind, out.steps) == ("stuck", 1)
+    assert out.term == Node("add", (nat(1), Node("none")))
+    assert agrees_with_reference(sys, t, range(3))
+
+
+def test_machine_deep_run():
+    # sizes only: dataclass equality recurses over the term
+    sys = add_system()
+    t = Node("add", (nat(100_000), nat(2)))
+    start = time.perf_counter()
+    out = crs.reduce(sys, t, 200_000)
+    assert time.perf_counter() - start < 30
+    assert (out.kind, out.steps, crs.term_size(out.term)) == ("constructor", 100_001, 100_003)
+    assert crs.count_symbol(out.term, "succ") == 100_002
+    out = crs.reduce(sys, t, 50_000)
+    assert (out.kind, out.steps, crs.term_size(out.term)) == ("exhausted", 50_000, 100_005)
+    assert crs.count_symbol(out.term, "add") == 1

@@ -9,61 +9,8 @@ import random
 
 import pytest
 
-from normbench import crs, graphs, lam, scott
-from normbench.crs import Node, Rule, Signature, Var
-
-
-def random_system(rng):
-    g = rng.randrange(2, 5)
-    constructors = {}
-    for i in range(g):
-        constructors[f"c{i}"] = 0 if i == 0 else rng.randrange(0, 3)
-    h = rng.randrange(1, 3)
-    functions = {f"f{i}": rng.randrange(1, 3) for i in range(h)}
-    sig = Signature(constructors, functions)
-
-    def random_rhs(vars_, depth):
-        if depth <= 0:
-            return Var(rng.choice(vars_)) if vars_ else Node("c0")
-        choices = ["var"] * (3 if vars_ else 0) + ["con"] * 3 + ["fun"] * 2
-        kind = rng.choice(choices)
-        if kind == "var":
-            return Var(rng.choice(vars_))
-        if kind == "con":
-            name = rng.choice(list(constructors))
-            return Node(name, tuple(random_rhs(vars_, depth - 1)
-                                    for _ in range(constructors[name])))
-        name = rng.choice(list(functions))
-        return Node(name, tuple(random_rhs(vars_, depth - 1)
-                                for _ in range(functions[name])))
-
-    rules = []
-    for fname, ar in functions.items():
-        for ci, car in constructors.items():
-            if rng.random() < 0.25:
-                continue  # leave a stuck case now and then
-            head_vars = [f"v{k}" for k in range(car)]
-            rest_vars = [f"w{k}" for k in range(ar - 1)]
-            lhs = (Node(ci, tuple(Var(v) for v in head_vars)),
-                   *(Var(w) for w in rest_vars))
-            rhs = random_rhs(head_vars + rest_vars, rng.randrange(1, 3))
-            rules.append(Rule(fname, lhs, rhs))
-    return crs.validate_system(sig, rules)
-
-
-def random_closed_term(rng, sig, depth):
-    fnames = list(sig.functions)
-    cnames = list(sig.constructors)
-    if depth <= 0:
-        return Node("c0")
-    if rng.random() < 0.5:
-        name = rng.choice(fnames)
-        ar = sig.functions[name]
-    else:
-        name = rng.choice(cnames)
-        ar = sig.constructors[name]
-    return Node(name, tuple(random_closed_term(rng, sig, depth - 1)
-                            for _ in range(ar)))
+from normbench import crs, graphs, scott
+from tests_util import random_closed_term, random_system
 
 
 def test_graph_engine_agrees_on_random_systems():

@@ -2,6 +2,7 @@
 
 from hypothesis import strategies as st
 
+from normbench import crs
 from normbench.lam import Abs, App, Var
 
 
@@ -39,3 +40,59 @@ def nat_term(n):
     for _ in range(n):
         t = Node("succ", (t,))
     return t
+
+
+def random_system(rng):
+    """Random orthogonal system: each function cases on the root constructor
+    of its first argument, and some cases are left out (stuck terms)."""
+    g = rng.randrange(2, 5)
+    constructors = {}
+    for i in range(g):
+        constructors[f"c{i}"] = 0 if i == 0 else rng.randrange(0, 3)
+    h = rng.randrange(1, 3)
+    functions = {f"f{i}": rng.randrange(1, 3) for i in range(h)}
+    sig = crs.Signature(constructors, functions)
+
+    def random_rhs(vars_, depth):
+        if depth <= 0:
+            return crs.Var(rng.choice(vars_)) if vars_ else crs.Node("c0")
+        choices = ["var"] * (3 if vars_ else 0) + ["con"] * 3 + ["fun"] * 2
+        kind = rng.choice(choices)
+        if kind == "var":
+            return crs.Var(rng.choice(vars_))
+        if kind == "con":
+            name = rng.choice(list(constructors))
+            return crs.Node(name, tuple(random_rhs(vars_, depth - 1)
+                                        for _ in range(constructors[name])))
+        name = rng.choice(list(functions))
+        return crs.Node(name, tuple(random_rhs(vars_, depth - 1)
+                                    for _ in range(functions[name])))
+
+    rules = []
+    for fname, ar in functions.items():
+        for ci, car in constructors.items():
+            if rng.random() < 0.25:
+                continue  # leave a stuck case now and then
+            head_vars = [f"v{k}" for k in range(car)]
+            rest_vars = [f"w{k}" for k in range(ar - 1)]
+            lhs = (crs.Node(ci, tuple(crs.Var(v) for v in head_vars)),
+                   *(crs.Var(w) for w in rest_vars))
+            rhs = random_rhs(head_vars + rest_vars, rng.randrange(1, 3))
+            rules.append(crs.Rule(fname, lhs, rhs))
+    return crs.validate_system(sig, rules)
+
+
+def random_closed_term(rng, sig, depth):
+    """Random closed term over sig, nested at most depth deep."""
+    fnames = list(sig.functions)
+    cnames = list(sig.constructors)
+    if depth <= 0:
+        return crs.Node("c0")
+    if rng.random() < 0.5:
+        name = rng.choice(fnames)
+        ar = sig.functions[name]
+    else:
+        name = rng.choice(cnames)
+        ar = sig.constructors[name]
+    return crs.Node(name, tuple(random_closed_term(rng, sig, depth - 1)
+                                for _ in range(ar)))
