@@ -4,9 +4,18 @@ Graphs are rooted DAGs with ordered out-edges and a partial labelling;
 unlabelled nodes play the role of variables.  Firing a redex runs three
 phases: build an isomorphic copy of the rule's right-hand portion,
 redirect every edge into the matched root (and the graph root if needed),
-then collect everything unreachable.  Constructor-sharedness, the
-invariant that every shared node heads only constructor paths, is what
-keeps graph steps in bijection with term steps.
+then collect by reference count: the old anchor dies with its last
+in-edge, and so does every node whose in-edges all came from dead nodes.
+Constructor-sharedness, the invariant that every shared node heads only
+constructor paths, is what keeps graph steps in bijection with term
+steps.
+
+graph_reduce runs an innermost evaluation machine: one descent from the
+root, each node decided once when its children are done, firing in the
+leftmost-innermost order of find_redex, which stays as the whole-graph
+search of the random policy and the reference.  After the initial
+whole-graph check, sharedness is checked only on the nodes a firing gave
+a new in-edge, so no step after the first walks the whole graph.
 """
 
 from __future__ import annotations
@@ -116,19 +125,22 @@ class TermGraph:
                     stack.pop()
 
 
-def term_to_graph(t: crs.Term) -> TermGraph:
-    """Tree-shaped graph of a closed term: one node per symbol occurrence."""
-    if not crs.is_closed(t):
-        raise GraphError("term must be closed")
-    g = TermGraph()
+def _add_tree(g: TermGraph, t: crs.Term, varnode: dict[str, int]) -> int:
+    """Add a tree for t to g, children before their parent, and return its
+    root.  One node per symbol occurrence; a variable gets one unlabelled
+    node per name, looked up in and recorded into varnode."""
     results: list[int] = []
-    todo: list[tuple[str, crs.Term]] = [("go", t)]
+    todo: list[tuple[bool, crs.Term]] = [(False, t)]
     while todo:
-        op, node = todo.pop()
-        if op == "go":
-            todo.append(("mk", node))
-            for c in reversed(node.children):
-                todo.append(("go", c))
+        done, node = todo.pop()
+        if isinstance(node, crs.Var):
+            v = varnode.get(node.name)
+            if v is None:
+                v = varnode[node.name] = g.new_node(None)
+            results.append(v)
+        elif not done:
+            todo.append((True, node))
+            todo.extend((False, c) for c in reversed(node.children))
         else:
             k = len(node.children)
             kids = tuple(results[-k:]) if k else ()
@@ -137,14 +149,21 @@ def term_to_graph(t: crs.Term) -> TermGraph:
             v = g.new_node(node.symbol)
             g.set_children(v, kids)
             results.append(v)
-    g.root = results[0]
+    return results[0]
+
+
+def term_to_graph(t: crs.Term) -> TermGraph:
+    """Tree-shaped graph of a closed term: one node per symbol occurrence."""
+    if not crs.is_closed(t):
+        raise GraphError("term must be closed")
+    g = TermGraph()
+    g.root = _add_tree(g, t, {})
     return g
 
 
-def unfold_size(g: TermGraph, start: Optional[int] = None) -> int:
-    """Size of the term the graph unfolds to (shared parts count repeatedly)."""
-    start = g.root if start is None else start
-    memo: dict[int, int] = {}
+def _post_order(g: TermGraph, start: int) -> list[int]:
+    """Nodes reachable from start, each once at its leftmost occurrence,
+    children left to right before their parent."""
     order: list[int] = []
     seen: set[int] = set()
     stack = [(start, False)]
@@ -157,9 +176,15 @@ def unfold_size(g: TermGraph, start: Optional[int] = None) -> int:
             continue
         seen.add(v)
         stack.append((v, True))
-        for c in g.succ[v]:
-            stack.append((c, False))
-    for v in order:
+        stack.extend((c, False) for c in reversed(g.succ[v]))
+    return order
+
+
+def unfold_size(g: TermGraph, start: Optional[int] = None) -> int:
+    """Size of the term the graph unfolds to (shared parts count repeatedly)."""
+    start = g.root if start is None else start
+    memo: dict[int, int] = {}
+    for v in _post_order(g, start):
         memo[v] = 1 + sum(memo[c] for c in g.succ[v])
     return memo[start]
 
@@ -174,21 +199,7 @@ def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
     if total > max_size:
         raise UnfoldTooLarge(total, max_size)
     memo: dict[int, crs.Term] = {}
-    order: list[int] = []
-    seen: set[int] = set()
-    stack = [(g.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            order.append(v)
-            continue
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.append((v, True))
-        for c in g.succ[v]:
-            stack.append((c, False))
-    for v in order:
+    for v in _post_order(g, g.root):
         memo[v] = crs.Node(g.label[v], tuple(memo[c] for c in g.succ[v]))
     return memo[g.root]
 
@@ -228,19 +239,8 @@ def rule_to_graph_rule(rule: crs.Rule, sig: crs.Signature) -> GraphRule:
     """Trees of both sides, sharing exactly the variable nodes."""
     g = TermGraph()
     varnode: dict[str, int] = {}
-
-    def build(t: crs.Term) -> int:
-        if isinstance(t, crs.Var):
-            if t.name not in varnode:
-                varnode[t.name] = g.new_node(None)
-            return varnode[t.name]
-        kids = tuple(build(c) for c in t.children)
-        v = g.new_node(t.symbol)
-        g.set_children(v, kids)
-        return v
-
-    left = build(crs.Node(rule.head, rule.lhs))
-    right = build(rule.rhs)
+    left = _add_tree(g, crs.Node(rule.head, rule.lhs), varnode)
+    right = _add_tree(g, rule.rhs, varnode)
     gr = GraphRule(g, left, right, name=rule.head)
     gr.validate(sig)
     return gr
@@ -316,6 +316,13 @@ def _try_match(g: TermGraph, grule: GraphRule, anchor: int, sig: crs.Signature,
     return phi
 
 
+def _by_symbol(grules: list[GraphRule]) -> dict[str, list[GraphRule]]:
+    by_symbol: dict[str, list[GraphRule]] = {}
+    for gr in grules:
+        by_symbol.setdefault(gr.graph.label[gr.left], []).append(gr)
+    return by_symbol
+
+
 def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
                rng=None, counter: Optional[list[int]] = None) -> Optional[Redex]:
     """Leftmost-innermost redex by default (post-order from the root), or a
@@ -323,26 +330,10 @@ def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     anchor unique; that is asserted."""
     if counter is None:
         counter = [0]
-    by_symbol: dict[str, list[GraphRule]] = {}
-    for gr in grules:
-        by_symbol.setdefault(gr.graph.label[gr.left], []).append(gr)
+    by_symbol = _by_symbol(grules)
     ffree: dict[int, bool] = {}
-    order: list[int] = []
-    seen: set[int] = set()
-    stack = [(g.root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            order.append(v)
-            continue
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.append((v, True))
-        for c in reversed(g.succ[v]):
-            stack.append((c, False))
     found: list[Redex] = []
-    for v in order:
+    for v in _post_order(g, g.root):
         counter[0] += 1
         lab = g.label[v]
         if lab is None or not sig.is_function(lab):
@@ -362,9 +353,11 @@ def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     return found[rng.randrange(len(found))]
 
 
-def _build_phase(g: TermGraph, redex: Redex) -> int:
-    """Copy the right-side-only portion into g; returns the copy of the
-    right root (or its image under phi when the right side is shared)."""
+def _build_phase(g: TermGraph, redex: Redex) -> tuple[int, list[int]]:
+    """Copy the right-side-only portion into g.  Returns the copy of the
+    right root (or its image under phi when the right side is shared) and
+    the nodes that gained an in-edge: the children of the copies, and the
+    returned node, which the redirect points at."""
     rg = redex.rule.graph
     left_nodes = rg.reachable(redex.rule.left)
     right_nodes = rg.reachable(redex.rule.right)
@@ -373,13 +366,15 @@ def _build_phase(g: TermGraph, redex: Redex) -> int:
     for v in fresh:
         assert rg.label[v] is not None, "unlabelled node outside the left side"
         copy[v] = g.new_node(rg.label[v])
+    touched: list[int] = []
     for v in fresh:
-        kids = []
-        for c in rg.succ[v]:
-            kids.append(copy[c] if c in copy else redex.phi[c])
-        g.set_children(copy[v], tuple(kids))
+        kids = tuple(copy[c] if c in copy else redex.phi[c] for c in rg.succ[v])
+        g.set_children(copy[v], kids)
+        touched.extend(kids)
     r = redex.rule.right
-    return copy[r] if r in copy else redex.phi[r]
+    replacement = copy[r] if r in copy else redex.phi[r]
+    touched.append(replacement)
+    return replacement, touched
 
 
 def _redirect_phase(g: TermGraph, target: int, replacement: int) -> None:
@@ -391,7 +386,28 @@ def _redirect_phase(g: TermGraph, target: int, replacement: int) -> None:
         g.root = replacement
 
 
-def _gc_phase(g: TermGraph) -> int:
+def _collect_phase(g: TermGraph, anchor: int) -> list[int]:
+    """Reference-count collection after a redirect away from anchor: a
+    node other than the root dies when its last in-edge leaves with a
+    dead node, starting from the anchor.  Returns the dead nodes.  The
+    graph is acyclic, so this removes exactly the unreachable nodes when
+    every node was reachable before the step."""
+    dead: list[int] = []
+    todo = [anchor] if not g.preds[anchor] and anchor != g.root else []
+    while todo:
+        v = todo.pop()
+        dead.append(v)
+        for i, c in enumerate(g.succ[v]):
+            preds = g.preds[c]
+            preds.discard((v, i))
+            if not preds and c != g.root:
+                todo.append(c)
+        del g.label[v], g.succ[v], g.preds[v]
+    return dead
+
+
+def _collect_unreachable(g: TermGraph) -> list[int]:
+    """Full reachability collection; returns the dead nodes."""
     live = g.reachable(g.root)
     dead = [v for v in g.label if v not in live]
     for v in dead:
@@ -399,23 +415,24 @@ def _gc_phase(g: TermGraph) -> int:
             if c in live:
                 g.preds[c].discard((v, i))
         del g.label[v], g.succ[v], g.preds[v]
-    return len(dead)
+    return dead
 
 
-def fire_redex(g: TermGraph, redex: Redex) -> None:
-    """Build, redirect, collect; mutates g in place."""
-    replacement = _build_phase(g, redex)
+def fire_redex(g: TermGraph, redex: Redex) -> tuple[list[int], list[int]]:
+    """Build, redirect, collect; mutates g in place.  Returns the nodes
+    that gained an in-edge and the collected nodes."""
+    replacement, touched = _build_phase(g, redex)
     _redirect_phase(g, redex.anchor, replacement)
-    _gc_phase(g)
+    return touched, _collect_phase(g, redex.anchor)
 
 
 def fire_redex_phases(g: TermGraph, redex: Redex) -> list[TermGraph]:
     """Snapshots after each phase (build, redirect, collect)."""
-    replacement = _build_phase(g, redex)
+    replacement, _ = _build_phase(g, redex)
     after_build = g.copy()
     _redirect_phase(g, redex.anchor, replacement)
     after_redirect = g.copy()
-    _gc_phase(g)
+    _collect_phase(g, redex.anchor)
     return [after_build, after_redirect, g.copy()]
 
 
@@ -440,22 +457,56 @@ class GraphOutcome:
     graph: TermGraph
     steps: int
     sizes: list[int] = field(default_factory=list)  # node count, initial first
-    work: list[int] = field(default_factory=list)   # nodes visited per step
+    work: list[int] = field(default_factory=list)   # nodes visited per search
 
 
 def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
                  budget: int = 10_000, rng=None, check_shared: bool = True,
                  on_step=None) -> GraphOutcome:
-    """Iterate find/fire on a constructor-shared closed graph.
+    """Reduce a constructor-shared closed graph, leftmost-innermost by
+    default or at uniformly random redexes with rng.
 
-    Records the node count after every firing and asserts that
-    constructor-sharedness is preserved; a violation aborts the run since
-    it indicates a bug, not an input error.
+    The leftmost path is an innermost evaluation machine (_reduce_innermost)
+    that never re-walks the graph from the root; the random path searches
+    the whole graph with find_redex on every step.  Both fire through
+    fire_redex, which collects by reference count from the old anchor; the
+    first firing also runs a full reachability collection, which removes
+    nodes of the input that were never reachable.  sizes holds the node
+    count of the input and after every firing.  work holds, per search
+    for a redex, the graph and rule nodes it visited: one entry per firing,
+    and one more for the last search when the run ends normal with
+    steps < budget.  With check_shared, the input is checked for
+    constructor-sharedness and, after every firing, the nodes that gained
+    an in-edge and now have in-degree >= 2 are checked to be function-free;
+    no other node can lose the property, since a redirect only rewires the
+    parents of a function node, which are unshared.  A violation aborts
+    the run since it indicates a bug, not an input error.
     """
     if check_shared and not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
     sizes = [g.node_count()]
     work: list[int] = []
+    memo: dict[int, bool] = {}  # node -> function-free; dead nodes are dropped
+
+    def fire(redex: Redex, steps: int) -> None:
+        touched, dead = fire_redex(g, redex)
+        if steps == 1:
+            dead += _collect_unreachable(g)
+        for v in dead:
+            memo.pop(v, None)
+        sizes.append(g.node_count())
+        if check_shared:
+            counter = [0]
+            for v in touched:
+                if len(g.preds[v]) >= 2 and not _function_free(g, v, sig, memo, counter):
+                    raise SharingViolation(f"sharedness lost after step {steps}")
+        if on_step is not None:
+            on_step(g, steps)
+
+    if rng is None:
+        kind, steps = _reduce_innermost(g, _by_symbol(grules), sig, budget,
+                                        memo, fire, work)
+        return GraphOutcome(kind, g, steps, sizes, work)
     steps = 0
     while steps < budget:
         counter = [0]
@@ -463,16 +514,80 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         work.append(counter[0])
         if redex is None:
             return GraphOutcome("normal", g, steps, sizes, work)
-        fire_redex(g, redex)
         steps += 1
-        sizes.append(g.node_count())
-        if check_shared and not is_constructor_shared(g, sig):
-            raise SharingViolation(f"sharedness lost after step {steps}")
-        if on_step is not None:
-            on_step(g, steps)
-    if find_redex(g, grules, sig) is None:
-        return GraphOutcome("normal", g, steps, sizes, work)
-    return GraphOutcome("exhausted", g, steps, sizes, work)
+        fire(redex, steps)
+    kind = "normal" if find_redex(g, grules, sig) is None else "exhausted"
+    return GraphOutcome(kind, g, steps, sizes, work)
+
+
+def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
+                      sig: crs.Signature, budget: int, value: dict[int, bool],
+                      fire, work: list[int]) -> tuple[OutcomeKind, int]:
+    # Innermost evaluation machine, children left to right.  A frame
+    # [node, i, values] says that the children of node before index i are
+    # done and whether all of them are values (function-free).  value is
+    # the memo of done nodes, True for a value and False for a stuck node;
+    # a node in it is not descended again (shared constructor nodes, the
+    # bindings in a right-hand side).  A node is decided once, when its
+    # last child is done: a function node over values is matched and
+    # fires, and the machine continues with the replacement, which the
+    # redirect put at g.succ[node][i] of the parent frame (or at g.root);
+    # any other node is a value when it is not a function node and all
+    # its children are values, and stuck otherwise.  Constructor-
+    # sharedness makes the function nodes a tree and leaves the shared
+    # nodes unchanged, so post-order firing is find_redex's order.
+    functions = sig.functions
+    counter = [0]
+    steps = 0
+    stack: list[list] = []
+    v = g.root
+    while True:
+        while True:
+            counter[0] += 1
+            val = value.get(v)
+            if val is not None or not g.succ[v]:
+                break
+            stack.append([v, 0, True])
+            v = g.succ[v][0]
+        values = True
+        while True:
+            if val is None:
+                lab = g.label[v]
+                if lab in functions:
+                    hit = None
+                    if values:
+                        for gr in by_symbol.get(lab, ()):
+                            phi = _try_match(g, gr, v, sig, value, counter)
+                            if phi is not None:
+                                hit = Redex(gr, phi)
+                                break
+                    if hit is not None:
+                        if steps == budget:
+                            return "exhausted", steps
+                        steps += 1
+                        work.append(counter[0])
+                        counter[0] = 0
+                        fire(hit, steps)
+                        v = g.succ[stack[-1][0]][stack[-1][1]] if stack else g.root
+                        break
+                    val = False
+                else:
+                    val = values
+                value[v] = val
+            if not stack:
+                if steps < budget:
+                    work.append(counter[0])
+                return "normal", steps
+            frame = stack[-1]
+            if not val:
+                frame[2] = False
+            frame[1] += 1
+            kids = g.succ[frame[0]]
+            if frame[1] < len(kids):
+                v = kids[frame[1]]
+                break
+            stack.pop()
+            v, values, val = frame[0], frame[2], None
 
 
 # --- comparison and export ------------------------------------------------------------

@@ -1,8 +1,14 @@
+import random
+import time
+from pathlib import Path
+
 import pytest
 
-from normbench import crs, encode, graphs, lam
+from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
-from tests_util import nat_term
+from tests_util import nat_term, random_closed_term, random_system
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def nat_system():
@@ -347,6 +353,155 @@ def test_per_step_work_polynomial():
         assert out.kind == "normal"
         for visited, nodes in zip(out.work, out.sizes):
             assert visited <= 4 * nodes * rule_nodes
+
+
+def test_per_step_work_constant():
+    # after the first search, which walks the input, a search visits only
+    # the replacement of the previous firing and the nodes it matches
+    system = nat_system()
+    grules = graphs.system_to_graph_rules(system)
+    rule_nodes = sum(gr.graph.node_count() for gr in grules)
+    for n in (16, 64, 256):
+        g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(n))))
+        out = graphs.graph_reduce(g, grules, system.signature, 1000)
+        assert out.kind == "normal" and out.steps == n + 1
+        assert len(out.work) == out.steps + 1
+        assert max(out.work[1:]) <= 2 * rule_nodes
+
+
+def test_deep_add_is_linear():
+    system = nat_system()
+    grules = graphs.system_to_graph_rules(system)
+    n = 100_000
+    g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(2))))
+    start = time.perf_counter()
+    out = graphs.graph_reduce(g, grules, system.signature, 200_000)
+    assert time.perf_counter() - start < 30
+    assert out.kind == "normal" and out.steps == n + 1
+    assert out.graph.node_count() == n + 3
+    assert graphs.unfold_size(out.graph) == n + 3
+
+
+# --- the innermost machine against the reference loop ------------------------------
+
+BUDGETS = (0, 1, 3, 7, 30)
+
+
+def reference_graph_reduce(g, grules, sig, budget, rng=None):
+    """graph_reduce spelled out as a loop of whole-graph passes: find_redex
+    from the root, then build, redirect and collect everything unreachable,
+    and check constructor-sharedness on the whole graph after every step."""
+    sizes = [g.node_count()]
+    searches = 0
+    steps = 0
+    while steps < budget:
+        redex = graphs.find_redex(g, grules, sig, rng=rng)
+        searches += 1
+        if redex is None:
+            return "normal", steps, sizes, searches
+        replacement, _ = graphs._build_phase(g, redex)
+        graphs._redirect_phase(g, redex.anchor, replacement)
+        live = g.reachable(g.root)
+        dead = [v for v in g.label if v not in live]
+        for v in dead:
+            for i, c in enumerate(g.succ[v]):
+                if c in live:
+                    g.preds[c].discard((v, i))
+        for v in dead:
+            del g.label[v], g.succ[v], g.preds[v]
+        steps += 1
+        sizes.append(g.node_count())
+        assert graphs.is_constructor_shared(g, sig)
+    kind = "normal" if graphs.find_redex(g, grules, sig) is None else "exhausted"
+    return kind, steps, sizes, searches
+
+
+def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
+    """graph_reduce equals the reference loop in kind, steps, sizes, the
+    number of work entries and the final graph with its node ids."""
+    grules = graphs.system_to_graph_rules(system)
+    sig = system.signature
+    for budget in budgets:
+        rng = None if seed is None else random.Random(seed)
+        ref_g = graphs.term_to_graph(t)
+        ref = reference_graph_reduce(ref_g, grules, sig, budget, rng)
+        rng = None if seed is None else random.Random(seed)
+        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, budget, rng=rng)
+        case = (crs.term_to_str(t), budget, seed)
+        assert (out.kind, out.steps, out.sizes, len(out.work)) == ref, case
+        assert graphs.to_dot(out.graph) == graphs.to_dot(ref_g), case
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_machine_matches_reference_on_random_systems(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        system = random_system(rng)
+        for _ in range(3):
+            t = random_closed_term(rng, system.signature, 4)
+            agrees_with_reference(system, t)
+            agrees_with_reference(system, t, (30,), seed=seed)
+
+
+def test_machine_matches_reference_on_corpus_systems():
+    corpus = workbench.Corpus.load(CORPUS)
+    assert len(corpus.crs_entries) >= 8
+    for entry in corpus.crs_entries:
+        agrees_with_reference(entry.system, entry.term)
+        agrees_with_reference(entry.system, entry.term, (30,), seed=5)
+
+
+def test_machine_matches_reference_on_lambda_images():
+    corpus = workbench.Corpus.load(CORPUS)
+    assert len(corpus.lambda_entries) >= 60
+    for entry in corpus.lambda_entries:
+        image = encode.encode_cbv(entry.term)
+        agrees_with_reference(image.system, image.term)
+        agrees_with_reference(image.system, image.term, (30,), seed=5)
+
+
+def shared_function_rule():
+    """f(x) -> a(g, g) with one g node: the rhs shares a function node."""
+    sig = Signature({"c": 0, "a": 2}, {"f": 1, "g": 0})
+    rg = graphs.TermGraph()
+    x = rg.new_node(None)
+    left = rg.new_node("f")
+    rg.set_children(left, (x,))
+    gnode = rg.new_node("g")
+    right = rg.new_node("a")
+    rg.set_children(right, (gnode, gnode))
+    rule = graphs.GraphRule(rg, left, right)
+    rule.validate(sig)
+    return sig, rule
+
+
+@pytest.mark.parametrize("rng", [None, random.Random(3)])
+def test_rule_sharing_a_function_node_is_caught(rng):
+    sig, rule = shared_function_rule()
+    g = graphs.term_to_graph(Node("f", (Node("c"),)))
+    with pytest.raises(graphs.SharingViolation, match="^sharedness lost after step 1$"):
+        graphs.graph_reduce(g, [rule], sig, 10, rng=rng)
+
+
+def test_unreachable_input_node_collected_at_first_firing():
+    # add(succ(z1), z2) plus an unreachable succ(z1)
+    system = nat_system()
+    g = graphs.TermGraph()
+    z1 = g.new_node("zero")
+    s1 = g.new_node("succ")
+    g.set_children(s1, (z1,))
+    z2 = g.new_node("zero")
+    g.root = g.new_node("add")
+    g.set_children(g.root, (s1, z2))
+    u = g.new_node("succ")
+    g.set_children(u, (z1,))
+    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
+                              system.signature, 10)
+    # step 1 adds succ(add(z1, z2)) and drops add, s1 and u; step 2
+    # redirects to z2 and drops the new add and z1
+    assert out.kind == "normal" and out.steps == 2
+    assert out.sizes == [5, 4, 2]
+    assert graphs.graph_to_term(out.graph) == nat_term(1)
 
 
 def test_size_growth_bounded_by_rhs():
