@@ -49,6 +49,17 @@ def _load_input(path_str: str):
     raise CliError(EXIT_PARSE, f"{path}: unknown input extension (want .lam or .trs)")
 
 
+def _system_and_term(kind: str, loaded):
+    """The rewrite system and term of an input: the CBV image of a .lam
+    term, or a .trs system with its declared term."""
+    if kind == "lam":
+        image = encode.encode_cbv(loaded)
+        return image.system, image.term
+    if loaded.term is None:
+        raise CliError(EXIT_VALIDATION, "no term declaration in input")
+    return loaded.system, loaded.term
+
+
 def _input_stanza(path_str: str) -> dict:
     data = Path(path_str).read_bytes()
     return {"path": path_str, "sha256": workbench.digest(data)}
@@ -88,23 +99,11 @@ def cmd_eval(args) -> int:
         out = lam.reduce(loaded, strategy, args.budget, rng=rng)
         run = workbench.lam_run_dict(args.engine, out)
     elif args.engine == "crs":
-        if kind == "lam":
-            image = encode.encode_cbv(loaded)
-            system, term = image.system, image.term
-        else:
-            if loaded.term is None:
-                raise CliError(EXIT_VALIDATION, "no term declaration in input")
-            system, term = loaded.system, loaded.term
+        system, term = _system_and_term(kind, loaded)
         out = crs.reduce(system, term, args.budget, rng=_rng(args))
         run = workbench.crs_run_dict(args.engine, out)
     elif args.engine == "graph":
-        if kind == "lam":
-            image = encode.encode_cbv(loaded)
-            system, term = image.system, image.term
-        else:
-            if loaded.term is None:
-                raise CliError(EXIT_VALIDATION, "no term declaration in input")
-            system, term = loaded.system, loaded.term
+        system, term = _system_and_term(kind, loaded)
         g = graphs.term_to_graph(term)
         grules = graphs.system_to_graph_rules(system)
         out = graphs.graph_reduce(g, grules, system.signature, args.budget,
@@ -138,10 +137,9 @@ def cmd_encode(args) -> int:
     if args.to == "lambda":
         if kind != "trs":
             raise CliError(EXIT_VALIDATION, "encoding to lambda needs a .trs input")
-        if loaded.term is None:
-            raise CliError(EXIT_VALIDATION, "no term declaration in input")
-        ctx = scott.ScottContext(loaded.system)
-        _emit(lam.to_str(scott.term_to_lambda(ctx, loaded.term)) + "\n", args.out)
+        system, term = _system_and_term(kind, loaded)
+        ctx = scott.ScottContext(system)
+        _emit(lam.to_str(scott.term_to_lambda(ctx, term)) + "\n", args.out)
         return EXIT_OK
     raise CliError(EXIT_VALIDATION, f"unknown encoding target {args.to!r}")
 
@@ -164,9 +162,8 @@ def cmd_roundtrip(args) -> int:
     kind, loaded = _load_input(args.input)
     if kind != "trs":
         raise CliError(EXIT_VALIDATION, "roundtrip needs a .trs input")
-    if loaded.term is None:
-        raise CliError(EXIT_VALIDATION, "no term declaration in input")
-    report = workbench.roundtrip_check(loaded.system, loaded.term, args.budget)
+    system, term = _system_and_term(kind, loaded)
+    report = workbench.roundtrip_check(system, term, args.budget)
     report["input"] = _input_stanza(args.input)
     _emit_report(report, args.out)
     _maybe_dot(report.get("_final_graph"), args.emit_dot)
@@ -174,14 +171,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_graph_dot(args) -> int:
-    kind, loaded = _load_input(args.input)
-    if kind == "lam":
-        image = encode.encode_cbv(loaded)
-        term = image.term
-    else:
-        if loaded.term is None:
-            raise CliError(EXIT_VALIDATION, "no term declaration in input")
-        term = loaded.term
+    _, term = _system_and_term(*_load_input(args.input))
     g = graphs.term_to_graph(term)
     _emit(graphs.to_dot(g), args.out)
     return EXIT_OK

@@ -115,8 +115,10 @@ def _abstraction_subterms(t: lam.Term) -> list[lam.Abs]:
     """All abstraction occurrences of t, outermost first."""
     out: list[lam.Abs] = []
     todo = [t]
-    while todo:
-        s = todo.pop(0)
+    i = 0
+    while i < len(todo):
+        s = todo[i]
+        i += 1
         if isinstance(s, lam.Abs):
             out.append(s)
             todo.append(s.body)
@@ -143,13 +145,29 @@ class PsiImage:
     admin_rule: crs.Rule
 
 
-def _image_term(t: lam.Term, reg: Registry) -> crs.Term:
-    if isinstance(t, lam.Var):
-        return crs.Var(t.name)
-    if isinstance(t, lam.Abs):
-        con = reg.register(t)
-        return crs.Node(con.name, tuple(crs.Var(v) for v in con.free))
-    return crs.Node(APP, (_image_term(t.fun, reg), _image_term(t.arg, reg)))
+def _image_term(t: lam.Term, reg: Registry, arg_symbol: str = APP) -> crs.Term:
+    """The image of t: an abstraction becomes its constructor over its free
+    variables, an application on the spine (the root and the function side
+    of spine applications) becomes `app`, and one inside an argument
+    becomes `arg_symbol` (`capp` freezes it in the CBN main image)."""
+    out: list[crs.Term] = []
+    todo: list[tuple] = [(t, APP)]      # (term, symbol of an application there)
+    while todo:
+        s, symbol = todo.pop()
+        if s is None:
+            x = out.pop()
+            f = out.pop()
+            out.append(crs.Node(symbol, (f, x)))
+        elif isinstance(s, lam.Var):
+            out.append(crs.Var(s.name))
+        elif isinstance(s, lam.Abs):
+            con = reg.register(s)
+            out.append(crs.Node(con.name, tuple(crs.Var(v) for v in con.free)))
+        else:
+            todo.append((None, symbol))
+            todo.append((s.arg, arg_symbol))
+            todo.append((s.fun, symbol))
+    return out[0]
 
 
 def encode_cbv(m: lam.Term) -> PhiImage:
@@ -173,18 +191,36 @@ def encode_cbv(m: lam.Term) -> PhiImage:
 
 
 def readback(t: crs.Term, reg: Registry) -> lam.Term:
-    """The inverse image: app becomes application, constructors re-open
-    their abstraction with decoded arguments substituted for its free
-    variables."""
-    if isinstance(t, crs.Var):
-        return lam.Var(t.name)
-    if t.symbol in (APP, CAPP):
-        if len(t.children) != 2:
-            raise UnknownConstructor(f"{t.symbol} with arity {len(t.children)}")
-        return lam.App(readback(t.children[0], reg), readback(t.children[1], reg))
-    con = reg.lookup(t.symbol)
-    args = [readback(c, reg) for c in t.children]
-    return lam.substitute_many(con.abstraction(), dict(zip(con.free, args)))
+    """The inverse image of a closed term, through the lambda machines'
+    readback: a constructor c(v1..vn) is the closure of its abstraction
+    with each free variable bound to the closure of its v_j, and app and
+    capp are the machines' stuck application of two closures."""
+    closures: dict[int, tuple] = {}     # id(node) -> closure; t keeps nodes alive
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is not None:               # s, then None once its children are read
+            if type(s) is crs.Var:
+                raise OpenTermError(f"free variable {s.name} in readback")
+            if id(s) not in closures:
+                todo.append(s)
+                todo.append(None)
+                todo.extend(s.children)
+            continue
+        s = todo.pop()
+        kids = [closures[id(c)] for c in s.children]
+        if s.symbol in (APP, CAPP):
+            arity, closure = 2, (None, tuple(kids))
+        else:
+            con = reg.lookup(s.symbol)
+            env = None
+            for name, kid in zip(con.free, kids):
+                env = (name, kid, env)
+            arity, closure = con.arity, (con.abstraction(), env)
+        if len(kids) != arity:
+            raise UnknownConstructor(f"{s.symbol} with arity {len(kids)}")
+        closures[id(s)] = closure
+    return lam.readback([closures[id(t)]])[0]
 
 
 def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:
@@ -194,11 +230,10 @@ def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:
         s = todo.pop()
         if isinstance(s, crs.Var):
             return False
-        if not crs.contains_function(s, sig):
-            continue
-        if s.symbol != APP:
+        if s.symbol == APP:
+            todo.extend(s.children)
+        elif crs.contains_function(s, sig):
             return False
-        todo.extend(s.children)
     return True
 
 
@@ -217,25 +252,6 @@ def check_provenance(t: crs.Term, reg: Registry) -> bool:
 
 # --- call-by-name ----------------------------------------------------------------
 
-def _aux_term(t: lam.Term, reg: Registry) -> crs.Term:
-    # the all-constructor map: applications freeze under capp
-    if isinstance(t, lam.Var):
-        return crs.Var(t.name)
-    if isinstance(t, lam.Abs):
-        con = reg.register(t)
-        return crs.Node(con.name, tuple(crs.Var(v) for v in con.free))
-    return crs.Node(CAPP, (_aux_term(t.fun, reg), _aux_term(t.arg, reg)))
-
-
-def _main_term(t: lam.Term, reg: Registry) -> crs.Term:
-    if isinstance(t, lam.Var):
-        return crs.Var(t.name)
-    if isinstance(t, lam.Abs):
-        con = reg.register(t)
-        return crs.Node(con.name, tuple(crs.Var(v) for v in con.free))
-    return crs.Node(APP, (_main_term(t.fun, reg), _aux_term(t.arg, reg)))
-
-
 def encode_cbn(m: lam.Term) -> PsiImage:
     """The CBN image over app/capp with the administrative rule.
 
@@ -250,7 +266,7 @@ def encode_cbn(m: lam.Term) -> PsiImage:
     identity = reg.register(lam.Abs("z", lam.Var("z")))
     for sub in _abstraction_subterms(m):
         reg.register(sub)
-    term = _main_term(m, reg)
+    term = _image_term(m, reg, CAPP)
     names = list(reg.by_name)
     rules: list[crs.Rule] = []
     # identity: unfreeze or return its argument
@@ -280,18 +296,13 @@ def encode_cbn(m: lam.Term) -> PsiImage:
         con = reg.by_name[name]
         if not isinstance(con.body, lam.Var):
             lhs = (crs.Node(name, tuple(crs.Var(v) for v in con.free)), crs.Var(con.binder))
-            rules.append(crs.Rule(APP, lhs, _main_term(con.body, reg)))
+            rules.append(crs.Rule(APP, lhs, _image_term(con.body, reg, CAPP)))
     admin = crs.Rule(APP, (crs.Node(CAPP, (crs.Var("x"), crs.Var("y"))), crs.Var("z")),
                      crs.Node(APP, (crs.Node(APP, (crs.Var("x"), crs.Var("y"))), crs.Var("z"))))
     rules.append(admin)
     assert list(reg.by_name) == names
     sig = crs.Signature({CAPP: 2, **{c.name: c.arity for c in reg.by_name.values()}}, {APP: 2})
     return PsiImage(term, crs.validate_system(sig, rules), reg, m, admin)
-
-
-def psi_readback(t: crs.Term, reg: Registry) -> lam.Term:
-    """app and capp both read back as application."""
-    return readback(t, reg)
 
 
 def psi_is_canonical(t: crs.Term, sig: crs.Signature, reg: Registry) -> bool:
@@ -317,17 +328,15 @@ class PhiRun:
     readback_nf: Optional[lam.Term]
 
 
-def run_phi(image: PhiImage, budget: int = 10_000, rng=None, check: bool = True,
-            deep_check: bool = False) -> PhiRun:
+def run_phi(image: PhiImage, budget: int = 10_000, deep_check: bool = False) -> PhiRun:
     """Reduce the image, asserting canonicity and constructor provenance
     after every step; with deep_check also that each rewrite projects to a
     single CBV step of the readback."""
     sig = image.system.signature
 
     def on_step(rule, before, after):
-        if check:
-            assert is_canonical(after, sig), "canonicity lost"
-            assert check_provenance(after, image.registry), "unregistered constructor"
+        assert is_canonical(after, sig), "canonicity lost"
+        assert check_provenance(after, image.registry), "unregistered constructor"
         if deep_check:
             rb_before = readback(before, image.registry)
             rb_after = readback(after, image.registry)
@@ -336,14 +345,12 @@ def run_phi(image: PhiImage, budget: int = 10_000, rng=None, check: bool = True,
                        for path in lam.cbv_redexes(rb_before)]
             assert any(lam.alpha_eq(r, rb_after) for r in reducts)
 
-    if check:
-        assert is_canonical(image.term, sig)
-    out = crs.reduce(image.system, image.term, budget, rng=rng,
-                     on_step=on_step if (check or deep_check) else None)
+    assert is_canonical(image.term, sig)
+    out = crs.reduce(image.system, image.term, budget, on_step=on_step)
     rb = None
     if out.kind != "exhausted":
         rb = readback(out.term, image.registry)
-        if check and out.kind == "constructor":
+        if out.kind == "constructor":
             assert lam.reduce(rb, "cbv", 0).kind == "normal"
     return PhiRun(out, rb)
 
@@ -356,7 +363,7 @@ class PsiRun:
     ordinary_steps: int
 
 
-def run_psi(image: PsiImage, budget: int = 10_000, check: bool = True) -> PsiRun:
+def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
     """Reduce the CBN image; administrative steps must keep the readback
     fixed and add exactly one occurrence of app."""
     counts = {"admin": 0, "ordinary": 0}
@@ -364,20 +371,18 @@ def run_psi(image: PsiImage, budget: int = 10_000, check: bool = True) -> PsiRun
     def on_step(rule, before, after):
         if rule is image.admin_rule:
             counts["admin"] += 1
-            if check:
-                assert crs.count_symbol(after, APP) == crs.count_symbol(before, APP) + 1
-                assert lam.alpha_eq(readback(before, image.registry),
-                                    readback(after, image.registry))
+            assert crs.count_symbol(after, APP) == crs.count_symbol(before, APP) + 1
+            assert lam.alpha_eq(readback(before, image.registry),
+                                readback(after, image.registry))
         else:
             counts["ordinary"] += 1
 
-    if check:
-        assert psi_is_canonical(image.term, image.system.signature, image.registry)
+    assert psi_is_canonical(image.term, image.system.signature, image.registry)
     out = crs.reduce(image.system, image.term, budget, on_step=on_step)
     rb = None
     if out.kind != "exhausted":
         rb = readback(out.term, image.registry)
-        if check and out.kind == "constructor":
+        if out.kind == "constructor":
             assert psi_is_canonical(out.term, image.system.signature, image.registry)
     return PsiRun(out, rb, counts["admin"], counts["ordinary"])
 

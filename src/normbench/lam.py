@@ -198,33 +198,6 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     return go(t)
 
 
-def substitute_many(t: Term, mapping: dict[str, Term]) -> Term:
-    """Simultaneous capture-avoiding substitution."""
-    mapping = {x: v for x, v in mapping.items() if v != Var(x)}
-    if not mapping:
-        return t
-    fv_vs: set[str] = set()
-    for v in mapping.values():
-        fv_vs |= _free_set(v)
-
-    def go(t: Term, mp: dict[str, Term]) -> Term:
-        if not mp:
-            return t
-        if isinstance(t, Var):
-            return mp.get(t.name, t)
-        if isinstance(t, Abs):
-            inner = {x: v for x, v in mp.items() if x != t.binder}
-            if not inner:
-                return t
-            if t.binder in fv_vs:
-                y = fresh_name(t.binder, fv_vs | _free_set(t.body) | set(inner))
-                return Abs(y, go(substitute(t.body, t.binder, Var(y)), inner))
-            return Abs(t.binder, go(t.body, inner))
-        return App(go(t.fun, mp), go(t.arg, mp))
-
-    return go(t, dict(mapping))
-
-
 def alpha_eq(s: Term, t: Term) -> bool:
     """Structural equality modulo bound-variable names."""
     env_s: dict[str, list[int]] = {}
@@ -371,7 +344,7 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
             val = (term, None) if e is None else e[1]
         while True:
             if not stack:
-                return ReductionOutcome("normal", _readback([val], t)[0], steps)
+                return ReductionOutcome("normal", readback([val], t)[0], steps)
             arg, fun = stack.pop()
             if arg is not None:
                 stack.append((None, val))
@@ -381,7 +354,7 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
                 if steps >= budget:
                     # the last term reached: this redex inside the frames
                     frames = stack[::-1]
-                    parts = _readback([fun, val] + [f[1] if f[0] is None else f
+                    parts = readback([fun, val] + [f[1] if f[0] is None else f
                                                     for f in frames], t)
                     last = App(parts[0], parts[1])
                     for f, part in zip(frames, parts[2:]):
@@ -429,22 +402,26 @@ def _reduce_cbn_machine(t: Term, budget: int) -> ReductionOutcome:
             if e is None:
                 break           # free head variable
             term, env = e[1]
-    parts = _readback([(term, env)] + args[::-1], t)
+    parts = readback([(term, env)] + args[::-1], t)
     out = parts[0]
     for a in parts[1:]:
         out = App(out, a)
     return ReductionOutcome(kind, out, steps)
 
 
-def _readback(closures: list[tuple], t: Term) -> list[Term]:
-    """The terms of machine closures over the input t, in order.
+def readback(closures: list[tuple], t: Optional[Term] = None) -> list[Term]:
+    """The terms of machine closures over the input t, in order
+    (`encode.readback` reads rewrite terms back as closures too).
 
-    Closed inputs never need a rename.  On an open t a second pass renames
-    every binder named after a free variable of the result, as
-    `substitute` would, so that the variable is not captured.
+    Closed closures never need a rename, nor t.  Open ones are read a
+    second time, renaming every binder named after a free variable of the
+    result, as `substitute` would, so that the variable is not captured;
+    the fresh names avoid every name of t.
     """
     terms, free = _read(closures, frozenset(), frozenset())
     if free:
+        if t is None:
+            raise ValueError(f"open closures without their input term: {sorted(free)}")
         terms, _ = _read(closures, free, free | _names(t))
     return terms
 

@@ -8,6 +8,7 @@ identical inputs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -39,8 +40,7 @@ def crs_run_dict(engine: str, out: crs.CrsOutcome) -> dict:
     return d
 
 
-def graph_run_dict(engine: str, out: graphs.GraphOutcome,
-                    unfold_limit: int = UNFOLD_LIMIT) -> dict:
+def graph_run_dict(engine: str, out: graphs.GraphOutcome) -> dict:
     d = {"engine": engine,
          "outcome": "normal" if out.kind == "normal" else "exhausted",
          "steps": out.steps,
@@ -48,15 +48,14 @@ def graph_run_dict(engine: str, out: graphs.GraphOutcome,
          "size_series": list(out.sizes)}
     if out.kind == "normal":
         try:
-            d["normal_form"] = crs.term_to_str(graphs.graph_to_term(out.graph, unfold_limit))
+            d["normal_form"] = crs.term_to_str(graphs.graph_to_term(out.graph, UNFOLD_LIMIT))
             d["unfolded"] = True
         except graphs.UnfoldTooLarge:
             d["unfolded"] = False
     return d
 
 
-def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET,
-                    unfold_limit: int = UNFOLD_LIMIT) -> dict:
+def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     """Run all five engines on a closed term and evaluate the step-count
     theorems; checks stay null when a needed run hit the budget."""
     timing: dict[str, float] = {}
@@ -79,8 +78,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET,
     grules = graphs.system_to_graph_rules(phi.system)
     graph_run = graphs.graph_reduce(g, grules, phi.system.signature, budget)
     timing["phi-graph"] = time.perf_counter() - t0
-    gd = graph_run_dict("phi-graph", graph_run, unfold_limit)
-    runs.append(gd)
+    runs.append(graph_run_dict("phi-graph", graph_run))
 
     t0 = time.perf_counter()
     cbn = lam.reduce(m, "cbn", budget)
@@ -111,7 +109,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET,
         checks["graph_steps_equal"] = graph_run.steps == cbv.steps
         rb = None
         try:
-            rb = encode.readback(graphs.graph_to_term(graph_run.graph, unfold_limit),
+            rb = encode.readback(graphs.graph_to_term(graph_run.graph, UNFOLD_LIMIT),
                                  phi.registry)
         except graphs.UnfoldTooLarge:
             pass
@@ -156,15 +154,13 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET,
 
 
 def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
-                    budget: int = DEFAULT_BUDGET,
-                    beta_budget: Optional[int] = None,
-                    unfold_limit: int = UNFOLD_LIMIT) -> dict:
+                    budget: int = DEFAULT_BUDGET) -> dict:
     """Reverse simulation plus the graph engine on one closed term."""
     timing: dict[str, float] = {}
     ctx = scott.ScottContext(system)
 
     t0 = time.perf_counter()
-    verdict = scott.simulate_and_check(ctx, t, budget, beta_budget)
+    verdict = scott.simulate_and_check(ctx, t, budget)
     timing["scott"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -178,14 +174,14 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
          **({"normal_form": crs.term_to_str(verdict.crs_term)}
             if verdict.crs_kind != "exhausted" else {})},
         {"engine": "lambda-cbv", "outcome": verdict.beta_kind, "steps": verdict.beta_steps},
-        graph_run_dict("graph", graph_run, unfold_limit),
+        graph_run_dict("graph", graph_run),
     ]
     checks: dict[str, Optional[bool]] = {"scott_consistent": verdict.consistent}
     if verdict.crs_kind != "exhausted" and graph_run.kind == "normal":
         checks["graph_steps_equal"] = graph_run.steps == verdict.crs_steps
         try:
             checks["graph_term_equal"] = (
-                graphs.graph_to_term(graph_run.graph, unfold_limit) == verdict.crs_term)
+                graphs.graph_to_term(graph_run.graph, UNFOLD_LIMIT) == verdict.crs_term)
         except graphs.UnfoldTooLarge:
             checks["graph_term_equal"] = None
     elif verdict.crs_kind == "exhausted" and graph_run.kind == "exhausted":
@@ -287,18 +283,12 @@ def regenerate_expectations(root: Path, budget: int = DEFAULT_BUDGET,
     frozen oracle outputs, so this must be deterministic."""
     root = Path(root)
     corpus = Corpus.load(root)
+    expectations = itertools.chain(
+        ((e.path, lambda_expectation(e.term, budget)) for e in corpus.lambda_entries),
+        ((e.path, crs_expectation(e.system, e.term, budget)) for e in corpus.crs_entries))
     written = []
-    for entry in corpus.lambda_entries:
-        exp = lambda_expectation(entry.term, budget)
-        target = expectation_path(entry.path)
-        if out_root is not None:
-            target = Path(out_root) / target.relative_to(root)
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(exp, indent=2, sort_keys=True) + "\n")
-        written.append(target)
-    for entry in corpus.crs_entries:
-        exp = crs_expectation(entry.system, entry.term, budget)
-        target = expectation_path(entry.path)
+    for path, exp in expectations:
+        target = expectation_path(path)
         if out_root is not None:
             target = Path(out_root) / target.relative_to(root)
             target.parent.mkdir(parents=True, exist_ok=True)

@@ -91,9 +91,9 @@ def test_acceptance_2_cbn_bounds(corpus):
         checked += 1
         n = cbn_run.steps
         image = encode.encode_cbn(entry.term)
-        # run_psi(check=True) asserts, per administrative step, that the
-        # readback is unchanged and the app count rises by exactly one
-        psi_run = encode.run_psi(image, 2 * n + 2, check=True)
+        # run_psi asserts, per administrative step, that the readback is
+        # unchanged and the app count rises by exactly one
+        psi_run = encode.run_psi(image, 2 * n + 2)
         assert psi_run.outcome.kind == "constructor", entry.name
         m = psi_run.outcome.steps
         assert n <= m <= 2 * n, (entry.name, n, m)

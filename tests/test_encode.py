@@ -1,10 +1,15 @@
 import random
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from normbench import crs, encode, lam
+from normbench import crs, encode, lam, workbench
 from normbench.crs import Node
 from normbench.encode import APP, CAPP
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def p(s):
@@ -106,7 +111,7 @@ def test_readback_inverts_encode_property(m):
     img = encode.encode_cbv(m)
     assert lam.alpha_eq(encode.readback(img.term, img.registry), m)
     img2 = encode.encode_cbn(m)
-    assert lam.alpha_eq(encode.psi_readback(img2.term, img2.registry), m)
+    assert lam.alpha_eq(encode.readback(img2.term, img2.registry), m)
 
 
 @given(closed_terms())
@@ -132,10 +137,98 @@ def test_is_canonical():
     assert not encode.is_canonical(bad, img2.system.signature)
 
 
+def test_is_canonical_deep_app_spine():
+    # one walk: app nodes are descended, never searched for a function
+    img = encode.encode_cbv(p("\\z. z"))
+    t = img.term
+    for _ in range(100_000):
+        t = Node(APP, (t, img.term))
+    start = time.perf_counter()
+    assert encode.is_canonical(t, img.system.signature)
+    assert time.perf_counter() - start < 5
+
+
 def test_unknown_constructor():
     img = encode.encode_cbv(p("\\x. x"))
     with pytest.raises(encode.UnknownConstructor):
         encode.readback(Node("lam_ffffffffff"), img.registry)
+
+
+def test_readback_open_term_rejected():
+    img = encode.encode_cbv(p("\\z. z"))
+    with pytest.raises(encode.OpenTermError):
+        encode.readback(Node(APP, (crs.Var("x"), img.term)), img.registry)
+
+
+# --- readback against substitution ----------------------------------------------------
+
+def reference_readback(t, reg):
+    """Readback by substitution: a constructor re-opens its abstraction and
+    substitutes the decoded arguments for its free variables one at a
+    time, which equals simultaneous substitution for closed values."""
+    if t.symbol in (APP, CAPP):
+        return lam.App(reference_readback(t.children[0], reg),
+                       reference_readback(t.children[1], reg))
+    con = reg.lookup(t.symbol)
+    out = con.abstraction()
+    for x, child in zip(con.free, t.children):
+        out = lam.substitute(out, x, reference_readback(child, reg))
+    return out
+
+
+def readback_cases(m, budget):
+    """Terms to read back from the phi and psi images of m: the image, the
+    states after its first 50 rewrite steps and the normal form reached."""
+    for img in (encode.encode_cbv(m), encode.encode_cbn(m)):
+        states = [img.term]
+
+        def on_step(rule, before, after):
+            if len(states) <= 50:
+                states.append(after)
+
+        out = crs.reduce(img.system, img.term, budget, on_step=on_step)
+        if out.kind != "exhausted":
+            states.append(out.term)
+        for s in states:
+            yield s, img.registry
+
+
+def test_readback_equals_substitution_on_corpus():
+    cases = 0
+    for entry in workbench.Corpus.load(CORPUS).lambda_entries:
+        for s, reg in readback_cases(entry.term, workbench.DEFAULT_BUDGET):
+            assert encode.readback(s, reg) == reference_readback(s, reg), entry.name
+            cases += 1
+    assert cases > 1000
+
+
+def test_readback_equals_substitution_on_random_terms():
+    from tests_util import random_closed
+    rng = random.Random(17)
+    for _ in range(1000):
+        m = random_closed(rng, 24)
+        for s, reg in readback_cases(m, 300):
+            assert encode.readback(s, reg) == reference_readback(s, reg), lam.to_str(m)
+
+
+DEEP = 20_000
+
+
+def identity_chain(n, left):
+    """n + 1 identities, applied left- or right-nested."""
+    ident = p("\\z. z")
+    t = ident
+    for _ in range(n):
+        t = lam.App(t, ident) if left else lam.App(ident, t)
+    return t
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_deep_images_encode_and_read_back(left):
+    assert DEEP > sys.getrecursionlimit()
+    m = identity_chain(DEEP, left)
+    for img in (encode.encode_cbv(m), encode.encode_cbn(m)):
+        assert lam.alpha_eq(encode.readback(img.term, img.registry), m)
 
 
 # --- step-exact CBV simulation ------------------------------------------------------
@@ -161,7 +254,7 @@ def test_cbv_simulation_lockstep():
 
 def test_canonicity_preserved_and_provenance():
     img = encode.encode_cbv(lam.two_tower(4))
-    run = encode.run_phi(img, budget=100, check=True)  # asserts per step
+    run = encode.run_phi(img, budget=100)  # asserts per step
     assert run.outcome.steps == 4
 
 
@@ -190,9 +283,9 @@ def test_psi_readback_clauses():
     img = encode.encode_cbn(p("(\\x. x) ((\\y. y) (\\z. z))"))
     ident = img.term.children[0]
     frozen = Node(CAPP, (ident, ident))
-    assert lam.alpha_eq(encode.psi_readback(frozen, img.registry),
+    assert lam.alpha_eq(encode.readback(frozen, img.registry),
                         p("(\\y. y) (\\z. z)"))
-    assert lam.alpha_eq(encode.psi_readback(img.term, img.registry), img.source)
+    assert lam.alpha_eq(encode.readback(img.term, img.registry), img.source)
 
 
 def test_psi_canonicity():
@@ -249,9 +342,9 @@ def test_psi_variable_body_reactivates_frozen_binding():
     m = p("(\\w. (\\x. w) (\\z. z)) ((\\q. q) (\\r. r))")
     n = lam.reduce(m, "cbn", 100).steps
     img = encode.encode_cbn(m)
-    ident = encode._main_term(p("\\z. z"), img.registry)
+    ident = encode._image_term(p("\\z. z"), img.registry, CAPP)
     t1 = crs.rewrite_step(img.system, img.term)
-    cxw = encode._aux_term(p("\\x. w"), img.registry).symbol
+    cxw = encode._image_term(p("\\x. w"), img.registry, CAPP).symbol
     frozen = Node(CAPP, (ident, ident))
     assert t1 == Node(APP, (Node(cxw, (frozen,)), ident))
     t2 = crs.rewrite_step(img.system, t1)

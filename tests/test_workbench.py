@@ -228,11 +228,20 @@ def test_cli_validation_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_trs_without_term_exit_2(tmp_path, capsys):
+    src = tmp_path / "no_term.trs"
+    src.write_text("constructor zero/0;\nfunction f/1;\nrule f(zero) -> zero;\n")
+    for argv in (["eval", "--engine", "crs"], ["eval", "--engine", "graph"],
+                 ["graph-dot"]):
+        assert cli.main(argv + [str(src)]) == 2, argv
+        assert "no term declaration in input" in capsys.readouterr().err
+
+
 def test_cli_check_failure_exit_3(tmp_path, capsys, monkeypatch):
     src = tmp_path / "t.lam"
     src.write_text("\\x. x\n")
 
-    def fake_compare(term, budget, unfold_limit=workbench.UNFOLD_LIMIT):
+    def fake_compare(term, budget):
         return {"schema": 1, "command": "compare", "budget": budget,
                 "term_size": 2, "runs": [], "checks": {"cbv_steps_equal": False},
                 "timing": {}}

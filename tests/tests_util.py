@@ -2,6 +2,7 @@
 
 from hypothesis import strategies as st
 
+from make_corpus import random_closed  # noqa: F401  (shared with the corpus builder)
 from normbench import crs
 from normbench.lam import Abs, App, Var
 
@@ -18,19 +19,6 @@ def closed_terms(draw, depth=4, env=()):
         return Abs(b, draw(closed_terms(depth=depth - 1, env=env + (b,))))
     return App(draw(closed_terms(depth=depth - 1, env=env)),
                draw(closed_terms(depth=depth - 1, env=env)))
-
-
-def random_closed(rng, max_size, env=()):
-    """Random closed lambda term of size <= max_size."""
-    if max_size <= 1 or (env and rng.random() < 0.3):
-        if env:
-            return Var(rng.choice(env))
-        return Abs("x", Var("x"))
-    if max_size < 3 or rng.random() < 0.45:
-        b = f"v{rng.randrange(4)}"
-        return Abs(b, random_closed(rng, max_size - 1, env + (b,)))
-    k = rng.randrange(1, max_size - 1)
-    return App(random_closed(rng, k, env), random_closed(rng, max_size - 1 - k, env))
 
 
 def nat_term(n):

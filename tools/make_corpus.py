@@ -40,6 +40,7 @@ HAND_WRITTEN = {
 
 
 def random_closed(rng, max_size, env=()):
+    """Random closed lambda term of size <= max_size."""
     if max_size <= 1 or (env and rng.random() < 0.3):
         if env:
             return Var(rng.choice(env))
