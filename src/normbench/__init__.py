@@ -5,9 +5,9 @@ import sys as _sys
 
 __version__ = "0.1.0"
 
-# engines, encodings and readback are iterative, but lam.parse, lam.to_str,
-# cbv_redexes, cbn_step/replace_at, substitute with an open value and
-# crs.parse_term still recurse over term depth, which benchmark-sized
+# engines, encodings, readback and crs parsing are iterative, but
+# lam.parse, lam.to_str, cbv_redexes, cbn_step/replace_at and substitute
+# with an open value still recurse over term depth, which benchmark-sized
 # inputs can push past the default
 if _sys.getrecursionlimit() < 10_000:
     _sys.setrecursionlimit(10_000)

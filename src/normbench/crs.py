@@ -11,9 +11,10 @@ on the position policy.
 machine: arguments are evaluated to constructor values left to right,
 then their node is matched once, and a firing continues with the rule's
 right-hand side under the match, so a step costs the same whatever the
-size of the term.  `redexes`, `replace_at` and `rewrite_step` are the
-from-the-root step relation, kept as the reference: the random policy
-and the tests use it.
+size of the term.  Its step event is local: a hook receives the rule,
+its match and a `state()` that builds the whole term only when called.
+`redexes`, `replace_at` and `rewrite_step` are the from-the-root step
+relation, kept as the reference: the random policy and the tests use it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Literal, Optional, Union
 
 
@@ -404,10 +406,13 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     leftmost-innermost policy (no rng) runs an innermost evaluation
     machine that matches each node once; with an rng, every step walks
     the term with `redexes` and fires a redex picked uniformly.
-    `on_step(rule, before, after)` is invoked after each firing; `before`
-    is the previous call's `after` object (t for the first firing), so
-    the machine builds one whole term per step, and only when on_step is
-    given.
+
+    `on_step(rule, subst, state)` is invoked after each firing, with the
+    rule and the match it fired under.  `state()` returns the whole term
+    after the step and is valid only during the call.  The machine builds
+    that term only when `state()` is called, so a hook that does not call
+    it keeps a step at constant cost; the random policy passes the term
+    it already has.
     """
     if not is_closed(t):
         raise CrsError("reduction input must be closed")
@@ -419,10 +424,9 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
         if hit is None:
             break
         path, rule, subst = hit
-        after = replace_at(t, path, apply_subst(rule.rhs, subst))
+        t = replace_at(t, path, apply_subst(rule.rhs, subst))
         if on_step is not None:
-            on_step(rule, t, after)
-        t = after
+            on_step(rule, subst, lambda: t)
         steps += 1
     else:
         if next(redexes(sys, t), None) is not None:
@@ -446,7 +450,6 @@ def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutco
     # the fired node is normal and unchanged, and its bindings are values.
     cons = sys.signature.constructors
     steps = 0
-    before = t
     stack: list[list] = []
     term, env = t, None
     while True:
@@ -482,9 +485,7 @@ def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutco
                 rule, env = hit
                 term = rule.rhs
                 if on_step is not None:
-                    after = _fill(stack, apply_subst(term, env))
-                    on_step(rule, before, after)
-                    before = after
+                    on_step(rule, env, partial(_state, stack, term, env))
                 break
             if all(map(operator.is_, kids, node.children)):
                 val = node
@@ -510,9 +511,16 @@ def _fill(stack: list[list], focus: Term) -> Term:
     return focus
 
 
+def _state(stack: list[list], rhs: Term, env: dict[str, Term]) -> Term:
+    # The whole term right after a firing: the rule's rhs under its match
+    # in the hole of the frames.
+    return _fill(stack, apply_subst(rhs, env))
+
+
 # --- text format ---------------------------------------------------------------
 
 IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
+_TOKEN_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*|[(),]|\S")
 
 
 class CrsParseError(ValueError):
@@ -521,44 +529,67 @@ class CrsParseError(ValueError):
 
 def parse_term(text: str) -> Term:
     """Parse `name` or `name(t1, ..., tn)`; every atom comes back as a Node."""
-    toks = re.findall(r"[a-zA-Z][a-zA-Z0-9_']*|[(),]|\S", text)
+    toks = _TOKEN_RE.findall(text)
+    n = len(toks)
     pos = 0
-
-    def parse_one() -> Term:
-        nonlocal pos
-        if pos >= len(toks):
+    open_: list[tuple[str, list[Term]]] = []    # applications being read
+    while True:
+        if pos >= n:
             raise CrsParseError("unexpected end of term")
         name = toks[pos]
         if not IDENT_RE.fullmatch(name):
             raise CrsParseError(f"expected identifier, got {name!r}")
         pos += 1
-        if pos < len(toks) and toks[pos] == "(":
+        if pos < n and toks[pos] == "(":
             pos += 1
-            kids = []
-            if pos < len(toks) and toks[pos] != ")":
-                kids.append(parse_one())
-                while pos < len(toks) and toks[pos] == ",":
-                    pos += 1
-                    kids.append(parse_one())
-            if pos >= len(toks) or toks[pos] != ")":
+            if pos < n and toks[pos] != ")":
+                open_.append((name, []))
+                continue                        # read its first argument
+            if pos >= n:
                 raise CrsParseError("expected ')'")
             pos += 1
-            return Node(name, tuple(kids))
-        return Node(name, ())
-
-    t = parse_one()
-    if pos != len(toks):
+        t: Term = Node(name, ())
+        while open_:                            # t ends an argument
+            name, kids = open_[-1]
+            kids.append(t)
+            if pos < n and toks[pos] == ",":
+                pos += 1
+                break                           # read the next argument
+            if pos >= n or toks[pos] != ")":
+                raise CrsParseError("expected ')'")
+            pos += 1
+            open_.pop()
+            t = Node(name, tuple(kids))
+        else:
+            break
+    if pos != n:
         raise CrsParseError(f"trailing input: {toks[pos:]!r}")
     return t
 
 
 def _classify_atoms(t: Term, sig: Signature) -> Term:
     # Nullary nodes whose symbol is undeclared become variables.
-    if isinstance(t, Var):
-        return t
-    if not t.children and not (sig.is_constructor(t.symbol) or sig.is_function(t.symbol)):
-        return Var(t.symbol)
-    return Node(t.symbol, tuple(_classify_atoms(c, sig) for c in t.children))
+    out: list[Term] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the node below, once its children are done
+            s = todo.pop()
+            k = len(s.children)
+            kids = tuple(out[-k:])
+            del out[-k:]
+            out.append(Node(s.symbol, kids))
+        elif type(s) is Var:
+            out.append(s)
+        elif s.children:
+            todo.append(s)
+            todo.append(None)
+            todo.extend(reversed(s.children))
+        elif sig.is_constructor(s.symbol) or sig.is_function(s.symbol):
+            out.append(s)
+        else:
+            out.append(Var(s.symbol))
+    return out[0]
 
 
 def term_to_str(t: Term) -> str:

@@ -190,19 +190,24 @@ def encode_cbv(m: lam.Term) -> PhiImage:
     return PhiImage(term, crs.validate_system(sig, rules), reg, m)
 
 
-def readback(t: crs.Term, reg: Registry) -> lam.Term:
+def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
     """The inverse image of a closed term, through the lambda machines'
     readback: a constructor c(v1..vn) is the closure of its abstraction
     with each free variable bound to the closure of its v_j, and app and
-    capp are the machines' stuck application of two closures."""
+    capp are the machines' stuck application of two closures.  With
+    variables, a pattern variable reads back as the free lambda variable
+    of its name; otherwise it raises OpenTermError."""
     closures: dict[int, tuple] = {}     # id(node) -> closure; t keeps nodes alive
+    nullary: dict[str, tuple] = {}      # one closure per nullary constructor, read once
     todo: list = [t]
     while todo:
         s = todo.pop()
         if s is not None:               # s, then None once its children are read
             if type(s) is crs.Var:
-                raise OpenTermError(f"free variable {s.name} in readback")
-            if id(s) not in closures:
+                if not variables:
+                    raise OpenTermError(f"free variable {s.name} in readback")
+                closures[id(s)] = (lam.Var(s.name), None)
+            elif id(s) not in closures:
                 todo.append(s)
                 todo.append(None)
                 todo.extend(s.children)
@@ -211,25 +216,36 @@ def readback(t: crs.Term, reg: Registry) -> lam.Term:
         kids = [closures[id(c)] for c in s.children]
         if s.symbol in (APP, CAPP):
             arity, closure = 2, (None, tuple(kids))
+        elif not kids and s.symbol in nullary:
+            arity, closure = 0, nullary[s.symbol]
         else:
             con = reg.lookup(s.symbol)
             env = None
             for name, kid in zip(con.free, kids):
                 env = (name, kid, env)
             arity, closure = con.arity, (con.abstraction(), env)
+            if not kids and not arity:
+                nullary[s.symbol] = closure
         if len(kids) != arity:
             raise UnknownConstructor(f"{s.symbol} with arity {len(kids)}")
         closures[id(s)] = closure
-    return lam.readback([closures[id(t)]])[0]
+    root = [closures[id(t)]]
+    if not variables:
+        return lam.readback(root)[0]
+    # binders named after a variable are renamed away from every name read
+    names = lam.apps(lam.Var(APP), [c[0] for c in closures.values() if c[0] is not None])
+    return lam.readback(root, names)[0]
 
 
 def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:
-    """Constructor term, or app of two canonical terms."""
+    """Constructor term, or app of two canonical terms.  A variable
+    counts as a constructor term: on a rule's rhs this says that every
+    instance under a match binding constructor values is canonical."""
     todo = [t]
     while todo:
         s = todo.pop()
         if isinstance(s, crs.Var):
-            return False
+            continue
         if s.symbol == APP:
             todo.extend(s.children)
         elif crs.contains_function(s, sig):
@@ -329,27 +345,44 @@ class PhiRun:
 
 
 def run_phi(image: PhiImage, budget: int = 10_000, deep_check: bool = False) -> PhiRun:
-    """Reduce the image, asserting canonicity and constructor provenance
-    after every step; with deep_check also that each rewrite projects to a
-    single CBV step of the readback."""
-    sig = image.system.signature
+    """Reduce the image, with canonicity and constructor provenance
+    checked once per image, where the simulation closes them.
 
-    def on_step(rule, before, after):
-        assert is_canonical(after, sig), "canonicity lost"
-        assert check_provenance(after, image.registry), "unregistered constructor"
-        if deep_check:
-            rb_before = readback(before, image.registry)
-            rb_after = readback(after, image.registry)
+    Provenance: the input term and every rule's rhs name only registered
+    constructors (and app).  A step copies bindings out of the term and
+    adds only rhs symbols, so every reached term does too.  Canonicity:
+    the input is canonical, and so is every rule's rhs with its variables
+    standing for the constructor values the machine binds them to.  In a
+    canonical term a redex has only app nodes above it, and a step leaves
+    that context as it is, so every reached term is canonical.  A step
+    therefore costs no whole-term work.  With deep_check, every reached
+    term is also built (through the step event's `state()`) and checked
+    as a whole: canonical, of registered constructors, and read back as
+    one CBV step of the previous term's readback."""
+    sig = image.system.signature
+    reg = image.registry
+    for t in (image.term, *(rule.rhs for rule in image.system.rules)):
+        assert check_provenance(t, reg), "unregistered constructor"
+        assert is_canonical(t, sig), "canonicity lost"
+    on_step = None
+    if deep_check:
+        prev = [readback(image.term, reg)]
+
+        def on_step(rule, subst, state):
+            after = state()
+            assert is_canonical(after, sig), "canonicity lost"
+            assert check_provenance(after, reg), "unregistered constructor"
+            rb_before, rb_after = prev[0], readback(after, reg)
             reducts = [lam.replace_at(rb_before, path,
                                       lam.contract(lam.subterm_at(rb_before, path)))
                        for path in lam.cbv_redexes(rb_before)]
             assert any(lam.alpha_eq(r, rb_after) for r in reducts)
+            prev[0] = rb_after
 
-    assert is_canonical(image.term, sig)
     out = crs.reduce(image.system, image.term, budget, on_step=on_step)
     rb = None
     if out.kind != "exhausted":
-        rb = readback(out.term, image.registry)
+        rb = readback(out.term, reg)
         if out.kind == "constructor":
             assert lam.reduce(rb, "cbv", 0).kind == "normal"
     return PhiRun(out, rb)
@@ -363,19 +396,36 @@ class PsiRun:
     ordinary_steps: int
 
 
-def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
-    """Reduce the CBN image; administrative steps must keep the readback
-    fixed and add exactly one occurrence of app."""
-    counts = {"admin": 0, "ordinary": 0}
+def _admin_rule_ok(rule: crs.Rule, reg: Registry) -> bool:
+    # Linear and keeping each variable once, so an instance's rhs has one
+    # more app than its lhs exactly when the patterns do; readback is
+    # compositional, so every instance reads back alpha-equal to its lhs
+    # when the patterns do, their variables read as free lambda variables.
+    lhs = crs.Node(rule.head, rule.lhs)
+    return (sorted(crs.variables(rule.rhs)) == sorted(crs.variables(lhs))
+            and crs.count_symbol(rule.rhs, APP) == crs.count_symbol(lhs, APP) + 1
+            and lam.alpha_eq(readback(lhs, reg, variables=True),
+                             readback(rule.rhs, reg, variables=True)))
 
-    def on_step(rule, before, after):
+
+def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
+    """Reduce the CBN image, counting administrative and ordinary steps.
+
+    An administrative step must keep the readback fixed and add exactly
+    one occurrence of app.  Both are properties of the administrative
+    rule, checked once per image: it is linear and keeps each of its
+    variables once, its rhs has one more app than its lhs (head counted),
+    and the two read back alpha-equal with their variables read as free
+    lambda variables.  These carry over to every instance, and a step
+    leaves the context of its redex as it is, so to every reached term;
+    the step hook only counts."""
+    assert _admin_rule_ok(image.admin_rule, image.registry), \
+        "administrative rule changes the readback or adds other than one app"
+    admin = [0]
+
+    def on_step(rule, subst, state):
         if rule is image.admin_rule:
-            counts["admin"] += 1
-            assert crs.count_symbol(after, APP) == crs.count_symbol(before, APP) + 1
-            assert lam.alpha_eq(readback(before, image.registry),
-                                readback(after, image.registry))
-        else:
-            counts["ordinary"] += 1
+            admin[0] += 1
 
     assert psi_is_canonical(image.term, image.system.signature, image.registry)
     out = crs.reduce(image.system, image.term, budget, on_step=on_step)
@@ -384,7 +434,7 @@ def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
         rb = readback(out.term, image.registry)
         if out.kind == "constructor":
             assert psi_is_canonical(out.term, image.system.signature, image.registry)
-    return PsiRun(out, rb, counts["admin"], counts["ordinary"])
+    return PsiRun(out, rb, admin[0], out.steps - admin[0])
 
 
 def system_with_table(image) -> str:

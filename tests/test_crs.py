@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -274,9 +275,8 @@ def reference_reduce(system, t, budget):
         if steps >= budget:
             return crs.CrsOutcome("exhausted", t, steps), calls
         path, rule, subst = hit
-        after = crs.replace_at(t, path, crs.apply_subst(rule.rhs, subst))
-        calls.append((rule, t, after))
-        t = after
+        t = crs.replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        calls.append((rule, subst, t))
         steps += 1
         if crs.term_size(t) > MAX_NODES:
             return None
@@ -290,13 +290,12 @@ def agrees_with_reference(system, t, budgets=BUDGETS):
         if ref is None:
             return False
         calls = []
-        out = crs.reduce(system, t, budget, on_step=lambda *c: calls.append(c))
+        out = crs.reduce(system, t, budget,
+                         on_step=lambda rule, subst, state:
+                         calls.append((rule, subst, state())))
         assert out == ref[0], (crs.term_to_str(t), budget)
         assert calls == ref[1], (crs.term_to_str(t), budget)
         assert all(a[0] is b[0] for a, b in zip(calls, ref[1]))
-        # before is the previous after, so the machine builds one term per step
-        befores = [c[1] for c in calls]
-        assert all(b is a for b, a in zip(befores, [t] + [c[2] for c in calls]))
     return True
 
 
@@ -391,3 +390,14 @@ def test_machine_deep_run():
     out = crs.reduce(sys, t, 50_000)
     assert (out.kind, out.steps, crs.term_size(out.term)) == ("exhausted", 50_000, 100_005)
     assert crs.count_symbol(out.term, "add") == 1
+
+
+def test_parse_system_deep_term():
+    # parse_term and the atom classification are iterative
+    depth = 20_000
+    assert depth > sys.getrecursionlimit()
+    text = ("constructor zero/0; constructor succ/1; function f/1; rule f(x) -> x;\n"
+            "term " + "succ(" * depth + "zero" + ")" * depth + ";\n")
+    f = crs.parse_system(text)
+    assert crs.count_symbol(f.term, "succ") == depth
+    assert crs.term_size(f.term) == depth + 1

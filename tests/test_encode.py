@@ -160,6 +160,16 @@ def test_readback_open_term_rejected():
         encode.readback(Node(APP, (crs.Var("x"), img.term)), img.registry)
 
 
+def test_readback_pattern_variables_free_and_not_captured():
+    # c(x) for c = \x. y binds y to the variable x: the binder is renamed
+    img = encode.encode_cbv(p("(\\y. \\x. y) (\\z. z)"))
+    c = encode._image_term(p("\\x. y"), img.registry).symbol
+    pattern = Node(APP, (Node(c, (crs.Var("x"),)), crs.Var("x")))
+    got = encode.readback(pattern, img.registry, variables=True)
+    assert lam.alpha_eq(got, p("(\\w. x) x"))
+    assert lam.free_vars(got) == ("x",)
+
+
 # --- readback against substitution ----------------------------------------------------
 
 def reference_readback(t, reg):
@@ -182,9 +192,9 @@ def readback_cases(m, budget):
     for img in (encode.encode_cbv(m), encode.encode_cbn(m)):
         states = [img.term]
 
-        def on_step(rule, before, after):
+        def on_step(rule, subst, state):
             if len(states) <= 50:
-                states.append(after)
+                states.append(state())
 
         out = crs.reduce(img.system, img.term, budget, on_step=on_step)
         if out.kind != "exhausted":
@@ -254,8 +264,163 @@ def test_cbv_simulation_lockstep():
 
 def test_canonicity_preserved_and_provenance():
     img = encode.encode_cbv(lam.two_tower(4))
-    run = encode.run_phi(img, budget=100)  # asserts per step
+    run = encode.run_phi(img, budget=100)  # asserts once per image
     assert run.outcome.steps == 4
+
+
+# --- checked runs against the whole-term checker ---------------------------------------
+
+def reference_run_phi(image, budget):
+    """run_phi checking canonicity and provenance on the whole term after
+    every step, the reference for the per-rule checks."""
+    sig, reg = image.system.signature, image.registry
+
+    def on_step(rule, subst, state):
+        after = state()
+        assert encode.is_canonical(after, sig), "canonicity lost"
+        assert encode.check_provenance(after, reg), "unregistered constructor"
+
+    assert encode.is_canonical(image.term, sig)
+    out = crs.reduce(image.system, image.term, budget, on_step=on_step)
+    rb = None
+    if out.kind != "exhausted":
+        rb = encode.readback(out.term, reg)
+        if out.kind == "constructor":
+            assert lam.reduce(rb, "cbv", 0).kind == "normal"
+    return encode.PhiRun(out, rb)
+
+
+def reference_run_psi(image, budget):
+    """run_psi checking every administrative step on the whole terms
+    before and after it: one more app, and the same readback."""
+    sig, reg = image.system.signature, image.registry
+    counts = {"admin": 0, "ordinary": 0}
+    prev = [image.term]
+
+    def on_step(rule, subst, state):
+        before, after = prev[0], state()
+        prev[0] = after
+        if rule is image.admin_rule:
+            counts["admin"] += 1
+            assert crs.count_symbol(after, APP) == crs.count_symbol(before, APP) + 1
+            assert lam.alpha_eq(encode.readback(before, reg), encode.readback(after, reg))
+        else:
+            counts["ordinary"] += 1
+
+    assert encode.psi_is_canonical(image.term, sig, reg)
+    out = crs.reduce(image.system, image.term, budget, on_step=on_step)
+    rb = None
+    if out.kind != "exhausted":
+        rb = encode.readback(out.term, reg)
+        if out.kind == "constructor":
+            assert encode.psi_is_canonical(out.term, sig, reg)
+    return encode.PsiRun(out, rb, counts["admin"], counts["ordinary"])
+
+
+def assert_checked_runs_agree(m, budget):
+    phi = encode.encode_cbv(m)
+    got, ref = encode.run_phi(phi, budget), reference_run_phi(phi, budget)
+    assert (got.outcome, got.readback_nf) == (ref.outcome, ref.readback_nf)
+    psi = encode.encode_cbn(m)
+    got, ref = encode.run_psi(psi, budget), reference_run_psi(psi, budget)
+    assert (got.outcome, got.readback_nf, got.admin_steps, got.ordinary_steps) == \
+        (ref.outcome, ref.readback_nf, ref.admin_steps, ref.ordinary_steps)
+
+
+def test_checked_runs_match_whole_term_checker_on_corpus():
+    entries = workbench.Corpus.load(CORPUS).lambda_entries
+    assert len(entries) >= 62
+    for entry in entries:
+        assert_checked_runs_agree(entry.term, workbench.DEFAULT_BUDGET)
+
+
+def test_checked_runs_match_whole_term_checker_on_random_terms():
+    from tests_util import random_closed
+    rng = random.Random(23)
+    for _ in range(1000):
+        assert_checked_runs_agree(random_closed(rng, 24), 300)
+
+
+def replace_rule(image, old, new, constructors=()):
+    """The image with rule old replaced by new and extra nullary
+    constructors declared."""
+    sig = image.system.signature
+    sig = crs.Signature({**sig.constructors, **{c: 0 for c in constructors}},
+                        dict(sig.functions))
+    rules = [new if r is old else r for r in image.system.rules]
+    return crs.validate_system(sig, rules)
+
+
+def phi_mutants():
+    """Images that break provenance or canonicity, each on a run that
+    reaches the broken term in one step."""
+    img = encode.encode_cbv(p("(\\x. x) (\\y. y)"))
+    (rule,) = img.system.rules
+    yield "rhs names an unregistered constructor", encode.PhiImage(
+        img.term, replace_rule(img, rule, crs.Rule(APP, rule.lhs, Node("bogus")), ["bogus"]),
+        img.registry, img.source)
+    ident = img.term.children[0]
+    yield "input names an unregistered constructor", encode.PhiImage(
+        Node(APP, (ident, Node("bogus"))), replace_rule(img, rule, rule, ["bogus"]),
+        img.registry, img.source)
+    img = encode.encode_cbv(p("(\\x. \\y. x) (\\z. z)"))
+    # app(c, x) -> c'(x) for c = \x. \y. x and c' = \y. x becomes c'(app(x, x))
+    rule = next(r for r in img.system.rules if r.lhs[0] == img.term.children[0])
+    x = rule.lhs[1]
+    bad = crs.Rule(APP, rule.lhs, Node(rule.rhs.symbol, (Node(APP, (x, x)),)))
+    yield "rhs puts app under a constructor", encode.PhiImage(
+        img.term, replace_rule(img, rule, bad), img.registry, img.source)
+
+
+def psi_mutants():
+    """The admin rule of an image with one administrative step, changed to
+    alter the readback or to add no app."""
+    img = encode.encode_cbn(p("(\\x. x (\\z. z)) ((\\y. y) (\\w. w))"))
+    x, y, z = crs.Var("x"), crs.Var("y"), crs.Var("z")
+    for why, rhs in (("rhs changes the readback", Node(APP, (x, Node(APP, (y, z))))),
+                     ("rhs adds no app", Node(APP, (Node(CAPP, (x, y)), z)))):
+        admin = crs.Rule(APP, img.admin_rule.lhs, rhs)
+        yield why, encode.PsiImage(img.term, replace_rule(img, img.admin_rule, admin),
+                                   img.registry, img.source, admin)
+
+
+MUTANTS = [(why, image, (encode.run_phi, reference_run_phi)) for why, image in phi_mutants()] \
+    + [(why, image, (encode.run_psi, reference_run_psi)) for why, image in psi_mutants()]
+
+
+@pytest.mark.parametrize("why,image,runs", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_mutant_images_rejected(why, image, runs):
+    for run in runs:
+        with pytest.raises(AssertionError):
+            run(image, 10)
+
+
+def test_unmutated_admin_rule_and_images_accepted():
+    # the mutants' sources pass, so the rejections above are the mutations'
+    m = p("(\\x. x (\\z. z)) ((\\y. y) (\\w. w))")
+    assert encode.run_psi(encode.encode_cbn(m), 10).admin_steps == 1
+    for src in ("(\\x. x) (\\y. y)", "(\\x. \\y. x) (\\z. z)"):
+        assert encode.run_phi(encode.encode_cbv(p(src)), 10).outcome.steps == 1
+
+
+def church_mult(n):
+    numeral = "(\\f. \\x. " + "f (" * n + "x" + ")" * n + ")"
+    return p(f"(\\m. \\n. \\f. m (n f)) {numeral} {numeral} (\\u. u) (\\v. v)")
+
+
+def test_checked_runs_build_no_whole_term(monkeypatch):
+    builds = []
+    fill = crs._fill
+    monkeypatch.setattr(crs, "_fill", lambda *a: builds.append(1) or fill(*a))
+    m = church_mult(32)
+    phi = encode.run_phi(encode.encode_cbv(m))
+    psi = encode.run_psi(encode.encode_cbn(m))
+    assert (phi.outcome.kind, phi.outcome.steps) == ("constructor", 1062)
+    assert (psi.outcome.kind, psi.outcome.steps) == ("constructor", 1125)
+    assert builds == []
+    # the count sees builds: deep_check builds one whole term per step
+    run = encode.run_phi(encode.encode_cbv(church_mult(3)), deep_check=True)
+    assert len(builds) == run.outcome.steps > 0
 
 
 # --- CBN encoding --------------------------------------------------------------------
@@ -396,9 +561,11 @@ def test_phi_step_count_policy_invariant():
         img = encode.encode_cbv(m)
         base = crs.reduce(img.system, img.term, 400)
         for seed in range(3):
-            out = crs.reduce(img.system, img.term, 400, rng=random.Random(seed))
-            assert out.steps == base.steps
-            assert out.term == base.term
+            states = []
+            out = crs.reduce(img.system, img.term, 400, rng=random.Random(seed),
+                             on_step=lambda rule, subst, state: states.append(state()))
+            assert out.steps == base.steps == len(states)
+            assert out.term == base.term == (states[-1] if states else img.term)
         checked += 1
 
 
