@@ -5,10 +5,10 @@ import sys as _sys
 
 __version__ = "0.1.0"
 
-# engines, encodings, readback and crs parsing are iterative, but
-# lam.parse, lam.to_str, cbv_redexes, cbn_step/replace_at and substitute
-# with an open value still recurse over term depth, which benchmark-sized
-# inputs can push past the default
+# engines, encodings, readback, printing, substitution and crs parsing
+# are iterative, but lam.parse, cbv_redexes and cbn_step/replace_at still
+# recurse over term depth, which benchmark-sized inputs can push past the
+# default
 if _sys.getrecursionlimit() < 10_000:
     _sys.setrecursionlimit(10_000)
 

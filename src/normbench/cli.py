@@ -8,6 +8,7 @@ compare or roundtrip mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -177,7 +178,10 @@ def cmd_graph_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="normbench",
         description="normalization workbench: lambda-calculus, constructor "

@@ -10,18 +10,28 @@ Constructor-sharedness, the invariant that every shared node heads only
 constructor paths, is what keeps graph steps in bijection with term
 steps.
 
+Each rule is compiled once per run (compile_rules) into a flat match
+program, which fills numbered slots with graph nodes, and a build
+template, which copies the right-only nodes with children taken from
+the slots.  Rules are indexed by head and the label of the first
+argument, so a node tries only the rules whose first pattern can match
+it.  The anchor is a function node, hence unshared, so the redirect
+changes one child slot.  A firing thus costs the size of its rule, as a
+CRS step does, and not that of the rule graph walked again.
+
 graph_reduce runs an innermost evaluation machine: one descent from the
 root, each node decided once when its children are done, firing in the
 leftmost-innermost order of find_redex, which stays as the whole-graph
-search of the random policy and the reference.  After the initial
-whole-graph check, sharedness is checked only on the nodes a firing gave
-a new in-edge, so no step after the first walks the whole graph.
+search of the random policy and the reference.  Both use the one
+matcher, _match.  After the initial whole-graph check, sharedness is
+checked only on the nodes a firing gave a new in-edge, so no step after
+the first walks the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from . import crs
 
@@ -180,26 +190,33 @@ def _post_order(g: TermGraph, start: int) -> list[int]:
     return order
 
 
+def _unfold_sizes(g: TermGraph, order: list[int]) -> dict[int, int]:
+    # unfolded size of each node of a post-order list
+    sizes: dict[int, int] = {}
+    for v in order:
+        sizes[v] = 1 + sum(sizes[c] for c in g.succ[v])
+    return sizes
+
+
 def unfold_size(g: TermGraph, start: Optional[int] = None) -> int:
     """Size of the term the graph unfolds to (shared parts count repeatedly)."""
     start = g.root if start is None else start
-    memo: dict[int, int] = {}
-    for v in _post_order(g, start):
-        memo[v] = 1 + sum(memo[c] for c in g.succ[v])
-    return memo[start]
+    return _unfold_sizes(g, _post_order(g, start))[start]
 
 
 def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
     """Unfold the graph to a term; exponential in the worst case, so a size
-    guard refuses beyond max_size nodes."""
+    guard refuses beyond max_size nodes before anything is built.  One
+    post-order walk serves the guard and the build."""
     if not g.is_closed():
         unlab = [v for v, l in g.label.items() if l is None]
         raise UnlabelledNode(f"nodes {unlab} are unlabelled")
-    total = unfold_size(g)
+    order = _post_order(g, g.root)
+    total = _unfold_sizes(g, order)[g.root]
     if total > max_size:
         raise UnfoldTooLarge(total, max_size)
     memo: dict[int, crs.Term] = {}
-    for v in _post_order(g, g.root):
+    for v in order:
         memo[v] = crs.Node(g.label[v], tuple(memo[c] for c in g.succ[v]))
     return memo[g.root]
 
@@ -250,14 +267,110 @@ def system_to_graph_rules(system: crs.CrsSystem) -> list[GraphRule]:
     return [rule_to_graph_rule(r, system.signature) for r in system.rules]
 
 
+# --- compiled rules --------------------------------------------------------------------
+
+# kinds of match step: a labelled rule node, an unlabelled one, and a rule
+# node reached a second time (a left side that shares a node)
+_LABEL, _BIND, _SAME = 0, 1, 2
+
+
+class CompiledRule(NamedTuple):
+    """A graph rule as a flat match program and a build template.
+
+    A match fills slots with graph nodes, the anchor in slot 0.  A step
+    (kind, parent, i, arg) takes the i-th child of the node in slot
+    parent: for _LABEL it must carry the label arg and for _BIND be
+    function-free, and either way it fills the next slot; for _SAME it
+    must be the node in slot arg.  The steps visit the left side depth
+    first, last child first, which is the order of a generic walk with a
+    stack.  The template lists the right-only nodes in ascending
+    rule-node order, so their copies get ids in that order.  Their
+    children, and the right root, are references: a slot, or
+    len(slots) + k for the copy of the k-th right-only node.
+    """
+
+    rule: GraphRule
+    match: tuple[tuple[int, int, int, object], ...]
+    slots: tuple[int, ...]               # the rule node of each slot
+    labels: tuple[str, ...]              # of the right-only nodes
+    kids: tuple[tuple[int, ...], ...]    # of the right-only nodes
+    right: int
+
+
+def compile_rule(gr: GraphRule) -> CompiledRule:
+    """The match program and build template of one rule."""
+    rg = gr.graph
+    slot = {gr.left: 0}
+    match = []
+    todo = [(c, 0, i) for i, c in enumerate(rg.succ[gr.left])]
+    while todo:
+        rn, parent, i = todo.pop()
+        s = slot.get(rn)
+        if s is not None:
+            match.append((_SAME, parent, i, s))
+            continue
+        slot[rn] = s = len(slot)
+        lab = rg.label[rn]
+        if lab is None:
+            match.append((_BIND, parent, i, None))
+        else:
+            match.append((_LABEL, parent, i, lab))
+            todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
+    left_nodes = rg.reachable(gr.left)
+    fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in left_nodes]
+    ref = dict(slot)
+    for k, v in enumerate(fresh):
+        if rg.label[v] is None:
+            raise GraphError(f"unlabelled node {v} outside the left side")
+        ref[v] = len(slot) + k
+    return CompiledRule(gr, tuple(match), tuple(slot), tuple(rg.label[v] for v in fresh),
+                        tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh),
+                        ref[gr.right])
+
+
+RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
+
+
+def compile_rules(grules: list[GraphRule]) -> RuleIndex:
+    """Compiled rules keyed by (head, label of the first argument).  The
+    key of a constructor c holds, in rule order, the rules whose first
+    pattern is c or unlabelled; the key None holds the rules whose first
+    pattern is unlabelled, and every rule of a nullary head."""
+    by_head: dict[str, list[tuple[Optional[str], CompiledRule]]] = {}
+    for gr in grules:
+        rg = gr.graph
+        kids = rg.succ[gr.left]
+        first = rg.label[kids[0]] if kids else None
+        by_head.setdefault(rg.label[gr.left], []).append((first, compile_rule(gr)))
+    index: RuleIndex = {}
+    for head, rules in by_head.items():
+        for key in {None, *(first for first, _ in rules)}:
+            index[head, key] = [cr for first, cr in rules if first is None or first == key]
+    return index
+
+
+def _candidates(index: RuleIndex, g: TermGraph, v: int, lab: str) -> list[CompiledRule]:
+    kids = g.succ[v]
+    return index.get((lab, g.label[kids[0]] if kids else None)) or index.get((lab, None), [])
+
+
 @dataclass
 class Redex:
-    rule: GraphRule
-    phi: dict[int, int]  # rule node -> graph node, on the left subgraph
+    compiled: CompiledRule
+    nodes: list[int]  # the graph node in each match slot, the anchor first
+
+    @property
+    def rule(self) -> GraphRule:
+        return self.compiled.rule
 
     @property
     def anchor(self) -> int:
-        return self.phi[self.rule.left]
+        return self.nodes[0]
+
+    @property
+    def phi(self) -> dict[int, int]:
+        """rule node -> graph node, on the left subgraph"""
+        return dict(zip(self.compiled.slots, self.nodes))
 
 
 def _function_free(g: TermGraph, v: int, sig: crs.Signature,
@@ -290,47 +403,44 @@ def _function_free(g: TermGraph, v: int, sig: crs.Signature,
     return ok
 
 
-def _try_match(g: TermGraph, grule: GraphRule, anchor: int, sig: crs.Signature,
-               ffree: dict[int, bool], counter: list[int]) -> Optional[dict[int, int]]:
-    rg = grule.graph
-    phi: dict[int, int] = {}
-    todo = [(grule.left, anchor)]
-    while todo:
-        rn, gn = todo.pop()
-        counter[0] += 1
-        bound = phi.get(rn)
-        if bound is not None:
-            if bound != gn:
-                return None
+def _match(g: TermGraph, cr: CompiledRule, anchor: int, sig: crs.Signature,
+           ffree: dict[int, bool], counter: list[int]) -> Optional[list[int]]:
+    """The slots of cr's match at anchor, or None.  The anchor's label is
+    the rule's head.  counter gains one per step run, the anchor
+    included, plus the nodes _function_free visits."""
+    label, succ = g.label, g.succ
+    nodes = [anchor]
+    n = 1
+    for kind, parent, i, arg in cr.match:
+        n += 1
+        gn = succ[nodes[parent]][i]
+        if kind == _LABEL:
+            if label[gn] != arg:
+                break
+        elif kind == _BIND:
+            if not (ffree.get(gn) or _function_free(g, gn, sig, ffree, counter)):
+                break
+        else:
+            if nodes[arg] != gn:
+                break
             continue
-        lab = rg.label[rn]
-        if lab is None:
-            if not _function_free(g, gn, sig, ffree, counter):
-                return None
-            phi[rn] = gn
-            continue
-        if g.label[gn] != lab:
-            return None
-        phi[rn] = gn
-        todo.extend(zip(rg.succ[rn], g.succ[gn]))
-    return phi
+        nodes.append(gn)
+    else:
+        counter[0] += n
+        return nodes
+    counter[0] += n
+    return None
 
 
-def _by_symbol(grules: list[GraphRule]) -> dict[str, list[GraphRule]]:
-    by_symbol: dict[str, list[GraphRule]] = {}
-    for gr in grules:
-        by_symbol.setdefault(gr.graph.label[gr.left], []).append(gr)
-    return by_symbol
-
-
-def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
+def find_redex(g: TermGraph, rules, sig: crs.Signature,
                rng=None, counter: Optional[list[int]] = None) -> Optional[Redex]:
     """Leftmost-innermost redex by default (post-order from the root), or a
-    uniform random one with rng.  Orthogonality makes the rule at a given
-    anchor unique; that is asserted."""
+    uniform random one with rng.  rules is a list of GraphRules or their
+    compile_rules index.  Orthogonality makes the rule at a given anchor
+    unique; that is asserted."""
     if counter is None:
         counter = [0]
-    by_symbol = _by_symbol(grules)
+    index = rules if isinstance(rules, dict) else compile_rules(rules)
     ffree: dict[int, bool] = {}
     found: list[Redex] = []
     for v in _post_order(g, g.root):
@@ -339,10 +449,10 @@ def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         if lab is None or not sig.is_function(lab):
             continue
         hits = []
-        for gr in by_symbol.get(lab, []):
-            phi = _try_match(g, gr, v, sig, ffree, counter)
-            if phi is not None:
-                hits.append(Redex(gr, phi))
+        for cr in _candidates(index, g, v, lab):
+            nodes = _match(g, cr, v, sig, ffree, counter)
+            if nodes is not None:
+                hits.append(Redex(cr, nodes))
         assert len(hits) <= 1, f"orthogonality violated at node {v}"
         if hits:
             if rng is None:
@@ -354,34 +464,41 @@ def find_redex(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
 
 
 def _build_phase(g: TermGraph, redex: Redex) -> tuple[int, list[int]]:
-    """Copy the right-side-only portion into g.  Returns the copy of the
-    right root (or its image under phi when the right side is shared) and
-    the nodes that gained an in-edge: the children of the copies, and the
-    returned node, which the redirect points at."""
-    rg = redex.rule.graph
-    left_nodes = rg.reachable(redex.rule.left)
-    right_nodes = rg.reachable(redex.rule.right)
-    fresh = [v for v in sorted(right_nodes) if v not in left_nodes]
-    copy: dict[int, int] = {}
-    for v in fresh:
-        assert rg.label[v] is not None, "unlabelled node outside the left side"
-        copy[v] = g.new_node(rg.label[v])
+    """Copy the right-only nodes of the rule into g from the template.
+    Returns the copy of the right root (or its image under the match when
+    the right side is shared) and the nodes that gained an in-edge: the
+    children of the copies, and the returned node, which the redirect
+    points at."""
+    cr = redex.compiled
+    base = g._next
+    g._next = base + len(cr.labels)
+    ids = redex.nodes + list(range(base, g._next))
+    label, succ, preds = g.label, g.succ, g.preds
+    for v, lab in enumerate(cr.labels, base):
+        label[v] = lab
+        preds[v] = set()
     touched: list[int] = []
-    for v in fresh:
-        kids = tuple(copy[c] if c in copy else redex.phi[c] for c in rg.succ[v])
-        g.set_children(copy[v], kids)
-        touched.extend(kids)
-    r = redex.rule.right
-    replacement = copy[r] if r in copy else redex.phi[r]
+    for v, refs in enumerate(cr.kids, base):
+        kids = tuple([ids[r] for r in refs])
+        succ[v] = kids
+        for i, c in enumerate(kids):
+            preds[c].add((v, i))
+        touched += kids
+    replacement = ids[cr.right]
     touched.append(replacement)
     return replacement, touched
 
 
 def _redirect_phase(g: TermGraph, target: int, replacement: int) -> None:
-    for parent, idx in list(g.preds[target]):
-        kids = list(g.succ[parent])
-        kids[idx] = replacement
-        g.set_children(parent, tuple(kids))
+    """Point each in-edge of target, and the root if it is target, at
+    replacement, one child slot per edge.  An anchor is a function node,
+    which constructor-sharedness leaves with one in-edge at most."""
+    preds = g.preds[target]
+    for parent, i in preds:
+        kids = g.succ[parent]
+        g.succ[parent] = kids[:i] + (replacement,) + kids[i + 1:]
+    g.preds[replacement] |= preds
+    preds.clear()
     if g.root == target:
         g.root = replacement
 
@@ -392,17 +509,18 @@ def _collect_phase(g: TermGraph, anchor: int) -> list[int]:
     dead node, starting from the anchor.  Returns the dead nodes.  The
     graph is acyclic, so this removes exactly the unreachable nodes when
     every node was reachable before the step."""
+    label, succ, preds, root = g.label, g.succ, g.preds, g.root
     dead: list[int] = []
-    todo = [anchor] if not g.preds[anchor] and anchor != g.root else []
+    todo = [anchor] if not preds[anchor] and anchor != root else []
     while todo:
         v = todo.pop()
         dead.append(v)
-        for i, c in enumerate(g.succ[v]):
-            preds = g.preds[c]
-            preds.discard((v, i))
-            if not preds and c != g.root:
+        for i, c in enumerate(succ[v]):
+            in_edges = preds[c]
+            in_edges.discard((v, i))
+            if not in_edges and c != root:
                 todo.append(c)
-        del g.label[v], g.succ[v], g.preds[v]
+        del label[v], succ[v], preds[v]
     return dead
 
 
@@ -457,7 +575,7 @@ class GraphOutcome:
     graph: TermGraph
     steps: int
     sizes: list[int] = field(default_factory=list)  # node count, initial first
-    work: list[int] = field(default_factory=list)   # nodes visited per search
+    work: list[int] = field(default_factory=list)   # nodes and match steps per search
 
 
 def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
@@ -466,21 +584,27 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The leftmost path is an innermost evaluation machine (_reduce_innermost)
-    that never re-walks the graph from the root; the random path searches
-    the whole graph with find_redex on every step.  Both fire through
-    fire_redex, which collects by reference count from the old anchor; the
-    first firing also runs a full reachability collection, which removes
-    nodes of the input that were never reachable.  sizes holds the node
-    count of the input and after every firing.  work holds, per search
-    for a redex, the graph and rule nodes it visited: one entry per firing,
-    and one more for the last search when the run ends normal with
-    steps < budget.  With check_shared, the input is checked for
-    constructor-sharedness and, after every firing, the nodes that gained
-    an in-edge and now have in-degree >= 2 are checked to be function-free;
-    no other node can lose the property, since a redirect only rewires the
-    parents of a function node, which are unshared.  A violation aborts
-    the run since it indicates a bug, not an input error.
+    The rules are compiled once per call (compile_rules).  The leftmost
+    path is an innermost evaluation machine (_reduce_innermost) that never
+    re-walks the graph from the root; the random path searches the whole
+    graph with find_redex on every step.  Both fire through fire_redex,
+    which collects by reference count from the old anchor; the first
+    firing also runs a full reachability collection, which removes nodes
+    of the input that were never reachable.  sizes holds the node count
+    of the input and after every firing.  work holds, per search for a
+    redex, the graph nodes and match steps it visited: one entry per
+    firing, and one more for the last search when the run ends normal
+    with steps < budget.  A rule that is tried runs as many match steps
+    as a generic walk of its left side would, and the index skips the
+    rules whose first pattern cannot match, so these entries can only be
+    smaller than with every rule of the head tried.
+
+    With check_shared, the input is checked for constructor-sharedness
+    and, after every firing, the nodes that gained an in-edge and now have
+    in-degree >= 2 are checked to be function-free; no other node can
+    lose the property, since a redirect only rewires the parents of a
+    function node, which are unshared.  A violation aborts the run since
+    it indicates a bug, not an input error.
     """
     if check_shared and not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
@@ -503,24 +627,24 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         if on_step is not None:
             on_step(g, steps)
 
+    index = compile_rules(grules)
     if rng is None:
-        kind, steps = _reduce_innermost(g, _by_symbol(grules), sig, budget,
-                                        memo, fire, work)
+        kind, steps = _reduce_innermost(g, index, sig, budget, memo, fire, work)
         return GraphOutcome(kind, g, steps, sizes, work)
     steps = 0
     while steps < budget:
         counter = [0]
-        redex = find_redex(g, grules, sig, rng=rng, counter=counter)
+        redex = find_redex(g, index, sig, rng=rng, counter=counter)
         work.append(counter[0])
         if redex is None:
             return GraphOutcome("normal", g, steps, sizes, work)
         steps += 1
         fire(redex, steps)
-    kind = "normal" if find_redex(g, grules, sig) is None else "exhausted"
+    kind = "normal" if find_redex(g, index, sig) is None else "exhausted"
     return GraphOutcome(kind, g, steps, sizes, work)
 
 
-def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
+def _reduce_innermost(g: TermGraph, index: RuleIndex,
                       sig: crs.Signature, budget: int, value: dict[int, bool],
                       fire, work: list[int]) -> tuple[OutcomeKind, int]:
     # Innermost evaluation machine, children left to right.  A frame
@@ -537,6 +661,7 @@ def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
     # sharedness makes the function nodes a tree and leaves the shared
     # nodes unchanged, so post-order firing is find_redex's order.
     functions = sig.functions
+    label, succ = g.label, g.succ
     counter = [0]
     steps = 0
     stack: list[list] = []
@@ -545,21 +670,21 @@ def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
         while True:
             counter[0] += 1
             val = value.get(v)
-            if val is not None or not g.succ[v]:
+            if val is not None or not succ[v]:
                 break
             stack.append([v, 0, True])
-            v = g.succ[v][0]
+            v = succ[v][0]
         values = True
         while True:
             if val is None:
-                lab = g.label[v]
+                lab = label[v]
                 if lab in functions:
                     hit = None
                     if values:
-                        for gr in by_symbol.get(lab, ()):
-                            phi = _try_match(g, gr, v, sig, value, counter)
-                            if phi is not None:
-                                hit = Redex(gr, phi)
+                        for cr in _candidates(index, g, v, lab):
+                            nodes = _match(g, cr, v, sig, value, counter)
+                            if nodes is not None:
+                                hit = Redex(cr, nodes)
                                 break
                     if hit is not None:
                         if steps == budget:
@@ -568,7 +693,7 @@ def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
                         work.append(counter[0])
                         counter[0] = 0
                         fire(hit, steps)
-                        v = g.succ[stack[-1][0]][stack[-1][1]] if stack else g.root
+                        v = succ[stack[-1][0]][stack[-1][1]] if stack else g.root
                         break
                     val = False
                 else:
@@ -582,7 +707,7 @@ def _reduce_innermost(g: TermGraph, by_symbol: dict[str, list[GraphRule]],
             if not val:
                 frame[2] = False
             frame[1] += 1
-            kids = g.succ[frame[0]]
+            kids = succ[frame[0]]
             if frame[1] < len(kids):
                 v = kids[frame[1]]
                 break

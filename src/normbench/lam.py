@@ -177,25 +177,65 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution t{v/x}.
 
     When v is closed this is plain textual substitution; otherwise binders
-    are renamed with globally fresh names where they would capture.
+    are renamed with globally fresh names where they would capture.  Both
+    are iterative; on an open v, whether x occurs free below a binder is
+    read from one pass over t (_mark_free), so only renamed bodies are
+    walked again.
     """
     fv_v = _free_set(v)
     if not fv_v:
         return _subst_closed(t, x, v)
+    # x_free[id(s)]: x occurs free in s, for every subterm s met so far;
+    # keep holds the renamed bodies, so that no id is reused while it is
+    # a key
+    x_free: dict[int, bool] = {}
+    keep: list[Term] = []
+    results: list[Term] = []
+    todo: list[tuple[str, object]] = [("go", t)]
+    while todo:
+        op, node = todo.pop()
+        if op == "go":
+            if isinstance(node, Var):
+                results.append(v if node.name == x else node)
+            elif isinstance(node, Abs):
+                if id(node.body) not in x_free:
+                    _mark_free(node.body, x, x_free)
+                if node.binder == x or not x_free[id(node.body)]:
+                    results.append(node)
+                elif node.binder in fv_v:
+                    y = fresh_name(node.binder, fv_v | _free_set(node.body))
+                    body = substitute(node.body, node.binder, Var(y))
+                    keep.append(body)
+                    todo += (("abs", y), ("go", body))
+                else:
+                    todo += (("abs", node.binder), ("go", node.body))
+            else:
+                todo += (("app", None), ("go", node.arg), ("go", node.fun))
+        elif op == "abs":
+            results.append(Abs(node, results.pop()))
+        else:
+            a = results.pop()
+            results.append(App(results.pop(), a))
+    return results[0]
 
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            return v if t.name == x else t
-        if isinstance(t, Abs):
-            if t.binder == x or x not in _free_set(t.body):
-                return t
-            if t.binder in fv_v:
-                y = fresh_name(t.binder, fv_v | _free_set(t.body))
-                return Abs(y, go(substitute(t.body, t.binder, Var(y))))
-            return Abs(t.binder, go(t.body))
-        return App(go(t.fun), go(t.arg))
 
-    return go(t)
+def _mark_free(t: Term, x: str, x_free: dict[int, bool]) -> None:
+    # record in x_free, by id, whether x occurs free in t and in each of
+    # its subterms not recorded yet: one post-order pass
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    while todo:
+        s, done = todo.pop()
+        if isinstance(s, Var):
+            x_free[id(s)] = s.name == x
+        elif done:
+            x_free[id(s)] = (s.binder != x and x_free[id(s.body)] if isinstance(s, Abs)
+                             else x_free[id(s.fun)] or x_free[id(s.arg)])
+        elif id(s) not in x_free:
+            todo.append((s, True))
+            if isinstance(s, Abs):
+                todo.append((s.body, False))
+            else:
+                todo += ((s.arg, False), (s.fun, False))
 
 
 def alpha_eq(s: Term, t: Term) -> bool:
@@ -609,18 +649,32 @@ def parse(text: str) -> Term:
 
 
 def to_str(t: Term) -> str:
-    """Print with minimal parentheses; parse(to_str(t)) == t."""
-
-    def go(t: Term, ctx: str) -> str:
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Abs):
-            s = f"\\{t.binder}. {go(t.body, 'top')}"
-            return s if ctx == "top" else f"({s})"
-        s = f"{go(t.fun, 'fun')} {go(t.arg, 'arg')}"
-        return f"({s})" if ctx == "arg" else s
-
-    return go(t, "top")
+    """Print with minimal parentheses; parse(to_str(t)) == t.  An
+    abstraction is parenthesised unless it is at the top or a body, an
+    application when it is an argument."""
+    out: list[str] = []
+    todo: list = [(t, "top")]  # subterms with their context, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        s, ctx = item
+        if isinstance(s, Var):
+            out.append(s.name)
+        elif isinstance(s, Abs):
+            if ctx == "top":
+                out.append(f"\\{s.binder}. ")
+            else:
+                out.append(f"(\\{s.binder}. ")
+                todo.append(")")
+            todo.append((s.body, "top"))
+        else:
+            if ctx == "arg":
+                out.append("(")
+                todo.append(")")
+            todo += ((s.arg, "arg"), " ", (s.fun, "fun"))
+    return "".join(out)
 
 
 # --- term builders -----------------------------------------------------------

@@ -367,6 +367,10 @@ def test_per_step_work_constant():
         assert out.kind == "normal" and out.steps == n + 1
         assert len(out.work) == out.steps + 1
         assert max(out.work[1:]) <= 2 * rule_nodes
+        ref_work = reference_graph_reduce(
+            graphs.term_to_graph(Node("add", (nat_term(n), nat_term(n)))),
+            grules, system.signature, 1000)[3]
+        assert all(w <= r for w, r in zip(out.work, ref_work, strict=True))
 
 
 def test_deep_add_is_linear():
@@ -387,20 +391,99 @@ def test_deep_add_is_linear():
 BUDGETS = (0, 1, 3, 7, 30)
 
 
+def reference_try_match(g, grule, anchor, sig, ffree, counter):
+    """The generic matcher: walk the rule graph from the left root with a
+    stack, binding rule nodes to graph nodes; phi or None."""
+    rg = grule.graph
+    phi = {}
+    todo = [(grule.left, anchor)]
+    while todo:
+        rn, gn = todo.pop()
+        counter[0] += 1
+        bound = phi.get(rn)
+        if bound is not None:
+            if bound != gn:
+                return None
+            continue
+        lab = rg.label[rn]
+        if lab is None:
+            if not graphs._function_free(g, gn, sig, ffree, counter):
+                return None
+            phi[rn] = gn
+            continue
+        if g.label[gn] != lab:
+            return None
+        phi[rn] = gn
+        todo.extend(zip(rg.succ[rn], g.succ[gn]))
+    return phi
+
+
+def reference_find_redex(g, grules, sig, rng=None, counter=None):
+    """find_redex with every rule of the head tried by the generic
+    matcher; (rule, phi) or None."""
+    counter = [0] if counter is None else counter
+    ffree = {}
+    found = []
+    for v in graphs._post_order(g, g.root):
+        counter[0] += 1
+        lab = g.label[v]
+        if lab is None or not sig.is_function(lab):
+            continue
+        hits = []
+        for gr in grules:
+            if gr.graph.label[gr.left] == lab:
+                phi = reference_try_match(g, gr, v, sig, ffree, counter)
+                if phi is not None:
+                    hits.append((gr, phi))
+        assert len(hits) <= 1
+        if hits:
+            if rng is None:
+                return hits[0]
+            found.append(hits[0])
+    return found[rng.randrange(len(found))] if found else None
+
+
+def reference_build_phase(g, rule, phi):
+    """Copy the right-only nodes, found by reachability on the rule graph,
+    in ascending order; (replacement, nodes that gained an in-edge)."""
+    rg = rule.graph
+    left_nodes = rg.reachable(rule.left)
+    fresh = [v for v in sorted(rg.reachable(rule.right)) if v not in left_nodes]
+    copy = {v: g.new_node(rg.label[v]) for v in fresh}
+    touched = []
+    for v in fresh:
+        kids = tuple(copy[c] if c in copy else phi[c] for c in rg.succ[v])
+        g.set_children(copy[v], kids)
+        touched.extend(kids)
+    replacement = copy[rule.right] if rule.right in copy else phi[rule.right]
+    touched.append(replacement)
+    return replacement, touched
+
+
 def reference_graph_reduce(g, grules, sig, budget, rng=None):
-    """graph_reduce spelled out as a loop of whole-graph passes: find_redex
-    from the root, then build, redirect and collect everything unreachable,
-    and check constructor-sharedness on the whole graph after every step."""
+    """graph_reduce spelled out as a loop of whole-graph passes with the
+    generic matcher and the reachability build: find the redex from the
+    root, then build, redirect every in-edge with set_children, collect
+    everything unreachable, and check constructor-sharedness on the whole
+    graph after every step.  Returns the visits of each search as work."""
     sizes = [g.node_count()]
-    searches = 0
+    work = []
     steps = 0
     while steps < budget:
-        redex = graphs.find_redex(g, grules, sig, rng=rng)
-        searches += 1
-        if redex is None:
-            return "normal", steps, sizes, searches
-        replacement, _ = graphs._build_phase(g, redex)
-        graphs._redirect_phase(g, redex.anchor, replacement)
+        counter = [0]
+        hit = reference_find_redex(g, grules, sig, rng=rng, counter=counter)
+        work.append(counter[0])
+        if hit is None:
+            return "normal", steps, sizes, work
+        rule, phi = hit
+        anchor = phi[rule.left]
+        replacement, _ = reference_build_phase(g, rule, phi)
+        for parent, idx in list(g.preds[anchor]):
+            kids = list(g.succ[parent])
+            kids[idx] = replacement
+            g.set_children(parent, tuple(kids))
+        if g.root == anchor:
+            g.root = replacement
         live = g.reachable(g.root)
         dead = [v for v in g.label if v not in live]
         for v in dead:
@@ -412,8 +495,8 @@ def reference_graph_reduce(g, grules, sig, budget, rng=None):
         steps += 1
         sizes.append(g.node_count())
         assert graphs.is_constructor_shared(g, sig)
-    kind = "normal" if graphs.find_redex(g, grules, sig) is None else "exhausted"
-    return kind, steps, sizes, searches
+    kind = "normal" if reference_find_redex(g, grules, sig) is None else "exhausted"
+    return kind, steps, sizes, work
 
 
 def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
@@ -424,12 +507,53 @@ def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
     for budget in budgets:
         rng = None if seed is None else random.Random(seed)
         ref_g = graphs.term_to_graph(t)
-        ref = reference_graph_reduce(ref_g, grules, sig, budget, rng)
+        kind, steps, sizes, work = reference_graph_reduce(ref_g, grules, sig, budget, rng)
         rng = None if seed is None else random.Random(seed)
         out = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, budget, rng=rng)
         case = (crs.term_to_str(t), budget, seed)
-        assert (out.kind, out.steps, out.sizes, len(out.work)) == ref, case
+        assert (out.kind, out.steps, out.sizes, len(out.work)) == (
+            kind, steps, sizes, len(work)), case
         assert graphs.to_dot(out.graph) == graphs.to_dot(ref_g), case
+
+
+def compiled_rules_agree(system, t, budget=30):
+    """At every state of the leftmost run up to budget: at each function
+    node, every rule of its head that the index offers matches as the
+    generic matcher does (same phi and the same visit count), and every
+    rule it skips fails there; the compiled build gives the new node ids,
+    edges and in-edges of the reachability build."""
+    grules = graphs.system_to_graph_rules(system)
+    sig = system.signature
+    index = graphs.compile_rules(grules)
+    compiled = {id(cr.rule): cr for bucket in index.values() for cr in bucket}
+    assert len(compiled) == len(grules)
+    g = graphs.term_to_graph(t)
+    for _ in range(budget):
+        for v, lab in list(g.label.items()):
+            if not sig.is_function(lab):
+                continue
+            offered = [cr.rule for cr in graphs._candidates(index, g, v, lab)]
+            of_head = [gr for gr in grules if gr.graph.label[gr.left] == lab]
+            assert offered == [gr for gr in of_head if gr in offered]  # rule order
+            for gr in of_head:
+                ref_count, count = [0], [0]
+                phi = reference_try_match(g, gr, v, sig, {}, ref_count)
+                if gr not in offered:
+                    assert phi is None
+                    continue
+                nodes = graphs._match(g, compiled[id(gr)], v, sig, {}, count)
+                got = None if nodes is None else graphs.Redex(compiled[id(gr)], nodes).phi
+                assert (got, count) == (phi, ref_count)
+        redex = graphs.find_redex(g, index, sig)
+        if redex is None:
+            return
+        ref_g = g.copy()
+        ref = reference_build_phase(ref_g, redex.rule, redex.phi)
+        assert graphs._build_phase(g, redex) == ref
+        assert graphs.to_dot(g) == graphs.to_dot(ref_g)
+        assert g.preds == ref_g.preds and g._next == ref_g._next
+        graphs._redirect_phase(g, redex.anchor, ref[0])
+        graphs._collect_phase(g, redex.anchor)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -441,6 +565,7 @@ def test_machine_matches_reference_on_random_systems(seed):
             t = random_closed_term(rng, system.signature, 4)
             agrees_with_reference(system, t)
             agrees_with_reference(system, t, (30,), seed=seed)
+            compiled_rules_agree(system, t)
 
 
 def test_machine_matches_reference_on_corpus_systems():
@@ -449,6 +574,7 @@ def test_machine_matches_reference_on_corpus_systems():
     for entry in corpus.crs_entries:
         agrees_with_reference(entry.system, entry.term)
         agrees_with_reference(entry.system, entry.term, (30,), seed=5)
+        compiled_rules_agree(entry.system, entry.term)
 
 
 def test_machine_matches_reference_on_lambda_images():
@@ -458,6 +584,7 @@ def test_machine_matches_reference_on_lambda_images():
         image = encode.encode_cbv(entry.term)
         agrees_with_reference(image.system, image.term)
         agrees_with_reference(image.system, image.term, (30,), seed=5)
+        compiled_rules_agree(image.system, image.term)
 
 
 def shared_function_rule():
@@ -481,6 +608,72 @@ def test_rule_sharing_a_function_node_is_caught(rng):
     g = graphs.term_to_graph(Node("f", (Node("c"),)))
     with pytest.raises(graphs.SharingViolation, match="^sharedness lost after step 1$"):
         graphs.graph_reduce(g, [rule], sig, 10, rng=rng)
+
+
+def test_index_keeps_unlabelled_first_patterns():
+    # f(c, zero) -> d and f(x, succ(y)) -> f(x, y): at a node whose first
+    # argument is c, both rules are candidates, in rule order
+    sig = Signature({"c": 0, "d": 0, "zero": 0, "succ": 1}, {"f": 2})
+    system = crs.validate_system(sig, [
+        Rule("f", (Node("c"), Node("zero")), Node("d")),
+        Rule("f", (Var("x"), Node("succ", (Var("y"),))), Node("f", (Var("x"), Var("y")))),
+    ])
+    grules = graphs.system_to_graph_rules(system)
+    index = graphs.compile_rules(grules)
+    assert [cr.rule for cr in index["f", "c"]] == grules
+    assert [cr.rule for cr in index["f", None]] == grules[1:]
+    for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
+                           ("f(d, succ(zero))", "stuck", 1)):
+        t = crs.parse_term(t)
+        out = crs.reduce(system, t, 10)
+        assert (out.kind, out.steps) == (kind, steps)
+        g = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, 10)
+        assert g.steps == steps and graphs.graph_to_term(g.graph) == out.term
+        agrees_with_reference(system, t)
+        compiled_rules_agree(system, t)
+
+
+def shared_pattern_rule():
+    """f(p, p) -> x with p = b(x) one node: the left side shares a
+    constructor node, so the two arguments must be one graph node."""
+    sig = Signature({"b": 1, "c": 0}, {"f": 2})
+    rg = graphs.TermGraph()
+    x = rg.new_node(None)
+    pnode = rg.new_node("b")
+    rg.set_children(pnode, (x,))
+    left = rg.new_node("f")
+    rg.set_children(left, (pnode, pnode))
+    rule = graphs.GraphRule(rg, left, x)
+    rule.validate(sig)
+    return sig, rule
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_left_side_sharing_a_constructor_node(shared):
+    # f(b(c), b(c)) matches only where both arguments are one node; the
+    # compiled program meets the b node twice, the second time as a check
+    sig, rule = shared_pattern_rule()
+    cr = graphs.compile_rule(rule)
+    assert [step[0] for step in cr.match] == [graphs._LABEL, graphs._BIND, graphs._SAME]
+    if shared:
+        g = graphs.TermGraph()
+        c = g.new_node("c")
+        b = g.new_node("b")
+        g.set_children(b, (c,))
+        g.root = g.new_node("f")
+        g.set_children(g.root, (b, b))
+    else:
+        g = graphs.term_to_graph(crs.parse_term("f(b(c), b(c))"))
+    ref_count, count = [0], [0]
+    phi = reference_try_match(g, rule, g.root, sig, {}, ref_count)
+    nodes = graphs._match(g, cr, g.root, sig, {}, count)
+    assert (phi is not None) == shared == (nodes is not None)
+    assert count == ref_count
+    if shared:
+        assert graphs.Redex(cr, nodes).phi == phi
+    out = graphs.graph_reduce(g, [rule], sig, 10)
+    assert out.steps == (1 if shared else 0)
+    assert graphs.graph_to_term(out.graph) == crs.parse_term("c" if shared else "f(b(c), b(c))")
 
 
 def test_unreachable_input_node_collected_at_first_firing():

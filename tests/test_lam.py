@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -372,3 +374,103 @@ def test_deep_terms_no_recursion_blowup():
     assert lam.free_vars(t) == ()
     assert lam.alpha_eq(t, t)
     assert lam.substitute(t, "y", p("\\z. z")) == t
+
+
+# --- iterative substitution and printing --------------------------------------------
+
+DEEP = 20_000
+
+
+def reference_substitute(t, x, v):
+    """The recursive substitution that asks _free_set at every abstraction
+    whether x occurs free below it: the reference on open values."""
+    fv_v = lam._free_set(v)
+    if not fv_v:
+        return lam._subst_closed(t, x, v)
+
+    def go(t):
+        if isinstance(t, Var):
+            return v if t.name == x else t
+        if isinstance(t, Abs):
+            if t.binder == x or x not in lam._free_set(t.body):
+                return t
+            if t.binder in fv_v:
+                y = lam.fresh_name(t.binder, fv_v | lam._free_set(t.body))
+                return Abs(y, go(reference_substitute(t.body, t.binder, Var(y))))
+            return Abs(t.binder, go(t.body))
+        return App(go(t.fun), go(t.arg))
+
+    return go(t)
+
+
+def random_open(rng, size):
+    """Random term of at most size nodes over four names, free or bound."""
+    if size <= 1:
+        return Var(rng.choice("xyzw"))
+    if rng.random() < 0.4:
+        return Abs(rng.choice("xyzw"), random_open(rng, size - 1))
+    k = rng.randrange(1, size)
+    return App(random_open(rng, k), random_open(rng, max(1, size - k)))
+
+
+def test_substitute_open_matches_reference(monkeypatch):
+    # the same fresh names in the same order: structurally equal results
+    rng = random.Random(31)
+    renamed = 0
+    for _ in range(3000):
+        t = random_open(rng, rng.randrange(1, 25))
+        v = random_open(rng, rng.randrange(1, 6))
+        x = rng.choice("xyzw")
+        monkeypatch.setattr(lam, "_fresh_counter", itertools.count(100))
+        want = reference_substitute(t, x, v)
+        monkeypatch.setattr(lam, "_fresh_counter", itertools.count(100))
+        got = lam.substitute(t, x, v)
+        assert got == want, (lam.to_str(t), x, lam.to_str(v))
+        renamed += next(lam._fresh_counter) > 100
+    assert renamed > 300
+
+
+def test_substitute_open_value_deep():
+    # \b1 ... \bn. x b1 ... bn with x := z: one pass, no recursion
+    assert DEEP > sys.getrecursionlimit()
+    bs = [f"b{i}" for i in range(DEEP)]
+    t = lam.abss(bs, lam.apps(Var("x"), [Var(b) for b in bs]))
+    got = lam.substitute(t, "x", Var("z"))
+    want = lam.abss(bs, lam.apps(Var("z"), [Var(b) for b in bs]))
+    assert lam.to_str(got) == lam.to_str(want)  # not ==: dataclass equality recurses
+
+
+def reference_to_str(t):
+    """The recursive printer."""
+
+    def go(t, ctx):
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, Abs):
+            s = f"\\{t.binder}. {go(t.body, 'top')}"
+            return s if ctx == "top" else f"({s})"
+        s = f"{go(t.fun, 'fun')} {go(t.arg, 'arg')}"
+        return f"({s})" if ctx == "arg" else s
+
+    return go(t, "top")
+
+
+@given(terms(depth=5))
+@settings(max_examples=200)
+def test_to_str_matches_recursive_printer(t):
+    assert lam.to_str(t) == reference_to_str(t)
+
+
+def test_to_str_deep():
+    assert DEEP > sys.getrecursionlimit()
+    a = Var("a")
+    chain, left, right, args = Var("x"), a, a, a
+    for _ in range(DEEP):
+        chain = Abs("x", chain)
+        left = App(left, a)
+        right = App(a, right)
+        args = App(a, Abs("x", args))
+    assert lam.to_str(chain) == "\\x. " * DEEP + "x"
+    assert lam.to_str(left) == " ".join(["a"] * (DEEP + 1))
+    assert lam.to_str(right) == "a (" * (DEEP - 1) + "a a" + ")" * (DEEP - 1)
+    assert lam.to_str(args) == "a (\\x. " * DEEP + "a" + ")" * DEEP

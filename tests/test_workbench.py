@@ -249,3 +249,34 @@ def test_cli_check_failure_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(workbench, "compare_engines", fake_compare)
     assert cli.main(["compare", str(src)]) == 3
     capsys.readouterr()
+
+
+def test_cli_parser_reused_across_calls(capsys):
+    # the parser is built once per process; each report (timing aside)
+    # equals the one a fresh parser gives, so no default or state leaks
+    lam_src = str(CORPUS / "lambda" / "dup_drop.lam")
+    trs_src = str(CORPUS / "crs" / "nat_add.trs")
+    calls = [["eval", "--policy", "random", "--seed", "3", lam_src],
+             ["eval", lam_src],
+             ["compare", lam_src],
+             ["eval", "--engine", "graph", "--policy", "random", "--seed", "3", trs_src],
+             ["eval", "--engine", "crs", "--budget", "2", trs_src],
+             ["roundtrip", trs_src]]
+
+    def report(argv):
+        assert cli.main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timing")
+        return out
+
+    cli.build_parser.cache_clear()
+    reused = [report(argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(report(argv))
+    assert reused == fresh
+    assert [r.get("policy") for r in reused] == ["random", "leftmost", None,
+                                                "random", "leftmost", None]
+    assert reused[4]["budget"] == 2 and reused[5]["budget"] == workbench.DEFAULT_BUDGET
