@@ -109,7 +109,7 @@ def cmd_eval(args) -> int:
         grules = graphs.system_to_graph_rules(system)
         out = graphs.graph_reduce(g, grules, system.signature, args.budget,
                                   rng=_rng(args))
-        run = workbench.graph_run_dict(args.engine, out)
+        run, _ = workbench.graph_run_dict(args.engine, out)
         final_graph = out.graph
     else:
         raise CliError(EXIT_VALIDATION, f"unknown engine {args.engine!r}")

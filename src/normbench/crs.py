@@ -204,11 +204,15 @@ def _check_arities(t: Term, sig: Signature) -> None:
 def _patterns_compatible(p: Term, q: Term) -> bool:
     # Both linear with disjoint variables, so unifiability is a structural
     # compatibility check: variables match anything.
-    if isinstance(p, Var) or isinstance(q, Var):
-        return True
-    if p.symbol != q.symbol:
-        return False
-    return all(_patterns_compatible(a, b) for a, b in zip(p.children, q.children))
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if isinstance(p, Var) or isinstance(q, Var):
+            continue
+        if p.symbol != q.symbol:
+            return False
+        todo.extend(zip(p.children, q.children))
+    return True
 
 
 class CrsSystem:
@@ -355,12 +359,6 @@ def redexes(sys: CrsSystem, t: Term) -> Iterator[tuple[Path, Rule, dict[str, Ter
             yield tuple(path), hit[0], hit[1]
         if path:
             path.pop()
-
-
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        t = t.children[i]
-    return t
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:

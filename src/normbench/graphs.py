@@ -579,8 +579,7 @@ class GraphOutcome:
 
 
 def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
-                 budget: int = 10_000, rng=None, check_shared: bool = True,
-                 on_step=None) -> GraphOutcome:
+                 budget: int = 10_000, rng=None, check_shared: bool = True) -> GraphOutcome:
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
@@ -624,8 +623,6 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
             for v in touched:
                 if len(g.preds[v]) >= 2 and not _function_free(g, v, sig, memo, counter):
                     raise SharingViolation(f"sharedness lost after step {steps}")
-        if on_step is not None:
-            on_step(g, steps)
 
     index = compile_rules(grules)
     if rng is None:

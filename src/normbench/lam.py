@@ -140,82 +140,68 @@ def fresh_name(base: str, avoid: set[str]) -> str:
             return cand
 
 
-def _subst_closed(t: Term, x: str, v: Term) -> Term:
-    # v closed: shadowing is the only scope concern, capture cannot happen.
-    # Iterative post-order rebuild, sharing untouched subterms.
-    results: list[Term] = []
-    todo: list[tuple[str, Term]] = [("go", t)]
-    while todo:
-        op, node = todo.pop()
-        if op == "go":
-            if isinstance(node, Var):
-                results.append(v if node.name == x else node)
-            elif isinstance(node, Abs):
-                if node.binder == x:
-                    results.append(node)
-                else:
-                    todo.append(("abs", node))
-                    todo.append(("go", node.body))
-            else:
-                todo.append(("app", node))
-                todo.append(("go", node.arg))
-                todo.append(("go", node.fun))
-        elif op == "abs":
-            b = results.pop()
-            results.append(node if b is node.body else Abs(node.binder, b))
-        else:
-            a = results.pop()
-            f = results.pop()
-            if f is node.fun and a is node.arg:
-                results.append(node)
-            else:
-                results.append(App(f, a))
-    return results[0]
+# walk operations of substitute and _read
+_GO, _CLOSURE, _MEMO, _ABS, _APP = range(5)
 
 
 def substitute(t: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding substitution t{v/x}.
+    """Capture-avoiding substitution t{v/x}, in one iterative walk.
 
-    When v is closed this is plain textual substitution; otherwise binders
-    are renamed with globally fresh names where they would capture.  Both
-    are iterative; on an open v, whether x occurs free below a binder is
-    read from one pass over t (_mark_free), so only renamed bodies are
-    walked again.
+    A binder named after a free variable of v, with x free below it, is
+    renamed with a globally fresh name that avoids every name of t and
+    the free variables of v.  The walk carries the renamings in a scope,
+    as `_read` does, so a renamed body is walked once.  When v is closed
+    nothing is renamed, and the walk stops at the binders of x.
+    Untouched subterms are shared.
     """
     fv_v = _free_set(v)
-    if not fv_v:
-        return _subst_closed(t, x, v)
-    # x_free[id(s)]: x occurs free in s, for every subterm s met so far;
-    # keep holds the renamed bodies, so that no id is reused while it is
-    # a key
+    # name -> its meanings, innermost last: the term that replaces it, or
+    # None under a binder of the walk that keeps it
+    scope: dict[str, list[Optional[Term]]] = {x: [v]}
+    renamed = 0                 # renaming binders around the walk
     x_free: dict[int, bool] = {}
-    keep: list[Term] = []
+    avoid: Optional[set[str]] = None
     results: list[Term] = []
-    todo: list[tuple[str, object]] = [("go", t)]
+    todo: list[tuple] = [(_GO, t, None)]
     while todo:
-        op, node = todo.pop()
-        if op == "go":
-            if isinstance(node, Var):
-                results.append(v if node.name == x else node)
-            elif isinstance(node, Abs):
-                if id(node.body) not in x_free:
-                    _mark_free(node.body, x, x_free)
-                if node.binder == x or not x_free[id(node.body)]:
+        op, node, frames = todo.pop()
+        if op == _GO:
+            if type(node) is Var:
+                s = scope.get(node.name)
+                results.append(node if not s or s[-1] is None else s[-1])
+            elif type(node) is Abs:
+                c = node.binder
+                if c == x and not renamed:
                     results.append(node)
-                elif node.binder in fv_v:
-                    y = fresh_name(node.binder, fv_v | _free_set(node.body))
-                    body = substitute(node.body, node.binder, Var(y))
-                    keep.append(body)
-                    todo += (("abs", y), ("go", body))
-                else:
-                    todo += (("abs", node.binder), ("go", node.body))
+                    continue
+                meaning = None
+                if c in fv_v and c != x and scope[x][-1] is not None:
+                    if id(node.body) not in x_free:
+                        _mark_free(node.body, x, x_free)
+                    if x_free[id(node.body)]:
+                        if avoid is None:
+                            avoid = fv_v | _names(t)
+                        meaning = Var(fresh_name(c, avoid))
+                        renamed += 1
+                if meaning is not None or c in scope:
+                    frames = scope.setdefault(c, [])
+                    frames.append(meaning)
+                todo += ((_ABS, node, frames), (_GO, node.body, None))
             else:
-                todo += (("app", None), ("go", node.arg), ("go", node.fun))
-        elif op == "abs":
-            results.append(Abs(node, results.pop()))
+                todo += ((_APP, node, None), (_GO, node.arg, None), (_GO, node.fun, None))
+        elif op == _ABS:
+            body, name = results.pop(), node.binder
+            if frames is not None:
+                meaning = frames.pop()
+                if meaning is not None:
+                    renamed -= 1
+                    name = meaning.name
+            results.append(node if body is node.body and name is node.binder
+                           else Abs(name, body))
         else:
             a = results.pop()
-            results.append(App(results.pop(), a))
+            f = results.pop()
+            results.append(node if f is node.fun and a is node.arg else App(f, a))
     return results[0]
 
 
@@ -284,15 +270,21 @@ def cbv_redexes(t: Term) -> Iterator[Path]:
     A path lists child indices from the root: 0 = function, 1 = argument.
     Traversal never enters an abstraction body.
     """
-
-    def walk(t: Term, path: Path) -> Iterator[Path]:
-        if isinstance(t, App):
-            if isinstance(t.fun, Abs) and is_value(t.arg):
-                yield path
-            yield from walk(t.fun, path + (0,))
-            yield from walk(t.arg, path + (1,))
-
-    yield from walk(t, ())
+    path: list[int] = []
+    # applications still to visit: the node, its parent's depth, its index
+    todo: list[tuple[App, int, int]] = [(t, 0, -1)] if isinstance(t, App) else []
+    while todo:
+        node, depth, i = todo.pop()
+        del path[depth:]
+        if i >= 0:
+            path.append(i)
+        if isinstance(node.fun, Abs) and is_value(node.arg):
+            yield tuple(path)
+        depth = len(path)
+        if isinstance(node.arg, App):
+            todo.append((node.arg, depth, 1))
+        if isinstance(node.fun, App):
+            todo.append((node.fun, depth, 0))
 
 
 def subterm_at(t: Term, path: Path) -> Term:
@@ -303,12 +295,14 @@ def subterm_at(t: Term, path: Path) -> Term:
 
 
 def replace_at(t: Term, path: Path, new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(t, App)
-    if path[0] == 0:
-        return App(replace_at(t.fun, path[1:], new), t.arg)
-    return App(t.fun, replace_at(t.arg, path[1:], new))
+    spine = []
+    for i in path:
+        assert isinstance(t, App)
+        spine.append(t)
+        t = t.fun if i == 0 else t.arg
+    for node, i in zip(reversed(spine), reversed(path)):
+        new = App(new, node.arg) if i == 0 else App(node.fun, new)
+    return new
 
 
 def contract(redex: Term) -> Term:
@@ -336,13 +330,16 @@ def cbv_step(t: Term, rng=None) -> Optional[Term]:
 
 def cbn_step(t: Term) -> Optional[Term]:
     """The unique weak call-by-name (head) step, or None."""
-    if isinstance(t, App):
-        if isinstance(t.fun, Abs):
-            return substitute(t.fun.body, t.fun.binder, t.arg)
-        s = cbn_step(t.fun)
-        if s is not None:
-            return App(s, t.arg)
-    return None
+    spine = []
+    while isinstance(t, App) and not isinstance(t.fun, Abs):
+        spine.append(t.arg)
+        t = t.fun
+    if not isinstance(t, App):
+        return None
+    out = substitute(t.fun.body, t.fun.binder, t.arg)
+    for a in reversed(spine):
+        out = App(out, a)
+    return out
 
 
 # --- full reduction ----------------------------------------------------------
@@ -464,10 +461,6 @@ def readback(closures: list[tuple], t: Optional[Term] = None) -> list[Term]:
             raise ValueError(f"open closures without their input term: {sorted(free)}")
         terms, _ = _read(closures, free, free | _names(t))
     return terms
-
-
-# readback operations
-_GO, _CLOSURE, _MEMO, _ABS, _APP = range(5)
 
 
 def _read(closures: list[tuple], rename: frozenset[str],
@@ -607,45 +600,47 @@ def parse(text: str) -> Term:
             raise LamParseError(f"expected {tok!r}, got {peek()!r} (token {pos})")
         pos += 1
 
-    def parse_term() -> Term:
-        nonlocal pos
-        if peek() == "\\":
+    # Iterative, because nested parentheses can go deeper than the
+    # recursion limit.  Frames: a binder name (its body is being read),
+    # None (an opening parenthesis) or a term (an application waiting for
+    # its next argument).
+    frames: list = []
+    while True:
+        tok = peek()
+        if tok == "\\":              # an argument never starts here
             pos += 1
             name = peek()
             if name is None or not IDENT_RE.fullmatch(name):
                 raise LamParseError(f"expected identifier after \\, got {name!r}")
             pos += 1
             expect(".")
-            return Abs(name, parse_term())
-        return parse_app()
-
-    def parse_app() -> Term:
-        t = parse_atom()
-        while True:
-            nxt = peek()
-            if nxt is None or nxt in (")", ".", "\\"):
-                if nxt == "\\":
-                    raise LamParseError("abstraction in application must be parenthesized")
-                return t
-            t = App(t, parse_atom())
-
-    def parse_atom() -> Term:
-        nonlocal pos
-        tok = peek()
+            frames.append(name)
+            continue
         if tok == "(":
             pos += 1
-            t = parse_term()
+            frames.append(None)
+            continue
+        if tok is None or not IDENT_RE.fullmatch(tok):
+            raise LamParseError(f"expected a term, got {tok!r} (token {pos})")
+        pos += 1
+        t: Term = Var(tok)
+        while True:                 # t is an atom
+            if frames and isinstance(frames[-1], (Var, Abs, App)):
+                t = App(frames.pop(), t)
+            nxt = peek()
+            if nxt is not None and nxt not in (")", ".", "\\"):
+                frames.append(t)    # read the next argument
+                break
+            if nxt == "\\":
+                raise LamParseError("abstraction in application must be parenthesized")
+            while frames and isinstance(frames[-1], str):
+                t = Abs(frames.pop(), t)
+            if not frames:
+                if pos != len(toks):
+                    raise LamParseError(f"trailing input from token {pos}: {toks[pos:]!r}")
+                return t
+            frames.pop()
             expect(")")
-            return t
-        if tok is not None and IDENT_RE.fullmatch(tok):
-            pos += 1
-            return Var(tok)
-        raise LamParseError(f"expected a term, got {tok!r} (token {pos})")
-
-    t = parse_term()
-    if pos != len(toks):
-        raise LamParseError(f"trailing input from token {pos}: {toks[pos:]!r}")
-    return t
 
 
 def to_str(t: Term) -> str:

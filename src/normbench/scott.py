@@ -14,7 +14,7 @@ the per-system linear overhead measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import crs, lam
 from .lam import Abs, App, Var, abss, apps
@@ -69,25 +69,8 @@ def bottom(ctx: ScottContext) -> lam.Term:
 
 def scott_encode(ctx: ScottContext, t: crs.Term) -> lam.Term:
     """Scott value of a constructor term; injective up to alpha."""
-    assert isinstance(t, crs.Node)
-    binders = [f"s{i+1}" for i in range(ctx.g)] + ["sz"]
-    results: list[lam.Term] = []
-    todo: list[tuple[str, crs.Term]] = [("go", t)]
-    while todo:
-        op, node = todo.pop()
-        if op == "go":
-            assert isinstance(node, crs.Node) and ctx.system.signature.is_constructor(node.symbol)
-            todo.append(("mk", node))
-            for c in reversed(node.children):
-                todo.append(("go", c))
-        else:
-            k = len(node.children)
-            kids = results[-k:] if k else []
-            if k:
-                del results[-k:]
-            i = ctx.con_index(node.symbol)
-            results.append(abss(binders, apps(Var(f"s{i}"), kids)))
-    return results[0]
+    assert crs.is_constructor_term(t, ctx.system.signature)
+    return _translate(ctx, t, None, True)
 
 
 def constructor_function(ctx: ScottContext, name: str) -> lam.Term:
@@ -106,46 +89,32 @@ def _rebuilt_node(ctx: ScottContext, i: int, names: list[str]) -> lam.Term:
     return abss(binders, apps(Var(f"y{i}"), [Var(nm) for nm in names]))
 
 
-def _strict_family(ctx: ScottContext, i: int, m: int) -> lam.Term:
-    """Member m of the error-strict constructor family for constructor i,
-    with free variables x1..xm for the arguments already consumed."""
-    ar = ctx.arity(ctx.constructors[i - 1])
-    if m == ar:
-        return _rebuilt_node(ctx, i, [f"x{k+1}" for k in range(m)])
-    consume_next = Abs(f"x{m+1}", _strict_family(ctx, i, m + 1))
-    branches = []
-    for j in range(1, ctx.g + 1):
-        arj = ctx.arity(ctx.constructors[j - 1])
-        zs = [f"z{k+1}" for k in range(arj)]
-        branches.append(abss(zs, App(consume_next, _rebuilt_node(ctx, j, zs))))
-    spill = abss([f"d{k+1}" for k in range(ar - m - 1)], bottom(ctx))
-    return Abs("w", apps(Var("w"), branches + [spill]))
-
-
 def strict_constructor(ctx: ScottContext, name: str) -> lam.Term:
     """Error-strict constructor: yields the encoded node, or the error
-    value as soon as any argument is the error value."""
+    value as soon as any argument is the error value.
+
+    It is member 0 of a family: member m has free variables x1..xm for
+    the arguments already consumed, consumes the next one and goes on as
+    member m+1; the full-arity member is the encoded node itself.
+    """
     cached = ctx._strict_cache.get(name)
     if cached is None:
-        cached = _strict_family(ctx, ctx.con_index(name), 0)
+        i, ar = ctx.con_index(name), ctx.arity(name)
+        cached = _rebuilt_node(ctx, i, [f"x{k+1}" for k in range(ar)])
+        for m in reversed(range(ar)):
+            consume_next = Abs(f"x{m+1}", cached)
+            branches = []
+            for j in range(1, ctx.g + 1):
+                arj = ctx.arity(ctx.constructors[j - 1])
+                zs = [f"z{k+1}" for k in range(arj)]
+                branches.append(abss(zs, App(consume_next, _rebuilt_node(ctx, j, zs))))
+            spill = abss([f"d{k+1}" for k in range(ar - m - 1)], bottom(ctx))
+            cached = Abs("w", apps(Var("w"), branches + [spill]))
         ctx._strict_cache[name] = cached
     return cached
 
 
 # --- pattern matching ---------------------------------------------------------------
-
-def _constructor_weight(alphas) -> int:
-    return sum(1 for a in alphas for pat in a for s in _nodes_of(pat))
-
-
-def _nodes_of(pat: crs.Term):
-    todo = [pat]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, crs.Node):
-            yield s
-            todo.extend(s.children)
-
 
 def _delay(body: lam.Term) -> lam.Term:
     """The thunk \\u. body, with u not free in body."""
@@ -167,25 +136,26 @@ def _all_vars_matcher(ctx: ScottContext, m: int, delayed: bool = False) -> lam.T
     # a value (a branch body must not run before the scrutinee selects it).
     # Continuations stay values for the same reason: each one still expects
     # a binding, or is a thunk \u. body (delayed, see compile_match).  The
-    # m == 0 case is where every column has been decided: it returns the
-    # continuation as is, or forces it when it is a thunk.  A thunk binds no
-    # variable, so the recursion below (m > 0) never meets one.
-    if m == 0:
-        return _FORCE if delayed else Abs("k", Var("k"))
-    xs = [f"x{k+1}" for k in range(m)]
-    passers = xs[1:] + ["k"]
-    rest = _all_vars_matcher(ctx, m - 1)
-    branches = []
-    for j in range(1, ctx.g + 1):
-        arj = ctx.arity(ctx.constructors[j - 1])
-        zs = [f"z{k+1}" for k in range(arj)]
-        rebuilt = apps(constructor_function(ctx, ctx.constructors[j - 1]),
-                       [Var(z) for z in zs])
-        branches.append(abss(zs + passers, apps(rest, [Var(x) for x in xs[1:]]
-                                                + [App(Var("k"), rebuilt)])))
-    fail = abss(passers, bottom(ctx))
-    return abss(xs + ["k"], apps(apps(Var(xs[0]), branches + [fail]),
-                                 [Var(v) for v in passers]))
+    # matcher for n scrutinees runs the one for n - 1 in each branch; the
+    # one for none is where every column has been decided: it returns the
+    # continuation as is, or forces it when it is a thunk.  A thunk binds
+    # no variable, so only a matcher for no scrutinee meets one.
+    rest = _FORCE if delayed and m == 0 else Abs("k", Var("k"))
+    for n in range(1, m + 1):
+        xs = [f"x{k+1}" for k in range(n)]
+        passers = xs[1:] + ["k"]
+        branches = []
+        for j in range(1, ctx.g + 1):
+            arj = ctx.arity(ctx.constructors[j - 1])
+            zs = [f"z{k+1}" for k in range(arj)]
+            rebuilt = apps(constructor_function(ctx, ctx.constructors[j - 1]),
+                           [Var(z) for z in zs])
+            branches.append(abss(zs + passers, apps(rest, [Var(x) for x in xs[1:]]
+                                                    + [App(Var("k"), rebuilt)])))
+        fail = abss(passers, bottom(ctx))
+        rest = abss(xs + ["k"], apps(apps(Var(xs[0]), branches + [fail]),
+                                     [Var(v) for v in passers]))
+    return rest
 
 
 def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.Term:
@@ -205,55 +175,78 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     return Abs("w", abss(binders, body) if binders else _delay(body))
 
 
+# stands for each child that a constructor brings into a column where a
+# sequence has a variable: the matcher only counts the variables of a
+# pattern, it never reads their names
+_CHILD = crs.Var("_")
+
+
 def _match_term(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]], m: int,
-                delayed: list[bool], gensym: list[int]) -> lam.Term:
-    n = len(alphas)
-    if n == 0:
-        return abss([f"x{k+1}" for k in range(m)], bottom(ctx))
-    if _constructor_weight(alphas) == 0:
-        if n > 1:
-            raise MatchOverlapError("distinct all-variable sequences overlap")
-        return _all_vars_matcher(ctx, m, delayed[0])
-    col = next(i for i in range(m)
-               if any(isinstance(a[i], crs.Node) for a in alphas))
-    xs = [f"x{k+1}" for k in range(m)]
-    ks = [f"k{k+1}" for k in range(n)]
-    xs_rest = xs[:col] + xs[col + 1:]
-    branches = []
-    for j in range(1, ctx.g + 1):
-        cname = ctx.constructors[j - 1]
-        arj = ctx.arity(cname)
-        betas: list[tuple[crs.Term, ...]] = []
-        conts: list[lam.Term] = []
-        delays: list[bool] = []
-        for pidx, a in enumerate(alphas):
-            pat = a[col]
-            if isinstance(pat, crs.Node):
-                if pat.symbol != cname:
-                    continue
-                betas.append(a[:col] + pat.children + a[col + 1:])
-                conts.append(App(Abs("w", Var("w")), Var(ks[pidx])))
-                delays.append(delayed[pidx])
-            else:
-                fresh = []
-                for _ in range(arj):
-                    gensym[1] += 1
-                    fresh.append(crs.Var(f"{gensym[0]}{gensym[1]}"))
-                betas.append(a[:col] + tuple(fresh) + a[col + 1:])
-                before = sum(len(crs.variables(q)) for q in a[:col])
-                after = sum(len(crs.variables(q)) for q in a[col + 1:])
-                conts.append(App(_rebuild_wrapper(ctx, j, before, after),
-                                 Var(ks[pidx])))
-                delays.append(before + arj + after == 0)
-        zs = [f"z{k+1}" for k in range(arj)]
-        sub = _match_term(ctx, betas, m - 1 + arj, delays, gensym)
-        body = apps(sub, [Var(x) for x in xs[:col]] + [Var(z) for z in zs]
-                    + [Var(x) for x in xs[col + 1:]] + conts)
-        branches.append(abss(zs + xs_rest + ks, body))
-    fail = abss(xs_rest + ks, bottom(ctx))
-    body = apps(apps(apps(Var(xs[col]), branches + [fail]),
-                     [Var(x) for x in xs_rest]), [Var(k) for k in ks])
-    return abss(xs + ks, body)
+                delayed: list[bool]) -> lam.Term:
+    # A matcher decides the first column some sequence has a constructor
+    # in, and runs one sub-matcher per constructor.  Iterative: the
+    # sub-matchers are built first, and deep patterns nest them deeper
+    # than the recursion limit.
+    results: list[lam.Term] = []
+    todo: list[tuple] = [("go", alphas, m, delayed)]
+    while todo:
+        op, alphas, m, arg = todo.pop()
+        n = len(alphas)
+        xs = [f"x{k+1}" for k in range(m)]
+        ks = [f"k{k+1}" for k in range(n)]
+        if op == "mk":
+            col, parts = arg
+            xs_rest = xs[:col] + xs[col + 1:]
+            first = len(results) - len(parts)
+            branches = []
+            for sub, (zs, conts) in zip(results[first:], parts):
+                body = apps(sub, [Var(x) for x in xs[:col]] + [Var(z) for z in zs]
+                            + [Var(x) for x in xs[col + 1:]] + conts)
+                branches.append(abss(zs + xs_rest + ks, body))
+            del results[first:]
+            fail = abss(xs_rest + ks, bottom(ctx))
+            body = apps(apps(apps(Var(xs[col]), branches + [fail]),
+                             [Var(x) for x in xs_rest]), [Var(k) for k in ks])
+            results.append(abss(xs + ks, body))
+            continue
+        if n == 0:
+            results.append(abss(xs, bottom(ctx)))
+            continue
+        if not any(isinstance(pat, crs.Node) for a in alphas for pat in a):
+            if n > 1:
+                raise MatchOverlapError("distinct all-variable sequences overlap")
+            results.append(_all_vars_matcher(ctx, m, arg[0]))
+            continue
+        col = next(i for i in range(m)
+                   if any(isinstance(a[i], crs.Node) for a in alphas))
+        parts = []
+        subs = []
+        for j in range(1, ctx.g + 1):
+            cname = ctx.constructors[j - 1]
+            arj = ctx.arity(cname)
+            betas: list[tuple[crs.Term, ...]] = []
+            conts: list[lam.Term] = []
+            delays: list[bool] = []
+            for pidx, a in enumerate(alphas):
+                pat = a[col]
+                if isinstance(pat, crs.Node):
+                    if pat.symbol != cname:
+                        continue
+                    betas.append(a[:col] + pat.children + a[col + 1:])
+                    conts.append(App(Abs("w", Var("w")), Var(ks[pidx])))
+                    delays.append(arg[pidx])
+                else:
+                    betas.append(a[:col] + (_CHILD,) * arj + a[col + 1:])
+                    before = sum(len(crs.variables(q)) for q in a[:col])
+                    after = sum(len(crs.variables(q)) for q in a[col + 1:])
+                    conts.append(App(_rebuild_wrapper(ctx, j, before, after),
+                                     Var(ks[pidx])))
+                    delays.append(before + arj + after == 0)
+            parts.append(([f"z{k+1}" for k in range(arj)], conts))
+            subs.append(("go", betas, m - 1 + arj, delays))
+        todo.append(("mk", alphas, m, (col, parts)))
+        todo += reversed(subs)
+    return results[0]
 
 
 def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
@@ -290,11 +283,7 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
         for j in range(i + 1, len(alphas)):
             if all(crs._patterns_compatible(p, q) for p, q in zip(alphas[i], alphas[j])):
                 raise MatchOverlapError(f"sequences {i} and {j} overlap")
-    used = {v for a in alphas for pat in a for v in crs.variables(pat)}
-    prefix = "mv"
-    while any(v.startswith(prefix) for v in used):
-        prefix += "'"
-    return _match_term(ctx, alphas, m, delayed, [prefix, 0])
+    return _match_term(ctx, alphas, m, delayed)
 
 
 # --- recursion ------------------------------------------------------------------------
@@ -315,14 +304,37 @@ def fixpoint_family(n: int) -> tuple[list[lam.Term], int]:
     return hs, 2 * n
 
 
-def _translate_rhs(ctx: ScottContext, t: crs.Term, fixnames: tuple[str, ...]) -> lam.Term:
-    if isinstance(t, crs.Var):
-        return Var(t.name)
-    kids = [_translate_rhs(ctx, c, fixnames) for c in t.children]
-    if ctx.system.signature.is_constructor(t.symbol):
-        return apps(strict_constructor(ctx, t.symbol), kids)
-    idx = ctx.functions.index(t.symbol)
-    return apps(Var(fixnames[idx]), kids)
+def _translate(ctx: ScottContext, t: crs.Term, head: Optional[Callable[[str], lam.Term]],
+               values: bool) -> lam.Term:
+    # The compositional image, children first.  A function symbol f
+    # becomes head(f) applied to the images of the arguments.  With
+    # values, a subterm of constructors only becomes its Scott value;
+    # other constructor nodes go through strict_constructor.  Variables
+    # (of right-hand sides) stay as they are.
+    sig = ctx.system.signature
+    binders = [f"s{i+1}" for i in range(ctx.g)] + ["sz"]
+    results: list[tuple[lam.Term, bool]] = []  # an image, and if it is a Scott value
+    todo: list[tuple[crs.Term, bool]] = [(t, False)]
+    while todo:
+        node, done = todo.pop()
+        if isinstance(node, crs.Var):
+            results.append((Var(node.name), False))
+        elif not done:
+            todo.append((node, True))
+            todo += ((c, False) for c in reversed(node.children))
+        else:
+            first = len(results) - len(node.children)
+            kids = [image for image, _ in results[first:]]
+            encoded = values and all(value for _, value in results[first:])
+            del results[first:]
+            if not sig.is_constructor(node.symbol):
+                results.append((apps(head(node.symbol), kids), False))
+            elif encoded:
+                i = ctx.con_index(node.symbol)
+                results.append((abss(binders, apps(Var(f"s{i}"), kids)), True))
+            else:
+                results.append((apps(strict_constructor(ctx, node.symbol), kids), False))
+    return results[0][0]
 
 
 def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
@@ -353,7 +365,8 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
         delayed = []
         for r in rules:
             pvars = [v for pat in r.lhs for v in crs.variables(pat)]
-            rhs = _translate_rhs(ctx, r.rhs, fixnames)
+            rhs = _translate(ctx, r.rhs, lambda f: Var(fixnames[ctx.functions.index(f)]),
+                             False)
             delayed.append(not pvars and not isinstance(rhs, Abs))
             ws.append(_delay(rhs) if delayed[-1] else abss(pvars, rhs))
         matcher = compile_match(ctx, [r.lhs for r in rules], ar, delayed)
@@ -371,12 +384,7 @@ def term_to_lambda(ctx: ScottContext, t: crs.Term) -> lam.Term:
     """Compositional image of a closed term; pure constructor subterms go
     through the plain Scott encoding (they are already values)."""
     assert isinstance(t, crs.Node)
-    if crs.is_constructor_term(t, ctx.system.signature):
-        return scott_encode(ctx, t)
-    kids = [term_to_lambda(ctx, c) for c in t.children]
-    if ctx.system.signature.is_constructor(t.symbol):
-        return apps(strict_constructor(ctx, t.symbol), kids)
-    return apps(interpret_function(ctx, t.symbol), kids)
+    return _translate(ctx, t, lambda f: interpret_function(ctx, f), True)
 
 
 # --- the simulation check ---------------------------------------------------------------

@@ -19,7 +19,6 @@ from . import crs, encode, graphs, lam, scott
 
 SCHEMA = 1
 DEFAULT_BUDGET = 10_000
-UNFOLD_LIMIT = 10_000
 
 
 def digest(data: bytes) -> str:
@@ -40,7 +39,11 @@ def crs_run_dict(engine: str, out: crs.CrsOutcome) -> dict:
     return d
 
 
-def graph_run_dict(engine: str, out: graphs.GraphOutcome) -> dict:
+def graph_run_dict(engine: str,
+                   out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
+    """The run's report entry, and the term a normal run unfolds to (None
+    when the run is exhausted or its unfolding is too large)."""
+    term = None
     d = {"engine": engine,
          "outcome": "normal" if out.kind == "normal" else "exhausted",
          "steps": out.steps,
@@ -48,11 +51,12 @@ def graph_run_dict(engine: str, out: graphs.GraphOutcome) -> dict:
          "size_series": list(out.sizes)}
     if out.kind == "normal":
         try:
-            d["normal_form"] = crs.term_to_str(graphs.graph_to_term(out.graph, UNFOLD_LIMIT))
+            term = graphs.graph_to_term(out.graph)
+            d["normal_form"] = crs.term_to_str(term)
             d["unfolded"] = True
         except graphs.UnfoldTooLarge:
             d["unfolded"] = False
-    return d
+    return d, term
 
 
 def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
@@ -78,7 +82,8 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     grules = graphs.system_to_graph_rules(phi.system)
     graph_run = graphs.graph_reduce(g, grules, phi.system.signature, budget)
     timing["phi-graph"] = time.perf_counter() - t0
-    runs.append(graph_run_dict("phi-graph", graph_run))
+    graph_dict, unfolded = graph_run_dict("phi-graph", graph_run)
+    runs.append(graph_dict)
 
     t0 = time.perf_counter()
     cbn = lam.reduce(m, "cbn", budget)
@@ -107,14 +112,9 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
             checks["cbv_steps_equal"] = True  # both diverge within budget
     if cbv.kind == "normal" and graph_run.kind == "normal":
         checks["graph_steps_equal"] = graph_run.steps == cbv.steps
-        rb = None
-        try:
-            rb = encode.readback(graphs.graph_to_term(graph_run.graph, UNFOLD_LIMIT),
-                                 phi.registry)
-        except graphs.UnfoldTooLarge:
-            pass
         checks["graph_readback_alpha_eq"] = (
-            None if rb is None else lam.alpha_eq(rb, cbv.term))
+            None if unfolded is None
+            else lam.alpha_eq(encode.readback(unfolded, phi.registry), cbv.term))
     else:
         checks["graph_steps_equal"] = True if (
             cbv.kind == "exhausted" and graph_run.kind == "exhausted") else None
@@ -174,16 +174,15 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
          **({"normal_form": crs.term_to_str(verdict.crs_term)}
             if verdict.crs_kind != "exhausted" else {})},
         {"engine": "lambda-cbv", "outcome": verdict.beta_kind, "steps": verdict.beta_steps},
-        graph_run_dict("graph", graph_run),
+        graph_run_dict("graph", graph_run)[0],
     ]
     checks: dict[str, Optional[bool]] = {"scott_consistent": verdict.consistent}
     if verdict.crs_kind != "exhausted" and graph_run.kind == "normal":
         checks["graph_steps_equal"] = graph_run.steps == verdict.crs_steps
-        try:
-            checks["graph_term_equal"] = (
-                graphs.graph_to_term(graph_run.graph, UNFOLD_LIMIT) == verdict.crs_term)
-        except graphs.UnfoldTooLarge:
-            checks["graph_term_equal"] = None
+        # both normal forms are closed, and term_to_str is injective on
+        # closed terms
+        checks["graph_term_equal"] = (runs[2]["normal_form"] == runs[0]["normal_form"]
+                                      if runs[2]["unfolded"] else None)
     elif verdict.crs_kind == "exhausted" and graph_run.kind == "exhausted":
         checks["graph_steps_equal"] = True
         checks["graph_term_equal"] = None

@@ -401,3 +401,18 @@ def test_parse_system_deep_term():
     f = crs.parse_system(text)
     assert crs.count_symbol(f.term, "succ") == depth
     assert crs.term_size(f.term) == depth + 1
+
+
+def test_validate_system_deep_compatible_patterns():
+    # f(succ^n(x)) and f(succ^n(zero)) overlap
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    p, q = Var("x"), Node("zero")
+    for _ in range(depth):
+        p, q = Node("succ", (p,)), Node("succ", (q,))
+    sig = Signature({"zero": 0, "succ": 1}, {"f": 1})
+    with pytest.raises(crs.OverlapError):
+        crs.validate_system(sig, [Rule("f", (p,), Node("zero")), Rule("f", (q,), Node("zero"))])
+    system = crs.validate_system(sig, [Rule("f", (p,), Node("zero")),
+                                       Rule("f", (Node("zero"),), Node("zero"))])
+    assert len(system.rules) == 2

@@ -102,7 +102,7 @@ def test_readback_inverts_encode():
 
 
 from hypothesis import given, settings
-from tests_util import closed_terms
+from tests_util import closed_terms, same_structure
 
 
 @given(closed_terms())
@@ -320,11 +320,13 @@ def reference_run_psi(image, budget):
 def assert_checked_runs_agree(m, budget):
     phi = encode.encode_cbv(m)
     got, ref = encode.run_phi(phi, budget), reference_run_phi(phi, budget)
-    assert (got.outcome, got.readback_nf) == (ref.outcome, ref.readback_nf)
+    # not ==: the dataclass equality recurses over the term's depth
+    assert same_structure((got.outcome, got.readback_nf), (ref.outcome, ref.readback_nf))
     psi = encode.encode_cbn(m)
     got, ref = encode.run_psi(psi, budget), reference_run_psi(psi, budget)
-    assert (got.outcome, got.readback_nf, got.admin_steps, got.ordinary_steps) == \
-        (ref.outcome, ref.readback_nf, ref.admin_steps, ref.ordinary_steps)
+    assert same_structure(
+        (got.outcome, got.readback_nf, got.admin_steps, got.ordinary_steps),
+        (ref.outcome, ref.readback_nf, ref.admin_steps, ref.ordinary_steps))
 
 
 def test_checked_runs_match_whole_term_checker_on_corpus():

@@ -1,0 +1,117 @@
+"""The package holds no recursive function and leaves the interpreter's
+recursion limit alone: term depth grows with the input, so every walk
+over a term is an explicit-stack loop."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "normbench"
+
+
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Function -> the functions of the module it may call, by name.
+
+    Functions are keyed by their dotted path in the module, nested defs
+    and methods included.  A call `f(...)` may reach every function that
+    is not a method and is named f; a call `self.f(...)` or `cls.f(...)`
+    every method named f.  Calls inside a nested def belong to the nested
+    def; calls inside a lambda to the function around it.
+    """
+    funcs: dict[str, ast.AST] = {}
+    plain: dict[str, set[str]] = {}
+    methods: dict[str, set[str]] = {}
+    todo = [(tree, "", False)]
+    while todo:
+        node, prefix, in_class = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = prefix + child.name
+                funcs[key] = child
+                (methods if in_class else plain).setdefault(child.name, set()).add(key)
+                todo.append((child, key + ".", False))
+            elif isinstance(child, ast.ClassDef):
+                todo.append((child, prefix + child.name + ".", True))
+            else:
+                todo.append((child, prefix, in_class))
+    graph: dict[str, set[str]] = {}
+    for key, fn in funcs.items():
+        callees: set[str] = set()
+        todo = list(ast.iter_child_nodes(fn))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    callees |= plain.get(node.func.id, set())
+                elif (isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id in ("self", "cls")):
+                    callees |= methods.get(node.func.attr, set())
+            todo.extend(ast.iter_child_nodes(node))
+        graph[key] = callees
+    return graph
+
+
+def recursive_functions(source: str) -> list[str]:
+    """The functions of a module that can reach themselves in its call graph."""
+    graph = _call_graph(ast.parse(source))
+    found = []
+    for start in graph:
+        seen: set[str] = set()
+        todo = list(graph[start])
+        while todo:
+            f = todo.pop()
+            if f == start:
+                found.append(start)
+                break
+            if f not in seen:
+                seen.add(f)
+                todo.extend(graph[f])
+    return sorted(found)
+
+
+def test_finds_direct_mutual_and_nested_recursion():
+    source = '''
+def direct(n):
+    return direct(n - 1)
+
+def ping(n):
+    return pong(n)
+
+def pong(n):
+    return ping(n)
+
+def outer(t):
+    def walk(t):
+        yield from walk(t)
+    return list(walk(t))
+
+class C:
+    def m(self):
+        return self.m()
+
+def loop(n):
+    while n:
+        n -= 1
+'''
+    assert recursive_functions(source) == ["C.m", "direct", "outer.walk", "ping", "pong"]
+
+
+def test_no_recursive_function_in_the_package():
+    found = {path.name: recursive_functions(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found) >= 8
+    assert {name: fs for name, fs in found.items() if fs} == {}
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    code = ("import sys; before = sys.getrecursionlimit(); import normbench; "
+            "print(before, sys.getrecursionlimit())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    before, after = out.stdout.split()
+    assert before == after

@@ -372,3 +372,36 @@ def test_value_continuations_keep_their_step_count():
     v = scott.simulate_and_check(scott.ScottContext(f.system), f.term, 10_000)
     assert v.consistent is True
     assert v.beta_steps == 576
+
+
+# --- depth beyond the recursion limit -------------------------------------------------
+
+def test_term_to_lambda_deep_nested_calls():
+    depth = 20_000
+    t = Node("zero")
+    for _ in range(depth):
+        t = Node("add", (t, Node("zero")))
+    ctx = scott.ScottContext(nat_system())
+    m = scott.term_to_lambda(ctx, t)
+    add, zero = scott.interpret_function(ctx, "add"), scott.scott_encode(ctx, Node("zero"))
+    for _ in range(depth):
+        assert lam.alpha_eq(m.arg, zero)
+        assert m.fun.fun is add
+        m = m.fun.arg
+    assert lam.alpha_eq(m, zero)
+
+
+def test_interpret_function_deep_pattern():
+    # f(succ^6400(x)) -> x: the matcher nests one sub-matcher per succ
+    depth = 6400
+    pat = Var("x")
+    for _ in range(depth):
+        pat = Node("succ", (pat,))
+    sig = Signature({"zero": 0, "succ": 1}, {"f": 1})
+    system = crs.validate_system(sig, [Rule("f", (Node("zero"),), Node("zero")),
+                                       Rule("f", (pat,), Var("x"))])
+    ctx = scott.ScottContext(system)
+    assert lam.is_closed(scott.interpret_function(ctx, "f"))
+    out = run(scott.term_to_lambda(ctx, Node("f", (nat_term(depth + 1),))), 1_000_000)
+    assert out.kind == "normal"
+    assert lam.alpha_eq(out.term, scott.scott_encode(ctx, nat_term(1)))

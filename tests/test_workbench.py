@@ -280,3 +280,37 @@ def test_cli_parser_reused_across_calls(capsys):
     assert [r.get("policy") for r in reused] == ["random", "leftmost", None,
                                                 "random", "leftmost", None]
     assert reused[4]["budget"] == 2 and reused[5]["budget"] == workbench.DEFAULT_BUDGET
+
+
+# --- depth beyond the recursion limit -------------------------------------------------
+
+NAT_ADD = ("constructor zero/0;\nconstructor succ/1;\nfunction add/2;\n"
+           "rule add(zero, y) -> y;\nrule add(succ(x), y) -> succ(add(x, y));\n")
+
+
+def test_roundtrip_long_numeral():
+    # add(nat(4000), nat(2)): the graph's normal form is compared as printed
+    n = 4000
+    f = crs.parse_system(NAT_ADD + "term add(" + "succ(" * n + "zero" + ")" * n
+                         + ", succ(succ(zero)));\n")
+    report = workbench.roundtrip_check(f.system, f.term)
+    assert report["checks"] == {"scott_consistent": True, "graph_steps_equal": True,
+                                "graph_term_equal": True}
+    crs_run, _, graph_run = report["runs"]
+    assert graph_run["normal_form"] == crs_run["normal_form"]
+    assert crs_run["normal_form"] == "succ(" * (n + 2) + "zero" + ")" * (n + 2)
+
+
+def test_roundtrip_deep_nested_calls(tmp_path, capsys):
+    depth = 20_000
+    text = ("constructor z/0;\nfunction f/1;\nrule f(z) -> z;\n"
+            "term " + "f(" * depth + "z" + ")" * depth + ";\n")
+    f = crs.parse_system(text)
+    report = workbench.roundtrip_check(f.system, f.term, budget=5)
+    assert [(r["outcome"], r["steps"]) for r in report["runs"]] == [("exhausted", 5)] * 3
+    assert report["checks"] == {"scott_consistent": True, "graph_steps_equal": True,
+                                "graph_term_equal": None}
+    path = tmp_path / "deep.trs"
+    path.write_text(text)
+    assert cli.main(["roundtrip", str(path), "--budget", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == report["checks"]

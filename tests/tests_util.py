@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 from hypothesis import strategies as st
 
 from make_corpus import random_closed  # noqa: F401  (shared with the corpus builder)
@@ -19,6 +21,26 @@ def closed_terms(draw, depth=4, env=()):
         return Abs(b, draw(closed_terms(depth=depth - 1, env=env + (b,))))
     return App(draw(closed_terms(depth=depth - 1, env=env)),
                draw(closed_terms(depth=depth - 1, env=env)))
+
+
+def same_structure(a, b):
+    """Exact structural equality, as the dataclass == decides it, without
+    recursion: same types, field by field, tuples and lists item by item."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if dataclasses.is_dataclass(a):
+            todo.extend((getattr(a, f.name), getattr(b, f.name))
+                        for f in dataclasses.fields(a))
+        elif isinstance(a, (tuple, list)):
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        elif a != b:
+            return False
+    return True
 
 
 def nat_term(n):
