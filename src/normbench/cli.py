@@ -11,7 +11,6 @@ import argparse
 import functools
 import random
 import sys
-import time
 from pathlib import Path
 
 from . import crs, encode, graphs, lam, scott, workbench
@@ -73,52 +72,34 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report: dict, out: str | None) -> None:
-    _emit(workbench.render_report(report), out)
-
-
 def _maybe_dot(graph, dest: str | None) -> None:
     if dest and graph is not None:
         Path(dest).write_text(graphs.to_dot(graph))
 
 
-def _rng(args):
-    if args.policy == "random":
-        return random.Random(args.seed)
-    return None
-
-
 def cmd_eval(args) -> int:
     kind, loaded = _load_input(args.input)
-    start = time.perf_counter()
+    rng = random.Random(args.seed) if args.policy == "random" else None
+    timing: dict[str, float] = {}
     final_graph = None
-    if args.engine in ("lambda-cbv", "lambda-cbn"):
-        if kind != "lam":
-            raise CliError(EXIT_VALIDATION, "lambda engines need a .lam input")
-        strategy = "cbv" if args.engine == "lambda-cbv" else "cbn"
-        rng = _rng(args) if strategy == "cbv" else None
-        out = lam.reduce(loaded, strategy, args.budget, rng=rng)
-        run = workbench.lam_run_dict(args.engine, out)
-    elif args.engine == "crs":
-        system, term = _system_and_term(kind, loaded)
-        out = crs.reduce(system, term, args.budget, rng=_rng(args))
-        run = workbench.crs_run_dict(args.engine, out)
-    elif args.engine == "graph":
-        system, term = _system_and_term(kind, loaded)
-        g = graphs.term_to_graph(term)
-        grules = graphs.system_to_graph_rules(system)
-        out = graphs.graph_reduce(g, grules, system.signature, args.budget,
-                                  rng=_rng(args))
-        run, _ = workbench.graph_run_dict(args.engine, out)
-        final_graph = out.graph
-    else:
-        raise CliError(EXIT_VALIDATION, f"unknown engine {args.engine!r}")
+    with workbench.timed(timing, "total"):
+        if args.engine in ("lambda-cbv", "lambda-cbn"):
+            if kind != "lam":
+                raise CliError(EXIT_VALIDATION, "lambda engines need a .lam input")
+            strategy = "cbv" if args.engine == "lambda-cbv" else "cbn"
+            run = workbench.lam_run_dict(lam.reduce(loaded, strategy, args.budget, rng=rng))
+        elif args.engine == "crs":
+            run = workbench.crs_run_dict(
+                crs.reduce(*_system_and_term(kind, loaded), args.budget, rng=rng))
+        else:
+            out = workbench.graph_run(*_system_and_term(kind, loaded), args.budget, rng=rng)
+            run, _ = workbench.graph_run_dict(out)
+            final_graph = out.graph
     report = {"schema": workbench.SCHEMA, "command": "eval",
               "input": _input_stanza(args.input), "budget": args.budget,
-              "policy": args.policy,
-              "runs": [run],
-              "timing": {"total": time.perf_counter() - start}}
-    _emit_report(report, args.out)
+              "policy": args.policy, "runs": [{"engine": args.engine, **run}],
+              "timing": timing}
+    _emit(workbench.render_report(report), args.out)
     _maybe_dot(final_graph, args.emit_dot)
     return EXIT_OK
 
@@ -128,11 +109,7 @@ def cmd_encode(args) -> int:
     if args.to in ("crs", "crs-cbn"):
         if kind != "lam":
             raise CliError(EXIT_VALIDATION, "encoding to crs needs a .lam input")
-        try:
-            image = (encode.encode_cbv(loaded) if args.to == "crs"
-                     else encode.encode_cbn(loaded))
-        except encode.OpenTermError as exc:
-            raise CliError(EXIT_VALIDATION, str(exc))
+        image = encode.encode_cbv(loaded) if args.to == "crs" else encode.encode_cbn(loaded)
         _emit(encode.system_with_table(image), args.out)
         return EXIT_OK
     if args.to == "lambda":
@@ -145,28 +122,19 @@ def cmd_encode(args) -> int:
     raise CliError(EXIT_VALIDATION, f"unknown encoding target {args.to!r}")
 
 
-def cmd_compare(args) -> int:
+def cmd_check(args) -> int:
+    """compare on a .lam input, roundtrip on a .trs input: exit code 3
+    when a check of the report failed."""
     kind, loaded = _load_input(args.input)
-    if kind != "lam":
-        raise CliError(EXIT_VALIDATION, "compare needs a .lam input")
-    try:
+    want = "lam" if args.command == "compare" else "trs"
+    if kind != want:
+        raise CliError(EXIT_VALIDATION, f"{args.command} needs a .{want} input")
+    if kind == "lam":
         report = workbench.compare_engines(loaded, args.budget)
-    except encode.OpenTermError as exc:
-        raise CliError(EXIT_VALIDATION, str(exc))
+    else:
+        report = workbench.roundtrip_check(*_system_and_term(kind, loaded), args.budget)
     report["input"] = _input_stanza(args.input)
-    _emit_report(report, args.out)
-    _maybe_dot(report.get("_final_graph"), args.emit_dot)
-    return EXIT_OK if workbench.report_ok(report) else EXIT_CHECK_FAILED
-
-
-def cmd_roundtrip(args) -> int:
-    kind, loaded = _load_input(args.input)
-    if kind != "trs":
-        raise CliError(EXIT_VALIDATION, "roundtrip needs a .trs input")
-    system, term = _system_and_term(kind, loaded)
-    report = workbench.roundtrip_check(system, term, args.budget)
-    report["input"] = _input_stanza(args.input)
-    _emit_report(report, args.out)
+    _emit(workbench.render_report(report), args.out)
     _maybe_dot(report.get("_final_graph"), args.emit_dot)
     return EXIT_OK if workbench.report_ok(report) else EXIT_CHECK_FAILED
 
@@ -214,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="all engines plus the theorem checks")
     common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_check)
 
     p_rt = sub.add_parser("roundtrip", help="rewrite system through the "
                                             "lambda and graph engines")
     common(p_rt)
-    p_rt.set_defaults(func=cmd_roundtrip)
+    p_rt.set_defaults(func=cmd_check)
 
     p_dot = sub.add_parser("graph-dot", help="DOT export of the input's graph")
     p_dot.add_argument("input")

@@ -344,7 +344,7 @@ class PhiRun:
     readback_nf: Optional[lam.Term]
 
 
-def run_phi(image: PhiImage, budget: int = 10_000, deep_check: bool = False) -> PhiRun:
+def run_phi(image: PhiImage, budget: int = 10_000) -> PhiRun:
     """Reduce the image, with canonicity and constructor provenance
     checked once per image, where the simulation closes them.
 
@@ -355,31 +355,13 @@ def run_phi(image: PhiImage, budget: int = 10_000, deep_check: bool = False) -> 
     standing for the constructor values the machine binds them to.  In a
     canonical term a redex has only app nodes above it, and a step leaves
     that context as it is, so every reached term is canonical.  A step
-    therefore costs no whole-term work.  With deep_check, every reached
-    term is also built (through the step event's `state()`) and checked
-    as a whole: canonical, of registered constructors, and read back as
-    one CBV step of the previous term's readback."""
+    therefore costs no whole-term work."""
     sig = image.system.signature
     reg = image.registry
     for t in (image.term, *(rule.rhs for rule in image.system.rules)):
         assert check_provenance(t, reg), "unregistered constructor"
         assert is_canonical(t, sig), "canonicity lost"
-    on_step = None
-    if deep_check:
-        prev = [readback(image.term, reg)]
-
-        def on_step(rule, subst, state):
-            after = state()
-            assert is_canonical(after, sig), "canonicity lost"
-            assert check_provenance(after, reg), "unregistered constructor"
-            rb_before, rb_after = prev[0], readback(after, reg)
-            reducts = [lam.replace_at(rb_before, path,
-                                      lam.contract(lam.subterm_at(rb_before, path)))
-                       for path in lam.cbv_redexes(rb_before)]
-            assert any(lam.alpha_eq(r, rb_after) for r in reducts)
-            prev[0] = rb_after
-
-    out = crs.reduce(image.system, image.term, budget, on_step=on_step)
+    out = crs.reduce(image.system, image.term, budget)
     rb = None
     if out.kind != "exhausted":
         rb = readback(out.term, reg)

@@ -44,8 +44,6 @@ class App:
 
 Term = Union[Var, Abs, App]
 
-_fresh_counter = itertools.count()
-
 
 def size(t: Term) -> int:
     """Length of a term: |x|=1, |\\x.M|=|M|+1, |M N|=|M|+|N|+1."""
@@ -78,15 +76,19 @@ def leaf_count(t: Term) -> int:
     return n
 
 
-def _free_set(t: Term) -> set[str]:
-    # Iterative: compiled terms can be deeper than the recursion limit.
+def _free_set(t: Term, shared: Optional[dict[int, frozenset[str]]] = None) -> set[str]:
+    # Iterative: compiled terms can be deeper than the recursion limit.  A
+    # subterm with an entry in `shared` is not walked: the entry holds its
+    # free variables, and those not bound around it are free.
     free: set[str] = set()
     bound: dict[str, int] = {}
     todo: list[tuple[str, object]] = [("go", t)]
     while todo:
         op, arg = todo.pop()
         if op == "go":
-            if isinstance(arg, Var):
+            if shared and id(arg) in shared:
+                free.update(v for v in shared[id(arg)] if not bound.get(v))
+            elif isinstance(arg, Var):
                 if bound.get(arg.name, 0) == 0:
                     free.add(arg.name)
             elif isinstance(arg, Abs):
@@ -99,6 +101,39 @@ def _free_set(t: Term) -> set[str]:
         else:
             bound[arg] -= 1
     return free
+
+
+def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[str]:
+    # _free_set(t) walking each subterm object once, when t shares
+    # subterms (as compiled terms and machine results do): every subterm
+    # reached twice is walked on its own, inner ones first, and kept in
+    # `shared` by id, as is t.  Callers that pass the same dict share the
+    # work, while the terms stay alive.
+    if id(t) in shared:
+        return shared[id(t)]
+    refs: dict[int, int] = {}
+    order: list[Term] = []      # distinct abstractions and applications, post-order
+    todo: list[tuple[bool, Term]] = [(False, t)]
+    while todo:
+        done, s = todo.pop()
+        if done:
+            order.append(s)
+        elif type(s) is Var or id(s) in shared:
+            continue
+        elif id(s) in refs:
+            refs[id(s)] += 1
+        else:
+            refs[id(s)] = 1
+            todo.append((True, s))
+            if type(s) is Abs:
+                todo.append((False, s.body))
+            else:
+                todo += ((False, s.arg), (False, s.fun))
+    for s in order:
+        if refs[id(s)] > 1:
+            shared[id(s)] = frozenset(_free_set(s, shared))
+    fv = shared[id(t)] = frozenset(_free_set(t, shared))
+    return fv
 
 
 def _names(t: Term) -> set[str]:
@@ -132,10 +167,12 @@ def is_value(t: Term) -> bool:
     return isinstance(t, (Var, Abs))
 
 
-def fresh_name(base: str, avoid: set[str]) -> str:
-    """A name not in `avoid`, derived from `base` and a global counter."""
+def fresh_name(base: str, avoid: set[str], counter: Iterator[int]) -> str:
+    """A name not in `avoid`: `base` and the next free number of `counter`.
+    Each top-level call numbers its fresh names from 0 on, so a result
+    never depends on what ran before it in the process."""
     while True:
-        cand = f"{base}_{next(_fresh_counter)}"
+        cand = f"{base}_{next(counter)}"
         if cand not in avoid:
             return cand
 
@@ -148,11 +185,11 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     """Capture-avoiding substitution t{v/x}, in one iterative walk.
 
     A binder named after a free variable of v, with x free below it, is
-    renamed with a globally fresh name that avoids every name of t and
-    the free variables of v.  The walk carries the renamings in a scope,
-    as `_read` does, so a renamed body is walked once.  When v is closed
-    nothing is renamed, and the walk stops at the binders of x.
-    Untouched subterms are shared.
+    renamed with a fresh name that avoids every name of t and the free
+    variables of v, numbered from 0 in each call.  The walk carries the
+    renamings in a scope, as `_read` does, so a renamed body is walked
+    once.  When v is closed nothing is renamed, and the walk stops at the
+    binders of x.  Untouched subterms are shared.
     """
     fv_v = _free_set(v)
     # name -> its meanings, innermost last: the term that replaces it, or
@@ -180,8 +217,8 @@ def substitute(t: Term, x: str, v: Term) -> Term:
                         _mark_free(node.body, x, x_free)
                     if x_free[id(node.body)]:
                         if avoid is None:
-                            avoid = fv_v | _names(t)
-                        meaning = Var(fresh_name(c, avoid))
+                            avoid, counter = fv_v | _names(t), itertools.count()
+                        meaning = Var(fresh_name(c, avoid, counter))
                         renamed += 1
                 if meaning is not None or c in scope:
                     frames = scope.setdefault(c, [])
@@ -455,16 +492,17 @@ def readback(closures: list[tuple], t: Optional[Term] = None) -> list[Term]:
     result, as `substitute` would, so that the variable is not captured;
     the fresh names avoid every name of t.
     """
-    terms, free = _read(closures, frozenset(), frozenset())
+    fv_memo: dict[int, frozenset[str]] = {}
+    terms, free = _read(closures, frozenset(), frozenset(), fv_memo)
     if free:
         if t is None:
             raise ValueError(f"open closures without their input term: {sorted(free)}")
-        terms, _ = _read(closures, free, free | _names(t))
+        terms, _ = _read(closures, free, free | _names(t), fv_memo)
     return terms
 
 
-def _read(closures: list[tuple], rename: frozenset[str],
-          avoid: frozenset[str]) -> tuple[list[Term], frozenset[str]]:
+def _read(closures: list[tuple], rename: frozenset[str], avoid: frozenset[str],
+          fv_memo: dict[int, frozenset[str]]) -> tuple[list[Term], frozenset[str]]:
     # Iterative, because CBN closure chains go deeper than the recursion
     # limit.  A binder shadows the environment entries of its name: the
     # walk pushes a local frame for it, bound to None, or to the fresh Var
@@ -475,6 +513,7 @@ def _read(closures: list[tuple], rename: frozenset[str],
     # are kept as they are.  Also returns the variables found free.
     free: set[str] = set()
     memo: dict[int, Term] = {}
+    counter = itertools.count()
     results: list[Term] = []
     todo: list[tuple] = [(_CLOSURE, c, None) for c in reversed(closures)]
     while todo:
@@ -496,7 +535,7 @@ def _read(closures: list[tuple], rename: frozenset[str],
             elif type(a) is Abs:
                 name, local = a.binder, None
                 if name in rename:
-                    name = fresh_name(name, avoid)
+                    name = fresh_name(name, avoid, counter)
                     local = Var(name)
                 todo.append((_ABS, a, name))
                 todo.append((_GO, a.body, (a.binder, local, b)))
@@ -512,7 +551,7 @@ def _read(closures: list[tuple], rename: frozenset[str],
             elif id(a) in memo:
                 results.append(memo[id(a)])
             elif a[1] is None:              # nothing to substitute
-                free |= _free_set(a[0])
+                free |= _free_set_shared(a[0], fv_memo)
                 memo[id(a)] = a[0]
                 results.append(a[0])
             else:

@@ -11,9 +11,10 @@ import hashlib
 import itertools
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import crs, encode, graphs, lam, scott
 
@@ -25,30 +26,36 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def lam_run_dict(engine: str, out: lam.ReductionOutcome) -> dict:
-    d = {"engine": engine, "outcome": out.kind, "steps": out.steps}
+@contextmanager
+def timed(timing: dict[str, float], key: str):
+    """Record the wall time of the with-block as timing[key]."""
+    t0 = time.perf_counter()
+    yield
+    timing[key] = time.perf_counter() - t0
+
+
+def lam_run_dict(out: lam.ReductionOutcome) -> dict:
+    """The record of a run: outcome, steps and, once finished, the normal
+    form.  Reports add the engine; the sidecars store the record as is."""
+    d = {"outcome": out.kind, "steps": out.steps}
     if out.kind == "normal":
         d["normal_form"] = lam.to_str(out.term)
     return d
 
 
-def crs_run_dict(engine: str, out: crs.CrsOutcome) -> dict:
-    d = {"engine": engine, "outcome": out.kind, "steps": out.steps}
+def crs_run_dict(out: crs.CrsOutcome) -> dict:
+    d = {"outcome": out.kind, "steps": out.steps}
     if out.kind != "exhausted":
         d["normal_form"] = crs.term_to_str(out.term)
     return d
 
 
-def graph_run_dict(engine: str,
-                   out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
-    """The run's report entry, and the term a normal run unfolds to (None
-    when the run is exhausted or its unfolding is too large)."""
+def graph_run_dict(out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
+    """The run's record, and the term a normal run unfolds to (None when
+    the run is exhausted or its unfolding is too large)."""
     term = None
-    d = {"engine": engine,
-         "outcome": "normal" if out.kind == "normal" else "exhausted",
-         "steps": out.steps,
-         "final_nodes": out.graph.node_count(),
-         "size_series": list(out.sizes)}
+    d = {"outcome": out.kind, "steps": out.steps,
+         "final_nodes": out.graph.node_count(), "size_series": list(out.sizes)}
     if out.kind == "normal":
         try:
             term = graphs.graph_to_term(out.graph)
@@ -59,98 +66,94 @@ def graph_run_dict(engine: str,
     return d, term
 
 
+def graph_run(system: crs.CrsSystem, t: crs.Term, budget: int,
+              rng=None) -> graphs.GraphOutcome:
+    """The graph engine on the graph of a closed term under a system's rules."""
+    return graphs.graph_reduce(graphs.term_to_graph(t), graphs.system_to_graph_rules(system),
+                               system.signature, budget, rng=rng)
+
+
+def decide(runs: tuple, both: Callable[[], Optional[bool]], exhausted: Optional[bool],
+           split: tuple[Optional[bool], Optional[bool]] = (None, None)) -> Optional[bool]:
+    """The value of a check that relates two runs given the same budget.
+
+    `both()` decides the check when both runs finished, `exhausted` is its
+    value when neither did, and `split[i]` its value when only runs[i]
+    did.  None means the check cannot be decided, so a split that the
+    theorem behind the check rules out is False, not None."""
+    done = [out.kind != "exhausted" for out in runs]
+    if all(done):
+        return both()
+    if not any(done):
+        return exhausted
+    return split[0] if done[0] else split[1]
+
+
+def _runs(records: dict[str, dict]) -> list[dict]:
+    return [{"engine": engine, **record} for engine, record in records.items()]
+
+
 def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     """Run all five engines on a closed term and evaluate the step-count
-    theorems; checks stay null when a needed run hit the budget."""
+    theorems, each check through `decide`."""
     timing: dict[str, float] = {}
-    runs: list[dict] = []
-    checks: dict[str, Optional[bool]] = {}
+    with timed(timing, "lambda-cbv"):
+        cbv = lam.reduce(m, "cbv", budget)
+    with timed(timing, "phi-crs"):
+        phi = encode.encode_cbv(m)
+        phi_run = encode.run_phi(phi, budget)
+    with timed(timing, "phi-graph"):
+        graph = graph_run(phi.system, phi.term, budget)
+    with timed(timing, "lambda-cbn"):
+        cbn = lam.reduce(m, "cbn", budget)
+    with timed(timing, "psi-crs"):
+        psi_run = encode.run_psi(encode.encode_cbn(m), budget)
+    phi_out, psi_out = phi_run.outcome, psi_run.outcome
+    graph_record, unfolded = graph_run_dict(graph)
+    runs = {"lambda-cbv": lam_run_dict(cbv), "phi-crs": crs_run_dict(phi_out),
+            "phi-graph": graph_record, "lambda-cbn": lam_run_dict(cbn),
+            "psi-crs": {**crs_run_dict(psi_out), "ordinary_steps": psi_run.ordinary_steps,
+                        "admin_steps": psi_run.admin_steps}}
 
-    t0 = time.perf_counter()
-    cbv = lam.reduce(m, "cbv", budget)
-    timing["lambda-cbv"] = time.perf_counter() - t0
-    runs.append(lam_run_dict("lambda-cbv", cbv))
-
-    t0 = time.perf_counter()
-    phi = encode.encode_cbv(m)
-    phi_run = encode.run_phi(phi, budget)
-    timing["phi-crs"] = time.perf_counter() - t0
-    runs.append(crs_run_dict("phi-crs", phi_run.outcome))
-
-    t0 = time.perf_counter()
-    g = graphs.term_to_graph(phi.term)
-    grules = graphs.system_to_graph_rules(phi.system)
-    graph_run = graphs.graph_reduce(g, grules, phi.system.signature, budget)
-    timing["phi-graph"] = time.perf_counter() - t0
-    graph_dict, unfolded = graph_run_dict("phi-graph", graph_run)
-    runs.append(graph_dict)
-
-    t0 = time.perf_counter()
-    cbn = lam.reduce(m, "cbn", budget)
-    timing["lambda-cbn"] = time.perf_counter() - t0
-    runs.append(lam_run_dict("lambda-cbn", cbn))
-
-    t0 = time.perf_counter()
-    psi = encode.encode_cbn(m)
-    psi_run = encode.run_psi(psi, budget)
-    timing["psi-crs"] = time.perf_counter() - t0
-    pd = crs_run_dict("psi-crs", psi_run.outcome)
-    pd["ordinary_steps"] = psi_run.ordinary_steps
-    pd["admin_steps"] = psi_run.admin_steps
-    runs.append(pd)
-
-    # exact CBV simulation: lambda == crs == graph step counts
-    if cbv.kind == "normal" and phi_run.outcome.kind != "exhausted":
-        checks["cbv_steps_equal"] = (phi_run.outcome.kind == "constructor"
-                                     and phi_run.outcome.steps == cbv.steps)
-        checks["phi_readback_alpha_eq"] = (phi_run.readback_nf is not None
-                                           and lam.alpha_eq(phi_run.readback_nf, cbv.term))
-    else:
-        checks["cbv_steps_equal"] = None
-        checks["phi_readback_alpha_eq"] = None
-        if cbv.kind == "exhausted" and phi_run.outcome.kind == "exhausted":
-            checks["cbv_steps_equal"] = True  # both diverge within budget
-    if cbv.kind == "normal" and graph_run.kind == "normal":
-        checks["graph_steps_equal"] = graph_run.steps == cbv.steps
-        checks["graph_readback_alpha_eq"] = (
-            None if unfolded is None
-            else lam.alpha_eq(encode.readback(unfolded, phi.registry), cbv.term))
-    else:
-        checks["graph_steps_equal"] = True if (
-            cbv.kind == "exhausted" and graph_run.kind == "exhausted") else None
-        checks["graph_readback_alpha_eq"] = None
-
-    # graph size bound: nodes after step i bounded by (i+1)|M|
+    cbv_phi, cbv_graph, cbn_psi = (cbv, phi_out), (cbv, graph), (cbn, psi_out)
     msize = lam.size(m)
-    checks["graph_size_bound"] = all(
-        sz <= (i + 1) * msize for i, sz in enumerate(graph_run.sizes))
-
-    # CBN bounds n <= m <= 2n plus the bookkeeping split
-    if cbn.kind == "normal" and psi_run.outcome.kind != "exhausted":
-        n, msteps = cbn.steps, psi_run.outcome.steps
-        checks["cbn_bounds"] = (psi_run.outcome.kind == "constructor"
-                                and n <= msteps <= 2 * n)
-        checks["cbn_ordinary_steps_equal"] = psi_run.ordinary_steps == n
-        checks["psi_readback_alpha_eq"] = (psi_run.readback_nf is not None
-                                           and lam.alpha_eq(psi_run.readback_nf, cbn.term))
-    else:
-        checks["cbn_bounds"] = None
-        checks["cbn_ordinary_steps_equal"] = None
-        checks["psi_readback_alpha_eq"] = None
-        if cbn.kind == "exhausted" and psi_run.outcome.kind == "exhausted":
-            checks["cbn_bounds"] = True
-
+    checks = {
+        # exact CBV simulation: lambda == crs == graph step counts
+        "cbv_steps_equal": decide(
+            cbv_phi, lambda: phi_out.kind == "constructor" and phi_out.steps == cbv.steps,
+            True, (False, False)),
+        "phi_readback_alpha_eq": decide(
+            cbv_phi, lambda: lam.alpha_eq(phi_run.readback_nf, cbv.term), None),
+        "graph_steps_equal": decide(
+            cbv_graph, lambda: graph.steps == cbv.steps, True, (False, False)),
+        "graph_readback_alpha_eq": decide(
+            cbv_graph, lambda: None if unfolded is None
+            else lam.alpha_eq(encode.readback(unfolded, phi.registry), cbv.term), None),
+        # graph size bound: nodes after step i bounded by (i+1)|M|
+        "graph_size_bound": all(sz <= (i + 1) * msize for i, sz in enumerate(graph.sizes)),
+        # CBN bounds n <= m <= 2n plus the bookkeeping split: psi cannot
+        # finish within a budget CBN runs out of, but m <= 2n may exceed a
+        # budget that n fits
+        "cbn_bounds": decide(
+            cbn_psi, lambda: (psi_out.kind == "constructor"
+                              and cbn.steps <= psi_out.steps <= 2 * cbn.steps),
+            True, (None, False)),
+        "cbn_ordinary_steps_equal": decide(
+            cbn_psi, lambda: psi_run.ordinary_steps == cbn.steps, None, (None, False)),
+        "psi_readback_alpha_eq": decide(
+            cbn_psi, lambda: lam.alpha_eq(psi_run.readback_nf, cbn.term), None),
+    }
     relations = {
         "lambda_cbv_steps": cbv.steps,
-        "phi_crs_steps": phi_run.outcome.steps,
-        "phi_graph_steps": graph_run.steps,
+        "phi_crs_steps": phi_out.steps,
+        "phi_graph_steps": graph.steps,
         "lambda_cbn_steps": cbn.steps,
-        "psi_crs_steps": psi_run.outcome.steps,
+        "psi_crs_steps": psi_out.steps,
         "psi_admin_steps": psi_run.admin_steps,
     }
     return {"schema": SCHEMA, "command": "compare", "budget": budget,
-            "term_size": msize, "runs": runs, "relations": relations,
-            "checks": checks, "timing": timing, "_final_graph": graph_run.graph}
+            "term_size": msize, "runs": _runs(runs), "relations": relations,
+            "checks": checks, "timing": timing, "_final_graph": graph.graph}
 
 
 def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
@@ -158,42 +161,28 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
     """Reverse simulation plus the graph engine on one closed term."""
     timing: dict[str, float] = {}
     ctx = scott.ScottContext(system)
-
-    t0 = time.perf_counter()
-    verdict = scott.simulate_and_check(ctx, t, budget)
-    timing["scott"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    g = graphs.term_to_graph(t)
-    grules = graphs.system_to_graph_rules(system)
-    graph_run = graphs.graph_reduce(g, grules, system.signature, budget)
-    timing["graph"] = time.perf_counter() - t0
-
-    runs = [
-        {"engine": "crs", "outcome": verdict.crs_kind, "steps": verdict.crs_steps,
-         **({"normal_form": crs.term_to_str(verdict.crs_term)}
-            if verdict.crs_kind != "exhausted" else {})},
-        {"engine": "lambda-cbv", "outcome": verdict.beta_kind, "steps": verdict.beta_steps},
-        graph_run_dict("graph", graph_run)[0],
-    ]
-    checks: dict[str, Optional[bool]] = {"scott_consistent": verdict.consistent}
-    if verdict.crs_kind != "exhausted" and graph_run.kind == "normal":
-        checks["graph_steps_equal"] = graph_run.steps == verdict.crs_steps
+    with timed(timing, "scott"):
+        verdict = scott.simulate_and_check(ctx, t, budget)
+    with timed(timing, "graph"):
+        graph = graph_run(system, t, budget)
+    crs_out = crs.CrsOutcome(verdict.crs_kind, verdict.crs_term, verdict.crs_steps)
+    crs_record, graph_record = crs_run_dict(crs_out), graph_run_dict(graph)[0]
+    checks = {
+        "scott_consistent": verdict.consistent,
+        "graph_steps_equal": decide(
+            (crs_out, graph), lambda: graph.steps == verdict.crs_steps, True, (False, False)),
         # both normal forms are closed, and term_to_str is injective on
         # closed terms
-        checks["graph_term_equal"] = (runs[2]["normal_form"] == runs[0]["normal_form"]
-                                      if runs[2]["unfolded"] else None)
-    elif verdict.crs_kind == "exhausted" and graph_run.kind == "exhausted":
-        checks["graph_steps_equal"] = True
-        checks["graph_term_equal"] = None
-    else:
-        checks["graph_steps_equal"] = None
-        checks["graph_term_equal"] = None
-    report = {"schema": SCHEMA, "command": "roundtrip", "budget": budget,
-              "runs": runs, "checks": checks,
-              "measured_k": verdict.ratio, "timing": timing,
-              "_final_graph": graph_run.graph}
-    return report
+        "graph_term_equal": decide(
+            (crs_out, graph), lambda: (graph_record["normal_form"] == crs_record["normal_form"]
+                                       if graph_record["unfolded"] else None), None),
+    }
+    runs = {"crs": crs_record,
+            "lambda-cbv": {"outcome": verdict.beta_kind, "steps": verdict.beta_steps},
+            "graph": graph_record}
+    return {"schema": SCHEMA, "command": "roundtrip", "budget": budget,
+            "runs": _runs(runs), "checks": checks,
+            "measured_k": verdict.ratio, "timing": timing, "_final_graph": graph.graph}
 
 
 def report_ok(report: dict) -> bool:
@@ -253,23 +242,14 @@ def load_lambda_file(path: Path) -> lam.Term:
 
 
 def lambda_expectation(term: lam.Term, budget: int) -> dict:
-    exp: dict = {"schema": SCHEMA, "budget": budget}
-    for strategy in ("cbv", "cbn"):
-        out = lam.reduce(term, strategy, budget)
-        entry = {"outcome": out.kind, "steps": out.steps}
-        if out.kind == "normal":
-            entry["normal_form"] = lam.to_str(out.term)
-        exp[strategy] = entry
-    return exp
+    return {"schema": SCHEMA, "budget": budget,
+            **{strategy: lam_run_dict(lam.reduce(term, strategy, budget))
+               for strategy in ("cbv", "cbn")}}
 
 
 def crs_expectation(system: crs.CrsSystem, term: crs.Term, budget: int) -> dict:
-    out = crs.reduce(system, term, budget)
-    exp = {"schema": SCHEMA, "budget": budget,
-           "outcome": out.kind, "steps": out.steps}
-    if out.kind != "exhausted":
-        exp["normal_form"] = crs.term_to_str(out.term)
-    return exp
+    return {"schema": SCHEMA, "budget": budget,
+            **crs_run_dict(crs.reduce(system, term, budget))}
 
 
 def expectation_path(entry_path: Path) -> Path:

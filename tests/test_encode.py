@@ -251,7 +251,7 @@ def test_cbv_simulation_lockstep():
         m = random_closed(rng, 22)
         lam_out = lam.reduce(m, "cbv", 300)
         img = encode.encode_cbv(m)
-        run = encode.run_phi(img, budget=300, deep_check=checked < 25)
+        run = (reference_run_phi if checked < 25 else encode.run_phi)(img, 300)
         if lam_out.kind == "normal":
             checked += 1
             assert run.outcome.kind == "constructor"
@@ -271,16 +271,24 @@ def test_canonicity_preserved_and_provenance():
 # --- checked runs against the whole-term checker ---------------------------------------
 
 def reference_run_phi(image, budget):
-    """run_phi checking canonicity and provenance on the whole term after
-    every step, the reference for the per-rule checks."""
+    """run_phi checking the whole term after every step, the reference for
+    the per-rule checks: canonical, of registered constructors, and read
+    back as one CBV step of the previous term's readback."""
     sig, reg = image.system.signature, image.registry
 
     def on_step(rule, subst, state):
         after = state()
         assert encode.is_canonical(after, sig), "canonicity lost"
         assert encode.check_provenance(after, reg), "unregistered constructor"
+        before, prev[0] = prev[0], encode.readback(after, reg)
+        assert any(lam.alpha_eq(lam.replace_at(before, path,
+                                               lam.contract(lam.subterm_at(before, path))),
+                                prev[0])
+                   for path in lam.cbv_redexes(before)), "not one CBV step"
 
     assert encode.is_canonical(image.term, sig)
+    assert encode.check_provenance(image.term, reg), "unregistered constructor"
+    prev = [encode.readback(image.term, reg)]
     out = crs.reduce(image.system, image.term, budget, on_step=on_step)
     rb = None
     if out.kind != "exhausted":
@@ -420,8 +428,8 @@ def test_checked_runs_build_no_whole_term(monkeypatch):
     assert (phi.outcome.kind, phi.outcome.steps) == ("constructor", 1062)
     assert (psi.outcome.kind, psi.outcome.steps) == ("constructor", 1125)
     assert builds == []
-    # the count sees builds: deep_check builds one whole term per step
-    run = encode.run_phi(encode.encode_cbv(church_mult(3)), deep_check=True)
+    # the count sees builds: the reference builds one whole term per step
+    run = reference_run_phi(encode.encode_cbv(church_mult(3)), 10_000)
     assert len(builds) == run.outcome.steps > 0
 
 

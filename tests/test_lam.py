@@ -376,15 +376,34 @@ def test_deep_terms_no_recursion_blowup():
     assert lam.substitute(t, "y", p("\\z. z")) == t
 
 
+def test_readback_walks_shared_subterms_once():
+    # D_22 unfolds to 2^22 copies of I, but is 23 objects: the readback of
+    # the exhausted run must not walk the unfolding to find free variables
+    ident = p("\\x. x")
+    d = ident
+    for _ in range(22):
+        d = App(d, d)
+    t0 = time.perf_counter()
+    out = lam.reduce(App(App(ident, ident), d), "cbv", 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert out.kind == "exhausted" and out.term.arg is d
+    # the same free variables on a shared open term as on its unfolding
+    x = App(Var("x"), p("\\y. y"))
+    shared = App(Abs("x", x), x)
+    assert lam._free_set_shared(shared, {}) == lam._free_set(shared) == {"x"}
+
+
 # --- iterative substitution and printing --------------------------------------------
 
 DEEP = 20_000
 
 
-def reference_substitute(t, x, v):
+def reference_substitute(t, x, v, counter=None):
     """The recursive substitution that asks _free_set at every abstraction
-    whether x occurs free below it: the reference on open values."""
+    whether x occurs free below it: the reference on open values.  Like
+    substitute, it numbers its fresh names from 0 in each top-level call."""
     fv_v = lam._free_set(v)
+    counter = itertools.count() if counter is None else counter
 
     def go(t):
         if isinstance(t, Var):
@@ -393,8 +412,8 @@ def reference_substitute(t, x, v):
             if t.binder == x or x not in lam._free_set(t.body):
                 return t
             if t.binder in fv_v:
-                y = lam.fresh_name(t.binder, fv_v | lam._free_set(t.body))
-                return Abs(y, go(reference_substitute(t.body, t.binder, Var(y))))
+                y = lam.fresh_name(t.binder, fv_v | lam._free_set(t.body), counter)
+                return Abs(y, go(reference_substitute(t.body, t.binder, Var(y), counter)))
             return Abs(t.binder, go(t.body))
         return App(go(t.fun), go(t.arg))
 
@@ -411,7 +430,7 @@ def random_open(rng, size):
     return App(random_open(rng, k), random_open(rng, max(1, size - k)))
 
 
-def test_substitute_open_matches_reference(monkeypatch):
+def test_substitute_open_matches_reference():
     # the same fresh names in the same order: structurally equal results
     rng = random.Random(31)
     renamed = 0
@@ -419,12 +438,10 @@ def test_substitute_open_matches_reference(monkeypatch):
         t = random_open(rng, rng.randrange(1, 25))
         v = random_open(rng, rng.randrange(1, 6))
         x = rng.choice("xyzw")
-        monkeypatch.setattr(lam, "_fresh_counter", itertools.count(100))
         want = reference_substitute(t, x, v)
-        monkeypatch.setattr(lam, "_fresh_counter", itertools.count(100))
         got = lam.substitute(t, x, v)
         assert got == want, (lam.to_str(t), x, lam.to_str(v))
-        renamed += next(lam._fresh_counter) > 100
+        renamed += "_" in lam.to_str(got)     # t and v use no "_": a fresh name
     assert renamed > 300
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from normbench import cli, crs, lam, workbench
+from normbench import cli, crs, graphs, lam, workbench
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -101,6 +101,38 @@ def test_roundtrip_function_without_rules():
     assert workbench.report_ok(report)
 
 
+def one_step_short(module, name, strategy=None):
+    """module.name with one step less of budget than asked (for
+    lam.reduce, under `strategy` only): a mutant engine."""
+    fn = getattr(module, name)
+    if strategy is None:
+        return lambda *args, **kw: fn(*args[:3], args[3] - 1, *args[4:], **kw)
+    return lambda t, s="cbv", budget=10_000, rng=None: fn(t, s, budget - (s == strategy), rng)
+
+
+# both engines get the same budget, so the theorem rules out each split:
+# (command, input, budget, mutant engine, the checks that must fail)
+SPLITS = [("compare", "lambda/id_redex.lam", 1, (graphs, "graph_reduce"),
+           ["graph_steps_equal"]),
+          ("roundtrip", "crs/nat_add.trs", 4, (graphs, "graph_reduce"), ["graph_steps_equal"]),
+          ("compare", "lambda/id_redex.lam", 1, (lam, "reduce", "cbn"),
+           ["cbn_bounds", "cbn_ordinary_steps_equal"])]
+
+
+@pytest.mark.parametrize("command,entry,budget,mutant,failing", SPLITS,
+                         ids=["graph-vs-cbv", "graph-vs-crs", "cbn-vs-psi"])
+def test_budget_split_fails_the_check(monkeypatch, capsys, command, entry, budget,
+                                      mutant, failing):
+    argv = [command, str(CORPUS / entry), "--budget", str(budget)]
+    assert cli.main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all(checks[c] is True for c in failing)
+    monkeypatch.setattr(*mutant[:2], one_step_short(*mutant))
+    assert cli.main(argv) == 3
+    mutated = json.loads(capsys.readouterr().out)["checks"]
+    assert {c: v for c, v in mutated.items() if v is False} == dict.fromkeys(failing, False)
+
+
 def test_report_ok_detects_failure():
     assert not workbench.report_ok({"checks": {"a": True, "b": False}})
     assert workbench.report_ok({"checks": {"a": True, "b": None}})
@@ -163,6 +195,20 @@ def test_cli_eval_random_policy(tmp_path, capsys):
                      "--seed", "7", str(src)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["runs"][0]["steps"] == 2
+
+
+def test_cli_eval_open_term_same_report_every_call(tmp_path, capsys):
+    # fresh names are numbered per call, not per process
+    src = tmp_path / "open.lam"
+    src.write_text("(\\x. \\y. x) y\n")
+    for engine in (["lambda-cbv"], ["lambda-cbn"], ["lambda-cbv", "--policy", "random"]):
+        reports = []
+        for _ in range(2):
+            assert cli.main(["eval", "--engine", *engine, str(src)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            reports[-1].pop("timing")
+        assert reports[0] == reports[1], engine
+        assert reports[0]["runs"][0]["normal_form"] == "\\y_0. y", engine
 
 
 def test_cli_encode_roundtrips(tmp_path, capsys):
