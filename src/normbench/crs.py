@@ -10,11 +10,12 @@ on the position policy.
 `reduce` runs the leftmost-innermost policy on an innermost evaluation
 machine: arguments are evaluated to constructor values left to right,
 then their node is matched once, and a firing continues with the rule's
-right-hand side under the match, so a step costs the same whatever the
-size of the term.  Its step event is local: a hook receives the rule,
-its match and a `state()` that builds the whole term only when called.
-`redexes`, `replace_at` and `rewrite_step` are the from-the-root step
-relation, kept as the reference: the random policy and the tests use it.
+right-hand side under the match.  The random policy keeps the term's
+redexes in an indexed list in leftmost-innermost order and fires one
+picked uniformly; a firing replaces its entry by the redexes it made.
+Either way a step costs the same whatever the size of the term.  The step
+event is local: a hook receives the rule, its match and a `state()` that
+builds the whole term only when called.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator, Literal, Optional, Union
+from typing import Iterable, Literal, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,6 @@ class Rule:
     head: str
     lhs: tuple[Term, ...]
     rhs: Term
-
-
-def term_size(t: Term) -> int:
-    n = 0
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        n += 1
-        if isinstance(s, Node):
-            todo.extend(s.children)
-    return n
 
 
 def count_symbol(t: Term, symbol: str) -> int:
@@ -287,11 +277,6 @@ def _match_args(patterns: tuple[Term, ...], args: Iterable[Term]) -> Optional[di
     return subst
 
 
-def match_pattern(p: Term, t: Term) -> Optional[dict[str, Term]]:
-    """Match a pattern against a constructor term; t must be function-free."""
-    return _match_args((p,), (t,))
-
-
 def apply_subst(t: Term, subst: dict[str, Term]) -> Term:
     results: list[Term] = []
     todo: list[tuple[str, Term]] = [("go", t)]
@@ -314,77 +299,6 @@ def apply_subst(t: Term, subst: dict[str, Term]) -> Term:
     return results[0]
 
 
-def _match_rule(rule: Rule, args: tuple[Term, ...],
-                sig: Signature) -> Optional[dict[str, Term]]:
-    # CBV condition: every binding must be a constructor term.
-    subst = _match_args(rule.lhs, args)
-    if subst is None or not all(is_constructor_term(v, sig) for v in subst.values()):
-        return None
-    return subst
-
-
-Path = tuple[int, ...]
-
-
-def match_at(sys: CrsSystem, t: Term) -> Optional[tuple[Rule, dict[str, Term]]]:
-    """The unique rule instance firing at the root of t, if any."""
-    if not isinstance(t, Node) or not sys.signature.is_function(t.symbol):
-        return None
-    hits = []
-    first = t.children[0] if t.children else None
-    for rule in sys.candidates(t.symbol, first):
-        subst = _match_rule(rule, t.children, sys.signature)
-        if subst is not None:
-            hits.append((rule, subst))
-    assert len(hits) <= 1, f"orthogonality violated at {t.symbol}"
-    return hits[0] if hits else None
-
-
-def redexes(sys: CrsSystem, t: Term) -> Iterator[tuple[Path, Rule, dict[str, Term]]]:
-    """Redex occurrences in leftmost-innermost order: post-order, children
-    left to right.  The reference walk behind the random policy."""
-    stack: list[list] = [[t, 0]]      # a node and the index of its next child
-    path: list[int] = []              # the index of each stack node but the root
-    while stack:
-        frame = stack[-1]
-        node, i = frame
-        if isinstance(node, Node) and i < len(node.children):
-            frame[1] = i + 1
-            path.append(i)
-            stack.append([node.children[i], 0])
-            continue
-        stack.pop()
-        hit = match_at(sys, node)
-        if hit is not None:
-            yield tuple(path), hit[0], hit[1]
-        if path:
-            path.pop()
-
-
-def replace_at(t: Term, path: Path, new: Term) -> Term:
-    spine = []
-    for i in path:
-        spine.append(t)
-        t = t.children[i]
-    for node, i in zip(reversed(spine), reversed(path)):
-        new = Node(node.symbol, node.children[:i] + (new,) + node.children[i + 1:])
-    return new
-
-
-def _random_redex(sys: CrsSystem, t: Term, rng) -> Optional[tuple[Path, Rule, dict[str, Term]]]:
-    hits = list(redexes(sys, t))
-    return hits[rng.randrange(len(hits))] if hits else None
-
-
-def rewrite_step(sys: CrsSystem, t: Term, rng=None) -> Optional[Term]:
-    """One rewrite step (leftmost-innermost by default) or None if normal."""
-    hit = next(redexes(sys, t), None) if rng is None else _random_redex(sys, t, rng)
-    if hit is None:
-        return None
-    path, rule, subst = hit
-    return replace_at(t, path, apply_subst(rule.rhs, subst))
-
-
 NormalKind = Literal["constructor", "stuck", "exhausted"]
 
 
@@ -402,35 +316,134 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     A normal form is classified "constructor" when it contains no function
     symbol and "stuck" otherwise (the error case of the simulation).  The
     leftmost-innermost policy (no rng) runs an innermost evaluation
-    machine that matches each node once; with an rng, every step walks
-    the term with `redexes` and fires a redex picked uniformly.
+    machine that matches each node once.  With an rng, a step fires
+    `reds[rng.randrange(len(reds))]`, where `reds` lists every redex in
+    leftmost-innermost order and each firing updates it where it changed.
 
     `on_step(rule, subst, state)` is invoked after each firing, with the
     rule and the match it fired under.  `state()` returns the whole term
-    after the step and is valid only during the call.  The machine builds
+    after the step and is valid only during the call.  Both policies build
     that term only when `state()` is called, so a hook that does not call
-    it keeps a step at constant cost; the random policy passes the term
-    it already has.
+    it keeps a step at constant cost.
     """
     if not is_closed(t):
         raise CrsError("reduction input must be closed")
     if rng is None:
         return _reduce_innermost(sys, t, budget, on_step)
+    return _reduce_random(sys, t, budget, rng, on_step)
+
+
+def _match_node(sys: CrsSystem, symbol: str, kids) -> Optional[tuple[Rule, dict[str, Term]]]:
+    # The rule instance firing at a function node whose arguments are values.
+    for rule in sys.candidates(symbol, kids[0] if kids else None):
+        subst = _match_args(rule.lhs, kids)
+        if subst is not None:
+            return rule, subst
+    return None
+
+
+def _reduce_random(sys: CrsSystem, t: Term, budget: int, rng, on_step) -> CrsOutcome:
+    # The random policy over an indexed redex list.  A node that is not a
+    # value is a mutable frame [symbol, kids, parent frame, index there,
+    # number of kids that are frames, match]; values stay Nodes.  reds
+    # holds the redex frames in post-order, left to right since redexes
+    # are never nested.  Firing reds[k] changes the list only at k: it
+    # becomes the redexes of the contractum or, when that is a value, the
+    # first function ancestor that value-ness reaches through constructor
+    # nodes, if that now matches.  A node becomes a value once, so this
+    # climb is O(1) amortised.
+    cons = sys.signature.constructors
+    reds: list[list] = []
+    root = _frames(sys, t, None, reds)
     steps = 0
-    while steps < budget:
-        hit = _random_redex(sys, t, rng)
-        if hit is None:
-            break
-        path, rule, subst = hit
-        t = replace_at(t, path, apply_subst(rule.rhs, subst))
-        if on_step is not None:
-            on_step(rule, subst, lambda: t)
+    while reds:
+        if steps >= budget:
+            return CrsOutcome("exhausted", _unframe(root), steps)
+        k = rng.randrange(len(reds))
+        frame = reds[k]
+        rule, subst = frame[5]
+        block: list[list] = []
+        val = _frames(sys, rule.rhs, subst, block)
+        parent, i = frame[2], frame[3]
+        while True:                     # val takes the slot, and a value climbs
+            if parent is None:
+                root = val
+                break
+            parent[1][i] = val
+            if type(val) is list:
+                val[2], val[3] = parent, i
+                break
+            parent[4] -= 1
+            if parent[4]:
+                break
+            if parent[0] not in cons:
+                parent[5] = _match_node(sys, parent[0], parent[1])
+                if parent[5] is not None:
+                    block.append(parent)
+                break
+            val, parent, i = Node(parent[0], tuple(parent[1])), parent[2], parent[3]
+        reds[k:k + 1] = block
         steps += 1
-    else:
-        if next(redexes(sys, t), None) is not None:
-            return CrsOutcome("exhausted", t, steps)
-    kind: NormalKind = "constructor" if is_constructor_term(t, sys.signature) else "stuck"
-    return CrsOutcome(kind, t, steps)
+        if on_step is not None:
+            on_step(rule, subst, partial(_unframe, root))
+    return CrsOutcome("constructor" if type(root) is Node else "stuck", _unframe(root), steps)
+
+
+def _frames(sys: CrsSystem, t: Term, env: Optional[dict[str, Term]], reds: list[list]):
+    # t under env (None for a closed term) as a value or a frame of the
+    # random policy, children first; its redexes are appended to reds in
+    # post-order.
+    cons = sys.signature.constructors
+    out: list = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if type(s) is Var:
+            out.append(env[s.name])
+            continue
+        if s is not None:
+            if s.children:
+                todo += (s, None, *reversed(s.children))
+                continue
+            kids = []
+        else:                           # the node below, once its children are done
+            s = todo.pop()
+            n = len(out) - len(s.children)
+            kids = out[n:]
+            del out[n:]
+        pending = [i for i, c in enumerate(kids) if type(c) is list]
+        if not pending and s.symbol in cons:
+            out.append(s if all(map(operator.is_, kids, s.children))
+                       else Node(s.symbol, tuple(kids)))
+            continue
+        frame = [s.symbol, kids, None, 0, len(pending), None]
+        for i in pending:
+            kids[i][2], kids[i][3] = frame, i
+        if not pending:
+            frame[5] = _match_node(sys, s.symbol, kids)
+            if frame[5] is not None:
+                reds.append(frame)
+        out.append(frame)
+    return out[0]
+
+
+def _unframe(t) -> Term:
+    # The term of a value or frame of the random policy.
+    out: list[Term] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the frame below, once its children are done
+            s = todo.pop()
+            n = len(out) - len(s[1])
+            kids = tuple(out[n:])
+            del out[n:]
+            out.append(Node(s[0], kids))
+        elif type(s) is list:
+            todo += (s, None, *reversed(s[1]))
+        else:
+            out.append(s)
+    return out[0]
 
 
 def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutcome:
@@ -470,11 +483,7 @@ def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutco
             stack.pop()
             hit = None
             if values and node.symbol not in cons:
-                for rule in sys.candidates(node.symbol, kids[0] if kids else None):
-                    subst = _match_args(rule.lhs, kids)
-                    if subst is not None:
-                        hit = rule, subst
-                        break
+                hit = _match_node(sys, node.symbol, kids)
             if hit is not None:
                 if steps >= budget:
                     return CrsOutcome("exhausted",

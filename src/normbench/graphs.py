@@ -3,13 +3,14 @@
 Graphs are rooted DAGs with ordered out-edges and a partial labelling;
 unlabelled nodes play the role of variables.  Each node carries only
 its in-degree (TermGraph.refs), which is all that collection needs.
-Firing a redex runs three phases: build an isomorphic copy of the
-rule's right-hand portion, redirect every edge into the matched root
-(and the graph root if needed), then collect by reference count: the
-old anchor dies with its last in-edge, and so does every node whose
-in-edges all came from dead nodes.  Constructor-sharedness, the invariant that every shared node
-heads only constructor paths, is what keeps graph steps in bijection
-with term steps.
+Firing a redex (_fire) builds a copy of the rule's right-only nodes,
+redirects the in-edge of the matched root, then collects by reference
+count: the old anchor dies with its last in-edge, and so does every
+node whose in-edges all came from dead nodes.  Constructor-sharedness,
+the invariant that every shared node heads only constructor paths, is
+what keeps graph steps in bijection with term steps.  It also makes the
+non-values (nodes with a function node at or below them) a tree, so the
+anchor has one in-edge, a child slot, and the redirect rewrites it.
 
 Each rule is compiled once per run (compile_rules) into a flat match
 program, which fills numbered slots with graph nodes, and a build
@@ -18,20 +19,16 @@ the slots.  Rules are indexed by head and the label of the first
 argument, so a node tries only the rules whose first pattern can match
 it.
 
-graph_reduce runs an innermost evaluation machine: one descent from the
-root, each node decided once when its children are done, firing in the
-leftmost-innermost order of find_redex, which stays as the whole-graph
-search of the random policy and the reference.  Both use the one
-matcher, _match.  The machine fires in place: build, redirect, collect
-and the sharing check run inline.  The anchor is a function node, which
-constructor-sharedness leaves unshared, so its one in-edge is the child
-slot the machine descended through, and the redirect rewrites that slot.
-A firing thus costs the size of its rule, as a CRS step does.  fire_redex is the generic firing of the
-random policy: it finds the in-edges of the anchor by a scan of succ,
-which costs no more than the whole-graph search before it.  After the
-initial whole-graph check, sharedness is checked only on the nodes a
-firing gave a new in-edge, so no step after the first walks the whole
-graph.
+graph_reduce has two policies.  The leftmost one is an innermost
+evaluation machine: one descent from the root, each node decided once
+when its children are done, firing in the post-order of find_redex.
+The random one keeps the redexes in an indexed list in that order and
+fires the entry an rng draw picks; a firing changes the list only at
+that entry.  Neither walks the graph again after its first search, and
+after the initial whole-graph check sharedness is checked only on the
+nodes a firing gave a new in-edge, so a step costs the size of its
+rule, as a CRS step does.  find_redex and fire_redex search and fire
+one redex at a time, for the tests.
 """
 
 from __future__ import annotations
@@ -199,7 +196,8 @@ class GraphRule:
     Every path from the left root must be a left path: the left root is a
     function symbol and everything below it is a constructor or unlabelled.
     Unlabelled nodes reachable from the right root must also be reachable
-    from the left root.
+    from the left root, and the left root must not be: a replacement
+    cannot hold the node it replaces.
     """
 
     graph: TermGraph
@@ -215,8 +213,10 @@ class GraphRule:
             lab = g.label[v]
             if v != self.left and lab is not None and not sig.is_constructor(lab):
                 raise GraphError(f"non-left path through node {v}")
-        left_nodes = g.reachable(self.left)
-        for v in g.reachable(self.right):
+        left_nodes, right_nodes = g.reachable(self.left), g.reachable(self.right)
+        if self.left in right_nodes:
+            raise GraphError("the right side reaches the left root")
+        for v in right_nodes:
             if g.label[v] is None and v not in left_nodes:
                 raise GraphError(f"unlabelled node {v} not bound by the left side")
 
@@ -333,17 +333,8 @@ class Redex:
     nodes: list[int]  # the graph node in each match slot, the anchor first
 
     @property
-    def rule(self) -> GraphRule:
-        return self.compiled.rule
-
-    @property
     def anchor(self) -> int:
         return self.nodes[0]
-
-    @property
-    def phi(self) -> dict[int, int]:
-        """rule node -> graph node, on the left subgraph"""
-        return dict(zip(self.compiled.slots, self.nodes))
 
 
 def _function_free(g: TermGraph, v: int, sig: crs.Signature,
@@ -405,96 +396,34 @@ def _match(g: TermGraph, cr: CompiledRule, anchor: int, sig: crs.Signature,
     return None
 
 
-def find_redex(g: TermGraph, rules, sig: crs.Signature,
-               rng=None, counter: Optional[list[int]] = None) -> Optional[Redex]:
-    """Leftmost-innermost redex by default (post-order from the root), or a
-    uniform random one with rng.  rules is a list of GraphRules or their
-    compile_rules index.  Orthogonality makes the rule at a given anchor
-    unique; that is asserted."""
-    if counter is None:
-        counter = [0]
+def find_redex(g: TermGraph, rules, sig: crs.Signature) -> Optional[Redex]:
+    """Leftmost-innermost redex: the first in post-order from the root.
+    rules is a list of GraphRules or their compile_rules index.
+    Orthogonality makes the rule at a given anchor unique; that is
+    asserted.  graph_reduce never searches the whole graph; this is for
+    the tests, and stays a module attribute as bench/tracer.py wraps it."""
     index = rules if isinstance(rules, dict) else compile_rules(rules)
     ffree: dict[int, bool] = {}
-    found: list[Redex] = []
     for v in _post_order(g, g.root):
-        counter[0] += 1
         lab = g.label[v]
         if lab is None or not sig.is_function(lab):
             continue
-        hits = []
-        for cr in _candidates(index, g, v, lab):
-            nodes = _match(g, cr, v, sig, ffree, counter)
-            if nodes is not None:
-                hits.append(Redex(cr, nodes))
+        hits = [Redex(cr, nodes) for cr in _candidates(index, g, v, lab)
+                if (nodes := _match(g, cr, v, sig, ffree, [0])) is not None]
         assert len(hits) <= 1, f"orthogonality violated at node {v}"
         if hits:
-            if rng is None:
-                return hits[0]
-            found.append(hits[0])
-    if not found:
-        return None
-    return found[rng.randrange(len(found))]
+            return hits[0]
+    return None
 
 
-def _build_phase(g: TermGraph, redex: Redex) -> tuple[int, list[int]]:
-    """Copy the right-only nodes of the rule into g from the template.
-    Returns the copy of the right root (or its image under the match when
-    the right side is shared) and the nodes that gained an in-edge: the
-    children of the copies, and the returned node, which the redirect
-    points at."""
-    cr = redex.compiled
-    base = g._next
-    g._next = base + len(cr.labels)
-    ids = redex.nodes + list(range(base, g._next))
-    label, succ, refs = g.label, g.succ, g.refs
-    for v, lab in enumerate(cr.labels, base):
-        label[v] = lab
-        refs[v] = 0
-    for v, kr in enumerate(cr.kids, base):
-        kids = succ[v] = tuple([ids[r] for r in kr])
-        for c in kids:
-            refs[c] += 1
-    return ids[cr.right], [ids[r] for r in cr.touched]
-
-
-def _redirect_phase(g: TermGraph, target: int, replacement: int) -> None:
-    """Point every in-edge of target, and the root if it is target, at
-    replacement.  The in-edges are found by a scan of succ, which costs
-    no more than the whole-graph find_redex that precedes a generic
-    firing; this also serves a target with several in-edges, the shared
-    function node of the sharing control."""
-    succ, refs = g.succ, g.refs
-    left = refs[target]
-    refs[replacement] += left
-    refs[target] = 0
-    for u, kids in succ.items():
-        if not left:
-            break
-        if target in kids:
-            succ[u] = tuple([replacement if c == target else c for c in kids])
-            left -= kids.count(target)
-    if g.root == target:
-        g.root = replacement
-
-
-def _collect_phase(g: TermGraph, anchor: int) -> list[int]:
-    """Reference-count collection after a redirect away from anchor: a
-    node other than the root dies when its last in-edge leaves with a
-    dead node, starting from the anchor.  Returns the dead nodes.  The
-    graph is acyclic, so this removes exactly the unreachable nodes when
-    every node was reachable before the step."""
-    label, succ, refs, root = g.label, g.succ, g.refs, g.root
-    dead: list[int] = []
-    todo = [anchor] if not refs[anchor] and anchor != root else []
-    while todo:
-        v = todo.pop()
-        dead.append(v)
-        for c in succ[v]:
-            n = refs[c] = refs[c] - 1
-            if not n and c != root:
-                todo.append(c)
-        del label[v], succ[v], refs[v]
-    return dead
+def _first_match(index: RuleIndex, g: TermGraph, v: int, lab: str, sig: crs.Signature,
+                 memo: dict[int, bool], counter: list[int]):
+    # (compiled rule, slots) of the rule firing at v, or None
+    for cr in _candidates(index, g, v, lab):
+        nodes = _match(g, cr, v, sig, memo, counter)
+        if nodes is not None:
+            return cr, nodes
+    return None
 
 
 def _collect_unreachable(g: TermGraph) -> list[int]:
@@ -509,12 +438,67 @@ def _collect_unreachable(g: TermGraph) -> list[int]:
     return dead
 
 
-def fire_redex(g: TermGraph, redex: Redex) -> tuple[list[int], list[int]]:
-    """Build, redirect, collect; mutates g in place.  Returns the nodes
-    that gained an in-edge and the collected nodes."""
-    replacement, touched = _build_phase(g, redex)
-    _redirect_phase(g, redex.anchor, replacement)
-    return touched, _collect_phase(g, redex.anchor)
+def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
+    """Fire redex through _fire as a first step, at every in-edge of the
+    anchor, found by a scan of succ (a shared anchor has several).
+    Returns the nodes that gained an in-edge, the replacement last.  For
+    the tests; it stays a module attribute as bench/tracer.py wraps it."""
+    v, nodes = redex.anchor, redex.nodes[:]
+    slots = [(u, j, None) for u, kids in g.succ.items() for j, c in enumerate(kids) if c == v]
+    _fire(g, redex.compiled, nodes, slots, 1, sig, {})
+    return [nodes[r] for r in redex.compiled.touched]
+
+
+def _fire(g: TermGraph, cr: CompiledRule, nodes: list[int], slots, steps: int,
+          sig: crs.Signature, memo: dict[int, bool]) -> int:
+    """Fire cr at the match slots nodes in place; return the replacement.
+    Build: copy the right-only nodes from the template, their ids appended
+    to nodes.  Redirect: point the anchor's in-edges, child i of parent
+    for each [parent, i, _] in slots, and the root if it is the anchor, at
+    the replacement.  Collect: a node other than the root dies when its
+    last in-edge leaves with a dead node, starting from the anchor, which
+    on an acyclic graph removes exactly what became unreachable; step 1
+    also collects what never was reachable (it may hold the anchor).  The
+    dead leave memo.  Last, the nodes that gained an in-edge are checked
+    for sharedness."""
+    label, succ, refs = g.label, g.succ, g.refs
+    v = nodes[0]
+    base = g._next
+    g._next = top = base + len(cr.labels)
+    nodes.extend(range(base, top))
+    for u, lab in enumerate(cr.labels, base):
+        label[u] = lab
+        refs[u] = 0
+    for u, kr in enumerate(cr.kids, base):
+        kids = succ[u] = tuple([nodes[r] for r in kr])
+        for c in kids:
+            refs[c] += 1
+    new = nodes[cr.right]
+    for parent, i, _ in slots:
+        kids = succ[parent]
+        succ[parent] = (*kids[:i], new, *kids[i + 1:])
+        refs[new] += 1
+        refs[v] -= 1
+    if g.root == v:
+        g.root = new
+    root = g.root
+    todo = [v] if not refs[v] and v != root else []
+    while todo:
+        u = todo.pop()
+        memo.pop(u, None)
+        for c in succ[u]:
+            n = refs[c] = refs[c] - 1
+            if not n and c != root:
+                todo.append(c)
+        del label[u], succ[u], refs[u]
+    if steps == 1:
+        for u in _collect_unreachable(g):
+            memo.pop(u, None)
+    for r in cr.touched:
+        u = nodes[r]
+        if refs[u] >= 2 and not (memo.get(u) or _function_free(g, u, sig, memo, [0])):
+            raise SharingViolation(f"sharedness lost after step {steps}")
+    return new
 
 
 def is_constructor_shared(g: TermGraph, sig: crs.Signature) -> bool:
@@ -547,28 +531,21 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     default or at uniformly random redexes with rng.
 
     The rules are compiled once per call (compile_rules).  The leftmost
-    path is an innermost evaluation machine (_reduce_innermost) that never
-    re-walks the graph from the root and fires in place; the random path
-    searches the whole graph with find_redex on every step and fires
-    through fire_redex.  Both collect by reference count from the old
-    anchor; the first firing also runs a full reachability collection,
-    which removes nodes of the input that were never reachable.  sizes
-    holds the node count of the input and after every firing.  work
-    holds, per search for a redex, the graph nodes and match steps it
-    visited: one entry per firing, and one more for the last search when
-    the run ends normal with steps < budget.  A rule that is tried runs as
-    many match steps as a generic walk of its left side would, and the
-    index skips the rules whose first pattern cannot match, so these
-    entries can only be smaller than with every rule of the head tried.
+    path is an innermost evaluation machine (_reduce_innermost), the
+    random path an indexed redex list (_reduce_random); both fire in place
+    through _fire.  sizes holds the node count of the input and after
+    every firing.  work holds, per search for a redex, the graph nodes it
+    arrived at and the match steps it ran: one entry per firing, and one
+    more for the last search when the run ends normal with steps < budget.
+    The first search walks the input; a later one visits only what the
+    previous firing built and the rules it tries.
 
     The input is checked for constructor-sharedness, and after every
     firing the nodes that gained an in-edge and now have in-degree >= 2
     are checked to be function-free; no other node can lose the property,
-    since a redirect only rewires the parents of a function node, which
-    are unshared.  The input check is what lets the machine redirect one
-    slot: a reachable function node has at most one in-edge, the slot the
-    descent came through.  A violation aborts the run since it indicates
-    a bug, not an input error.
+    since a redirect only rewires the parent of a function node, which is
+    unshared.  A violation aborts the run since it indicates a bug, not an
+    input error.
     """
     if not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
@@ -577,26 +554,8 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     work: list[int] = []
     if rng is None:
         kind, steps = _reduce_innermost(g, index, sig, budget, sizes, work)
-        return GraphOutcome(kind, g, steps, sizes, work)
-    memo: dict[int, bool] = {}  # node -> function-free; dead nodes are dropped
-    steps = 0
-    while steps < budget:
-        counter = [0]
-        redex = find_redex(g, index, sig, rng=rng, counter=counter)
-        work.append(counter[0])
-        if redex is None:
-            return GraphOutcome("normal", g, steps, sizes, work)
-        steps += 1
-        touched, dead = fire_redex(g, redex)
-        if steps == 1:
-            dead += _collect_unreachable(g)
-        for v in dead:
-            memo.pop(v, None)
-        sizes.append(g.node_count())
-        for v in touched:
-            if g.refs[v] >= 2 and not _function_free(g, v, sig, memo, [0]):
-                raise SharingViolation(f"sharedness lost after step {steps}")
-    kind = "normal" if find_redex(g, index, sig) is None else "exhausted"
+    else:
+        kind, steps = _reduce_random(g, index, sig, budget, rng, sizes, work)
     return GraphOutcome(kind, g, steps, sizes, work)
 
 
@@ -616,10 +575,9 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget
     # post-order firing is find_redex's order, and the anchor's one
     # in-edge is g.succ[node][i] of the parent frame (none at the root).
     functions = sig.functions
-    label, succ, refs = g.label, g.succ, g.refs
+    label, succ = g.label, g.succ
     value: dict[int, bool] = {}
     counter = [0]
-    checked = [0]  # nodes visited by the sharing check, not part of work
     steps = 0
     stack: list[list] = []
     v = g.root
@@ -636,63 +594,16 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget
             if val is None:
                 lab = label[v]
                 if lab in functions:
-                    nodes = None
-                    if values:
-                        for cr in _candidates(index, g, v, lab):
-                            nodes = _match(g, cr, v, sig, value, counter)
-                            if nodes is not None:
-                                break
-                    if nodes is not None:
+                    hit = _first_match(index, g, v, lab, sig, value, counter) if values else None
+                    if hit is not None:
                         if steps == budget:
                             return "exhausted", steps
                         steps += 1
                         work.append(counter[0])
                         counter[0] = 0
-                        # build: copies of the right-only nodes, the slots extended by their ids
-                        base = g._next
-                        g._next = top = base + len(cr.labels)
-                        nodes.extend(range(base, top))
-                        for u, ulab in enumerate(cr.labels, base):
-                            label[u] = ulab
-                            refs[u] = 0
-                        for u, kr in enumerate(cr.kids, base):
-                            kids = succ[u] = tuple([nodes[r] for r in kr])
-                            for c in kids:
-                                refs[c] += 1
-                        new = nodes[cr.right]
-                        # redirect the anchor's one in-edge
-                        if stack:
-                            parent, i = stack[-1][0], stack[-1][1]
-                            kids = succ[parent]
-                            succ[parent] = (*kids[:i], new, *kids[i + 1:])
-                            refs[new] += 1
-                            refs[v] -= 1
-                        else:
-                            g.root = new
-                        # collect from the anchor and drop the dead from the memo; before
-                        # the first step's full collection, an input node that was never
-                        # reachable may still hold the anchor
-                        root = g.root
-                        todo = [v] if not refs[v] and v != root else []
-                        while todo:
-                            u = todo.pop()
-                            value.pop(u, None)
-                            for c in succ[u]:
-                                n = refs[c] = refs[c] - 1
-                                if not n and c != root:
-                                    todo.append(c)
-                            del label[u], succ[u], refs[u]
-                        if steps == 1:
-                            for u in _collect_unreachable(g):
-                                value.pop(u, None)
+                        cr, nodes = hit
+                        v = _fire(g, cr, nodes, stack[-1:], steps, sig, value)
                         sizes.append(len(label))
-                        # the sharing check on the nodes that gained an in-edge
-                        for r in cr.touched:
-                            u = nodes[r]
-                            if refs[u] >= 2 and not (value.get(u) or _function_free(
-                                    g, u, sig, value, checked)):
-                                raise SharingViolation(f"sharedness lost after step {steps}")
-                        v = new
                         break
                     val = False
                 else:
@@ -712,6 +623,98 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget
                 break
             stack.pop()
             v, values, val = frame[0], frame[2], None
+
+
+def _reduce_random(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget: int, rng,
+                   sizes: list[int], work: list[int]) -> tuple[OutcomeKind, int]:
+    # The random policy over an indexed redex list.  value is the memo of
+    # the values (True); every other reachable node is in up as [parent,
+    # index there, number of non-value children], its one in-edge being
+    # succ[parent][index] (parent None at the root).  reds holds the
+    # redexes (anchor, compiled rule, slots) in find_redex's post-order,
+    # left to right in the tree of non-values.  Firing reds[k] changes the
+    # list only at k: it becomes the redexes among the new nodes or, when
+    # the replacement is a value, the first function ancestor that
+    # value-ness reaches through constructor nodes, if that now matches.
+    # A node becomes a value once, so this climb is O(1) amortised.
+    value: dict[int, bool] = {}
+    up: dict[int, list] = {}
+    counter = [0]
+    reds: list[tuple] = []
+    _decide(g, index, sig, g.root, None, 0, value, up, reds, counter)
+    steps = 0
+    while reds:
+        if steps >= budget:
+            return "exhausted", steps
+        k = rng.randrange(len(reds))
+        v, cr, nodes = reds[k]
+        steps += 1
+        work.append(counter[0])
+        counter[0] = 0
+        slot = up.pop(v)
+        new = _fire(g, cr, nodes, (slot,) if slot[0] is not None else (), steps, sig, value)
+        sizes.append(len(g.label))
+        block: list[tuple] = []
+        _decide(g, index, sig, new, slot[0], slot[1], value, up, block, counter)
+        reds[k:k + 1] = block
+    if steps < budget:
+        work.append(counter[0])
+    return "normal", steps
+
+
+def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, v: int, parent: Optional[int],
+            i: int, value: dict[int, bool], up: dict[int, list], reds: list[tuple],
+            counter: list[int]) -> None:
+    # Decide v, whose in-edge is slot i of parent, and its undecided
+    # descendants for the random policy, children first.  A node over
+    # values is a value unless it is a function node; every other node
+    # goes into up, and a function node over values that matches is
+    # appended to reds.  If v is a value, its parent has one non-value
+    # child fewer, and a parent left with none is decided in turn.
+    # A frame is [node, in-edge parent, index, next child, non-value
+    # children].  counter gains one per node arrived at, plus the match
+    # steps; like the machine's ascent, the climb is not counted.
+    counter[0] += 1
+    functions, label, succ = sig.functions, g.label, g.succ
+    stack = [] if value.get(v) else [[v, parent, i, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        u, p, j, nxt, pending = frame
+        kids = succ[u]
+        if nxt < len(kids):
+            frame[3] = nxt + 1
+            counter[0] += 1
+            if not value.get(kids[nxt]):
+                stack.append([kids[nxt], u, nxt, 0, 0])
+            continue
+        stack.pop()
+        lab = label[u]
+        if lab in functions:
+            hit = None if pending else _first_match(index, g, u, lab, sig, value, counter)
+            if hit is not None:
+                reds.append((u, *hit))
+        elif not pending:
+            value[u] = True
+            continue
+        up[u] = [p, j, pending]
+        if stack:
+            stack[-1][4] += 1
+    if v not in value:
+        return
+    while parent is not None:
+        info = up[parent]
+        info[2] -= 1
+        if info[2]:
+            break
+        lab = label[parent]
+        if lab in functions:
+            hit = _first_match(index, g, parent, lab, sig, value, counter)
+            if hit is not None:
+                reds.append((parent, *hit))
+            break
+        del up[parent]
+        value[parent] = True
+        parent = info[0]
 
 
 # --- comparison and export ------------------------------------------------------------

@@ -60,22 +60,6 @@ def size(t: Term) -> int:
     return n
 
 
-def leaf_count(t: Term) -> int:
-    """Number of variable occurrences."""
-    n = 0
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Var):
-            n += 1
-        elif isinstance(s, Abs):
-            todo.append(s.body)
-        else:
-            todo.append(s.fun)
-            todo.append(s.arg)
-    return n
-
-
 def _free_set(t: Term, shared: Optional[dict[int, frozenset[str]]] = None) -> set[str]:
     # Iterative: compiled terms can be deeper than the recursion limit.  A
     # subterm with an entry in `shared` is not walked: the entry holds its

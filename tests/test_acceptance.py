@@ -13,6 +13,7 @@ import pytest
 
 from normbench import cli, crs, encode, graphs, lam, scott, workbench
 from normbench.lam import apps
+from tests_util import leaf_count, term_size
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 BUDGET = 10_000
@@ -114,7 +115,7 @@ def _ratio_series(system, instances, budget=BUDGET):
     for t in instances:
         v = scott.simulate_and_check(ctx, t, budget)
         assert v.consistent is True, crs.term_to_str(t)
-        out.append((crs.term_size(t), v.crs_steps, v.beta_steps))
+        out.append((term_size(t), v.crs_steps, v.beta_steps))
     return out
 
 
@@ -292,7 +293,7 @@ def test_acceptance_6_graph_invariants(cbv_normalizing):
     term = graphs.graph_to_term(g)
     grules = graphs.system_to_graph_rules(system)
     redex = graphs.find_redex(g, grules, sig)
-    graphs.fire_redex(g, redex)
+    graphs.fire_redex(g, redex, sig)
     graph_steps_to_acc = 1
     term_out_partial = crs.reduce(system, term, 2)
     assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)")
@@ -342,7 +343,7 @@ def test_acceptance_7_polynomial_invariance(cbv_normalizing):
         run = encode.run_phi(image, 1000)
         rb = run.readback_nf
         sizes.append(lam.size(rb))
-        leaves.append(lam.leaf_count(rb))
+        leaves.append(leaf_count(rb))
     for a, b in zip(leaves, leaves[1:]):
         assert abs(b - 2 * a) <= 1, leaves
     for a, b in zip(sizes, sizes[1:]):

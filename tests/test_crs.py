@@ -7,7 +7,9 @@ import pytest
 
 from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
-from tests_util import random_closed_term, random_system
+from tests_util import (
+    random_closed_term, random_system, redexes, reference_random_reduce, replace_at,
+    rewrite_step, term_size)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -84,10 +86,10 @@ def test_signature_disjoint_names():
 # --- matching -----------------------------------------------------------------
 
 def test_match_pattern():
-    assert crs.match_pattern(Node("succ", (Var("x"),)), nat(1)) == {"x": nat(0)}
-    assert crs.match_pattern(Node("zero"), nat(1)) is None
+    assert crs._match_args((Node("succ", (Var("x"),)),), (nat(1),)) == {"x": nat(0)}
+    assert crs._match_args((Node("zero"),), (nat(1),)) is None
     t = Node("cons", (nat(0), Node("nil")))
-    assert crs.match_pattern(Var("x"), t) == {"x": t}
+    assert crs._match_args((Var("x"),), (t,)) == {"x": t}
 
 
 def test_cbv_condition_blocks_function_bindings():
@@ -96,9 +98,11 @@ def test_cbv_condition_blocks_function_bindings():
     # binding for its variable argument would contain a function symbol.
     inner = Node("add", (nat(0), nat(0)))
     t = Node("add", (inner, nat(0)))
-    hits = list(crs.redexes(sys, t))
+    hits = list(redexes(sys, t))
     assert len(hits) == 1
     assert hits[0][0] == (0,)
+    for rng in (None, random.Random(0)):
+        assert crs.reduce(sys, t, 1, rng=rng).term == Node("add", (nat(0), nat(0)))
 
 
 # --- rewriting ----------------------------------------------------------------
@@ -106,12 +110,12 @@ def test_cbv_condition_blocks_function_bindings():
 def test_rewrite_step_unique_redex():
     sys = add_system()
     t = Node("add", (nat(1), nat(1)))
-    got = crs.rewrite_step(sys, t)
+    got = rewrite_step(sys, t)
     assert got == Node("succ", (Node("add", (nat(0), nat(1))),))
 
 
 def test_rewrite_normal_form_absent():
-    assert crs.rewrite_step(add_system(), nat(1)) is None
+    assert rewrite_step(add_system(), nat(1)) is None
 
 
 def test_reduce_add_two_steps():
@@ -169,7 +173,7 @@ def test_closedness_preserved():
     sys = add_system()
     t = Node("add", (nat(2), nat(3)))
     while True:
-        nxt = crs.rewrite_step(sys, t)
+        nxt = rewrite_step(sys, t)
         if nxt is None:
             break
         assert crs.is_closed(nxt)
@@ -236,7 +240,7 @@ def test_parse_errors():
 def test_deep_terms_no_recursion_blowup():
     sig = nat_sig()
     t = nat(50_000)
-    assert crs.term_size(t) == 50_001
+    assert term_size(t) == 50_001
     assert crs.is_constructor_term(t, sig)
     assert crs.count_symbol(t, "succ") == 50_000
     assert crs.is_closed(t)
@@ -248,11 +252,11 @@ def test_reference_walk_is_iterative():
     t = Node("add", (nat(0), nat(0)))
     for _ in range(100_000):
         t = Node("succ", (t,))
-    hits = list(crs.redexes(sys, t))
+    hits = list(redexes(sys, t))
     assert [h[0] for h in hits] == [(0,) * 100_000]
-    assert crs.term_size(crs.rewrite_step(sys, t)) == 100_001
+    assert term_size(rewrite_step(sys, t)) == 100_001
     out = crs.reduce(sys, t, rng=random.Random(0))
-    assert (out.kind, out.steps, crs.term_size(out.term)) == ("constructor", 1, 100_001)
+    assert (out.kind, out.steps, term_size(out.term)) == ("constructor", 1, 100_001)
 
 
 # --- the innermost machine against the reference loop ----------------------------
@@ -268,17 +272,17 @@ def reference_reduce(system, t, budget):
     calls = []
     steps = 0
     while True:
-        hit = next(crs.redexes(system, t), None)
+        hit = next(redexes(system, t), None)
         if hit is None:
             kind = "constructor" if crs.is_constructor_term(t, system.signature) else "stuck"
             return crs.CrsOutcome(kind, t, steps), calls
         if steps >= budget:
             return crs.CrsOutcome("exhausted", t, steps), calls
         path, rule, subst = hit
-        t = crs.replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        t = replace_at(t, path, crs.apply_subst(rule.rhs, subst))
         calls.append((rule, subst, t))
         steps += 1
-        if crs.term_size(t) > MAX_NODES:
+        if term_size(t) > MAX_NODES:
             return None
 
 
@@ -325,6 +329,59 @@ def test_machine_matches_reference_on_lambda_images():
     for entry in corpus.lambda_entries:
         for image in (encode.encode_cbv(entry.term), encode.encode_cbn(entry.term)):
             compared += agrees_with_reference(image.system, image.term)
+    assert compared >= 120
+
+
+def shown(rule, subst, term):
+    """An on_step call as text, compared without recursion."""
+    return (id(rule), {x: crs.term_to_str(v) for x, v in subst.items()}, crs.term_to_str(term))
+
+
+def random_agrees_with_reference(system, t, budgets=BUDGETS, seeds=range(4)):
+    """Assert the random policy equals the from-the-root loop for the same
+    rng draws, at every budget and seed, in kind, steps and term and in
+    on_step calls; False if the case was skipped for size."""
+    for seed in seeds:
+        for budget in budgets:
+            ref = reference_random_reduce(system, t, budget, random.Random(seed), MAX_NODES)
+            if ref is None:
+                return False
+            calls = []
+            out = crs.reduce(system, t, budget, rng=random.Random(seed),
+                             on_step=lambda rule, subst, state:
+                             calls.append(shown(rule, subst, state())))
+            case = (crs.term_to_str(t), budget, seed)
+            assert (out.kind, out.steps, crs.term_to_str(out.term)) == (
+                ref[0].kind, ref[0].steps, crs.term_to_str(ref[0].term)), case
+            assert calls == [shown(*call) for call in ref[1]], case
+    return True
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_random_policy_matches_reference_on_random_systems(seed):
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(30):
+        system = random_system(rng)
+        for _ in range(4):
+            t = random_closed_term(rng, system.signature, 4)
+            compared += random_agrees_with_reference(system, t)
+    assert compared > 100
+
+
+def test_random_policy_matches_reference_on_corpus_systems():
+    corpus = workbench.Corpus.load(CORPUS)
+    for entry in corpus.crs_entries:
+        assert random_agrees_with_reference(entry.system, entry.term, (0, 1, 3, 7, 30, 400)), \
+            entry.name
+
+
+def test_random_policy_matches_reference_on_lambda_images():
+    corpus = workbench.Corpus.load(CORPUS)
+    compared = 0
+    for entry in corpus.lambda_entries:
+        for image in (encode.encode_cbv(entry.term), encode.encode_cbn(entry.term)):
+            compared += random_agrees_with_reference(image.system, image.term)
     assert compared >= 120
 
 
@@ -385,11 +442,22 @@ def test_machine_deep_run():
     start = time.perf_counter()
     out = crs.reduce(sys, t, 200_000)
     assert time.perf_counter() - start < 30
-    assert (out.kind, out.steps, crs.term_size(out.term)) == ("constructor", 100_001, 100_003)
+    assert (out.kind, out.steps, term_size(out.term)) == ("constructor", 100_001, 100_003)
     assert crs.count_symbol(out.term, "succ") == 100_002
     out = crs.reduce(sys, t, 50_000)
-    assert (out.kind, out.steps, crs.term_size(out.term)) == ("exhausted", 50_000, 100_005)
+    assert (out.kind, out.steps, term_size(out.term)) == ("exhausted", 50_000, 100_005)
     assert crs.count_symbol(out.term, "add") == 1
+
+
+def test_random_policy_deep_run():
+    # the redex list is updated where a firing changed it: no step walks
+    # the term, and the climb through the succ spine happens once
+    sys = add_system()
+    t = Node("add", (nat(100_000), nat(2)))
+    start = time.perf_counter()
+    out = crs.reduce(sys, t, 200_000, rng=random.Random(0))
+    assert time.perf_counter() - start < 30
+    assert (out.kind, out.steps, term_size(out.term)) == ("constructor", 100_001, 100_003)
 
 
 def test_parse_system_deep_term():
@@ -400,7 +468,7 @@ def test_parse_system_deep_term():
             "term " + "succ(" * depth + "zero" + ")" * depth + ";\n")
     f = crs.parse_system(text)
     assert crs.count_symbol(f.term, "succ") == depth
-    assert crs.term_size(f.term) == depth + 1
+    assert term_size(f.term) == depth + 1
 
 
 def test_validate_system_deep_compatible_patterns():

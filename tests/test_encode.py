@@ -33,7 +33,7 @@ def test_encode_self_application():
     assert u == v
     assert len(img.registry.by_name) == 1
     # one step reproduces the term itself: the self-application loops
-    nxt = crs.rewrite_step(img.system, img.term)
+    nxt = rewrite_step(img.system, img.term)
     assert nxt == img.term
 
 
@@ -62,12 +62,12 @@ def test_encode_open_term_rejected():
 def test_phi_reduction_two_step_trace():
     img = encode.encode_cbv(p("(\\x. (\\y. x) x) (\\z. z)"))
     ident = con_of(img, "\\z. z")
-    t1 = crs.rewrite_step(img.system, img.term)
+    t1 = rewrite_step(img.system, img.term)
     inner_name = encode._image_term(p("\\y. x"), img.registry).symbol
     assert t1 == Node(APP, (Node(inner_name, (ident,)), ident))
-    t2 = crs.rewrite_step(img.system, t1)
+    t2 = rewrite_step(img.system, t1)
     assert t2 == ident
-    assert crs.rewrite_step(img.system, t2) is None
+    assert rewrite_step(img.system, t2) is None
 
 
 def test_readback_constructor():
@@ -102,7 +102,7 @@ def test_readback_inverts_encode():
 
 
 from hypothesis import given, settings
-from tests_util import closed_terms, same_structure
+from tests_util import closed_terms, rewrite_step, same_structure
 
 
 @given(closed_terms())
@@ -518,13 +518,13 @@ def test_psi_variable_body_reactivates_frozen_binding():
     n = lam.reduce(m, "cbn", 100).steps
     img = encode.encode_cbn(m)
     ident = encode._image_term(p("\\z. z"), img.registry, CAPP)
-    t1 = crs.rewrite_step(img.system, img.term)
+    t1 = rewrite_step(img.system, img.term)
     cxw = encode._image_term(p("\\x. w"), img.registry, CAPP).symbol
     frozen = Node(CAPP, (ident, ident))
     assert t1 == Node(APP, (Node(cxw, (frozen,)), ident))
-    t2 = crs.rewrite_step(img.system, t1)
+    t2 = rewrite_step(img.system, t1)
     assert t2 == Node(APP, (ident, ident))
-    t3 = crs.rewrite_step(img.system, t2)
+    t3 = rewrite_step(img.system, t2)
     assert t3 == ident
     assert n == 3
     run = encode.run_psi(img, budget=100)

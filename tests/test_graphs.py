@@ -6,7 +6,7 @@ import pytest
 
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
-from tests_util import nat_term, random_closed_term, random_system
+from tests_util import nat_term, random_closed_term, random_system, term_size
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -108,6 +108,24 @@ def test_rule_validation_rejects_function_below_left():
         graphs.GraphRule(g, top, out).validate(sig)
 
 
+@pytest.mark.parametrize("below", [False, True])
+def test_rule_validation_rejects_right_side_reaching_left_root(below):
+    # f(x) -> f(x) with the right root the left root, or c(f(x)) above it:
+    # the replacement would hold the anchor it replaces
+    sig = Signature({"c": 1}, {"f": 1, "h": 1})
+    rg = graphs.TermGraph()
+    x = rg.new_node(None)
+    left = rg.new_node("f")
+    rg.set_children(left, (x,))
+    right = left
+    if below:
+        right = rg.new_node("c")
+        rg.set_children(right, (left,))
+    rule = graphs.GraphRule(rg, left, right)
+    with pytest.raises(graphs.GraphError, match="reaches the left root"):
+        rule.validate(sig)
+
+
 # --- redex search ----------------------------------------------------------------------
 
 def test_find_redex_innermost():
@@ -176,7 +194,7 @@ def test_worked_example_redex_maps_to_inner_vertex():
     redex = graphs.find_redex(g, [rule], sig)
     assert redex is not None
     assert redex.anchor == a2
-    assert redex.phi[rule.left] == a2
+    assert redex_phi(redex)[rule.left] == a2
 
 
 def test_worked_example_phases():
@@ -208,6 +226,9 @@ def test_worked_example_phases():
     assert isomorphic(final, expected)
     assert graphs.graph_to_term(final) == crs.parse_term(
         "a(b(c), b(a(b(c), c)))")
+    sig, g, rule, _ = worked_example()
+    touched = graphs.fire_redex(g, graphs.find_redex(g, [rule], sig), sig)
+    assert graphs.to_dot(g) == graphs.to_dot(final) and touched[-1] == final.succ[a1][1]
 
 
 def test_ground_rule_relabels_root():
@@ -217,7 +238,7 @@ def test_ground_rule_relabels_root():
     g = graphs.term_to_graph(Node("f"))
     old_root = g.root
     redex = graphs.find_redex(g, grules, sig)
-    graphs.fire_redex(g, redex)
+    graphs.fire_redex(g, redex, sig)
     assert g.node_count() == 1
     assert g.root != old_root
     assert g.label[g.root] == "d"
@@ -228,7 +249,7 @@ def test_variable_rhs_rule_moves_root():
     grules = graphs.system_to_graph_rules(system)
     g = graphs.term_to_graph(Node("add", (Node("zero"), nat_term(2))))
     redex = graphs.find_redex(g, grules, system.signature)
-    graphs.fire_redex(g, redex)
+    graphs.fire_redex(g, redex, system.signature)
     assert graphs.graph_to_term(g) == nat_term(2)
     assert g.node_count() == 3
 
@@ -282,7 +303,7 @@ def test_sharing_control_one_vs_two_steps():
     assert term == crs.parse_term("a(a(c, c), a(c, c))")
 
     redex = graphs.find_redex(g, grules, sig)
-    graphs.fire_redex(g, redex)
+    graphs.fire_redex(g, redex, sig)
     # one graph step reaches a(c, c), which the term needs two steps for;
     # the generic redirect moved both in-edges of the shared anchor
     assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)")
@@ -341,7 +362,7 @@ def test_tower_unfold_reads_back_exponentially():
     g = graphs.term_to_graph(img.term)
     out = graphs.graph_reduce(g, grules, img.system.signature, 100)
     unfolded = graphs.graph_to_term(out.graph)
-    assert crs.term_size(unfolded) == n + 1
+    assert term_size(unfolded) == n + 1
     rb = encode.readback(unfolded, img.registry)
     assert lam.size(rb) >= 2 ** n
     assert lam.alpha_eq(rb, lam.reduce(lam.two_tower(n), "cbv", 100).term)
@@ -378,17 +399,41 @@ def test_per_step_work_constant():
         assert all(w <= r for w, r in zip(out.work, ref_work, strict=True))
 
 
-def test_deep_add_is_linear():
+def test_random_per_step_work_constant():
+    # the random policy's first search walks the input; a later one
+    # decides only the nodes the previous firing built
+    system = nat_system()
+    grules = graphs.system_to_graph_rules(system)
+    rule_nodes = sum(gr.graph.node_count() for gr in grules)
+    for n in (16, 64, 256):
+        t = Node("add", (nat_term(n), nat_term(n)))
+        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 1000,
+                                  rng=random.Random(n))
+        assert out.kind == "normal" and out.steps == n + 1
+        assert len(out.work) == out.steps + 1
+        assert max(out.work[1:]) <= 2 * rule_nodes
+
+
+def deep_add_is_linear(rng):
+    # add(nat(10^5), nat(2)) in n + 1 steps: no step walks the graph
     system = nat_system()
     grules = graphs.system_to_graph_rules(system)
     n = 100_000
     g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(2))))
     start = time.perf_counter()
-    out = graphs.graph_reduce(g, grules, system.signature, 200_000)
+    out = graphs.graph_reduce(g, grules, system.signature, 200_000, rng=rng)
     assert time.perf_counter() - start < 30
     assert out.kind == "normal" and out.steps == n + 1
     assert out.graph.node_count() == n + 3
     assert unfold_size(out.graph) == n + 3
+
+
+def test_deep_add_is_linear():
+    deep_add_is_linear(None)
+
+
+def test_random_deep_add_is_linear():
+    deep_add_is_linear(random.Random(0))
 
 
 # --- test-only graph helpers ------------------------------------------------------
@@ -459,13 +504,19 @@ def unfold_size(g):
     return graphs._unfold_sizes(g, graphs._post_order(g, g.root))[g.root]
 
 
+def redex_phi(redex):
+    """rule node -> graph node of a redex, on the left subgraph"""
+    return dict(zip(redex.compiled.slots, redex.nodes))
+
+
 def fire_redex_phases(g, redex):
-    """Snapshots after each phase (build, redirect, collect)."""
-    replacement, _ = graphs._build_phase(g, redex)
+    """The generic firing of redex, phase by phase, in place: the
+    reference build, redirect and collection; snapshots after each."""
+    replacement, _ = reference_build_phase(g, redex.compiled.rule, redex_phi(redex))
     after_build = copy(g)
-    graphs._redirect_phase(g, redex.anchor, replacement)
+    reference_redirect(g, redex.anchor, replacement)
     after_redirect = copy(g)
-    graphs._collect_phase(g, redex.anchor)
+    reference_collect(g)
     return [after_build, after_redirect, copy(g)]
 
 
@@ -543,6 +594,30 @@ def reference_build_phase(g, rule, phi):
     return replacement, touched
 
 
+def reference_redirect(g, anchor, replacement):
+    """Point every in-edge of anchor, found by a scan of succ, and the
+    root if it is anchor, at replacement."""
+    in_edges = [(u, i) for u, kids in g.succ.items() for i, c in enumerate(kids) if c == anchor]
+    for parent, idx in in_edges:
+        kids = list(g.succ[parent])
+        kids[idx] = replacement
+        g.set_children(parent, tuple(kids))
+    if g.root == anchor:
+        g.root = replacement
+
+
+def reference_collect(g):
+    """Delete every node unreachable from the root."""
+    live = g.reachable(g.root)
+    dead = [v for v in g.label if v not in live]
+    for v in dead:
+        for c in g.succ[v]:
+            if c in live:
+                g.refs[c] -= 1
+    for v in dead:
+        del g.label[v], g.succ[v], g.refs[v]
+
+
 def reference_graph_reduce(g, grules, sig, budget, rng=None):
     """graph_reduce spelled out as a loop of whole-graph passes with the
     generic matcher and the reachability build: find the redex from the
@@ -560,24 +635,9 @@ def reference_graph_reduce(g, grules, sig, budget, rng=None):
         if hit is None:
             return "normal", steps, sizes, work
         rule, phi = hit
-        anchor = phi[rule.left]
         replacement, _ = reference_build_phase(g, rule, phi)
-        in_edges = [(u, i) for u, kids in g.succ.items()
-                    for i, c in enumerate(kids) if c == anchor]
-        for parent, idx in in_edges:
-            kids = list(g.succ[parent])
-            kids[idx] = replacement
-            g.set_children(parent, tuple(kids))
-        if g.root == anchor:
-            g.root = replacement
-        live = g.reachable(g.root)
-        dead = [v for v in g.label if v not in live]
-        for v in dead:
-            for c in g.succ[v]:
-                if c in live:
-                    g.refs[c] -= 1
-        for v in dead:
-            del g.label[v], g.succ[v], g.refs[v]
+        reference_redirect(g, phi[rule.left], replacement)
+        reference_collect(g)
         steps += 1
         sizes.append(g.node_count())
         assert graphs.is_constructor_shared(g, sig)
@@ -600,15 +660,17 @@ def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
         assert (out.kind, out.steps, out.sizes, len(out.work)) == (
             kind, steps, sizes, len(work)), case
         assert graphs.to_dot(out.graph) == graphs.to_dot(ref_g), case
+        assert out.graph.refs == in_degrees(out.graph), case
 
 
 def compiled_rules_agree(system, t, budget=30):
     """At every state of the leftmost run up to budget: at each function
     node, every rule of its head that the index offers matches as the
     generic matcher does (same phi and the same visit count), and every
-    rule it skips fails there; the compiled build gives the new node ids,
-    edges and in-degrees of the reachability build; and after the build
-    and after every step the in-degrees equal a recount from succ."""
+    rule it skips fails there; and fire_redex gives the node ids, edges
+    and in-degrees of the reachability build, the generic redirect and
+    the reachability collection, with the nodes that gained an in-edge in
+    the reference's order, and in-degrees equal to a recount from succ."""
     grules = graphs.system_to_graph_rules(system)
     sig = system.signature
     index = graphs.compile_rules(grules)
@@ -629,19 +691,19 @@ def compiled_rules_agree(system, t, budget=30):
                     assert phi is None
                     continue
                 nodes = graphs._match(g, compiled[id(gr)], v, sig, {}, count)
-                got = None if nodes is None else graphs.Redex(compiled[id(gr)], nodes).phi
+                got = None if nodes is None else redex_phi(graphs.Redex(compiled[id(gr)], nodes))
                 assert (got, count) == (phi, ref_count)
         redex = graphs.find_redex(g, index, sig)
         if redex is None:
             return
         ref_g = copy(g)
-        ref = reference_build_phase(ref_g, redex.rule, redex.phi)
-        assert graphs._build_phase(g, redex) == ref
+        ref = reference_build_phase(ref_g, redex.compiled.rule, redex_phi(redex))
+        assert ref_g.refs == in_degrees(ref_g)
+        reference_redirect(ref_g, redex.anchor, ref[0])
+        reference_collect(ref_g)
+        assert graphs.fire_redex(g, redex, sig) == ref[1]
         assert graphs.to_dot(g) == graphs.to_dot(ref_g)
         assert g.refs == ref_g.refs == in_degrees(g) and g._next == ref_g._next
-        graphs._redirect_phase(g, redex.anchor, ref[0])
-        graphs._collect_phase(g, redex.anchor)
-        assert g.refs == in_degrees(g)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -652,7 +714,8 @@ def test_machine_matches_reference_on_random_systems(seed):
         for _ in range(3):
             t = random_closed_term(rng, system.signature, 4)
             agrees_with_reference(system, t)
-            agrees_with_reference(system, t, (30,), seed=seed)
+            for draws in range(4):
+                agrees_with_reference(system, t, seed=draws)
             compiled_rules_agree(system, t)
 
 
@@ -661,7 +724,8 @@ def test_machine_matches_reference_on_corpus_systems():
     assert len(corpus.crs_entries) >= 8
     for entry in corpus.crs_entries:
         agrees_with_reference(entry.system, entry.term)
-        agrees_with_reference(entry.system, entry.term, (30,), seed=5)
+        for seed in range(4):
+            agrees_with_reference(entry.system, entry.term, seed=seed)
         compiled_rules_agree(entry.system, entry.term)
 
 
@@ -671,7 +735,8 @@ def test_machine_matches_reference_on_lambda_images():
     for entry in corpus.lambda_entries:
         image = encode.encode_cbv(entry.term)
         agrees_with_reference(image.system, image.term)
-        agrees_with_reference(image.system, image.term, (30,), seed=5)
+        for seed in range(4):
+            agrees_with_reference(image.system, image.term, seed=seed)
         compiled_rules_agree(image.system, image.term)
 
 
@@ -774,7 +839,7 @@ def test_left_side_sharing_a_constructor_node(shared):
     assert (phi is not None) == shared == (nodes is not None)
     assert count == ref_count
     if shared:
-        assert graphs.Redex(cr, nodes).phi == phi
+        assert redex_phi(graphs.Redex(cr, nodes)) == phi
     out = graphs.graph_reduce(g, [rule], sig, 10)
     assert out.steps == (1 if shared else 0)
     assert graphs.graph_to_term(out.graph) == crs.parse_term("c" if shared else "f(b(c), b(c))")
@@ -815,7 +880,7 @@ def test_unreachable_input_node_collected_at_first_firing():
 
 def test_size_growth_bounded_by_rhs():
     system = nat_system()
-    max_rhs = max(crs.term_size(r.rhs) for r in system.rules)
+    max_rhs = max(term_size(r.rhs) for r in system.rules)
     g = graphs.term_to_graph(Node("add", (nat_term(4), nat_term(1))))
     out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
                               system.signature, 100)

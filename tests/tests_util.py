@@ -106,3 +106,111 @@ def random_closed_term(rng, sig, depth):
         ar = sig.constructors[name]
     return crs.Node(name, tuple(random_closed_term(rng, sig, depth - 1)
                                 for _ in range(ar)))
+
+
+# --- the from-the-root step relation: the reference for the engines ------------
+
+def term_size(t):
+    """Number of nodes of a crs term."""
+    n = 0
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        n += 1
+        if isinstance(s, crs.Node):
+            todo.extend(s.children)
+    return n
+
+
+def leaf_count(t):
+    """Number of variable occurrences of a lambda term."""
+    n = 0
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Var):
+            n += 1
+        elif isinstance(s, Abs):
+            todo.append(s.body)
+        else:
+            todo.append(s.fun)
+            todo.append(s.arg)
+    return n
+
+
+def match_at(system, t):
+    """The unique rule instance firing at the root of t, if any: a plain
+    match whose bindings are all constructor terms (the CBV condition)."""
+    if not isinstance(t, crs.Node) or not system.signature.is_function(t.symbol):
+        return None
+    hits = []
+    first = t.children[0] if t.children else None
+    for rule in system.candidates(t.symbol, first):
+        subst = crs._match_args(rule.lhs, t.children)
+        if subst is not None and all(crs.is_constructor_term(v, system.signature)
+                                     for v in subst.values()):
+            hits.append((rule, subst))
+    assert len(hits) <= 1, f"orthogonality violated at {t.symbol}"
+    return hits[0] if hits else None
+
+
+def redexes(system, t):
+    """Redex occurrences (path, rule, subst) in leftmost-innermost order:
+    post-order, children left to right."""
+    stack = [[t, 0]]      # a node and the index of its next child
+    path = []             # the index of each stack node but the root
+    while stack:
+        frame = stack[-1]
+        node, i = frame
+        if isinstance(node, crs.Node) and i < len(node.children):
+            frame[1] = i + 1
+            path.append(i)
+            stack.append([node.children[i], 0])
+            continue
+        stack.pop()
+        hit = match_at(system, node)
+        if hit is not None:
+            yield tuple(path), hit[0], hit[1]
+        if path:
+            path.pop()
+
+
+def replace_at(t, path, new):
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        new = crs.Node(node.symbol, node.children[:i] + (new,) + node.children[i + 1:])
+    return new
+
+
+def rewrite_step(system, t):
+    """One leftmost-innermost rewrite step, or None if t is normal."""
+    hit = next(redexes(system, t), None)
+    if hit is None:
+        return None
+    path, rule, subst = hit
+    return replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+
+
+def reference_random_reduce(system, t, budget, rng, max_nodes=None):
+    """reduce's random policy spelled out as the from-the-root loop: list
+    every redex with `redexes` and fire the one at rng.randrange of their
+    number.  Returns the outcome and the on_step calls as (rule, subst,
+    term), or None once the term passes max_nodes nodes."""
+    calls = []
+    steps = 0
+    while True:
+        hits = list(redexes(system, t))
+        if not hits:
+            kind = "constructor" if crs.is_constructor_term(t, system.signature) else "stuck"
+            return crs.CrsOutcome(kind, t, steps), calls
+        if steps >= budget:
+            return crs.CrsOutcome("exhausted", t, steps), calls
+        path, rule, subst = hits[rng.randrange(len(hits))]
+        t = replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        calls.append((rule, subst, t))
+        steps += 1
+        if max_nodes is not None and term_size(t) > max_nodes:
+            return None
