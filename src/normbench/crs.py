@@ -16,6 +16,11 @@ picked uniformly; a firing replaces its entry by the redexes it made.
 Either way a step costs the same whatever the size of the term.  The step
 event is local: a hook receives the rule, its match and a `state()` that
 builds the whole term only when called.
+
+A system is taken in once: `parse_term` reads a term under its
+signature, so an undeclared atom is a variable as it is read, and
+`CrsSystem` validates the rules and builds the first-argument index
+(`first_arg_index`) that `graphs.compile_rules` builds with too.
 """
 
 from __future__ import annotations
@@ -211,15 +216,12 @@ class CrsSystem:
     def __init__(self, signature: Signature, rules: list[Rule]):
         self.signature = signature
         self.rules = tuple(rules)
-        self._validate()
-        self._index: dict[tuple[str, Optional[str]], list[Rule]] = {}
-        for rule in self.rules:
-            root = None
-            if rule.lhs and isinstance(rule.lhs[0], Node):
-                root = rule.lhs[0].symbol
-            self._index.setdefault((rule.head, root), []).append(rule)
+        roots = self._validate()
+        self._index = first_arg_index(zip((r.head for r in self.rules), roots, self.rules))
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[Optional[str]]:
+        # Raises on the first invalid rule, then on the first overlapping
+        # pair of a head in rule order; returns each first pattern's root.
         sig = self.signature
         for idx, rule in enumerate(self.rules):
             if not sig.is_function(rule.head):
@@ -239,22 +241,42 @@ class CrsSystem:
             extra = set(variables(rule.rhs)) - seen
             if extra:
                 raise InvalidRule(f"rule {idx}: rhs variables {sorted(extra)} not bound in lhs")
+        roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
+                 for rule in self.rules]
         by_head: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_head.setdefault(rule.head, []).append(idx)
         for idxs in by_head.values():
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    ra, rb = self.rules[idxs[a]], self.rules[idxs[b]]
-                    if all(_patterns_compatible(p, q) for p, q in zip(ra.lhs, rb.lhs)):
-                        raise OverlapError(idxs[a], idxs[b])
+            for a, i in enumerate(idxs):
+                for j in idxs[a + 1:]:
+                    if roots[i] is not None and roots[j] is not None and roots[i] != roots[j]:
+                        continue                # the first patterns clash at the root
+                    if all(_patterns_compatible(p, q)
+                           for p, q in zip(self.rules[i].lhs, self.rules[j].lhs)):
+                        raise OverlapError(i, j)
+        return roots
 
     def candidates(self, head: str, first_arg: Optional[Term]) -> list[Rule]:
+        """The rules of head that can fire at a node with this first
+        argument, in rule order."""
         root = first_arg.symbol if isinstance(first_arg, Node) else None
-        out = self._index.get((head, root), [])
-        if root is not None:
-            out = out + self._index.get((head, None), [])
-        return out
+        return self._index.get((head, root)) or self._index.get((head, None), [])
+
+
+def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> dict:
+    """Rules keyed by (head, root of the first argument), from (head, root
+    of the first pattern or None, rule) triples in rule order.  Key (head,
+    c) holds, in rule order, the rules whose first pattern is rooted at c
+    or is a variable; (head, None) those with a variable, and every rule
+    of a nullary head.  A node tries its first argument's key, else None."""
+    by_head: dict[str, list[tuple[Optional[str], object]]] = {}
+    for head, root, rule in rules:
+        by_head.setdefault(head, []).append((root, rule))
+    index: dict[tuple[str, Optional[str]], list] = {}
+    for head, entries in by_head.items():
+        for key in {None, *(root for root, _ in entries)}:
+            index[head, key] = [rule for root, rule in entries if root is None or root == key]
+    return index
 
 
 def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
@@ -534,8 +556,10 @@ class CrsParseError(ValueError):
     pass
 
 
-def parse_term(text: str) -> Term:
-    """Parse `name` or `name(t1, ..., tn)`; every atom comes back as a Node."""
+def parse_term(text: str, sig: Signature) -> Term:
+    """Parse `name` or `name(t1, ..., tn)`; an atom (`x` or `x()`) whose
+    name sig does not declare comes back as a Var, in the same pass."""
+    cons, funs = sig.constructors, sig.functions
     toks = _TOKEN_RE.findall(text)
     n = len(toks)
     pos = 0
@@ -555,7 +579,7 @@ def parse_term(text: str) -> Term:
             if pos >= n:
                 raise CrsParseError("expected ')'")
             pos += 1
-        t: Term = Node(name, ())
+        t: Term = Node(name, ()) if name in cons or name in funs else Var(name)
         while open_:                            # t ends an argument
             name, kids = open_[-1]
             kids.append(t)
@@ -572,31 +596,6 @@ def parse_term(text: str) -> Term:
     if pos != n:
         raise CrsParseError(f"trailing input: {toks[pos:]!r}")
     return t
-
-
-def _classify_atoms(t: Term, sig: Signature) -> Term:
-    # Nullary nodes whose symbol is undeclared become variables.
-    out: list[Term] = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        if s is None:                   # the node below, once its children are done
-            s = todo.pop()
-            k = len(s.children)
-            kids = tuple(out[-k:])
-            del out[-k:]
-            out.append(Node(s.symbol, kids))
-        elif type(s) is Var:
-            out.append(s)
-        elif s.children:
-            todo.append(s)
-            todo.append(None)
-            todo.extend(reversed(s.children))
-        elif sig.is_constructor(s.symbol) or sig.is_function(s.symbol):
-            out.append(s)
-        else:
-            out.append(Var(s.symbol))
-    return out[0]
 
 
 def term_to_str(t: Term) -> str:
@@ -670,15 +669,14 @@ def parse_system(text: str) -> CrsFile:
     sig = Signature(constructors, functions)
     rules = []
     for lhs_src, rhs_src in raw_rules:
-        lhs = _classify_atoms(parse_term(lhs_src), sig)
-        if not isinstance(lhs, Node) or isinstance(lhs, Var):
+        lhs = parse_term(lhs_src, sig)
+        if not isinstance(lhs, Node):
             raise CrsParseError(f"rule lhs must be a function application: {lhs_src!r}")
-        rhs = _classify_atoms(parse_term(rhs_src), sig)
-        rules.append(Rule(lhs.symbol, lhs.children, rhs))
+        rules.append(Rule(lhs.symbol, lhs.children, parse_term(rhs_src, sig)))
     system = CrsSystem(sig, rules)
     term = None
     if term_src is not None:
-        term = _classify_atoms(parse_term(term_src), sig)
+        term = parse_term(term_src, sig)
         if not is_closed(term):
             raise CrsParseError(f"term declaration uses undeclared symbols: {term_src!r}")
         _check_arities(term, sig)

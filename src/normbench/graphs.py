@@ -15,9 +15,9 @@ anchor has one in-edge, a child slot, and the redirect rewrites it.
 Each rule is compiled once per run (compile_rules) into a flat match
 program, which fills numbered slots with graph nodes, and a build
 template, which copies the right-only nodes with children taken from
-the slots.  Rules are indexed by head and the label of the first
-argument, so a node tries only the rules whose first pattern can match
-it.
+the slots.  The compiled rules go into crs.first_arg_index, the index
+the CRS engine uses too: a node tries only the rules of its head whose
+first pattern can match its first child's label, in rule order.
 
 graph_reduce has two policies.  The leftmost one is an innermost
 evaluation machine: one descent from the root, each node decided once
@@ -305,26 +305,21 @@ RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
 
 
 def compile_rules(grules: list[GraphRule]) -> RuleIndex:
-    """Compiled rules keyed by (head, label of the first argument).  The
-    key of a constructor c holds, in rule order, the rules whose first
-    pattern is c or unlabelled; the key None holds the rules whose first
-    pattern is unlabelled, and every rule of a nullary head."""
-    by_head: dict[str, list[tuple[Optional[str], CompiledRule]]] = {}
-    for gr in grules:
-        rg = gr.graph
-        kids = rg.succ[gr.left]
-        first = rg.label[kids[0]] if kids else None
-        by_head.setdefault(rg.label[gr.left], []).append((first, compile_rule(gr)))
-    index: RuleIndex = {}
-    for head, rules in by_head.items():
-        for key in {None, *(first for first, _ in rules)}:
-            index[head, key] = [cr for first, cr in rules if first is None or first == key]
-    return index
+    """Compiled rules in crs.first_arg_index, keyed by (head, label of the
+    first argument): the rules whose first pattern can match a node, in
+    rule order."""
+    return crs.first_arg_index(
+        (gr.graph.label[gr.left], _first_label(gr.graph, gr.left), compile_rule(gr))
+        for gr in grules)
+
+
+def _first_label(g: TermGraph, v: int) -> Optional[str]:
+    kids = g.succ[v]
+    return g.label[kids[0]] if kids else None
 
 
 def _candidates(index: RuleIndex, g: TermGraph, v: int, lab: str) -> list[CompiledRule]:
-    kids = g.succ[v]
-    return index.get((lab, g.label[kids[0]] if kids else None)) or index.get((lab, None), [])
+    return index.get((lab, _first_label(g, v))) or index.get((lab, None), [])
 
 
 @dataclass
@@ -719,9 +714,9 @@ def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, v: int, parent: 
 
 # --- comparison and export ------------------------------------------------------------
 
-def to_dot(g: TermGraph, name: str = "g") -> str:
+def to_dot(g: TermGraph) -> str:
     """DOT export with stable node ordering (ascending ids)."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph g {"]
     for v in g.nodes():
         lab = g.label[v] if g.label[v] is not None else "?"
         shape = ' shape="doublecircle"' if v == g.root else ""

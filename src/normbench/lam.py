@@ -121,19 +121,23 @@ def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[st
 
 
 def _names(t: Term) -> set[str]:
-    # every variable and binder name of t
+    # every variable and binder name of t; a subterm object that t shares
+    # is visited once
     names: set[str] = set()
+    seen: set[int] = set()
     todo = [t]
     while todo:
         s = todo.pop()
-        if isinstance(s, Var):
+        if type(s) is Var:
             names.add(s.name)
-        elif isinstance(s, Abs):
-            names.add(s.binder)
-            todo.append(s.body)
-        else:
-            todo.append(s.fun)
-            todo.append(s.arg)
+        elif id(s) not in seen:
+            seen.add(id(s))
+            if type(s) is Abs:
+                names.add(s.binder)
+                todo.append(s.body)
+            else:
+                todo.append(s.fun)
+                todo.append(s.arg)
     return names
 
 

@@ -190,10 +190,8 @@ def report_ok(report: dict) -> bool:
     return all(v is not False for v in report["checks"].values())
 
 
-def render_report(report: dict, strip_timing: bool = False) -> str:
+def render_report(report: dict) -> str:
     clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    if strip_timing:
-        clean.pop("timing", None)
     return json.dumps(clean, indent=2, sort_keys=True) + "\n"
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -9,7 +11,7 @@ from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
     random_closed_term, random_system, redexes, reference_random_reduce, replace_at,
-    rewrite_step, term_size)
+    rewrite_step, term_size, two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -237,6 +239,113 @@ def test_parse_errors():
         crs.parse_system("flurb zap;")
 
 
+def two_pass_parse_system(text):
+    """(rules, term) of a valid text, each read by the two-pass reference
+    under the signature that parse_system declares."""
+    sig = crs.parse_system(text).system.signature
+    rules, term = [], None
+    body = " ".join(line.split("#")[0].strip() for line in text.splitlines())
+    for stmt in body.split(";"):
+        stmt = stmt.strip()
+        if m := re.fullmatch(r"rule\s+(.*?)\s*->\s*(.*)", stmt, re.DOTALL):
+            lhs = two_pass_parse_term(m.group(1), sig)
+            rules.append(Rule(lhs.symbol, lhs.children, two_pass_parse_term(m.group(2), sig)))
+        elif m := re.fullmatch(r"term\s+(.*)", stmt, re.DOTALL):
+            term = two_pass_parse_term(m.group(1), sig)
+    return rules, term
+
+
+def bench_workloads():
+    """bench/workloads.py, for the systems of the benchmark's families."""
+    path = CORPUS.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_parse_matches_two_pass_reference():
+    texts = [p.read_text() for p in sorted((CORPUS / "crs").glob("*.trs"))]
+    workloads, rng = bench_workloads(), random.Random(3)
+    texts += [workloads.rewrite_instance(family, n, rng)[0]
+              for family in ("add", "mul", "reverse", "flatten", "b1") for n in (1, 2, 5)]
+    for _ in range(60):
+        system = random_system(rng)
+        texts.append(crs.system_to_str(
+            system, random_closed_term(rng, system.signature, 3)))
+    texts.append("constructor z/0; constructor s/1; function f/2;  # x() is a variable\n"
+                 "rule f(s(x()), y) -> s(f(x, y())); rule f(z(), y) -> y;\n"
+                 "term f(s(z()), z);")
+    for text in texts:
+        f = crs.parse_system(text)
+        rules, term = two_pass_parse_system(text)
+        assert (f.system.rules, f.term) == (tuple(rules), term), text
+
+
+PREAMBLE = "constructor z/0; constructor s/1; function f/1; function g/2;\n"
+
+
+@pytest.mark.parametrize("body, error, message", [
+    # undeclared atom in the term
+    ("rule f(z) -> z; term f(y);",
+     crs.CrsParseError, "term declaration uses undeclared symbols: 'f(y)'"),
+    ("rule f(z) -> z; term f(x());",
+     crs.CrsParseError, "term declaration uses undeclared symbols: 'f(x())'"),
+    # undeclared symbol with children
+    ("rule f(z) -> z; term h(z);", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule f(z) -> h(z);", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule f(h(z)) -> z;", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    # arity mismatch
+    ("rule f(z) -> z; term f(z, z);",
+     crs.ArityMismatch, "symbol 'f' has arity 1, applied to 2 arguments"),
+    ("rule f(s) -> z;", crs.ArityMismatch, "symbol 's' has arity 1, applied to 0 arguments"),
+    ("rule f(z, z) -> z;", crs.ArityMismatch, "symbol 'f' has arity 1, applied to 2 arguments"),
+    # x() as a rule's left-hand side, and a constructor there
+    ("rule x() -> z;", crs.CrsParseError, "rule lhs must be a function application: 'x()'"),
+    ("rule s(x) -> z;", crs.InvalidRule, "rule 0: head 's' is not a function symbol"),
+    ("rule f(f(x)) -> z;", crs.InvalidRule, "rule 0: lhs argument is not a pattern"),
+    # unbound rhs variable, non-linear lhs, overlap
+    ("rule f(x) -> y;", crs.InvalidRule, "rule 0: rhs variables ['y'] not bound in lhs"),
+    ("rule g(x, x) -> x;", crs.NonLinearLhs, "rule 0: variable 'x' occurs twice in the lhs"),
+    ("rule f(z) -> z; rule f(x) -> x;",
+     crs.OverlapError, "rules 0 and 1 have unifiable left-hand sides"),
+    # truncated input
+    ("rule f(z) -> z; term f(z", crs.CrsParseError, "expected ')'"),
+    ("rule f(z) -> z; term g(z,", crs.CrsParseError, "unexpected end of term"),
+    ("rule f(z) -> z; term", crs.CrsParseError, "cannot parse declaration: 'term'"),
+    ("rule f(z) -> z; term f(z) z;", crs.CrsParseError, "trailing input: ['z']"),
+    # a rule's parse error comes before any validation error, and the
+    # rules are validated before the term is read
+    ("rule f(z) -> z; rule f(x) -> x; rule f(s(x) -> x;", crs.CrsParseError, "expected ')'"),
+    ("rule f(z) -> z; rule f(x) -> x; term f(z",
+     crs.OverlapError, "rules 0 and 1 have unifiable left-hand sides"),
+])
+def test_parse_system_invalid_inputs(body, error, message):
+    with pytest.raises(Exception) as exc:
+        crs.parse_system(PREAMBLE + body)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_overlap_reports_the_first_pair():
+    # pairs are scanned head by head, in order of first appearance, and
+    # (i, j) with i < j in rule order; several pairs overlap in each case
+    x, y, zero = Var("x"), Var("y"), Node("zero")
+    rules = {
+        "a": Rule("f", (zero, zero), zero),
+        "b": Rule("f", (Node("succ", (x,)), y), zero),
+        "c": Rule("f", (x, Node("succ", (y,))), zero),      # overlaps b and d
+        "d": Rule("f", (zero, y), zero),                    # overlaps a and c
+        "H": Rule("h", (x,), zero),
+        "G": Rule("h", (zero,), zero),
+    }
+    sig = Signature({"zero": 0, "succ": 1}, {"f": 2, "h": 1})
+    for order, pair in (("abcd", (0, 3)), ("bcd", (0, 1)), ("acb", (1, 2)),
+                        ("dcb", (0, 1)), ("aHbcG", (2, 3)), ("HaGbc", (0, 2))):
+        with pytest.raises(crs.OverlapError) as exc:
+            crs.validate_system(sig, [rules[k] for k in order])
+        assert exc.value.rules == pair, order
+
+
 def test_deep_terms_no_recursion_blowup():
     sig = nat_sig()
     t = nat(50_000)
@@ -461,7 +570,7 @@ def test_random_policy_deep_run():
 
 
 def test_parse_system_deep_term():
-    # parse_term and the atom classification are iterative
+    # parse_term, which classifies atoms as it reads them, is iterative
     depth = 20_000
     assert depth > sys.getrecursionlimit()
     text = ("constructor zero/0; constructor succ/1; function f/1; rule f(x) -> x;\n"

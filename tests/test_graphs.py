@@ -225,7 +225,7 @@ def test_worked_example_phases():
     expected.root = top
     assert isomorphic(final, expected)
     assert graphs.graph_to_term(final) == crs.parse_term(
-        "a(b(c), b(a(b(c), c)))")
+        "a(b(c), b(a(b(c), c)))", sig)
     sig, g, rule, _ = worked_example()
     touched = graphs.fire_redex(g, graphs.find_redex(g, [rule], sig), sig)
     assert graphs.to_dot(g) == graphs.to_dot(final) and touched[-1] == final.succ[a1][1]
@@ -300,13 +300,13 @@ def test_sharing_control_one_vs_two_steps():
     g.set_children(top, (inner, inner))
     g.root = top
     term = graphs.graph_to_term(g)
-    assert term == crs.parse_term("a(a(c, c), a(c, c))")
+    assert term == crs.parse_term("a(a(c, c), a(c, c))", sig)
 
     redex = graphs.find_redex(g, grules, sig)
     graphs.fire_redex(g, redex, sig)
     # one graph step reaches a(c, c), which the term needs two steps for;
     # the generic redirect moved both in-edges of the shared anchor
-    assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)")
+    assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)", sig)
     assert g.refs == in_degrees(g) and sorted(g.refs.values()) == [0, 2]
     term_out = crs.reduce(system, term, 10)
     assert term_out.steps == 3
@@ -793,13 +793,47 @@ def test_index_keeps_unlabelled_first_patterns():
     assert [cr.rule for cr in index["f", None]] == grules[1:]
     for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
                            ("f(d, succ(zero))", "stuck", 1)):
-        t = crs.parse_term(t)
+        t = crs.parse_term(t, sig)
         out = crs.reduce(system, t, 10)
         assert (out.kind, out.steps) == (kind, steps)
         g = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, 10)
         assert g.steps == steps and graphs.graph_to_term(g.graph) == out.term
         agrees_with_reference(system, t)
         compiled_rules_agree(system, t)
+
+
+def test_both_engines_share_the_rule_index():
+    # the same keys, and at a node of each head over each first argument
+    # (a variable, a constructor, a function node) the same candidates in
+    # rule order: those whose first pattern is a variable or has the
+    # argument's root
+    corpus = workbench.Corpus.load(CORPUS)
+    systems = [e.system for e in corpus.crs_entries]
+    for e in corpus.lambda_entries[:12]:
+        systems += [encode.encode_cbv(e.term).system, encode.encode_cbn(e.term).system]
+    rng = random.Random(8)
+    systems += [random_system(rng) for _ in range(40)]
+    for system in systems:
+        sig = system.signature
+        grules = graphs.system_to_graph_rules(system)
+        index = graphs.compile_rules(grules)
+        assert set(index) == set(system._index)
+        pos = {id(r): k for k, r in enumerate(system.rules)}
+        gpos = {id(gr): k for k, gr in enumerate(grules)}
+        roots = [r.lhs[0].symbol if r.lhs and isinstance(r.lhs[0], Node) else None
+                 for r in system.rules]
+        for head, arity in sig.functions.items():
+            for first in [None, *sig.constructors, head] if arity else [None]:
+                g = graphs.TermGraph()
+                kid = g.new_node(first)
+                v = g.new_node(head)
+                g.set_children(v, (kid,) * arity)
+                arg = (Var("x") if first is None else Node(first)) if arity else None
+                want = [k for k, r in enumerate(system.rules) if r.head == head
+                        and roots[k] in (None, first)]
+                assert [pos[id(r)] for r in system.candidates(head, arg)] == want
+                assert [gpos[id(cr.rule)]
+                        for cr in graphs._candidates(index, g, v, head)] == want
 
 
 def shared_pattern_rule():
@@ -832,7 +866,7 @@ def test_left_side_sharing_a_constructor_node(shared):
         g.root = g.new_node("f")
         g.set_children(g.root, (b, b))
     else:
-        g = graphs.term_to_graph(crs.parse_term("f(b(c), b(c))"))
+        g = graphs.term_to_graph(crs.parse_term("f(b(c), b(c))", sig))
     ref_count, count = [0], [0]
     phi = reference_try_match(g, rule, g.root, sig, {}, ref_count)
     nodes = graphs._match(g, cr, g.root, sig, {}, count)
@@ -842,7 +876,8 @@ def test_left_side_sharing_a_constructor_node(shared):
         assert redex_phi(graphs.Redex(cr, nodes)) == phi
     out = graphs.graph_reduce(g, [rule], sig, 10)
     assert out.steps == (1 if shared else 0)
-    assert graphs.graph_to_term(out.graph) == crs.parse_term("c" if shared else "f(b(c), b(c))")
+    assert graphs.graph_to_term(out.graph) == crs.parse_term(
+        "c" if shared else "f(b(c), b(c))", sig)
 
 
 def test_unreachable_input_node_collected_at_first_firing():

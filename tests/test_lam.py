@@ -393,6 +393,48 @@ def test_readback_walks_shared_subterms_once():
     assert lam._free_set_shared(shared, {}) == lam._free_set(shared) == {"x"}
 
 
+def open_doubling(n, names=("y", "x")):
+    """D_n with the open D_0 = y (\\x. x) and D_{i+1} = D_i D_i: n + 1
+    application objects, 2^n copies of D_0 unfolded."""
+    y, x = names
+    d = App(Var(y), Abs(x, Var(x)))
+    for _ in range(n):
+        d = App(d, d)
+    return d
+
+
+def unfolded_names(t):
+    """Every variable and binder name of t, by a walk of the unfolding."""
+    names = set()
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Var):
+            names.add(s.name)
+        elif isinstance(s, Abs):
+            names.add(s.binder)
+            todo.append(s.body)
+        else:
+            todo += (s.fun, s.arg)
+    return names
+
+
+def test_open_readback_walks_shared_subterms_once():
+    # the readback of an open input collects its names over the objects
+    # of the term, not over its 2^30 unfolded copies of D_0
+    ident = p("\\x. x")
+    d = open_doubling(30)
+    t0 = time.perf_counter()
+    out = lam.reduce(App(App(ident, ident), d), "cbv", 0)
+    assert time.perf_counter() - t0 < 1.0
+    assert out.kind == "exhausted" and out.term.arg is d
+    for n in range(6):
+        d = open_doubling(n)
+        assert lam._names(d) == unfolded_names(d) == {"x", "y"}
+        t = App(Abs("z", App(d, open_doubling(n, ("w", "z")))), d)
+        assert lam._names(t) == unfolded_names(t) == {"w", "x", "y", "z"}
+
+
 # --- iterative substitution and printing --------------------------------------------
 
 DEEP = 20_000

@@ -214,3 +214,61 @@ def reference_random_reduce(system, t, budget, rng, max_nodes=None):
         steps += 1
         if max_nodes is not None and term_size(t) > max_nodes:
             return None
+
+
+def two_pass_parse_term(text, sig):
+    """The reference for crs.parse_term: a first pass reads every atom as
+    a Node, a second rebuilds the term with each nullary node whose symbol
+    sig does not declare turned into a variable."""
+    toks = crs._TOKEN_RE.findall(text)
+    n = len(toks)
+    pos = 0
+    open_ = []
+    while True:
+        if pos >= n:
+            raise crs.CrsParseError("unexpected end of term")
+        name = toks[pos]
+        if not crs.IDENT_RE.fullmatch(name):
+            raise crs.CrsParseError(f"expected identifier, got {name!r}")
+        pos += 1
+        if pos < n and toks[pos] == "(":
+            pos += 1
+            if pos < n and toks[pos] != ")":
+                open_.append((name, []))
+                continue
+            if pos >= n:
+                raise crs.CrsParseError("expected ')'")
+            pos += 1
+        t = crs.Node(name, ())
+        while open_:
+            name, kids = open_[-1]
+            kids.append(t)
+            if pos < n and toks[pos] == ",":
+                pos += 1
+                break
+            if pos >= n or toks[pos] != ")":
+                raise crs.CrsParseError("expected ')'")
+            pos += 1
+            open_.pop()
+            t = crs.Node(name, tuple(kids))
+        else:
+            break
+    if pos != n:
+        raise crs.CrsParseError(f"trailing input: {toks[pos:]!r}")
+    out = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:
+            s = todo.pop()
+            k = len(s.children)
+            kids = tuple(out[-k:])
+            del out[-k:]
+            out.append(crs.Node(s.symbol, kids))
+        elif s.children:
+            todo += (s, None, *reversed(s.children))
+        elif sig.is_constructor(s.symbol) or sig.is_function(s.symbol):
+            out.append(s)
+        else:
+            out.append(crs.Var(s.symbol))
+    return out[0]
