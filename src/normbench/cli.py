@@ -1,8 +1,8 @@
 """Command-line surface: eval, encode, compare, roundtrip, graph-dot.
 
 Exit codes: 0 success (budget exhaustion is still 0, recorded in the
-report), 1 parse error, 2 validation error, 3 failed theorem check in
-compare or roundtrip mode.
+report), 1 parse error, 2 validation or usage error (a negative budget
+too), 3 failed theorem check in compare or roundtrip mode.
 """
 
 from __future__ import annotations
@@ -200,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise CliError(EXIT_VALIDATION, "--budget must be >= 0")
         return args.func(args)
     except CliError as exc:
         print(f"normbench: {exc}", file=sys.stderr)

@@ -348,6 +348,8 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     that term only when `state()` is called, so a hook that does not call
     it keeps a step at constant cost.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if not is_closed(t):
         raise CrsError("reduction input must be closed")
     if rng is None:
@@ -673,12 +675,15 @@ def parse_system(text: str) -> CrsFile:
         if not isinstance(lhs, Node):
             raise CrsParseError(f"rule lhs must be a function application: {lhs_src!r}")
         rules.append(Rule(lhs.symbol, lhs.children, parse_term(rhs_src, sig)))
-    system = CrsSystem(sig, rules)
+    # the term is read before the rules are validated, so that a syntax
+    # error comes first; its arities are checked after
     term = None
     if term_src is not None:
         term = parse_term(term_src, sig)
         if not is_closed(term):
             raise CrsParseError(f"term declaration uses undeclared symbols: {term_src!r}")
+    system = CrsSystem(sig, rules)
+    if term is not None:
         _check_arities(term, sig)
     return CrsFile(system, term, comments)
 

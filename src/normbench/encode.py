@@ -197,7 +197,7 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
     capp are the machines' stuck application of two closures.  With
     variables, a pattern variable reads back as the free lambda variable
     of its name; otherwise it raises OpenTermError."""
-    closures: dict[int, tuple] = {}     # id(node) -> closure; t keeps nodes alive
+    closures: dict[int, tuple | list] = {}  # id(node) -> closure; t keeps nodes alive
     nullary: dict[str, tuple] = {}      # one closure per nullary constructor, read once
     todo: list = [t]
     while todo:
@@ -215,7 +215,7 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
         s = todo.pop()
         kids = [closures[id(c)] for c in s.children]
         if s.symbol in (APP, CAPP):
-            arity, closure = 2, (None, tuple(kids))
+            arity, closure = 2, kids
         elif not kids and s.symbol in nullary:
             arity, closure = 0, nullary[s.symbol]
         else:
@@ -233,7 +233,7 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
     if not variables:
         return lam.readback(root)[0]
     # binders named after a variable are renamed away from every name read
-    names = lam.apps(lam.Var(APP), [c[0] for c in closures.values() if c[0] is not None])
+    names = lam.apps(lam.Var(APP), [c[0] for c in closures.values() if type(c) is tuple])
     return lam.readback(root, names)[0]
 
 

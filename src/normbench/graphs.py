@@ -542,6 +542,8 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     unshared.  A violation aborts the run since it indicates a bug, not an
     input error.
     """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     if not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
     index = compile_rules(grules)
@@ -591,7 +593,7 @@ def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget
                 if lab in functions:
                     hit = _first_match(index, g, v, lab, sig, value, counter) if values else None
                     if hit is not None:
-                        if steps == budget:
+                        if steps >= budget:
                             return "exhausted", steps
                         steps += 1
                         work.append(counter[0])

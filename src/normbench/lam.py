@@ -6,15 +6,16 @@ the redex order (one-step diamond), so `reduce` reports *the* step count
 of its input.  Variable names are plain strings under their lexicographic
 order; free-variable sequences are always sorted by that order.
 
-The step relation (`cbv_step`, `cbn_step`, built on `substitute`) is the
-reference semantics.  `reduce` runs two environment machines instead: a
-CEK machine for CBV and a Krivine machine for CBN (Accattoli, Barenbaum
-& Mazza, "Distilling Abstract Machines", ICFP 2014).  They never
-substitute: a beta step binds the argument in a persistent environment,
-so its cost does not depend on the size of the term.  One readback at
-the end turns the final closures back into a term, which is `==` to the
-term the step relation reaches in the same number of steps (on open
-inputs, equal up to the names of renamed binders).
+`reduce` runs environment machines only: a CEK machine for leftmost
+CBV, an indexed redex list over the same closures for random CBV, and a
+Krivine machine for CBN (Accattoli, Barenbaum & Mazza, "Distilling
+Abstract Machines", ICFP 2014).  They never substitute: a beta step
+binds the argument in a persistent environment, so its cost does not
+depend on the size of the term.  One readback at the end turns the
+final closures back into a term, which is `==` to the term the
+substituting step relation reaches in the same number of steps (on open
+inputs, equal up to the names of renamed binders).  That step relation,
+the reference semantics, lives in tests/tests_util.py.
 """
 
 from __future__ import annotations
@@ -150,11 +151,6 @@ def is_closed(t: Term) -> bool:
     return not _free_set(t)
 
 
-def is_value(t: Term) -> bool:
-    """Values are variables and abstractions."""
-    return isinstance(t, (Var, Abs))
-
-
 def fresh_name(base: str, avoid: set[str], counter: Iterator[int]) -> str:
     """A name not in `avoid`: `base` and the next free number of `counter`.
     Each top-level call numbers its fresh names from 0 on, so a result
@@ -178,6 +174,10 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     renamings in a scope, as `_read` does, so a renamed body is walked
     once.  When v is closed nothing is renamed, and the walk stops at the
     binders of x.  Untouched subterms are shared.
+
+    No engine calls it.  The reference step relation in tests/tests_util.py
+    is built on it, and bench/tracer.py times it by name, so it stays
+    until the benchmark drops that span (ROADMAP B2).
     """
     fv_v = _free_set(v)
     # name -> its meanings, innermost last: the term that replaces it, or
@@ -284,94 +284,14 @@ def alpha_eq(s: Term, t: Term) -> bool:
     return True
 
 
-# --- one-step reduction -----------------------------------------------------
-
-Path = tuple[int, ...]
-
-
-def cbv_redexes(t: Term) -> Iterator[Path]:
-    """Paths of weak CBV redexes, in leftmost (pre-order) order.
-
-    A path lists child indices from the root: 0 = function, 1 = argument.
-    Traversal never enters an abstraction body.
-    """
-    path: list[int] = []
-    # applications still to visit: the node, its parent's depth, its index
-    todo: list[tuple[App, int, int]] = [(t, 0, -1)] if isinstance(t, App) else []
-    while todo:
-        node, depth, i = todo.pop()
-        del path[depth:]
-        if i >= 0:
-            path.append(i)
-        if isinstance(node.fun, Abs) and is_value(node.arg):
-            yield tuple(path)
-        depth = len(path)
-        if isinstance(node.arg, App):
-            todo.append((node.arg, depth, 1))
-        if isinstance(node.fun, App):
-            todo.append((node.fun, depth, 0))
-
-
-def subterm_at(t: Term, path: Path) -> Term:
-    for i in path:
-        assert isinstance(t, App)
-        t = t.fun if i == 0 else t.arg
-    return t
-
-
-def replace_at(t: Term, path: Path, new: Term) -> Term:
-    spine = []
-    for i in path:
-        assert isinstance(t, App)
-        spine.append(t)
-        t = t.fun if i == 0 else t.arg
-    for node, i in zip(reversed(spine), reversed(path)):
-        new = App(new, node.arg) if i == 0 else App(node.fun, new)
-    return new
-
-
-def contract(redex: Term) -> Term:
-    assert isinstance(redex, App) and isinstance(redex.fun, Abs) and is_value(redex.arg)
-    return substitute(redex.fun.body, redex.fun.binder, redex.arg)
-
-
-def cbv_step(t: Term, rng=None) -> Optional[Term]:
-    """One weak CBV step, or None if t is normal.
-
-    The default policy fires the leftmost redex; passing a random.Random
-    picks uniformly among all redexes (diamond: same count either way).
-    """
-    if rng is None:
-        path = next(cbv_redexes(t), None)
-        if path is None:
-            return None
-    else:
-        paths = list(cbv_redexes(t))
-        if not paths:
-            return None
-        path = paths[rng.randrange(len(paths))]
-    return replace_at(t, path, contract(subterm_at(t, path)))
-
-
-def cbn_step(t: Term) -> Optional[Term]:
-    """The unique weak call-by-name (head) step, or None."""
-    spine = []
-    while isinstance(t, App) and not isinstance(t.fun, Abs):
-        spine.append(t.arg)
-        t = t.fun
-    if not isinstance(t, App):
-        return None
-    out = substitute(t.fun.body, t.fun.binder, t.arg)
-    for a in reversed(spine):
-        out = App(out, a)
-    return out
-
-
 # --- full reduction ----------------------------------------------------------
 #
 # A closure is a pair (term, env); an environment is None or a persistent
 # linked frame (binder, closure, parent).  A variable is looked up by
-# walking the frames to the nearest one with its name.
+# walking the frames to the nearest one with its name.  An application
+# that is not a value is a list [fun, arg, ...] of two closures: a stuck
+# one of the CEK machine (open inputs only) or a frame of the random
+# policy, which appends its bookkeeping.
 
 OutcomeKind = Literal["normal", "exhausted"]
 
@@ -387,8 +307,8 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
     # CEK machine, left to right: the function, then the argument, then
     # the beta step, which fires the leftmost weak CBV redex every time.
     # Values are closures of abstractions, (Var, None) for a free variable
-    # and (None, (fun, arg)) for a stuck application; the last two arise
-    # on open inputs only.  Frames: (term, env) = argument still to
+    # and [fun, arg] for a stuck application; the last two arise on open
+    # inputs only.  Frames: (term, env) = argument still to
     # evaluate; (None, fun) = function value waiting for its argument.
     steps = 0
     stack: list[tuple] = []
@@ -412,7 +332,7 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
                 stack.append((None, val))
                 term, env = arg, fun
                 break
-            if type(fun[0]) is Abs and val[0] is not None:
+            if type(fun[0]) is Abs and type(val) is tuple:
                 if steps >= budget:
                     # the last term reached: this redex inside the frames
                     frames = stack[::-1]
@@ -425,7 +345,71 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
                 steps += 1
                 term, env = fun[0].body, (fun[0].binder, val, fun[1])
                 break
-            val = (None, (fun, val))
+            val = [fun, val]
+
+
+def _reduce_cbv_random(t: Term, budget: int, rng) -> ReductionOutcome:
+    # The random policy over an indexed redex list, as in crs.  Values
+    # are the CEK machine's closures; an application is a mutable frame
+    # [fun, arg, parent frame, index there, number of children that are
+    # frames].  reds holds the redex frames left to right, since weak CBV
+    # redexes never nest.  Firing reds[k] changes the list only at k: it
+    # becomes the redexes of the instantiated body or, when that is a
+    # value, the parent if that is now a redex.  An application is never
+    # a value, so nothing climbs further.
+    reds: list[list] = []
+    root = _instantiate(t, None, reds)
+    steps = 0
+    while reds:
+        if steps >= budget:
+            return ReductionOutcome("exhausted", readback([root], t)[0], steps)
+        k = rng.randrange(len(reds))
+        (fun, env), arg, parent, i, _ = reds[k]
+        block: list[list] = []
+        val = _instantiate(fun.body, (fun.binder, arg, env), block)
+        if parent is None:
+            root = val
+        else:
+            parent[i] = val
+            if type(val) is list:
+                val[2], val[3] = parent, i
+            else:
+                parent[4] -= 1
+                if not parent[4] and type(parent[0][0]) is Abs:
+                    block.append(parent)
+        reds[k:k + 1] = block
+        steps += 1
+    return ReductionOutcome("normal", readback([root], t)[0], steps)
+
+
+def _instantiate(t: Term, env, reds: list[list]):
+    # t under env as a closure or a frame of the random policy, children
+    # first; its redex frames are appended to reds left to right.
+    out: list = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # an application, its children done
+            arg = out.pop()
+            fun = out.pop()
+            frame = [fun, arg, None, 0, 0]
+            for i, c in enumerate((fun, arg)):
+                if type(c) is list:
+                    c[2], c[3] = frame, i
+                    frame[4] += 1
+            if not frame[4] and type(fun[0]) is Abs:
+                reds.append(frame)
+            out.append(frame)
+        elif type(s) is App:
+            todo += (None, s.arg, s.fun)
+        elif type(s) is Abs:
+            out.append((s, env))
+        else:
+            e = env
+            while e is not None and e[0] != s.name:
+                e = e[2]
+            out.append((s, None) if e is None else e[1])
+    return out[0]
 
 
 def _reduce_cbn_machine(t: Term, budget: int) -> ReductionOutcome:
@@ -532,10 +516,10 @@ def _read(closures: list[tuple], rename: frozenset[str], avoid: frozenset[str],
                 todo.append((_GO, a.arg, b))
                 todo.append((_GO, a.fun, b))
         elif op == _CLOSURE:
-            if a[0] is None:                # stuck CBV application
+            if type(a) is list:             # an application of two closures
                 todo.append((_APP, None, None))
-                todo.append((_CLOSURE, a[1][1], None))
-                todo.append((_CLOSURE, a[1][0], None))
+                todo.append((_CLOSURE, a[1], None))
+                todo.append((_CLOSURE, a[0], None))
             elif id(a) in memo:
                 results.append(memo[id(a)])
             elif a[1] is None:              # nothing to substitute
@@ -564,29 +548,25 @@ def reduce(t: Term, strategy: Literal["cbv", "cbn"] = "cbv", budget: int = 10_00
            rng=None) -> ReductionOutcome:
     """Reduce up to `budget` beta steps under the chosen strategy.
 
-    CBV runs the CEK machine and CBN the Krivine machine above, each over
-    closures with one readback at the end; they take exactly the steps of
-    the reference step relation (`cbv_step`, `cbn_step`) and reach the
-    same term.  With `rng`, CBV instead iterates `cbv_step` under the
-    random policy.  On "normal" the steps field is Time(t) (cbv) resp.
+    CBV runs the CEK machine, or with `rng` the random policy, which
+    fires `reds[rng.randrange(len(reds))]` with `reds` every redex left
+    to right; CBN runs the Krivine machine and, having one redex, draws
+    nothing from `rng`.  Each runs over closures with one readback at the
+    end, and takes exactly the steps of the reference step relation for
+    the same draws.  On "normal" the steps field is Time(t) (cbv) resp.
     Time_w(t) (cbn).  "exhausted" carries the last term reached, so runs
-    are resumable.
+    are resumable.  A negative budget or another strategy raises
+    ValueError.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if strategy == "cbn":
         return _reduce_cbn_machine(t, budget)
+    if strategy != "cbv":
+        raise ValueError(f"unknown strategy {strategy!r}")
     if rng is None:
         return _reduce_cbv_machine(t, budget)
-    steps = 0
-    while steps < budget:
-        nxt = cbv_step(t, rng)
-        if nxt is None:
-            return ReductionOutcome("normal", t, steps)
-        t = nxt
-        steps += 1
-    kind: OutcomeKind = "normal" if next(cbv_redexes(t), None) is None else "exhausted"
-    return ReductionOutcome(kind, t, steps)
+    return _reduce_cbv_random(t, budget, rng)
 
 
 # --- surface syntax ----------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 from normbench import cli, crs, encode, graphs, lam, scott, workbench
 from normbench.lam import apps
-from tests_util import leaf_count, term_size
+from tests_util import cbv_step, leaf_count, term_size
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 BUDGET = 10_000
@@ -202,7 +202,7 @@ def test_acceptance_4_fixpoint_bound():
             term = apps(hs[i], vals)
             steps = 0
             while not lam.alpha_eq(term, target):
-                term = lam.cbv_step(term)
+                term = cbv_step(term)
                 assert term is not None
                 steps += 1
                 assert steps <= 2 * n, (n, i, steps)

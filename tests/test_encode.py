@@ -102,7 +102,8 @@ def test_readback_inverts_encode():
 
 
 from hypothesis import given, settings
-from tests_util import closed_terms, rewrite_step, same_structure
+from tests_util import (
+    cbv_redexes, closed_terms, contract, replace_at, rewrite_step, same_structure, subterm_at)
 
 
 @given(closed_terms())
@@ -281,10 +282,9 @@ def reference_run_phi(image, budget):
         assert encode.is_canonical(after, sig), "canonicity lost"
         assert encode.check_provenance(after, reg), "unregistered constructor"
         before, prev[0] = prev[0], encode.readback(after, reg)
-        assert any(lam.alpha_eq(lam.replace_at(before, path,
-                                               lam.contract(lam.subterm_at(before, path))),
+        assert any(lam.alpha_eq(replace_at(before, path, contract(subterm_at(before, path))),
                                 prev[0])
-                   for path in lam.cbv_redexes(before)), "not one CBV step"
+                   for path in cbv_redexes(before)), "not one CBV step"
 
     assert encode.is_canonical(image.term, sig)
     assert encode.check_provenance(image.term, reg), "unregistered constructor"

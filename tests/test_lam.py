@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from normbench import lam, workbench
 from normbench.lam import Abs, App, Var
+from tests_util import (
+    cbn_step, cbv_redexes, cbv_step, contract, random_closed, reference_cbv_reduce, replace_at,
+    subterm_at)
 
 
 def p(s):
@@ -71,33 +74,33 @@ def test_alpha_eq():
 # --- single steps ---------------------------------------------------------------
 
 def test_cbv_step_single_redex():
-    assert lam.cbv_step(p("(\\x. x) (\\y. y)")) == p("\\y. y")
+    assert cbv_step(p("(\\x. x) (\\y. y)")) == p("\\y. y")
 
 
 def test_cbv_step_self_application():
-    assert lam.cbv_step(p("(\\x. x x) (\\y. y y)")) == p("(\\y. y y) (\\y. y y)")
+    assert cbv_step(p("(\\x. x x) (\\y. y y)")) == p("(\\y. y y) (\\y. y y)")
 
 
 def test_cbv_step_not_under_lambda():
-    assert lam.cbv_step(p("\\x. (\\y. y) (\\z. z)")) is None
+    assert cbv_step(p("\\x. (\\y. y) (\\z. z)")) is None
 
 
 def test_cbv_step_argument_must_be_value():
     t = p("(\\x. x) ((\\y. y) (\\z. z))")
-    assert lam.cbv_step(t) == p("(\\x. x) (\\z. z)")
+    assert cbv_step(t) == p("(\\x. x) (\\z. z)")
 
 
 def test_cbn_step_substitutes_unevaluated():
     t = p("(\\x. \\y. x) ((\\z. z) (\\z. z))")
-    assert lam.cbn_step(t) == p("\\y. (\\z. z) (\\z. z)")
+    assert cbn_step(t) == p("\\y. (\\z. z) (\\z. z)")
 
 
 def test_cbn_step_identity():
-    assert lam.cbn_step(p("(\\x. x) (\\y. y)")) == p("\\y. y")
+    assert cbn_step(p("(\\x. x) (\\y. y)")) == p("\\y. y")
 
 
 def test_cbn_step_free_head():
-    assert lam.cbn_step(p("x ((\\y. y) (\\z. z))")) is None
+    assert cbn_step(p("x ((\\y. y) (\\z. z))")) is None
 
 
 # --- full reduction --------------------------------------------------------------
@@ -127,8 +130,8 @@ def test_tower_steps_linear():
 
 def test_tower_hand_unrolled_n1():
     t = lam.two_tower(1)
-    s1 = lam.cbv_step(t)
-    assert s1 is not None and lam.cbv_step(s1) is None
+    s1 = cbv_step(t)
+    assert s1 is not None and cbv_step(s1) is None
     assert lam.alpha_eq(s1, p("\\x. (\\x. x) ((\\x. x) x)"))
 
 
@@ -136,11 +139,11 @@ def test_tower_hand_unrolled_n2():
     # the inner tower must become a value before the outer redex fires
     w1 = p("\\x. (\\x. x) ((\\x. x) x)")
     t = lam.two_tower(2)
-    s1 = lam.cbv_step(t)
+    s1 = cbv_step(t)
     assert lam.alpha_eq(s1, App(lam.church_two(), w1))
-    s2 = lam.cbv_step(s1)
+    s2 = cbv_step(s1)
     assert lam.alpha_eq(s2, Abs("x", App(w1, App(w1, Var("x")))))
-    assert lam.cbv_step(s2) is None
+    assert cbv_step(s2) is None
 
 
 def test_reduce_cbn_of_cbv_divergent():
@@ -170,7 +173,7 @@ def _step_loop(t, step, budget):
 
 
 def _assert_machine_matches(t, strategy, budget):
-    step = lam.cbv_step if strategy == "cbv" else lam.cbn_step
+    step = cbv_step if strategy == "cbv" else cbn_step
     fast = lam.reduce(t, strategy, budget)
     assert (fast.kind, fast.steps, fast.term) == _step_loop(t, step, budget)
 
@@ -183,9 +186,6 @@ def test_machine_matches_step_loop():
 
 
 # --- properties -------------------------------------------------------------------
-
-from tests_util import random_closed
-
 
 def test_diamond_step_count_invariance():
     rng = random.Random(7)
@@ -234,7 +234,7 @@ def test_cbn_step_deterministic():
         t = random_closed(rng, 20)
         reducts = _head_redexes(t)
         assert len(reducts) <= 1
-        got = lam.cbn_step(t)
+        got = cbn_step(t)
         if reducts:
             assert got == reducts[0]
         else:
@@ -265,7 +265,7 @@ def test_machines_match_step_loop_on_corpus(strategy):
 ])
 def test_open_input_readback_avoids_capture(strategy, src, expected):
     # the free y must stay free: readback renames the binder as substitute does
-    step = lam.cbv_step if strategy == "cbv" else lam.cbn_step
+    step = cbv_step if strategy == "cbv" else cbn_step
     out = lam.reduce(p(src), strategy, 10)
     assert (out.kind, out.steps) == ("normal", 1)
     assert lam.alpha_eq(out.term, p(expected))
@@ -301,10 +301,10 @@ def test_closedness_preserved():
     for _ in range(200):
         t = random_closed(rng, 20)
         assert lam.is_closed(t)
-        nxt = lam.cbv_step(t)
+        nxt = cbv_step(t)
         if nxt is not None:
             assert lam.is_closed(nxt)
-        nxt = lam.cbn_step(t)
+        nxt = cbn_step(t)
         if nxt is not None:
             assert lam.is_closed(nxt)
 
@@ -315,12 +315,79 @@ def test_closed_cbv_never_needs_renaming():
     for _ in range(100):
         t = random_closed(rng, 20)
         for _ in range(50):
-            path = next(lam.cbv_redexes(t), None)
+            path = next(cbv_redexes(t), None)
             if path is None:
                 break
-            redex = lam.subterm_at(t, path)
+            redex = subterm_at(t, path)
             assert lam.is_closed(redex.arg)
-            t = lam.replace_at(t, path, lam.contract(redex))
+            t = replace_at(t, path, contract(redex))
+
+
+# --- the random CBV policy against the substituting loop ----------------------------
+
+def _assert_random_matches(t, seed, budget, exact=True):
+    # the machine and the reference loop draw alike, so both rngs end in
+    # the same state; on open inputs the binder names may differ
+    r_got, r_want = random.Random(seed), random.Random(seed)
+    got = lam.reduce(t, "cbv", budget, r_got)
+    want = reference_cbv_reduce(t, budget, r_want)
+    assert (got.kind, got.steps) == (want.kind, want.steps), lam.to_str(t)
+    assert r_got.getstate() == r_want.getstate()
+    if exact:
+        assert lam.to_str(got.term) == lam.to_str(want.term), lam.to_str(t)
+    else:
+        assert lam.alpha_eq(got.term, want.term), lam.to_str(t)
+
+
+def test_random_policy_matches_reference_draw_for_draw():
+    corpus = workbench.Corpus.load(Path(__file__).resolve().parents[1] / "corpus")
+    rng = random.Random(5)
+    terms = [e.term for e in corpus.lambda_entries] + [random_closed(rng, 24)
+                                                       for _ in range(1000)]
+    assert len(terms) >= 1060
+    for t in terms:
+        for seed in range(4):
+            for budget in (0, 1, 3, 10, 400):
+                _assert_random_matches(t, seed, budget)
+
+
+@pytest.mark.parametrize("src", [
+    "(\\x. \\y. x (\\y. y)) (\\q. y)",
+    "(\\x. \\y. x y) (\\z. y)",
+    "(\\x. \\y. \\y_0. x y_0) y",
+    "(\\x. x) ((\\a. \\y. a) y) ((\\b. \\y. b y) y)",
+    "(\\f. \\y. f y) (\\z. y) ((\\x. \\y. x) (\\w. y))",
+    "y ((\\x. \\y. x) y) ((\\x. \\z. x z) (\\w. z))",
+    "(\\x. (\\y. x y) (\\y. x)) (\\q. y)",
+])
+def test_random_policy_on_open_inputs_with_capture(src):
+    for seed in range(4):
+        for budget in (1, 100):
+            _assert_random_matches(p(src), seed, budget, exact=False)
+
+
+def test_random_policy_on_random_open_inputs():
+    rng = random.Random(29)
+    for _ in range(500):
+        t = random_open(rng, rng.randrange(1, 30))
+        for seed in range(2):
+            _assert_random_matches(t, seed, 200, exact=False)
+
+
+def test_random_policy_church_numeral_in_linear_time():
+    # c_n I I: the second step builds the n applications of the body and
+    # each other step is O(1); the substituting loop took 15 s at n = 4000
+    n = 10**5
+    body = Var("x")
+    for _ in range(n):
+        body = App(Var("f"), body)
+    ident = p("\\x. x")
+    t = App(App(Abs("f", Abs("x", body)), ident), ident)
+    start = time.perf_counter()
+    out = lam.reduce(t, "cbv", 2 * n, random.Random(0))
+    assert time.perf_counter() - start < 10
+    assert (out.kind, out.steps) == ("normal", n + 2)
+    assert out.term == ident
 
 
 # --- surface syntax -----------------------------------------------------------------
@@ -582,11 +649,11 @@ def test_cbv_step_deep():
     cases = ((right, (1,) * DEEP, 1, None),
              (left, (0,) * DEEP, 2, lam.apps(Var("a"), [Var("a")] * (DEEP - 1))))
     for t, path, steps, nf in cases:
-        assert list(lam.cbv_redexes(t)) == [path]
-        want = lam.replace_at(t, path, Abs("z", Var("z")))
-        assert lam.subterm_at(want, path) == Abs("z", Var("z"))
+        assert list(cbv_redexes(t)) == [path]
+        want = replace_at(t, path, Abs("z", Var("z")))
+        assert subterm_at(want, path) == Abs("z", Var("z"))
         for rng in (None, random.Random(1)):
-            assert lam.to_str(lam.cbv_step(t, rng)) == lam.to_str(want)
+            assert lam.to_str(cbv_step(t, rng)) == lam.to_str(want)
         out = lam.reduce(t, rng=random.Random(2))
         assert (out.kind, out.steps) == ("normal", steps)
         assert lam.to_str(out.term) == lam.to_str(nf or want)
@@ -597,5 +664,5 @@ def test_cbn_step_deep_left_spine():
     t, want = App(Abs("y", Var("y")), Abs("z", Var("z"))), Abs("z", Var("z"))
     for _ in range(DEEP):
         t, want = App(t, Var("a")), App(want, Var("a"))
-    assert lam.to_str(lam.cbn_step(t)) == lam.to_str(want)
-    assert lam.cbn_step(lam.apps(Var("a"), [Var("a")] * DEEP)) is None
+    assert lam.to_str(cbn_step(t)) == lam.to_str(want)
+    assert cbn_step(lam.apps(Var("a"), [Var("a")] * DEEP)) is None

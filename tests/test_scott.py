@@ -6,7 +6,7 @@ import pytest
 from normbench import crs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import nat_term
+from tests_util import cbv_step, nat_term
 
 
 def nat_system(extra_rules=(), extra_fns=None):
@@ -34,7 +34,7 @@ def steps_to(term, target, limit):
     for k in range(limit + 1):
         if lam.alpha_eq(term, target):
             return k
-        nxt = lam.cbv_step(term)
+        nxt = cbv_step(term)
         assert nxt is not None, "normal form reached before target"
         term = nxt
     raise AssertionError("target not reached within limit")

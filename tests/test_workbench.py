@@ -1,9 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from normbench import cli, crs, graphs, lam, workbench
+from normbench import cli, crs, encode, graphs, lam, workbench
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -211,6 +212,58 @@ def test_cli_eval_open_term_same_report_every_call(tmp_path, capsys):
             reports[-1].pop("timing")
         assert reports[0] == reports[1], engine
         assert reports[0]["runs"][0]["normal_form"] == "\\y_0. y", engine
+
+
+def test_cli_random_policy_agrees_with_leftmost_on_the_corpus(capsys):
+    # the diamond, end to end: a diverging entry runs the whole budget
+    # under either policy
+    files = sorted((CORPUS / "lambda").glob("*.lam"))
+    assert len(files) >= 60
+    for path in files:
+        reports = []
+        for policy in ([], ["--policy", "random", "--seed", "0"],
+                       ["--policy", "random", "--seed", "3"]):
+            assert cli.main(["eval", "--engine", "lambda-cbv", *policy, str(path)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            del report["policy"], report["timing"]
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2], path.name
+
+
+OMEGA = str(CORPUS / "lambda" / "omega.lam")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["eval", "--engine", engine, *policy, OMEGA]
+      for engine in ("lambda-cbv", "lambda-cbn", "crs", "graph")
+      for policy in ([], ["--policy", "random"])),
+    ["compare", OMEGA],
+    ["roundtrip", str(CORPUS / "crs" / "nat_add.trs")],
+], ids=lambda argv: "-".join(a for a in argv[:-1] if a != "--policy"))
+def test_cli_refuses_a_negative_budget(capsys, argv):
+    assert cli.main([*argv, "--budget", "-1"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "normbench: --budget must be >= 0\n")
+
+
+@pytest.mark.parametrize("policy", [None, 0])
+@pytest.mark.parametrize("engine", ["lambda-cbv", "lambda-cbn", "crs", "graph"])
+def test_engines_refuse_a_negative_budget(engine, policy):
+    # omega diverges: an engine that took a negative budget would never stop
+    omega = p("(\\x. x x) (\\x. x x)")
+    image = encode.encode_cbv(omega)
+    rng = None if policy is None else random.Random(policy)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        if engine.startswith("lambda"):
+            lam.reduce(omega, engine[-3:], -1, rng)
+        elif engine == "crs":
+            crs.reduce(image.system, image.term, -1, rng)
+        else:
+            workbench.graph_run(image.system, image.term, -1, rng=rng)
+
+
+def test_lam_reduce_refuses_an_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy 'cbv '"):
+        lam.reduce(p("(\\x. x) (\\y. y)"), "cbv ", 10)
 
 
 def test_cli_encode_roundtrips(tmp_path, capsys):

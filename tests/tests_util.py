@@ -1,12 +1,13 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
 from make_corpus import random_closed  # noqa: F401  (shared with the corpus builder)
-from normbench import crs
-from normbench.lam import Abs, App, Var
+from normbench import crs, lam
+from normbench.lam import Abs, App, Term, Var
 
 
 @st.composite
@@ -175,7 +176,7 @@ def redexes(system, t):
             path.pop()
 
 
-def replace_at(t, path, new):
+def crs_replace_at(t, path, new):
     spine = []
     for i in path:
         spine.append(t)
@@ -191,7 +192,7 @@ def rewrite_step(system, t):
     if hit is None:
         return None
     path, rule, subst = hit
-    return replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+    return crs_replace_at(t, path, crs.apply_subst(rule.rhs, subst))
 
 
 def reference_random_reduce(system, t, budget, rng, max_nodes=None):
@@ -209,7 +210,7 @@ def reference_random_reduce(system, t, budget, rng, max_nodes=None):
         if steps >= budget:
             return crs.CrsOutcome("exhausted", t, steps), calls
         path, rule, subst = hits[rng.randrange(len(hits))]
-        t = replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        t = crs_replace_at(t, path, crs.apply_subst(rule.rhs, subst))
         calls.append((rule, subst, t))
         steps += 1
         if max_nodes is not None and term_size(t) > max_nodes:
@@ -272,3 +273,105 @@ def two_pass_parse_term(text, sig):
         else:
             out.append(crs.Var(s.symbol))
     return out[0]
+
+
+# --- the substituting weak step relations: the reference for lam.reduce ----
+
+Path = tuple[int, ...]
+
+
+def is_value(t: Term) -> bool:
+    """Values are variables and abstractions."""
+    return isinstance(t, (Var, Abs))
+
+
+def cbv_redexes(t: Term) -> Iterator[Path]:
+    """Paths of weak CBV redexes, in leftmost (pre-order) order.
+
+    A path lists child indices from the root: 0 = function, 1 = argument.
+    Traversal never enters an abstraction body.
+    """
+    path: list[int] = []
+    # applications still to visit: the node, its parent's depth, its index
+    todo: list[tuple[App, int, int]] = [(t, 0, -1)] if isinstance(t, App) else []
+    while todo:
+        node, depth, i = todo.pop()
+        del path[depth:]
+        if i >= 0:
+            path.append(i)
+        if isinstance(node.fun, Abs) and is_value(node.arg):
+            yield tuple(path)
+        depth = len(path)
+        if isinstance(node.arg, App):
+            todo.append((node.arg, depth, 1))
+        if isinstance(node.fun, App):
+            todo.append((node.fun, depth, 0))
+
+
+def subterm_at(t: Term, path: Path) -> Term:
+    for i in path:
+        assert isinstance(t, App)
+        t = t.fun if i == 0 else t.arg
+    return t
+
+
+def replace_at(t: Term, path: Path, new: Term) -> Term:
+    spine = []
+    for i in path:
+        assert isinstance(t, App)
+        spine.append(t)
+        t = t.fun if i == 0 else t.arg
+    for node, i in zip(reversed(spine), reversed(path)):
+        new = App(new, node.arg) if i == 0 else App(node.fun, new)
+    return new
+
+
+def contract(redex: Term) -> Term:
+    assert isinstance(redex, App) and isinstance(redex.fun, Abs) and is_value(redex.arg)
+    return lam.substitute(redex.fun.body, redex.fun.binder, redex.arg)
+
+
+def cbv_step(t: Term, rng=None) -> Optional[Term]:
+    """One weak CBV step, or None if t is normal.
+
+    The default policy fires the leftmost redex; passing a random.Random
+    picks uniformly among all redexes (diamond: same count either way).
+    """
+    if rng is None:
+        path = next(cbv_redexes(t), None)
+        if path is None:
+            return None
+    else:
+        paths = list(cbv_redexes(t))
+        if not paths:
+            return None
+        path = paths[rng.randrange(len(paths))]
+    return replace_at(t, path, contract(subterm_at(t, path)))
+
+
+def cbn_step(t: Term) -> Optional[Term]:
+    """The unique weak call-by-name (head) step, or None."""
+    spine = []
+    while isinstance(t, App) and not isinstance(t.fun, Abs):
+        spine.append(t.arg)
+        t = t.fun
+    if not isinstance(t, App):
+        return None
+    out = lam.substitute(t.fun.body, t.fun.binder, t.arg)
+    for a in reversed(spine):
+        out = App(out, a)
+    return out
+
+
+def reference_cbv_reduce(t: Term, budget: int, rng) -> lam.ReductionOutcome:
+    """lam.reduce's random CBV policy as the substituting loop: iterate
+    cbv_step under rng until t is normal or budget steps are taken."""
+    steps = 0
+    while steps < budget:
+        nxt = cbv_step(t, rng)
+        if nxt is None:
+            return lam.ReductionOutcome("normal", t, steps)
+        t = nxt
+        steps += 1
+    kind = "normal" if next(cbv_redexes(t), None) is None else "exhausted"
+    return lam.ReductionOutcome(kind, t, steps)
