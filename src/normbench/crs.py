@@ -559,8 +559,9 @@ class CrsParseError(ValueError):
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    """Parse `name` or `name(t1, ..., tn)`; an atom (`x` or `x()`) whose
-    name sig does not declare comes back as a Var, in the same pass."""
+    """Parse `name` or `name(t1, ..., tn)`; a bare atom `x` whose name sig
+    does not declare comes back as a Var, in the same pass.  `x()` is a
+    node whatever its declaration, so validation reports it."""
     cons, funs = sig.constructors, sig.functions
     toks = _TOKEN_RE.findall(text)
     n = len(toks)
@@ -581,7 +582,9 @@ def parse_term(text: str, sig: Signature) -> Term:
             if pos >= n:
                 raise CrsParseError("expected ')'")
             pos += 1
-        t: Term = Node(name, ()) if name in cons or name in funs else Var(name)
+            t: Term = Node(name, ())
+        else:
+            t = Node(name, ()) if name in cons or name in funs else Var(name)
         while open_:                            # t ends an argument
             name, kids = open_[-1]
             kids.append(t)

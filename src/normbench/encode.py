@@ -229,12 +229,12 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
         if len(kids) != arity:
             raise UnknownConstructor(f"{s.symbol} with arity {len(kids)}")
         closures[id(s)] = closure
-    root = [closures[id(t)]]
+    root = closures[id(t)]
     if not variables:
-        return lam.readback(root)[0]
+        return lam.readback(root)
     # binders named after a variable are renamed away from every name read
     names = lam.apps(lam.Var(APP), [c[0] for c in closures.values() if type(c) is tuple])
-    return lam.readback(root, names)[0]
+    return lam.readback(root, names)
 
 
 def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:

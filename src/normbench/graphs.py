@@ -19,16 +19,15 @@ the slots.  The compiled rules go into crs.first_arg_index, the index
 the CRS engine uses too: a node tries only the rules of its head whose
 first pattern can match its first child's label, in rule order.
 
-graph_reduce has two policies.  The leftmost one is an innermost
-evaluation machine: one descent from the root, each node decided once
-when its children are done, firing in the post-order of find_redex.
-The random one keeps the redexes in an indexed list in that order and
-fires the entry an rng draw picks; a firing changes the list only at
-that entry.  Neither walks the graph again after its first search, and
-after the initial whole-graph check sharedness is checked only on the
-nodes a firing gave a new in-edge, so a step costs the size of its
-rule, as a CRS step does.  find_redex and fire_redex search and fire
-one redex at a time, for the tests.
+graph_reduce keeps the redexes in an indexed list, in the post-order of
+find_redex, and fires the first entry (leftmost-innermost) or, with an
+rng, the entry a draw picks; a firing changes the list only at that
+entry, where it decides the nodes the firing built by the rule's decide
+plan.  Only the first search walks the graph, and after the initial
+whole-graph check sharedness is checked only on the nodes a firing gave
+a new in-edge, so a step costs the size of its rule, as a CRS step does.
+find_redex and fire_redex search and fire one redex at a time, for the
+tests.
 """
 
 from __future__ import annotations
@@ -203,17 +202,17 @@ class GraphRule:
     graph: TermGraph
     left: int
     right: int
-    name: str = ""
 
     def validate(self, sig: crs.Signature) -> None:
         g = self.graph
         if g.label[self.left] is None or not sig.is_function(g.label[self.left]):
             raise GraphError("left root must be labelled with a function symbol")
-        for v in g.reachable(self.left):
+        left_nodes = g.reachable(self.left)
+        for v in left_nodes:
             lab = g.label[v]
             if v != self.left and lab is not None and not sig.is_constructor(lab):
                 raise GraphError(f"non-left path through node {v}")
-        left_nodes, right_nodes = g.reachable(self.left), g.reachable(self.right)
+        right_nodes = g.reachable(self.right)
         if self.left in right_nodes:
             raise GraphError("the right side reaches the left root")
         for v in right_nodes:
@@ -221,19 +220,16 @@ class GraphRule:
                 raise GraphError(f"unlabelled node {v} not bound by the left side")
 
 
-def rule_to_graph_rule(rule: crs.Rule, sig: crs.Signature) -> GraphRule:
+def rule_to_graph_rule(rule: crs.Rule) -> GraphRule:
     """Trees of both sides, sharing exactly the variable nodes."""
     g = TermGraph()
     varnode: dict[str, int] = {}
     left = _add_tree(g, crs.Node(rule.head, rule.lhs), varnode)
-    right = _add_tree(g, rule.rhs, varnode)
-    gr = GraphRule(g, left, right, name=rule.head)
-    gr.validate(sig)
-    return gr
+    return GraphRule(g, left, _add_tree(g, rule.rhs, varnode))
 
 
 def system_to_graph_rules(system: crs.CrsSystem) -> list[GraphRule]:
-    return [rule_to_graph_rule(r, system.signature) for r in system.rules]
+    return [rule_to_graph_rule(r) for r in system.rules]
 
 
 # --- compiled rules --------------------------------------------------------------------
@@ -244,7 +240,8 @@ _LABEL, _BIND, _SAME = 0, 1, 2
 
 
 class CompiledRule(NamedTuple):
-    """A graph rule as a flat match program and a build template.
+    """A graph rule as a flat match program, a build template and a
+    decide plan.
 
     A match fills slots with graph nodes, the anchor in slot 0.  A step
     (kind, parent, i, arg) takes the i-th child of the node in slot
@@ -258,7 +255,15 @@ class CompiledRule(NamedTuple):
     len(slots) + k for the copy of the k-th right-only node.  touched
     lists the references that a firing gives a new in-edge, in the order
     the sharing check visits them: the children of each copy, then the
-    right root.
+    right root.  plan lists the copies that graph_reduce decides after a
+    firing, as (reference, reference of the parent copy or -1 at the
+    right root, index there), children left to right before their
+    parent: those below the right root through copies with one in-edge.
+    Every other child of a copy is a value by then: a slot, or a copy
+    shared within the right side, which the sharing check marked
+    function-free together with everything below it.  plan_work counts
+    the walk that decides them: the replacement and the child slots of
+    the planned copies.
     """
 
     rule: GraphRule
@@ -268,10 +273,12 @@ class CompiledRule(NamedTuple):
     kids: tuple[tuple[int, ...], ...]    # of the right-only nodes
     right: int
     touched: tuple[int, ...]
+    plan: tuple[tuple[int, int, int], ...]
+    plan_work: int
 
 
 def compile_rule(gr: GraphRule) -> CompiledRule:
-    """The match program and build template of one rule."""
+    """The match program, build template and decide plan of one rule."""
     rg = gr.graph
     slot = {gr.left: 0}
     match = []
@@ -291,17 +298,33 @@ def compile_rule(gr: GraphRule) -> CompiledRule:
             todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
     left_nodes = rg.reachable(gr.left)
     fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in left_nodes]
+    n = len(slot)
     ref = dict(slot)
-    for k, v in enumerate(fresh):
-        if rg.label[v] is None:
-            raise GraphError(f"unlabelled node {v} outside the left side")
-        ref[v] = len(slot) + k
+    ref.update((v, n + k) for k, v in enumerate(fresh))
     kids = tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh)
+    right = ref[gr.right]
+    copies = [0] * len(fresh)           # in-edges of each copy from copies
+    for kr in kids:
+        for r in kr:
+            if r >= n:
+                copies[r - n] += 1
+    # pre-order from the right root, last child first, then reversed
+    plan = []
+    plan_work = 1
+    todo = [(right, -1, 0)] if right >= n else []
+    while todo:
+        entry = todo.pop()
+        plan.append(entry)
+        r = entry[0]
+        kr = kids[r - n]
+        plan_work += len(kr)
+        for j, c in enumerate(kr):
+            if c >= n and copies[c - n] == 1:
+                todo.append((c, r, j))
+    plan.reverse()
     return CompiledRule(gr, tuple(match), tuple(slot), tuple(rg.label[v] for v in fresh),
-                        kids, ref[gr.right], (*(r for k in kids for r in k), ref[gr.right]))
-
-
-RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
+                        kids, right, (*(r for k in kids for r in k), right), tuple(plan),
+                        plan_work)
 
 
 def compile_rules(grules: list[GraphRule]) -> RuleIndex:
@@ -525,15 +548,27 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The rules are compiled once per call (compile_rules).  The leftmost
-    path is an innermost evaluation machine (_reduce_innermost), the
-    random path an indexed redex list (_reduce_random); both fire in place
-    through _fire.  sizes holds the node count of the input and after
-    every firing.  work holds, per search for a redex, the graph nodes it
-    arrived at and the match steps it ran: one entry per firing, and one
-    more for the last search when the run ends normal with steps < budget.
-    The first search walks the input; a later one visits only what the
-    previous firing built and the rules it tries.
+    The rules are validated and compiled once per call (compile_rules).
+    One loop serves both policies.  value is the memo of the values
+    (True); every other reachable node is in up as [parent, index there,
+    number of non-value children], its one in-edge being
+    succ[parent][index] (parent None at the root).  reds holds the
+    redexes (anchor, compiled rule, slots) in find_redex's post-order,
+    stored reversed so that the leftmost-innermost one is the last entry.
+    The loop fires that entry, or with rng the entry that
+    reds[rng.randrange(len(reds))] would be in post-order, in place
+    through _fire.  The firing changes the list only at that entry: it
+    becomes the redexes among the copies, decided by the rule's plan, or,
+    when the replacement is a value, the first function ancestor that
+    value-ness reaches through constructor nodes, if that now matches.
+    A node becomes a value once, so this climb is O(1) amortised.
+
+    sizes holds the node count of the input and after every firing.
+    work holds, per search for a redex, the graph nodes it arrived at and
+    the match steps it ran: one entry per firing, and one more for the
+    last search when the run ends normal with steps < budget.  The first
+    search walks the input; a later one counts the replacement, the child
+    slots of the copies it decides and the rules it tries.
 
     The input is checked for constructor-sharedness, and after every
     firing the nodes that gained an in-edge and now have in-degree >= 2
@@ -544,136 +579,86 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    for gr in grules:
+        gr.validate(sig)
     if not is_constructor_shared(g, sig):
         raise SharingViolation("input graph is not constructor-shared")
     index = compile_rules(grules)
-    sizes = [g.node_count()]
+    functions, label = sig.functions, g.label
+    sizes = [len(label)]
     work: list[int] = []
-    if rng is None:
-        kind, steps = _reduce_innermost(g, index, sig, budget, sizes, work)
-    else:
-        kind, steps = _reduce_random(g, index, sig, budget, rng, sizes, work)
-    return GraphOutcome(kind, g, steps, sizes, work)
-
-
-def _reduce_innermost(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget: int,
-                      sizes: list[int], work: list[int]) -> tuple[OutcomeKind, int]:
-    # Innermost evaluation machine, children left to right.  A frame
-    # [node, i, values] says that the children of node before index i are
-    # done and whether all of them are values (function-free).  value is
-    # the memo of done nodes, True for a value and False for a stuck node;
-    # a node in it is not descended again (shared constructor nodes, the
-    # bindings in a right-hand side).  A node is decided once, when its
-    # last child is done: a function node over values is matched and
-    # fires, and the machine continues with the replacement; any other
-    # node is a value when it is not a function node and all its children
-    # are values, and stuck otherwise.  Constructor-sharedness makes the
-    # function nodes a tree and leaves the shared nodes unchanged, so
-    # post-order firing is find_redex's order, and the anchor's one
-    # in-edge is g.succ[node][i] of the parent frame (none at the root).
-    functions = sig.functions
-    label, succ = g.label, g.succ
-    value: dict[int, bool] = {}
-    counter = [0]
-    steps = 0
-    stack: list[list] = []
-    v = g.root
-    while True:
-        while True:
-            counter[0] += 1
-            val = value.get(v)
-            if val is not None or not succ[v]:
-                break
-            stack.append([v, 0, True])
-            v = succ[v][0]
-        values = True
-        while True:
-            if val is None:
-                lab = label[v]
-                if lab in functions:
-                    hit = _first_match(index, g, v, lab, sig, value, counter) if values else None
-                    if hit is not None:
-                        if steps >= budget:
-                            return "exhausted", steps
-                        steps += 1
-                        work.append(counter[0])
-                        counter[0] = 0
-                        cr, nodes = hit
-                        v = _fire(g, cr, nodes, stack[-1:], steps, sig, value)
-                        sizes.append(len(label))
-                        break
-                    val = False
-                else:
-                    val = values
-                value[v] = val
-            if not stack:
-                if steps < budget:
-                    work.append(counter[0])
-                return "normal", steps
-            frame = stack[-1]
-            if not val:
-                frame[2] = False
-            frame[1] += 1
-            kids = succ[frame[0]]
-            if frame[1] < len(kids):
-                v = kids[frame[1]]
-                break
-            stack.pop()
-            v, values, val = frame[0], frame[2], None
-
-
-def _reduce_random(g: TermGraph, index: RuleIndex, sig: crs.Signature, budget: int, rng,
-                   sizes: list[int], work: list[int]) -> tuple[OutcomeKind, int]:
-    # The random policy over an indexed redex list.  value is the memo of
-    # the values (True); every other reachable node is in up as [parent,
-    # index there, number of non-value children], its one in-edge being
-    # succ[parent][index] (parent None at the root).  reds holds the
-    # redexes (anchor, compiled rule, slots) in find_redex's post-order,
-    # left to right in the tree of non-values.  Firing reds[k] changes the
-    # list only at k: it becomes the redexes among the new nodes or, when
-    # the replacement is a value, the first function ancestor that
-    # value-ness reaches through constructor nodes, if that now matches.
-    # A node becomes a value once, so this climb is O(1) amortised.
     value: dict[int, bool] = {}
     up: dict[int, list] = {}
     counter = [0]
     reds: list[tuple] = []
-    _decide(g, index, sig, g.root, None, 0, value, up, reds, counter)
+    _decide(g, index, sig, value, up, reds, counter)
+    reds.reverse()
     steps = 0
     while reds:
         if steps >= budget:
-            return "exhausted", steps
-        k = rng.randrange(len(reds))
+            return GraphOutcome("exhausted", g, steps, sizes, work)
+        k = len(reds) - 1
+        if rng is not None:
+            k -= rng.randrange(k + 1)
         v, cr, nodes = reds[k]
         steps += 1
         work.append(counter[0])
-        counter[0] = 0
+        counter[0] = cr.plan_work
         slot = up.pop(v)
-        new = _fire(g, cr, nodes, (slot,) if slot[0] is not None else (), steps, sig, value)
-        sizes.append(len(g.label))
+        parent, i, _ = slot
+        new = _fire(g, cr, nodes, (slot,) if parent is not None else (), steps, sig, value)
+        sizes.append(len(label))
         block: list[tuple] = []
-        _decide(g, index, sig, new, slot[0], slot[1], value, up, block, counter)
+        pending = [0] * len(nodes)      # non-value children of each planned copy
+        for r, p, j in cr.plan:
+            u = nodes[r]
+            n = pending[r]
+            lab = label[u]
+            if lab in functions:
+                hit = None if n else _first_match(index, g, u, lab, sig, value, counter)
+                if hit is not None:
+                    block.append((u, *hit))
+            elif not n:
+                value[u] = True
+                continue
+            if p < 0:
+                up[u] = [parent, i, n]
+            else:
+                up[u] = [nodes[p], j, n]
+                pending[p] += 1
+        if new in value:
+            while parent is not None:
+                info = up[parent]
+                info[2] -= 1
+                if info[2]:
+                    break
+                lab = label[parent]
+                if lab in functions:
+                    hit = _first_match(index, g, parent, lab, sig, value, counter)
+                    if hit is not None:
+                        block.append((parent, *hit))
+                    break
+                del up[parent]
+                value[parent] = True
+                parent = info[0]
+        block.reverse()
         reds[k:k + 1] = block
     if steps < budget:
         work.append(counter[0])
-    return "normal", steps
+    return GraphOutcome("normal", g, steps, sizes, work)
 
 
-def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, v: int, parent: Optional[int],
-            i: int, value: dict[int, bool], up: dict[int, list], reds: list[tuple],
-            counter: list[int]) -> None:
-    # Decide v, whose in-edge is slot i of parent, and its undecided
-    # descendants for the random policy, children first.  A node over
-    # values is a value unless it is a function node; every other node
-    # goes into up, and a function node over values that matches is
-    # appended to reds.  If v is a value, its parent has one non-value
-    # child fewer, and a parent left with none is decided in turn.
-    # A frame is [node, in-edge parent, index, next child, non-value
-    # children].  counter gains one per node arrived at, plus the match
-    # steps; like the machine's ascent, the climb is not counted.
+def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, value: dict[int, bool],
+            up: dict[int, list], reds: list[tuple], counter: list[int]) -> None:
+    # The first search: decide every node reachable from the root,
+    # children first.  A node over values is a value unless it is a
+    # function node; every other node goes into up, and a function node
+    # over values that matches is appended to reds.  A frame is [node,
+    # in-edge parent, index, next child, non-value children].  counter
+    # gains one per node arrived at, plus the match steps.
     counter[0] += 1
     functions, label, succ = sig.functions, g.label, g.succ
-    stack = [] if value.get(v) else [[v, parent, i, 0, 0]]
+    stack = [[g.root, None, 0, 0, 0]]
     while stack:
         frame = stack[-1]
         u, p, j, nxt, pending = frame
@@ -696,22 +681,6 @@ def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, v: int, parent: 
         up[u] = [p, j, pending]
         if stack:
             stack[-1][4] += 1
-    if v not in value:
-        return
-    while parent is not None:
-        info = up[parent]
-        info[2] -= 1
-        if info[2]:
-            break
-        lab = label[parent]
-        if lab in functions:
-            hit = _first_match(index, g, parent, lab, sig, value, counter)
-            if hit is not None:
-                reds.append((parent, *hit))
-            break
-        del up[parent]
-        value[parent] = True
-        parent = info[0]
 
 
 # --- comparison and export ------------------------------------------------------------

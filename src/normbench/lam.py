@@ -326,7 +326,7 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
             val = (term, None) if e is None else e[1]
         while True:
             if not stack:
-                return ReductionOutcome("normal", readback([val], t)[0], steps)
+                return ReductionOutcome("normal", readback(val, t), steps)
             arg, fun = stack.pop()
             if arg is not None:
                 stack.append((None, val))
@@ -335,13 +335,10 @@ def _reduce_cbv_machine(t: Term, budget: int) -> ReductionOutcome:
             if type(fun[0]) is Abs and type(val) is tuple:
                 if steps >= budget:
                     # the last term reached: this redex inside the frames
-                    frames = stack[::-1]
-                    parts = readback([fun, val] + [f[1] if f[0] is None else f
-                                                    for f in frames], t)
-                    last = App(parts[0], parts[1])
-                    for f, part in zip(frames, parts[2:]):
-                        last = App(part, last) if f[0] is None else App(last, part)
-                    return ReductionOutcome("exhausted", last, steps)
+                    last = [fun, val]
+                    for f in reversed(stack):
+                        last = [f[1], last] if f[0] is None else [last, f]
+                    return ReductionOutcome("exhausted", readback(last, t), steps)
                 steps += 1
                 term, env = fun[0].body, (fun[0].binder, val, fun[1])
                 break
@@ -362,7 +359,7 @@ def _reduce_cbv_random(t: Term, budget: int, rng) -> ReductionOutcome:
     steps = 0
     while reds:
         if steps >= budget:
-            return ReductionOutcome("exhausted", readback([root], t)[0], steps)
+            return ReductionOutcome("exhausted", readback(root, t), steps)
         k = rng.randrange(len(reds))
         (fun, env), arg, parent, i, _ = reds[k]
         block: list[list] = []
@@ -379,7 +376,7 @@ def _reduce_cbv_random(t: Term, budget: int, rng) -> ReductionOutcome:
                     block.append(parent)
         reds[k:k + 1] = block
         steps += 1
-    return ReductionOutcome("normal", readback([root], t)[0], steps)
+    return ReductionOutcome("normal", readback(root, t), steps)
 
 
 def _instantiate(t: Term, env, reds: list[list]):
@@ -448,16 +445,15 @@ def _reduce_cbn_machine(t: Term, budget: int) -> ReductionOutcome:
             if e is None:
                 break           # free head variable
             term, env = e[1]
-    parts = readback([(term, env)] + args[::-1], t)
-    out = parts[0]
-    for a in parts[1:]:
-        out = App(out, a)
-    return ReductionOutcome(kind, out, steps)
+    out = (term, env)
+    for a in reversed(args):
+        out = [out, a]
+    return ReductionOutcome(kind, readback(out, t), steps)
 
 
-def readback(closures: list[tuple], t: Optional[Term] = None) -> list[Term]:
-    """The terms of machine closures over the input t, in order
-    (`encode.readback` reads rewrite terms back as closures too).
+def readback(closure, t: Optional[Term] = None) -> Term:
+    """The term of a machine closure over the input t (`encode.readback`
+    reads rewrite terms back as closures too).
 
     Closed closures never need a rename, nor t.  Open ones are read a
     second time, renaming every binder named after a free variable of the
@@ -465,16 +461,16 @@ def readback(closures: list[tuple], t: Optional[Term] = None) -> list[Term]:
     the fresh names avoid every name of t.
     """
     fv_memo: dict[int, frozenset[str]] = {}
-    terms, free = _read(closures, frozenset(), frozenset(), fv_memo)
+    term, free = _read(closure, frozenset(), frozenset(), fv_memo)
     if free:
         if t is None:
-            raise ValueError(f"open closures without their input term: {sorted(free)}")
-        terms, _ = _read(closures, free, free | _names(t), fv_memo)
-    return terms
+            raise ValueError(f"open closure without its input term: {sorted(free)}")
+        term, _ = _read(closure, free, free | _names(t), fv_memo)
+    return term
 
 
-def _read(closures: list[tuple], rename: frozenset[str], avoid: frozenset[str],
-          fv_memo: dict[int, frozenset[str]]) -> tuple[list[Term], frozenset[str]]:
+def _read(closure, rename: frozenset[str], avoid: frozenset[str],
+          fv_memo: dict[int, frozenset[str]]) -> tuple[Term, frozenset[str]]:
     # Iterative, because CBN closure chains go deeper than the recursion
     # limit.  A binder shadows the environment entries of its name: the
     # walk pushes a local frame for it, bound to None, or to the fresh Var
@@ -487,7 +483,7 @@ def _read(closures: list[tuple], rename: frozenset[str], avoid: frozenset[str],
     memo: dict[int, Term] = {}
     counter = itertools.count()
     results: list[Term] = []
-    todo: list[tuple] = [(_CLOSURE, c, None) for c in reversed(closures)]
+    todo: list[tuple] = [(_CLOSURE, closure, None)]
     while todo:
         op, a, b = todo.pop()
         if op == _GO:                       # term a in environment b
@@ -541,7 +537,7 @@ def _read(closures: list[tuple], rename: frozenset[str], avoid: frozenset[str],
                 results.append(a)
             else:
                 results.append(App(f, x))
-    return results, frozenset(free)
+    return results[0], frozenset(free)
 
 
 def reduce(t: Term, strategy: Literal["cbv", "cbn"] = "cbv", budget: int = 10_000,
@@ -693,15 +689,3 @@ def apps(fun: Term, args: list[Term]) -> Term:
     for a in args:
         fun = App(fun, a)
     return fun
-
-
-def church_two() -> Term:
-    return parse("\\f. \\x. f (f x)")
-
-
-def two_tower(n: int) -> Term:
-    """n-fold application of Church 2 to the identity."""
-    t: Term = parse("\\x. x")
-    for _ in range(n):
-        t = App(church_two(), t)
-    return t

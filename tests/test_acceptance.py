@@ -13,7 +13,7 @@ import pytest
 
 from normbench import cli, crs, encode, graphs, lam, scott, workbench
 from normbench.lam import apps
-from tests_util import cbv_step, leaf_count, term_size
+from tests_util import cbv_step, leaf_count, term_size, two_tower
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 BUDGET = 10_000
@@ -321,7 +321,7 @@ def test_acceptance_7_polynomial_invariance(cbv_normalizing):
     # the 2-tower family: graph normal forms grow linearly
     nodes = []
     for n in range(1, 17):
-        image = encode.encode_cbv(lam.two_tower(n))
+        image = encode.encode_cbv(two_tower(n))
         g = graphs.term_to_graph(image.term)
         grules = graphs.system_to_graph_rules(image.system)
         out = graphs.graph_reduce(g, grules, image.system.signature, 1000)
@@ -339,7 +339,7 @@ def test_acceptance_7_polynomial_invariance(cbv_normalizing):
     sizes = []
     leaves = []
     for n in range(1, 9):
-        image = encode.encode_cbv(lam.two_tower(n))
+        image = encode.encode_cbv(two_tower(n))
         run = encode.run_phi(image, 1000)
         rb = run.readback_nf
         sizes.append(lam.size(rb))

@@ -1,4 +1,3 @@
-import importlib.util
 import random
 import re
 import sys
@@ -10,8 +9,8 @@ import pytest
 from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    crs_replace_at, random_closed_term, random_system, redexes, reference_random_reduce,
-    rewrite_step, term_size, two_pass_parse_term)
+    bench_workloads, crs_replace_at, random_closed_term, random_system, redexes,
+    reference_random_reduce, rewrite_step, term_size, two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -255,15 +254,6 @@ def two_pass_parse_system(text):
     return rules, term
 
 
-def bench_workloads():
-    """bench/workloads.py, for the systems of the benchmark's families."""
-    path = CORPUS.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_parse_matches_two_pass_reference():
     texts = [p.read_text() for p in sorted((CORPUS / "crs").glob("*.trs"))]
     workloads, rng = bench_workloads(), random.Random(3)
@@ -273,8 +263,8 @@ def test_parse_matches_two_pass_reference():
         system = random_system(rng)
         texts.append(crs.system_to_str(
             system, random_closed_term(rng, system.signature, 3)))
-    texts.append("constructor z/0; constructor s/1; function f/2;  # x() is a variable\n"
-                 "rule f(s(x()), y) -> s(f(x, y())); rule f(z(), y) -> y;\n"
+    texts.append("constructor z/0; constructor s/1; function f/2;  # z() is the constant z\n"
+                 "rule f(s(x), y) -> s(f(x, y)); rule f(z(), y) -> y;\n"
                  "term f(s(z()), z);")
     for text in texts:
         f = crs.parse_system(text)
@@ -289,8 +279,9 @@ PREAMBLE = "constructor z/0; constructor s/1; function f/1; function g/2;\n"
     # undeclared atom in the term
     ("rule f(z) -> z; term f(y);",
      crs.CrsParseError, "term declaration uses undeclared symbols: 'f(y)'"),
-    ("rule f(z) -> z; term f(x());",
-     crs.CrsParseError, "term declaration uses undeclared symbols: 'f(x())'"),
+    # x() is a node whatever its declaration, in the term and in a rule
+    ("rule f(z) -> z; term f(x());", crs.UnknownSymbol, "symbol 'x' is not declared"),
+    ("rule f(x()) -> x;", crs.UnknownSymbol, "symbol 'x' is not declared"),
     # undeclared symbol with children
     ("rule f(z) -> z; term h(z);", crs.UnknownSymbol, "symbol 'h' is not declared"),
     ("rule f(z) -> h(z);", crs.UnknownSymbol, "symbol 'h' is not declared"),
@@ -301,7 +292,7 @@ PREAMBLE = "constructor z/0; constructor s/1; function f/1; function g/2;\n"
     ("rule f(s) -> z;", crs.ArityMismatch, "symbol 's' has arity 1, applied to 0 arguments"),
     ("rule f(z, z) -> z;", crs.ArityMismatch, "symbol 'f' has arity 1, applied to 2 arguments"),
     # x() as a rule's left-hand side, and a constructor there
-    ("rule x() -> z;", crs.CrsParseError, "rule lhs must be a function application: 'x()'"),
+    ("rule x() -> z;", crs.InvalidRule, "rule 0: head 'x' is not a function symbol"),
     ("rule s(x) -> z;", crs.InvalidRule, "rule 0: head 's' is not a function symbol"),
     ("rule f(f(x)) -> z;", crs.InvalidRule, "rule 0: lhs argument is not a pattern"),
     # unbound rhs variable, non-linear lhs, overlap

@@ -103,7 +103,8 @@ def test_readback_inverts_encode():
 
 from hypothesis import given, settings
 from tests_util import (
-    cbv_redexes, closed_terms, contract, replace_at, rewrite_step, same_structure, subterm_at)
+    cbv_redexes, closed_terms, contract, replace_at, rewrite_step, same_structure, subterm_at,
+    two_tower)
 
 
 @given(closed_terms())
@@ -264,7 +265,7 @@ def test_cbv_simulation_lockstep():
 
 
 def test_canonicity_preserved_and_provenance():
-    img = encode.encode_cbv(lam.two_tower(4))
+    img = encode.encode_cbv(two_tower(4))
     run = encode.run_phi(img, budget=100)  # asserts once per image
     assert run.outcome.steps == 4
 

@@ -6,7 +6,8 @@ import pytest
 
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
-from tests_util import nat_term, random_closed_term, random_system, term_size
+from tests_util import (
+    bench_workloads, nat_term, random_closed_term, random_system, term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -76,7 +77,8 @@ def test_rule_to_graph_rule_shares_variables():
     sig = Signature({"b": 1, "c": 0, "d": 2}, {"a": 2})
     rule = Rule("a", (Node("b", (Var("x"),)), Var("y")),
                 Node("b", (Node("a", (Var("y"), Node("a", (Var("y"), Var("x"))))),)))
-    gr = graphs.rule_to_graph_rule(rule, sig)
+    gr = graphs.rule_to_graph_rule(rule)
+    gr.validate(sig)
     g = gr.graph
     unlabelled = [v for v in g.label if g.label[v] is None]
     assert len(unlabelled) == 2
@@ -92,7 +94,8 @@ def test_rule_to_graph_rule_shares_variables():
 def test_rule_to_graph_rule_variable_right_root():
     sig = Signature({"zero": 0, "succ": 1}, {"add": 2})
     rule = Rule("add", (Node("zero"), Var("y")), Var("y"))
-    gr = graphs.rule_to_graph_rule(rule, sig)
+    gr = graphs.rule_to_graph_rule(rule)
+    gr.validate(sig)
     assert gr.graph.label[gr.right] is None
     assert gr.right in gr.graph.reachable(gr.left)
 
@@ -108,11 +111,10 @@ def test_rule_validation_rejects_function_below_left():
         graphs.GraphRule(g, top, out).validate(sig)
 
 
-@pytest.mark.parametrize("below", [False, True])
-def test_rule_validation_rejects_right_side_reaching_left_root(below):
-    # f(x) -> f(x) with the right root the left root, or c(f(x)) above it:
-    # the replacement would hold the anchor it replaces
-    sig = Signature({"c": 1}, {"f": 1, "h": 1})
+def right_side_reaching_left_root(below):
+    """f(x) -> f(x) with the right root the left root, or c(f(x)) above
+    it: the replacement would hold the anchor it replaces."""
+    sig = Signature({"c": 1, "d": 0}, {"f": 1, "h": 1})
     rg = graphs.TermGraph()
     x = rg.new_node(None)
     left = rg.new_node("f")
@@ -121,9 +123,23 @@ def test_rule_validation_rejects_right_side_reaching_left_root(below):
     if below:
         right = rg.new_node("c")
         rg.set_children(right, (left,))
-    rule = graphs.GraphRule(rg, left, right)
+    return sig, graphs.GraphRule(rg, left, right)
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_rule_validation_rejects_right_side_reaching_left_root(below):
+    sig, rule = right_side_reaching_left_root(below)
     with pytest.raises(graphs.GraphError, match="reaches the left root"):
         rule.validate(sig)
+
+
+@pytest.mark.parametrize("rng", [None, random.Random(3)])
+@pytest.mark.parametrize("below", [False, True])
+def test_graph_reduce_validates_its_rules(below, rng):
+    sig, rule = right_side_reaching_left_root(below)
+    g = graphs.term_to_graph(crs.parse_term("h(f(d))", sig))
+    with pytest.raises(graphs.GraphError, match="reaches the left root"):
+        graphs.graph_reduce(g, [rule], sig, 5, rng=rng)
 
 
 # --- redex search ----------------------------------------------------------------------
@@ -343,7 +359,7 @@ def test_graph_reduce_budget():
 
 def test_phi_image_tower_linear_graph_size():
     for n in (1, 4, 8):
-        img = encode.encode_cbv(lam.two_tower(n))
+        img = encode.encode_cbv(two_tower(n))
         grules = graphs.system_to_graph_rules(img.system)
         g = graphs.term_to_graph(img.term)
         out = graphs.graph_reduce(g, grules, img.system.signature, 1000)
@@ -357,7 +373,7 @@ def test_tower_unfold_reads_back_exponentially():
     # term back into a lambda term duplicates the instantiated body per
     # level, giving a term of size >= 2^n
     n = 3
-    img = encode.encode_cbv(lam.two_tower(n))
+    img = encode.encode_cbv(two_tower(n))
     grules = graphs.system_to_graph_rules(img.system)
     g = graphs.term_to_graph(img.term)
     out = graphs.graph_reduce(g, grules, img.system.signature, 100)
@@ -365,7 +381,7 @@ def test_tower_unfold_reads_back_exponentially():
     assert term_size(unfolded) == n + 1
     rb = encode.readback(unfolded, img.registry)
     assert lam.size(rb) >= 2 ** n
-    assert lam.alpha_eq(rb, lam.reduce(lam.two_tower(n), "cbv", 100).term)
+    assert lam.alpha_eq(rb, lam.reduce(two_tower(n), "cbv", 100).term)
 
 
 def test_per_step_work_polynomial():
@@ -520,7 +536,7 @@ def fire_redex_phases(g, redex):
     return [after_build, after_redirect, copy(g)]
 
 
-# --- the innermost machine against the reference loop ------------------------------
+# --- graph_reduce against the reference loop ----------------------------------------
 
 BUDGETS = (0, 1, 3, 7, 30)
 
@@ -648,8 +664,11 @@ def reference_graph_reduce(g, grules, sig, budget, rng=None):
 def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
     """graph_reduce equals the reference loop in kind, steps, sizes, the
     number of work entries and the final graph with its node ids."""
-    grules = graphs.system_to_graph_rules(system)
-    sig = system.signature
+    rules_agree_with_reference(graphs.system_to_graph_rules(system), system.signature, t,
+                               budgets, seed)
+
+
+def rules_agree_with_reference(grules, sig, t, budgets=BUDGETS, seed=None):
     for budget in budgets:
         rng = None if seed is None else random.Random(seed)
         ref_g = graphs.term_to_graph(t)
@@ -754,6 +773,94 @@ def test_refcounts_exact_on_both_paths():
             out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature,
                                       1000, rng=rng)
             assert out.graph.refs == in_degrees(out.graph), (crs.term_to_str(t), rng)
+
+
+class FirstDraw:
+    """An rng whose every draw is 0: the first redex in post-order."""
+
+    def randrange(self, n):
+        return 0
+
+
+def test_first_draw_is_the_leftmost_run():
+    # the leftmost policy fires the first entry of the redex list, so it
+    # is the random policy under draws of 0, to the work counts
+    corpus = workbench.Corpus.load(CORPUS)
+    cases = [(e.system, e.term) for e in corpus.crs_entries]
+    for e in corpus.lambda_entries:
+        image = encode.encode_cbv(e.term)
+        cases.append((image.system, image.term))
+    workloads, rng = bench_workloads(), random.Random(5)
+    for fam in workloads.ENGINE_EVAL:
+        for n in fam.sizes:
+            f = crs.parse_system(workloads.rewrite_instance(fam.name, n, rng)[0])
+            cases.append((f.system, f.term))
+    for system, t in cases:
+        grules = graphs.system_to_graph_rules(system)
+        for budget in (*BUDGETS, 3000):
+            left, first = ((o.kind, o.steps, o.sizes, graphs.to_dot(o.graph), o.work)
+                           for o in (graphs.graph_reduce(graphs.term_to_graph(t), grules,
+                                                         system.signature, budget, rng=rng)
+                                     for rng in (None, FirstDraw())))
+            assert left == first, (crs.term_to_str(t), budget)
+
+
+def test_leftmost_work_shape():
+    # one entry per firing and one for the last search.  The first walks
+    # the whole input, the same under both policies: one per node arrived
+    # at (the root and every child slot), plus the 4 match steps of
+    # add(succ(x), y).  A later one counts the replacement and the child
+    # slots of the copies it decides (4 for succ(add(x, y))), plus the
+    # match steps there; the last firing's replacement y is a value.
+    system = nat_system()
+    grules = graphs.system_to_graph_rules(system)
+    for n in (1, 2, 5, 40):
+        t = Node("add", (nat_term(n), nat_term(2)))
+        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 100)
+        assert out.steps == n + 1
+        assert out.work == [(n + 5) + 4] + [4 + 4] * (n - 1) + [4 + 3, 1]
+        for budget in range(n + 1):
+            cut = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, budget)
+            assert cut.kind == "exhausted" and cut.work == out.work[:budget]
+        rand = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 100,
+                                   rng=random.Random(n))
+        assert rand.work == out.work
+
+
+def shared_constructor_copy_rules():
+    """f(x) -> a(b(d), b(d)) with one b node, and h(a(x, y)) -> x: the
+    right side of f shares a constructor copy."""
+    sig = Signature({"a": 2, "b": 1, "c": 0, "d": 0}, {"f": 1, "h": 1})
+    rg = graphs.TermGraph()
+    x = rg.new_node(None)
+    left = rg.new_node("f")
+    rg.set_children(left, (x,))
+    bnode = rg.new_node("b")
+    rg.set_children(bnode, (rg.new_node("d"),))
+    right = rg.new_node("a")
+    rg.set_children(right, (bnode, bnode))
+    h = graphs.rule_to_graph_rule(Rule("h", (Node("a", (Var("x"), Var("y"))),), Var("x")))
+    return sig, [graphs.GraphRule(rg, left, right), h]
+
+
+def test_rule_sharing_a_constructor_copy():
+    # the sharing check marks the b copy and its d as values, so the decide
+    # plan holds only the a copy, and counts it and its two child slots
+    sig, grules = shared_constructor_copy_rules()
+    cr = graphs.compile_rule(grules[0])
+    assert (cr.plan, cr.plan_work) == (((len(cr.slots) + 2, -1, 0),), 3)
+    for text in ("h(f(c))", "a(f(c), h(f(d)))", "h(a(h(f(c)), f(f(d))))"):
+        t = crs.parse_term(text, sig)
+        rules_agree_with_reference(grules, sig, t)
+        for seed in range(4):
+            rules_agree_with_reference(grules, sig, t, seed=seed)
+    # h(f(c)): the input walk (3 nodes arrived at, 2 steps matching f(x),
+    # c already a value), then the a copy and its slots (3) with the match
+    # of h (4 steps, b already a value), then the replacement b
+    out = graphs.graph_reduce(graphs.term_to_graph(crs.parse_term("h(f(c))", sig)),
+                              grules, sig, 10)
+    assert graphs.graph_to_term(out.graph) == crs.parse_term("b(d)", sig)
+    assert (out.steps, out.work) == (2, [5, 7, 1])
 
 
 def shared_function_rule():

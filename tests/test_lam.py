@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from normbench import lam, workbench
 from normbench.lam import Abs, App, Var
 from tests_util import (
-    cbn_step, cbv_redexes, cbv_step, contract, random_closed, reference_cbv_reduce, replace_at,
-    subterm_at)
+    cbn_step, cbv_redexes, cbv_step, church_two, contract, random_closed, reference_cbv_reduce,
+    replace_at, subterm_at, two_tower)
 
 
 def p(s):
@@ -123,13 +123,13 @@ def test_tower_steps_linear():
     # Hand-unrolled: 2two applied to a value takes one step to its normal
     # form, and the tower reduces innermost-first, so Time(M_n) = n.
     for n in (1, 2, 5, 10):
-        out = lam.reduce(lam.two_tower(n), "cbv", 10_000)
+        out = lam.reduce(two_tower(n), "cbv", 10_000)
         assert out.kind == "normal"
         assert out.steps == n
 
 
 def test_tower_hand_unrolled_n1():
-    t = lam.two_tower(1)
+    t = two_tower(1)
     s1 = cbv_step(t)
     assert s1 is not None and cbv_step(s1) is None
     assert lam.alpha_eq(s1, p("\\x. (\\x. x) ((\\x. x) x)"))
@@ -138,9 +138,9 @@ def test_tower_hand_unrolled_n1():
 def test_tower_hand_unrolled_n2():
     # the inner tower must become a value before the outer redex fires
     w1 = p("\\x. (\\x. x) ((\\x. x) x)")
-    t = lam.two_tower(2)
+    t = two_tower(2)
     s1 = cbv_step(t)
-    assert lam.alpha_eq(s1, App(lam.church_two(), w1))
+    assert lam.alpha_eq(s1, App(church_two(), w1))
     s2 = cbv_step(s1)
     assert lam.alpha_eq(s2, Abs("x", App(w1, App(w1, Var("x")))))
     assert cbv_step(s2) is None

@@ -1,11 +1,14 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
-from make_corpus import random_closed  # noqa: F401  (shared with the corpus builder)
+from make_corpus import church_two, random_closed, two_tower  # noqa: F401  (corpus builder)
 from normbench import crs, lam
 from normbench.lam import Abs, App, Term, Var
 
@@ -218,9 +221,9 @@ def reference_random_reduce(system, t, budget, rng, max_nodes=None):
 
 
 def two_pass_parse_term(text, sig):
-    """The reference for crs.parse_term: a first pass reads every atom as
-    a Node, a second rebuilds the term with each nullary node whose symbol
-    sig does not declare turned into a variable."""
+    """The reference for crs.parse_term: a first pass reads every bare
+    atom as a variable and `x()` as a node, a second rebuilds the term
+    with each variable whose name sig declares turned into a node."""
     toks = crs._TOKEN_RE.findall(text)
     n = len(toks)
     pos = 0
@@ -240,7 +243,9 @@ def two_pass_parse_term(text, sig):
             if pos >= n:
                 raise crs.CrsParseError("expected ')'")
             pos += 1
-        t = crs.Node(name, ())
+            t = crs.Node(name, ())
+        else:
+            t = crs.Var(name)
         while open_:
             name, kids = open_[-1]
             kids.append(t)
@@ -266,12 +271,13 @@ def two_pass_parse_term(text, sig):
             kids = tuple(out[-k:])
             del out[-k:]
             out.append(crs.Node(s.symbol, kids))
+        elif isinstance(s, crs.Var):
+            declared = sig.is_constructor(s.name) or sig.is_function(s.name)
+            out.append(crs.Node(s.name) if declared else s)
         elif s.children:
             todo += (s, None, *reversed(s.children))
-        elif sig.is_constructor(s.symbol) or sig.is_function(s.symbol):
-            out.append(s)
         else:
-            out.append(crs.Var(s.symbol))
+            out.append(s)
     return out[0]
 
 
@@ -375,3 +381,12 @@ def reference_cbv_reduce(t: Term, budget: int, rng) -> lam.ReductionOutcome:
         steps += 1
     kind = "normal" if next(cbv_redexes(t), None) is None else "exhausted"
     return lam.ReductionOutcome(kind, t, steps)
+
+
+def bench_workloads():
+    """bench/workloads.py, for the systems of the benchmark's families."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -52,6 +52,18 @@ def random_closed(rng, max_size, env=()):
     return App(random_closed(rng, k, env), random_closed(rng, max_size - 1 - k, env))
 
 
+def church_two():
+    return lam.parse("\\f. \\x. f (f x)")
+
+
+def two_tower(n):
+    """n-fold application of Church 2 to the identity."""
+    t = lam.parse("\\x. x")
+    for _ in range(n):
+        t = App(church_two(), t)
+    return t
+
+
 def tame(t, strategy, step_cap, size_cap):
     """(kind, steps) of the reduction, or None when the term it reaches
     has more than size_cap nodes.  The count stops at the cap: a blown-up
@@ -166,7 +178,7 @@ def main():
         (CORPUS / "lambda" / f"{name}.lam").write_text(lam.to_str(term) + "\n")
     for n in range(1, 7):
         (CORPUS / "lambda" / f"tower_{n}.lam").write_text(
-            lam.to_str(lam.two_tower(n)) + "\n")
+            lam.to_str(two_tower(n)) + "\n")
 
     rng = random.Random(SEED)
     kept = []
