@@ -61,19 +61,16 @@ def size(t: Term) -> int:
     return n
 
 
-def _free_set(t: Term, shared: Optional[dict[int, frozenset[str]]] = None) -> set[str]:
-    # Iterative: compiled terms can be deeper than the recursion limit.  A
-    # subterm with an entry in `shared` is not walked: the entry holds its
-    # free variables, and those not bound around it are free.
+def _free_set(t: Term) -> set[str]:
+    # Iterative: compiled terms can be deeper than the recursion limit.
+    # Walks the unfolding; _free_set_shared visits each distinct object.
     free: set[str] = set()
     bound: dict[str, int] = {}
     todo: list[tuple[str, object]] = [("go", t)]
     while todo:
         op, arg = todo.pop()
         if op == "go":
-            if shared and id(arg) in shared:
-                free.update(v for v in shared[id(arg)] if not bound.get(v))
-            elif isinstance(arg, Var):
+            if isinstance(arg, Var):
                 if bound.get(arg.name, 0) == 0:
                     free.add(arg.name)
             elif isinstance(arg, Abs):
@@ -89,35 +86,63 @@ def _free_set(t: Term, shared: Optional[dict[int, frozenset[str]]] = None) -> se
 
 
 def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[str]:
-    # _free_set(t) walking each subterm object once, when t shares
-    # subterms (as compiled terms and machine results do): every subterm
-    # reached twice is walked on its own, inner ones first, and kept in
-    # `shared` by id, as is t.  Callers that pass the same dict share the
-    # work, while the terms stay alive.
-    if id(t) in shared:
-        return shared[id(t)]
-    refs: dict[int, int] = {}
-    order: list[Term] = []      # distinct abstractions and applications, post-order
-    todo: list[tuple[bool, Term]] = [(False, t)]
+    # _free_set(t) visiting each subterm object once, when t shares
+    # subterms (as compiled terms and machine results do).  A first pass
+    # finds the objects t reaches twice; one post-order pass then builds
+    # each object's free variables from its children's.  The set of an
+    # object reached once is extended in place by its one parent, so a
+    # tree costs one set, not one per node; the set of an object reached
+    # twice, and of t, is frozen and kept in `shared` by id.  Callers
+    # that pass the same dict share the work, while the terms stay alive.
+    twice: dict[int, bool] = {}
+    todo: list[Optional[Term]] = [t]
     while todo:
-        done, s = todo.pop()
-        if done:
-            order.append(s)
-        elif type(s) is Var or id(s) in shared:
+        s = todo.pop()
+        if type(s) is Var or id(s) in shared:
             continue
-        elif id(s) in refs:
-            refs[id(s)] += 1
+        if id(s) in twice:
+            twice[id(s)] = True
         else:
-            refs[id(s)] = 1
-            todo.append((True, s))
+            twice[id(s)] = False
             if type(s) is Abs:
-                todo.append((False, s.body))
+                todo.append(s.body)
             else:
-                todo += ((False, s.arg), (False, s.fun))
-    for s in order:
-        if refs[id(s)] > 1:
-            shared[id(s)] = frozenset(_free_set(s, shared))
-    fv = shared[id(t)] = frozenset(_free_set(t, shared))
+                todo += (s.arg, s.fun)
+    sets: list[set[str] | frozenset[str]] = []  # free variables of the objects done
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:           # the object below: its children are done
+            s = todo.pop()
+            if type(s) is Abs:
+                fv = sets[-1]
+                if s.binder in fv:
+                    if type(fv) is frozenset:
+                        sets[-1] = fv - {s.binder}
+                    else:
+                        fv.discard(s.binder)
+            else:
+                arg = sets.pop()
+                fv = sets[-1]
+                if len(arg) > len(fv):
+                    fv, arg = arg, fv
+                if not arg <= fv:
+                    if type(fv) is frozenset:
+                        fv = fv | arg
+                    else:
+                        fv |= arg
+                sets[-1] = fv
+            if twice[id(s)]:
+                sets[-1] = shared[id(s)] = frozenset(sets[-1])
+        elif id(s) in shared:
+            sets.append(shared[id(s)])
+        elif type(s) is Var:
+            sets.append({s.name})
+        elif type(s) is Abs:
+            todo += (s, None, s.body)
+        else:
+            todo += (s, None, s.arg, s.fun)
+    fv = shared[id(t)] = frozenset(sets[0])
     return fv
 
 

@@ -9,6 +9,12 @@ terms whose unfolding takes at most 2h steps for h function symbols.
 
 Every piece has an input-size-independent step cost, which is what makes
 the per-system linear overhead measurable.
+
+The compiled term is fixed per system, and it is a DAG: a ScottContext
+builds each part (the fixed-point family H1..Hh, the per-function parts
+V1..Vh, the error value, the constructor functions) once, checks each
+part closed once, by a walk over its distinct objects, and every
+interpretation and compiled term shares those objects.
 """
 
 from __future__ import annotations
@@ -47,8 +53,17 @@ class ScottContext:
         while any(f"{base}{i+1}" in pattern_vars for i in range(len(self.functions))):
             base += "'"
         self._fixnames = tuple(f"{base}{i+1}" for i in range(len(self.functions)))
+        self._parts: Optional[tuple[list[lam.Term], list[lam.Term]]] = None  # (H, V)
         self._interp_cache: dict[str, lam.Term] = {}
         self._strict_cache: dict[str, lam.Term] = {}
+        self._confun_cache: dict[str, lam.Term] = {}
+        self._bottom: Optional[lam.Term] = None
+        self._all_vars_chain: list[lam.Term] = [Abs("k", Var("k"))]
+        # free variables of every distinct object walked, by id: sound only
+        # because the context keeps each walked term (and so each object
+        # below it) alive for as long as the memo, so no id is reused
+        self._fv_memo: dict[int, frozenset[str]] = {}
+        self._walked: list[lam.Term] = []
 
     @property
     def g(self) -> int:
@@ -61,10 +76,18 @@ class ScottContext:
     def arity(self, name: str) -> int:
         return self.system.signature.arity(name)
 
+    def free_set(self, t: lam.Term) -> frozenset[str]:
+        """Free variables of t, by a walk over its distinct objects that
+        stops at the objects earlier calls kept in the context's memo."""
+        self._walked.append(t)
+        return lam._free_set_shared(t, self._fv_memo)
+
 
 def bottom(ctx: ScottContext) -> lam.Term:
     """The error value: selects the extra continuation branch."""
-    return abss([f"s{i+1}" for i in range(ctx.g)] + ["sz"], Var("sz"))
+    if ctx._bottom is None:
+        ctx._bottom = abss([f"s{i+1}" for i in range(ctx.g)] + ["sz"], Var("sz"))
+    return ctx._bottom
 
 
 def scott_encode(ctx: ScottContext, t: crs.Term) -> lam.Term:
@@ -76,11 +99,13 @@ def scott_encode(ctx: ScottContext, t: crs.Term) -> lam.Term:
 def constructor_function(ctx: ScottContext, name: str) -> lam.Term:
     """The constructor as a function: applied to encoded arguments it
     reduces to the encoded node in arity-many steps."""
-    ar = ctx.arity(name)
-    i = ctx.con_index(name)
-    pvars = [f"p{k+1}" for k in range(ar)]
-    binders = pvars + [f"s{k+1}" for k in range(ctx.g)] + ["sz"]
-    return abss(binders, apps(Var(f"s{i}"), [Var(v) for v in pvars]))
+    cached = ctx._confun_cache.get(name)
+    if cached is None:
+        pvars = [f"p{k+1}" for k in range(ctx.arity(name))]
+        binders = pvars + [f"s{k+1}" for k in range(ctx.g)] + ["sz"]
+        cached = abss(binders, apps(Var(f"s{ctx.con_index(name)}"), [Var(v) for v in pvars]))
+        ctx._confun_cache[name] = cached
+    return cached
 
 
 def _rebuilt_node(ctx: ScottContext, i: int, names: list[str]) -> lam.Term:
@@ -116,9 +141,9 @@ def strict_constructor(ctx: ScottContext, name: str) -> lam.Term:
 
 # --- pattern matching ---------------------------------------------------------------
 
-def _delay(body: lam.Term) -> lam.Term:
+def _delay(ctx: ScottContext, body: lam.Term) -> lam.Term:
     """The thunk \\u. body, with u not free in body."""
-    free = set(lam.free_vars(body))
+    free = ctx.free_set(body)
     u = "u"
     while u in free:
         u += "'"
@@ -139,9 +164,13 @@ def _all_vars_matcher(ctx: ScottContext, m: int, delayed: bool = False) -> lam.T
     # matcher for n scrutinees runs the one for n - 1 in each branch; the
     # one for none is where every column has been decided: it returns the
     # continuation as is, or forces it when it is a thunk.  A thunk binds
-    # no variable, so only a matcher for no scrutinee meets one.
-    rest = _FORCE if delayed and m == 0 else Abs("k", Var("k"))
-    for n in range(1, m + 1):
+    # no variable, so only a matcher for no scrutinee meets one.  The
+    # context keeps the chain of matchers for 0, 1, .. scrutinees.
+    if delayed and m == 0:
+        return _FORCE
+    chain = ctx._all_vars_chain
+    while len(chain) <= m:
+        n = len(chain)
         xs = [f"x{k+1}" for k in range(n)]
         passers = xs[1:] + ["k"]
         branches = []
@@ -150,12 +179,12 @@ def _all_vars_matcher(ctx: ScottContext, m: int, delayed: bool = False) -> lam.T
             zs = [f"z{k+1}" for k in range(arj)]
             rebuilt = apps(constructor_function(ctx, ctx.constructors[j - 1]),
                            [Var(z) for z in zs])
-            branches.append(abss(zs + passers, apps(rest, [Var(x) for x in xs[1:]]
+            branches.append(abss(zs + passers, apps(chain[-1], [Var(x) for x in xs[1:]]
                                                     + [App(Var("k"), rebuilt)])))
         fail = abss(passers, bottom(ctx))
-        rest = abss(xs + ["k"], apps(apps(Var(xs[0]), branches + [fail]),
-                                     [Var(v) for v in passers]))
-    return rest
+        chain.append(abss(xs + ["k"], apps(apps(Var(xs[0]), branches + [fail]),
+                                           [Var(v) for v in passers])))
+    return chain[m]
 
 
 def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.Term:
@@ -172,7 +201,7 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     rebuilt = apps(constructor_function(ctx, cname), [Var(b) for b in bvs])
     body = apps(Var("w"), [Var(a) for a in avs] + [rebuilt] + [Var(c) for c in cvs])
     binders = avs + bvs + cvs
-    return Abs("w", abss(binders, body) if binders else _delay(body))
+    return Abs("w", abss(binders, body) if binders else _delay(ctx, body))
 
 
 # stands for each child that a constructor brings into a column where a
@@ -349,13 +378,29 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
     back, so unless the translation is already an abstraction (a nullary
     constructor) its continuation is the thunk \\u. rhs, passed to
     compile_match as delayed and forced there once the rule is selected.
+
+    The parts H1..Hh and V1..Vh are built on the first call and checked
+    closed once per context; every interpretation shares them, and
+    FV(Hi V1..Vh) is the union of the parts' free variables, so each
+    interpretation is closed.
     """
     cached = ctx._interp_cache.get(fname)
     if cached is not None:
         return cached
     if fname not in ctx.functions:
         raise ScottError(f"unknown function symbol {fname!r}")
-    h = len(ctx.functions)
+    if ctx._parts is None:
+        hs, vs = _build_parts(ctx)
+        # every part closed, in one walk: FV(p1 p2 .. pn) is their union
+        assert not ctx.free_set(apps(hs[0], hs[1:] + vs))
+        ctx._parts = hs, vs
+    hs, vs = ctx._parts
+    term = ctx._interp_cache[fname] = apps(hs[ctx.functions.index(fname)], vs)
+    return term
+
+
+def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
+    # H1..Hh and V1..Vh of interpret_function, Vj for the j-th symbol
     fixnames = ctx._fixnames
     vs = []
     for g in ctx.functions:
@@ -368,16 +413,13 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
             rhs = _translate(ctx, r.rhs, lambda f: Var(fixnames[ctx.functions.index(f)]),
                              False)
             delayed.append(not pvars and not isinstance(rhs, Abs))
-            ws.append(_delay(rhs) if delayed[-1] else abss(pvars, rhs))
+            ws.append(_delay(ctx, rhs) if delayed[-1] else abss(pvars, rhs))
         matcher = compile_match(ctx, [r.lhs for r in rules], ar, delayed)
         avars = [f"arg{k+1}" for k in range(ar)]
         vs.append(abss(list(fixnames) + avars,
                        apps(matcher, [Var(a) for a in avars] + ws)))
-    hs, _ = fixpoint_family(h)
-    term = apps(hs[ctx.functions.index(fname)], vs)
-    assert lam.is_closed(term)
-    ctx._interp_cache[fname] = term
-    return term
+    hs, _ = fixpoint_family(len(ctx.functions))
+    return hs, vs
 
 
 def term_to_lambda(ctx: ScottContext, t: crs.Term) -> lam.Term:

@@ -502,6 +502,75 @@ def test_open_readback_walks_shared_subterms_once():
         assert lam._names(t) == unfolded_names(t) == {"w", "x", "y", "z"}
 
 
+def random_dag(rng, n):
+    """n term objects over three names, each built from earlier ones, so
+    later objects share earlier ones, some under binders of their names."""
+    pool = [Var(name) for name in "xyz"]
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.15:
+            pool.append(Var(rng.choice("xyz")))
+        elif r < 0.5:
+            pool.append(Abs(rng.choice("xyz"), rng.choice(pool)))
+        else:
+            pool.append(App(rng.choice(pool), rng.choice(pool)))
+    return pool
+
+
+def unfolded_size(t, memo):
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if id(s) in memo:
+            continue
+        kids = [] if type(s) is Var else [s.body] if type(s) is Abs else [s.fun, s.arg]
+        missing = [k for k in kids if id(k) not in memo]
+        if missing:
+            todo += [s] + missing
+        else:
+            memo[id(s)] = 1 + sum(memo[id(k)] for k in kids)
+    return memo[id(t)]
+
+
+def test_free_set_shared_matches_unfolded_walk():
+    # every object of each DAG, in a random order, through one shared
+    # memo and through a fresh one: the same set as the unfolded walk
+    s = App(Var("x"), Var("y"))
+    for t in (App(Abs("x", s), s), App(s, Abs("x", s)), Abs("y", App(Abs("x", s), s))):
+        assert lam._free_set_shared(t, {}) == lam._free_set(t)
+        memo = {}
+        assert lam._free_set_shared(s, memo) == {"x", "y"}
+        assert lam._free_set_shared(t, memo) == lam._free_set(t)
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        pool = random_dag(rng, rng.randrange(1, 40))
+        sizes, memo = {}, {}
+        for t in rng.sample(pool, len(pool)):
+            if unfolded_size(t, sizes) > 20_000:
+                continue
+            want = lam._free_set(t)
+            assert lam._free_set_shared(t, memo) == want
+            assert lam._free_set_shared(t, {}) == want
+            checked += 1
+    assert checked > 3000
+
+
+def test_free_set_shared_keeps_shared_objects_only():
+    # a set kept per object would cost quadratic memory on a tree whose
+    # subterms have many free names, as \b0 .. \bn. x b0 .. bn: the memo
+    # keeps the root's set and those of the objects reached twice
+    bs = [f"b{i}" for i in range(2000)]
+    t = lam.abss(bs, lam.apps(Var("x"), [Var(b) for b in bs]))
+    memo = {}
+    assert lam._free_set_shared(t, memo) == {"x"}
+    assert list(memo) == [id(t)]
+    d = open_doubling(5)
+    memo = {}
+    assert lam._free_set_shared(d, memo) == {"y"}
+    assert len(memo) == 6 and memo[id(d.fun)] == {"y"}
+
+
 # --- iterative substitution and printing --------------------------------------------
 
 DEEP = 20_000

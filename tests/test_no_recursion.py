@@ -8,6 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from normbench import lam
+from normbench.lam import Abs, App, Var
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "normbench"
 
 
@@ -115,3 +118,14 @@ def test_import_leaves_the_recursion_limit_alone():
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     before, after = out.stdout.split()
     assert before == after
+
+
+def test_free_set_shared_walks_a_deep_chain():
+    # \v0. (\v1. (... v0 w) w) w, 10^5 binders deep, in one walk
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    t = App(Var("v0"), Var("w"))
+    for i in reversed(range(depth)):
+        t = App(Abs(f"v{i % 7}", t), Var("w"))
+    assert lam._free_set_shared(t, {}) == {"w"}
+    assert lam._free_set_shared(Abs("w", t), {}) == frozenset()

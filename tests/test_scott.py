@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,64 @@ def test_interpret_function_deep_pattern():
     out = run(scott.term_to_lambda(ctx, Node("f", (nat_term(depth + 1),))), 1_000_000)
     assert out.kind == "normal"
     assert lam.alpha_eq(out.term, scott.scott_encode(ctx, nat_term(1)))
+
+
+# --- each part built and checked closed once per system ------------------------------
+
+CRS_DIR = Path(__file__).resolve().parents[1] / "corpus" / "crs"
+
+
+def test_all_variable_rule_compiles_at_dag_cost():
+    # the matcher for f(x0..x11) over four nullary constructors unfolds to
+    # about 5^12 nodes; compiling and checking it walk its distinct objects
+    m = 12
+    xs = ", ".join(f"x{i}" for i in range(m))
+    text = ("constructor a/0;\nconstructor b/0;\nconstructor c/0;\nconstructor d/0;\n"
+            f"function f/{m};\nrule f({xs}) -> x0;\n")
+    c, t = load(text, f"f({', '.join(['b'] * m)})")
+    t0 = time.perf_counter()
+    scott.term_to_lambda(c, t)
+    v = scott.simulate_and_check(c, t)
+    assert time.perf_counter() - t0 < 1.0
+    assert v.consistent is True
+    assert v.beta_steps == 256
+
+
+@pytest.mark.parametrize("body,closed", [("oops", False), ("k", True)])
+def test_closedness_check_decides_free_variables(monkeypatch, body, closed):
+    # a constructor function with a free variable: "k" is bound by the
+    # all-variable matcher's branches around every use, "oops" by nothing
+    monkeypatch.setattr(scott, "constructor_function",
+                        lambda ctx, name: lam.Abs("p1", lam.Var(body)))
+    c = scott.ScottContext(nat_system())
+    if closed:
+        assert lam.is_closed(scott.interpret_function(c, "add"))
+    else:
+        with pytest.raises(AssertionError):
+            scott.interpret_function(c, "add")
+
+
+def fixpoint_args(term, h):
+    """V1..Vh of an interpretation Hi V1..Vh."""
+    args = []
+    for _ in range(h):
+        args.append(term.arg)
+        term = term.fun
+    return args[::-1]
+
+
+def test_interpretations_share_their_parts():
+    c = scott.ScottContext(crs.parse_system((CRS_DIR / "nat_mul.trs").read_text()).system)
+    add, mul = scott.interpret_function(c, "add"), scott.interpret_function(c, "mul")
+    assert scott.interpret_function(c, "add") is add
+    for v_add, v_mul in zip(fixpoint_args(add, 2), fixpoint_args(mul, 2), strict=True):
+        assert v_add is v_mul
+    assert scott.bottom(c) is scott.bottom(c)
+    assert scott.constructor_function(c, "succ") is scott.constructor_function(c, "succ")
+
+
+@pytest.mark.parametrize("path", sorted(CRS_DIR.glob("*.trs")), ids=lambda p: p.stem)
+def test_corpus_interpretations_closed_by_unfolded_walk(path):
+    c = scott.ScottContext(crs.parse_system(path.read_text()).system)
+    for fname in c.functions:
+        assert lam.is_closed(scott.interpret_function(c, fname))
