@@ -7,15 +7,16 @@ the matching substitution binds every variable to a constructor term, so
 redexes are never nested and the step count to normal form does not depend
 on the position policy.
 
-`reduce` runs the leftmost-innermost policy on an innermost evaluation
-machine: arguments are evaluated to constructor values left to right,
-then their node is matched once, and a firing continues with the rule's
-right-hand side under the match.  The random policy keeps the term's
-redexes in an indexed list in leftmost-innermost order and fires one
-picked uniformly; a firing replaces its entry by the redexes it made.
-Either way a step costs the same whatever the size of the term.  The step
-event is local: a hook receives the rule, its match and a `state()` that
-builds the whole term only when called.
+`reduce` runs one loop for both position policies over an indexed
+list of the term's redexes: leftmost-innermost fires the list's
+leftmost entry, the random policy one picked uniformly, and a firing
+replaces its entry by the redexes it made.  Each rule is compiled
+lazily, once per system: on its first try into a match program that
+fills numbered slots, on its first firing into a plan that builds its
+right-hand side from the slots; the input goes through the same plan
+builder.  Either way a step costs the size of its rule whatever the size
+of the term.  The step event is local: a hook receives the rule, its
+match and a `state()` that builds the whole term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
@@ -25,7 +26,6 @@ signature, so an undeclared atom is a variable as it is read, and
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
 from functools import partial
@@ -185,14 +185,18 @@ def contains_function(t: Term, sig: Signature) -> bool:
     return False
 
 
+def _check_node(s: Node, sig: Signature) -> None:
+    ar = sig.arity(s.symbol)
+    if ar != len(s.children):
+        raise ArityMismatch(s.symbol, ar, len(s.children))
+
+
 def _check_arities(t: Term, sig: Signature) -> None:
     todo = [t]
     while todo:
         s = todo.pop()
         if isinstance(s, Node):
-            ar = sig.arity(s.symbol)
-            if ar != len(s.children):
-                raise ArityMismatch(s.symbol, ar, len(s.children))
+            _check_node(s, sig)
             todo.extend(s.children)
 
 
@@ -217,7 +221,12 @@ class CrsSystem:
         self.signature = signature
         self.rules = tuple(rules)
         roots = self._validate()
-        self._index = first_arg_index(zip((r.head for r in self.rules), roots, self.rules))
+        self._index = first_arg_index(zip((r.head for r in self.rules), roots,
+                                          range(len(self.rules))))
+        # each rule's match program, compiled on its first try, and its
+        # right-side plan, on its first firing
+        self._programs: list[Optional[tuple]] = [None] * len(self.rules)
+        self._plans: list[Optional[list[tuple]]] = [None] * len(self.rules)
 
     def _validate(self) -> list[Optional[str]]:
         # Raises on the first invalid rule, then on the first overlapping
@@ -260,15 +269,38 @@ class CrsSystem:
         """The rules of head that can fire at a node with this first
         argument, in rule order."""
         root = first_arg.symbol if isinstance(first_arg, Node) else None
-        return self._index.get((head, root)) or self._index.get((head, None), [])
+        return [self.rules[r] for r in
+                self._index.get((head, root)) or self._index.get((head, None), ())]
+
+    def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
+        # (frame, rule position, slots) of the rule firing at a function
+        # node frame whose arguments are values, or None
+        index, programs = self._index, self._programs
+        symbol, kids = frame[0], frame[1]
+        for r in index.get((symbol, kids[0].symbol if kids else None)) \
+                or index.get((symbol, None), ()):
+            program = programs[r]
+            if program is None:
+                program = programs[r] = _match_program(self.rules[r].lhs)
+            slots = kids[:]
+            for s, c in program[0]:
+                t = slots[s]
+                if t.symbol != c:
+                    break
+                slots += t.children
+            else:
+                return frame, r, slots
+        return None
 
 
 def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> dict:
     """Rules keyed by (head, root of the first argument), from (head, root
-    of the first pattern or None, rule) triples in rule order.  Key (head,
-    c) holds, in rule order, the rules whose first pattern is rooted at c
-    or is a variable; (head, None) those with a variable, and every rule
-    of a nullary head.  A node tries its first argument's key, else None."""
+    of the first pattern or None, rule) triples in rule order, a rule
+    given as whatever stands for it (crs: its position, graphs: its
+    compiled form).  Key (head, c) holds, in rule order, the rules whose
+    first pattern is rooted at c or is a variable; (head, None) those
+    with a variable, and every rule of a nullary head.  A node tries its
+    first argument's key, else None."""
     by_head: dict[str, list[tuple[Optional[str], object]]] = {}
     for head, root, rule in rules:
         by_head.setdefault(head, []).append((root, rule))
@@ -284,41 +316,105 @@ def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
     return CrsSystem(signature, rules)
 
 
-def _match_args(patterns: tuple[Term, ...], args: Iterable[Term]) -> Optional[dict[str, Term]]:
-    # Plain left-linear matching: a variable binds whatever it meets.
-    subst: dict[str, Term] = {}
-    todo = list(zip(patterns, args))
-    while todo:
-        pp, tt = todo.pop()
-        if isinstance(pp, Var):
-            subst[pp.name] = tt
-            continue
-        if not isinstance(tt, Node) or tt.symbol != pp.symbol:
-            return None
-        todo.extend(zip(pp.children, tt.children))
-    return subst
-
-
-def apply_subst(t: Term, subst: dict[str, Term]) -> Term:
-    results: list[Term] = []
-    todo: list[tuple[str, Term]] = [("go", t)]
-    while todo:
-        op, node = todo.pop()
-        if op == "go":
-            if isinstance(node, Var):
-                results.append(subst.get(node.name, node))
-            elif node.children:
-                todo.append(("mk", node))
-                for c in reversed(node.children):
-                    todo.append(("go", c))
-            else:
-                results.append(node)
+def _match_program(lhs: tuple[Term, ...]) -> tuple[list[tuple[int, str]], dict[str, int]]:
+    # (steps, slot_of) of a left side.  A match starts with the slots
+    # holding the arguments; a step (slot, c) requires the term in that
+    # slot to be rooted at c and appends its children as the next slots.
+    # slot_of names the slot that binds each variable.
+    steps = []
+    slot_of = {}
+    pats = list(lhs)                    # the pattern of each slot, grown as steps add slots
+    for s, p in enumerate(pats):
+        if type(p) is Var:
+            slot_of[p.name] = s
         else:
-            k = len(node.children)
-            kids = results[-k:]
-            del results[-k:]
-            results.append(Node(node.symbol, tuple(kids)))
-    return results[0]
+            steps.append((s, p.symbol))
+            pats += p.children
+    return steps, slot_of
+
+
+# ops of a plan: push a slot, push a closed value, build a constructor
+# over values, a function node over values, or a node with frame children
+_SLOT, _CONST, _CONS, _FUN, _NODE = range(5)
+
+
+def _plan(t: Term, sig: Signature, slot_of: dict[str, int]) -> list[tuple]:
+    # The ops that build t in post-order, its variables read from the
+    # slots that slot_of names; every node is checked against sig, and a
+    # variable slot_of lacks raises.  An op is (kind, symbol, arity,
+    # positions of the frame children) for a built node, (_SLOT, slot,
+    # 0, ()) or (_CONST, term, 0, ()).  Each subterm is classed once,
+    # from its children's classes: 0 closed and function-free, pushed
+    # whole; 1 function-free, a value; 2 holding a function node, a frame.
+    cons, funs = sig.constructors, sig.functions
+    ops: list[tuple] = []
+    classes: list[int] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the node below, once its children are done
+            s = todo.pop()
+            k = len(s.children)
+            n = len(classes) - k
+            kids = classes[n:]
+            del classes[n:]
+            top = max(kids)
+            if top == 2:
+                op = (_NODE, s.symbol, k, [i for i, c in enumerate(kids) if c == 2])
+            elif s.symbol in funs:
+                op, top = (_FUN, s.symbol, k, ()), 2
+            elif top == 0:
+                del ops[len(ops) - k:]  # the children's _CONST ops
+                op = (_CONST, s, 0, ())
+            else:
+                op = (_CONS, s.symbol, k, ())
+        elif type(s) is Var:
+            if s.name not in slot_of:
+                raise CrsError("reduction input must be closed")
+            op, top = (_SLOT, slot_of[s.name], 0, ()), 1
+        else:
+            ar = cons.get(s.symbol)
+            if ar is None:
+                ar = funs.get(s.symbol)
+            if ar != len(s.children):
+                _check_node(s, sig)     # raises
+            if s.children:
+                todo += (s, None, *reversed(s.children))
+                continue
+            op, top = ((_FUN, s.symbol, 0, ()), 2) if s.symbol in funs else ((_CONST, s, 0, ()), 0)
+        ops.append(op)
+        classes.append(top)
+    return ops
+
+
+def _build(sys: CrsSystem, plan: list[tuple], slots, reds: list[tuple]):
+    # Run a plan over the slots: the value or frame it builds.  A frame
+    # [symbol, kids, parent frame, index there, number of kids that are
+    # frames] is a node that is not a value; values are Nodes.  A
+    # function node over values that matches is appended to reds as its
+    # match, (frame, rule position, slots), in post-order.
+    out: list = []
+    for op, arg, k, pending in plan:
+        if op == _SLOT:
+            out.append(slots[arg])
+        elif op == _CONST:
+            out.append(arg)
+        else:
+            n = len(out) - k
+            kids = out[n:]
+            del out[n:]
+            if op == _CONS:
+                out.append(Node(arg, tuple(kids)))
+                continue
+            frame = [arg, kids, None, 0, len(pending)]
+            if op == _FUN:
+                hit = sys._match(frame)
+                if hit is not None:
+                    reds.append(hit)
+            for i in pending:
+                kids[i][2], kids[i][3] = frame, i
+            out.append(frame)
+    return out[0]
 
 
 NormalKind = Literal["constructor", "stuck", "exhausted"]
@@ -337,57 +433,47 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
 
     A normal form is classified "constructor" when it contains no function
     symbol and "stuck" otherwise (the error case of the simulation).  The
-    leftmost-innermost policy (no rng) runs an innermost evaluation
-    machine that matches each node once.  With an rng, a step fires
-    `reds[rng.randrange(len(reds))]`, where `reds` lists every redex in
-    leftmost-innermost order and each firing updates it where it changed.
+    input must be closed and well-formed under the system's signature:
+    otherwise CrsError, UnknownSymbol or ArityMismatch is raised.
+
+    One loop serves both policies.  It keeps the term's redexes in an
+    indexed list in leftmost-innermost (post-order) order, stored
+    reversed, and fires the last entry (leftmost-innermost) or, with an
+    rng, the entry that `reds[rng.randrange(len(reds))]` would be in
+    post-order.  A firing builds the rule's right side from its plan and
+    changes the list only at that entry: it becomes the redexes of the
+    contractum or, when that is a value, the first function ancestor
+    that value-ness reaches through constructor nodes, if that now
+    matches.  A node becomes a value once, so this climb is O(1)
+    amortised, and a step costs the size of its rule whatever the size
+    of the term.
 
     `on_step(rule, subst, state)` is invoked after each firing, with the
     rule and the match it fired under.  `state()` returns the whole term
-    after the step and is valid only during the call.  Both policies build
-    that term only when `state()` is called, so a hook that does not call
-    it keeps a step at constant cost.
+    after the step and is valid only during the call; the term is built
+    only when `state()` is called, so a hook that does not call it keeps
+    a step at constant cost.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    if not is_closed(t):
-        raise CrsError("reduction input must be closed")
-    if rng is None:
-        return _reduce_innermost(sys, t, budget, on_step)
-    return _reduce_random(sys, t, budget, rng, on_step)
-
-
-def _match_node(sys: CrsSystem, symbol: str, kids) -> Optional[tuple[Rule, dict[str, Term]]]:
-    # The rule instance firing at a function node whose arguments are values.
-    for rule in sys.candidates(symbol, kids[0] if kids else None):
-        subst = _match_args(rule.lhs, kids)
-        if subst is not None:
-            return rule, subst
-    return None
-
-
-def _reduce_random(sys: CrsSystem, t: Term, budget: int, rng, on_step) -> CrsOutcome:
-    # The random policy over an indexed redex list.  A node that is not a
-    # value is a mutable frame [symbol, kids, parent frame, index there,
-    # number of kids that are frames, match]; values stay Nodes.  reds
-    # holds the redex frames in post-order, left to right since redexes
-    # are never nested.  Firing reds[k] changes the list only at k: it
-    # becomes the redexes of the contractum or, when that is a value, the
-    # first function ancestor that value-ness reaches through constructor
-    # nodes, if that now matches.  A node becomes a value once, so this
-    # climb is O(1) amortised.
-    cons = sys.signature.constructors
-    reds: list[list] = []
-    root = _frames(sys, t, None, reds)
+    sig, rules, plans, programs = sys.signature, sys.rules, sys._plans, sys._programs
+    cons = sig.constructors
+    reds: list[tuple] = []
+    root = _build(sys, _plan(t, sig, {}), (), reds)
+    reds.reverse()
     steps = 0
     while reds:
         if steps >= budget:
             return CrsOutcome("exhausted", _unframe(root), steps)
-        k = rng.randrange(len(reds))
-        frame = reds[k]
-        rule, subst = frame[5]
-        block: list[list] = []
-        val = _frames(sys, rule.rhs, subst, block)
+        k = len(reds) - 1
+        if rng is not None:
+            k -= rng.randrange(k + 1)
+        frame, r, slots = reds[k]
+        plan = plans[r]
+        if plan is None:
+            plan = plans[r] = _plan(rules[r].rhs, sig, programs[r][1])
+        block: list[tuple] = []
+        val = _build(sys, plan, slots, block)
         parent, i = frame[2], frame[3]
         while True:                     # val takes the slot, and a value climbs
             if parent is None:
@@ -401,58 +487,22 @@ def _reduce_random(sys: CrsSystem, t: Term, budget: int, rng, on_step) -> CrsOut
             if parent[4]:
                 break
             if parent[0] not in cons:
-                parent[5] = _match_node(sys, parent[0], parent[1])
-                if parent[5] is not None:
-                    block.append(parent)
+                hit = sys._match(parent)
+                if hit is not None:
+                    block.append(hit)
                 break
             val, parent, i = Node(parent[0], tuple(parent[1])), parent[2], parent[3]
+        block.reverse()
         reds[k:k + 1] = block
         steps += 1
         if on_step is not None:
-            on_step(rule, subst, partial(_unframe, root))
+            on_step(rules[r], {x: slots[s] for x, s in programs[r][1].items()},
+                    partial(_unframe, root))
     return CrsOutcome("constructor" if type(root) is Node else "stuck", _unframe(root), steps)
 
 
-def _frames(sys: CrsSystem, t: Term, env: Optional[dict[str, Term]], reds: list[list]):
-    # t under env (None for a closed term) as a value or a frame of the
-    # random policy, children first; its redexes are appended to reds in
-    # post-order.
-    cons = sys.signature.constructors
-    out: list = []
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        if type(s) is Var:
-            out.append(env[s.name])
-            continue
-        if s is not None:
-            if s.children:
-                todo += (s, None, *reversed(s.children))
-                continue
-            kids = []
-        else:                           # the node below, once its children are done
-            s = todo.pop()
-            n = len(out) - len(s.children)
-            kids = out[n:]
-            del out[n:]
-        pending = [i for i, c in enumerate(kids) if type(c) is list]
-        if not pending and s.symbol in cons:
-            out.append(s if all(map(operator.is_, kids, s.children))
-                       else Node(s.symbol, tuple(kids)))
-            continue
-        frame = [s.symbol, kids, None, 0, len(pending), None]
-        for i in pending:
-            kids[i][2], kids[i][3] = frame, i
-        if not pending:
-            frame[5] = _match_node(sys, s.symbol, kids)
-            if frame[5] is not None:
-                reds.append(frame)
-        out.append(frame)
-    return out[0]
-
-
 def _unframe(t) -> Term:
-    # The term of a value or frame of the random policy.
+    # The term of a value or frame.
     out: list[Term] = []
     todo: list = [t]
     while todo:
@@ -468,84 +518,6 @@ def _unframe(t) -> Term:
         else:
             out.append(s)
     return out[0]
-
-
-def _reduce_innermost(sys: CrsSystem, t: Term, budget: int, on_step) -> CrsOutcome:
-    # Innermost evaluation machine, children left to right.  A frame
-    # [node, env, kids, values] holds the evaluated children of node so
-    # far and whether all of them are values (constructor terms); env is
-    # the substitution of the rule whose rhs the node belongs to, None
-    # for a node of the input.  A rhs variable evaluates at once to its
-    # binding, a value, which is never walked again.  A node is checked
-    # once, when its last child is done: a constructor over values is a
-    # value; a function symbol over values is matched against its
-    # candidate rules and fires, the control becoming the rule's rhs
-    # under the match; anything else is normal, and no ancestor of it can
-    # fire.  Post-order firing is leftmost-innermost: everything left of
-    # the fired node is normal and unchanged, and its bindings are values.
-    cons = sys.signature.constructors
-    steps = 0
-    stack: list[list] = []
-    term, env = t, None
-    while True:
-        while True:
-            if type(term) is Var:
-                val = env[term.name]
-                if not stack:
-                    return CrsOutcome("constructor", val, steps)
-                stack[-1][2].append(val)
-                break
-            stack.append([term, env, [], True])
-            if not term.children:
-                break
-            term = term.children[0]
-        while True:
-            node, env, kids, values = stack[-1]
-            if len(kids) < len(node.children):
-                term = node.children[len(kids)]
-                break
-            stack.pop()
-            hit = None
-            if values and node.symbol not in cons:
-                hit = _match_node(sys, node.symbol, kids)
-            if hit is not None:
-                if steps >= budget:
-                    return CrsOutcome("exhausted",
-                                      _fill(stack, Node(node.symbol, tuple(kids))), steps)
-                steps += 1
-                rule, env = hit
-                term = rule.rhs
-                if on_step is not None:
-                    on_step(rule, env, partial(_state, stack, term, env))
-                break
-            if all(map(operator.is_, kids, node.children)):
-                val = node
-            else:
-                val = Node(node.symbol, tuple(kids))
-            values = values and node.symbol in cons
-            if not stack:
-                return CrsOutcome("constructor" if values else "stuck", val, steps)
-            parent = stack[-1]
-            parent[2].append(val)
-            if not values:
-                parent[3] = False
-
-
-def _fill(stack: list[list], focus: Term) -> Term:
-    # The whole term of a machine state: focus in the hole of the frames,
-    # whose children not yet evaluated are instantiated under their env.
-    for node, env, kids, _ in reversed(stack):
-        rest = node.children[len(kids) + 1:]
-        if env is not None:
-            rest = tuple(apply_subst(c, env) for c in rest)
-        focus = Node(node.symbol, (*kids, focus, *rest))
-    return focus
-
-
-def _state(stack: list[list], rhs: Term, env: dict[str, Term]) -> Term:
-    # The whole term right after a firing: the rule's rhs under its match
-    # in the hole of the frames.
-    return _fill(stack, apply_subst(rhs, env))
 
 
 # --- text format ---------------------------------------------------------------

@@ -570,12 +570,14 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     search walks the input; a later one counts the replacement, the child
     slots of the copies it decides and the rules it tries.
 
-    The input is checked for constructor-sharedness, and after every
-    firing the nodes that gained an in-edge and now have in-degree >= 2
-    are checked to be function-free; no other node can lose the property,
-    since a redirect only rewires the parent of a function node, which is
-    unshared.  A violation aborts the run since it indicates a bug, not an
-    input error.
+    A reachable input node whose label sig does not declare, or whose
+    child count is not its arity, raises crs.UnknownSymbol or
+    crs.ArityMismatch.  The input is checked for constructor-sharedness,
+    and after every firing the nodes that gained an in-edge and now have
+    in-degree >= 2 are checked to be function-free; no other node can
+    lose the property, since a redirect only rewires the parent of a
+    function node, which is unshared.  A violation aborts the run since
+    it indicates a bug, not an input error.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -653,9 +655,12 @@ def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, value: dict[int,
     # The first search: decide every node reachable from the root,
     # children first.  A node over values is a value unless it is a
     # function node; every other node goes into up, and a function node
-    # over values that matches is appended to reds.  A frame is [node,
-    # in-edge parent, index, next child, non-value children].  counter
-    # gains one per node arrived at, plus the match steps.
+    # over values that matches is appended to reds.  Each node is checked
+    # against sig (UnknownSymbol, ArityMismatch) before it is matched: a
+    # child is skipped only when it is marked a value, which happens here
+    # or below a node decided earlier, so every node is checked.  A frame
+    # is [node, in-edge parent, index, next child, non-value children].
+    # counter gains one per node arrived at, plus the match steps.
     counter[0] += 1
     functions, label, succ = sig.functions, g.label, g.succ
     stack = [[g.root, None, 0, 0, 0]]
@@ -671,6 +676,9 @@ def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, value: dict[int,
             continue
         stack.pop()
         lab = label[u]
+        ar = sig.arity(lab)
+        if ar != len(kids):
+            raise crs.ArityMismatch(lab, ar, len(kids))
         if lab in functions:
             hit = None if pending else _first_match(index, g, u, lab, sig, value, counter)
             if hit is not None:

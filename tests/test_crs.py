@@ -9,8 +9,9 @@ import pytest
 from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    bench_workloads, crs_replace_at, random_closed_term, random_system, redexes,
-    reference_random_reduce, rewrite_step, term_size, two_pass_parse_term)
+    apply_subst, bench_workloads, crs_replace_at, match_args, random_closed_term,
+    random_system, redexes, reference_random_reduce, rewrite_step, term_size,
+    two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -87,10 +88,10 @@ def test_signature_disjoint_names():
 # --- matching -----------------------------------------------------------------
 
 def test_match_pattern():
-    assert crs._match_args((Node("succ", (Var("x"),)),), (nat(1),)) == {"x": nat(0)}
-    assert crs._match_args((Node("zero"),), (nat(1),)) is None
+    assert match_args((Node("succ", (Var("x"),)),), (nat(1),)) == {"x": nat(0)}
+    assert match_args((Node("zero"),), (nat(1),)) is None
     t = Node("cons", (nat(0), Node("nil")))
-    assert crs._match_args((Var("x"),), (t,)) == {"x": t}
+    assert match_args((Var("x"),), (t,)) == {"x": t}
 
 
 def test_cbv_condition_blocks_function_bindings():
@@ -358,7 +359,7 @@ def test_reference_walk_is_iterative():
     assert (out.kind, out.steps, term_size(out.term)) == ("constructor", 1, 100_001)
 
 
-# --- the innermost machine against the reference loop ----------------------------
+# --- the leftmost policy against the reference loop -------------------------------
 
 BUDGETS = (0, 1, 3, 7, 30)
 MAX_NODES = 400
@@ -378,7 +379,7 @@ def reference_reduce(system, t, budget):
         if steps >= budget:
             return crs.CrsOutcome("exhausted", t, steps), calls
         path, rule, subst = hit
-        t = crs_replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        t = crs_replace_at(t, path, apply_subst(rule.rhs, subst))
         calls.append((rule, subst, t))
         steps += 1
         if term_size(t) > MAX_NODES:
@@ -557,6 +558,33 @@ def test_random_policy_deep_run():
     out = crs.reduce(sys, t, 200_000, rng=random.Random(0))
     assert time.perf_counter() - start < 30
     assert (out.kind, out.steps, term_size(out.term)) == ("constructor", 100_001, 100_003)
+
+
+@pytest.mark.parametrize("rng", [None, 0])
+def test_deep_rule_sides(rng):
+    # the match program and the plan of 10^4-deep rule sides are built
+    # without recursion; the plan builder is the input's, which
+    # test_machine_deep_run holds to linear time on a 10^5-deep input
+    depth = 10_000
+    assert depth > sys.getrecursionlimit()
+    sig = Signature({"zero": 0, "succ": 1}, {"f": 1, "g": 1, "h": 1, "p": 1})
+    deep, calls = Var("x"), Var("x")
+    for _ in range(depth):
+        deep, calls = Node("succ", (deep,)), Node("p", (calls,))
+    system = crs.validate_system(sig, [
+        Rule("f", (deep,), Var("x")),                   # left side succ^n(x)
+        Rule("g", (Var("x"),), deep),                   # right side succ^n(x)
+        Rule("h", (Var("x"),), calls),                  # right side p^n(x)
+        Rule("p", (Var("x"),), Var("x"))])
+
+    def run(t):
+        out = crs.reduce(system, t, 2 * depth, rng=None if rng is None else random.Random(rng))
+        return out.kind, out.steps, term_size(out.term)
+
+    assert run(Node("f", (nat(depth + 1),))) == ("constructor", 1, 2)
+    assert run(Node("f", (nat(depth - 1),))) == ("stuck", 0, depth + 1)
+    assert run(Node("g", (nat(1),))) == ("constructor", 1, depth + 2)
+    assert run(Node("h", (nat(1),))) == ("constructor", depth + 1, 2)
 
 
 def test_parse_system_deep_term():

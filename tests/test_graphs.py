@@ -943,6 +943,26 @@ def test_both_engines_share_the_rule_index():
                         for cr in graphs._candidates(index, g, v, head)] == want
 
 
+@pytest.mark.parametrize("text, error", [
+    ("add(zero, zero, zero)", crs.ArityMismatch),
+    ("foo(zero)", crs.UnknownSymbol),
+    ("succ(zero, zero)", crs.ArityMismatch),
+    ("add(zero)", crs.ArityMismatch),
+])
+@pytest.mark.parametrize("rng", [None, 0])
+def test_both_engines_reject_ill_formed_inputs(text, error, rng):
+    # an input the signature does not declare, or applied to the wrong
+    # number of arguments, is refused before anything is matched
+    system = nat_system()
+    t = crs.parse_term(text, system.signature)
+    with pytest.raises(error):
+        crs.reduce(system, t, 10, rng=None if rng is None else random.Random(rng))
+    with pytest.raises(error):
+        graphs.graph_reduce(graphs.term_to_graph(t), graphs.system_to_graph_rules(system),
+                            system.signature, 10,
+                            rng=None if rng is None else random.Random(rng))
+
+
 def shared_pattern_rule():
     """f(p, p) -> x with p = b(x) one node: the left side shares a
     constructor node, so the two arguments must be one graph node."""

@@ -142,6 +142,44 @@ def leaf_count(t):
     return n
 
 
+def match_args(patterns, args):
+    """Plain left-linear matching: a variable binds whatever it meets."""
+    subst = {}
+    todo = list(zip(patterns, args))
+    while todo:
+        pp, tt = todo.pop()
+        if isinstance(pp, crs.Var):
+            subst[pp.name] = tt
+            continue
+        if not isinstance(tt, crs.Node) or tt.symbol != pp.symbol:
+            return None
+        todo.extend(zip(pp.children, tt.children))
+    return subst
+
+
+def apply_subst(t, subst):
+    """t with each variable that subst binds replaced by its binding."""
+    results = []
+    todo = [("go", t)]
+    while todo:
+        op, node = todo.pop()
+        if op == "go":
+            if isinstance(node, crs.Var):
+                results.append(subst.get(node.name, node))
+            elif node.children:
+                todo.append(("mk", node))
+                for c in reversed(node.children):
+                    todo.append(("go", c))
+            else:
+                results.append(node)
+        else:
+            k = len(node.children)
+            kids = results[-k:]
+            del results[-k:]
+            results.append(crs.Node(node.symbol, tuple(kids)))
+    return results[0]
+
+
 def match_at(system, t):
     """The unique rule instance firing at the root of t, if any: a plain
     match whose bindings are all constructor terms (the CBV condition)."""
@@ -150,7 +188,7 @@ def match_at(system, t):
     hits = []
     first = t.children[0] if t.children else None
     for rule in system.candidates(t.symbol, first):
-        subst = crs._match_args(rule.lhs, t.children)
+        subst = match_args(rule.lhs, t.children)
         if subst is not None and all(crs.is_constructor_term(v, system.signature)
                                      for v in subst.values()):
             hits.append((rule, subst))
@@ -195,7 +233,7 @@ def rewrite_step(system, t):
     if hit is None:
         return None
     path, rule, subst = hit
-    return crs_replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+    return crs_replace_at(t, path, apply_subst(rule.rhs, subst))
 
 
 def reference_random_reduce(system, t, budget, rng, max_nodes=None):
@@ -213,7 +251,7 @@ def reference_random_reduce(system, t, budget, rng, max_nodes=None):
         if steps >= budget:
             return crs.CrsOutcome("exhausted", t, steps), calls
         path, rule, subst = hits[rng.randrange(len(hits))]
-        t = crs_replace_at(t, path, crs.apply_subst(rule.rhs, subst))
+        t = crs_replace_at(t, path, apply_subst(rule.rhs, subst))
         calls.append((rule, subst, t))
         steps += 1
         if max_nodes is not None and term_size(t) > max_nodes:
