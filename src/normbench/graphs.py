@@ -1,33 +1,28 @@
 """Term-graph rewriting with sharing.
 
 Graphs are rooted DAGs with ordered out-edges and a partial labelling;
-unlabelled nodes play the role of variables.  Each node carries only
-its in-degree (TermGraph.refs), which is all that collection needs.
-Firing a redex (_fire) builds a copy of the rule's right-only nodes,
-redirects the in-edge of the matched root, then collects by reference
-count: the old anchor dies with its last in-edge, and so does every
-node whose in-edges all came from dead nodes.  Constructor-sharedness,
-the invariant that every shared node heads only constructor paths, is
-what keeps graph steps in bijection with term steps.  It also makes the
-non-values (nodes with a function node at or below them) a tree, so the
-anchor has one in-edge, a child slot, and the redirect rewrites it.
+unlabelled nodes play the role of variables.  A TermGraph keeps its
+nodes in id-keyed dicts: label, succ and refs, the in-degree, which is
+all that collection needs.  Constructor-sharedness, the invariant that
+every shared node heads only constructor paths, is what keeps graph
+steps in bijection with term steps.  It also makes the non-values
+(nodes with a function node at or below them) a tree, so a redex's
+anchor has one in-edge, a child slot, and the firing redirects it.
 
 Each rule is compiled once per run (compile_rules) into a flat match
-program, which fills numbered slots with graph nodes, and a build
-template, which copies the right-only nodes with children taken from
-the slots.  The compiled rules go into crs.first_arg_index, the index
-the CRS engine uses too: a node tries only the rules of its head whose
-first pattern can match its first child's label, in rule order.
+program, a build template and a decide plan, and put into
+crs.first_arg_index, the index the CRS engine uses too: a node tries
+only the rules of its head whose first pattern can match its first
+child's label, in rule order.
 
-graph_reduce keeps the redexes in an indexed list, in the post-order of
-find_redex, and fires the first entry (leftmost-innermost) or, with an
-rng, the entry a draw picks; a firing changes the list only at that
-entry, where it decides the nodes the firing built by the rule's decide
-plan.  Only the first search walks the graph, and after the initial
-whole-graph check sharedness is checked only on the nodes a firing gave
-a new in-edge, so a step costs the size of its rule, as a CRS step does.
-find_redex and fire_redex search and fire one redex at a time, for the
-tests.
+graph_reduce converts the reachable part of its input once into linked
+node records (_records), runs on them alone and writes the dicts back
+once.  It keeps the redexes in an indexed list, fires one in place
+(build, redirect, collection by reference count) and decides only the
+nodes the firing built, so a step costs the size of its rule, as a CRS
+step does.  The matcher and the function-free walk run on records
+only, so find_redex and is_constructor_shared convert the graph first;
+find_redex and fire_redex, which fires on the dicts, are for the tests.
 """
 
 from __future__ import annotations
@@ -341,10 +336,6 @@ def _first_label(g: TermGraph, v: int) -> Optional[str]:
     return g.label[kids[0]] if kids else None
 
 
-def _candidates(index: RuleIndex, g: TermGraph, v: int, lab: str) -> list[CompiledRule]:
-    return index.get((lab, _first_label(g, v))) or index.get((lab, None), [])
-
-
 @dataclass
 class Redex:
     compiled: CompiledRule
@@ -355,55 +346,68 @@ class Redex:
         return self.nodes[0]
 
 
-def _function_free(g: TermGraph, v: int, sig: crs.Signature,
-                   memo: dict[int, bool], counter: list[int]) -> bool:
-    # no function label at or below v: the constructor-path condition
-    hit = memo.get(v)
-    if hit is not None:
-        return hit
+# --- node records ----------------------------------------------------------------------
+
+def _records(g: TermGraph) -> dict[int, list]:
+    """The record [label, kids, refs, id, value, parent, index, pending]
+    of each node reachable from the root, by id.  kids holds records, refs
+    counts in-edges from reachable nodes, value memoises function-freeness
+    (None while unknown), and graph_reduce keeps the rest."""
+    rec = {v: [g.label[v], g.succ[v], 0, v, None, None, 0, 0] for v in g.reachable(g.root)}
+    for r in rec.values():
+        r[1] = kids = [rec[c] for c in r[1]]
+        for c in kids:
+            c[2] += 1
+    return rec
+
+
+def _candidates(index: RuleIndex, v: list, lab: str) -> list[CompiledRule]:
+    return index.get((lab, v[1][0][0] if v[1] else None)) or index.get((lab, None), [])
+
+
+def _function_free(v: list, functions: dict, counter: list[int]) -> bool:
+    # no function label at or below record v: the constructor-path condition
     todo = [v]
     trail = []
     ok = True
     while todo:
         u = todo.pop()
-        if u in memo:
-            if not memo[u]:
+        if u[4] is not None:
+            if not u[4]:
                 ok = False
                 break
             continue
         counter[0] += 1
-        lab = g.label[u]
-        if lab is not None and sig.is_function(lab):
+        if u[0] in functions:
             ok = False
             break
         trail.append(u)
-        todo.extend(g.succ[u])
+        todo.extend(u[1])
     if ok:
         for u in trail:
-            memo[u] = True
-    memo[v] = ok
+            u[4] = True
+    v[4] = ok
     return ok
 
 
-def _match(g: TermGraph, cr: CompiledRule, anchor: int, sig: crs.Signature,
-           ffree: dict[int, bool], counter: list[int]) -> Optional[list[int]]:
-    """The slots of cr's match at anchor, or None.  The anchor's label is
-    the rule's head.  counter gains one per step run, the anchor
-    included, plus the nodes _function_free visits."""
-    label, succ = g.label, g.succ
+def _match(cr: CompiledRule, anchor: list, functions: dict,
+           counter: list[int]) -> Optional[list[list]]:
+    """The records in cr's match slots at anchor, or None.  The anchor's
+    label is the rule's head.  counter gains one per step run, the anchor
+    included, plus the records _function_free visits."""
     nodes = [anchor]
     n = 1
     for kind, parent, i, arg in cr.match:
         n += 1
-        gn = succ[nodes[parent]][i]
+        gn = nodes[parent][1][i]
         if kind == _LABEL:
-            if label[gn] != arg:
+            if gn[0] != arg:
                 break
         elif kind == _BIND:
-            if not (ffree.get(gn) or _function_free(g, gn, sig, ffree, counter)):
+            if not (gn[4] or _function_free(gn, functions, counter)):
                 break
         else:
-            if nodes[arg] != gn:
+            if nodes[arg] is not gn:
                 break
             continue
         nodes.append(gn)
@@ -414,121 +418,75 @@ def _match(g: TermGraph, cr: CompiledRule, anchor: int, sig: crs.Signature,
     return None
 
 
+def _first_match(index: RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
+    # (compiled rule, slots) of the rule firing at record v, or None
+    for cr in _candidates(index, v, lab):
+        nodes = _match(cr, v, functions, counter)
+        if nodes is not None:
+            return cr, nodes
+    return None
+
+
+def _shared_ok(rec: dict[int, list], functions: dict) -> bool:
+    # every record with two in-edges is function-free; the memo is cleared
+    ok = all(r[2] < 2 or _function_free(r, functions, [0]) for r in rec.values())
+    for r in rec.values():
+        r[4] = None
+    return ok
+
+
 def find_redex(g: TermGraph, rules, sig: crs.Signature) -> Optional[Redex]:
     """Leftmost-innermost redex: the first in post-order from the root.
-    rules is a list of GraphRules or their compile_rules index.
-    Orthogonality makes the rule at a given anchor unique; that is
-    asserted.  graph_reduce never searches the whole graph; this is for
-    the tests, and stays a module attribute as bench/tracer.py wraps it."""
+    rules is a list of GraphRules or their compile_rules index; the match
+    runs on the graph's records.  Orthogonality makes the rule at a given
+    anchor unique; that is asserted.  For the tests: graph_reduce never
+    searches the whole graph.  It stays a module attribute as
+    bench/tracer.py wraps it."""
     index = rules if isinstance(rules, dict) else compile_rules(rules)
-    ffree: dict[int, bool] = {}
+    rec = _records(g)
+    functions = sig.functions
     for v in _post_order(g, g.root):
-        lab = g.label[v]
-        if lab is None or not sig.is_function(lab):
+        u = rec[v]
+        if u[0] not in functions:
             continue
-        hits = [Redex(cr, nodes) for cr in _candidates(index, g, v, lab)
-                if (nodes := _match(g, cr, v, sig, ffree, [0])) is not None]
+        hits = [Redex(cr, [r[3] for r in nodes]) for cr in _candidates(index, u, u[0])
+                if (nodes := _match(cr, u, functions, [0])) is not None]
         assert len(hits) <= 1, f"orthogonality violated at node {v}"
         if hits:
             return hits[0]
     return None
 
 
-def _first_match(index: RuleIndex, g: TermGraph, v: int, lab: str, sig: crs.Signature,
-                 memo: dict[int, bool], counter: list[int]):
-    # (compiled rule, slots) of the rule firing at v, or None
-    for cr in _candidates(index, g, v, lab):
-        nodes = _match(g, cr, v, sig, memo, counter)
-        if nodes is not None:
-            return cr, nodes
-    return None
-
-
-def _collect_unreachable(g: TermGraph) -> list[int]:
-    """Full reachability collection; returns the dead nodes."""
-    live = g.reachable(g.root)
-    dead = [v for v in g.label if v not in live]
-    for v in dead:
-        for c in g.succ[v]:
-            if c in live:
-                g.refs[c] -= 1
-        del g.label[v], g.succ[v], g.refs[v]
-    return dead
-
-
 def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
-    """Fire redex through _fire as a first step, at every in-edge of the
-    anchor, found by a scan of succ (a shared anchor has several).
-    Returns the nodes that gained an in-edge, the replacement last.  For
-    the tests; it stays a module attribute as bench/tracer.py wraps it."""
-    v, nodes = redex.anchor, redex.nodes[:]
-    slots = [(u, j, None) for u, kids in g.succ.items() for j, c in enumerate(kids) if c == v]
-    _fire(g, redex.compiled, nodes, slots, 1, sig, {})
-    return [nodes[r] for r in redex.compiled.touched]
-
-
-def _fire(g: TermGraph, cr: CompiledRule, nodes: list[int], slots, steps: int,
-          sig: crs.Signature, memo: dict[int, bool]) -> int:
-    """Fire cr at the match slots nodes in place; return the replacement.
-    Build: copy the right-only nodes from the template, their ids appended
-    to nodes.  Redirect: point the anchor's in-edges, child i of parent
-    for each [parent, i, _] in slots, and the root if it is the anchor, at
-    the replacement.  Collect: a node other than the root dies when its
-    last in-edge leaves with a dead node, starting from the anchor, which
-    on an acyclic graph removes exactly what became unreachable; step 1
-    also collects what never was reachable (it may hold the anchor).  The
-    dead leave memo.  Last, the nodes that gained an in-edge are checked
-    for sharedness."""
-    label, succ, refs = g.label, g.succ, g.refs
-    v = nodes[0]
-    base = g._next
-    g._next = top = base + len(cr.labels)
-    nodes.extend(range(base, top))
-    for u, lab in enumerate(cr.labels, base):
-        label[u] = lab
-        refs[u] = 0
-    for u, kr in enumerate(cr.kids, base):
-        kids = succ[u] = tuple([nodes[r] for r in kr])
-        for c in kids:
-            refs[c] += 1
+    """Fire redex on g's dicts as a first step: copy the right-only nodes,
+    point every in-edge of the anchor (a shared anchor has several) and
+    the root if it is the anchor at the replacement, keep the reachable
+    nodes (_write_back) and check sharedness at the nodes that gained an
+    in-edge.  Returns those nodes, the replacement last.  For the tests;
+    it stays a module attribute as bench/tracer.py wraps it."""
+    cr, v = redex.compiled, redex.anchor
+    nodes = redex.nodes + [g.new_node(lab) for lab in cr.labels]
+    for u, kr in zip(nodes[len(cr.slots):], cr.kids):
+        g.set_children(u, tuple([nodes[r] for r in kr]))
     new = nodes[cr.right]
-    for parent, i, _ in slots:
-        kids = succ[parent]
-        succ[parent] = (*kids[:i], new, *kids[i + 1:])
-        refs[new] += 1
-        refs[v] -= 1
+    for u, kids in list(g.succ.items()):
+        if v in kids:
+            g.set_children(u, tuple([new if c == v else c for c in kids]))
     if g.root == v:
         g.root = new
-    root = g.root
-    todo = [v] if not refs[v] and v != root else []
-    while todo:
-        u = todo.pop()
-        memo.pop(u, None)
-        for c in succ[u]:
-            n = refs[c] = refs[c] - 1
-            if not n and c != root:
-                todo.append(c)
-        del label[u], succ[u], refs[u]
-    if steps == 1:
-        for u in _collect_unreachable(g):
-            memo.pop(u, None)
-    for r in cr.touched:
-        u = nodes[r]
-        if refs[u] >= 2 and not (memo.get(u) or _function_free(g, u, sig, memo, [0])):
-            raise SharingViolation(f"sharedness lost after step {steps}")
-    return new
+    rec = _records(g)
+    _write_back(g, rec[g.root], g._next)
+    touched = [rec[nodes[r]] for r in cr.touched]
+    if any(u[2] >= 2 and not _function_free(u, sig.functions, [0]) for u in touched):
+        raise SharingViolation("sharedness lost after step 1")
+    return [u[3] for u in touched]
 
 
 def is_constructor_shared(g: TermGraph, sig: crs.Signature) -> bool:
     """Every node reachable along two distinct paths heads only constructor
-    paths; checking in-degree >= 2 points suffices on a rooted DAG."""
-    memo: dict[int, bool] = {}
-    counter = [0]
-    for v in g.reachable(g.root):
-        if g.refs[v] >= 2:
-            if not _function_free(g, v, sig, memo, counter):
-                return False
-    return True
+    paths; on a rooted DAG it suffices to check the nodes with two
+    in-edges from reachable nodes (an unreachable node is no path)."""
+    return _shared_ok(_records(g), sig.functions)
 
 
 OutcomeKind = Literal["normal", "exhausted"]
@@ -548,20 +506,25 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The rules are validated and compiled once per call (compile_rules).
-    One loop serves both policies.  value is the memo of the values
-    (True); every other reachable node is in up as [parent, index there,
-    number of non-value children], its one in-edge being
-    succ[parent][index] (parent None at the root).  reds holds the
-    redexes (anchor, compiled rule, slots) in find_redex's post-order,
-    stored reversed so that the leftmost-innermost one is the last entry.
+    The rules are validated and compiled once per call.  The reachable
+    part of g becomes records (_records), and a run of one step or more
+    writes label, succ, refs, root and _next back once (_write_back); a
+    run of 0 steps leaves g untouched.  A record's value is True for a
+    value; every other record has its one in-edge, kids[index] of its
+    parent (None at the root), and pending, its non-value children.  The
+    parent is cleared when a record becomes a value or dies.  reds holds
+    the redexes (anchor, compiled rule, slots) in find_redex's
+    post-order, reversed so that the leftmost-innermost one is last.
     The loop fires that entry, or with rng the entry that
-    reds[rng.randrange(len(reds))] would be in post-order, in place
-    through _fire.  The firing changes the list only at that entry: it
-    becomes the redexes among the copies, decided by the rule's plan, or,
-    when the replacement is a value, the first function ancestor that
-    value-ness reaches through constructor nodes, if that now matches.
-    A node becomes a value once, so this climb is O(1) amortised.
+    reds[rng.randrange(len(reds))] would be in post-order: it builds the
+    copies, redirects the anchor's in-edge, collects by reference count
+    from the anchor (refs count only in-edges from reachable nodes, so
+    this removes exactly what became unreachable, at step 1 also what
+    never was), and checks sharedness.  The entry becomes the redexes
+    among the copies, decided by the rule's plan, or, when the
+    replacement is a value, the first function ancestor that value-ness
+    reaches through constructor nodes, if that now matches.  A node
+    becomes a value once, so this climb is O(1) amortised.
 
     sizes holds the node count of the input and after every firing.
     work holds, per search for a redex, the graph nodes it arrived at and
@@ -583,22 +546,21 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         raise ValueError("budget must be >= 0")
     for gr in grules:
         gr.validate(sig)
-    if not is_constructor_shared(g, sig):
+    functions = sig.functions
+    rec = _records(g)
+    if not _shared_ok(rec, functions):
         raise SharingViolation("input graph is not constructor-shared")
+    root, size = rec[g.root], len(rec)
+    del rec
     index = compile_rules(grules)
-    functions, label = sig.functions, g.label
-    sizes = [len(label)]
+    sizes = [len(g.label)]
     work: list[int] = []
-    value: dict[int, bool] = {}
-    up: dict[int, list] = {}
     counter = [0]
     reds: list[tuple] = []
-    _decide(g, index, sig, value, up, reds, counter)
+    _decide(root, index, sig, reds, counter)
     reds.reverse()
-    steps = 0
-    while reds:
-        if steps >= budget:
-            return GraphOutcome("exhausted", g, steps, sizes, work)
+    steps, top = 0, g._next
+    while reds and steps < budget:
         k = len(reds) - 1
         if rng is not None:
             k -= rng.randrange(k + 1)
@@ -606,89 +568,127 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
         steps += 1
         work.append(counter[0])
         counter[0] = cr.plan_work
-        slot = up.pop(v)
-        parent, i, _ = slot
-        new = _fire(g, cr, nodes, (slot,) if parent is not None else (), steps, sig, value)
-        sizes.append(len(label))
+        parent, i, v[5] = v[5], v[6], None
+        n = len(nodes)
+        for lab in cr.labels:
+            nodes.append([lab, None, 0, top, None, None, 0, 0])
+            top += 1
+        for u, kr in zip(nodes[n:], cr.kids):
+            u[1] = kids = []
+            for r in kr:
+                c = nodes[r]
+                kids.append(c)
+                c[2] += 1
+        new = nodes[cr.right]
+        if parent is None:
+            root = new
+        else:
+            parent[1][i] = new
+            new[2] += 1
+            v[2] -= 1
+        size += len(cr.labels)
+        todo = [v] if not v[2] and v is not root else []
+        while todo:
+            u = todo.pop()
+            size -= 1
+            for c in u[1]:
+                c[2] -= 1
+                if not c[2] and c is not root:
+                    todo.append(c)
+        sizes.append(size)
+        for r in cr.touched:
+            u = nodes[r]
+            if u[2] >= 2 and not (u[4] or _function_free(u, functions, [0])):
+                raise SharingViolation(f"sharedness lost after step {steps}")
         block: list[tuple] = []
-        pending = [0] * len(nodes)      # non-value children of each planned copy
         for r, p, j in cr.plan:
             u = nodes[r]
-            n = pending[r]
-            lab = label[u]
+            lab = u[0]
             if lab in functions:
-                hit = None if n else _first_match(index, g, u, lab, sig, value, counter)
+                hit = None if u[7] else _first_match(index, u, lab, functions, counter)
                 if hit is not None:
                     block.append((u, *hit))
-            elif not n:
-                value[u] = True
+            elif not u[7]:
+                u[4] = True
                 continue
             if p < 0:
-                up[u] = [parent, i, n]
+                u[5], u[6] = parent, i
             else:
-                up[u] = [nodes[p], j, n]
-                pending[p] += 1
-        if new in value:
-            while parent is not None:
-                info = up[parent]
-                info[2] -= 1
-                if info[2]:
-                    break
-                lab = label[parent]
-                if lab in functions:
-                    hit = _first_match(index, g, parent, lab, sig, value, counter)
-                    if hit is not None:
-                        block.append((parent, *hit))
-                    break
-                del up[parent]
-                value[parent] = True
-                parent = info[0]
+                u[5], u[6] = nodes[p], j
+                nodes[p][7] += 1
+        while new[4] and parent is not None:
+            parent[7] -= 1
+            if parent[7]:
+                break
+            lab = parent[0]
+            if lab in functions:
+                hit = _first_match(index, parent, lab, functions, counter)
+                if hit is not None:
+                    block.append((parent, *hit))
+                break
+            parent[4] = True
+            parent[5], parent = None, parent[5]
         block.reverse()
         reds[k:k + 1] = block
-    if steps < budget:
+    if not reds and steps < budget:
         work.append(counter[0])
-    return GraphOutcome("normal", g, steps, sizes, work)
+    if steps:
+        _write_back(g, root, top)
+    return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work)
 
 
-def _decide(g: TermGraph, index: RuleIndex, sig: crs.Signature, value: dict[int, bool],
-            up: dict[int, list], reds: list[tuple], counter: list[int]) -> None:
-    # The first search: decide every node reachable from the root,
-    # children first.  A node over values is a value unless it is a
-    # function node; every other node goes into up, and a function node
-    # over values that matches is appended to reds.  Each node is checked
-    # against sig (UnknownSymbol, ArityMismatch) before it is matched: a
-    # child is skipped only when it is marked a value, which happens here
-    # or below a node decided earlier, so every node is checked.  A frame
-    # is [node, in-edge parent, index, next child, non-value children].
-    # counter gains one per node arrived at, plus the match steps.
+def _decide(root: list, index: RuleIndex, sig: crs.Signature, reds: list[tuple],
+            counter: list[int]) -> None:
+    # The first search: decide every record reachable from root, children
+    # first, as the plan decides copies; a function node over values that
+    # matches goes into reds.  Each record is checked against sig before
+    # it is matched.  A frame is [record, next child]; counter gains one
+    # per record arrived at, plus the match steps.
     counter[0] += 1
-    functions, label, succ = sig.functions, g.label, g.succ
-    stack = [[g.root, None, 0, 0, 0]]
+    functions = sig.functions
+    stack = [[root, 0]]
     while stack:
         frame = stack[-1]
-        u, p, j, nxt, pending = frame
-        kids = succ[u]
+        u, nxt = frame
+        kids = u[1]
         if nxt < len(kids):
-            frame[3] = nxt + 1
+            frame[1] = nxt + 1
             counter[0] += 1
-            if not value.get(kids[nxt]):
-                stack.append([kids[nxt], u, nxt, 0, 0])
+            c = kids[nxt]
+            if not c[4]:
+                c[5], c[6] = u, nxt
+                stack.append([c, 0])
             continue
         stack.pop()
-        lab = label[u]
-        ar = sig.arity(lab)
-        if ar != len(kids):
+        lab = u[0]
+        if (ar := sig.arity(lab)) != len(kids):
             raise crs.ArityMismatch(lab, ar, len(kids))
         if lab in functions:
-            hit = None if pending else _first_match(index, g, u, lab, sig, value, counter)
+            hit = None if u[7] else _first_match(index, u, lab, functions, counter)
             if hit is not None:
                 reds.append((u, *hit))
-        elif not pending:
-            value[u] = True
+        elif not u[7]:
+            u[4] = True
+            u[5] = None
             continue
-        up[u] = [p, j, pending]
         if stack:
-            stack[-1][4] += 1
+            stack[-1][0][7] += 1
+
+
+def _write_back(g: TermGraph, root: list, top: int) -> None:
+    # the records reachable from root into g, in ascending id order
+    live = {root[3]: root}
+    todo = [root]
+    while todo:
+        for c in todo.pop()[1]:
+            if c[3] not in live:
+                live[c[3]] = c
+                todo.append(c)
+    ids = sorted(live)
+    g.label = {v: live[v][0] for v in ids}
+    g.succ = {v: tuple([c[3] for c in live[v][1]]) for v in ids}
+    g.refs = {v: live[v][2] for v in ids}
+    g.root, g._next = root[3], top
 
 
 # --- comparison and export ------------------------------------------------------------

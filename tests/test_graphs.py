@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    bench_workloads, nat_term, random_closed_term, random_system, term_size, two_tower)
+    bench_workloads, nat_term, random_closed_term, random_system, reference_try_match, term_size,
+    two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -452,6 +454,38 @@ def test_random_deep_add_is_linear():
     deep_add_is_linear(random.Random(0))
 
 
+def test_deep_shared_graph_without_recursion():
+    # add(s, s) with s = nat(10^5) one chain: the record conversion, the
+    # function-free walk, the search and the 0-step run all go deep
+    system = nat_system()
+    sig = system.signature
+    grules = graphs.system_to_graph_rules(system)
+    n = 100_000
+    assert n > sys.getrecursionlimit()
+    for bottom, shared_ok in (("zero", True), ("add", False)):
+        g = graphs.TermGraph()
+        s = g.new_node(bottom)
+        if bottom == "add":
+            g.set_children(s, (g.new_node("zero"), g.new_node("zero")))
+        for _ in range(n):
+            top = g.new_node("succ")
+            g.set_children(top, (s,))
+            s = top
+        g.root = g.new_node("add")
+        g.set_children(g.root, (s, s))
+        assert graphs.is_constructor_shared(g, sig) == shared_ok
+        if not shared_ok:
+            with pytest.raises(graphs.SharingViolation):
+                graphs.graph_reduce(g, grules, sig, 0)
+            continue
+        redex = graphs.find_redex(g, grules, sig)
+        assert redex.anchor == g.root and redex.nodes[1] == s
+        before = copy(g)
+        out = graphs.graph_reduce(g, grules, sig, 0)
+        assert (out.kind, out.steps, out.sizes) == ("exhausted", 0, [n + 2])
+        assert out.graph is g and same_graph(g, before)
+
+
 # --- test-only graph helpers ------------------------------------------------------
 
 def copy(g):
@@ -462,6 +496,12 @@ def copy(g):
     out.root = g.root
     out._next = g._next
     return out
+
+
+def same_graph(g, h):
+    """The same label, succ and refs contents, root and node counter."""
+    return (g.label, g.succ, g.refs, g.root, g._next) == (h.label, h.succ, h.refs, h.root,
+                                                          h._next)
 
 
 def in_degrees(g):
@@ -539,33 +579,6 @@ def fire_redex_phases(g, redex):
 # --- graph_reduce against the reference loop ----------------------------------------
 
 BUDGETS = (0, 1, 3, 7, 30)
-
-
-def reference_try_match(g, grule, anchor, sig, ffree, counter):
-    """The generic matcher: walk the rule graph from the left root with a
-    stack, binding rule nodes to graph nodes; phi or None."""
-    rg = grule.graph
-    phi = {}
-    todo = [(grule.left, anchor)]
-    while todo:
-        rn, gn = todo.pop()
-        counter[0] += 1
-        bound = phi.get(rn)
-        if bound is not None:
-            if bound != gn:
-                return None
-            continue
-        lab = rg.label[rn]
-        if lab is None:
-            if not graphs._function_free(g, gn, sig, ffree, counter):
-                return None
-            phi[rn] = gn
-            continue
-        if g.label[gn] != lab:
-            return None
-        phi[rn] = gn
-        todo.extend(zip(rg.succ[rn], g.succ[gn]))
-    return phi
 
 
 def reference_find_redex(g, grules, sig, rng=None, counter=None):
@@ -680,16 +693,27 @@ def rules_agree_with_reference(grules, sig, t, budgets=BUDGETS, seed=None):
             kind, steps, sizes, len(work)), case
         assert graphs.to_dot(out.graph) == graphs.to_dot(ref_g), case
         assert out.graph.refs == in_degrees(out.graph), case
+        assert out.graph._next == ref_g._next, case
+
+
+def record_match(recs, cr, v, sig, count):
+    """The match graph_reduce runs, at node v of the records recs with a
+    fresh function-free memo: the node id in each of cr's slots, or None."""
+    for r in recs.values():
+        r[4] = None
+    nodes = graphs._match(cr, recs[v], sig.functions, count)
+    return None if nodes is None else [r[3] for r in nodes]
 
 
 def compiled_rules_agree(system, t, budget=30):
     """At every state of the leftmost run up to budget: at each function
-    node, every rule of its head that the index offers matches as the
-    generic matcher does (same phi and the same visit count), and every
-    rule it skips fails there; and fire_redex gives the node ids, edges
-    and in-degrees of the reachability build, the generic redirect and
-    the reachability collection, with the nodes that gained an in-edge in
-    the reference's order, and in-degrees equal to a recount from succ."""
+    node, every rule of its head that the index offers matches on the
+    records as the generic matcher does on the dicts (same phi and the
+    same visit count), and every rule it skips fails there; and
+    fire_redex gives the node ids, edges and in-degrees of the
+    reachability build, the generic redirect and the reachability
+    collection, with the nodes that gained an in-edge in the reference's
+    order, and in-degrees equal to a recount from succ."""
     grules = graphs.system_to_graph_rules(system)
     sig = system.signature
     index = graphs.compile_rules(grules)
@@ -697,10 +721,11 @@ def compiled_rules_agree(system, t, budget=30):
     assert len(compiled) == len(grules)
     g = graphs.term_to_graph(t)
     for _ in range(budget):
+        recs = graphs._records(g)
         for v, lab in list(g.label.items()):
             if not sig.is_function(lab):
                 continue
-            offered = [cr.rule for cr in graphs._candidates(index, g, v, lab)]
+            offered = [cr.rule for cr in graphs._candidates(index, recs[v], lab)]
             of_head = [gr for gr in grules if gr.graph.label[gr.left] == lab]
             assert offered == [gr for gr in of_head if gr in offered]  # rule order
             for gr in of_head:
@@ -709,7 +734,7 @@ def compiled_rules_agree(system, t, budget=30):
                 if gr not in offered:
                     assert phi is None
                     continue
-                nodes = graphs._match(g, compiled[id(gr)], v, sig, {}, count)
+                nodes = record_match(recs, compiled[id(gr)], v, sig, count)
                 got = None if nodes is None else redex_phi(graphs.Redex(compiled[id(gr)], nodes))
                 assert (got, count) == (phi, ref_count)
         redex = graphs.find_redex(g, index, sig)
@@ -933,14 +958,14 @@ def test_both_engines_share_the_rule_index():
             for first in [None, *sig.constructors, head] if arity else [None]:
                 g = graphs.TermGraph()
                 kid = g.new_node(first)
-                v = g.new_node(head)
+                g.root = v = g.new_node(head)
                 g.set_children(v, (kid,) * arity)
                 arg = (Var("x") if first is None else Node(first)) if arity else None
                 want = [k for k, r in enumerate(system.rules) if r.head == head
                         and roots[k] in (None, first)]
                 assert [pos[id(r)] for r in system.candidates(head, arg)] == want
-                assert [gpos[id(cr.rule)]
-                        for cr in graphs._candidates(index, g, v, head)] == want
+                assert [gpos[id(cr.rule)] for cr in
+                        graphs._candidates(index, graphs._records(g)[v], head)] == want
 
 
 @pytest.mark.parametrize("text, error", [
@@ -996,7 +1021,7 @@ def test_left_side_sharing_a_constructor_node(shared):
         g = graphs.term_to_graph(crs.parse_term("f(b(c), b(c))", sig))
     ref_count, count = [0], [0]
     phi = reference_try_match(g, rule, g.root, sig, {}, ref_count)
-    nodes = graphs._match(g, cr, g.root, sig, {}, count)
+    nodes = record_match(graphs._records(g), cr, g.root, sig, count)
     assert (phi is not None) == shared == (nodes is not None)
     assert count == ref_count
     if shared:
@@ -1019,10 +1044,17 @@ def test_unreachable_input_node_collected_at_first_firing():
     g.set_children(g.root, (s1, z2))
     u = g.new_node("succ")
     g.set_children(u, (z1,))
+    assert g.refs[z1] == 2
+    # step 1 adds succ(add(z1, z2)) and drops add, s1 and u, so z1 keeps
+    # only the new add's in-edge
+    first = graphs.graph_reduce(copy(g), graphs.system_to_graph_rules(system),
+                                system.signature, 1)
+    assert (first.sizes, first.graph._next) == ([5, 4], 7)
+    assert u not in first.graph.label and first.graph.refs[z1] == 1
+    assert first.graph.refs == in_degrees(first.graph)
     out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
                               system.signature, 10)
-    # step 1 adds succ(add(z1, z2)) and drops add, s1 and u; step 2
-    # redirects to z2 and drops the new add and z1
+    # step 2 redirects to z2 and drops the new add and z1
     assert out.kind == "normal" and out.steps == 2
     assert out.sizes == [5, 4, 2]
     assert graphs.graph_to_term(out.graph) == nat_term(1)
@@ -1038,6 +1070,42 @@ def test_unreachable_input_node_collected_at_first_firing():
                               system.signature, 10)
     assert (out.kind, out.steps, out.sizes) == ("normal", 1, [3, 1])
     assert out.graph.root == z and out.graph.refs == {z: 0}
+
+
+def test_unreachable_in_edges_do_not_share():
+    # g(h) under h -> a, once with an unreachable g node that also points
+    # at h: only in-edges from reachable nodes make h shared, so both
+    # graphs are constructor-shared and reduce alike
+    sig = Signature({"a": 0}, {"g": 1, "h": 0})
+    system = crs.validate_system(sig, [Rule("h", (), Node("a"))])
+    for extra in (False, True):
+        g = graphs.TermGraph()
+        h = g.new_node("h")
+        g.root = g.new_node("g")
+        g.set_children(g.root, (h,))
+        if extra:
+            g.set_children(g.new_node("g"), (h,))
+        assert g.refs[h] == 1 + extra
+        assert graphs.is_constructor_shared(g, sig)
+        out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system), sig, 10)
+        assert (out.kind, out.steps, out.sizes) == ("normal", 1, [2 + extra, 2])
+        assert graphs.graph_to_term(out.graph) == crs.parse_term("g(a)", sig)
+        assert out.graph.refs == in_degrees(out.graph)
+
+
+def test_zero_step_runs_leave_the_graph_as_given():
+    # budget 0, and an input already normal, with an unreachable node
+    # holding an in-edge: no write-back, so nothing is collected
+    system = nat_system()
+    grules = graphs.system_to_graph_rules(system)
+    for text, budget, kind in (("add(succ(zero), zero)", 0, "exhausted"),
+                               ("succ(succ(zero))", 10, "normal")):
+        g = graphs.term_to_graph(crs.parse_term(text, system.signature))
+        g.set_children(g.new_node("succ"), (g.root,))
+        before = copy(g)
+        out = graphs.graph_reduce(g, grules, system.signature, budget)
+        assert (out.kind, out.steps, out.sizes) == (kind, 0, [len(before.label)])
+        assert out.graph is g and same_graph(g, before)
 
 
 def test_size_growth_bounded_by_rhs():

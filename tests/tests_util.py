@@ -421,6 +421,64 @@ def reference_cbv_reduce(t: Term, budget: int, rng) -> lam.ReductionOutcome:
     return lam.ReductionOutcome(kind, t, steps)
 
 
+# --- the generic graph matcher: the reference for graphs' record matcher ----
+
+def reference_function_free(g, v, sig, memo, counter):
+    """No function label at or below v, by a walk over g's dicts: memo
+    keeps what earlier walks found, counter gains one per node visited."""
+    hit = memo.get(v)
+    if hit is not None:
+        return hit
+    todo = [v]
+    trail = []
+    ok = True
+    while todo:
+        u = todo.pop()
+        if u in memo:
+            if not memo[u]:
+                ok = False
+                break
+            continue
+        counter[0] += 1
+        lab = g.label[u]
+        if lab is not None and sig.is_function(lab):
+            ok = False
+            break
+        trail.append(u)
+        todo.extend(g.succ[u])
+    if ok:
+        for u in trail:
+            memo[u] = True
+    memo[v] = ok
+    return ok
+
+
+def reference_try_match(g, grule, anchor, sig, ffree, counter):
+    """The generic matcher: walk the rule graph from the left root with a
+    stack, binding rule nodes to graph nodes; phi or None."""
+    rg = grule.graph
+    phi = {}
+    todo = [(grule.left, anchor)]
+    while todo:
+        rn, gn = todo.pop()
+        counter[0] += 1
+        bound = phi.get(rn)
+        if bound is not None:
+            if bound != gn:
+                return None
+            continue
+        lab = rg.label[rn]
+        if lab is None:
+            if not reference_function_free(g, gn, sig, ffree, counter):
+                return None
+            phi[rn] = gn
+            continue
+        if g.label[gn] != lab:
+            return None
+        phi[rn] = gn
+        todo.extend(zip(rg.succ[rn], g.succ[gn]))
+    return phi
+
 def bench_workloads():
     """bench/workloads.py, for the systems of the benchmark's families."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
