@@ -10,18 +10,20 @@ on the position policy.
 `reduce` runs one loop for both position policies over an indexed
 list of the term's redexes: leftmost-innermost fires the list's
 leftmost entry, the random policy one picked uniformly, and a firing
-replaces its entry by the redexes it made.  Each rule is compiled
-lazily, once per system: on its first try into a match program that
-fills numbered slots, on its first firing into a plan that builds its
-right-hand side from the slots; the input goes through the same plan
-builder.  Either way a step costs the size of its rule whatever the size
-of the term.  The step event is local: a hook receives the rule, its
-match and a `state()` that builds the whole term only when called.
+replaces its entry by the redexes it made.  Each rule is compiled once,
+when its system is built, into a match program that fills numbered
+slots and a plan that builds its right-hand side from the slots; the
+input goes through the same plan builder.  Either way a step costs the
+size of its rule whatever the size of the term.  The step event is
+local: a hook receives the rule, its match and a `state()` that builds
+the whole term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
-`CrsSystem` validates the rules and builds the first-argument index
-(`first_arg_index`) that `graphs.compile_rules` builds with too.
+`CrsSystem` compiles the rules, which is what checks them (see
+`CrsSystem` for which fault a rule with several reports), and builds
+the first-argument index (`first_arg_index`) that `graphs.compile_rules`
+builds with too.
 """
 
 from __future__ import annotations
@@ -162,18 +164,6 @@ def is_constructor_term(t: Term, sig: Signature) -> bool:
     return True
 
 
-def is_pattern(t: Term, sig: Signature) -> bool:
-    """Built from constructors and variables."""
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Node):
-            if not sig.is_constructor(s.symbol):
-                return False
-            todo.extend(s.children)
-    return True
-
-
 def contains_function(t: Term, sig: Signature) -> bool:
     todo = [t]
     while todo:
@@ -215,62 +205,48 @@ def _patterns_compatible(p: Term, q: Term) -> bool:
 
 
 class CrsSystem:
-    """A validated orthogonal constructor rewrite system."""
+    """A validated orthogonal constructor rewrite system.
+
+    Construction compiles every rule, and the compile is the check.
+    Rules are checked in order, and a rule raises at its first fault:
+    its head (a function symbol of the right arity), then its left side
+    slot by slot in match-program order (the arguments left to right,
+    then the children of each constructor node in that order: an
+    undeclared symbol, a wrong arity, a function symbol, or a second
+    occurrence of a variable), then its unbound right-side variables,
+    then its right side in pre-order (an undeclared symbol or a wrong
+    arity).  Once every rule compiles, the first overlapping pair is
+    reported: heads by first appearance, then (i, j) in rule order.
+    """
 
     def __init__(self, signature: Signature, rules: list[Rule]):
-        self.signature = signature
+        self.signature = sig = signature
         self.rules = tuple(rules)
-        roots = self._validate()
-        self._index = first_arg_index(zip((r.head for r in self.rules), roots,
-                                          range(len(self.rules))))
-        # each rule's match program, compiled on its first try, and its
-        # right-side plan, on its first firing
-        self._programs: list[Optional[tuple]] = [None] * len(self.rules)
-        self._plans: list[Optional[list[tuple]]] = [None] * len(self.rules)
-
-    def _validate(self) -> list[Optional[str]]:
-        # Raises on the first invalid rule, then on the first overlapping
-        # pair of a head in rule order; returns each first pattern's root.
-        sig = self.signature
+        # each rule's match program and right-side plan
+        self._programs: list[tuple] = []
+        self._plans: list[list[tuple]] = []
         for idx, rule in enumerate(self.rules):
-            if not sig.is_function(rule.head):
-                raise InvalidRule(f"rule {idx}: head {rule.head!r} is not a function symbol")
-            if len(rule.lhs) != sig.arity(rule.head):
-                raise ArityMismatch(rule.head, sig.arity(rule.head), len(rule.lhs))
-            seen: set[str] = set()
-            for p in rule.lhs:
-                _check_arities(p, sig)
-                if not is_pattern(p, sig):
-                    raise InvalidRule(f"rule {idx}: lhs argument is not a pattern")
-                for v in variables(p):
-                    if v in seen:
-                        raise NonLinearLhs(idx, v)
-                    seen.add(v)
-            _check_arities(rule.rhs, sig)
-            extra = set(variables(rule.rhs)) - seen
+            program = _match_program(idx, rule, sig)
+            extra = set(variables(rule.rhs)) - program[1].keys()
             if extra:
                 raise InvalidRule(f"rule {idx}: rhs variables {sorted(extra)} not bound in lhs")
+            self._programs.append(program)
+            self._plans.append(_plan(rule.rhs, sig, program[1]))
         roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
                  for rule in self.rules]
+        self._index = first_arg_index(zip((r.head for r in self.rules), roots,
+                                          range(len(self.rules))))
         by_head: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_head.setdefault(rule.head, []).append(idx)
-        for idxs in by_head.values():
-            for a, i in enumerate(idxs):
-                for j in idxs[a + 1:]:
-                    if roots[i] is not None and roots[j] is not None and roots[i] != roots[j]:
-                        continue                # the first patterns clash at the root
-                    if all(_patterns_compatible(p, q)
-                           for p, q in zip(self.rules[i].lhs, self.rules[j].lhs)):
+        for head, idxs in by_head.items():
+            for i in idxs:
+                # the later rules that share a first_arg_index bucket with i
+                bucket = idxs if roots[i] is None else self._index[head, roots[i]]
+                lhs = self.rules[i].lhs
+                for j in bucket[bucket.index(i) + 1:]:
+                    if all(_patterns_compatible(p, q) for p, q in zip(lhs, self.rules[j].lhs)):
                         raise OverlapError(i, j)
-        return roots
-
-    def candidates(self, head: str, first_arg: Optional[Term]) -> list[Rule]:
-        """The rules of head that can fire at a node with this first
-        argument, in rule order."""
-        root = first_arg.symbol if isinstance(first_arg, Node) else None
-        return [self.rules[r] for r in
-                self._index.get((head, root)) or self._index.get((head, None), ())]
 
     def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
         # (frame, rule position, slots) of the rule firing at a function
@@ -279,11 +255,8 @@ class CrsSystem:
         symbol, kids = frame[0], frame[1]
         for r in index.get((symbol, kids[0].symbol if kids else None)) \
                 or index.get((symbol, None), ()):
-            program = programs[r]
-            if program is None:
-                program = programs[r] = _match_program(self.rules[r].lhs)
             slots = kids[:]
-            for s, c in program[0]:
+            for s, c in programs[r][0]:
                 t = slots[s]
                 if t.symbol != c:
                     break
@@ -293,7 +266,10 @@ class CrsSystem:
         return None
 
 
-def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> dict:
+RuleIndex = dict[tuple[str, Optional[str]], list]
+
+
+def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> RuleIndex:
     """Rules keyed by (head, root of the first argument), from (head, root
     of the first pattern or None, rule) triples in rule order, a rule
     given as whatever stands for it (crs: its position, graphs: its
@@ -304,7 +280,7 @@ def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> dict:
     by_head: dict[str, list[tuple[Optional[str], object]]] = {}
     for head, root, rule in rules:
         by_head.setdefault(head, []).append((root, rule))
-    index: dict[tuple[str, Optional[str]], list] = {}
+    index: RuleIndex = {}
     for head, entries in by_head.items():
         for key in {None, *(root for root, _ in entries)}:
             index[head, key] = [rule for root, rule in entries if root is None or root == key]
@@ -316,17 +292,30 @@ def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
     return CrsSystem(signature, rules)
 
 
-def _match_program(lhs: tuple[Term, ...]) -> tuple[list[tuple[int, str]], dict[str, int]]:
-    # (steps, slot_of) of a left side.  A match starts with the slots
+def _match_program(idx: int, rule: Rule,
+                   sig: Signature) -> tuple[list[tuple[int, str]], dict[str, int]]:
+    # (steps, slot_of) of rule idx's left side, checked against sig in
+    # the walk that numbers the slots.  A match starts with the slots
     # holding the arguments; a step (slot, c) requires the term in that
     # slot to be rooted at c and appends its children as the next slots.
     # slot_of names the slot that binds each variable.
+    if rule.head not in sig.functions:
+        raise InvalidRule(f"rule {idx}: head {rule.head!r} is not a function symbol")
+    ar = sig.functions[rule.head]
+    if len(rule.lhs) != ar:
+        raise ArityMismatch(rule.head, ar, len(rule.lhs))
+    cons = sig.constructors
     steps = []
     slot_of = {}
-    pats = list(lhs)                    # the pattern of each slot, grown as steps add slots
+    pats = list(rule.lhs)               # the pattern of each slot, grown as steps add slots
     for s, p in enumerate(pats):
         if type(p) is Var:
+            if p.name in slot_of:
+                raise NonLinearLhs(idx, p.name)
             slot_of[p.name] = s
+        elif cons.get(p.symbol) != len(p.children):
+            _check_node(p, sig)         # raises, unless p is a function node
+            raise InvalidRule(f"rule {idx}: lhs argument is not a pattern")
         else:
             steps.append((s, p.symbol))
             pats += p.children
@@ -469,11 +458,8 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
         if rng is not None:
             k -= rng.randrange(k + 1)
         frame, r, slots = reds[k]
-        plan = plans[r]
-        if plan is None:
-            plan = plans[r] = _plan(rules[r].rhs, sig, programs[r][1])
         block: list[tuple] = []
-        val = _build(sys, plan, slots, block)
+        val = _build(sys, plans[r], slots, block)
         parent, i = frame[2], frame[3]
         while True:                     # val takes the slot, and a value climbs
             if parent is None:

@@ -13,7 +13,9 @@ Each rule is compiled once per run (compile_rules) into a flat match
 program, a build template and a decide plan, and put into
 crs.first_arg_index, the index the CRS engine uses too: a node tries
 only the rules of its head whose first pattern can match its first
-child's label, in rule order.
+child's label, in rule order.  The compile is also the rule check: the
+walks that build the match program and list the right side's copies
+reject a rule graph that is not a left-path, left-bound rule.
 
 graph_reduce converts the reachable part of its input once into linked
 node records (_records), runs on them alone and writes the dicts back
@@ -188,31 +190,17 @@ class GraphRule:
     """Labelled graph with left and right roots.
 
     Every path from the left root must be a left path: the left root is a
-    function symbol and everything below it is a constructor or unlabelled.
-    Unlabelled nodes reachable from the right root must also be reachable
-    from the left root, and the left root must not be: a replacement
-    cannot hold the node it replaces.
+    function symbol and everything below it is a constructor or unlabelled,
+    and an unlabelled node, a variable, has no children.  Unlabelled nodes
+    reachable from the right root must also be reachable from the left
+    root, and the left root must not be: a replacement cannot hold the
+    node it replaces.  compile_rule checks these conditions as it
+    compiles the rule.
     """
 
     graph: TermGraph
     left: int
     right: int
-
-    def validate(self, sig: crs.Signature) -> None:
-        g = self.graph
-        if g.label[self.left] is None or not sig.is_function(g.label[self.left]):
-            raise GraphError("left root must be labelled with a function symbol")
-        left_nodes = g.reachable(self.left)
-        for v in left_nodes:
-            lab = g.label[v]
-            if v != self.left and lab is not None and not sig.is_constructor(lab):
-                raise GraphError(f"non-left path through node {v}")
-        right_nodes = g.reachable(self.right)
-        if self.left in right_nodes:
-            raise GraphError("the right side reaches the left root")
-        for v in right_nodes:
-            if g.label[v] is None and v not in left_nodes:
-                raise GraphError(f"unlabelled node {v} not bound by the left side")
 
 
 def rule_to_graph_rule(rule: crs.Rule) -> GraphRule:
@@ -272,10 +260,14 @@ class CompiledRule(NamedTuple):
     plan_work: int
 
 
-def compile_rule(gr: GraphRule) -> CompiledRule:
-    """The match program, build template and decide plan of one rule."""
+def compile_rule(gr: GraphRule, sig: crs.Signature) -> CompiledRule:
+    """The match program, build template and decide plan of one rule,
+    which is checked against sig (see GraphRule) by the walks that
+    compile its two sides: a GraphError names the first fault."""
     rg = gr.graph
-    slot = {gr.left: 0}
+    if not sig.is_function(rg.label[gr.left]):
+        raise GraphError("left root must be labelled with a function symbol")
+    slot = {gr.left: 0}                 # the left side's nodes
     match = []
     todo = [(c, 0, i) for i, c in enumerate(rg.succ[gr.left])]
     while todo:
@@ -287,12 +279,21 @@ def compile_rule(gr: GraphRule) -> CompiledRule:
         slot[rn] = s = len(slot)
         lab = rg.label[rn]
         if lab is None:
+            if rg.succ[rn]:
+                raise GraphError(f"unlabelled node {rn} has children")
             match.append((_BIND, parent, i, None))
-        else:
+        elif lab in sig.constructors:
             match.append((_LABEL, parent, i, lab))
             todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
-    left_nodes = rg.reachable(gr.left)
-    fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in left_nodes]
+        else:
+            raise GraphError(f"non-left path through node {rn}")
+    right_nodes = rg.reachable(gr.right)
+    if gr.left in right_nodes:
+        raise GraphError("the right side reaches the left root")
+    fresh = [v for v in sorted(right_nodes) if v not in slot]
+    labels = tuple(rg.label[v] for v in fresh)
+    if None in labels:
+        raise GraphError(f"unlabelled node {fresh[labels.index(None)]} not bound by the left side")
     n = len(slot)
     ref = dict(slot)
     ref.update((v, n + k) for k, v in enumerate(fresh))
@@ -317,17 +318,16 @@ def compile_rule(gr: GraphRule) -> CompiledRule:
             if c >= n and copies[c - n] == 1:
                 todo.append((c, r, j))
     plan.reverse()
-    return CompiledRule(gr, tuple(match), tuple(slot), tuple(rg.label[v] for v in fresh),
-                        kids, right, (*(r for k in kids for r in k), right), tuple(plan),
-                        plan_work)
+    return CompiledRule(gr, tuple(match), tuple(slot), labels, kids, right,
+                        (*(r for k in kids for r in k), right), tuple(plan), plan_work)
 
 
-def compile_rules(grules: list[GraphRule]) -> RuleIndex:
+def compile_rules(grules: list[GraphRule], sig: crs.Signature) -> crs.RuleIndex:
     """Compiled rules in crs.first_arg_index, keyed by (head, label of the
     first argument): the rules whose first pattern can match a node, in
-    rule order."""
+    rule order.  Raises at the first rule that does not compile."""
     return crs.first_arg_index(
-        (gr.graph.label[gr.left], _first_label(gr.graph, gr.left), compile_rule(gr))
+        (gr.graph.label[gr.left], _first_label(gr.graph, gr.left), compile_rule(gr, sig))
         for gr in grules)
 
 
@@ -361,7 +361,7 @@ def _records(g: TermGraph) -> dict[int, list]:
     return rec
 
 
-def _candidates(index: RuleIndex, v: list, lab: str) -> list[CompiledRule]:
+def _candidates(index: crs.RuleIndex, v: list, lab: str) -> list[CompiledRule]:
     return index.get((lab, v[1][0][0] if v[1] else None)) or index.get((lab, None), [])
 
 
@@ -418,7 +418,7 @@ def _match(cr: CompiledRule, anchor: list, functions: dict,
     return None
 
 
-def _first_match(index: RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
+def _first_match(index: crs.RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
     # (compiled rule, slots) of the rule firing at record v, or None
     for cr in _candidates(index, v, lab):
         nodes = _match(cr, v, functions, counter)
@@ -442,7 +442,7 @@ def find_redex(g: TermGraph, rules, sig: crs.Signature) -> Optional[Redex]:
     anchor unique; that is asserted.  For the tests: graph_reduce never
     searches the whole graph.  It stays a module attribute as
     bench/tracer.py wraps it."""
-    index = rules if isinstance(rules, dict) else compile_rules(rules)
+    index = rules if isinstance(rules, dict) else compile_rules(rules, sig)
     rec = _records(g)
     functions = sig.functions
     for v in _post_order(g, g.root):
@@ -506,10 +506,11 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The rules are validated and compiled once per call.  The reachable
-    part of g becomes records (_records), and a run of one step or more
-    writes label, succ, refs, root and _next back once (_write_back); a
-    run of 0 steps leaves g untouched.  A record's value is True for a
+    The rules are compiled, which checks them, once per call and before
+    the input is read.  The reachable part of g becomes records
+    (_records), and a run of one step or more writes label, succ, refs,
+    root and _next back once (_write_back); a run of 0 steps leaves g
+    untouched.  A record's value is True for a
     value; every other record has its one in-edge, kids[index] of its
     parent (None at the root), and pending, its non-value children.  The
     parent is cleared when a record becomes a value or dies.  reds holds
@@ -544,15 +545,13 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    for gr in grules:
-        gr.validate(sig)
+    index = compile_rules(grules, sig)
     functions = sig.functions
     rec = _records(g)
     if not _shared_ok(rec, functions):
         raise SharingViolation("input graph is not constructor-shared")
     root, size = rec[g.root], len(rec)
     del rec
-    index = compile_rules(grules)
     sizes = [len(g.label)]
     work: list[int] = []
     counter = [0]
@@ -637,7 +636,7 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work)
 
 
-def _decide(root: list, index: RuleIndex, sig: crs.Signature, reds: list[tuple],
+def _decide(root: list, index: crs.RuleIndex, sig: crs.Signature, reds: list[tuple],
             counter: list[int]) -> None:
     # The first search: decide every record reachable from root, children
     # first, as the plan decides copies; a function node over values that

@@ -59,11 +59,6 @@ class ScottContext:
         self._confun_cache: dict[str, lam.Term] = {}
         self._bottom: Optional[lam.Term] = None
         self._all_vars_chain: list[lam.Term] = [Abs("k", Var("k"))]
-        # free variables of every distinct object walked, by id: sound only
-        # because the context keeps each walked term (and so each object
-        # below it) alive for as long as the memo, so no id is reused
-        self._fv_memo: dict[int, frozenset[str]] = {}
-        self._walked: list[lam.Term] = []
 
     @property
     def g(self) -> int:
@@ -75,12 +70,6 @@ class ScottContext:
 
     def arity(self, name: str) -> int:
         return self.system.signature.arity(name)
-
-    def free_set(self, t: lam.Term) -> frozenset[str]:
-        """Free variables of t, by a walk over its distinct objects that
-        stops at the objects earlier calls kept in the context's memo."""
-        self._walked.append(t)
-        return lam._free_set_shared(t, self._fv_memo)
 
 
 def bottom(ctx: ScottContext) -> lam.Term:
@@ -141,13 +130,12 @@ def strict_constructor(ctx: ScottContext, name: str) -> lam.Term:
 
 # --- pattern matching ---------------------------------------------------------------
 
-def _delay(ctx: ScottContext, body: lam.Term) -> lam.Term:
-    """The thunk \\u. body, with u not free in body."""
-    free = ctx.free_set(body)
-    u = "u"
-    while u in free:
-        u += "'"
-    return Abs(u, body)
+def _delay(body: lam.Term) -> lam.Term:
+    """The thunk \\u. body.  u is never free in body: a delayed body is a
+    variable-free rule's translated right side, whose free variables are
+    fixed-point names F.., or _rebuild_wrapper's w C, whose only free
+    variable is w."""
+    return Abs("u", body)
 
 
 # forces a thunk by applying it to a dummy value
@@ -201,7 +189,7 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     rebuilt = apps(constructor_function(ctx, cname), [Var(b) for b in bvs])
     body = apps(Var("w"), [Var(a) for a in avs] + [rebuilt] + [Var(c) for c in cvs])
     binders = avs + bvs + cvs
-    return Abs("w", abss(binders, body) if binders else _delay(ctx, body))
+    return Abs("w", abss(binders, body) if binders else _delay(body))
 
 
 # stands for each child that a constructor brings into a column where a
@@ -392,7 +380,7 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
     if ctx._parts is None:
         hs, vs = _build_parts(ctx)
         # every part closed, in one walk: FV(p1 p2 .. pn) is their union
-        assert not ctx.free_set(apps(hs[0], hs[1:] + vs))
+        assert not lam._free_set_shared(apps(hs[0], hs[1:] + vs), {})
         ctx._parts = hs, vs
     hs, vs = ctx._parts
     term = ctx._interp_cache[fname] = apps(hs[ctx.functions.index(fname)], vs)
@@ -413,7 +401,7 @@ def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
             rhs = _translate(ctx, r.rhs, lambda f: Var(fixnames[ctx.functions.index(f)]),
                              False)
             delayed.append(not pvars and not isinstance(rhs, Abs))
-            ws.append(_delay(ctx, rhs) if delayed[-1] else abss(pvars, rhs))
+            ws.append(_delay(rhs) if delayed[-1] else abss(pvars, rhs))
         matcher = compile_match(ctx, [r.lhs for r in rules], ar, delayed)
         avars = [f"arg{k+1}" for k in range(ar)]
         vs.append(abss(list(fixnames) + avars,

@@ -9,8 +9,8 @@ import pytest
 from normbench import crs, encode, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    apply_subst, bench_workloads, crs_replace_at, match_args, random_closed_term,
-    random_system, redexes, reference_random_reduce, rewrite_step, term_size,
+    apply_subst, bench_workloads, crs_replace_at, is_pattern, match_args, random_closed_term,
+    random_system, redexes, reference_random_reduce, reference_validate, rewrite_step, term_size,
     two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -188,8 +188,8 @@ def test_term_classes():
     sig = nat_sig()
     assert crs.is_constructor_term(nat(2), sig)
     assert not crs.is_constructor_term(Node("add", (nat(0), nat(0))), sig)
-    assert crs.is_pattern(Node("succ", (Var("x"),)), sig)
-    assert not crs.is_pattern(Node("add", (Var("x"), Var("y"))), sig)
+    assert is_pattern(Node("succ", (Var("x"),)), sig)
+    assert not is_pattern(Node("add", (Var("x"), Var("y"))), sig)
     assert crs.is_closed(nat(2))
     assert not crs.is_closed(Var("x"))
 
@@ -335,6 +335,174 @@ def test_overlap_reports_the_first_pair():
         with pytest.raises(crs.OverlapError) as exc:
             crs.validate_system(sig, [rules[k] for k in order])
         assert exc.value.rules == pair, order
+
+
+# --- the compile check against the multi-pass reference ------------------------
+
+def _positions(t):
+    """The path of every subterm of t, in pre-order."""
+    out = []
+    todo = [((), t)]
+    while todo:
+        path, s = todo.pop()
+        out.append(path)
+        if isinstance(s, Node):
+            todo += [(path + (i,), c) for i, c in reversed(list(enumerate(s.children)))]
+    return out
+
+
+def _subterm(t, path):
+    for i in path:
+        t = t.children[i]
+    return t
+
+
+FAULTS = {
+    "undeclared": crs.UnknownSymbol,
+    "arity": crs.ArityMismatch,
+    "function in pattern": crs.InvalidRule,
+    "head": crs.InvalidRule,
+    "nonlinear": crs.NonLinearLhs,
+    "unbound": crs.InvalidRule,
+    "overlap": crs.OverlapError,
+}
+
+
+def inject(rng, sig, rules, fault):
+    """rules with one fault of the kind named put into one rule, or None
+    when the system has no place for it.  Each fault keeps every variable
+    bound and the left side linear, unless it is that fault."""
+    if not rules:
+        return None
+    rules = list(rules)
+    k = rng.randrange(len(rules))
+    lhs, rhs = Node(rules[k].head, rules[k].lhs), rules[k].rhs
+    nullary = [Node(c) for c, ar in sig.constructors.items() if ar == 0]
+    left = fault in ("function in pattern", "nonlinear") or \
+        fault in ("undeclared", "arity") and rng.random() < 0.5
+    side = lhs if left else rhs
+    # the places below the head on the left, anywhere on the right
+    places = [p for p in _positions(side) if p or not left]
+    if fault == "undeclared" and places:
+        p = rng.choice(places)
+        side = crs_replace_at(side, p, Node("undeclared", (_subterm(side, p),)))
+    elif fault == "arity" and nullary and isinstance(side, Node):
+        # a node gets one more child; at the left root, one more argument
+        p = rng.choice([p for p in _positions(side) if isinstance(_subterm(side, p), Node)])
+        s = _subterm(side, p)
+        side = crs_replace_at(side, p, Node(s.symbol, s.children + (nullary[0],)))
+    elif fault == "function in pattern" and places:
+        fs = [f for f, ar in sig.functions.items() if ar == 1 or ar > 1 and nullary]
+        if not fs:
+            return None
+        f = rng.choice(fs)
+        p = rng.choice(places)
+        filler = (nullary[:1] * sig.functions[f])[1:]
+        side = crs_replace_at(side, p, Node(f, (_subterm(side, p), *filler)))
+    elif fault == "head":
+        lhs = Node(rng.choice([*sig.constructors, "undeclared"]), lhs.children)
+    elif fault == "nonlinear" and len(crs.variables(lhs)) >= 2:
+        x, y = rng.sample(crs.variables(lhs), 2)
+        side, rhs = apply_subst(lhs, {y: Var(x)}), apply_subst(rhs, {y: Var(x)})
+    elif fault == "unbound":
+        side = crs_replace_at(rhs, rng.choice(places), Var("unbound"))
+    elif fault == "overlap":
+        # a copy of rule k, or with nullary constructors a generalisation:
+        # a pattern node becomes a fresh variable and the right side closed
+        copy = rules[k]
+        nodes = [p for p in _positions(lhs) if p and isinstance(_subterm(lhs, p), Node)]
+        if nullary and nodes and rng.random() < 0.5:
+            g = crs_replace_at(lhs, rng.choice(nodes), Var("fresh"))
+            copy = Rule(g.symbol, g.children, nullary[0])
+        rules.insert(rng.randrange(len(rules) + 1), copy)
+        return rules
+    else:
+        return None
+    if left:
+        lhs = side
+    else:
+        rhs = side
+    rules[k] = Rule(lhs.symbol, lhs.children, rhs)
+    return rules
+
+
+def raised(check, sig, rules):
+    """(type, message) of the CrsError check raises, or None."""
+    try:
+        check(sig, rules)
+    except crs.CrsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def validation_inputs():
+    """(signature, rules) of the corpus systems, of the CBV and CBN images
+    of some corpus terms, and of seeded random systems."""
+    corpus = workbench.Corpus.load(CORPUS)
+    systems = [e.system for e in corpus.crs_entries]
+    for e in corpus.lambda_entries[:8]:
+        systems += [encode.encode_cbv(e.term).system, encode.encode_cbn(e.term).system]
+    rng = random.Random(19)
+    systems += [random_system(rng) for _ in range(40)]
+    return [(s.signature, s.rules) for s in systems]
+
+
+def test_compiling_a_system_checks_it_as_the_reference_does():
+    # one fault at a time: the compile raises exactly the error of the
+    # multi-pass reference, and both accept every unmutated system
+    rng = random.Random(5)
+    met = set()
+    for sig, rules in validation_inputs():
+        assert raised(reference_validate, sig, rules) is None
+        assert raised(crs.CrsSystem, sig, rules) is None
+        for fault, error in FAULTS.items():
+            for _ in range(3):
+                bad = inject(rng, sig, rules, fault)
+                if bad is None:
+                    continue
+                want = raised(reference_validate, sig, bad)
+                assert want is not None and want[0] is error, (fault, want)
+                assert raised(crs.CrsSystem, sig, bad) == want, fault
+                met.add(fault)
+    assert met == set(FAULTS)
+
+
+def test_several_faults_are_rejected_as_by_the_reference():
+    rng = random.Random(6)
+    for sig, rules in validation_inputs():
+        for _ in range(8):
+            bad = rules
+            for fault in rng.sample(sorted(FAULTS), rng.randrange(2, 5)):
+                bad = inject(rng, sig, bad, fault) or bad
+            assert (raised(reference_validate, sig, bad) is None) == \
+                (raised(crs.CrsSystem, sig, bad) is None)
+
+
+@pytest.mark.parametrize("rules, error, message", [
+    # the head before its arguments
+    ("rule s(f(x), y) -> y;", crs.InvalidRule, "rule 0: head 's' is not a function symbol"),
+    # the left side slot by slot: both arguments before their children,
+    # where the reference checks each argument whole, pattern-ness last
+    ("rule g(s(s(f(x))), h(z)) -> x;", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule g(s(f(x)), s(z, z)) -> x;",
+     crs.ArityMismatch, "symbol 's' has arity 1, applied to 2 arguments"),
+    ("rule g(s(x), s(f(x))) -> x;", crs.InvalidRule, "rule 0: lhs argument is not a pattern"),
+    ("rule g(s(s(x)), x) -> x;", crs.NonLinearLhs, "rule 0: variable 'x' occurs twice in the lhs"),
+    # unbound right-side variables before the right side's symbols
+    ("rule f(x) -> s(z, y);", crs.InvalidRule, "rule 0: rhs variables ['y'] not bound in lhs"),
+    # the right side in pre-order, left to right
+    ("rule f(x) -> g(s(z, z), h(x));",
+     crs.ArityMismatch, "symbol 's' has arity 1, applied to 2 arguments"),
+    # rule by rule, and every rule before any overlap
+    ("rule f(x) -> h(x); rule f(s(x)) -> s(x, x);",
+     crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule f(z) -> z; rule f(x) -> x; rule g(x, x) -> x;",
+     crs.NonLinearLhs, "rule 2: variable 'x' occurs twice in the lhs"),
+])
+def test_which_fault_a_rule_with_several_reports(rules, error, message):
+    with pytest.raises(crs.CrsError) as exc:
+        crs.parse_system(PREAMBLE + rules)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_deep_terms_no_recursion_blowup():

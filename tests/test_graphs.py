@@ -8,8 +8,8 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    bench_workloads, nat_term, random_closed_term, random_system, reference_try_match, term_size,
-    two_tower)
+    bench_workloads, candidates, nat_term, random_closed_term, random_system, reference_try_match,
+    term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -80,7 +80,7 @@ def test_rule_to_graph_rule_shares_variables():
     rule = Rule("a", (Node("b", (Var("x"),)), Var("y")),
                 Node("b", (Node("a", (Var("y"), Node("a", (Var("y"), Var("x"))))),)))
     gr = graphs.rule_to_graph_rule(rule)
-    gr.validate(sig)
+    graphs.compile_rule(gr, sig)
     g = gr.graph
     unlabelled = [v for v in g.label if g.label[v] is None]
     assert len(unlabelled) == 2
@@ -97,7 +97,7 @@ def test_rule_to_graph_rule_variable_right_root():
     sig = Signature({"zero": 0, "succ": 1}, {"add": 2})
     rule = Rule("add", (Node("zero"), Var("y")), Var("y"))
     gr = graphs.rule_to_graph_rule(rule)
-    gr.validate(sig)
+    graphs.compile_rule(gr, sig)
     assert gr.graph.label[gr.right] is None
     assert gr.right in gr.graph.reachable(gr.left)
 
@@ -110,7 +110,7 @@ def test_rule_validation_rejects_function_below_left():
     g.set_children(top, (inner,))
     out = g.new_node("c")
     with pytest.raises(graphs.GraphError):
-        graphs.GraphRule(g, top, out).validate(sig)
+        graphs.compile_rule(graphs.GraphRule(g, top, out), sig)
 
 
 def right_side_reaching_left_root(below):
@@ -132,7 +132,7 @@ def right_side_reaching_left_root(below):
 def test_rule_validation_rejects_right_side_reaching_left_root(below):
     sig, rule = right_side_reaching_left_root(below)
     with pytest.raises(graphs.GraphError, match="reaches the left root"):
-        rule.validate(sig)
+        graphs.compile_rule(rule, sig)
 
 
 @pytest.mark.parametrize("rng", [None, random.Random(3)])
@@ -142,6 +142,63 @@ def test_graph_reduce_validates_its_rules(below, rng):
     g = graphs.term_to_graph(crs.parse_term("h(f(d))", sig))
     with pytest.raises(graphs.GraphError, match="reaches the left root"):
         graphs.graph_reduce(g, [rule], sig, 5, rng=rng)
+
+
+def faulty_rule(fault):
+    """f(b(x)) -> b(x) with one fault put in (None: none), and the
+    message it raises."""
+    sig = Signature({"b": 1, "c": 0, "d": 2}, {"f": 1, "g": 1})
+    rg = graphs.TermGraph()
+    x = rg.new_node(None)
+    pat = rg.new_node("b")
+    rg.set_children(pat, (x,))
+    left = rg.new_node("f")
+    rg.set_children(left, (pat,))
+    right = rg.new_node("b")
+    rg.set_children(right, (x,))
+    message = {None: None,
+               "root": "left root must be labelled with a function symbol",
+               "constructor root": "left root must be labelled with a function symbol",
+               "function below": f"non-left path through node {pat}",
+               "undeclared below": f"non-left path through node {pat}",
+               "unbound": f"unlabelled node {right + 1} not bound by the left side",
+               "variable with a child": f"unlabelled node {x} has children"}[fault]
+    if fault == "root":
+        rg.label[left] = None
+    elif fault == "constructor root":
+        rg.label[left] = "b"
+    elif fault == "function below":
+        rg.label[pat] = "g"
+    elif fault == "undeclared below":
+        rg.label[pat] = "h"
+    elif fault == "unbound":
+        rg.set_children(right, (rg.new_node(None),))
+    elif fault == "variable with a child":
+        rg.set_children(x, (rg.new_node("c"),))
+    return sig, graphs.GraphRule(rg, left, right), message
+
+
+@pytest.mark.parametrize("fault", ["root", "constructor root", "function below",
+                                   "undeclared below", "unbound", "variable with a child"])
+def test_compiling_a_rule_checks_it(fault):
+    # each fault raises from compile_rule, and from graph_reduce before
+    # the input is read: this input is not constructor-shared
+    sig, rule, message = faulty_rule(fault)
+    with pytest.raises(graphs.GraphError) as exc:
+        graphs.compile_rule(rule, sig)
+    assert (type(exc.value), str(exc.value)) == (graphs.GraphError, message)
+    g = graphs.TermGraph()
+    c = g.new_node("c")
+    shared = g.new_node("g")
+    g.set_children(shared, (c,))
+    g.root = g.new_node("d")
+    g.set_children(g.root, (shared, shared))
+    with pytest.raises(graphs.SharingViolation):
+        graphs.graph_reduce(g, [faulty_rule(None)[1]], sig, 5)
+    for rng in (None, random.Random(0)):
+        with pytest.raises(graphs.GraphError) as exc:
+            graphs.graph_reduce(g, [rule], sig, 5, rng=rng)
+        assert (type(exc.value), str(exc.value)) == (graphs.GraphError, message)
 
 
 # --- redex search ----------------------------------------------------------------------
@@ -203,7 +260,7 @@ def worked_example():
     s = rg.new_node("b")
     rg.set_children(s, (ar,))
     rule = graphs.GraphRule(rg, r, s)
-    rule.validate(sig)
+    graphs.compile_rule(rule, sig)
     return sig, g, rule, (a1, a2, b1, c1)
 
 
@@ -716,7 +773,7 @@ def compiled_rules_agree(system, t, budget=30):
     order, and in-degrees equal to a recount from succ."""
     grules = graphs.system_to_graph_rules(system)
     sig = system.signature
-    index = graphs.compile_rules(grules)
+    index = graphs.compile_rules(grules, sig)
     compiled = {id(cr.rule): cr for bucket in index.values() for cr in bucket}
     assert len(compiled) == len(grules)
     g = graphs.term_to_graph(t)
@@ -872,7 +929,7 @@ def test_rule_sharing_a_constructor_copy():
     # the sharing check marks the b copy and its d as values, so the decide
     # plan holds only the a copy, and counts it and its two child slots
     sig, grules = shared_constructor_copy_rules()
-    cr = graphs.compile_rule(grules[0])
+    cr = graphs.compile_rule(grules[0], sig)
     assert (cr.plan, cr.plan_work) == (((len(cr.slots) + 2, -1, 0),), 3)
     for text in ("h(f(c))", "a(f(c), h(f(d)))", "h(a(h(f(c)), f(f(d))))"):
         t = crs.parse_term(text, sig)
@@ -899,7 +956,7 @@ def shared_function_rule():
     right = rg.new_node("a")
     rg.set_children(right, (gnode, gnode))
     rule = graphs.GraphRule(rg, left, right)
-    rule.validate(sig)
+    graphs.compile_rule(rule, sig)
     return sig, rule
 
 
@@ -920,7 +977,7 @@ def test_index_keeps_unlabelled_first_patterns():
         Rule("f", (Var("x"), Node("succ", (Var("y"),))), Node("f", (Var("x"), Var("y")))),
     ])
     grules = graphs.system_to_graph_rules(system)
-    index = graphs.compile_rules(grules)
+    index = graphs.compile_rules(grules, sig)
     assert [cr.rule for cr in index["f", "c"]] == grules
     assert [cr.rule for cr in index["f", None]] == grules[1:]
     for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
@@ -948,7 +1005,7 @@ def test_both_engines_share_the_rule_index():
     for system in systems:
         sig = system.signature
         grules = graphs.system_to_graph_rules(system)
-        index = graphs.compile_rules(grules)
+        index = graphs.compile_rules(grules, sig)
         assert set(index) == set(system._index)
         pos = {id(r): k for k, r in enumerate(system.rules)}
         gpos = {id(gr): k for k, gr in enumerate(grules)}
@@ -963,7 +1020,7 @@ def test_both_engines_share_the_rule_index():
                 arg = (Var("x") if first is None else Node(first)) if arity else None
                 want = [k for k, r in enumerate(system.rules) if r.head == head
                         and roots[k] in (None, first)]
-                assert [pos[id(r)] for r in system.candidates(head, arg)] == want
+                assert [pos[id(r)] for r in candidates(system, head, arg)] == want
                 assert [gpos[id(cr.rule)] for cr in
                         graphs._candidates(index, graphs._records(g)[v], head)] == want
 
@@ -999,7 +1056,7 @@ def shared_pattern_rule():
     left = rg.new_node("f")
     rg.set_children(left, (pnode, pnode))
     rule = graphs.GraphRule(rg, left, x)
-    rule.validate(sig)
+    graphs.compile_rule(rule, sig)
     return sig, rule
 
 
@@ -1008,7 +1065,7 @@ def test_left_side_sharing_a_constructor_node(shared):
     # f(b(c), b(c)) matches only where both arguments are one node; the
     # compiled program meets the b node twice, the second time as a check
     sig, rule = shared_pattern_rule()
-    cr = graphs.compile_rule(rule)
+    cr = graphs.compile_rule(rule, sig)
     assert [step[0] for step in cr.match] == [graphs._LABEL, graphs._BIND, graphs._SAME]
     if shared:
         g = graphs.TermGraph()

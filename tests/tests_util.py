@@ -112,6 +112,57 @@ def random_closed_term(rng, sig, depth):
                                 for _ in range(ar)))
 
 
+# --- the multi-pass rule check: the reference for CrsSystem's compile ----------
+
+def is_pattern(t, sig):
+    """Built from constructors and variables."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, crs.Node):
+            if not sig.is_constructor(s.symbol):
+                return False
+            todo.extend(s.children)
+    return True
+
+
+def reference_validate(sig, rules):
+    """The rule check as separate walks over each rule side: raises on the
+    first invalid rule, checking its head, then each pattern's arities,
+    pattern-ness and linearity in turn, then its right side's arities and
+    variables; then on the first overlapping pair of a head in rule order."""
+    for idx, rule in enumerate(rules):
+        if not sig.is_function(rule.head):
+            raise crs.InvalidRule(f"rule {idx}: head {rule.head!r} is not a function symbol")
+        if len(rule.lhs) != sig.arity(rule.head):
+            raise crs.ArityMismatch(rule.head, sig.arity(rule.head), len(rule.lhs))
+        seen = set()
+        for p in rule.lhs:
+            crs._check_arities(p, sig)
+            if not is_pattern(p, sig):
+                raise crs.InvalidRule(f"rule {idx}: lhs argument is not a pattern")
+            for v in crs.variables(p):
+                if v in seen:
+                    raise crs.NonLinearLhs(idx, v)
+                seen.add(v)
+        crs._check_arities(rule.rhs, sig)
+        extra = set(crs.variables(rule.rhs)) - seen
+        if extra:
+            raise crs.InvalidRule(f"rule {idx}: rhs variables {sorted(extra)} not bound in lhs")
+    roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], crs.Node) else None
+             for rule in rules]
+    by_head = {}
+    for idx, rule in enumerate(rules):
+        by_head.setdefault(rule.head, []).append(idx)
+    for idxs in by_head.values():
+        for a, i in enumerate(idxs):
+            for j in idxs[a + 1:]:
+                if roots[i] is not None and roots[j] is not None and roots[i] != roots[j]:
+                    continue
+                if all(crs._patterns_compatible(p, q) for p, q in zip(rules[i].lhs, rules[j].lhs)):
+                    raise crs.OverlapError(i, j)
+
+
 # --- the from-the-root step relation: the reference for the engines ------------
 
 def term_size(t):
@@ -180,6 +231,14 @@ def apply_subst(t, subst):
     return results[0]
 
 
+def candidates(system, head, first_arg):
+    """The rules of head that can fire at a node with this first argument,
+    in rule order, from the system's first-argument index."""
+    root = first_arg.symbol if isinstance(first_arg, crs.Node) else None
+    index = system._index
+    return [system.rules[r] for r in index.get((head, root)) or index.get((head, None), ())]
+
+
 def match_at(system, t):
     """The unique rule instance firing at the root of t, if any: a plain
     match whose bindings are all constructor terms (the CBV condition)."""
@@ -187,7 +246,7 @@ def match_at(system, t):
         return None
     hits = []
     first = t.children[0] if t.children else None
-    for rule in system.candidates(t.symbol, first):
+    for rule in candidates(system, t.symbol, first):
         subst = match_args(rule.lhs, t.children)
         if subst is not None and all(crs.is_constructor_term(v, system.signature)
                                      for v in subst.values()):
