@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (budget exhaustion is still 0, recorded in the
 report), 1 parse error, 2 validation or usage error (a negative budget
-too), 3 failed theorem check in compare or roundtrip mode.
+too, or an --out or --emit-dot path that cannot be written), 3 failed
+theorem check in compare or roundtrip mode.
 """
 
 from __future__ import annotations
@@ -65,16 +66,23 @@ def _input_stanza(path_str: str) -> dict:
     return {"path": path_str, "sha256": workbench.digest(data)}
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(EXIT_VALIDATION, f"cannot write {path}: {exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
 
 def _maybe_dot(graph, dest: str | None) -> None:
     if dest and graph is not None:
-        Path(dest).write_text(graphs.to_dot(graph))
+        _write(dest, graphs.to_dot(graph))
 
 
 def cmd_eval(args) -> int:

@@ -22,8 +22,7 @@ A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
 `CrsSystem` compiles the rules, which is what checks them (see
 `CrsSystem` for which fault a rule with several reports), and builds
-the first-argument index (`first_arg_index`) that `graphs.compile_rules`
-builds with too.
+the first-argument index that both engines look rules up in.
 """
 
 from __future__ import annotations
@@ -234,14 +233,13 @@ class CrsSystem:
             self._plans.append(_plan(rule.rhs, sig, program[1]))
         roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
                  for rule in self.rules]
-        self._index = first_arg_index(zip((r.head for r in self.rules), roots,
-                                          range(len(self.rules))))
+        self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
         by_head: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_head.setdefault(rule.head, []).append(idx)
         for head, idxs in by_head.items():
             for i in idxs:
-                # the later rules that share a first_arg_index bucket with i
+                # the later rules that share an index bucket with i
                 bucket = idxs if roots[i] is None else self._index[head, roots[i]]
                 lhs = self.rules[i].lhs
                 for j in bucket[bucket.index(i) + 1:]:
@@ -266,24 +264,23 @@ class CrsSystem:
         return None
 
 
-RuleIndex = dict[tuple[str, Optional[str]], list]
+_RuleIndex = dict[tuple[str, Optional[str]], list[int]]
 
 
-def first_arg_index(rules: Iterable[tuple[str, Optional[str], object]]) -> RuleIndex:
-    """Rules keyed by (head, root of the first argument), from (head, root
-    of the first pattern or None, rule) triples in rule order, a rule
-    given as whatever stands for it (crs: its position, graphs: its
-    compiled form).  Key (head, c) holds, in rule order, the rules whose
-    first pattern is rooted at c or is a variable; (head, None) those
-    with a variable, and every rule of a nullary head.  A node tries its
-    first argument's key, else None."""
-    by_head: dict[str, list[tuple[Optional[str], object]]] = {}
-    for head, root, rule in rules:
-        by_head.setdefault(head, []).append((root, rule))
-    index: RuleIndex = {}
+def _first_arg_index(keys: Iterable[tuple[str, Optional[str]]]) -> _RuleIndex:
+    """Rule positions keyed by (head, root of the first argument), from
+    each rule's (head, root of its first pattern or None) in rule order.
+    Key (head, c) holds, in rule order, the rules whose first pattern is
+    rooted at c or is a variable; (head, None) those with a variable,
+    and every rule of a nullary head.  A node tries its first argument's
+    key, else None."""
+    by_head: dict[str, list[tuple[Optional[str], int]]] = {}
+    for pos, (head, root) in enumerate(keys):
+        by_head.setdefault(head, []).append((root, pos))
+    index: _RuleIndex = {}
     for head, entries in by_head.items():
         for key in {None, *(root for root, _ in entries)}:
-            index[head, key] = [rule for root, rule in entries if root is None or root == key]
+            index[head, key] = [pos for root, pos in entries if root is None or root == key]
     return index
 
 

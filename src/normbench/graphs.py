@@ -1,7 +1,7 @@
 """Term-graph rewriting with sharing.
 
 Graphs are rooted DAGs with ordered out-edges and a partial labelling;
-unlabelled nodes play the role of variables.  A TermGraph keeps its
+a term needs every reachable node labelled.  A TermGraph keeps its
 nodes in id-keyed dicts: label, succ and refs, the in-degree, which is
 all that collection needs.  Constructor-sharedness, the invariant that
 every shared node heads only constructor paths, is what keeps graph
@@ -9,13 +9,14 @@ steps in bijection with term steps.  It also makes the non-values
 (nodes with a function node at or below them) a tree, so a redex's
 anchor has one in-edge, a child slot, and the firing redirects it.
 
-Each rule is compiled once per run (compile_rules) into a flat match
-program, a build template and a decide plan, and put into
-crs.first_arg_index, the index the CRS engine uses too: a node tries
-only the rules of its head whose first pattern can match its first
-child's label, in rule order.  The compile is also the rule check: the
-walks that build the match program and list the right side's copies
-reject a rule graph that is not a left-path, left-bound rule.
+The rules are those of a CrsSystem, which has checked them.  A rule
+is its two sides as trees sharing the variables: a firing copies every
+node of the right side, and a variable's place takes the node that the
+match bound.  Each rule is compiled once per run (compile_rule, one
+walk per side) into a flat match program, a build template and a
+decide plan, and takes its position's place in the system's
+first-argument index, so a node tries only the rules of its head whose
+first pattern can match its first child's label, in rule order.
 
 graph_reduce converts the reachable part of its input once into linked
 node records (_records), runs on them alone and writes the dicts back
@@ -103,39 +104,26 @@ class TermGraph:
         return seen
 
 
-def _add_tree(g: TermGraph, t: crs.Term, varnode: dict[str, int]) -> int:
-    """Add a tree for t to g, children before their parent, and return its
-    root.  One node per symbol occurrence; a variable gets one unlabelled
-    node per name, looked up in and recorded into varnode."""
-    results: list[int] = []
-    todo: list[tuple[bool, crs.Term]] = [(False, t)]
-    while todo:
-        done, node = todo.pop()
-        if isinstance(node, crs.Var):
-            v = varnode.get(node.name)
-            if v is None:
-                v = varnode[node.name] = g.new_node(None)
-            results.append(v)
-        elif not done:
-            todo.append((True, node))
-            todo.extend((False, c) for c in reversed(node.children))
-        else:
-            k = len(node.children)
-            kids = tuple(results[-k:]) if k else ()
-            if k:
-                del results[-k:]
-            v = g.new_node(node.symbol)
-            g.set_children(v, kids)
-            results.append(v)
-    return results[0]
-
-
 def term_to_graph(t: crs.Term) -> TermGraph:
-    """Tree-shaped graph of a closed term: one node per symbol occurrence."""
-    if not crs.is_closed(t):
-        raise GraphError("term must be closed")
+    """Tree-shaped graph of a closed term: one node per symbol occurrence,
+    children left to right before their parent."""
     g = TermGraph()
-    g.root = _add_tree(g, t, {})
+    results: list[int] = []
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the node below, once its children are done
+            s = todo.pop()
+            k = len(results) - len(s.children)
+            v = g.new_node(s.symbol)
+            g.set_children(v, tuple(results[k:]))
+            del results[k:]
+            results.append(v)
+        elif type(s) is crs.Var:
+            raise GraphError("term must be closed")
+        else:
+            todo += (s, None, *reversed(s.children))
+    g.root = results[0]
     return g
 
 
@@ -183,157 +171,96 @@ def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
     return memo[g.root]
 
 
-# --- rules -----------------------------------------------------------------------------
-
-@dataclass
-class GraphRule:
-    """Labelled graph with left and right roots.
-
-    Every path from the left root must be a left path: the left root is a
-    function symbol and everything below it is a constructor or unlabelled,
-    and an unlabelled node, a variable, has no children.  Unlabelled nodes
-    reachable from the right root must also be reachable from the left
-    root, and the left root must not be: a replacement cannot hold the
-    node it replaces.  compile_rule checks these conditions as it
-    compiles the rule.
-    """
-
-    graph: TermGraph
-    left: int
-    right: int
-
-
-def rule_to_graph_rule(rule: crs.Rule) -> GraphRule:
-    """Trees of both sides, sharing exactly the variable nodes."""
-    g = TermGraph()
-    varnode: dict[str, int] = {}
-    left = _add_tree(g, crs.Node(rule.head, rule.lhs), varnode)
-    return GraphRule(g, left, _add_tree(g, rule.rhs, varnode))
-
-
-def system_to_graph_rules(system: crs.CrsSystem) -> list[GraphRule]:
-    return [rule_to_graph_rule(r) for r in system.rules]
-
-
 # --- compiled rules --------------------------------------------------------------------
 
-# kinds of match step: a labelled rule node, an unlabelled one, and a rule
-# node reached a second time (a left side that shares a node)
-_LABEL, _BIND, _SAME = 0, 1, 2
+# kinds of match step: a constructor node of the left side, and a variable
+_LABEL, _BIND = 0, 1
 
 
 class CompiledRule(NamedTuple):
-    """A graph rule as a flat match program, a build template and a
-    decide plan.
+    """A rule of a checked system as a flat match program, a build
+    template and a decide plan.
 
-    A match fills slots with graph nodes, the anchor in slot 0.  A step
-    (kind, parent, i, arg) takes the i-th child of the node in slot
-    parent: for _LABEL it must carry the label arg and for _BIND be
-    function-free, and either way it fills the next slot; for _SAME it
-    must be the node in slot arg.  The steps visit the left side depth
-    first, last child first, which is the order of a generic walk with a
-    stack.  The template lists the right-only nodes in ascending
-    rule-node order, so their copies get ids in that order.  Their
-    children, and the right root, are references: a slot, or
-    len(slots) + k for the copy of the k-th right-only node.  touched
-    lists the references that a firing gives a new in-edge, in the order
-    the sharing check visits them: the children of each copy, then the
-    right root.  plan lists the copies that graph_reduce decides after a
-    firing, as (reference, reference of the parent copy or -1 at the
-    right root, index there), children left to right before their
-    parent: those below the right root through copies with one in-edge.
-    Every other child of a copy is a value by then: a slot, or a copy
-    shared within the right side, which the sharing check marked
-    function-free together with everything below it.  plan_work counts
-    the walk that decides them: the replacement and the child slots of
-    the planned copies.
+    A match fills `slots` slots with graph nodes, the anchor in slot 0.
+    A step (kind, parent, i, arg) takes the i-th child of the node in
+    slot parent, which for _LABEL must carry the label arg and for _BIND
+    be function-free, and fills the next slot.  The steps visit the left
+    side depth first, last child first.  The template lists the right
+    side's nodes, its copies, in post-order, so their ids come in that
+    order.  Their children, and the right root, are references: a slot,
+    or slots + k for the k-th copy.  touched lists the references that a
+    firing gives a new in-edge, in the order the sharing check visits
+    them: the children of each copy, then the right root.  plan lists
+    the copies that graph_reduce decides after a firing, all of them, as
+    (reference, reference of the parent copy or -1 at the right root,
+    index there), children left to right before their parent.  plan_work
+    counts the walk that decides them: the replacement and the child
+    slots of the copies.
     """
 
-    rule: GraphRule
-    match: tuple[tuple[int, int, int, object], ...]
-    slots: tuple[int, ...]               # the rule node of each slot
-    labels: tuple[str, ...]              # of the right-only nodes
-    kids: tuple[tuple[int, ...], ...]    # of the right-only nodes
+    match: tuple[tuple[int, int, int, Optional[str]], ...]
+    slots: int
+    labels: tuple[str, ...]              # of the copies
+    kids: tuple[tuple[int, ...], ...]    # of the copies
     right: int
     touched: tuple[int, ...]
     plan: tuple[tuple[int, int, int], ...]
     plan_work: int
 
 
-def compile_rule(gr: GraphRule, sig: crs.Signature) -> CompiledRule:
-    """The match program, build template and decide plan of one rule,
-    which is checked against sig (see GraphRule) by the walks that
-    compile its two sides: a GraphError names the first fault."""
-    rg = gr.graph
-    if not sig.is_function(rg.label[gr.left]):
-        raise GraphError("left root must be labelled with a function symbol")
-    slot = {gr.left: 0}                 # the left side's nodes
-    match = []
-    todo = [(c, 0, i) for i, c in enumerate(rg.succ[gr.left])]
+def compile_rule(rule: crs.Rule) -> CompiledRule:
+    """The match program, build template and decide plan of a rule that
+    its CrsSystem has checked: one walk of each side."""
+    slot_of: dict[str, int] = {}
+    match: list[tuple[int, int, int, Optional[str]]] = []
+    todo: list = [(p, 0, i) for i, p in enumerate(rule.lhs)]
     while todo:
-        rn, parent, i = todo.pop()
-        s = slot.get(rn)
-        if s is not None:
-            match.append((_SAME, parent, i, s))
-            continue
-        slot[rn] = s = len(slot)
-        lab = rg.label[rn]
-        if lab is None:
-            if rg.succ[rn]:
-                raise GraphError(f"unlabelled node {rn} has children")
+        p, parent, i = todo.pop()
+        s = len(match) + 1
+        if type(p) is crs.Var:
+            slot_of[p.name] = s
             match.append((_BIND, parent, i, None))
-        elif lab in sig.constructors:
-            match.append((_LABEL, parent, i, lab))
-            todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
         else:
-            raise GraphError(f"non-left path through node {rn}")
-    right_nodes = rg.reachable(gr.right)
-    if gr.left in right_nodes:
-        raise GraphError("the right side reaches the left root")
-    fresh = [v for v in sorted(right_nodes) if v not in slot]
-    labels = tuple(rg.label[v] for v in fresh)
-    if None in labels:
-        raise GraphError(f"unlabelled node {fresh[labels.index(None)]} not bound by the left side")
-    n = len(slot)
-    ref = dict(slot)
-    ref.update((v, n + k) for k, v in enumerate(fresh))
-    kids = tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh)
-    right = ref[gr.right]
-    copies = [0] * len(fresh)           # in-edges of each copy from copies
-    for kr in kids:
-        for r in kr:
-            if r >= n:
-                copies[r - n] += 1
-    # pre-order from the right root, last child first, then reversed
-    plan = []
-    plan_work = 1
-    todo = [(right, -1, 0)] if right >= n else []
+            match.append((_LABEL, parent, i, p.symbol))
+            todo.extend((c, s, j) for j, c in enumerate(p.children))
+    n = len(match) + 1
+    labels: list[str] = []
+    kids: list[tuple[int, ...]] = []
+    plan: list[tuple[int, int, int]] = []
+    refs: list[int] = []
+    todo = [rule.rhs]
     while todo:
-        entry = todo.pop()
-        plan.append(entry)
-        r = entry[0]
-        kr = kids[r - n]
-        plan_work += len(kr)
-        for j, c in enumerate(kr):
-            if c >= n and copies[c - n] == 1:
-                todo.append((c, r, j))
-    plan.reverse()
-    return CompiledRule(gr, tuple(match), tuple(slot), labels, kids, right,
-                        (*(r for k in kids for r in k), right), tuple(plan), plan_work)
+        t = todo.pop()
+        if t is None:                   # the node below, once its children are done
+            t = todo.pop()
+            k = len(refs) - len(t.children)
+            kr = tuple(refs[k:])
+            del refs[k:]
+            r = n + len(labels)
+            for j, c in enumerate(kr):
+                if c >= n:
+                    plan[c - n] = (c, r, j)
+            labels.append(t.symbol)
+            kids.append(kr)
+            plan.append((r, -1, 0))
+            refs.append(r)
+        elif type(t) is crs.Var:
+            refs.append(slot_of[t.name])
+        else:
+            todo += (t, None, *reversed(t.children))
+    right = refs[0]
+    return CompiledRule(tuple(match), n, tuple(labels), tuple(kids), right,
+                        (*(r for kr in kids for r in kr), right), tuple(plan),
+                        1 + sum(map(len, kids)))
 
 
-def compile_rules(grules: list[GraphRule], sig: crs.Signature) -> crs.RuleIndex:
-    """Compiled rules in crs.first_arg_index, keyed by (head, label of the
-    first argument): the rules whose first pattern can match a node, in
-    rule order.  Raises at the first rule that does not compile."""
-    return crs.first_arg_index(
-        (gr.graph.label[gr.left], _first_label(gr.graph, gr.left), compile_rule(gr, sig))
-        for gr in grules)
+# the compiled rules keyed as in the system's first-argument index
+_RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
 
 
-def _first_label(g: TermGraph, v: int) -> Optional[str]:
-    kids = g.succ[v]
-    return g.label[kids[0]] if kids else None
+def _rule_index(system: crs.CrsSystem) -> _RuleIndex:
+    compiled = [compile_rule(r) for r in system.rules]
+    return {key: [compiled[r] for r in bucket] for key, bucket in system._index.items()}
 
 
 @dataclass
@@ -361,7 +288,7 @@ def _records(g: TermGraph) -> dict[int, list]:
     return rec
 
 
-def _candidates(index: crs.RuleIndex, v: list, lab: str) -> list[CompiledRule]:
+def _candidates(index: _RuleIndex, v: list, lab: str) -> list[CompiledRule]:
     return index.get((lab, v[1][0][0] if v[1] else None)) or index.get((lab, None), [])
 
 
@@ -418,7 +345,7 @@ def _match(cr: CompiledRule, anchor: list, functions: dict,
     return None
 
 
-def _first_match(index: crs.RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
+def _first_match(index: _RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
     # (compiled rule, slots) of the rule firing at record v, or None
     for cr in _candidates(index, v, lab):
         nodes = _match(cr, v, functions, counter)
@@ -435,16 +362,15 @@ def _shared_ok(rec: dict[int, list], functions: dict) -> bool:
     return ok
 
 
-def find_redex(g: TermGraph, rules, sig: crs.Signature) -> Optional[Redex]:
-    """Leftmost-innermost redex: the first in post-order from the root.
-    rules is a list of GraphRules or their compile_rules index; the match
-    runs on the graph's records.  Orthogonality makes the rule at a given
-    anchor unique; that is asserted.  For the tests: graph_reduce never
-    searches the whole graph.  It stays a module attribute as
-    bench/tracer.py wraps it."""
-    index = rules if isinstance(rules, dict) else compile_rules(rules, sig)
+def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
+    """Leftmost-innermost redex under system's rules: the first in
+    post-order from the root; the match runs on the graph's records.
+    Orthogonality makes the rule at a given anchor unique; that is
+    asserted.  For the tests: graph_reduce never searches the whole
+    graph.  It stays a module attribute as bench/tracer.py wraps it."""
+    index = _rule_index(system)
     rec = _records(g)
-    functions = sig.functions
+    functions = system.signature.functions
     for v in _post_order(g, g.root):
         u = rec[v]
         if u[0] not in functions:
@@ -466,7 +392,7 @@ def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
     it stays a module attribute as bench/tracer.py wraps it."""
     cr, v = redex.compiled, redex.anchor
     nodes = redex.nodes + [g.new_node(lab) for lab in cr.labels]
-    for u, kr in zip(nodes[len(cr.slots):], cr.kids):
+    for u, kr in zip(nodes[cr.slots:], cr.kids):
         g.set_children(u, tuple([nodes[r] for r in kr]))
     new = nodes[cr.right]
     for u, kids in list(g.succ.items()):
@@ -501,31 +427,31 @@ class GraphOutcome:
     work: list[int] = field(default_factory=list)   # nodes and match steps per search
 
 
-def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
-                 budget: int = 10_000, rng=None) -> GraphOutcome:
+def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
+                 rng=None) -> GraphOutcome:
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The rules are compiled, which checks them, once per call and before
-    the input is read.  The reachable part of g becomes records
+    The system's rules are compiled once per call, before the input is
+    read (compile_rule).  The reachable part of g becomes records
     (_records), and a run of one step or more writes label, succ, refs,
     root and _next back once (_write_back); a run of 0 steps leaves g
-    untouched.  A record's value is True for a
-    value; every other record has its one in-edge, kids[index] of its
-    parent (None at the root), and pending, its non-value children.  The
-    parent is cleared when a record becomes a value or dies.  reds holds
-    the redexes (anchor, compiled rule, slots) in find_redex's
-    post-order, reversed so that the leftmost-innermost one is last.
-    The loop fires that entry, or with rng the entry that
-    reds[rng.randrange(len(reds))] would be in post-order: it builds the
-    copies, redirects the anchor's in-edge, collects by reference count
-    from the anchor (refs count only in-edges from reachable nodes, so
-    this removes exactly what became unreachable, at step 1 also what
-    never was), and checks sharedness.  The entry becomes the redexes
-    among the copies, decided by the rule's plan, or, when the
-    replacement is a value, the first function ancestor that value-ness
-    reaches through constructor nodes, if that now matches.  A node
-    becomes a value once, so this climb is O(1) amortised.
+    untouched.  A record's value is True for a value; every other record
+    has its one in-edge, kids[index] of its parent (None at the root),
+    and pending, its non-value children.  The parent is cleared when a
+    record becomes a value or dies.  reds holds the redexes (anchor,
+    compiled rule, slots) in find_redex's post-order, reversed so that
+    the leftmost-innermost one is last.  The loop fires that entry, or
+    with rng the entry that reds[rng.randrange(len(reds))] would be in
+    post-order: it builds the copies, redirects the anchor's in-edge,
+    collects by reference count from the anchor (refs count only
+    in-edges from reachable nodes, so this removes exactly what became
+    unreachable, at step 1 also what never was), and checks sharedness.
+    The entry becomes the redexes among the copies, decided by the
+    rule's plan, or, when the replacement is a value, the first function
+    ancestor that value-ness reaches through constructor nodes, if that
+    now matches.  A node becomes a value once, so this climb is O(1)
+    amortised.
 
     sizes holds the node count of the input and after every firing.
     work holds, per search for a redex, the graph nodes it arrived at and
@@ -534,9 +460,9 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     search walks the input; a later one counts the replacement, the child
     slots of the copies it decides and the rules it tries.
 
-    A reachable input node whose label sig does not declare, or whose
-    child count is not its arity, raises crs.UnknownSymbol or
-    crs.ArityMismatch.  The input is checked for constructor-sharedness,
+    A reachable input node whose label the system's signature does not
+    declare, or whose child count is not its arity, raises
+    crs.UnknownSymbol or crs.ArityMismatch.  The input is checked for constructor-sharedness,
     and after every firing the nodes that gained an in-edge and now have
     in-degree >= 2 are checked to be function-free; no other node can
     lose the property, since a redirect only rewires the parent of a
@@ -545,7 +471,8 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    index = compile_rules(grules, sig)
+    sig = system.signature
+    index = _rule_index(system)
     functions = sig.functions
     rec = _records(g)
     if not _shared_ok(rec, functions):
@@ -636,7 +563,7 @@ def graph_reduce(g: TermGraph, grules: list[GraphRule], sig: crs.Signature,
     return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work)
 
 
-def _decide(root: list, index: crs.RuleIndex, sig: crs.Signature, reds: list[tuple],
+def _decide(root: list, index: _RuleIndex, sig: crs.Signature, reds: list[tuple],
             counter: list[int]) -> None:
     # The first search: decide every record reachable from root, children
     # first, as the plan decides copies; a function node over values that

@@ -69,8 +69,7 @@ def graph_run_dict(out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
 def graph_run(system: crs.CrsSystem, t: crs.Term, budget: int,
               rng=None) -> graphs.GraphOutcome:
     """The graph engine on the graph of a closed term under a system's rules."""
-    return graphs.graph_reduce(graphs.term_to_graph(t), graphs.system_to_graph_rules(system),
-                               system.signature, budget, rng=rng)
+    return graphs.graph_reduce(graphs.term_to_graph(t), system, budget, rng=rng)
 
 
 def decide(runs: tuple, both: Callable[[], Optional[bool]], exhausted: Optional[bool],

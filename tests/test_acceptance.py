@@ -69,8 +69,7 @@ def test_acceptance_1_exact_cbv_simulation(cbv_normalizing):
         assert lam.alpha_eq(phi_run.readback_nf, cbv_run.term), entry.name
 
         g = graphs.term_to_graph(image.term)
-        grules = graphs.system_to_graph_rules(image.system)
-        graph_run = graphs.graph_reduce(g, grules, image.system.signature, BUDGET)
+        graph_run = graphs.graph_reduce(g, image.system, BUDGET)
         assert graph_run.kind == "normal", entry.name
         assert graph_run.steps == cbv_run.steps, entry.name
         unfolded = graphs.graph_to_term(graph_run.graph, 200_000)
@@ -271,9 +270,8 @@ def test_acceptance_6_graph_invariants(cbv_normalizing):
     for entry, _ in cbv_normalizing:
         image = encode.encode_cbv(entry.term)
         g = graphs.term_to_graph(image.term)
-        grules = graphs.system_to_graph_rules(image.system)
         try:
-            graphs.graph_reduce(g, grules, image.system.signature, BUDGET)
+            graphs.graph_reduce(g, image.system, BUDGET)
         except graphs.SharingViolation:
             violations += 1
         runs += 1
@@ -291,8 +289,7 @@ def test_acceptance_6_graph_invariants(cbv_normalizing):
     g.root = top
     assert not graphs.is_constructor_shared(g, sig)
     term = graphs.graph_to_term(g)
-    grules = graphs.system_to_graph_rules(system)
-    redex = graphs.find_redex(g, grules, sig)
+    redex = graphs.find_redex(g, system)
     graphs.fire_redex(g, redex, sig)
     graph_steps_to_acc = 1
     term_out_partial = crs.reduce(system, term, 2)
@@ -313,8 +310,7 @@ def test_acceptance_7_polynomial_invariance(cbv_normalizing):
         image = encode.encode_cbv(entry.term)
         msize = lam.size(entry.term)
         g = graphs.term_to_graph(image.term)
-        grules = graphs.system_to_graph_rules(image.system)
-        out = graphs.graph_reduce(g, grules, image.system.signature, BUDGET)
+        out = graphs.graph_reduce(g, image.system, BUDGET)
         for i, sz in enumerate(out.sizes):
             assert sz <= (i + 1) * msize, (entry.name, i, sz, msize)
 
@@ -323,8 +319,7 @@ def test_acceptance_7_polynomial_invariance(cbv_normalizing):
     for n in range(1, 17):
         image = encode.encode_cbv(two_tower(n))
         g = graphs.term_to_graph(image.term)
-        grules = graphs.system_to_graph_rules(image.system)
-        out = graphs.graph_reduce(g, grules, image.system.signature, 1000)
+        out = graphs.graph_reduce(g, image.system, 1000)
         assert out.kind == "normal" and out.steps == n
         nodes.append(out.graph.node_count())
     fit = statistics.linear_regression(range(1, 17), nodes)

@@ -598,8 +598,7 @@ def test_psi_graph_run_within_cbn_bounds():
         img = encode.encode_cbn(m)
         crs_run = crs.reduce(img.system, img.term, 1000)
         g = graphs.term_to_graph(img.term)
-        grules = graphs.system_to_graph_rules(img.system)
-        out = graphs.graph_reduce(g, grules, img.system.signature, 1000)
+        out = graphs.graph_reduce(g, img.system, 1000)
         assert out.kind == "normal"
         assert out.steps == crs_run.steps
         assert n <= out.steps <= 2 * n

@@ -8,7 +8,9 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    bench_workloads, candidates, nat_term, random_closed_term, random_system, reference_try_match,
+    GraphRule, bench_workloads, candidates, nat_term, random_closed_term, random_system,
+    reference_build_phase, reference_collect, reference_compile_rule, reference_find_redex,
+    reference_graph_reduce, reference_redirect, reference_try_match, rule_to_graph_rule,
     term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -34,6 +36,8 @@ def test_term_to_graph_is_tree():
     assert g.node_count() == 3  # no sharing on input: two distinct zero leaves
     g = graphs.term_to_graph(Node("zero"))
     assert g.node_count() == 1
+    with pytest.raises(graphs.GraphError, match="^term must be closed$"):
+        graphs.term_to_graph(Node("add", (nat_term(1), Var("x"))))
 
 
 def test_graph_to_term_inverse_on_trees():
@@ -75,12 +79,12 @@ def test_graph_to_term_requires_labels():
 
 def test_rule_to_graph_rule_shares_variables():
     # a(b(x), y) -> b(a(y, a(y, x))): x and y shared across the sides,
-    # y referenced twice on the right
-    sig = Signature({"b": 1, "c": 0, "d": 2}, {"a": 2})
+    # y referenced twice on the right; compiling the rule graph gives
+    # compile_rule's fields
     rule = Rule("a", (Node("b", (Var("x"),)), Var("y")),
                 Node("b", (Node("a", (Var("y"), Node("a", (Var("y"), Var("x"))))),)))
-    gr = graphs.rule_to_graph_rule(rule)
-    graphs.compile_rule(gr, sig)
+    gr = rule_to_graph_rule(rule)
+    assert reference_compile_rule(gr)[0] == graphs.compile_rule(rule)
     g = gr.graph
     unlabelled = [v for v in g.label if g.label[v] is None]
     assert len(unlabelled) == 2
@@ -94,121 +98,53 @@ def test_rule_to_graph_rule_shares_variables():
 
 
 def test_rule_to_graph_rule_variable_right_root():
-    sig = Signature({"zero": 0, "succ": 1}, {"add": 2})
     rule = Rule("add", (Node("zero"), Var("y")), Var("y"))
-    gr = graphs.rule_to_graph_rule(rule)
-    graphs.compile_rule(gr, sig)
+    gr = rule_to_graph_rule(rule)
+    cr, slots = reference_compile_rule(gr)
+    assert cr == graphs.compile_rule(rule)
     assert gr.graph.label[gr.right] is None
     assert gr.right in gr.graph.reachable(gr.left)
+    assert (slots[cr.right], cr.labels, cr.plan) == (gr.right, (), ())
 
 
-def test_rule_validation_rejects_function_below_left():
-    sig = Signature({"c": 0}, {"f": 1, "g": 0})
-    g = graphs.TermGraph()
-    inner = g.new_node("g")
-    top = g.new_node("f")
-    g.set_children(top, (inner,))
-    out = g.new_node("c")
-    with pytest.raises(graphs.GraphError):
-        graphs.compile_rule(graphs.GraphRule(g, top, out), sig)
+def differential_rules():
+    """Every rule of the corpus .trs systems, of the CBV and CBN images of
+    the corpus lambda terms and of 300 seeded random systems."""
+    corpus = workbench.Corpus.load(CORPUS)
+    systems = [e.system for e in corpus.crs_entries]
+    for e in corpus.lambda_entries:
+        systems += [encode.encode_cbv(e.term).system, encode.encode_cbn(e.term).system]
+    rng = random.Random(20)
+    systems += [random_system(rng) for _ in range(300)]
+    return [rule for system in systems for rule in system.rules]
 
 
-def right_side_reaching_left_root(below):
-    """f(x) -> f(x) with the right root the left root, or c(f(x)) above
-    it: the replacement would hold the anchor it replaces."""
-    sig = Signature({"c": 1, "d": 0}, {"f": 1, "h": 1})
-    rg = graphs.TermGraph()
-    x = rg.new_node(None)
-    left = rg.new_node("f")
-    rg.set_children(left, (x,))
-    right = left
-    if below:
-        right = rg.new_node("c")
-        rg.set_children(right, (left,))
-    return sig, graphs.GraphRule(rg, left, right)
-
-
-@pytest.mark.parametrize("below", [False, True])
-def test_rule_validation_rejects_right_side_reaching_left_root(below):
-    sig, rule = right_side_reaching_left_root(below)
-    with pytest.raises(graphs.GraphError, match="reaches the left root"):
-        graphs.compile_rule(rule, sig)
-
-
-@pytest.mark.parametrize("rng", [None, random.Random(3)])
-@pytest.mark.parametrize("below", [False, True])
-def test_graph_reduce_validates_its_rules(below, rng):
-    sig, rule = right_side_reaching_left_root(below)
-    g = graphs.term_to_graph(crs.parse_term("h(f(d))", sig))
-    with pytest.raises(graphs.GraphError, match="reaches the left root"):
-        graphs.graph_reduce(g, [rule], sig, 5, rng=rng)
-
-
-def faulty_rule(fault):
-    """f(b(x)) -> b(x) with one fault put in (None: none), and the
-    message it raises."""
-    sig = Signature({"b": 1, "c": 0, "d": 2}, {"f": 1, "g": 1})
-    rg = graphs.TermGraph()
-    x = rg.new_node(None)
-    pat = rg.new_node("b")
-    rg.set_children(pat, (x,))
-    left = rg.new_node("f")
-    rg.set_children(left, (pat,))
-    right = rg.new_node("b")
-    rg.set_children(right, (x,))
-    message = {None: None,
-               "root": "left root must be labelled with a function symbol",
-               "constructor root": "left root must be labelled with a function symbol",
-               "function below": f"non-left path through node {pat}",
-               "undeclared below": f"non-left path through node {pat}",
-               "unbound": f"unlabelled node {right + 1} not bound by the left side",
-               "variable with a child": f"unlabelled node {x} has children"}[fault]
-    if fault == "root":
-        rg.label[left] = None
-    elif fault == "constructor root":
-        rg.label[left] = "b"
-    elif fault == "function below":
-        rg.label[pat] = "g"
-    elif fault == "undeclared below":
-        rg.label[pat] = "h"
-    elif fault == "unbound":
-        rg.set_children(right, (rg.new_node(None),))
-    elif fault == "variable with a child":
-        rg.set_children(x, (rg.new_node("c"),))
-    return sig, graphs.GraphRule(rg, left, right), message
-
-
-@pytest.mark.parametrize("fault", ["root", "constructor root", "function below",
-                                   "undeclared below", "unbound", "variable with a child"])
-def test_compiling_a_rule_checks_it(fault):
-    # each fault raises from compile_rule, and from graph_reduce before
-    # the input is read: this input is not constructor-shared
-    sig, rule, message = faulty_rule(fault)
-    with pytest.raises(graphs.GraphError) as exc:
-        graphs.compile_rule(rule, sig)
-    assert (type(exc.value), str(exc.value)) == (graphs.GraphError, message)
-    g = graphs.TermGraph()
-    c = g.new_node("c")
-    shared = g.new_node("g")
-    g.set_children(shared, (c,))
-    g.root = g.new_node("d")
-    g.set_children(g.root, (shared, shared))
-    with pytest.raises(graphs.SharingViolation):
-        graphs.graph_reduce(g, [faulty_rule(None)[1]], sig, 5)
-    for rng in (None, random.Random(0)):
-        with pytest.raises(graphs.GraphError) as exc:
-            graphs.graph_reduce(g, [rule], sig, 5, rng=rng)
-        assert (type(exc.value), str(exc.value)) == (graphs.GraphError, message)
+def test_compile_rule_matches_the_rule_graph_compile():
+    # compile_rule walks a rule's two sides once each; the rule graph's
+    # compile walks the graph of both sides.  They give the same fields,
+    # so the match steps, and with them GraphOutcome.work, and the ids of
+    # the copies are those of the rule graphs.
+    rules = differential_rules()
+    assert len(rules) >= 2000
+    for rule in rules:
+        ref = reference_compile_rule(rule_to_graph_rule(rule))[0]
+        assert graphs.compile_rule(rule) == ref, rule
+    # add(succ(x), y) -> succ(add(x, y)): y in slot 1, succ in 2, x in 3;
+    # the copies add(x, y) and succ(.) are references 4 and 5
+    rule = nat_system().rules[1]
+    L, B = graphs._LABEL, graphs._BIND
+    assert graphs.compile_rule(rule) == graphs.CompiledRule(
+        ((B, 0, 1, None), (L, 0, 0, "succ"), (B, 2, 0, None)), 4, ("add", "succ"),
+        ((3, 1), (4,)), 5, (3, 1, 4, 5), ((4, 5, 0), (5, -1, 0)), 4)
 
 
 # --- redex search ----------------------------------------------------------------------
 
 def test_find_redex_innermost():
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     t = Node("add", (Node("add", (nat_term(1), nat_term(0))), nat_term(0)))
     g = graphs.term_to_graph(t)
-    r = graphs.find_redex(g, grules, system.signature)
+    r = graphs.find_redex(g, system)
     # the outer add has a function symbol below: only the inner one fires
     assert g.label[r.anchor] == "add"
     assert r.anchor != g.root
@@ -216,9 +152,8 @@ def test_find_redex_innermost():
 
 def test_find_redex_none_on_constructor_graph():
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     g = graphs.term_to_graph(nat_term(4))
-    assert graphs.find_redex(g, grules, system.signature) is None
+    assert graphs.find_redex(g, system) is None
 
 
 def test_cbv_condition_blocks_function_in_binding():
@@ -227,16 +162,16 @@ def test_cbv_condition_blocks_function_in_binding():
     system = crs.validate_system(sig, [
         Rule("f", (Node("b", (Var("x"),)),), Var("x")),
     ])
-    grules = graphs.system_to_graph_rules(system)
     g = graphs.term_to_graph(Node("f", (Node("b", (Node("h", (Node("c"),)),)),)))
-    assert graphs.find_redex(g, grules, system.signature) is None
+    assert graphs.find_redex(g, system) is None
 
 
 # --- firing: the worked example ----------------------------------------------------------
 
 def worked_example():
-    """Shared graph a(b(c), a(b(c), c)) and rule a(b(x), c) -> b(a(b(x), c))
-    whose rule graph shares the b-subtree and the c leaf across its sides."""
+    """Shared graph a(b(c), a(b(c), c)), one b node and one c leaf, and
+    the system of the rule a(b(x), c) -> b(a(b(x), c)), with that rule's
+    graph: its sides share only the x node."""
     sig = Signature({"b": 1, "c": 0, "d": 2}, {"a": 2})
     g = graphs.TermGraph()
     c1 = g.new_node("c")
@@ -247,43 +182,38 @@ def worked_example():
     a1 = g.new_node("a")
     g.set_children(a1, (b1, a2))
     g.root = a1
-
-    rg = graphs.TermGraph()
-    x = rg.new_node(None)
-    br = rg.new_node("b")
-    rg.set_children(br, (x,))
-    cr = rg.new_node("c")
-    r = rg.new_node("a")
-    rg.set_children(r, (br, cr))
-    ar = rg.new_node("a")
-    rg.set_children(ar, (br, cr))
-    s = rg.new_node("b")
-    rg.set_children(s, (ar,))
-    rule = graphs.GraphRule(rg, r, s)
-    graphs.compile_rule(rule, sig)
-    return sig, g, rule, (a1, a2, b1, c1)
+    system = crs.validate_system(sig, [Rule("a", (Node("b", (Var("x"),)), Node("c")),
+                                            crs.parse_term("b(a(b(x), c))", sig))])
+    return system, g, rule_to_graph_rule(system.rules[0]), (a1, a2, b1, c1)
 
 
 def test_worked_example_redex_maps_to_inner_vertex():
-    sig, g, rule, (a1, a2, b1, c1) = worked_example()
-    redex = graphs.find_redex(g, [rule], sig)
+    system, g, rule, (a1, a2, b1, c1) = worked_example()
+    redex = graphs.find_redex(g, system)
     assert redex is not None
     assert redex.anchor == a2
-    assert redex_phi(redex)[rule.left] == a2
+    # the slots: the anchor, then c, b(x) and x, last argument first
+    assert redex.nodes == [a2, c1, b1, c1]
+    _, phi = reference_find_redex(g, [rule], system.signature)
+    assert redex_phi(rule, redex) == phi and phi[rule.left] == a2
 
 
 def test_worked_example_phases():
-    sig, g, rule, (a1, a2, b1, c1) = worked_example()
-    redex = graphs.find_redex(g, [rule], sig)
+    system, g, rule, (a1, a2, b1, c1) = worked_example()
+    sig = system.signature
+    _, phi = reference_find_redex(g, [rule], sig)
     before = g.node_count()
-    after_build, after_redirect, final = fire_redex_phases(g, redex)
-    assert after_build.node_count() == before + 2
+    after_build, after_redirect, final = fire_redex_phases(g, rule, phi)
+    # the build copies the four nodes of the right side: b(x) over c1, c,
+    # a(b(x), c) and b(...); the redirect moves a1's edge from a2 to the
+    # new b, and the collection drops a2 alone, as a1 keeps b1 and b1 c1
+    assert after_build.node_count() == before + 4
     assert after_build.root == a1
     assert after_build.succ[a1] == (b1, a2)  # no edges moved yet
-    assert after_redirect.node_count() == before + 2
+    assert after_redirect.node_count() == before + 4
     assert after_redirect.succ[a1][0] == b1
-    assert after_redirect.succ[a1][1] != a2  # redirected to the copy of s
-    assert final.node_count() == before + 1  # a2 collected
+    assert after_redirect.succ[a1][1] != a2  # redirected to the copy of b(...)
+    assert final.node_count() == before + 3  # a2 collected
     for snapshot in (after_build, after_redirect, final):
         assert snapshot.refs == in_degrees(snapshot)
 
@@ -291,8 +221,11 @@ def test_worked_example_phases():
     c = expected.new_node("c")
     b = expected.new_node("b")
     expected.set_children(b, (c,))
+    bx = expected.new_node("b")
+    expected.set_children(bx, (c,))
+    c_new = expected.new_node("c")
     a_new = expected.new_node("a")
-    expected.set_children(a_new, (b, c))
+    expected.set_children(a_new, (bx, c_new))
     b_new = expected.new_node("b")
     expected.set_children(b_new, (a_new,))
     top = expected.new_node("a")
@@ -301,18 +234,19 @@ def test_worked_example_phases():
     assert isomorphic(final, expected)
     assert graphs.graph_to_term(final) == crs.parse_term(
         "a(b(c), b(a(b(c), c)))", sig)
-    sig, g, rule, _ = worked_example()
-    touched = graphs.fire_redex(g, graphs.find_redex(g, [rule], sig), sig)
-    assert graphs.to_dot(g) == graphs.to_dot(final) and touched[-1] == final.succ[a1][1]
+    system, g, rule, _ = worked_example()
+    ref_touched = reference_build_phase(copy(g), rule, phi)[1]
+    touched = graphs.fire_redex(g, graphs.find_redex(g, system), sig)
+    assert graphs.to_dot(g) == graphs.to_dot(final)
+    assert touched == ref_touched and touched[-1] == final.succ[a1][1]
 
 
 def test_ground_rule_relabels_root():
     sig = Signature({"d": 0}, {"f": 0})
     system = crs.validate_system(sig, [Rule("f", (), Node("d"))])
-    grules = graphs.system_to_graph_rules(system)
     g = graphs.term_to_graph(Node("f"))
     old_root = g.root
-    redex = graphs.find_redex(g, grules, sig)
+    redex = graphs.find_redex(g, system)
     graphs.fire_redex(g, redex, sig)
     assert g.node_count() == 1
     assert g.root != old_root
@@ -321,9 +255,8 @@ def test_ground_rule_relabels_root():
 
 def test_variable_rhs_rule_moves_root():
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     g = graphs.term_to_graph(Node("add", (Node("zero"), nat_term(2))))
-    redex = graphs.find_redex(g, grules, system.signature)
+    redex = graphs.find_redex(g, system)
     graphs.fire_redex(g, redex, system.signature)
     assert graphs.graph_to_term(g) == nat_term(2)
     assert g.node_count() == 3
@@ -365,7 +298,6 @@ def test_sharing_control_one_vs_two_steps():
     sig = Signature({"c": 0}, {"a": 2})
     system = crs.validate_system(
         sig, [Rule("a", (Node("c"), Node("c")), Node("c"))])
-    grules = graphs.system_to_graph_rules(system)
     g = graphs.TermGraph()
     c1 = g.new_node("c")
     c2 = g.new_node("c")
@@ -377,7 +309,7 @@ def test_sharing_control_one_vs_two_steps():
     term = graphs.graph_to_term(g)
     assert term == crs.parse_term("a(a(c, c), a(c, c))", sig)
 
-    redex = graphs.find_redex(g, grules, sig)
+    redex = graphs.find_redex(g, system)
     graphs.fire_redex(g, redex, sig)
     # one graph step reaches a(c, c), which the term needs two steps for;
     # the generic redirect moved both in-edges of the shared anchor
@@ -385,7 +317,7 @@ def test_sharing_control_one_vs_two_steps():
     assert g.refs == in_degrees(g) and sorted(g.refs.values()) == [0, 2]
     term_out = crs.reduce(system, term, 10)
     assert term_out.steps == 3
-    out = graphs.graph_reduce(g, grules, sig)
+    out = graphs.graph_reduce(g, system)
     assert out.steps + 1 == 2  # two graph steps in total
     assert graphs.graph_to_term(out.graph) == Node("c")
     assert out.graph.refs == in_degrees(out.graph)
@@ -395,11 +327,10 @@ def test_sharing_control_one_vs_two_steps():
 
 def test_graph_reduce_matches_term_reduction():
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     t = Node("add", (nat_term(3), nat_term(2)))
     term_out = crs.reduce(system, t, 100)
     g = graphs.term_to_graph(t)
-    out = graphs.graph_reduce(g, grules, system.signature, 100)
+    out = graphs.graph_reduce(g, system, 100)
     assert out.kind == "normal"
     assert out.steps == term_out.steps
     assert graphs.graph_to_term(out.graph) == term_out.term
@@ -411,17 +342,15 @@ def test_graph_reduce_budget():
     system = crs.validate_system(
         sig, [Rule("loop", (Var("x"),), Node("loop", (Var("x"),)))])
     g = graphs.term_to_graph(Node("loop", (Node("zero"),)))
-    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
-                              sig, budget=7)
+    out = graphs.graph_reduce(g, system, budget=7)
     assert out.kind == "exhausted" and out.steps == 7
 
 
 def test_phi_image_tower_linear_graph_size():
     for n in (1, 4, 8):
         img = encode.encode_cbv(two_tower(n))
-        grules = graphs.system_to_graph_rules(img.system)
         g = graphs.term_to_graph(img.term)
-        out = graphs.graph_reduce(g, grules, img.system.signature, 1000)
+        out = graphs.graph_reduce(g, img.system, 1000)
         assert out.kind == "normal"
         assert out.steps == n
         assert out.graph.node_count() == n + 1
@@ -433,9 +362,8 @@ def test_tower_unfold_reads_back_exponentially():
     # level, giving a term of size >= 2^n
     n = 3
     img = encode.encode_cbv(two_tower(n))
-    grules = graphs.system_to_graph_rules(img.system)
     g = graphs.term_to_graph(img.term)
-    out = graphs.graph_reduce(g, grules, img.system.signature, 100)
+    out = graphs.graph_reduce(g, img.system, 100)
     unfolded = graphs.graph_to_term(out.graph)
     assert term_size(unfolded) == n + 1
     rb = encode.readback(unfolded, img.registry)
@@ -446,11 +374,10 @@ def test_tower_unfold_reads_back_exponentially():
 def test_per_step_work_polynomial():
     # instrumented visit counters: each find+fire touches O(nodes x rules)
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
-    rule_nodes = sum(gr.graph.node_count() for gr in grules)
+    rule_nodes = sum(rule_to_graph_rule(r).graph.node_count() for r in system.rules)
     for n in (4, 8, 16):
         g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(n))))
-        out = graphs.graph_reduce(g, grules, system.signature, 1000)
+        out = graphs.graph_reduce(g, system, 1000)
         assert out.kind == "normal"
         for visited, nodes in zip(out.work, out.sizes):
             assert visited <= 4 * nodes * rule_nodes
@@ -460,17 +387,16 @@ def test_per_step_work_constant():
     # after the first search, which walks the input, a search visits only
     # the replacement of the previous firing and the nodes it matches
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
-    rule_nodes = sum(gr.graph.node_count() for gr in grules)
+    rule_nodes = sum(rule_to_graph_rule(r).graph.node_count() for r in system.rules)
     for n in (16, 64, 256):
         g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(n))))
-        out = graphs.graph_reduce(g, grules, system.signature, 1000)
+        out = graphs.graph_reduce(g, system, 1000)
         assert out.kind == "normal" and out.steps == n + 1
         assert len(out.work) == out.steps + 1
         assert max(out.work[1:]) <= 2 * rule_nodes
         ref_work = reference_graph_reduce(
             graphs.term_to_graph(Node("add", (nat_term(n), nat_term(n)))),
-            grules, system.signature, 1000)[3]
+            [rule_to_graph_rule(r) for r in system.rules], system.signature, 1000)[3]
         assert all(w <= r for w, r in zip(out.work, ref_work, strict=True))
 
 
@@ -478,11 +404,10 @@ def test_random_per_step_work_constant():
     # the random policy's first search walks the input; a later one
     # decides only the nodes the previous firing built
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
-    rule_nodes = sum(gr.graph.node_count() for gr in grules)
+    rule_nodes = sum(rule_to_graph_rule(r).graph.node_count() for r in system.rules)
     for n in (16, 64, 256):
         t = Node("add", (nat_term(n), nat_term(n)))
-        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 1000,
+        out = graphs.graph_reduce(graphs.term_to_graph(t), system, 1000,
                                   rng=random.Random(n))
         assert out.kind == "normal" and out.steps == n + 1
         assert len(out.work) == out.steps + 1
@@ -492,11 +417,10 @@ def test_random_per_step_work_constant():
 def deep_add_is_linear(rng):
     # add(nat(10^5), nat(2)) in n + 1 steps: no step walks the graph
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     n = 100_000
     g = graphs.term_to_graph(Node("add", (nat_term(n), nat_term(2))))
     start = time.perf_counter()
-    out = graphs.graph_reduce(g, grules, system.signature, 200_000, rng=rng)
+    out = graphs.graph_reduce(g, system, 200_000, rng=rng)
     assert time.perf_counter() - start < 30
     assert out.kind == "normal" and out.steps == n + 1
     assert out.graph.node_count() == n + 3
@@ -516,7 +440,6 @@ def test_deep_shared_graph_without_recursion():
     # function-free walk, the search and the 0-step run all go deep
     system = nat_system()
     sig = system.signature
-    grules = graphs.system_to_graph_rules(system)
     n = 100_000
     assert n > sys.getrecursionlimit()
     for bottom, shared_ok in (("zero", True), ("add", False)):
@@ -533,12 +456,12 @@ def test_deep_shared_graph_without_recursion():
         assert graphs.is_constructor_shared(g, sig) == shared_ok
         if not shared_ok:
             with pytest.raises(graphs.SharingViolation):
-                graphs.graph_reduce(g, grules, sig, 0)
+                graphs.graph_reduce(g, system, 0)
             continue
-        redex = graphs.find_redex(g, grules, sig)
+        redex = graphs.find_redex(g, system)
         assert redex.anchor == g.root and redex.nodes[1] == s
         before = copy(g)
-        out = graphs.graph_reduce(g, grules, sig, 0)
+        out = graphs.graph_reduce(g, system, 0)
         assert (out.kind, out.steps, out.sizes) == ("exhausted", 0, [n + 2])
         assert out.graph is g and same_graph(g, before)
 
@@ -617,17 +540,19 @@ def unfold_size(g):
     return graphs._unfold_sizes(g, graphs._post_order(g, g.root))[g.root]
 
 
-def redex_phi(redex):
-    """rule node -> graph node of a redex, on the left subgraph"""
-    return dict(zip(redex.compiled.slots, redex.nodes))
+def redex_phi(rule, redex):
+    """rule node -> graph node of a redex of rule's rule graph, on the
+    left subgraph"""
+    return dict(zip(reference_compile_rule(rule)[1], redex.nodes))
 
 
-def fire_redex_phases(g, redex):
-    """The generic firing of redex, phase by phase, in place: the
-    reference build, redirect and collection; snapshots after each."""
-    replacement, _ = reference_build_phase(g, redex.compiled.rule, redex_phi(redex))
+def fire_redex_phases(g, rule, phi):
+    """The generic firing of rule graph rule at phi, phase by phase, in
+    place: the reference build, redirect and collection; snapshots after
+    each."""
+    replacement, _ = reference_build_phase(g, rule, phi)
     after_build = copy(g)
-    reference_redirect(g, redex.anchor, replacement)
+    reference_redirect(g, phi[rule.left], replacement)
     after_redirect = copy(g)
     reference_collect(g)
     return [after_build, after_redirect, copy(g)]
@@ -638,113 +563,18 @@ def fire_redex_phases(g, redex):
 BUDGETS = (0, 1, 3, 7, 30)
 
 
-def reference_find_redex(g, grules, sig, rng=None, counter=None):
-    """find_redex with every rule of the head tried by the generic
-    matcher; (rule, phi) or None."""
-    counter = [0] if counter is None else counter
-    ffree = {}
-    found = []
-    for v in graphs._post_order(g, g.root):
-        counter[0] += 1
-        lab = g.label[v]
-        if lab is None or not sig.is_function(lab):
-            continue
-        hits = []
-        for gr in grules:
-            if gr.graph.label[gr.left] == lab:
-                phi = reference_try_match(g, gr, v, sig, ffree, counter)
-                if phi is not None:
-                    hits.append((gr, phi))
-        assert len(hits) <= 1
-        if hits:
-            if rng is None:
-                return hits[0]
-            found.append(hits[0])
-    return found[rng.randrange(len(found))] if found else None
-
-
-def reference_build_phase(g, rule, phi):
-    """Copy the right-only nodes, found by reachability on the rule graph,
-    in ascending order; (replacement, nodes that gained an in-edge)."""
-    rg = rule.graph
-    left_nodes = rg.reachable(rule.left)
-    fresh = [v for v in sorted(rg.reachable(rule.right)) if v not in left_nodes]
-    copy = {v: g.new_node(rg.label[v]) for v in fresh}
-    touched = []
-    for v in fresh:
-        kids = tuple(copy[c] if c in copy else phi[c] for c in rg.succ[v])
-        g.set_children(copy[v], kids)
-        touched.extend(kids)
-    replacement = copy[rule.right] if rule.right in copy else phi[rule.right]
-    touched.append(replacement)
-    return replacement, touched
-
-
-def reference_redirect(g, anchor, replacement):
-    """Point every in-edge of anchor, found by a scan of succ, and the
-    root if it is anchor, at replacement."""
-    in_edges = [(u, i) for u, kids in g.succ.items() for i, c in enumerate(kids) if c == anchor]
-    for parent, idx in in_edges:
-        kids = list(g.succ[parent])
-        kids[idx] = replacement
-        g.set_children(parent, tuple(kids))
-    if g.root == anchor:
-        g.root = replacement
-
-
-def reference_collect(g):
-    """Delete every node unreachable from the root."""
-    live = g.reachable(g.root)
-    dead = [v for v in g.label if v not in live]
-    for v in dead:
-        for c in g.succ[v]:
-            if c in live:
-                g.refs[c] -= 1
-    for v in dead:
-        del g.label[v], g.succ[v], g.refs[v]
-
-
-def reference_graph_reduce(g, grules, sig, budget, rng=None):
-    """graph_reduce spelled out as a loop of whole-graph passes with the
-    generic matcher and the reachability build: find the redex from the
-    root, then build, redirect every in-edge (found by a scan of succ)
-    with set_children, collect everything unreachable, and check
-    constructor-sharedness on the whole graph after every step.  Returns
-    the visits of each search as work."""
-    sizes = [g.node_count()]
-    work = []
-    steps = 0
-    while steps < budget:
-        counter = [0]
-        hit = reference_find_redex(g, grules, sig, rng=rng, counter=counter)
-        work.append(counter[0])
-        if hit is None:
-            return "normal", steps, sizes, work
-        rule, phi = hit
-        replacement, _ = reference_build_phase(g, rule, phi)
-        reference_redirect(g, phi[rule.left], replacement)
-        reference_collect(g)
-        steps += 1
-        sizes.append(g.node_count())
-        assert graphs.is_constructor_shared(g, sig)
-    kind = "normal" if reference_find_redex(g, grules, sig) is None else "exhausted"
-    return kind, steps, sizes, work
-
-
 def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
-    """graph_reduce equals the reference loop in kind, steps, sizes, the
-    number of work entries and the final graph with its node ids."""
-    rules_agree_with_reference(graphs.system_to_graph_rules(system), system.signature, t,
-                               budgets, seed)
-
-
-def rules_agree_with_reference(grules, sig, t, budgets=BUDGETS, seed=None):
+    """graph_reduce equals the reference loop on the rule graphs in kind,
+    steps, sizes, the number of work entries and the final graph with
+    its node ids."""
+    grules = [rule_to_graph_rule(r) for r in system.rules]
+    sig = system.signature
     for budget in budgets:
         rng = None if seed is None else random.Random(seed)
         ref_g = graphs.term_to_graph(t)
         kind, steps, sizes, work = reference_graph_reduce(ref_g, grules, sig, budget, rng)
         rng = None if seed is None else random.Random(seed)
-        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, budget, rng=rng)
+        out = graphs.graph_reduce(graphs.term_to_graph(t), system, budget, rng=rng)
         case = (crs.term_to_str(t), budget, seed)
         assert (out.kind, out.steps, out.sizes, len(out.work)) == (
             kind, steps, sizes, len(work)), case
@@ -764,41 +594,50 @@ def record_match(recs, cr, v, sig, count):
 
 def compiled_rules_agree(system, t, budget=30):
     """At every state of the leftmost run up to budget: at each function
-    node, every rule of its head that the index offers matches on the
-    records as the generic matcher does on the dicts (same phi and the
-    same visit count), and every rule it skips fails there; and
-    fire_redex gives the node ids, edges and in-degrees of the
-    reachability build, the generic redirect and the reachability
-    collection, with the nodes that gained an in-edge in the reference's
-    order, and in-degrees equal to a recount from succ."""
-    grules = graphs.system_to_graph_rules(system)
+    node, the index offers the compiled rules of the system's index
+    bucket, every rule of the head that it offers matches on the records
+    as the generic matcher does on the rule graph (same phi and the same
+    visit count), and every rule it skips fails there; find_redex finds
+    the reference's redex; and fire_redex gives the node ids, edges and
+    in-degrees of the reachability build, the generic redirect and the
+    reachability collection, with the nodes that gained an in-edge in
+    the reference's order, and in-degrees equal to a recount from
+    succ."""
     sig = system.signature
-    index = graphs.compile_rules(grules, sig)
-    compiled = {id(cr.rule): cr for bucket in index.values() for cr in bucket}
-    assert len(compiled) == len(grules)
+    grules = [rule_to_graph_rule(r) for r in system.rules]
+    index = graphs._rule_index(system)
     g = graphs.term_to_graph(t)
     for _ in range(budget):
         recs = graphs._records(g)
         for v, lab in list(g.label.items()):
             if not sig.is_function(lab):
                 continue
-            offered = [cr.rule for cr in graphs._candidates(index, recs[v], lab)]
-            of_head = [gr for gr in grules if gr.graph.label[gr.left] == lab]
-            assert offered == [gr for gr in of_head if gr in offered]  # rule order
-            for gr in of_head:
+            kids = g.succ[v]
+            first = g.label[kids[0]] if kids else None
+            offered = system._index.get((lab, first)) or system._index.get((lab, None), [])
+            compiled = graphs._candidates(index, recs[v], lab)
+            assert compiled == [graphs.compile_rule(system.rules[k]) for k in offered]
+            for k, rule in enumerate(system.rules):
+                if rule.head != lab:
+                    continue
                 ref_count, count = [0], [0]
-                phi = reference_try_match(g, gr, v, sig, {}, ref_count)
-                if gr not in offered:
+                phi = reference_try_match(g, grules[k], v, sig, {}, ref_count)
+                if k not in offered:
                     assert phi is None
                     continue
-                nodes = record_match(recs, compiled[id(gr)], v, sig, count)
-                got = None if nodes is None else redex_phi(graphs.Redex(compiled[id(gr)], nodes))
+                slots = reference_compile_rule(grules[k])[1]
+                nodes = record_match(recs, compiled[offered.index(k)], v, sig, count)
+                got = None if nodes is None else dict(zip(slots, nodes))
                 assert (got, count) == (phi, ref_count)
-        redex = graphs.find_redex(g, index, sig)
+        redex = graphs.find_redex(g, system)
+        hit = reference_find_redex(g, grules, sig)
         if redex is None:
+            assert hit is None
             return
+        rule, phi = hit
+        assert redex_phi(rule, redex) == phi
         ref_g = copy(g)
-        ref = reference_build_phase(ref_g, redex.compiled.rule, redex_phi(redex))
+        ref = reference_build_phase(ref_g, rule, phi)
         assert ref_g.refs == in_degrees(ref_g)
         reference_redirect(ref_g, redex.anchor, ref[0])
         reference_collect(ref_g)
@@ -850,10 +689,8 @@ def test_refcounts_exact_on_both_paths():
         image = encode.encode_cbv(entry.term)
         cases.append((image.system, image.term))
     for system, t in cases:
-        grules = graphs.system_to_graph_rules(system)
         for rng in (None, random.Random(13)):
-            out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature,
-                                      1000, rng=rng)
+            out = graphs.graph_reduce(graphs.term_to_graph(t), system, 1000, rng=rng)
             assert out.graph.refs == in_degrees(out.graph), (crs.term_to_str(t), rng)
 
 
@@ -878,11 +715,10 @@ def test_first_draw_is_the_leftmost_run():
             f = crs.parse_system(workloads.rewrite_instance(fam.name, n, rng)[0])
             cases.append((f.system, f.term))
     for system, t in cases:
-        grules = graphs.system_to_graph_rules(system)
         for budget in (*BUDGETS, 3000):
             left, first = ((o.kind, o.steps, o.sizes, graphs.to_dot(o.graph), o.work)
-                           for o in (graphs.graph_reduce(graphs.term_to_graph(t), grules,
-                                                         system.signature, budget, rng=rng)
+                           for o in (graphs.graph_reduce(graphs.term_to_graph(t), system,
+                                                         budget, rng=rng)
                                      for rng in (None, FirstDraw())))
             assert left == first, (crs.term_to_str(t), budget)
 
@@ -895,59 +731,22 @@ def test_leftmost_work_shape():
     # slots of the copies it decides (4 for succ(add(x, y))), plus the
     # match steps there; the last firing's replacement y is a value.
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     for n in (1, 2, 5, 40):
         t = Node("add", (nat_term(n), nat_term(2)))
-        out = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 100)
+        out = graphs.graph_reduce(graphs.term_to_graph(t), system, 100)
         assert out.steps == n + 1
         assert out.work == [(n + 5) + 4] + [4 + 4] * (n - 1) + [4 + 3, 1]
         for budget in range(n + 1):
-            cut = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, budget)
+            cut = graphs.graph_reduce(graphs.term_to_graph(t), system, budget)
             assert cut.kind == "exhausted" and cut.work == out.work[:budget]
-        rand = graphs.graph_reduce(graphs.term_to_graph(t), grules, system.signature, 100,
+        rand = graphs.graph_reduce(graphs.term_to_graph(t), system, 100,
                                    rng=random.Random(n))
         assert rand.work == out.work
 
 
-def shared_constructor_copy_rules():
-    """f(x) -> a(b(d), b(d)) with one b node, and h(a(x, y)) -> x: the
-    right side of f shares a constructor copy."""
-    sig = Signature({"a": 2, "b": 1, "c": 0, "d": 0}, {"f": 1, "h": 1})
-    rg = graphs.TermGraph()
-    x = rg.new_node(None)
-    left = rg.new_node("f")
-    rg.set_children(left, (x,))
-    bnode = rg.new_node("b")
-    rg.set_children(bnode, (rg.new_node("d"),))
-    right = rg.new_node("a")
-    rg.set_children(right, (bnode, bnode))
-    h = graphs.rule_to_graph_rule(Rule("h", (Node("a", (Var("x"), Var("y"))),), Var("x")))
-    return sig, [graphs.GraphRule(rg, left, right), h]
-
-
-def test_rule_sharing_a_constructor_copy():
-    # the sharing check marks the b copy and its d as values, so the decide
-    # plan holds only the a copy, and counts it and its two child slots
-    sig, grules = shared_constructor_copy_rules()
-    cr = graphs.compile_rule(grules[0], sig)
-    assert (cr.plan, cr.plan_work) == (((len(cr.slots) + 2, -1, 0),), 3)
-    for text in ("h(f(c))", "a(f(c), h(f(d)))", "h(a(h(f(c)), f(f(d))))"):
-        t = crs.parse_term(text, sig)
-        rules_agree_with_reference(grules, sig, t)
-        for seed in range(4):
-            rules_agree_with_reference(grules, sig, t, seed=seed)
-    # h(f(c)): the input walk (3 nodes arrived at, 2 steps matching f(x),
-    # c already a value), then the a copy and its slots (3) with the match
-    # of h (4 steps, b already a value), then the replacement b
-    out = graphs.graph_reduce(graphs.term_to_graph(crs.parse_term("h(f(c))", sig)),
-                              grules, sig, 10)
-    assert graphs.graph_to_term(out.graph) == crs.parse_term("b(d)", sig)
-    assert (out.steps, out.work) == (2, [5, 7, 1])
-
-
-def shared_function_rule():
-    """f(x) -> a(g, g) with one g node: the rhs shares a function node."""
-    sig = Signature({"c": 0, "a": 2}, {"f": 1, "g": 0})
+def shared_function_copy():
+    """The rule graph of f(x) -> a(g, g) with one g node: its right side
+    shares a function node, which no rule of a CrsSystem compiles to."""
     rg = graphs.TermGraph()
     x = rg.new_node(None)
     left = rg.new_node("f")
@@ -955,17 +754,23 @@ def shared_function_rule():
     gnode = rg.new_node("g")
     right = rg.new_node("a")
     rg.set_children(right, (gnode, gnode))
-    rule = graphs.GraphRule(rg, left, right)
-    graphs.compile_rule(rule, sig)
-    return sig, rule
+    return GraphRule(rg, left, right)
 
 
 @pytest.mark.parametrize("rng", [None, random.Random(3)])
-def test_rule_sharing_a_function_node_is_caught(rng):
-    sig, rule = shared_function_rule()
-    g = graphs.term_to_graph(Node("f", (Node("c"),)))
+def test_rule_sharing_a_function_node_is_caught(rng, monkeypatch):
+    # f(x) -> a(g, g) reduces f(c) in one step; a compile that gave the two
+    # g copies one node would share a function node, and the check of the
+    # nodes that gained an in-edge aborts the run at that step
+    sig = Signature({"c": 0, "a": 2}, {"f": 1, "g": 0})
+    system = crs.validate_system(sig, [Rule("f", (Var("x"),), crs.parse_term("a(g, g)", sig))])
+    t = Node("f", (Node("c"),))
+    out = graphs.graph_reduce(graphs.term_to_graph(t), system, 10, rng=rng)
+    assert (out.kind, out.steps) == ("normal", 1)
+    shared = reference_compile_rule(shared_function_copy())[0]
+    monkeypatch.setattr(graphs, "compile_rule", lambda rule: shared)
     with pytest.raises(graphs.SharingViolation, match="^sharedness lost after step 1$"):
-        graphs.graph_reduce(g, [rule], sig, 10, rng=rng)
+        graphs.graph_reduce(graphs.term_to_graph(t), system, 10, rng=rng)
 
 
 def test_index_keeps_unlabelled_first_patterns():
@@ -976,16 +781,16 @@ def test_index_keeps_unlabelled_first_patterns():
         Rule("f", (Node("c"), Node("zero")), Node("d")),
         Rule("f", (Var("x"), Node("succ", (Var("y"),))), Node("f", (Var("x"), Var("y")))),
     ])
-    grules = graphs.system_to_graph_rules(system)
-    index = graphs.compile_rules(grules, sig)
-    assert [cr.rule for cr in index["f", "c"]] == grules
-    assert [cr.rule for cr in index["f", None]] == grules[1:]
+    index = graphs._rule_index(system)
+    compiled = [graphs.compile_rule(r) for r in system.rules]
+    assert index["f", "c"] == compiled
+    assert index["f", None] == compiled[1:]
     for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
                            ("f(d, succ(zero))", "stuck", 1)):
         t = crs.parse_term(t, sig)
         out = crs.reduce(system, t, 10)
         assert (out.kind, out.steps) == (kind, steps)
-        g = graphs.graph_reduce(graphs.term_to_graph(t), grules, sig, 10)
+        g = graphs.graph_reduce(graphs.term_to_graph(t), system, 10)
         assert g.steps == steps and graphs.graph_to_term(g.graph) == out.term
         agrees_with_reference(system, t)
         compiled_rules_agree(system, t)
@@ -1004,11 +809,9 @@ def test_both_engines_share_the_rule_index():
     systems += [random_system(rng) for _ in range(40)]
     for system in systems:
         sig = system.signature
-        grules = graphs.system_to_graph_rules(system)
-        index = graphs.compile_rules(grules, sig)
+        index = graphs._rule_index(system)
         assert set(index) == set(system._index)
         pos = {id(r): k for k, r in enumerate(system.rules)}
-        gpos = {id(gr): k for k, gr in enumerate(grules)}
         roots = [r.lhs[0].symbol if r.lhs and isinstance(r.lhs[0], Node) else None
                  for r in system.rules]
         for head, arity in sig.functions.items():
@@ -1021,8 +824,8 @@ def test_both_engines_share_the_rule_index():
                 want = [k for k, r in enumerate(system.rules) if r.head == head
                         and roots[k] in (None, first)]
                 assert [pos[id(r)] for r in candidates(system, head, arg)] == want
-                assert [gpos[id(cr.rule)] for cr in
-                        graphs._candidates(index, graphs._records(g)[v], head)] == want
+                assert graphs._candidates(index, graphs._records(g)[v], head) == [
+                    graphs.compile_rule(system.rules[k]) for k in want]
 
 
 @pytest.mark.parametrize("text, error", [
@@ -1040,53 +843,8 @@ def test_both_engines_reject_ill_formed_inputs(text, error, rng):
     with pytest.raises(error):
         crs.reduce(system, t, 10, rng=None if rng is None else random.Random(rng))
     with pytest.raises(error):
-        graphs.graph_reduce(graphs.term_to_graph(t), graphs.system_to_graph_rules(system),
-                            system.signature, 10,
+        graphs.graph_reduce(graphs.term_to_graph(t), system, 10,
                             rng=None if rng is None else random.Random(rng))
-
-
-def shared_pattern_rule():
-    """f(p, p) -> x with p = b(x) one node: the left side shares a
-    constructor node, so the two arguments must be one graph node."""
-    sig = Signature({"b": 1, "c": 0}, {"f": 2})
-    rg = graphs.TermGraph()
-    x = rg.new_node(None)
-    pnode = rg.new_node("b")
-    rg.set_children(pnode, (x,))
-    left = rg.new_node("f")
-    rg.set_children(left, (pnode, pnode))
-    rule = graphs.GraphRule(rg, left, x)
-    graphs.compile_rule(rule, sig)
-    return sig, rule
-
-
-@pytest.mark.parametrize("shared", [True, False])
-def test_left_side_sharing_a_constructor_node(shared):
-    # f(b(c), b(c)) matches only where both arguments are one node; the
-    # compiled program meets the b node twice, the second time as a check
-    sig, rule = shared_pattern_rule()
-    cr = graphs.compile_rule(rule, sig)
-    assert [step[0] for step in cr.match] == [graphs._LABEL, graphs._BIND, graphs._SAME]
-    if shared:
-        g = graphs.TermGraph()
-        c = g.new_node("c")
-        b = g.new_node("b")
-        g.set_children(b, (c,))
-        g.root = g.new_node("f")
-        g.set_children(g.root, (b, b))
-    else:
-        g = graphs.term_to_graph(crs.parse_term("f(b(c), b(c))", sig))
-    ref_count, count = [0], [0]
-    phi = reference_try_match(g, rule, g.root, sig, {}, ref_count)
-    nodes = record_match(graphs._records(g), cr, g.root, sig, count)
-    assert (phi is not None) == shared == (nodes is not None)
-    assert count == ref_count
-    if shared:
-        assert redex_phi(graphs.Redex(cr, nodes)) == phi
-    out = graphs.graph_reduce(g, [rule], sig, 10)
-    assert out.steps == (1 if shared else 0)
-    assert graphs.graph_to_term(out.graph) == crs.parse_term(
-        "c" if shared else "f(b(c), b(c))", sig)
 
 
 def test_unreachable_input_node_collected_at_first_firing():
@@ -1104,13 +862,11 @@ def test_unreachable_input_node_collected_at_first_firing():
     assert g.refs[z1] == 2
     # step 1 adds succ(add(z1, z2)) and drops add, s1 and u, so z1 keeps
     # only the new add's in-edge
-    first = graphs.graph_reduce(copy(g), graphs.system_to_graph_rules(system),
-                                system.signature, 1)
+    first = graphs.graph_reduce(copy(g), system, 1)
     assert (first.sizes, first.graph._next) == ([5, 4], 7)
     assert u not in first.graph.label and first.graph.refs[z1] == 1
     assert first.graph.refs == in_degrees(first.graph)
-    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
-                              system.signature, 10)
+    out = graphs.graph_reduce(g, system, 10)
     # step 2 redirects to z2 and drops the new add and z1
     assert out.kind == "normal" and out.steps == 2
     assert out.sizes == [5, 4, 2]
@@ -1123,8 +879,7 @@ def test_unreachable_input_node_collected_at_first_firing():
     g.root = g.new_node("add")
     g.set_children(g.root, (z, z))
     g.set_children(g.new_node("succ"), (g.root,))
-    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
-                              system.signature, 10)
+    out = graphs.graph_reduce(g, system, 10)
     assert (out.kind, out.steps, out.sizes) == ("normal", 1, [3, 1])
     assert out.graph.root == z and out.graph.refs == {z: 0}
 
@@ -1144,7 +899,7 @@ def test_unreachable_in_edges_do_not_share():
             g.set_children(g.new_node("g"), (h,))
         assert g.refs[h] == 1 + extra
         assert graphs.is_constructor_shared(g, sig)
-        out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system), sig, 10)
+        out = graphs.graph_reduce(g, system, 10)
         assert (out.kind, out.steps, out.sizes) == ("normal", 1, [2 + extra, 2])
         assert graphs.graph_to_term(out.graph) == crs.parse_term("g(a)", sig)
         assert out.graph.refs == in_degrees(out.graph)
@@ -1154,13 +909,12 @@ def test_zero_step_runs_leave_the_graph_as_given():
     # budget 0, and an input already normal, with an unreachable node
     # holding an in-edge: no write-back, so nothing is collected
     system = nat_system()
-    grules = graphs.system_to_graph_rules(system)
     for text, budget, kind in (("add(succ(zero), zero)", 0, "exhausted"),
                                ("succ(succ(zero))", 10, "normal")):
         g = graphs.term_to_graph(crs.parse_term(text, system.signature))
         g.set_children(g.new_node("succ"), (g.root,))
         before = copy(g)
-        out = graphs.graph_reduce(g, grules, system.signature, budget)
+        out = graphs.graph_reduce(g, system, budget)
         assert (out.kind, out.steps, out.sizes) == (kind, 0, [len(before.label)])
         assert out.graph is g and same_graph(g, before)
 
@@ -1169,8 +923,7 @@ def test_size_growth_bounded_by_rhs():
     system = nat_system()
     max_rhs = max(term_size(r.rhs) for r in system.rules)
     g = graphs.term_to_graph(Node("add", (nat_term(4), nat_term(1))))
-    out = graphs.graph_reduce(g, graphs.system_to_graph_rules(system),
-                              system.signature, 100)
+    out = graphs.graph_reduce(g, system, 100)
     for a, b in zip(out.sizes, out.sizes[1:]):
         assert b - a <= max_rhs
 

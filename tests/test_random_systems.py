@@ -18,14 +18,13 @@ def test_graph_engine_agrees_on_random_systems():
     compared = 0
     for _ in range(40):
         system = random_system(rng)
-        grules = graphs.system_to_graph_rules(system)
         for _ in range(4):
             t = random_closed_term(rng, system.signature, 4)
             term_out = crs.reduce(system, t, 200)
             if term_out.kind == "exhausted":
                 continue
             g = graphs.term_to_graph(t)
-            out = graphs.graph_reduce(g, grules, system.signature, 200)
+            out = graphs.graph_reduce(g, system, 200)
             assert out.kind == "normal"
             assert out.steps == term_out.steps
             assert graphs.graph_to_term(out.graph, 100_000) == term_out.term

@@ -109,7 +109,7 @@ def one_step_short(module, name, strategy=None):
     lam.reduce, under `strategy` only): a mutant engine."""
     fn = getattr(module, name)
     if strategy is None:
-        return lambda *args, **kw: fn(*args[:3], args[3] - 1, *args[4:], **kw)
+        return lambda *args, **kw: fn(*args[:2], args[2] - 1, *args[3:], **kw)
     return lambda t, s="cbv", budget=10_000, rng=None: fn(t, s, budget - (s == strategy), rng)
 
 
@@ -327,6 +327,29 @@ def test_cli_validation_error_exit_2(tmp_path, capsys):
     open_term.write_text("x y\n")
     assert cli.main(["compare", str(open_term)]) == 2
     capsys.readouterr()
+
+
+# (subcommand and input under the corpus, output option): every --out,
+# and --emit-dot wherever a final graph is written
+UNWRITABLE = [(["eval", "--engine", "crs", "crs/nat_add.trs"], "--out"),
+              (["encode", "--to", "crs", "lambda/dup_drop.lam"], "--out"),
+              (["compare", "lambda/dup_drop.lam"], "--out"),
+              (["roundtrip", "crs/nat_add.trs"], "--out"),
+              (["graph-dot", "crs/nat_add.trs"], "--out"),
+              (["eval", "--engine", "graph", "crs/nat_add.trs"], "--emit-dot"),
+              (["compare", "lambda/dup_drop.lam"], "--emit-dot"),
+              (["roundtrip", "crs/nat_add.trs"], "--emit-dot")]
+
+
+@pytest.mark.parametrize("argv, option", UNWRITABLE,
+                         ids=[f"{argv[0]}{option}" for argv, option in UNWRITABLE])
+def test_cli_unwritable_output_exit_2(tmp_path, capsys, argv, option):
+    # a path in a directory that does not exist: one line on stderr and
+    # exit 2, as for other usage errors
+    dest = tmp_path / "missing" / "x.out"
+    assert cli.main([*argv[:-1], str(CORPUS / argv[-1]), option, str(dest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"normbench: cannot write {dest}: ") and err.count("\n") == 1
 
 
 def test_cli_trs_without_term_exit_2(tmp_path, capsys):

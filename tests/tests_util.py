@@ -9,7 +9,7 @@ from typing import Iterator, Optional
 from hypothesis import strategies as st
 
 from make_corpus import church_two, random_closed, two_tower  # noqa: F401  (corpus builder)
-from normbench import crs, lam
+from normbench import crs, graphs, lam
 from normbench.lam import Abs, App, Term, Var
 
 
@@ -480,7 +480,110 @@ def reference_cbv_reduce(t: Term, budget: int, rng) -> lam.ReductionOutcome:
     return lam.ReductionOutcome(kind, t, steps)
 
 
-# --- the generic graph matcher: the reference for graphs' record matcher ----
+# --- rule graphs and the generic graph machine: the reference for graphs ----
+
+@dataclasses.dataclass
+class GraphRule:
+    """Labelled graph with left and right roots.
+
+    Every path from the left root is a left path: the left root is a
+    function symbol and everything below it is a constructor or unlabelled,
+    and an unlabelled node, a variable, has no children.  Unlabelled nodes
+    reachable from the right root are also reachable from the left root,
+    and the left root is not: a replacement cannot hold the node it
+    replaces.  rule_to_graph_rule gives such graphs for the rules of a
+    CrsSystem.
+    """
+
+    graph: graphs.TermGraph
+    left: int
+    right: int
+
+
+def add_tree(g, t, varnode):
+    """Add a tree for t to g, children before their parent, and return its
+    root.  One node per symbol occurrence; a variable gets one unlabelled
+    node per name, looked up in and recorded into varnode."""
+    results = []
+    todo = [(False, t)]
+    while todo:
+        done, node = todo.pop()
+        if isinstance(node, crs.Var):
+            v = varnode.get(node.name)
+            if v is None:
+                v = varnode[node.name] = g.new_node(None)
+            results.append(v)
+        elif not done:
+            todo.append((True, node))
+            todo.extend((False, c) for c in reversed(node.children))
+        else:
+            k = len(node.children)
+            kids = tuple(results[-k:]) if k else ()
+            if k:
+                del results[-k:]
+            v = g.new_node(node.symbol)
+            g.set_children(v, kids)
+            results.append(v)
+    return results[0]
+
+
+def rule_to_graph_rule(rule):
+    """Trees of both sides, sharing exactly the variable nodes."""
+    g = graphs.TermGraph()
+    varnode = {}
+    left = add_tree(g, crs.Node(rule.head, rule.lhs), varnode)
+    return GraphRule(g, left, add_tree(g, rule.rhs, varnode))
+
+
+def reference_compile_rule(gr):
+    """graphs.compile_rule on a rule graph whose left side is a tree, by
+    walks over the graph: the match program from the left root, the
+    copies by reachability from the right root, in ascending node order.
+    The plan leaves out a copy shared within the right side.  Returns the
+    compiled rule and the rule node of each slot."""
+    rg = gr.graph
+    slot = {gr.left: 0}                 # the left side's nodes
+    match = []
+    todo = [(c, 0, i) for i, c in enumerate(rg.succ[gr.left])]
+    while todo:
+        rn, parent, i = todo.pop()
+        slot[rn] = s = len(slot)
+        lab = rg.label[rn]
+        if lab is None:
+            match.append((graphs._BIND, parent, i, None))
+        else:
+            match.append((graphs._LABEL, parent, i, lab))
+            todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
+    fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in slot]
+    labels = tuple(rg.label[v] for v in fresh)
+    n = len(slot)
+    ref = dict(slot)
+    ref.update((v, n + k) for k, v in enumerate(fresh))
+    kids = tuple(tuple(ref[c] for c in rg.succ[v]) for v in fresh)
+    right = ref[gr.right]
+    copies = [0] * len(fresh)           # in-edges of each copy from copies
+    for kr in kids:
+        for r in kr:
+            if r >= n:
+                copies[r - n] += 1
+    # pre-order from the right root, last child first, then reversed
+    plan = []
+    plan_work = 1
+    todo = [(right, -1, 0)] if right >= n else []
+    while todo:
+        entry = todo.pop()
+        plan.append(entry)
+        r = entry[0]
+        kr = kids[r - n]
+        plan_work += len(kr)
+        for j, c in enumerate(kr):
+            if c >= n and copies[c - n] == 1:
+                todo.append((c, r, j))
+    plan.reverse()
+    return graphs.CompiledRule(tuple(match), n, labels, kids, right,
+                               (*(r for k in kids for r in k), right), tuple(plan),
+                               plan_work), tuple(slot)
+
 
 def reference_function_free(g, v, sig, memo, counter):
     """No function label at or below v, by a walk over g's dicts: memo
@@ -537,6 +640,101 @@ def reference_try_match(g, grule, anchor, sig, ffree, counter):
         phi[rn] = gn
         todo.extend(zip(rg.succ[rn], g.succ[gn]))
     return phi
+
+
+def reference_find_redex(g, grules, sig, rng=None, counter=None):
+    """find_redex with every rule graph of the head tried by the generic
+    matcher; (rule graph, phi) or None, or with rng the hit at
+    rng.randrange of their number in post-order."""
+    counter = [0] if counter is None else counter
+    ffree = {}
+    found = []
+    for v in graphs._post_order(g, g.root):
+        counter[0] += 1
+        lab = g.label[v]
+        if lab is None or not sig.is_function(lab):
+            continue
+        hits = []
+        for gr in grules:
+            if gr.graph.label[gr.left] == lab:
+                phi = reference_try_match(g, gr, v, sig, ffree, counter)
+                if phi is not None:
+                    hits.append((gr, phi))
+        assert len(hits) <= 1
+        if hits:
+            if rng is None:
+                return hits[0]
+            found.append(hits[0])
+    return found[rng.randrange(len(found))] if found else None
+
+
+def reference_build_phase(g, rule, phi):
+    """Copy the right-only nodes, found by reachability on the rule graph,
+    in ascending order; (replacement, nodes that gained an in-edge)."""
+    rg = rule.graph
+    left_nodes = rg.reachable(rule.left)
+    fresh = [v for v in sorted(rg.reachable(rule.right)) if v not in left_nodes]
+    copy = {v: g.new_node(rg.label[v]) for v in fresh}
+    touched = []
+    for v in fresh:
+        kids = tuple(copy[c] if c in copy else phi[c] for c in rg.succ[v])
+        g.set_children(copy[v], kids)
+        touched.extend(kids)
+    replacement = copy[rule.right] if rule.right in copy else phi[rule.right]
+    touched.append(replacement)
+    return replacement, touched
+
+
+def reference_redirect(g, anchor, replacement):
+    """Point every in-edge of anchor, found by a scan of succ, and the
+    root if it is anchor, at replacement."""
+    in_edges = [(u, i) for u, kids in g.succ.items() for i, c in enumerate(kids) if c == anchor]
+    for parent, idx in in_edges:
+        kids = list(g.succ[parent])
+        kids[idx] = replacement
+        g.set_children(parent, tuple(kids))
+    if g.root == anchor:
+        g.root = replacement
+
+
+def reference_collect(g):
+    """Delete every node unreachable from the root."""
+    live = g.reachable(g.root)
+    dead = [v for v in g.label if v not in live]
+    for v in dead:
+        for c in g.succ[v]:
+            if c in live:
+                g.refs[c] -= 1
+    for v in dead:
+        del g.label[v], g.succ[v], g.refs[v]
+
+
+def reference_graph_reduce(g, grules, sig, budget, rng=None):
+    """graph_reduce spelled out as a loop of whole-graph passes with the
+    generic matcher and the reachability build: find the redex from the
+    root, then build, redirect every in-edge (found by a scan of succ)
+    with set_children, collect everything unreachable, and check
+    constructor-sharedness on the whole graph after every step.  Returns
+    the visits of each search as work."""
+    sizes = [g.node_count()]
+    work = []
+    steps = 0
+    while steps < budget:
+        counter = [0]
+        hit = reference_find_redex(g, grules, sig, rng=rng, counter=counter)
+        work.append(counter[0])
+        if hit is None:
+            return "normal", steps, sizes, work
+        rule, phi = hit
+        replacement, _ = reference_build_phase(g, rule, phi)
+        reference_redirect(g, phi[rule.left], replacement)
+        reference_collect(g)
+        steps += 1
+        sizes.append(g.node_count())
+        assert graphs.is_constructor_shared(g, sig)
+    kind = "normal" if reference_find_redex(g, grules, sig) is None else "exhausted"
+    return kind, steps, sizes, work
+
 
 def bench_workloads():
     """bench/workloads.py, for the systems of the benchmark's families."""
