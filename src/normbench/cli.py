@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import random
 import sys
 from pathlib import Path
@@ -29,20 +30,27 @@ class CliError(Exception):
 
 
 def _load_input(path_str: str):
-    """Returns ("lam", term) or ("trs", CrsFile) based on the extension."""
+    """Returns ("lam", term) or ("trs", CrsFile) based on the extension,
+    and the input stanza of the report.  The file is read once: its bytes
+    are hashed for the stanza and decoded as Path.read_text() does."""
     path = Path(path_str)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
+    stanza = {"path": path_str, "sha256": workbench.digest(data)}
+    try:
+        text = io.TextIOWrapper(io.BytesIO(data), encoding=io.text_encoding(None)).read()
+    except UnicodeDecodeError as exc:
+        raise CliError(EXIT_PARSE, f"{path}: {exc}")
     if path.suffix == ".lam":
         try:
-            return "lam", workbench.load_lambda_file(path)
+            return "lam", workbench.parse_lambda_text(text), stanza
         except lam.LamParseError as exc:
             raise CliError(EXIT_PARSE, f"{path}: {exc}")
     if path.suffix == ".trs":
         try:
-            return "trs", crs.parse_system(text)
+            return "trs", crs.parse_system(text), stanza
         except crs.CrsParseError as exc:
             raise CliError(EXIT_PARSE, f"{path}: {exc}")
         except crs.CrsError as exc:
@@ -59,11 +67,6 @@ def _system_and_term(kind: str, loaded):
     if loaded.term is None:
         raise CliError(EXIT_VALIDATION, "no term declaration in input")
     return loaded.system, loaded.term
-
-
-def _input_stanza(path_str: str) -> dict:
-    data = Path(path_str).read_bytes()
-    return {"path": path_str, "sha256": workbench.digest(data)}
 
 
 def _write(path: str, text: str) -> None:
@@ -86,7 +89,7 @@ def _maybe_dot(graph, dest: str | None) -> None:
 
 
 def cmd_eval(args) -> int:
-    kind, loaded = _load_input(args.input)
+    kind, loaded, stanza = _load_input(args.input)
     rng = random.Random(args.seed) if args.policy == "random" else None
     timing: dict[str, float] = {}
     final_graph = None
@@ -104,7 +107,7 @@ def cmd_eval(args) -> int:
             run, _ = workbench.graph_run_dict(out)
             final_graph = out.graph
     report = {"schema": workbench.SCHEMA, "command": "eval",
-              "input": _input_stanza(args.input), "budget": args.budget,
+              "input": stanza, "budget": args.budget,
               "policy": args.policy, "runs": [{"engine": args.engine, **run}],
               "timing": timing}
     _emit(workbench.render_report(report), args.out)
@@ -113,7 +116,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    kind, loaded = _load_input(args.input)
+    kind, loaded, _ = _load_input(args.input)
     if args.to in ("crs", "crs-cbn"):
         if kind != "lam":
             raise CliError(EXIT_VALIDATION, "encoding to crs needs a .lam input")
@@ -133,7 +136,7 @@ def cmd_encode(args) -> int:
 def cmd_check(args) -> int:
     """compare on a .lam input, roundtrip on a .trs input: exit code 3
     when a check of the report failed."""
-    kind, loaded = _load_input(args.input)
+    kind, loaded, stanza = _load_input(args.input)
     want = "lam" if args.command == "compare" else "trs"
     if kind != want:
         raise CliError(EXIT_VALIDATION, f"{args.command} needs a .{want} input")
@@ -141,14 +144,15 @@ def cmd_check(args) -> int:
         report = workbench.compare_engines(loaded, args.budget)
     else:
         report = workbench.roundtrip_check(*_system_and_term(kind, loaded), args.budget)
-    report["input"] = _input_stanza(args.input)
+    report["input"] = stanza
     _emit(workbench.render_report(report), args.out)
     _maybe_dot(report.get("_final_graph"), args.emit_dot)
     return EXIT_OK if workbench.report_ok(report) else EXIT_CHECK_FAILED
 
 
 def cmd_graph_dot(args) -> int:
-    _, term = _system_and_term(*_load_input(args.input))
+    kind, loaded, _ = _load_input(args.input)
+    _, term = _system_and_term(kind, loaded)
     g = graphs.term_to_graph(term)
     _emit(graphs.to_dot(g), args.out)
     return EXIT_OK

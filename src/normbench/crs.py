@@ -14,15 +14,17 @@ replaces its entry by the redexes it made.  Each rule is compiled once,
 when its system is built, into a match program that fills numbered
 slots and a plan that builds its right-hand side from the slots; the
 input goes through the same plan builder.  Either way a step costs the
-size of its rule whatever the size of the term.  The step event is
-local: a hook receives the rule, its match and a `state()` that builds
-the whole term only when called.
+size of its rule whatever the size of the term.  The outcome counts
+the firings of each rule; a caller that needs more can hook each step,
+which receives the rule, its match and a `state()` that builds the whole
+term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
 `CrsSystem` compiles the rules, which is what checks them (see
 `CrsSystem` for which fault a rule with several reports), and builds
-the first-argument index that both engines look rules up in.
+the first-argument index.  Graph reduction runs the same index and
+match programs, and keeps its build templates on the system.
 """
 
 from __future__ import annotations
@@ -234,6 +236,8 @@ class CrsSystem:
         roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
                  for rule in self.rules]
         self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
+        # each rule's graph build template, compiled by graphs on first use
+        self._graph_templates: list = [None] * len(self.rules)
         by_head: dict[str, list[int]] = {}
         for idx, rule in enumerate(self.rules):
             by_head.setdefault(rule.head, []).append(idx)
@@ -411,6 +415,7 @@ class CrsOutcome:
     kind: NormalKind
     term: Term
     steps: int
+    fires: tuple[int, ...] = field(default=(), compare=False)  # per rule position
 
 
 def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
@@ -432,7 +437,8 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     that value-ness reaches through constructor nodes, if that now
     matches.  A node becomes a value once, so this climb is O(1)
     amortised, and a step costs the size of its rule whatever the size
-    of the term.
+    of the term.  The outcome's `fires` counts the firings of each rule
+    position; it takes no part in the outcome's equality.
 
     `on_step(rule, subst, state)` is invoked after each firing, with the
     rule and the match it fired under.  `state()` returns the whole term
@@ -448,9 +454,10 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     root = _build(sys, _plan(t, sig, {}), (), reds)
     reds.reverse()
     steps = 0
+    fires = [0] * len(rules)
     while reds:
         if steps >= budget:
-            return CrsOutcome("exhausted", _unframe(root), steps)
+            return CrsOutcome("exhausted", _unframe(root), steps, tuple(fires))
         k = len(reds) - 1
         if rng is not None:
             k -= rng.randrange(k + 1)
@@ -478,10 +485,12 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
         block.reverse()
         reds[k:k + 1] = block
         steps += 1
+        fires[r] += 1
         if on_step is not None:
             on_step(rules[r], {x: slots[s] for x, s in programs[r][1].items()},
                     partial(_unframe, root))
-    return CrsOutcome("constructor" if type(root) is Node else "stuck", _unframe(root), steps)
+    return CrsOutcome("constructor" if type(root) is Node else "stuck", _unframe(root), steps,
+                      tuple(fires))
 
 
 def _unframe(t) -> Term:

@@ -399,24 +399,20 @@ def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
     variables once, its rhs has one more app than its lhs (head counted),
     and the two read back alpha-equal with their variables read as free
     lambda variables.  These carry over to every instance, and a step
-    leaves the context of its redex as it is, so to every reached term;
-    the step hook only counts."""
+    leaves the context of its redex as it is, so to every reached term.
+    So the run takes no step hook: the administrative steps are the
+    firings of the rule's position, read from the outcome."""
     assert _admin_rule_ok(image.admin_rule, image.registry), \
         "administrative rule changes the readback or adds other than one app"
-    admin = [0]
-
-    def on_step(rule, subst, state):
-        if rule is image.admin_rule:
-            admin[0] += 1
-
     assert psi_is_canonical(image.term, image.system.signature, image.registry)
-    out = crs.reduce(image.system, image.term, budget, on_step=on_step)
+    out = crs.reduce(image.system, image.term, budget)
+    admin = sum(n for rule, n in zip(image.system.rules, out.fires) if rule is image.admin_rule)
     rb = None
     if out.kind != "exhausted":
         rb = readback(out.term, image.registry)
         if out.kind == "constructor":
             assert psi_is_canonical(out.term, image.system.signature, image.registry)
-    return PsiRun(out, rb, admin[0], out.steps - admin[0])
+    return PsiRun(out, rb, admin, out.steps - admin)
 
 
 def system_with_table(image) -> str:

@@ -9,23 +9,22 @@ steps in bijection with term steps.  It also makes the non-values
 (nodes with a function node at or below them) a tree, so a redex's
 anchor has one in-edge, a child slot, and the firing redirects it.
 
-The rules are those of a CrsSystem, which has checked them.  A rule
-is its two sides as trees sharing the variables: a firing copies every
-node of the right side, and a variable's place takes the node that the
-match bound.  Each rule is compiled once per run (compile_rule, one
-walk per side) into a flat match program, a build template and a
-decide plan, and takes its position's place in the system's
-first-argument index, so a node tries only the rules of its head whose
-first pattern can match its first child's label, in rule order.
+The rules are those of a CrsSystem, which has checked and compiled
+them, and graph reduction runs that compile: a node tries the rules of
+its head that the system's first-argument index offers, in rule order,
+with each rule's match program of (slot, constructor) steps.  A firing
+copies every node of the right side from the rule's build template
+(_template), whose variables read the program's slots; a template is
+compiled on its rule's first firing and kept on the system.
 
 graph_reduce converts the reachable part of its input once into linked
 node records (_records), runs on them alone and writes the dicts back
 once.  It keeps the redexes in an indexed list, fires one in place
-(build, redirect, collection by reference count) and decides only the
+(build, redirect, collection by reference count) and searches only the
 nodes the firing built, so a step costs the size of its rule, as a CRS
-step does.  The matcher and the function-free walk run on records
-only, so find_redex and is_constructor_shared convert the graph first;
-find_redex and fire_redex, which fires on the dicts, are for the tests.
+step does.  find_redex and fire_redex, which fires on the dicts, run
+the same programs and templates; they are for the tests, and
+find_redex and is_constructor_shared convert the graph to records first.
 """
 
 from __future__ import annotations
@@ -171,64 +170,38 @@ def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
     return memo[g.root]
 
 
-# --- compiled rules --------------------------------------------------------------------
+# --- build templates -------------------------------------------------------------------
 
-# kinds of match step: a constructor node of the left side, and a variable
-_LABEL, _BIND = 0, 1
+class Template(NamedTuple):
+    """How a firing of a rule of a checked system builds its right side.
 
-
-class CompiledRule(NamedTuple):
-    """A rule of a checked system as a flat match program, a build
-    template and a decide plan.
-
-    A match fills `slots` slots with graph nodes, the anchor in slot 0.
-    A step (kind, parent, i, arg) takes the i-th child of the node in
-    slot parent, which for _LABEL must carry the label arg and for _BIND
-    be function-free, and fills the next slot.  The steps visit the left
-    side depth first, last child first.  The template lists the right
-    side's nodes, its copies, in post-order, so their ids come in that
-    order.  Their children, and the right root, are references: a slot,
-    or slots + k for the k-th copy.  touched lists the references that a
-    firing gives a new in-edge, in the order the sharing check visits
-    them: the children of each copy, then the right root.  plan lists
-    the copies that graph_reduce decides after a firing, all of them, as
-    (reference, reference of the parent copy or -1 at the right root,
-    index there), children left to right before their parent.  plan_work
-    counts the walk that decides them: the replacement and the child
-    slots of the copies.
+    The right side's nodes, its copies, are listed in post-order, so
+    their ids come in that order; each is (label, kids, function?,
+    positions of the kids that are copies).  A kid, and the right root,
+    is a reference: a slot of the system's match program for the rule,
+    or slots + k for the k-th copy.  work counts the walk that decides
+    the copies: the replacement and the child slots of the copies.
     """
 
-    match: tuple[tuple[int, int, int, Optional[str]], ...]
-    slots: int
-    labels: tuple[str, ...]              # of the copies
-    kids: tuple[tuple[int, ...], ...]    # of the copies
+    copies: tuple[tuple[str, tuple[int, ...], bool, tuple[int, ...]], ...]
     right: int
-    touched: tuple[int, ...]
-    plan: tuple[tuple[int, int, int], ...]
-    plan_work: int
+    work: int
 
 
-def compile_rule(rule: crs.Rule) -> CompiledRule:
-    """The match program, build template and decide plan of a rule that
-    its CrsSystem has checked: one walk of each side."""
-    slot_of: dict[str, int] = {}
-    match: list[tuple[int, int, int, Optional[str]]] = []
-    todo: list = [(p, 0, i) for i, p in enumerate(rule.lhs)]
-    while todo:
-        p, parent, i = todo.pop()
-        s = len(match) + 1
-        if type(p) is crs.Var:
-            slot_of[p.name] = s
-            match.append((_BIND, parent, i, None))
-        else:
-            match.append((_LABEL, parent, i, p.symbol))
-            todo.extend((c, s, j) for j, c in enumerate(p.children))
-    n = len(match) + 1
-    labels: list[str] = []
-    kids: list[tuple[int, ...]] = []
-    plan: list[tuple[int, int, int]] = []
+def _template(system: crs.CrsSystem, r: int) -> Template:
+    """The template of rule r of system, compiled on its first use and
+    kept on the system: one post-order walk of the right side, whose
+    variables read the slots that the rule's match program binds."""
+    tpl = system._graph_templates[r]
+    if tpl is not None:
+        return tpl
+    rule = system.rules[r]
+    steps, slot_of = system._programs[r]
+    cons, functions = system.signature.constructors, system.signature.functions
+    n = len(rule.lhs) + sum(cons[c] for _, c in steps)
+    copies: list[tuple] = []
     refs: list[int] = []
-    todo = [rule.rhs]
+    todo: list = [rule.rhs]
     while todo:
         t = todo.pop()
         if t is None:                   # the node below, once its children are done
@@ -236,41 +209,23 @@ def compile_rule(rule: crs.Rule) -> CompiledRule:
             k = len(refs) - len(t.children)
             kr = tuple(refs[k:])
             del refs[k:]
-            r = n + len(labels)
-            for j, c in enumerate(kr):
-                if c >= n:
-                    plan[c - n] = (c, r, j)
-            labels.append(t.symbol)
-            kids.append(kr)
-            plan.append((r, -1, 0))
-            refs.append(r)
+            copies.append((t.symbol, kr, t.symbol in functions,
+                           tuple(j for j, c in enumerate(kr) if c >= n)))
+            refs.append(n + len(copies) - 1)
         elif type(t) is crs.Var:
             refs.append(slot_of[t.name])
         else:
             todo += (t, None, *reversed(t.children))
-    right = refs[0]
-    return CompiledRule(tuple(match), n, tuple(labels), tuple(kids), right,
-                        (*(r for kr in kids for r in kr), right), tuple(plan),
-                        1 + sum(map(len, kids)))
-
-
-# the compiled rules keyed as in the system's first-argument index
-_RuleIndex = dict[tuple[str, Optional[str]], list[CompiledRule]]
-
-
-def _rule_index(system: crs.CrsSystem) -> _RuleIndex:
-    compiled = [compile_rule(r) for r in system.rules]
-    return {key: [compiled[r] for r in bucket] for key, bucket in system._index.items()}
+    tpl = system._graph_templates[r] = Template(
+        tuple(copies), refs[0], 1 + sum(len(c[1]) for c in copies))
+    return tpl
 
 
 @dataclass
 class Redex:
-    compiled: CompiledRule
-    nodes: list[int]  # the graph node in each match slot, the anchor first
-
-    @property
-    def anchor(self) -> int:
-        return self.nodes[0]
+    anchor: int
+    template: Template  # of the rule that matches there
+    slots: list[int]    # the graph node in each slot of the rule's match program
 
 
 # --- node records ----------------------------------------------------------------------
@@ -288,11 +243,7 @@ def _records(g: TermGraph) -> dict[int, list]:
     return rec
 
 
-def _candidates(index: _RuleIndex, v: list, lab: str) -> list[CompiledRule]:
-    return index.get((lab, v[1][0][0] if v[1] else None)) or index.get((lab, None), [])
-
-
-def _function_free(v: list, functions: dict, counter: list[int]) -> bool:
+def _function_free(v: list, functions: dict) -> bool:
     # no function label at or below record v: the constructor-path condition
     todo = [v]
     trail = []
@@ -304,7 +255,6 @@ def _function_free(v: list, functions: dict, counter: list[int]) -> bool:
                 ok = False
                 break
             continue
-        counter[0] += 1
         if u[0] in functions:
             ok = False
             break
@@ -317,46 +267,9 @@ def _function_free(v: list, functions: dict, counter: list[int]) -> bool:
     return ok
 
 
-def _match(cr: CompiledRule, anchor: list, functions: dict,
-           counter: list[int]) -> Optional[list[list]]:
-    """The records in cr's match slots at anchor, or None.  The anchor's
-    label is the rule's head.  counter gains one per step run, the anchor
-    included, plus the records _function_free visits."""
-    nodes = [anchor]
-    n = 1
-    for kind, parent, i, arg in cr.match:
-        n += 1
-        gn = nodes[parent][1][i]
-        if kind == _LABEL:
-            if gn[0] != arg:
-                break
-        elif kind == _BIND:
-            if not (gn[4] or _function_free(gn, functions, counter)):
-                break
-        else:
-            if nodes[arg] is not gn:
-                break
-            continue
-        nodes.append(gn)
-    else:
-        counter[0] += n
-        return nodes
-    counter[0] += n
-    return None
-
-
-def _first_match(index: _RuleIndex, v: list, lab: str, functions: dict, counter: list[int]):
-    # (compiled rule, slots) of the rule firing at record v, or None
-    for cr in _candidates(index, v, lab):
-        nodes = _match(cr, v, functions, counter)
-        if nodes is not None:
-            return cr, nodes
-    return None
-
-
 def _shared_ok(rec: dict[int, list], functions: dict) -> bool:
     # every record with two in-edges is function-free; the memo is cleared
-    ok = all(r[2] < 2 or _function_free(r, functions, [0]) for r in rec.values())
+    ok = all(r[2] < 2 or _function_free(r, functions) for r in rec.values())
     for r in rec.values():
         r[4] = None
     return ok
@@ -364,19 +277,29 @@ def _shared_ok(rec: dict[int, list], functions: dict) -> bool:
 
 def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
     """Leftmost-innermost redex under system's rules: the first in
-    post-order from the root; the match runs on the graph's records.
+    post-order from the root whose arguments are function-free and
+    which a rule's match program matches on the graph's records.
     Orthogonality makes the rule at a given anchor unique; that is
     asserted.  For the tests: graph_reduce never searches the whole
     graph.  It stays a module attribute as bench/tracer.py wraps it."""
-    index = _rule_index(system)
-    rec = _records(g)
+    index, programs = system._index, system._programs
     functions = system.signature.functions
+    rec = _records(g)
     for v in _post_order(g, g.root):
         u = rec[v]
-        if u[0] not in functions:
+        lab, kids = u[0], u[1]
+        if lab not in functions or not all(_function_free(c, functions) for c in kids):
             continue
-        hits = [Redex(cr, [r[3] for r in nodes]) for cr in _candidates(index, u, u[0])
-                if (nodes := _match(cr, u, functions, [0])) is not None]
+        hits = []
+        for r in index.get((lab, kids[0][0] if kids else None)) or index.get((lab, None), ()):
+            slots = kids[:]
+            for s, c in programs[r][0]:
+                t = slots[s]
+                if t[0] != c:
+                    break
+                slots += t[1]
+            else:
+                hits.append(Redex(v, _template(system, r), [t[3] for t in slots]))
         assert len(hits) <= 1, f"orthogonality violated at node {v}"
         if hits:
             return hits[0]
@@ -384,17 +307,19 @@ def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
 
 
 def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
-    """Fire redex on g's dicts as a first step: copy the right-only nodes,
-    point every in-edge of the anchor (a shared anchor has several) and
-    the root if it is the anchor at the replacement, keep the reachable
-    nodes (_write_back) and check sharedness at the nodes that gained an
-    in-edge.  Returns those nodes, the replacement last.  For the tests;
-    it stays a module attribute as bench/tracer.py wraps it."""
-    cr, v = redex.compiled, redex.anchor
-    nodes = redex.nodes + [g.new_node(lab) for lab in cr.labels]
-    for u, kr in zip(nodes[cr.slots:], cr.kids):
-        g.set_children(u, tuple([nodes[r] for r in kr]))
-    new = nodes[cr.right]
+    """Fire redex on g's dicts as a first step: copy the right side's
+    nodes, point every in-edge of the anchor (a shared anchor has
+    several) and the root if it is the anchor at the replacement, keep
+    the reachable nodes (_write_back) and check sharedness at the nodes
+    that gained an in-edge: the children of each copy, then the
+    replacement.  Returns those nodes.  For the tests; it stays a module
+    attribute as bench/tracer.py wraps it."""
+    tpl, v = redex.template, redex.anchor
+    nodes = redex.slots + [g.new_node(c[0]) for c in tpl.copies]
+    n = len(redex.slots)
+    for u, c in zip(nodes[n:], tpl.copies):
+        g.set_children(u, tuple([nodes[r] for r in c[1]]))
+    new = nodes[tpl.right]
     for u, kids in list(g.succ.items()):
         if v in kids:
             g.set_children(u, tuple([new if c == v else c for c in kids]))
@@ -402,8 +327,8 @@ def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
         g.root = new
     rec = _records(g)
     _write_back(g, rec[g.root], g._next)
-    touched = [rec[nodes[r]] for r in cr.touched]
-    if any(u[2] >= 2 and not _function_free(u, sig.functions, [0]) for u in touched):
+    touched = [rec[nodes[r]] for c in tpl.copies for r in c[1]] + [rec[new]]
+    if any(u[2] >= 2 and not _function_free(u, sig.functions) for u in touched):
         raise SharingViolation("sharedness lost after step 1")
     return [u[3] for u in touched]
 
@@ -425,6 +350,7 @@ class GraphOutcome:
     steps: int
     sizes: list[int] = field(default_factory=list)  # node count, initial first
     work: list[int] = field(default_factory=list)   # nodes and match steps per search
+    fires: tuple[int, ...] = ()                     # firings per rule position
 
 
 def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
@@ -432,48 +358,58 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
     """Reduce a constructor-shared closed graph, leftmost-innermost by
     default or at uniformly random redexes with rng.
 
-    The system's rules are compiled once per call, before the input is
-    read (compile_rule).  The reachable part of g becomes records
-    (_records), and a run of one step or more writes label, succ, refs,
-    root and _next back once (_write_back); a run of 0 steps leaves g
-    untouched.  A record's value is True for a value; every other record
-    has its one in-edge, kids[index] of its parent (None at the root),
-    and pending, its non-value children.  The parent is cleared when a
-    record becomes a value or dies.  reds holds the redexes (anchor,
-    compiled rule, slots) in find_redex's post-order, reversed so that
-    the leftmost-innermost one is last.  The loop fires that entry, or
-    with rng the entry that reds[rng.randrange(len(reds))] would be in
-    post-order: it builds the copies, redirects the anchor's in-edge,
-    collects by reference count from the anchor (refs count only
-    in-edges from reachable nodes, so this removes exactly what became
-    unreachable, at step 1 also what never was), and checks sharedness.
-    The entry becomes the redexes among the copies, decided by the
-    rule's plan, or, when the replacement is a value, the first function
-    ancestor that value-ness reaches through constructor nodes, if that
-    now matches.  A node becomes a value once, so this climb is O(1)
-    amortised.
+    The reachable part of g becomes records (_records), and a run of one
+    step or more writes label, succ, refs, root and _next back once
+    (_write_back); a run of 0 steps leaves g untouched.  A record's value
+    is True for a value; every other record has its one in-edge,
+    kids[index] of its parent (None at the root), and pending, its
+    non-value children.  The parent is cleared when a record becomes a
+    value or dies.
 
-    sizes holds the node count of the input and after every firing.
-    work holds, per search for a redex, the graph nodes it arrived at and
-    the match steps it ran: one entry per firing, and one more for the
-    last search when the run ends normal with steps < budget.  The first
-    search walks the input; a later one counts the replacement, the child
-    slots of the copies it decides and the rules it tries.
+    The loop alternates a search and a firing.  A search tries the
+    function records over values that the last firing made, or at the
+    start all of them (_decide), in post-order: each tries the rules of
+    the system's first-argument index in rule order, running a rule's
+    match program (system._programs) on the records, and the first that
+    matches gives a redex (anchor, rule position, slots).  Every record
+    below a value is a value, so a binding needs no check that it is
+    function-free, unlike find_redex's.  reds holds the redexes in
+    post-order, reversed so that the leftmost-innermost one is last; a
+    search's redexes take the place of the entry that fired.  A firing
+    takes that last entry, or with rng the entry that
+    reds[rng.randrange(len(reds))] would be in post-order.  It builds,
+    links and decides each copy of the rule's template (_template) in one
+    pass, redirects the anchor's in-edge, collects by reference count
+    from the anchor (refs count only in-edges from reachable nodes, so
+    this removes exactly what became unreachable, at step 1 also what
+    never was), and, when the replacement is a value, climbs to the first
+    function ancestor that value-ness reaches through constructor nodes,
+    which the next search tries.  A node becomes a value once, so this
+    climb is O(1) amortised, and a step costs the size of its rule.
+
+    sizes holds the node count of the input and after every firing, and
+    fires the firings of each rule position.  work holds, per search,
+    the graph nodes it arrived at and the match steps it ran: one entry
+    per firing, and one more for the last search when the run ends
+    normal with steps < budget.  The first search arrives at the root and
+    every child slot of the input; a later one at the replacement and the
+    child slots of the copies.  Each rule tried costs one step for its
+    anchor and one per (slot, constructor) step it runs.
 
     A reachable input node whose label the system's signature does not
     declare, or whose child count is not its arity, raises
-    crs.UnknownSymbol or crs.ArityMismatch.  The input is checked for constructor-sharedness,
-    and after every firing the nodes that gained an in-edge and now have
-    in-degree >= 2 are checked to be function-free; no other node can
-    lose the property, since a redirect only rewires the parent of a
-    function node, which is unshared.  A violation aborts the run since
-    it indicates a bug, not an input error.
+    crs.UnknownSymbol or crs.ArityMismatch.  The input is checked for
+    constructor-sharedness, and every firing checks that no node it
+    gives a second in-edge is a non-value; no other node can lose the
+    property, since a redirect only rewires the parent of a function
+    node, which is unshared.  A violation aborts the run since it
+    indicates a bug, not an input error.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     sig = system.signature
-    index = _rule_index(system)
     functions = sig.functions
+    index, programs, templates = system._index, system._programs, system._graph_templates
     rec = _records(g)
     if not _shared_ok(rec, functions):
         raise SharingViolation("input graph is not constructor-shared")
@@ -481,38 +417,77 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
     del rec
     sizes = [len(g.label)]
     work: list[int] = []
-    counter = [0]
+    fires = [0] * len(system.rules)
     reds: list[tuple] = []
-    _decide(root, index, sig, reds, counter)
-    reds.reverse()
-    steps, top = 0, g._next
-    while reds and steps < budget:
+    tries, w = _decide(root, sig)
+    steps, top, k = 0, g._next, 0
+    while True:
+        block: list[tuple] = []
+        for u in tries:
+            kids = u[1]
+            for r in index.get((u[0], kids[0][0] if kids else None)) \
+                    or index.get((u[0], None), ()):
+                w += 1
+                slots = kids[:]
+                for s, c in programs[r][0]:
+                    w += 1
+                    t = slots[s]
+                    if t[0] != c:
+                        break
+                    slots += t[1]
+                else:
+                    block.append((u, r, slots))
+                    break
+        block.reverse()
+        reds[k:k + 1] = block
+        if steps < budget:
+            work.append(w)
+        if not reds or steps >= budget:
+            break
         k = len(reds) - 1
         if rng is not None:
             k -= rng.randrange(k + 1)
-        v, cr, nodes = reds[k]
+        v, r, nodes = reds[k]
         steps += 1
-        work.append(counter[0])
-        counter[0] = cr.plan_work
+        fires[r] += 1
+        copies, right, w = templates[r] or _template(system, r)
         parent, i, v[5] = v[5], v[6], None
-        n = len(nodes)
-        for lab in cr.labels:
-            nodes.append([lab, None, 0, top, None, None, 0, 0])
-            top += 1
-        for u, kr in zip(nodes[n:], cr.kids):
-            u[1] = kids = []
-            for r in kr:
-                c = nodes[r]
-                kids.append(c)
+        tries = []
+        for lab, kr, fun, sub in copies:
+            kids = []
+            for j in kr:
+                c = nodes[j]
                 c[2] += 1
-        new = nodes[cr.right]
+                kids.append(c)
+            u = [lab, kids, 0, top, None, None, 0, 0]
+            top += 1
+            pending = 0
+            for j in sub:
+                c = kids[j]
+                if not c[4]:
+                    if c[2] > 1:
+                        raise SharingViolation(f"sharedness lost after step {steps}")
+                    c[5], c[6] = u, j
+                    pending += 1
+            if pending:
+                u[7] = pending
+            elif fun:
+                tries.append(u)
+            else:
+                u[4] = True
+            nodes.append(u)
+        new = nodes[right]
+        size += len(copies)
         if parent is None:
             root = new
         else:
             parent[1][i] = new
             new[2] += 1
             v[2] -= 1
-        size += len(cr.labels)
+        if not new[4]:
+            if new[2] > 1:
+                raise SharingViolation(f"sharedness lost after step {steps}")
+            new[5], new[6] = parent, i
         todo = [v] if not v[2] and v is not root else []
         while todo:
             u = todo.pop()
@@ -522,56 +497,29 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
                 if not c[2] and c is not root:
                     todo.append(c)
         sizes.append(size)
-        for r in cr.touched:
-            u = nodes[r]
-            if u[2] >= 2 and not (u[4] or _function_free(u, functions, [0])):
-                raise SharingViolation(f"sharedness lost after step {steps}")
-        block: list[tuple] = []
-        for r, p, j in cr.plan:
-            u = nodes[r]
-            lab = u[0]
-            if lab in functions:
-                hit = None if u[7] else _first_match(index, u, lab, functions, counter)
-                if hit is not None:
-                    block.append((u, *hit))
-            elif not u[7]:
-                u[4] = True
-                continue
-            if p < 0:
-                u[5], u[6] = parent, i
-            else:
-                u[5], u[6] = nodes[p], j
-                nodes[p][7] += 1
         while new[4] and parent is not None:
             parent[7] -= 1
             if parent[7]:
                 break
-            lab = parent[0]
-            if lab in functions:
-                hit = _first_match(index, parent, lab, functions, counter)
-                if hit is not None:
-                    block.append((parent, *hit))
+            if parent[0] in functions:
+                tries.append(parent)
                 break
             parent[4] = True
             parent[5], parent = None, parent[5]
-        block.reverse()
-        reds[k:k + 1] = block
-    if not reds and steps < budget:
-        work.append(counter[0])
     if steps:
         _write_back(g, root, top)
-    return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work)
+    return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work, tuple(fires))
 
 
-def _decide(root: list, index: _RuleIndex, sig: crs.Signature, reds: list[tuple],
-            counter: list[int]) -> None:
-    # The first search: decide every record reachable from root, children
-    # first, as the plan decides copies; a function node over values that
-    # matches goes into reds.  Each record is checked against sig before
-    # it is matched.  A frame is [record, next child]; counter gains one
-    # per record arrived at, plus the match steps.
-    counter[0] += 1
+def _decide(root: list, sig: crs.Signature) -> tuple[list[list], int]:
+    # The first search's walk: decide every record reachable from root,
+    # children first, as a firing decides copies, checking each against
+    # sig.  Returns the function records over values in post-order, and
+    # the records arrived at: the root and every child slot.  A frame is
+    # [record, next child].
+    arrived = 1
     functions = sig.functions
+    tries = []
     stack = [[root, 0]]
     while stack:
         frame = stack[-1]
@@ -579,7 +527,7 @@ def _decide(root: list, index: _RuleIndex, sig: crs.Signature, reds: list[tuple]
         kids = u[1]
         if nxt < len(kids):
             frame[1] = nxt + 1
-            counter[0] += 1
+            arrived += 1
             c = kids[nxt]
             if not c[4]:
                 c[5], c[6] = u, nxt
@@ -590,15 +538,15 @@ def _decide(root: list, index: _RuleIndex, sig: crs.Signature, reds: list[tuple]
         if (ar := sig.arity(lab)) != len(kids):
             raise crs.ArityMismatch(lab, ar, len(kids))
         if lab in functions:
-            hit = None if u[7] else _first_match(index, u, lab, functions, counter)
-            if hit is not None:
-                reds.append((u, *hit))
+            if not u[7]:
+                tries.append(u)
         elif not u[7]:
             u[4] = True
             u[5] = None
             continue
         if stack:
             stack[-1][0][7] += 1
+    return tries, arrived
 
 
 def _write_back(g: TermGraph, root: list, top: int) -> None:

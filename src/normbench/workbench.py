@@ -233,8 +233,13 @@ class Corpus:
 
 
 def load_lambda_file(path: Path) -> lam.Term:
-    lines = [ln for ln in Path(path).read_text().splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    return parse_lambda_text(Path(path).read_text())
+
+
+def parse_lambda_text(text: str) -> lam.Term:
+    """The term of a .lam file's text: its lines joined, without blank
+    lines and # comment lines."""
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     return lam.parse(" ".join(lines))
 
 

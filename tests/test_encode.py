@@ -345,6 +345,28 @@ def test_checked_runs_match_whole_term_checker_on_corpus():
         assert_checked_runs_agree(entry.term, workbench.DEFAULT_BUDGET)
 
 
+def test_run_psi_counts_as_a_step_hook_does():
+    # run_psi reads the administrative steps from the outcome's firing
+    # counts; a hook on every step of the same image counts the same
+    from tests_util import bench_workloads
+    terms = [e.term for e in workbench.Corpus.load(CORPUS).lambda_entries]
+    workloads, rng = bench_workloads(), random.Random(3)
+    terms += [p(workloads.church_instance(fam.name, n, rng)[0])
+              for fam in workloads.LAMBDA_SCALE for n in fam.sizes]
+    admin_steps = 0
+    for m in terms:
+        image = encode.encode_cbn(m)
+        run = encode.run_psi(image, workbench.DEFAULT_BUDGET)
+        hooked = []
+        out = crs.reduce(image.system, image.term, workbench.DEFAULT_BUDGET,
+                         on_step=lambda rule, subst, state: hooked.append(rule))
+        admin = sum(rule is image.admin_rule for rule in hooked)
+        assert (run.admin_steps, run.ordinary_steps) == (admin, out.steps - admin), lam.to_str(m)
+        assert (run.outcome.kind, run.outcome.steps) == (out.kind, out.steps)
+        admin_steps += admin
+    assert len(terms) == 68 and admin_steps > 1000
+
+
 def test_checked_runs_match_whole_term_checker_on_random_terms():
     from tests_util import random_closed
     rng = random.Random(23)

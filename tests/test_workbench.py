@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -310,11 +313,54 @@ def test_cli_emit_dot(tmp_path, capsys):
     assert "digraph" in dest.read_text()
 
 
+@pytest.mark.parametrize("name, argvs", [
+    ("lambda/dup_drop.lam", [["eval", "--engine", "lambda-cbn"], ["eval", "--engine", "graph"],
+                             ["compare"], ["encode", "--to", "crs-cbn"], ["graph-dot"]]),
+    ("crs/nat_add.trs", [["eval", "--engine", "crs"], ["roundtrip"], ["encode", "--to", "lambda"],
+                         ["graph-dot"]]),
+])
+def test_cli_reads_its_input_once(tmp_path, monkeypatch, capsys, name, argvs):
+    # each command opens its input once: the stanza hashes the bytes read,
+    # and the text is decoded from them as Path.read_text() would, so a
+    # copy with CRLF line ends gives the same report but for the stanza
+    src = CORPUS / name
+    crlf = tmp_path / src.name
+    crlf.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    reads = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) in (src, crlf):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    for argv in argvs:
+        outs = []
+        for path in (src, crlf):
+            reads.clear()
+            assert cli.main([*argv, str(path)]) == 0
+            assert len(reads) == 1, argv
+            out = capsys.readouterr().out
+            if out.startswith("{"):
+                report = json.loads(out)
+                report.pop("timing")
+                assert report.pop("input") == {
+                    "path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                out = report
+            outs.append(out)
+        assert outs[0] == outs[1], argv
+
+
 def test_cli_parse_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.lam"
     bad.write_text("\\x. (\n")
     assert cli.main(["eval", str(bad)]) == 1
     capsys.readouterr()
+    # bytes that do not decode are a parse error too, not a traceback
+    bad.write_bytes(b"\\x. x \xff\n")
+    assert cli.main(["eval", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"normbench: {bad}: ")
 
 
 def test_cli_validation_error_exit_2(tmp_path, capsys):

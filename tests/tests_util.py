@@ -4,7 +4,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import sys
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from hypothesis import strategies as st
 
@@ -535,12 +535,41 @@ def rule_to_graph_rule(rule):
     return GraphRule(g, left, add_tree(g, rule.rhs, varnode))
 
 
+# kinds of step of a rule graph's match program: a constructor node of
+# the left side, and a variable
+LABEL, BIND = 0, 1
+
+
+class RuleGraphCompile(NamedTuple):
+    """A rule graph compiled by walks over the graph.
+
+    A match fills `slots` slots with graph nodes, the anchor in slot 0.
+    A step (kind, parent, i, arg) takes the i-th child of the node in
+    slot parent, which for LABEL must carry the label arg and for BIND
+    be function-free, and fills the next slot; the steps visit the left
+    side depth first, last child first.  The copies are the right-only
+    nodes in ascending node order, with their labels and kids; a kid,
+    and the right root, is a slot, or slots + k for the k-th copy.  plan
+    lists the copies that a firing decides, as (reference, reference of
+    the parent copy or -1 at the right root, index there), children
+    before their parent, and plan_work counts the replacement and the
+    child slots of those copies."""
+
+    match: tuple[tuple[int, int, int, Optional[str]], ...]
+    slots: int
+    labels: tuple[str, ...]
+    kids: tuple[tuple[int, ...], ...]
+    right: int
+    plan: tuple[tuple[int, int, int], ...]
+    plan_work: int
+
+
 def reference_compile_rule(gr):
-    """graphs.compile_rule on a rule graph whose left side is a tree, by
-    walks over the graph: the match program from the left root, the
-    copies by reachability from the right root, in ascending node order.
-    The plan leaves out a copy shared within the right side.  Returns the
-    compiled rule and the rule node of each slot."""
+    """The compile of a rule graph whose left side is a tree, by walks
+    over the graph: the match program from the left root, the copies by
+    reachability from the right root, in ascending node order.  The plan
+    leaves out a copy shared within the right side.  Returns the
+    RuleGraphCompile and the rule node of each slot."""
     rg = gr.graph
     slot = {gr.left: 0}                 # the left side's nodes
     match = []
@@ -550,9 +579,9 @@ def reference_compile_rule(gr):
         slot[rn] = s = len(slot)
         lab = rg.label[rn]
         if lab is None:
-            match.append((graphs._BIND, parent, i, None))
+            match.append((BIND, parent, i, None))
         else:
-            match.append((graphs._LABEL, parent, i, lab))
+            match.append((LABEL, parent, i, lab))
             todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
     fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in slot]
     labels = tuple(rg.label[v] for v in fresh)
@@ -580,9 +609,48 @@ def reference_compile_rule(gr):
             if c >= n and copies[c - n] == 1:
                 todo.append((c, r, j))
     plan.reverse()
-    return graphs.CompiledRule(tuple(match), n, labels, kids, right,
-                               (*(r for k in kids for r in k), right), tuple(plan),
-                               plan_work), tuple(slot)
+    return RuleGraphCompile(tuple(match), n, labels, kids, right, tuple(plan),
+                            plan_work), tuple(slot)
+
+
+def slot_nodes(gr):
+    """The rule node in each slot of the system's match program for the
+    rule of gr: the arguments left to right, then the children of each
+    constructor slot in slot order."""
+    rg = gr.graph
+    nodes = list(rg.succ[gr.left])
+    i = 0
+    while i < len(nodes):
+        if rg.label[nodes[i]] is not None:
+            nodes += rg.succ[nodes[i]]
+        i += 1
+    return nodes
+
+
+def reference_template(gr, sig):
+    """The graph build template of gr's rule in the system's slot order,
+    from reference_compile_rule through a slot mapping: a slot of the
+    rule-graph compile goes to the system slot of the same rule node, and
+    its k-th copy to the system's slot count plus k.  Also returns the
+    mapped match program: the (slot, label) steps in slot order and the
+    set of variable slots."""
+    cr, ref_slots = reference_compile_rule(gr)
+    nodes = slot_nodes(gr)
+    n = len(nodes)
+    pos = {rn: s for s, rn in enumerate(nodes)}
+
+    def ref(r):
+        return pos[ref_slots[r]] if r < cr.slots else n + r - cr.slots
+
+    copies = []
+    for lab, kr in zip(cr.labels, cr.kids):
+        kr = tuple(map(ref, kr))
+        copies.append((lab, kr, sig.is_function(lab),
+                       tuple(j for j, c in enumerate(kr) if c >= n)))
+    steps = sorted((pos[ref_slots[m + 1]], lab)
+                   for m, (kind, _, _, lab) in enumerate(cr.match) if kind == LABEL)
+    variables = {pos[ref_slots[m + 1]] for m, step in enumerate(cr.match) if step[0] == BIND}
+    return graphs.Template(tuple(copies), ref(cr.right), cr.plan_work), (steps, variables)
 
 
 def reference_function_free(g, v, sig, memo, counter):
