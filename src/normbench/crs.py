@@ -35,18 +35,65 @@ from functools import partial
 from typing import Iterable, Literal, Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     name: str
 
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is Var else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((0, self.name))
+
+
+@dataclass(frozen=True, eq=False)
 class Node:
     symbol: str
     children: tuple["Term", ...] = ()
 
+    def __eq__(self, other):
+        return _term_eq(self, other) if type(other) is Node else NotImplemented
+
+    def __hash__(self):
+        return _term_hash(self)
+
 
 Term = Union[Var, Node]
+
+
+def _term_eq(a: Term, b: Term) -> bool:
+    # Structural and exact-type equality, as the generated dataclass ==
+    # decides it, in one walk without recursion.
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is Var:
+            if a.name != b.name:
+                return False
+        elif a.symbol != b.symbol or len(a.children) != len(b.children):
+            return False
+        else:
+            todo += zip(a.children, b.children)
+    return True
+
+
+def _term_hash(t: Term) -> int:
+    # The hash of the term's nodes in pre-order, without recursion; equal
+    # terms hash equal.
+    out: list = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if type(s) is Var:
+            out += (None, s.name)
+        else:
+            out += (s.symbol, len(s.children))
+            todo += reversed(s.children)
+    return hash(tuple(out))
 
 
 class CrsError(Exception):
@@ -182,15 +229,6 @@ def _check_node(s: Node, sig: Signature) -> None:
         raise ArityMismatch(s.symbol, ar, len(s.children))
 
 
-def _check_arities(t: Term, sig: Signature) -> None:
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Node):
-            _check_node(s, sig)
-            todo.extend(s.children)
-
-
 def _patterns_compatible(p: Term, q: Term) -> bool:
     # Both linear with disjoint variables, so unifiability is a structural
     # compatibility check: variables match anything.
@@ -216,8 +254,11 @@ class CrsSystem:
     undeclared symbol, a wrong arity, a function symbol, or a second
     occurrence of a variable), then its unbound right-side variables,
     then its right side in pre-order (an undeclared symbol or a wrong
-    arity).  Once every rule compiles, the first overlapping pair is
-    reported: heads by first appearance, then (i, j) in rule order.
+    arity).  Once every rule compiles, overlap is decided head by head
+    in one pass over the left sides, which splits them on their
+    constructors (`_first_overlap`), and the first overlapping pair is
+    reported: heads by first appearance, then the least (i, j) in rule
+    order, the pair a scan of every pair in that order meets first.
     """
 
     def __init__(self, signature: Signature, rules: list[Rule]):
@@ -238,17 +279,9 @@ class CrsSystem:
         self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
-        by_head: dict[str, list[int]] = {}
-        for idx, rule in enumerate(self.rules):
-            by_head.setdefault(rule.head, []).append(idx)
-        for head, idxs in by_head.items():
-            for i in idxs:
-                # the later rules that share an index bucket with i
-                bucket = idxs if roots[i] is None else self._index[head, roots[i]]
-                lhs = self.rules[i].lhs
-                for j in bucket[bucket.index(i) + 1:]:
-                    if all(_patterns_compatible(p, q) for p, q in zip(lhs, self.rules[j].lhs)):
-                        raise OverlapError(i, j)
+        pair = _first_overlap(self.rules)[0]
+        if pair is not None:
+            raise OverlapError(*pair)
 
     def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
         # (frame, rule position, slots) of the rule firing at a function
@@ -268,6 +301,105 @@ class CrsSystem:
         return None
 
 
+def _first_overlap(rules: tuple[Rule, ...]) -> tuple[Optional[tuple[int, int]], int]:
+    """The first pair of rules whose left sides unify, or None, with the
+    work spent: a unit per row of each group split, per pattern node it
+    expands, per pair of rows compared and per step of a comparison.
+    Heads go by first appearance, and in a head the least pair (i, j) in
+    rule order is the first.
+
+    The left sides of a head are the rows of a pattern matrix, split as
+    in Maranget, "Warnings for pattern matching" (JFP 2007): a group of
+    rows splits on the first column that holds a constructor, into one
+    group per constructor there, whose rows take its children as columns
+    in its place.  A row with a variable in that column leaves the
+    split: it is compared with each other row of the group, on the
+    columns after it, rather than copied into every group, which can
+    copy it exponentially often.  Left sides are linear, so two rows
+    unify exactly when they agree wherever both hold a constructor.
+
+    A row is None when it holds no constructor, else (number of variable
+    columns before its first constructor, that constructor, the row
+    after it), so a row drops columns in O(1).  When constructors tell
+    the rules apart at every split, as in every encoder image, each row
+    is in one group at a time and the check is linear in the size of the
+    left sides; a pair of rows is compared at most once.  A group whose
+    first two rows form no pair less than one found is dropped."""
+    by_head: dict[str, list[tuple[int, Optional[tuple]]]] = {}
+    for idx, rule in enumerate(rules):
+        by_head.setdefault(rule.head, []).append((idx, _columns(rule.lhs, None)))
+    work = 0
+    for group in by_head.values():
+        best: Optional[tuple[int, int]] = None
+        groups = [group] if len(group) > 1 else []
+        while groups:
+            group = groups.pop()
+            if best is not None and (group[0][0], group[1][0]) >= best:
+                continue
+            work += len(group)
+            k = min((row[0] for _, row in group if row is not None), default=None)
+            split: dict[str, list] = {}
+            var = False
+            for i, row in group:
+                if row is not None and row[0] == k:
+                    kids = row[1].children
+                    work += len(kids)
+                    split.setdefault(row[1].symbol, []).append((i, _columns(kids, row[2])))
+                else:
+                    var = True
+            groups += [sub for sub in split.values() if len(sub) > 1]
+            if not var:
+                continue
+            # (i, row after column k, with a variable there?)
+            after = [(i, row[2], False) if row is not None and row[0] == k
+                     else (i, row and (row[0] - k - 1, row[1], row[2]), True)
+                     for i, row in group]
+            for v, rv, var_v in after:
+                if not var_v:
+                    continue
+                for j, rj, var_j in after:  # the pairs of v in increasing order
+                    pair = (j, v) if j < v else (v, j)
+                    if best is not None and pair >= best:
+                        break
+                    if j == v or j < v and var_j:
+                        continue
+                    unify, steps = _rows_unify(rv, rj)
+                    work += 1 + steps
+                    if unify:
+                        best = pair
+                        break
+        if best is not None:
+            return best, work
+    return None, work
+
+
+def _columns(pats: tuple[Term, ...], rest: Optional[tuple]) -> Optional[tuple]:
+    # the row of the columns pats followed by the row rest
+    for p in reversed(pats):
+        if type(p) is Node:
+            rest = (0, p, rest)
+        elif rest is not None:
+            rest = (rest[0] + 1, rest[1], rest[2])
+    return rest
+
+
+def _rows_unify(a: Optional[tuple], b: Optional[tuple]) -> tuple[bool, int]:
+    # whether rows a and b agree wherever both hold a constructor, and
+    # the number of constructors compared
+    steps = 0
+    while a is not None and b is not None:
+        steps += 1
+        if a[0] < b[0]:                 # a's constructor meets a variable of b
+            a, b = a[2], (b[0] - a[0] - 1, b[1], b[2])
+        elif b[0] < a[0]:
+            a, b = (a[0] - b[0] - 1, a[1], a[2]), b[2]
+        elif a[1].symbol != b[1].symbol:
+            return False, steps
+        else:
+            a, b = _columns(a[1].children, a[2]), _columns(b[1].children, b[2])
+    return True, steps
+
+
 _RuleIndex = dict[tuple[str, Optional[str]], list[int]]
 
 
@@ -277,15 +409,14 @@ def _first_arg_index(keys: Iterable[tuple[str, Optional[str]]]) -> _RuleIndex:
     Key (head, c) holds, in rule order, the rules whose first pattern is
     rooted at c or is a variable; (head, None) those with a variable,
     and every rule of a nullary head.  A node tries its first argument's
-    key, else None."""
-    by_head: dict[str, list[tuple[Optional[str], int]]] = {}
+    key, else None.  Built in one pass, and a key's list by merging the
+    positions of its root with those of a variable."""
+    own: _RuleIndex = {}                # the positions of each key's root alone
     for pos, (head, root) in enumerate(keys):
-        by_head.setdefault(head, []).append((root, pos))
-    index: _RuleIndex = {}
-    for head, entries in by_head.items():
-        for key in {None, *(root for root, _ in entries)}:
-            index[head, key] = [pos for root, pos in entries if root is None or root == key]
-    return index
+        own.setdefault((head, None), [])
+        own.setdefault((head, root), []).append(pos)
+    return {(head, root): pos if root is None else sorted(pos + own[head, None])
+            for (head, root), pos in own.items()}
 
 
 def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
@@ -526,7 +657,17 @@ def parse_term(text: str, sig: Signature) -> Term:
     """Parse `name` or `name(t1, ..., tn)`; a bare atom `x` whose name sig
     does not declare comes back as a Var, in the same pass.  `x()` is a
     node whatever its declaration, so validation reports it."""
+    return _read_term(text, sig)[0]
+
+
+def _read_term(text: str, sig: Signature) -> tuple[Term, bool, Optional[Node]]:
+    # parse_term's term, whether it holds a variable, and the last node
+    # read whose symbol sig does not declare with its number of children,
+    # or None: the first such node in pre-order with the children taken
+    # last to first, the one parse_system reports.
     cons, funs = sig.constructors, sig.functions
+    has_var = False
+    fault: Optional[Node] = None
     toks = _TOKEN_RE.findall(text)
     n = len(toks)
     pos = 0
@@ -547,10 +688,17 @@ def parse_term(text: str, sig: Signature) -> Term:
                 raise CrsParseError("expected ')'")
             pos += 1
             t: Term = Node(name, ())
+        elif name in cons or name in funs:
+            t = Node(name, ())
         else:
-            t = Node(name, ()) if name in cons or name in funs else Var(name)
-        while open_:                            # t ends an argument
-            name, kids = open_[-1]
+            t = Var(name)
+            has_var = True
+        while True:                             # t is read
+            if type(t) is Node and cons.get(t.symbol, funs.get(t.symbol)) != len(t.children):
+                fault = t
+            if not open_:
+                break
+            name, kids = open_[-1]              # t ends an argument
             kids.append(t)
             if pos < n and toks[pos] == ",":
                 pos += 1
@@ -560,11 +708,11 @@ def parse_term(text: str, sig: Signature) -> Term:
             pos += 1
             open_.pop()
             t = Node(name, tuple(kids))
-        else:
+        if not open_:
             break
     if pos != n:
         raise CrsParseError(f"trailing input: {toks[pos:]!r}")
-    return t
+    return t, has_var, fault
 
 
 def term_to_str(t: Term) -> str:
@@ -643,15 +791,15 @@ def parse_system(text: str) -> CrsFile:
             raise CrsParseError(f"rule lhs must be a function application: {lhs_src!r}")
         rules.append(Rule(lhs.symbol, lhs.children, parse_term(rhs_src, sig)))
     # the term is read before the rules are validated, so that a syntax
-    # error comes first; its arities are checked after
-    term = None
+    # error comes first; a symbol it applies wrongly is reported after
+    term, fault = None, None
     if term_src is not None:
-        term = parse_term(term_src, sig)
-        if not is_closed(term):
+        term, has_var, fault = _read_term(term_src, sig)
+        if has_var:
             raise CrsParseError(f"term declaration uses undeclared symbols: {term_src!r}")
     system = CrsSystem(sig, rules)
-    if term is not None:
-        _check_arities(term, sig)
+    if fault is not None:
+        _check_node(fault, sig)
     return CrsFile(system, term, comments)
 
 

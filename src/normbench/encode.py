@@ -7,7 +7,11 @@ and a binary function symbol `app` drives reduction.  The CBV image uses
 `capp` that an administrative rule re-activates in head position.
 
 Constructors are named after the alpha-normal form of their abstraction,
-so alpha-equivalent subterms share one constructor and one rule.
+so alpha-equivalent subterms share one constructor and one rule.  That
+form and the abstraction's free variables are computed once per distinct
+abstraction object of the source, in an `AbstractionTable` that both
+images register their constructors from: `compare` builds it once, with
+the CBV image, and hands it to the CBN image.
 """
 
 from __future__ import annotations
@@ -34,37 +38,89 @@ class UnknownConstructor(EncodeError):
     pass
 
 
-def canonical_form(t: lam.Term) -> str:
-    """Alpha-invariant print: binders become relative indices, free names stay."""
+def _canonical(t: lam.Abs) -> tuple[str, tuple[str, ...]]:
+    # (key, free variables sorted) of an abstraction in one walk: the key
+    # is an alpha-invariant print in which binders become relative
+    # indices and free names stay.  On the stack, a str is printed and a
+    # list is the levels of a binder name, whose last one goes.
     out: list[str] = []
+    free: set[str] = set()
     env: dict[str, list[int]] = {}
     depth = 0
-    todo: list[tuple[str, object]] = [("go", t)]
+    todo: list = [t]
     while todo:
-        op, arg = todo.pop()
-        if op == "lit":
-            out.append(arg)
-            continue
-        if op == "unbind":
-            env[arg].pop()
-            depth -= 1
-            continue
-        if isinstance(arg, lam.Var):
-            lvls = env.get(arg.name)
-            out.append(f"@{depth - 1 - lvls[-1]}" if lvls else f"!{arg.name}")
-        elif isinstance(arg, lam.Abs):
+        s = todo.pop()
+        ts = type(s)
+        if ts is lam.Var:
+            lvls = env.get(s.name)
+            if lvls:
+                out.append(f"@{depth - 1 - lvls[-1]}")
+            else:
+                out.append("!" + s.name)
+                free.add(s.name)
+        elif ts is lam.Abs:
             out.append("\\.")
-            env.setdefault(arg.binder, []).append(depth)
+            lvls = env.get(s.binder)
+            if lvls is None:
+                lvls = env[s.binder] = []
+            lvls.append(depth)
             depth += 1
-            todo.append(("unbind", arg.binder))
-            todo.append(("go", arg.body))
-        else:
+            todo += (lvls, s.body)
+        elif ts is lam.App:
             out.append("(")
-            todo.append(("lit", ")"))
-            todo.append(("go", arg.arg))
-            todo.append(("lit", " "))
-            todo.append(("go", arg.fun))
-    return "".join(out)
+            todo += (")", s.arg, " ", s.fun)
+        elif ts is str:
+            out.append(s)
+        else:
+            s.pop()
+            depth -= 1
+    return "".join(out), tuple(sorted(free))
+
+
+class AbstractionTable:
+    """The abstractions of a closed term: each distinct `lam.Abs` object,
+    outermost first, with its canonical key and sorted free variables,
+    computed in one walk per object.
+
+    The objects are listed in the order of their first occurrence in a
+    breadth-first walk of the term's unfolded tree, which a breadth-first
+    walk that expands each object once also gives: a first occurrence
+    is reached through the first occurrences of its ancestors.  Raises
+    OpenTermError on an open term."""
+
+    def __init__(self, m: lam.Term):
+        self.term = m
+        self.abstractions: list[lam.Abs] = []
+        self._entries: dict[int, tuple[str, tuple[str, ...]]] = {}
+        seen: set[int] = set()
+        queue = [m]
+        for s in queue:
+            if type(s) is lam.Var or id(s) in seen:
+                continue
+            seen.add(id(s))
+            if type(s) is lam.Abs:
+                self.abstractions.append(s)
+                self._entries[id(s)] = _canonical(s)
+                queue.append(s.body)
+            else:
+                queue += (s.fun, s.arg)
+        # m is closed when no variable and no abstraction with a free
+        # variable is reached from it through applications alone
+        seen.clear()
+        todo = [m]
+        while todo:
+            s = todo.pop()
+            if type(s) is lam.Var or type(s) is lam.Abs and self._entries[id(s)][1]:
+                raise OpenTermError(f"free variables: {lam.free_vars(m)}")
+            if type(s) is lam.App and id(s) not in seen:
+                seen.add(id(s))
+                todo += (s.arg, s.fun)
+
+    def entry(self, t: lam.Abs) -> tuple[str, tuple[str, ...]]:
+        """(canonical key, sorted free variables) of t, from the table
+        when t is one of its objects, else computed."""
+        got = self._entries.get(id(t))
+        return _canonical(t) if got is None else got
 
 
 @dataclass(frozen=True)
@@ -85,21 +141,23 @@ class AbsConstructor:
 
 
 class Registry:
-    """Stable names for abstraction constructors, collision-checked."""
+    """Stable names for abstraction constructors, collision-checked, keyed
+    through the abstraction table of the source."""
 
-    def __init__(self):
+    def __init__(self, table: AbstractionTable):
+        self.table = table
         self.by_name: dict[str, AbsConstructor] = {}
         self._by_key: dict[str, str] = {}
 
     def register(self, t: lam.Abs) -> AbsConstructor:
-        key = canonical_form(t)
+        key, free = self.table.entry(t)
         name = self._by_key.get(key)
         if name is not None:
             return self.by_name[name]
         name = "lam_" + hashlib.sha256(key.encode()).hexdigest()[:10]
         if name in self.by_name:
             raise EncodeError(f"constructor name collision on {name}")
-        con = AbsConstructor(name, t.binder, t.body, lam.free_vars(t))
+        con = AbsConstructor(name, t.binder, t.body, free)
         self.by_name[name] = con
         self._by_key[key] = name
         return con
@@ -109,23 +167,6 @@ class Registry:
         if con is None:
             raise UnknownConstructor(name)
         return con
-
-
-def _abstraction_subterms(t: lam.Term) -> list[lam.Abs]:
-    """All abstraction occurrences of t, outermost first."""
-    out: list[lam.Abs] = []
-    todo = [t]
-    i = 0
-    while i < len(todo):
-        s = todo[i]
-        i += 1
-        if isinstance(s, lam.Abs):
-            out.append(s)
-            todo.append(s.body)
-        elif isinstance(s, lam.App):
-            todo.append(s.fun)
-            todo.append(s.arg)
-    return out
 
 
 @dataclass
@@ -172,12 +213,18 @@ def _image_term(t: lam.Term, reg: Registry, arg_symbol: str = APP) -> crs.Term:
 
 def encode_cbv(m: lam.Term) -> PhiImage:
     """The CBV image: one rule app(c(x1..xn), x) -> image(body) per
-    alpha-distinct abstraction subterm of m."""
-    if not lam.is_closed(m):
-        raise OpenTermError(f"free variables: {lam.free_vars(m)}")
-    reg = Registry()
-    for sub in _abstraction_subterms(m):
+    alpha-distinct abstraction subterm of m.  Its registry holds the
+    abstraction table of m, which `encode_cbn` can take."""
+    table = AbstractionTable(m)
+    reg = Registry(table)
+    for sub in table.abstractions:
         reg.register(sub)
+    return PhiImage(*_phi_image(m, reg), reg, m)
+
+
+def _phi_image(m: lam.Term, reg) -> tuple[crs.Term, crs.CrsSystem]:
+    # The CBV image of m over a registry that holds the constructors of
+    # its abstractions, in the order of their rules.
     term = _image_term(m, reg)
     names = list(reg.by_name)  # registration order; rule rhs adds nothing new
     rules = []
@@ -187,7 +234,7 @@ def encode_cbv(m: lam.Term) -> PhiImage:
         rules.append(crs.Rule(APP, lhs, _image_term(con.body, reg)))
     assert list(reg.by_name) == names, "rule bodies introduced unregistered constructors"
     sig = crs.Signature({c.name: c.arity for c in reg.by_name.values()}, {APP: 2})
-    return PhiImage(term, crs.validate_system(sig, rules), reg, m)
+    return term, crs.validate_system(sig, rules)
 
 
 def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
@@ -268,20 +315,33 @@ def check_provenance(t: crs.Term, reg: Registry) -> bool:
 
 # --- call-by-name ----------------------------------------------------------------
 
-def encode_cbn(m: lam.Term) -> PsiImage:
+def encode_cbn(m: lam.Term, table: Optional[AbstractionTable] = None) -> PsiImage:
     """The CBN image over app/capp with the administrative rule.
 
     Ordinary rules: the identity constructor forwards its argument
     (re-activating a frozen application), variable-body constructors
     return the binding of their single free variable likewise, and every
-    abstraction/application body rewrites to its main image.
+    abstraction/application body rewrites to its main image.  `table` is
+    the abstraction table of m (`encode_cbv(m).registry.table`), built
+    here when not given.
     """
-    if not lam.is_closed(m):
-        raise OpenTermError(f"free variables: {lam.free_vars(m)}")
-    reg = Registry()
+    if table is None:
+        table = AbstractionTable(m)
+    elif table.term is not m:
+        raise ValueError("the abstraction table is of another term")
+    reg = Registry(table)
     identity = reg.register(lam.Abs("z", lam.Var("z")))
-    for sub in _abstraction_subterms(m):
+    for sub in table.abstractions:
         reg.register(sub)
+    term, system, admin = _psi_image(m, reg, identity)
+    return PsiImage(term, system, reg, m, admin)
+
+
+def _psi_image(m: lam.Term, reg,
+               identity: AbsConstructor) -> tuple[crs.Term, crs.CrsSystem, crs.Rule]:
+    # The CBN image of m and its administrative rule, over a registry
+    # that holds the identity and the constructors of m's abstractions,
+    # in the order of their rules.
     term = _image_term(m, reg, CAPP)
     names = list(reg.by_name)
     rules: list[crs.Rule] = []
@@ -318,7 +378,7 @@ def encode_cbn(m: lam.Term) -> PsiImage:
     rules.append(admin)
     assert list(reg.by_name) == names
     sig = crs.Signature({CAPP: 2, **{c.name: c.arity for c in reg.by_name.values()}}, {APP: 2})
-    return PsiImage(term, crs.validate_system(sig, rules), reg, m, admin)
+    return term, crs.validate_system(sig, rules), admin
 
 
 def psi_is_canonical(t: crs.Term, sig: crs.Signature, reg: Registry) -> bool:

@@ -26,24 +26,81 @@ from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var:
     name: str
 
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is Var else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((0, self.name))
+
+
+@dataclass(frozen=True, eq=False)
 class Abs:
     binder: str
     body: "Term"
 
+    def __eq__(self, other):
+        return _term_eq(self, other) if type(other) is Abs else NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return _term_hash(self)
+
+
+@dataclass(frozen=True, eq=False)
 class App:
     fun: "Term"
     arg: "Term"
 
+    def __eq__(self, other):
+        return _term_eq(self, other) if type(other) is App else NotImplemented
+
+    def __hash__(self):
+        return _term_hash(self)
+
 
 Term = Union[Var, Abs, App]
+
+
+def _term_eq(a: Term, b: Term) -> bool:
+    # Structural and exact-type equality, as the generated dataclass ==
+    # decides it, in one walk without recursion.
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is App:
+            todo += ((a.arg, b.arg), (a.fun, b.fun))
+        elif type(a) is Abs:
+            if a.binder != b.binder:
+                return False
+            todo.append((a.body, b.body))
+        elif a.name != b.name:
+            return False
+    return True
+
+
+def _term_hash(t: Term) -> int:
+    # The hash of the term's nodes in pre-order, without recursion; equal
+    # terms hash equal.
+    out: list = []
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if type(s) is App:
+            out.append(None)
+            todo += (s.arg, s.fun)
+        elif type(s) is Abs:
+            out += (True, s.binder)
+            todo.append(s.body)
+        else:
+            out += (False, s.name)
+    return hash(tuple(out))
 
 
 def size(t: Term) -> int:

@@ -106,7 +106,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     with timed(timing, "lambda-cbn"):
         cbn = lam.reduce(m, "cbn", budget)
     with timed(timing, "psi-crs"):
-        psi_run = encode.run_psi(encode.encode_cbn(m), budget)
+        psi_run = encode.run_psi(encode.encode_cbn(m, phi.registry.table), budget)
     phi_out, psi_out = phi_run.outcome, psi_run.outcome
     graph_record, unfolded = graph_run_dict(graph)
     runs = {"lambda-cbv": lam_run_dict(cbv), "phi-crs": crs_run_dict(phi_out),

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from normbench import crs, encode, workbench
+from normbench import crs, encode, scott, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    apply_subst, bench_workloads, crs_replace_at, is_pattern, match_args, random_closed_term,
-    random_system, redexes, reference_random_reduce, reference_validate, rewrite_step, term_size,
-    two_pass_parse_term)
+    apply_subst, bench_workloads, check_arities, crs_replace_at, is_pattern, match_args,
+    random_closed_term,
+    random_system, redexes, reference_first_overlap, reference_random_reduce, reference_validate,
+    rewrite_step, term_size, two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -306,6 +307,19 @@ PREAMBLE = "constructor z/0; constructor s/1; function f/1; function g/2;\n"
     ("rule f(z) -> z; term g(z,", crs.CrsParseError, "unexpected end of term"),
     ("rule f(z) -> z; term", crs.CrsParseError, "cannot parse declaration: 'term'"),
     ("rule f(z) -> z; term f(z) z;", crs.CrsParseError, "trailing input: ['z']"),
+    # two faulty nodes in the term: the first in pre-order taking the
+    # children last to first is reported, after the rules are checked;
+    # an undeclared atom in the term is reported before them
+    ("rule f(z) -> z; term g(h(z), s);",
+     crs.ArityMismatch, "symbol 's' has arity 1, applied to 0 arguments"),
+    ("rule f(z) -> z; term g(s, h(z));", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule f(z) -> z; term f(h(s));", crs.UnknownSymbol, "symbol 'h' is not declared"),
+    ("rule f(z) -> z; term g(f, s(z, z));",
+     crs.ArityMismatch, "symbol 's' has arity 1, applied to 2 arguments"),
+    ("rule f(z) -> z; term g(y, s);",
+     crs.CrsParseError, "term declaration uses undeclared symbols: 'g(y, s)'"),
+    ("rule f(x) -> y; term g(h(z), s);",
+     crs.InvalidRule, "rule 0: rhs variables ['y'] not bound in lhs"),
     # a parse error in a rule or in the term comes before any validation
     # error
     ("rule f(z) -> z; rule f(x) -> x; rule f(s(x) -> x;", crs.CrsParseError, "expected ')'"),
@@ -315,6 +329,43 @@ def test_parse_system_invalid_inputs(body, error, message):
     with pytest.raises(Exception) as exc:
         crs.parse_system(PREAMBLE + body)
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def random_term_text(rng, depth):
+    """A term over z/0, s/1, f/1, g/2 and the undeclared h and y, with
+    any number of children up to 2, so often with faults."""
+    name = rng.choice("zsfghy")
+    k = rng.choice((0, 0, 1, 2)) if depth else 0
+    if not k:
+        return name + rng.choice(("", "", "()"))
+    return f"{name}({', '.join(random_term_text(rng, depth - 1) for _ in range(k))})"
+
+
+def test_parse_system_reports_term_faults_as_the_reference():
+    # the term's faults, noted while it is read, come out as from the
+    # two-pass reading, a walk for variables and the walk of its arities
+    rng = random.Random(8)
+    sig = Signature({"z": 0, "s": 1}, {"f": 1, "g": 2})
+    errors = (crs.CrsError, crs.CrsParseError)
+    faults = 0
+    for _ in range(1500):
+        rules = rng.choice(("rule f(z) -> z;", "rule f(x) -> y;"))
+        text = random_term_text(rng, 4)
+        try:
+            got = crs.parse_system(f"{PREAMBLE}{rules} term {text};").term
+        except errors as exc:
+            got = (type(exc), str(exc))
+        try:
+            want = two_pass_parse_term(text, sig)
+            if not crs.is_closed(want):
+                raise crs.CrsParseError(f"term declaration uses undeclared symbols: {text!r}")
+            crs.CrsSystem(sig, crs.parse_system(PREAMBLE + rules).system.rules)
+            check_arities(want, sig)
+        except errors as exc:
+            want = (type(exc), str(exc))
+        assert got == want, text
+        faults += isinstance(want, tuple)
+    assert 300 < faults < 1500
 
 
 def test_overlap_reports_the_first_pair():
@@ -465,6 +516,101 @@ def test_compiling_a_system_checks_it_as_the_reference_does():
                 assert raised(crs.CrsSystem, sig, bad) == want, fault
                 met.add(fault)
     assert met == set(FAULTS)
+
+
+def random_patterns_system(rng):
+    """(signature, rules) of random linear left sides full of variables
+    and with the same right side, so that only overlap can be at fault."""
+    sig = Signature({"a": 0, "b": 0, "s": 1, "p": 2}, {"f": 2, "g": 1, "h": 3, "k": 0})
+    fresh = iter(range(10**6))
+
+    def pattern(depth):
+        if not depth or rng.random() < 0.35:
+            return Var(f"x{next(fresh)}")
+        c = rng.choice(list(sig.constructors))
+        return Node(c, tuple(pattern(depth - 1) for _ in range(sig.constructors[c])))
+
+    heads = rng.choices(list(sig.functions), k=rng.randrange(1, 9))
+    return sig, [Rule(h, tuple(pattern(3) for _ in range(sig.functions[h])), Node("a"))
+                 for h in heads]
+
+
+def test_several_overlaps_raise_the_reference_pair():
+    # systems whose only fault is overlap, with several overlapping pairs,
+    # raise the pair that the scan of every pair meets first
+    rng = random.Random(7)
+    inputs = []
+    for sig, rules in validation_inputs():
+        for _ in range(4):
+            bad = rules
+            for _ in range(rng.randrange(2, 5)):
+                bad = inject(rng, sig, bad, "overlap") or bad
+            inputs.append((sig, bad))
+    inputs += [random_patterns_system(rng) for _ in range(3000)]
+    several = 0
+    for sig, rules in inputs:
+        want = raised(reference_validate, sig, rules)
+        assert raised(crs.CrsSystem, sig, rules) == want
+        if want is not None:
+            pairs = [(i, j) for i in range(len(rules)) for j in range(i + 1, len(rules))
+                     if reference_first_overlap([rules[i], rules[j]])[0] is not None]
+            several += len(pairs) > 1
+    assert several > 1000
+
+
+def test_overlap_work_is_linear_on_image_systems():
+    # the psi images of compiled terms, of 943 and 1,747 rules: every row
+    # is in one group at a time, so the work stays within the number of
+    # pattern nodes, where the scan of every pair grows with its square
+    corpus = {e.name: e for e in workbench.Corpus.load(CORPUS).crs_entries}
+    for name in ("list_append", "tree_flatten"):
+        e = corpus[name]
+        rules = encode.encode_cbn(scott.term_to_lambda(scott.ScottContext(e.system),
+                                                       e.term)).system.rules
+        assert len(rules) >= 900
+        pair, work = crs._first_overlap(rules)
+        assert pair is None
+        assert work <= sum(term_size(p) for rule in rules for p in rule.lhs)
+        assert reference_first_overlap(rules)[1] > 100 * work
+
+
+def test_overlap_work_on_variable_heavy_left_sides():
+    # rows with a variable where others hold constructors are compared
+    # pair by pair, never copied into every group: the work stays within
+    # the scan of every pair's on families built from such rows
+    def rows_against_columns(k):
+        # f(c_i, d) and f(x, c_i): every second row has a variable first
+        cs = [Node(f"c{i}") for i in range(k)]
+        return ([Rule("f", (c, Node("d")), Node("d")) for c in cs]
+                + [Rule("f", (Var("x"), c), Node("d")) for c in cs])
+
+    def chains(k):
+        # f(s^i(a), e) and f(x, s^i(b))
+        def chain(leaf, i):
+            t = Node(leaf)
+            for _ in range(i):
+                t = Node("s", (t,))
+            return t
+        return ([Rule("f", (chain("a", i), Node("e")), Node("d")) for i in range(k)]
+                + [Rule("f", (Var("x"), chain("b", i)), Node("d")) for i in range(k)])
+
+    def staircase(k):
+        # row i holds a in column i, b in column i + 1 and variables
+        # elsewhere: copying rows into every group is exponential here
+        rules = []
+        for i in range(k):
+            pats = [Var(f"x{j}") for j in range(k)]
+            pats[i], pats[(i + 1) % k] = Node("a"), Node("b")
+            rules.append(Rule("f", tuple(pats), Node("d")))
+        return rules
+
+    for family in (rows_against_columns, chains, staircase):
+        for k in (16, 32, 64):
+            rules = family(k)
+            pair, work = crs._first_overlap(tuple(rules))
+            want, pairwise = reference_first_overlap(rules)
+            assert pair == want
+            assert work <= pairwise, (family.__name__, k)
 
 
 def test_several_faults_are_rejected_as_by_the_reference():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from normbench import crs, encode, lam, workbench
+from normbench import crs, encode, lam, scott, workbench
 from normbench.crs import Node
 from normbench.encode import APP, CAPP
 
@@ -624,3 +624,93 @@ def test_psi_graph_run_within_cbn_bounds():
         assert out.kind == "normal"
         assert out.steps == crs_run.steps
         assert n <= out.steps <= 2 * n
+
+
+# --- the abstraction table against per-occurrence registration -----------------
+
+def compiled_terms():
+    """The lambda images of the Scott-compiled terms of the corpus systems
+    and of the rewrite-scale families: terms that share subterms."""
+    from tests_util import bench_workloads
+    corpus = workbench.Corpus.load(CORPUS)
+    pairs = [(e.system, e.term) for e in corpus.crs_entries]
+    workloads, rng = bench_workloads(), random.Random(3)
+    for fam in workloads.REWRITE_SCALE:
+        for n in fam.sizes:
+            f = crs.parse_system(workloads.rewrite_instance(fam.name, n, rng)[0])
+            pairs.append((f.system, f.term))
+    return [scott.term_to_lambda(scott.ScottContext(s), t) for s, t in pairs]
+
+
+def constructor_table(reg):
+    return [(name, con.binder, con.body, con.free) for name, con in reg.by_name.items()]
+
+
+def assert_images_match_reference(m):
+    from tests_util import reference_encode_cbn, reference_encode_cbv
+    phi = encode.encode_cbv(m)
+    term, system, reg = reference_encode_cbv(m)
+    assert phi.term == term
+    assert phi.system.rules == system.rules
+    assert list(phi.system.signature.constructors.items()) == \
+        list(system.signature.constructors.items())
+    assert constructor_table(phi.registry) == constructor_table(reg)
+    term, system, reg, admin = reference_encode_cbn(m)
+    for psi in (encode.encode_cbn(m, phi.registry.table), encode.encode_cbn(m)):
+        assert psi.term == term
+        assert psi.system.rules == system.rules
+        assert list(psi.system.signature.constructors.items()) == \
+            list(system.signature.constructors.items())
+        assert constructor_table(psi.registry) == constructor_table(reg)
+        assert psi.admin_rule == admin
+
+
+def test_images_match_per_occurrence_registration():
+    # corpus terms, seeded random terms and compiled terms: the table,
+    # one walk per distinct abstraction object, registers the constructors
+    # of per-occurrence registration, in its order
+    corpus = workbench.Corpus.load(CORPUS)
+    terms = [e.term for e in corpus.lambda_entries]
+    assert len(terms) == 62
+    rng = random.Random(22)
+    from tests_util import random_closed
+    terms += [random_closed(rng, rng.randrange(1, 40)) for _ in range(300)]
+    compiled = compiled_terms()
+    assert len(compiled) == 21
+    for m in terms + compiled:
+        assert_images_match_reference(m)
+
+
+def test_table_walks_each_abstraction_object_once(monkeypatch):
+    # a compiled term is a DAG: its table walks each distinct abstraction
+    # object once, far fewer than its occurrences
+    from tests_util import abstraction_occurrences
+    m = compiled_terms()[7]                 # tree_flatten
+    walked = []
+    canonical = encode._canonical
+    monkeypatch.setattr(encode, "_canonical", lambda t: walked.append(t) or canonical(t))
+    table = encode.AbstractionTable(m)
+    assert len({id(t) for t in walked}) == len(walked) == len(table.abstractions)
+    assert 3 * len(walked) < len(abstraction_occurrences(m))
+    phi = encode.encode_cbv(m)
+    walked.clear()
+    encode.encode_cbn(m, phi.registry.table)
+    assert [t.body for t in walked] == [lam.Var("z")]   # the CBN identity alone
+
+
+def test_table_of_another_term_rejected():
+    m = p("\\x. x")
+    with pytest.raises(ValueError):
+        encode.encode_cbn(p("\\x. x"), encode.encode_cbv(m).registry.table)
+
+
+def test_open_terms_rejected_by_the_table():
+    # a variable, or an abstraction with a free variable, reached through
+    # applications alone; a free variable under a binder is found through
+    # the abstraction that holds it
+    shared = p("\\y. x")
+    for m in (p("x"), p("(\\y. y) x"), p("(\\y. y) (\\y. x)"), lam.App(shared, shared),
+              p("\\z. (\\y. y) (\\y. x)")):
+        for encoder in (encode.encode_cbv, encode.encode_cbn):
+            with pytest.raises(encode.OpenTermError, match=r"free variables: \('x',\)"):
+                encoder(m)

@@ -129,3 +129,35 @@ def test_free_set_shared_walks_a_deep_chain():
         t = App(Abs(f"v{i % 7}", t), Var("w"))
     assert lam._free_set_shared(t, {}) == {"w"}
     assert lam._free_set_shared(Abs("w", t), {}) == frozenset()
+
+
+def test_term_equality_and_hash_at_depth():
+    # == and hash of both kinds of term, 10^5 deep, at the default limit:
+    # structural, exact-type, and equal terms hash equal
+    from normbench import crs
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+
+    def lam_chain(leaf):
+        t = Var(leaf)
+        for i in range(depth):
+            t = App(Abs(f"v{i % 3}", t), Var("w")) if i % 2 else Abs("v", t)
+        return t
+
+    def crs_chain(leaf):
+        t = crs.Node(leaf)
+        for i in range(depth):
+            t = crs.Node("s", (t, crs.Var("x"))) if i % 2 else crs.Node("s", (t,))
+        return t
+
+    for chain in (lam_chain, crs_chain):
+        a, b, c = chain("z"), chain("z"), chain("y")
+        assert a == b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert {a: 1}[b] == 1
+    a, b = lam_chain("z"), lam_chain("z")
+    assert Abs("x", a) != Abs("y", b) and App(a, Var("x")) != App(b, Var("y"))
+    assert lam.Var("x") != crs.Var("x") and crs.Node("x") != lam.Var("x")
+    assert Abs("x", Var("x")) != App(Var("x"), Var("x"))
+    assert crs.Node("f", (crs.Var("x"),)) != crs.Node("f", (crs.Var("x"), crs.Var("x")))
+    assert hash(crs.Node("f")) == hash(crs.Node("f", ()))

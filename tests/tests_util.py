@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import pathlib
 import sys
@@ -9,7 +10,7 @@ from typing import Iterator, NamedTuple, Optional
 from hypothesis import strategies as st
 
 from make_corpus import church_two, random_closed, two_tower  # noqa: F401  (corpus builder)
-from normbench import crs, graphs, lam
+from normbench import crs, encode, graphs, lam
 from normbench.lam import Abs, App, Term, Var
 
 
@@ -126,6 +127,18 @@ def is_pattern(t, sig):
     return True
 
 
+def check_arities(t, sig):
+    """Raise for the first node of t, in pre-order with the children taken
+    last to first, whose symbol sig does not declare with its number of
+    children."""
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, crs.Node):
+            crs._check_node(s, sig)
+            todo.extend(s.children)
+
+
 def reference_validate(sig, rules):
     """The rule check as separate walks over each rule side: raises on the
     first invalid rule, checking its head, then each pattern's arities,
@@ -138,29 +151,151 @@ def reference_validate(sig, rules):
             raise crs.ArityMismatch(rule.head, sig.arity(rule.head), len(rule.lhs))
         seen = set()
         for p in rule.lhs:
-            crs._check_arities(p, sig)
+            check_arities(p, sig)
             if not is_pattern(p, sig):
                 raise crs.InvalidRule(f"rule {idx}: lhs argument is not a pattern")
             for v in crs.variables(p):
                 if v in seen:
                     raise crs.NonLinearLhs(idx, v)
                 seen.add(v)
-        crs._check_arities(rule.rhs, sig)
+        check_arities(rule.rhs, sig)
         extra = set(crs.variables(rule.rhs)) - seen
         if extra:
             raise crs.InvalidRule(f"rule {idx}: rhs variables {sorted(extra)} not bound in lhs")
+    pair = reference_first_overlap(rules)[0]
+    if pair is not None:
+        raise crs.OverlapError(*pair)
+
+
+def reference_first_overlap(rules):
+    """The first overlapping pair that a scan of every pair of rules meets,
+    heads by first appearance, then (i, j) in rule order, or None; and the
+    scan's work: one unit per pair of rules tried and one per pair of
+    pattern nodes compared.  A pair whose first patterns are rooted at
+    different constructors costs its one unit."""
     roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], crs.Node) else None
              for rule in rules]
     by_head = {}
     for idx, rule in enumerate(rules):
         by_head.setdefault(rule.head, []).append(idx)
+    work = 0
     for idxs in by_head.values():
         for a, i in enumerate(idxs):
             for j in idxs[a + 1:]:
+                work += 1
                 if roots[i] is not None and roots[j] is not None and roots[i] != roots[j]:
                     continue
-                if all(crs._patterns_compatible(p, q) for p, q in zip(rules[i].lhs, rules[j].lhs)):
-                    raise crs.OverlapError(i, j)
+                todo = list(zip(rules[i].lhs, rules[j].lhs))
+                while todo:
+                    p, q = todo.pop()
+                    work += 1
+                    if isinstance(p, crs.Node) and isinstance(q, crs.Node):
+                        if p.symbol != q.symbol:
+                            break
+                        todo.extend(zip(p.children, q.children))
+                else:
+                    return (i, j), work
+    return None, work
+
+
+# --- per-occurrence registration: the reference for the encoders' table ---------
+
+def canonical_form(t: Term) -> str:
+    """Alpha-invariant print: binders become relative indices, free names stay."""
+    out: list[str] = []
+    env: dict[str, list[int]] = {}
+    depth = 0
+    todo: list[tuple[str, object]] = [("go", t)]
+    while todo:
+        op, arg = todo.pop()
+        if op == "lit":
+            out.append(arg)
+            continue
+        if op == "unbind":
+            env[arg].pop()
+            depth -= 1
+            continue
+        if isinstance(arg, Var):
+            lvls = env.get(arg.name)
+            out.append(f"@{depth - 1 - lvls[-1]}" if lvls else f"!{arg.name}")
+        elif isinstance(arg, Abs):
+            out.append("\\.")
+            env.setdefault(arg.binder, []).append(depth)
+            depth += 1
+            todo.append(("unbind", arg.binder))
+            todo.append(("go", arg.body))
+        else:
+            out.append("(")
+            todo.append(("lit", ")"))
+            todo.append(("go", arg.arg))
+            todo.append(("lit", " "))
+            todo.append(("go", arg.fun))
+    return "".join(out)
+
+
+class ReferenceRegistry:
+    """The encoders' registry as a walk per registration: each call prints
+    the canonical form of its abstraction, and a new constructor walks it
+    again for its free variables."""
+
+    def __init__(self):
+        self.by_name = {}
+        self._by_key = {}
+
+    def register(self, t):
+        key = canonical_form(t)
+        name = self._by_key.get(key)
+        if name is not None:
+            return self.by_name[name]
+        name = "lam_" + hashlib.sha256(key.encode()).hexdigest()[:10]
+        if name in self.by_name:
+            raise encode.EncodeError(f"constructor name collision on {name}")
+        con = encode.AbsConstructor(name, t.binder, t.body, lam.free_vars(t))
+        self.by_name[name] = con
+        self._by_key[key] = name
+        return con
+
+
+def abstraction_occurrences(t):
+    """Every abstraction occurrence of t, in a breadth-first walk of its
+    unfolded tree."""
+    out = []
+    todo = [t]
+    i = 0
+    while i < len(todo):
+        s = todo[i]
+        i += 1
+        if isinstance(s, Abs):
+            out.append(s)
+            todo.append(s.body)
+        elif isinstance(s, App):
+            todo.append(s.fun)
+            todo.append(s.arg)
+    return out
+
+
+def reference_encode_cbv(m):
+    """(term, system, registry) of the CBV image, every abstraction
+    occurrence of m registered by its own walks."""
+    if not lam.is_closed(m):
+        raise encode.OpenTermError(f"free variables: {lam.free_vars(m)}")
+    reg = ReferenceRegistry()
+    for sub in abstraction_occurrences(m):
+        reg.register(sub)
+    return (*encode._phi_image(m, reg), reg)
+
+
+def reference_encode_cbn(m):
+    """(term, system, registry, admin rule) of the CBN image, every
+    abstraction occurrence of m registered by its own walks."""
+    if not lam.is_closed(m):
+        raise encode.OpenTermError(f"free variables: {lam.free_vars(m)}")
+    reg = ReferenceRegistry()
+    identity = reg.register(Abs("z", Var("z")))
+    for sub in abstraction_occurrences(m):
+        reg.register(sub)
+    term, system, admin = encode._psi_image(m, reg, identity)
+    return term, system, reg, admin
 
 
 # --- the from-the-root step relation: the reference for the engines ------------

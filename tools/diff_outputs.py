@@ -15,6 +15,9 @@ one subprocess that imports its own src/:
   graph as DOT;
 - encode (to crs and crs-cbn for a .lam input, to lambda for a .trs
   input) and graph-dot;
+- encode to crs and crs-cbn on the compiled term of each .trs input of
+  the corpus and of rewrite-scale, which NEW writes once with encode
+  --to lambda: large lambda terms that share subterms;
 - and, once, the corpus sidecars regenerated by
   workbench.regenerate_expectations.
 
@@ -56,6 +59,16 @@ corpus = Path(sys.argv[3])
 workbench.regenerate_expectations(corpus, out_root=out / "sidecars")
 """
 
+# Runs inside NEW's interpreter: writes the compiled term of each .trs
+# input argv[2k+1] to the .lam file argv[2k+2].
+COMPILE = r"""
+import sys
+from normbench import cli
+for src, dst in zip(sys.argv[1::2], sys.argv[2::2]):
+    if cli.main(["encode", src, "--to", "lambda", "--out", dst]) != 0:
+        sys.exit(f"cannot compile {src}")
+"""
+
 POLICIES = (("leftmost",), ("random", "--seed", "7"))
 
 
@@ -66,8 +79,9 @@ def load_workloads(root: Path):
     return module
 
 
-def inputs(new: Path, work: Path, seed: int) -> tuple[Path, list[Path]]:
-    """The corpus copy and every input file, written under work."""
+def inputs(new: Path, work: Path, seed: int) -> tuple[Path, list[Path], list[Path]]:
+    """The corpus copy, every input file and the compiled terms, written
+    under work."""
     corpus = work / "corpus"
     shutil.copytree(new / "corpus", corpus)
     files = sorted(corpus.rglob("*.lam")) + sorted(corpus.rglob("*.trs"))
@@ -77,11 +91,21 @@ def inputs(new: Path, work: Path, seed: int) -> tuple[Path, list[Path]]:
         d.mkdir()
         workloads.build_ops(name, seed, corpus, d)
         files += sorted(d.iterdir())
-    return corpus, files
+    d = work / "compiled"
+    d.mkdir()
+    pairs = [(path, d / f"{path.parent.name}_{path.stem}.lam") for path in files
+             if path.suffix == ".trs" and path.parent.name in ("crs", "rewrite-scale")]
+    subprocess.run([sys.executable, "-c", COMPILE, *(str(p) for pair in pairs for p in pair)],
+                   env={**os.environ, "PYTHONPATH": str(new / "src")}, check=True)
+    return corpus, files, [dst for _, dst in pairs]
 
 
-def jobs(files: list[Path]) -> list[tuple[str, list[str]]]:
+def jobs(files: list[Path], compiled: list[Path]) -> list[tuple[str, list[str]]]:
     out = []
+    for path in compiled:
+        for to in ("crs", "crs-cbn"):
+            out.append((f"compiled_{path.stem}.encode_{to}",
+                        ["encode", str(path), "--to", to, "--out", "{out}.out"]))
     for k, path in enumerate(files):
         tag = f"{k:03d}_{path.parent.name}_{path.stem}"
         lam = path.suffix == ".lam"
@@ -128,15 +152,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        corpus, files = inputs(args.new.resolve(), work, args.seed)
+        corpus, files, compiled = inputs(args.new.resolve(), work, args.seed)
         job_file = work / "jobs.json"
-        job_file.write_text(json.dumps(jobs(files)))
+        job_file.write_text(json.dumps(jobs(files, compiled)))
         for side in ("old", "new"):
             run(getattr(args, side).resolve(), job_file, work / side, corpus)
         old, new = listing(work / "old"), listing(work / "new")
         differ = sorted(old ^ new) + sorted(
             n for n in old & new if normalised(work / "old" / n) != normalised(work / "new" / n))
-        print(f"{len(files)} inputs, {len(old)} outputs compared, {len(differ)} differ")
+        print(f"{len(files) + len(compiled)} inputs, {len(old)} outputs compared, "
+              f"{len(differ)} differ")
         for n in differ:
             print(f"  differs: {n}")
         return 1 if differ else 0
