@@ -12,12 +12,12 @@ list of the term's redexes: leftmost-innermost fires the list's
 leftmost entry, the random policy one picked uniformly, and a firing
 replaces its entry by the redexes it made.  Each rule is compiled once,
 when its system is built, into a match program that fills numbered
-slots and a plan that builds its right-hand side from the slots; the
-input goes through the same plan builder.  Either way a step costs the
-size of its rule whatever the size of the term.  The outcome counts
-the firings of each rule; a caller that needs more can hook each step,
-which receives the rule, its match and a `state()` that builds the whole
-term only when called.
+slots and a register template that builds its right-hand side with one
+fetch per node; the input is compiled to a template too.  Either way a
+step costs the size of its rule whatever the size of the term.  The
+outcome counts the firings of each rule; a caller that needs more can
+hook each step, which receives the rule, its match and a `state()` that
+builds the whole term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Literal, Optional, Union
 
 
@@ -264,16 +265,13 @@ class CrsSystem:
     def __init__(self, signature: Signature, rules: list[Rule]):
         self.signature = sig = signature
         self.rules = tuple(rules)
-        # each rule's match program and right-side plan
+        # each rule's match program and right-side register template
         self._programs: list[tuple] = []
-        self._plans: list[list[tuple]] = []
+        self._templates: list[tuple] = []
         for idx, rule in enumerate(self.rules):
-            program = _match_program(idx, rule, sig)
-            extra = set(variables(rule.rhs)) - program[1].keys()
-            if extra:
-                raise InvalidRule(f"rule {idx}: rhs variables {sorted(extra)} not bound in lhs")
-            self._programs.append(program)
-            self._plans.append(_plan(rule.rhs, sig, program[1]))
+            steps, slot_of, nslots = _match_program(idx, rule, sig)
+            self._programs.append((steps, slot_of))
+            self._templates.append(_compile_term(rule.rhs, sig, slot_of, nslots, idx))
         roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
                  for rule in self.rules]
         self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
@@ -425,12 +423,12 @@ def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
 
 
 def _match_program(idx: int, rule: Rule,
-                   sig: Signature) -> tuple[list[tuple[int, str]], dict[str, int]]:
-    # (steps, slot_of) of rule idx's left side, checked against sig in
-    # the walk that numbers the slots.  A match starts with the slots
-    # holding the arguments; a step (slot, c) requires the term in that
-    # slot to be rooted at c and appends its children as the next slots.
-    # slot_of names the slot that binds each variable.
+                   sig: Signature) -> tuple[list[tuple[int, str]], dict[str, int], int]:
+    # (steps, slot_of, number of slots) of rule idx's left side, checked
+    # against sig in the walk that numbers the slots.  A match starts with
+    # the slots holding the arguments; a step (slot, c) requires the term
+    # in that slot to be rooted at c and appends its children as the next
+    # slots.  slot_of names the slot that binds each variable.
     if rule.head not in sig.functions:
         raise InvalidRule(f"rule {idx}: head {rule.head!r} is not a function symbol")
     ar = sig.functions[rule.head]
@@ -451,91 +449,100 @@ def _match_program(idx: int, rule: Rule,
         else:
             steps.append((s, p.symbol))
             pats += p.children
-    return steps, slot_of
+    return steps, slot_of, len(pats)
 
 
-# ops of a plan: push a slot, push a closed value, build a constructor
-# over values, a function node over values, or a node with frame children
-_SLOT, _CONST, _CONS, _FUN, _NODE = range(5)
+# the kinds of node a template builds: a value, a function frame over
+# values, a frame with frame children
+_VALUE, _FUN, _NODE = range(3)
 
 
-def _plan(t: Term, sig: Signature, slot_of: dict[str, int]) -> list[tuple]:
-    # The ops that build t in post-order, its variables read from the
-    # slots that slot_of names; every node is checked against sig, and a
-    # variable slot_of lacks raises.  An op is (kind, symbol, arity,
-    # positions of the frame children) for a built node, (_SLOT, slot,
-    # 0, ()) or (_CONST, term, 0, ()).  Each subterm is classed once,
-    # from its children's classes: 0 closed and function-free, pushed
-    # whole; 1 function-free, a value; 2 holding a function node, a frame.
+def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int,
+                  idx: Optional[int] = None) -> tuple:
+    # The register template (consts, nodes, right) of t, rule idx's right
+    # side, whose variables read the slots slot_of names among a match's
+    # nslots; with idx None, a reduction's input.  The registers are the
+    # slots, consts (the closed function-free subterms, shared whole),
+    # then the result of each entry (symbol, kind, get, positions of the
+    # frame children) of nodes, t's nodes in post-order; get fetches the
+    # children, earlier results counted from the end, in one call (a
+    # tuple, or a list if fewer than two).  Classes: 0 closed and
+    # function-free, 1 a value, 2 a frame.  Unbound variables raise, else
+    # the first node in pre-order with an undeclared symbol or a wrong arity.
     cons, funs = sig.constructors, sig.functions
-    ops: list[tuple] = []
-    classes: list[int] = []
+    consts: list[Term] = []
+    nodes: list[tuple] = []
+    unbound: set[str] = set()
+    fault: Optional[Node] = None
+    out: list[tuple] = []               # (class, register) of each done subterm
     todo: list = [t]
     while todo:
         s = todo.pop()
         if s is None:                   # the node below, once its children are done
             s = todo.pop()
-            k = len(s.children)
-            n = len(classes) - k
-            kids = classes[n:]
-            del classes[n:]
-            top = max(kids)
-            if top == 2:
-                op = (_NODE, s.symbol, k, [i for i, c in enumerate(kids) if c == 2])
-            elif s.symbol in funs:
-                op, top = (_FUN, s.symbol, k, ()), 2
-            elif top == 0:
-                del ops[len(ops) - k:]  # the children's _CONST ops
-                op = (_CONST, s, 0, ())
-            else:
-                op = (_CONS, s.symbol, k, ())
-        elif type(s) is Var:
-            if s.name not in slot_of:
-                raise CrsError("reduction input must be closed")
-            op, top = (_SLOT, slot_of[s.name], 0, ()), 1
-        else:
-            ar = cons.get(s.symbol)
-            if ar is None:
-                ar = funs.get(s.symbol)
-            if ar != len(s.children):
-                _check_node(s, sig)     # raises
-            if s.children:
-                todo += (s, None, *reversed(s.children))
-                continue
-            op, top = ((_FUN, s.symbol, 0, ()), 2) if s.symbol in funs else ((_CONST, s, 0, ()), 0)
-        ops.append(op)
-        classes.append(top)
-    return ops
-
-
-def _build(sys: CrsSystem, plan: list[tuple], slots, reds: list[tuple]):
-    # Run a plan over the slots: the value or frame it builds.  A frame
-    # [symbol, kids, parent frame, index there, number of kids that are
-    # frames] is a node that is not a value; values are Nodes.  A
-    # function node over values that matches is appended to reds as its
-    # match, (frame, rule position, slots), in post-order.
-    out: list = []
-    for op, arg, k, pending in plan:
-        if op == _SLOT:
-            out.append(slots[arg])
-        elif op == _CONST:
-            out.append(arg)
-        else:
-            n = len(out) - k
+            n = len(out) - len(s.children)
             kids = out[n:]
             del out[n:]
-            if op == _CONS:
-                out.append(Node(arg, tuple(kids)))
+            top = max(kids, default=(0,))[0]
+            if top == 0 and s.symbol not in funs:   # the children's consts give way to s
+                del consts[len(consts) - len(kids):]
+                consts.append(s)
+                out.append((0, nslots + len(consts) - 1))
                 continue
-            frame = [arg, kids, None, 0, len(pending)]
-            if op == _FUN:
-                hit = sys._match(frame)
-                if hit is not None:
-                    reds.append(hit)
+            j = len(nodes)              # node k's result, out's -1 - k, is k - j from the end
+            refs = [r if r >= 0 else -1 - r - j for _, r in kids]
+            get = itemgetter(*refs) if len(refs) > 1 else \
+                itemgetter(slice(refs[0], refs[0] + 1 or None) if refs else slice(0))
+            kind = _NODE if top == 2 else _FUN if s.symbol in funs else _VALUE
+            pending = tuple(i for i, (c, _) in enumerate(kids) if c == 2) if top == 2 else ()
+            nodes.append((s.symbol, kind, get, pending))
+            out.append((1 if kind == _VALUE else 2, -1 - j))
+        elif type(s) is Var:
+            if s.name not in slot_of:
+                unbound.add(s.name)
+            out.append((1, slot_of.get(s.name, 0)))
+        else:
+            if cons.get(s.symbol, funs.get(s.symbol)) != len(s.children) and fault is None:
+                fault = s
+            if s.children or s.symbol in funs:
+                todo += (s, None, *reversed(s.children))
+            else:                       # a nullary constructor
+                consts.append(s)
+                out.append((0, nslots + len(consts) - 1))
+    if unbound:
+        raise CrsError("reduction input must be closed") if idx is None else \
+            InvalidRule(f"rule {idx}: rhs variables {sorted(unbound)} not bound in lhs")
+    if fault is not None:
+        _check_node(fault, sig)         # raises
+    right = out[0][1]
+    return tuple(consts), tuple(nodes), right if right >= 0 else -1 - right - len(nodes)
+
+
+def _build(match, template: tuple, regs: list, reds: list[tuple]):
+    # Run a register template over regs, a match's slots, to which it
+    # appends its registers: the value or frame it builds.  A frame
+    # [symbol, kids, parent frame, index there, number of kids that are
+    # frames] is a node that is not a value; values are Nodes.  A function
+    # node over values that the system's `_match` matches is appended to
+    # reds as its match, (frame, rule position, slots), in post-order.
+    consts, nodes, right = template
+    regs += consts
+    for symbol, kind, get, pending in nodes:
+        kids = get(regs)
+        if kind == _VALUE:
+            regs.append(Node(symbol, tuple(kids)))
+            continue
+        kids = list(kids)
+        frame = [symbol, kids, None, 0, len(pending)]
+        if kind == _FUN:
+            hit = match(frame)
+            if hit is not None:
+                reds.append(hit)
+        else:
             for i in pending:
                 kids[i][2], kids[i][3] = frame, i
-            out.append(frame)
-    return out[0]
+        regs.append(frame)
+    return regs[right]
 
 
 NormalKind = Literal["constructor", "stuck", "exhausted"]
@@ -556,13 +563,14 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     A normal form is classified "constructor" when it contains no function
     symbol and "stuck" otherwise (the error case of the simulation).  The
     input must be closed and well-formed under the system's signature:
-    otherwise CrsError, UnknownSymbol or ArityMismatch is raised.
+    otherwise CrsError (a variable, reported first), UnknownSymbol or
+    ArityMismatch is raised.
 
     One loop serves both policies.  It keeps the term's redexes in an
     indexed list in leftmost-innermost (post-order) order, stored
     reversed, and fires the last entry (leftmost-innermost) or, with an
     rng, the entry that `reds[rng.randrange(len(reds))]` would be in
-    post-order.  A firing builds the rule's right side from its plan and
+    post-order.  A firing builds the rule's right side from its template and
     changes the list only at that entry: it becomes the redexes of the
     contractum or, when that is a value, the first function ancestor
     that value-ness reaches through constructor nodes, if that now
@@ -579,10 +587,10 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    sig, rules, plans, programs = sys.signature, sys.rules, sys._plans, sys._programs
-    cons = sig.constructors
+    sig, rules, templates, programs = sys.signature, sys.rules, sys._templates, sys._programs
+    cons, match = sig.constructors, sys._match
     reds: list[tuple] = []
-    root = _build(sys, _plan(t, sig, {}), (), reds)
+    root = _build(match, _compile_term(t, sig, {}, 0), [], reds)
     reds.reverse()
     steps = 0
     fires = [0] * len(rules)
@@ -594,7 +602,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
             k -= rng.randrange(k + 1)
         frame, r, slots = reds[k]
         block: list[tuple] = []
-        val = _build(sys, plans[r], slots, block)
+        val = _build(match, templates[r], slots, block)
         parent, i = frame[2], frame[3]
         while True:                     # val takes the slot, and a value climbs
             if parent is None:
@@ -608,7 +616,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
             if parent[4]:
                 break
             if parent[0] not in cons:
-                hit = sys._match(parent)
+                hit = match(parent)
                 if hit is not None:
                     block.append(hit)
                 break
@@ -716,24 +724,23 @@ def _read_term(text: str, sig: Signature) -> tuple[Term, bool, Optional[Node]]:
 
 
 def term_to_str(t: Term) -> str:
-    parts: list[str] = []
-    todo: list[tuple[str, object]] = [("go", t)]
+    out: list[str] = []
+    todo: list = [t]                    # subterms, and literal text
     while todo:
-        op, arg = todo.pop()
-        if op == "lit":
-            parts.append(arg)
-        elif isinstance(arg, Var):
-            parts.append(arg.name)
+        s = todo.pop()
+        if type(s) is str:
+            out.append(s)
+        elif type(s) is Var:
+            out.append(s.name)
+        elif s.children:
+            out.append(s.symbol + "(")
+            todo.append(")")
+            for c in reversed(s.children):
+                todo += (c, ", ")
+            todo.pop()                  # no separator before the first child
         else:
-            parts.append(arg.symbol)
-            if arg.children:
-                todo.append(("lit", ")"))
-                for i, c in enumerate(reversed(arg.children)):
-                    todo.append(("go", c))
-                    if i < len(arg.children) - 1:
-                        todo.append(("lit", ", "))
-                todo.append(("lit", "("))
-    return "".join(parts)
+            out.append(s.symbol)
+    return "".join(out)
 
 
 @dataclass

@@ -88,9 +88,6 @@ class TermGraph:
     def node_count(self) -> int:
         return len(self.label)
 
-    def is_closed(self) -> bool:
-        return all(l is not None for l in self.label.values())
-
     def reachable(self, start: int) -> set[int]:
         seen = {start}
         todo = [start]
@@ -126,47 +123,41 @@ def term_to_graph(t: crs.Term) -> TermGraph:
     return g
 
 
-def _post_order(g: TermGraph, start: int) -> list[int]:
+def _post_order(g: TermGraph, start: int) -> dict[int, int]:
     """Nodes reachable from start, each once at its leftmost occurrence,
-    children left to right before their parent."""
-    order: list[int] = []
-    seen: set[int] = set()
-    stack = [(start, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            order.append(v)
-            continue
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.append((v, True))
-        stack.extend((c, False) for c in reversed(g.succ[v]))
-    return order
-
-
-def _unfold_sizes(g: TermGraph, order: list[int]) -> dict[int, int]:
-    # unfolded size of each node of a post-order list
+    children left to right before their parent, each with the size of
+    the term it unfolds to."""
+    succ = g.succ
     sizes: dict[int, int] = {}
-    for v in order:
-        sizes[v] = 1 + sum(sizes[c] for c in g.succ[v])
+    size = sizes.__getitem__
+    seen: set[int] = set()
+    todo: list = [start]
+    while todo:
+        v = todo.pop()
+        if v is None:                   # the node below, once its children are done
+            v = todo.pop()
+            sizes[v] = 1 + sum(map(size, succ[v]))
+        elif v not in seen:
+            seen.add(v)
+            todo += (v, None, *reversed(succ[v]))
     return sizes
 
 
 def graph_to_term(g: TermGraph, max_size: int = 10_000) -> crs.Term:
     """Unfold the graph to a term; exponential in the worst case, so a size
     guard refuses beyond max_size nodes before anything is built.  One
-    post-order walk serves the guard and the build."""
-    if not g.is_closed():
-        unlab = [v for v, l in g.label.items() if l is None]
-        raise UnlabelledNode(f"nodes {unlab} are unlabelled")
-    order = _post_order(g, g.root)
-    total = _unfold_sizes(g, order)[g.root]
-    if total > max_size:
-        raise UnfoldTooLarge(total, max_size)
+    post-order walk serves the guard and the build; every reachable node
+    must be labelled."""
+    sizes = _post_order(g, g.root)
+    label, succ = g.label, g.succ
+    if None in map(label.__getitem__, sizes):
+        raise UnlabelledNode(f"nodes {[v for v in sizes if label[v] is None]} are unlabelled")
+    if sizes[g.root] > max_size:
+        raise UnfoldTooLarge(sizes[g.root], max_size)
     memo: dict[int, crs.Term] = {}
-    for v in order:
-        memo[v] = crs.Node(g.label[v], tuple(memo[c] for c in g.succ[v]))
+    term = memo.__getitem__
+    for v in sizes:
+        memo[v] = crs.Node(label[v], tuple(map(term, succ[v])))
     return memo[g.root]
 
 

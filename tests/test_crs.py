@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from normbench import crs, encode, scott, workbench
+from normbench import crs, encode, lam, scott, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
     apply_subst, bench_workloads, check_arities, crs_replace_at, is_pattern, match_args,
@@ -899,6 +899,103 @@ def test_deep_rule_sides(rng):
     assert run(Node("f", (nat(depth - 1),))) == ("stuck", 0, depth + 1)
     assert run(Node("g", (nat(1),))) == ("constructor", 1, depth + 2)
     assert run(Node("h", (nat(1),))) == ("constructor", depth + 1, 2)
+
+
+# --- register templates ------------------------------------------------------------
+
+def template_systems():
+    """The corpus systems, the CBV and CBN images of the corpus terms, the
+    systems and images of the bench families, seeded random systems and
+    one whose right side holds nullary function nodes."""
+    corpus = workbench.Corpus.load(CORPUS)
+    systems = [e.system for e in corpus.crs_entries]
+    systems.append(crs.validate_system(nat_sig(one=0, two=0), ADD_RULES + [
+        Rule("one", (), nat(1)), Rule("two", (), Node("add", (Node("one"), Node("one"))))]))
+    for e in corpus.lambda_entries:
+        phi = encode.encode_cbv(e.term)
+        systems += [phi.system, encode.encode_cbn(e.term, phi.registry.table).system]
+    workloads, rng = bench_workloads(), random.Random(7)
+    for family in ("add", "mul", "reverse", "flatten", "b1"):
+        systems.append(crs.parse_system(workloads.rewrite_instance(family, 2, rng)[0]).system)
+    for family, n in (("mult", 2), ("pow", 4)):
+        m = lam.parse(workloads.church_instance(family, n, rng)[0])
+        systems += [encode.encode_cbv(m).system, encode.encode_cbn(m).system]
+    return systems + [random_system(rng) for _ in range(60)]
+
+
+def random_value(rng, sig, depth):
+    """A random constructor term over sig, at most depth deep; sig has a
+    nullary constructor."""
+    name = rng.choice([c for c, ar in sig.constructors.items() if ar == 0 or depth > 0])
+    return Node(name, tuple(random_value(rng, sig, depth - 1)
+                            for _ in range(sig.constructors[name])))
+
+
+def largest_constants(t, sig):
+    """The closed function-free subterms of t that are not below
+    another, left to right."""
+    if crs.is_closed(t) and not crs.contains_function(t, sig):
+        return [t]
+    if type(t) is Var:
+        return []
+    return [c for kid in t.children for c in largest_constants(kid, sig)]
+
+
+def test_templates_build_the_instantiated_right_sides():
+    # rule r's template holds the largest closed function-free subterms
+    # of the right side, and run on the slots of a match builds the right
+    # side under the match; each node it builds is a value exactly when
+    # it is function-free, a frame counts and links its frame children,
+    # and the redexes it reports are those of the right side, in post-order
+    rng = random.Random(23)
+    built = 0
+    for system in template_systems():
+        sig = system.signature
+        if 0 not in sig.constructors.values():
+            continue
+        pos = {id(rule): r for r, rule in enumerate(system.rules)}
+        for r, rule in enumerate(system.rules):
+            subst = {x: random_value(rng, sig, 2) for p in rule.lhs for x in crs.variables(p)}
+            hit = system._match([rule.head, [apply_subst(p, subst) for p in rule.lhs], None, 0, 0])
+            assert hit is not None and hit[1] == r
+            assert list(map(id, system._templates[r][0])) == \
+                list(map(id, largest_constants(rule.rhs, sig)))
+            reds = []
+            val = crs._build(system._match, system._templates[r], hit[2], reds)
+            want = apply_subst(rule.rhs, subst)
+            assert crs._unframe(val) == want
+            todo = [val]
+            while todo:
+                s = todo.pop()
+                if type(s) is Node:
+                    assert not crs.contains_function(s, sig)
+                    continue
+                assert crs.contains_function(crs._unframe(s), sig)
+                frames = [i for i, c in enumerate(s[1]) if type(c) is list]
+                assert s[4] == len(frames)
+                assert all(s[1][i][2] is s and s[1][i][3] == i for i in frames)
+                todo += s[1]
+            assert [(k, crs._unframe(frame)) for frame, k, _ in reds] == [
+                (pos[id(rule)], _subterm(want, path)) for path, rule, _ in redexes(system, want)]
+            built += 1
+    assert built > 1_500
+
+
+@pytest.mark.parametrize("rng", [None, 0])
+def test_reduce_compiles_only_its_input(monkeypatch, rng):
+    # a system compiles each right side once, when it is built, and a run
+    # compiles only its input, however many steps it takes
+    compiled = []
+    compile_term = crs._compile_term
+    monkeypatch.setattr(crs, "_compile_term",
+                        lambda t, *args: compiled.append(t) or compile_term(t, *args))
+    system = add_system()
+    assert list(map(id, compiled)) == [id(rule.rhs) for rule in ADD_RULES]
+    compiled.clear()
+    t = Node("add", (nat(300), nat(2)))
+    out = crs.reduce(system, t, 10_000, rng=None if rng is None else random.Random(rng))
+    assert (out.kind, out.steps) == ("constructor", 301)
+    assert len(compiled) == 1 and compiled[0] is t
 
 
 def test_parse_system_deep_term():

@@ -69,11 +69,14 @@ def test_graph_to_term_guard():
 
 
 def test_graph_to_term_requires_labels():
+    # of the reachable nodes only
     g = graphs.TermGraph()
     v = g.new_node(None)
     g.root = v
-    with pytest.raises(graphs.UnlabelledNode):
+    with pytest.raises(graphs.UnlabelledNode, match=r"^nodes \[0\] are unlabelled$"):
         graphs.graph_to_term(g)
+    g.root = g.new_node("c")
+    assert graphs.graph_to_term(g) == Node("c")
 
 
 # --- rule compilation ----------------------------------------------------------------
@@ -557,7 +560,7 @@ def isomorphic(g1, g2):
 
 def unfold_size(g):
     """Size of the term the graph unfolds to (shared parts count repeatedly)."""
-    return graphs._unfold_sizes(g, graphs._post_order(g, g.root))[g.root]
+    return graphs._post_order(g, g.root)[g.root]
 
 
 def redex_phi(rule, redex):
