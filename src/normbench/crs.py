@@ -30,15 +30,21 @@ match programs, and keeps its build templates on the system.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Literal, Optional, Union
 
+from .frozen import Frozen
 
-@dataclass(frozen=True, eq=False)
-class Var:
+
+class Var(Frozen):
+    __slots__ = __match_args__ = ("name",)
     name: str
+
+    def __init__(self, name: str):
+        _var_name(self, name)
 
     def __eq__(self, other):
         return self.name == other.name if type(other) is Var else NotImplemented
@@ -47,10 +53,14 @@ class Var:
         return hash((0, self.name))
 
 
-@dataclass(frozen=True, eq=False)
-class Node:
+class Node(Frozen):
+    __slots__ = __match_args__ = ("symbol", "children")
     symbol: str
-    children: tuple["Term", ...] = ()
+    children: tuple["Term", ...]
+
+    def __init__(self, symbol: str, children: tuple["Term", ...] = ()):
+        _node_symbol(self, symbol)
+        _node_children(self, children)
 
     def __eq__(self, other):
         return _term_eq(self, other) if type(other) is Node else NotImplemented
@@ -59,12 +69,15 @@ class Node:
         return _term_hash(self)
 
 
+_var_name = Var.name.__set__
+_node_symbol, _node_children = Node.symbol.__set__, Node.children.__set__
+
 Term = Union[Var, Node]
 
 
 def _term_eq(a: Term, b: Term) -> bool:
-    # Structural and exact-type equality, as the generated dataclass ==
-    # decides it, in one walk without recursion.
+    # Structural and exact-type equality, field by field, in one walk
+    # without recursion.
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
@@ -655,6 +668,9 @@ def _unframe(t) -> Term:
 
 IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*")
 _TOKEN_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*|[(),]|\S")
+# a token is an identifier iff it starts with an ASCII letter: _TOKEN_RE
+# reads an identifier whole and anything else one character at a time
+_IDENT_START = frozenset(string.ascii_letters)
 
 
 class CrsParseError(ValueError):
@@ -673,7 +689,7 @@ def _read_term(text: str, sig: Signature) -> tuple[Term, bool, Optional[Node]]:
     # read whose symbol sig does not declare with its number of children,
     # or None: the first such node in pre-order with the children taken
     # last to first, the one parse_system reports.
-    cons, funs = sig.constructors, sig.functions
+    arity = {**sig.functions, **sig.constructors}
     has_var = False
     fault: Optional[Node] = None
     toks = _TOKEN_RE.findall(text)
@@ -684,7 +700,7 @@ def _read_term(text: str, sig: Signature) -> tuple[Term, bool, Optional[Node]]:
         if pos >= n:
             raise CrsParseError("unexpected end of term")
         name = toks[pos]
-        if not IDENT_RE.fullmatch(name):
+        if name[0] not in _IDENT_START:
             raise CrsParseError(f"expected identifier, got {name!r}")
         pos += 1
         if pos < n and toks[pos] == "(":
@@ -696,13 +712,13 @@ def _read_term(text: str, sig: Signature) -> tuple[Term, bool, Optional[Node]]:
                 raise CrsParseError("expected ')'")
             pos += 1
             t: Term = Node(name, ())
-        elif name in cons or name in funs:
+        elif name in arity:
             t = Node(name, ())
         else:
             t = Var(name)
             has_var = True
         while True:                             # t is read
-            if type(t) is Node and cons.get(t.symbol, funs.get(t.symbol)) != len(t.children):
+            if type(t) is Node and arity.get(t.symbol) != len(t.children):
                 fault = t
             if not open_:
                 break

@@ -25,10 +25,15 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Union
 
+from .frozen import Frozen
 
-@dataclass(frozen=True, eq=False)
-class Var:
+
+class Var(Frozen):
+    __slots__ = __match_args__ = ("name",)
     name: str
+
+    def __init__(self, name: str):
+        _var_name(self, name)
 
     def __eq__(self, other):
         return self.name == other.name if type(other) is Var else NotImplemented
@@ -37,10 +42,14 @@ class Var:
         return hash((0, self.name))
 
 
-@dataclass(frozen=True, eq=False)
-class Abs:
+class Abs(Frozen):
+    __slots__ = __match_args__ = ("binder", "body")
     binder: str
     body: "Term"
+
+    def __init__(self, binder: str, body: "Term"):
+        _abs_binder(self, binder)
+        _abs_body(self, body)
 
     def __eq__(self, other):
         return _term_eq(self, other) if type(other) is Abs else NotImplemented
@@ -49,10 +58,14 @@ class Abs:
         return _term_hash(self)
 
 
-@dataclass(frozen=True, eq=False)
-class App:
+class App(Frozen):
+    __slots__ = __match_args__ = ("fun", "arg")
     fun: "Term"
     arg: "Term"
+
+    def __init__(self, fun: "Term", arg: "Term"):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
 
     def __eq__(self, other):
         return _term_eq(self, other) if type(other) is App else NotImplemented
@@ -61,12 +74,16 @@ class App:
         return _term_hash(self)
 
 
+_var_name = Var.name.__set__
+_abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
+_app_fun, _app_arg = App.fun.__set__, App.arg.__set__
+
 Term = Union[Var, Abs, App]
 
 
 def _term_eq(a: Term, b: Term) -> bool:
-    # Structural and exact-type equality, as the generated dataclass ==
-    # decides it, in one walk without recursion.
+    # Structural and exact-type equality, field by field, in one walk
+    # without recursion.
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()

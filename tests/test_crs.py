@@ -331,6 +331,30 @@ def test_parse_system_invalid_inputs(body, error, message):
     assert (type(exc.value), str(exc.value)) == (error, message)
 
 
+@pytest.mark.parametrize("text, want", [
+    # a token is an identifier iff it starts with an ASCII letter
+    ("é", "expected identifier, got 'é'"),
+    ("s(é)", "expected identifier, got 'é'"),
+    ("zé", "trailing input: ['é']"),
+    ("(", "expected identifier, got '('"),
+    (")", "expected identifier, got ')'"),
+    (",", "expected identifier, got ','"),
+    ("g(z,,z)", "expected identifier, got ','"),
+    ("x(", "expected ')'"),
+    # x() is a node whatever its declaration, and a fault when undeclared
+    ("x()", (Node("x"), False, Node("x"))),
+    ("z()", (Node("z"), False, None)),
+    ("s(x)", (Node("s", (Var("x"),)), True, None)),
+])
+def test_read_term_tokens(text, want):
+    sig = Signature({"z": 0, "s": 1}, {"f": 1, "g": 2})
+    try:
+        got = crs._read_term(text, sig)
+    except crs.CrsParseError as exc:
+        got = str(exc)
+    assert got == want
+
+
 def random_term_text(rng, depth):
     """A term over z/0, s/1, f/1, g/2 and the undeclared h and y, with
     any number of children up to 2, so often with faults."""

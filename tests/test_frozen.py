@@ -1,0 +1,85 @@
+"""The five term classes are slotted and stay frozen: fields cannot be
+assigned or deleted, copies and pickles are equal terms, and repr, ==,
+hash and pattern matching read as on the frozen dataclasses they
+replace."""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+from normbench import crs, lam
+from tests_util import same_structure
+
+# each class with a term of it, its fields, and the repr text the frozen
+# dataclass printed for that term
+CASES = [
+    (lam.Var, lam.Var("x"), ("name",), "Var(name='x')"),
+    (lam.Abs, lam.Abs("x", lam.Var("x")), ("binder", "body"),
+     "Abs(binder='x', body=Var(name='x'))"),
+    (lam.App, lam.App(lam.Abs("y", lam.Var("y")), lam.Var("z")), ("fun", "arg"),
+     "App(fun=Abs(binder='y', body=Var(name='y')), arg=Var(name='z'))"),
+    (crs.Var, crs.Var("x'"), ("name",), "Var(name=\"x'\")"),
+    (crs.Node, crs.Node("s", (crs.Node("z"),)), ("symbol", "children"),
+     "Node(symbol='s', children=(Node(symbol='z', children=()),))"),
+]
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_fields_cannot_be_assigned_or_deleted(cls, term, fields, text):
+    for f in fields:
+        before = getattr(term, f)
+        with pytest.raises(FrozenInstanceError):
+            setattr(term, f, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(term, f)
+        assert getattr(term, f) is before
+    with pytest.raises(FrozenInstanceError):
+        term.other = 1
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_slots_and_match_args(cls, term, fields, text):
+    assert not hasattr(term, "__dict__")
+    assert cls.__match_args__ == fields
+    match term:
+        case cls(a):
+            assert a == getattr(term, fields[0])
+        case cls(a, b):
+            assert (a, b) == tuple(getattr(term, f) for f in fields)
+        case _:
+            pytest.fail("no match")
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_copy_and_pickle_give_an_equal_term(cls, term, fields, text):
+    for other in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert type(other) is cls
+        assert other == term and hash(other) == hash(term)
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_repr_is_the_dataclass_text(cls, term, fields, text):
+    assert repr(term) == text
+    assert repr(term) == f"{cls.__name__}({', '.join(f'{f}={getattr(term, f)!r}' for f in fields)})"
+
+
+def test_repr_of_nodes_with_several_or_foreign_children():
+    t = crs.Node("c", (crs.Var("x"), crs.Node("z"), crs.Node("nil", ())))
+    assert repr(t) == ("Node(symbol='c', children=(Var(name='x'), Node(symbol='z', children=()),"
+                       " Node(symbol='nil', children=())))")
+    # a child that is not a term prints as itself
+    assert repr(crs.Node("f", ("x", 1))) == "Node(symbol='f', children=('x', 1))"
+    assert repr(crs.Node("f", [crs.Var("x")])) == "Node(symbol='f', children=[Var(name='x')])"
+    assert repr(crs.Node(symbol="f")) == "Node(symbol='f', children=())"
+
+
+def test_same_structure_tells_term_kinds_and_fires_apart():
+    assert same_structure((lam.Var("x"), crs.Node("z")), (lam.Var("x"), crs.Node("z")))
+    assert not same_structure(lam.Var("x"), crs.Var("x"))
+    assert not same_structure([crs.Node("f", (crs.Var("x"),))], [crs.Node("f", (lam.Var("x"),))])
+    a = crs.CrsOutcome("constructor", crs.Node("z"), 2, (1, 1))
+    b = crs.CrsOutcome("constructor", crs.Node("z"), 2, (2, 0))
+    assert a == b and not same_structure(a, b)
+    assert same_structure(a, crs.CrsOutcome("constructor", crs.Node("z"), 2, (1, 1)))

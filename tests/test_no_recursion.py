@@ -161,3 +161,21 @@ def test_term_equality_and_hash_at_depth():
     assert Abs("x", Var("x")) != App(Var("x"), Var("x"))
     assert crs.Node("f", (crs.Var("x"),)) != crs.Node("f", (crs.Var("x"), crs.Var("x")))
     assert hash(crs.Node("f")) == hash(crs.Node("f", ()))
+
+
+def test_repr_at_depth():
+    # repr of both kinds of term, 10^5 deep, at the default limit: the
+    # dataclass text, as the shallow pins in test_frozen.py read it
+    from normbench import crs
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    t = crs.Node("z")
+    for _ in range(depth):
+        t = crs.Node("s", (t,))
+    assert repr(t) == ("Node(symbol='s', children=(" * depth
+                       + "Node(symbol='z', children=())" + ",))" * depth)
+    t = Var("x")
+    for _ in range(depth):
+        t = App(Abs("x", t), Var("y"))
+    assert repr(t) == ("App(fun=Abs(binder='x', body=" * depth + "Var(name='x')"
+                       + "), arg=Var(name='y'))" * depth)

@@ -29,8 +29,11 @@ def closed_terms(draw, depth=4, env=()):
 
 
 def same_structure(a, b):
-    """Exact structural equality, as the dataclass == decides it, without
-    recursion: same types, field by field, tuples and lists item by item."""
+    """Exact structural equality without recursion: same types;
+    dataclasses such as the outcomes field by field, `fires` included
+    although their == skips it; tuples and lists item by item; anything
+    else by its ==, which on terms is a walk of its own that compares
+    exact types and fields."""
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
