@@ -46,12 +46,6 @@ class Var(Frozen):
     def __init__(self, name: str):
         _var_name(self, name)
 
-    def __eq__(self, other):
-        return self.name == other.name if type(other) is Var else NotImplemented
-
-    def __hash__(self):
-        return hash((0, self.name))
-
 
 class Node(Frozen):
     __slots__ = __match_args__ = ("symbol", "children")
@@ -62,52 +56,11 @@ class Node(Frozen):
         _node_symbol(self, symbol)
         _node_children(self, children)
 
-    def __eq__(self, other):
-        return _term_eq(self, other) if type(other) is Node else NotImplemented
-
-    def __hash__(self):
-        return _term_hash(self)
-
 
 _var_name = Var.name.__set__
 _node_symbol, _node_children = Node.symbol.__set__, Node.children.__set__
 
 Term = Union[Var, Node]
-
-
-def _term_eq(a: Term, b: Term) -> bool:
-    # Structural and exact-type equality, field by field, in one walk
-    # without recursion.
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if type(a) is Var:
-            if a.name != b.name:
-                return False
-        elif a.symbol != b.symbol or len(a.children) != len(b.children):
-            return False
-        else:
-            todo += zip(a.children, b.children)
-    return True
-
-
-def _term_hash(t: Term) -> int:
-    # The hash of the term's nodes in pre-order, without recursion; equal
-    # terms hash equal.
-    out: list = []
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if type(s) is Var:
-            out += (None, s.name)
-        else:
-            out += (s.symbol, len(s.children))
-            todo += reversed(s.children)
-    return hash(tuple(out))
 
 
 class CrsError(Exception):
@@ -243,20 +196,6 @@ def _check_node(s: Node, sig: Signature) -> None:
         raise ArityMismatch(s.symbol, ar, len(s.children))
 
 
-def _patterns_compatible(p: Term, q: Term) -> bool:
-    # Both linear with disjoint variables, so unifiability is a structural
-    # compatibility check: variables match anything.
-    todo = [(p, q)]
-    while todo:
-        p, q = todo.pop()
-        if isinstance(p, Var) or isinstance(q, Var):
-            continue
-        if p.symbol != q.symbol:
-            return False
-        todo.extend(zip(p.children, q.children))
-    return True
-
-
 class CrsSystem:
     """A validated orthogonal constructor rewrite system.
 
@@ -290,7 +229,7 @@ class CrsSystem:
         self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
-        pair = _first_overlap(self.rules)[0]
+        pair = _first_overlap([(rule.head, rule.lhs) for rule in self.rules])[0]
         if pair is not None:
             raise OverlapError(*pair)
 
@@ -312,12 +251,14 @@ class CrsSystem:
         return None
 
 
-def _first_overlap(rules: tuple[Rule, ...]) -> tuple[Optional[tuple[int, int]], int]:
-    """The first pair of rules whose left sides unify, or None, with the
-    work spent: a unit per row of each group split, per pattern node it
-    expands, per pair of rows compared and per step of a comparison.
-    Heads go by first appearance, and in a head the least pair (i, j) in
-    rule order is the first.
+def _first_overlap(rules: Iterable[tuple[Optional[str], tuple[Term, ...]]]
+                   ) -> tuple[Optional[tuple[int, int]], int]:
+    """The first pair of (head, left side) rules whose heads are equal and
+    whose left sides unify, or None, with the work spent: a unit per row
+    of each group split, per pattern node it expands, per pair of rows
+    compared and per step of a comparison.  Heads go by first
+    appearance, and in a head the least pair (i, j) in rule order is the
+    first.
 
     The left sides of a head are the rows of a pattern matrix, split as
     in Maranget, "Warnings for pattern matching" (JFP 2007): a group of
@@ -336,9 +277,9 @@ def _first_overlap(rules: tuple[Rule, ...]) -> tuple[Optional[tuple[int, int]], 
     is in one group at a time and the check is linear in the size of the
     left sides; a pair of rows is compared at most once.  A group whose
     first two rows form no pair less than one found is dropped."""
-    by_head: dict[str, list[tuple[int, Optional[tuple]]]] = {}
-    for idx, rule in enumerate(rules):
-        by_head.setdefault(rule.head, []).append((idx, _columns(rule.lhs, None)))
+    by_head: dict[Optional[str], list[tuple[int, Optional[tuple]]]] = {}
+    for idx, (head, lhs) in enumerate(rules):
+        by_head.setdefault(head, []).append((idx, _columns(lhs, None)))
     work = 0
     for group in by_head.values():
         best: Optional[tuple[int, int]] = None

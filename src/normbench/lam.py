@@ -35,12 +35,6 @@ class Var(Frozen):
     def __init__(self, name: str):
         _var_name(self, name)
 
-    def __eq__(self, other):
-        return self.name == other.name if type(other) is Var else NotImplemented
-
-    def __hash__(self):
-        return hash((0, self.name))
-
 
 class Abs(Frozen):
     __slots__ = __match_args__ = ("binder", "body")
@@ -50,12 +44,6 @@ class Abs(Frozen):
     def __init__(self, binder: str, body: "Term"):
         _abs_binder(self, binder)
         _abs_body(self, body)
-
-    def __eq__(self, other):
-        return _term_eq(self, other) if type(other) is Abs else NotImplemented
-
-    def __hash__(self):
-        return _term_hash(self)
 
 
 class App(Frozen):
@@ -67,57 +55,12 @@ class App(Frozen):
         _app_fun(self, fun)
         _app_arg(self, arg)
 
-    def __eq__(self, other):
-        return _term_eq(self, other) if type(other) is App else NotImplemented
-
-    def __hash__(self):
-        return _term_hash(self)
-
 
 _var_name = Var.name.__set__
 _abs_binder, _abs_body = Abs.binder.__set__, Abs.body.__set__
 _app_fun, _app_arg = App.fun.__set__, App.arg.__set__
 
 Term = Union[Var, Abs, App]
-
-
-def _term_eq(a: Term, b: Term) -> bool:
-    # Structural and exact-type equality, field by field, in one walk
-    # without recursion.
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b):
-            return False
-        if type(a) is App:
-            todo += ((a.arg, b.arg), (a.fun, b.fun))
-        elif type(a) is Abs:
-            if a.binder != b.binder:
-                return False
-            todo.append((a.body, b.body))
-        elif a.name != b.name:
-            return False
-    return True
-
-
-def _term_hash(t: Term) -> int:
-    # The hash of the term's nodes in pre-order, without recursion; equal
-    # terms hash equal.
-    out: list = []
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if type(s) is App:
-            out.append(None)
-            todo += (s.arg, s.fun)
-        elif type(s) is Abs:
-            out += (True, s.binder)
-            todo.append(s.body)
-        else:
-            out += (False, s.name)
-    return hash(tuple(out))
 
 
 def size(t: Term) -> int:
@@ -135,33 +78,9 @@ def size(t: Term) -> int:
     return n
 
 
-def _free_set(t: Term) -> set[str]:
-    # Iterative: compiled terms can be deeper than the recursion limit.
-    # Walks the unfolding; _free_set_shared visits each distinct object.
-    free: set[str] = set()
-    bound: dict[str, int] = {}
-    todo: list[tuple[str, object]] = [("go", t)]
-    while todo:
-        op, arg = todo.pop()
-        if op == "go":
-            if isinstance(arg, Var):
-                if bound.get(arg.name, 0) == 0:
-                    free.add(arg.name)
-            elif isinstance(arg, Abs):
-                bound[arg.binder] = bound.get(arg.binder, 0) + 1
-                todo.append(("unbind", arg.binder))
-                todo.append(("go", arg.body))
-            else:
-                todo.append(("go", arg.arg))
-                todo.append(("go", arg.fun))
-        else:
-            bound[arg] -= 1
-    return free
-
-
 def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[str]:
-    # _free_set(t) visiting each subterm object once, when t shares
-    # subterms (as compiled terms and machine results do).  A first pass
+    # The free variables of t, visiting each subterm object once, since t
+    # may share subterms (as compiled terms and machine results do).  A first pass
     # finds the objects t reaches twice; one post-order pass then builds
     # each object's free variables from its children's.  The set of an
     # object reached once is extended in place by its one parent, so a
@@ -243,11 +162,11 @@ def _names(t: Term) -> set[str]:
 
 def free_vars(t: Term) -> tuple[str, ...]:
     """Free variables as a duplicate-free sequence, sorted lexicographically."""
-    return tuple(sorted(_free_set(t)))
+    return tuple(sorted(_free_set_shared(t, {})))
 
 
 def is_closed(t: Term) -> bool:
-    return not _free_set(t)
+    return not _free_set_shared(t, {})
 
 
 def fresh_name(base: str, avoid: set[str], counter: Iterator[int]) -> str:
@@ -278,7 +197,7 @@ def substitute(t: Term, x: str, v: Term) -> Term:
     is built on it, and bench/tracer.py times it by name, so it stays
     until the benchmark drops that span (ROADMAP B2).
     """
-    fv_v = _free_set(v)
+    fv_v = _free_set_shared(v, {})
     # name -> its meanings, innermost last: the term that replaces it, or
     # None under a binder of the walk that keeps it
     scope: dict[str, list[Optional[Term]]] = {x: [v]}

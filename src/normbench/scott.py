@@ -296,10 +296,9 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     for a, d in zip(alphas, delayed):
         if d and any(crs.variables(pat) for pat in a):
             raise ScottError("a delayed continuation's sequence binds variables")
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if all(crs._patterns_compatible(p, q) for p, q in zip(alphas[i], alphas[j])):
-                raise MatchOverlapError(f"sequences {i} and {j} overlap")
+    pair = crs._first_overlap([(None, a) for a in alphas])[0]
+    if pair is not None:
+        raise MatchOverlapError("sequences %d and %d overlap" % pair)
     return _match_term(ctx, alphas, m, delayed)
 
 

@@ -592,7 +592,7 @@ def test_overlap_work_is_linear_on_image_systems():
         rules = encode.encode_cbn(scott.term_to_lambda(scott.ScottContext(e.system),
                                                        e.term)).system.rules
         assert len(rules) >= 900
-        pair, work = crs._first_overlap(rules)
+        pair, work = crs._first_overlap([(r.head, r.lhs) for r in rules])
         assert pair is None
         assert work <= sum(term_size(p) for rule in rules for p in rule.lhs)
         assert reference_first_overlap(rules)[1] > 100 * work
@@ -631,7 +631,7 @@ def test_overlap_work_on_variable_heavy_left_sides():
     for family in (rows_against_columns, chains, staircase):
         for k in (16, 32, 64):
             rules = family(k)
-            pair, work = crs._first_overlap(tuple(rules))
+            pair, work = crs._first_overlap([(r.head, r.lhs) for r in rules])
             want, pairwise = reference_first_overlap(rules)
             assert pair == want
             assert work <= pairwise, (family.__name__, k)

@@ -1,7 +1,7 @@
 """The five term classes are slotted and stay frozen: fields cannot be
 assigned or deleted, copies and pickles are equal terms, and repr, ==,
 hash and pattern matching read as on the frozen dataclasses they
-replace."""
+replace: a term equals only a term of its own class."""
 
 import copy
 import pickle
@@ -57,6 +57,42 @@ def test_copy_and_pickle_give_an_equal_term(cls, term, fields, text):
     for other in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
         assert type(other) is cls
         assert other == term and hash(other) == hash(term)
+    assert all(getattr(copy.copy(term), f) is getattr(term, f) for f in fields)
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_terms_of_different_classes_are_never_equal(cls, term, fields, text):
+    # each class's term against every other class's, both ways, and
+    # against terms of other classes that have the same field values
+    for other_cls, other, *_ in CASES:
+        if other_cls is cls:
+            continue
+        assert term != other and other != term
+        assert not term == other and not other == term
+        if other_cls.__match_args__ == fields:
+            twin = other_cls(*(getattr(term, f) for f in fields))
+            assert term != twin and twin != term
+    assert term == cls(*(getattr(term, f) for f in fields))
+
+
+@pytest.mark.parametrize("cls, term, fields, text", CASES)
+def test_a_term_and_a_non_term_compare_by_not_implemented(cls, term, fields, text):
+    for value in (None, 0, "x", (), (term,), [term], object()):
+        assert term.__eq__(value) is NotImplemented
+        assert term != value and value != term
+
+
+def test_copy_and_pickle_keep_sharing_and_foreign_fields():
+    x = lam.Abs("x", lam.Var("x"))
+    s = crs.Node("s", (crs.Var("y"),))
+    for t in (lam.App(x, lam.App(x, x)), crs.Node("f", (s, s, crs.Node("g", (s,)))),
+              crs.Node("f", ("x", 1, ())), crs.Node("f", [crs.Var("x"), None])):
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert other is not t and other == t and repr(other) == repr(t)
+            if type(t) is lam.App:
+                assert other.fun is other.arg.fun is other.arg.arg
+            elif type(t.children[0]) is crs.Node:
+                assert other.children[0] is other.children[1] is other.children[2].children[0]
 
 
 @pytest.mark.parametrize("cls, term, fields, text", CASES)

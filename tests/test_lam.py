@@ -11,7 +11,7 @@ from normbench import lam, workbench
 from normbench.lam import Abs, App, Var
 from tests_util import (
     cbn_step, cbv_redexes, cbv_step, church_two, contract, random_closed, reference_cbv_reduce,
-    replace_at, subterm_at, two_tower)
+    reference_free_set, replace_at, subterm_at, two_tower)
 
 
 def p(s):
@@ -457,7 +457,7 @@ def test_readback_walks_shared_subterms_once():
     # the same free variables on a shared open term as on its unfolding
     x = App(Var("x"), p("\\y. y"))
     shared = App(Abs("x", x), x)
-    assert lam._free_set_shared(shared, {}) == lam._free_set(shared) == {"x"}
+    assert lam._free_set_shared(shared, {}) == reference_free_set(shared) == {"x"}
 
 
 def open_doubling(n, names=("y", "x")):
@@ -537,10 +537,10 @@ def test_free_set_shared_matches_unfolded_walk():
     # memo and through a fresh one: the same set as the unfolded walk
     s = App(Var("x"), Var("y"))
     for t in (App(Abs("x", s), s), App(s, Abs("x", s)), Abs("y", App(Abs("x", s), s))):
-        assert lam._free_set_shared(t, {}) == lam._free_set(t)
+        assert lam._free_set_shared(t, {}) == reference_free_set(t)
         memo = {}
         assert lam._free_set_shared(s, memo) == {"x", "y"}
-        assert lam._free_set_shared(t, memo) == lam._free_set(t)
+        assert lam._free_set_shared(t, memo) == reference_free_set(t)
     rng = random.Random(5)
     checked = 0
     for _ in range(300):
@@ -549,7 +549,7 @@ def test_free_set_shared_matches_unfolded_walk():
         for t in rng.sample(pool, len(pool)):
             if unfolded_size(t, sizes) > 20_000:
                 continue
-            want = lam._free_set(t)
+            want = reference_free_set(t)
             assert lam._free_set_shared(t, memo) == want
             assert lam._free_set_shared(t, {}) == want
             checked += 1
@@ -577,20 +577,21 @@ DEEP = 20_000
 
 
 def reference_substitute(t, x, v, counter=None):
-    """The recursive substitution that asks _free_set at every abstraction
-    whether x occurs free below it: the reference on open values.  Like
-    substitute, it numbers its fresh names from 0 in each top-level call."""
-    fv_v = lam._free_set(v)
+    """The recursive substitution that asks reference_free_set at every
+    abstraction whether x occurs free below it: the reference on open
+    values.  Like substitute, it numbers its fresh names from 0 in each
+    top-level call."""
+    fv_v = reference_free_set(v)
     counter = itertools.count() if counter is None else counter
 
     def go(t):
         if isinstance(t, Var):
             return v if t.name == x else t
         if isinstance(t, Abs):
-            if t.binder == x or x not in lam._free_set(t.body):
+            if t.binder == x or x not in reference_free_set(t.body):
                 return t
             if t.binder in fv_v:
-                y = lam.fresh_name(t.binder, fv_v | lam._free_set(t.body), counter)
+                y = lam.fresh_name(t.binder, fv_v | reference_free_set(t.body), counter)
                 return Abs(y, go(reference_substitute(t.body, t.binder, Var(y), counter)))
             return Abs(t.binder, go(t.body))
         return App(go(t.fun), go(t.arg))

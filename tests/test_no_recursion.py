@@ -3,7 +3,9 @@ recursion limit alone: term depth grows with the input, so every walk
 over a term is an explicit-stack loop."""
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +163,23 @@ def test_term_equality_and_hash_at_depth():
     assert Abs("x", Var("x")) != App(Var("x"), Var("x"))
     assert crs.Node("f", (crs.Var("x"),)) != crs.Node("f", (crs.Var("x"), crs.Var("x")))
     assert hash(crs.Node("f")) == hash(crs.Node("f", ()))
+
+
+def test_copy_and_pickle_at_depth():
+    # pickle and deepcopy of both kinds of term, 10^5 deep, at the
+    # default limit, give an equal term
+    from normbench import crs
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    a = crs.Node("z")
+    for _ in range(depth):
+        a = crs.Node("s", (a,))
+    b = Var("x")
+    for _ in range(depth):
+        b = App(b, Var("y"))
+    for t in (a, b):
+        for other in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t)):
+            assert type(other) is type(t) and other == t
 
 
 def test_repr_at_depth():

@@ -151,6 +151,51 @@ def test_match_rejects_overlap(ctx):
         scott.compile_match(ctx, [(Var("x"),), (Node("zero"),)], 1)
 
 
+def _patterns_unify(p, q):
+    # linear patterns unify when they agree wherever both hold a constructor
+    todo = [(p, q)]
+    while todo:
+        p, q = todo.pop()
+        if isinstance(p, Node) and isinstance(q, Node):
+            if p.symbol != q.symbol:
+                return False
+            todo.extend(zip(p.children, q.children))
+    return True
+
+
+def test_match_overlap_is_the_first_pair_a_pairwise_scan_meets():
+    # seeded random sequences of linear patterns: compile_match names the
+    # least overlapping (i, j), as a scan of every pair in order does, and
+    # compiles when no pair overlaps
+    sig = Signature({"zero": 0, "succ": 1, "pair": 2}, {"id": 1})
+    c = scott.ScottContext(crs.validate_system(sig, [Rule("id", (Var("x"),), Var("x"))]))
+    rng = random.Random(25)
+    count = iter(range(10**6))
+
+    def pattern(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return Var(f"x{next(count)}")
+        sym = rng.choice(tuple(sig.constructors))
+        return Node(sym, tuple(pattern(depth - 1) for _ in range(sig.arity(sym))))
+
+    pairs, compiled = [], 0
+    for _ in range(400):
+        m = rng.randint(0, 3)
+        alphas = [tuple(pattern(3) for _ in range(m)) for _ in range(rng.randint(1, 8))]
+        want = next(((i, j) for i in range(len(alphas)) for j in range(i + 1, len(alphas))
+                     if all(_patterns_unify(p, q) for p, q in zip(alphas[i], alphas[j]))),
+                    None)
+        if want is None:
+            scott.compile_match(c, alphas, m)
+            compiled += 1
+        else:
+            with pytest.raises(scott.MatchOverlapError,
+                               match=f"^sequences {want[0]} and {want[1]} overlap$"):
+                scott.compile_match(c, alphas, m)
+            pairs.append(want)
+    assert len(pairs) > 100 and compiled > 100 and len(set(pairs)) > 10
+
+
 def test_match_steps_independent_of_scrutinee_size(ctx):
     # same branch, same root constructors: identical counts at any size
     alphas = [(Node("succ", (Var("x"),)), Var("y")), (Node("zero"), Var("y"))]

@@ -521,6 +521,30 @@ def two_pass_parse_term(text, sig):
 Path = tuple[int, ...]
 
 
+def reference_free_set(t: Term) -> set[str]:
+    """Free variables of a lambda term, walking its unfolding: the
+    reference for lam._free_set_shared, which visits each object once."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    todo: list[tuple[str, object]] = [("go", t)]
+    while todo:
+        op, arg = todo.pop()
+        if op == "go":
+            if isinstance(arg, Var):
+                if bound.get(arg.name, 0) == 0:
+                    free.add(arg.name)
+            elif isinstance(arg, Abs):
+                bound[arg.binder] = bound.get(arg.binder, 0) + 1
+                todo.append(("unbind", arg.binder))
+                todo.append(("go", arg.body))
+            else:
+                todo.append(("go", arg.arg))
+                todo.append(("go", arg.fun))
+        else:
+            bound[arg] -= 1
+    return free
+
+
 def is_value(t: Term) -> bool:
     """Values are variables and abstractions."""
     return isinstance(t, (Var, Abs))
