@@ -64,18 +64,30 @@ Term = Union[Var, Abs, App]
 
 
 def size(t: Term) -> int:
-    """Length of a term: |x|=1, |\\x.M|=|M|+1, |M N|=|M|+|N|+1."""
-    n = 0
-    todo = [t]
+    """Length of a term: |x|=1, |\\x.M|=|M|+1, |M N|=|M|+|N|+1.
+
+    That is the size of the unfolded term, but it costs the DAG: one
+    post-order walk sizes each distinct object once, from the sizes of
+    its children, which compiled terms share."""
+    sizes: dict[int, int] = {}      # id of an Abs or App done -> its size
+    todo: list[Optional[Term]] = [t]
     while todo:
         s = todo.pop()
-        n += 1
-        if isinstance(s, Abs):
-            todo.append(s.body)
-        elif isinstance(s, App):
-            todo.append(s.fun)
-            todo.append(s.arg)
-    return n
+        if s is None:               # the object below: its children are done
+            s = todo.pop()
+            if type(s) is Abs:
+                n = 1 if type(s.body) is Var else sizes[id(s.body)]
+            else:
+                n = ((1 if type(s.fun) is Var else sizes[id(s.fun)])
+                     + (1 if type(s.arg) is Var else sizes[id(s.arg)]))
+            sizes[id(s)] = n + 1
+        elif type(s) is Var or id(s) in sizes:
+            continue
+        elif type(s) is Abs:
+            todo += (s, None, s.body)
+        else:
+            todo += (s, None, s.arg, s.fun)
+    return sizes.get(id(t), 1)
 
 
 def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[str]:

@@ -12,15 +12,18 @@ the per-system linear overhead measurable.
 
 The compiled term is fixed per system, and it is a DAG: a ScottContext
 builds each part (the fixed-point family H1..Hh, the per-function parts
-V1..Vh, the error value, the constructor functions) once, checks each
-part closed once, by a walk over its distinct objects, and every
-interpretation and compiled term shares those objects.
+V1..Vh, the error value, the constructor functions) once, and each
+repeated piece of them (binder names, rebuilt nodes, rebuild wrappers,
+fail branches) once, and every interpretation and compiled term shares
+those objects.  Each builder call composes the free variables of what it
+builds from those of its pieces, so the parts are checked closed by
+reading one set, not by a second walk over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import crs, lam
 from .lam import Abs, App, Var, abss, apps
@@ -34,6 +37,44 @@ class MatchOverlapError(ScottError):
     pass
 
 
+class _Built:
+    """The free variables of the terms the builders make, each composed
+    once, when it is built, from the sets of its pieces.
+
+    `free` maps the id of a built term to the term, which it keeps alive,
+    and its free variables.  A variable's set is its own name.  A piece
+    no builder made (a constructor function replaced from outside, say)
+    gets its set by one walk, `lam._free_set_shared`, whose memo `shared`
+    lives no longer than the terms it is kept for: the built terms that
+    embed them.
+    """
+
+    __slots__ = ("free", "shared")
+
+    def __init__(self):
+        self.free: dict[int, tuple[lam.Term, set[str]]] = {}
+        self.shared: dict[int, frozenset[str]] = {}
+
+    def build(self, binders: Sequence[str], head: lam.Term,
+              args: Sequence[lam.Term] = ()) -> lam.Term:
+        """\\binders. head args, with its free variables composed."""
+        free = self.free
+        fv: set[str] = set()
+        t = None
+        for p in (head, *args):
+            if type(p) is Var:
+                fv.add(p.name)
+            else:
+                known = free.get(id(p))
+                fv |= known[1] if known is not None else lam._free_set_shared(p, self.shared)
+            t = p if t is None else App(t, p)
+        fv.difference_update(binders)
+        for b in reversed(binders):
+            t = Abs(b, t)
+        free[id(t)] = t, fv
+        return t
+
+
 class ScottContext:
     """Enumeration order and compilation caches for one system.
 
@@ -45,6 +86,7 @@ class ScottContext:
         self.system = system
         self.constructors = tuple(system.signature.constructors)
         self.functions = tuple(system.signature.functions)
+        self._con_index = {c: i for i, c in enumerate(self.constructors, 1)}
         pattern_vars: set[str] = set()
         for rule in system.rules:
             for pat in rule.lhs:
@@ -55,10 +97,11 @@ class ScottContext:
         self._fixnames = tuple(f"{base}{i+1}" for i in range(len(self.functions)))
         self._parts: Optional[tuple[list[lam.Term], list[lam.Term]]] = None  # (H, V)
         self._interp_cache: dict[str, lam.Term] = {}
-        self._strict_cache: dict[str, lam.Term] = {}
-        self._confun_cache: dict[str, lam.Term] = {}
-        self._bottom: Optional[lam.Term] = None
-        self._all_vars_chain: list[lam.Term] = [Abs("k", Var("k"))]
+        self._built = _Built()
+        self._names: dict[tuple[str, int], tuple[tuple[str, ...], tuple[Var, ...]]] = {}
+        self._pieces: dict[tuple, lam.Term] = {}
+        self._all_vars_chain: list[lam.Term] = [self._built.build(("k",), _K)]
+        self._ident = self._built.build(("w",), _W)     # \w. w
 
     @property
     def g(self) -> int:
@@ -66,17 +109,39 @@ class ScottContext:
 
     def con_index(self, name: str) -> int:
         """1-based index of a constructor in the enumeration order."""
-        return self.constructors.index(name) + 1
+        return self._con_index[name]
 
     def arity(self, name: str) -> int:
         return self.system.signature.arity(name)
 
 
+_K, _W = Var("k"), Var("w")
+
+
+def _binders(ctx: ScottContext, prefix: str, n: int) -> tuple[tuple[str, ...], tuple[Var, ...]]:
+    # prefix1..prefixn and a variable of each, made once per context
+    made = ctx._names.get((prefix, n))
+    if made is None:
+        names = tuple(f"{prefix}{k+1}" for k in range(n))
+        made = ctx._names[prefix, n] = names, tuple(map(Var, names))
+    return made
+
+
 def bottom(ctx: ScottContext) -> lam.Term:
     """The error value: selects the extra continuation branch."""
-    if ctx._bottom is None:
-        ctx._bottom = abss([f"s{i+1}" for i in range(ctx.g)] + ["sz"], Var("sz"))
-    return ctx._bottom
+    t = ctx._pieces.get(("bottom",))
+    if t is None:
+        binders = _binders(ctx, "s", ctx.g)[0] + ("sz",)
+        t = ctx._pieces["bottom",] = ctx._built.build(binders, Var("sz"))
+    return t
+
+
+def _fail(ctx: ScottContext, binders: tuple[str, ...]) -> lam.Term:
+    # \binders. bottom: a matcher's branch when no sequence matches
+    t = ctx._pieces.get(("fail", binders))
+    if t is None:
+        t = ctx._pieces["fail", binders] = ctx._built.build(binders, bottom(ctx))
+    return t
 
 
 def scott_encode(ctx: ScottContext, t: crs.Term) -> lam.Term:
@@ -88,19 +153,24 @@ def scott_encode(ctx: ScottContext, t: crs.Term) -> lam.Term:
 def constructor_function(ctx: ScottContext, name: str) -> lam.Term:
     """The constructor as a function: applied to encoded arguments it
     reduces to the encoded node in arity-many steps."""
-    cached = ctx._confun_cache.get(name)
-    if cached is None:
-        pvars = [f"p{k+1}" for k in range(ctx.arity(name))]
-        binders = pvars + [f"s{k+1}" for k in range(ctx.g)] + ["sz"]
-        cached = abss(binders, apps(Var(f"s{ctx.con_index(name)}"), [Var(v) for v in pvars]))
-        ctx._confun_cache[name] = cached
-    return cached
+    t = ctx._pieces.get(("confun", name))
+    if t is None:
+        pvars, pvs = _binders(ctx, "p", ctx.arity(name))
+        svars, svs = _binders(ctx, "s", ctx.g)
+        t = ctx._pieces["confun", name] = ctx._built.build(
+            pvars + svars + ("sz",), svs[ctx.con_index(name) - 1], pvs)
+    return t
 
 
-def _rebuilt_node(ctx: ScottContext, i: int, names: list[str]) -> lam.Term:
-    # the full-arity member of the strict family: already the Scott value
-    binders = [f"y{k+1}" for k in range(ctx.g)] + ["yb"]
-    return abss(binders, apps(Var(f"y{i}"), [Var(nm) for nm in names]))
+def _rebuilt_node(ctx: ScottContext, i: int, prefix: str, n: int) -> lam.Term:
+    # the full-arity member of the strict family, over the free variables
+    # prefix1..prefixn: already the Scott value
+    t = ctx._pieces.get(("node", i, prefix, n))
+    if t is None:
+        ys, yvs = _binders(ctx, "y", ctx.g)
+        t = ctx._pieces["node", i, prefix, n] = ctx._built.build(
+            ys + ("yb",), yvs[i - 1], _binders(ctx, prefix, n)[1])
+    return t
 
 
 def strict_constructor(ctx: ScottContext, name: str) -> lam.Term:
@@ -111,31 +181,33 @@ def strict_constructor(ctx: ScottContext, name: str) -> lam.Term:
     the arguments already consumed, consumes the next one and goes on as
     member m+1; the full-arity member is the encoded node itself.
     """
-    cached = ctx._strict_cache.get(name)
-    if cached is None:
+    t = ctx._pieces.get(("strict", name))
+    if t is None:
+        built = ctx._built
         i, ar = ctx.con_index(name), ctx.arity(name)
-        cached = _rebuilt_node(ctx, i, [f"x{k+1}" for k in range(ar)])
+        xs = _binders(ctx, "x", ar)[0]
+        t = _rebuilt_node(ctx, i, "x", ar)
         for m in reversed(range(ar)):
-            consume_next = Abs(f"x{m+1}", cached)
+            consume_next = built.build(xs[m:m + 1], t)
             branches = []
-            for j in range(1, ctx.g + 1):
-                arj = ctx.arity(ctx.constructors[j - 1])
-                zs = [f"z{k+1}" for k in range(arj)]
-                branches.append(abss(zs, App(consume_next, _rebuilt_node(ctx, j, zs))))
-            spill = abss([f"d{k+1}" for k in range(ar - m - 1)], bottom(ctx))
-            cached = Abs("w", apps(Var("w"), branches + [spill]))
-        ctx._strict_cache[name] = cached
-    return cached
+            for j, cname in enumerate(ctx.constructors, 1):
+                arj = ctx.arity(cname)
+                branches.append(built.build(_binders(ctx, "z", arj)[0], consume_next,
+                                            (_rebuilt_node(ctx, j, "z", arj),)))
+            branches.append(_fail(ctx, _binders(ctx, "d", ar - m - 1)[0]))
+            t = built.build(("w",), _W, branches)
+        ctx._pieces["strict", name] = t
+    return t
 
 
 # --- pattern matching ---------------------------------------------------------------
 
-def _delay(body: lam.Term) -> lam.Term:
+def _delay(ctx: ScottContext, body: lam.Term) -> lam.Term:
     """The thunk \\u. body.  u is never free in body: a delayed body is a
     variable-free rule's translated right side, whose free variables are
     fixed-point names F.., or _rebuild_wrapper's w C, whose only free
     variable is w."""
-    return Abs("u", body)
+    return ctx._built.build(("u",), body)
 
 
 # forces a thunk by applying it to a dummy value
@@ -157,21 +229,21 @@ def _all_vars_matcher(ctx: ScottContext, m: int, delayed: bool = False) -> lam.T
     if delayed and m == 0:
         return _FORCE
     chain = ctx._all_vars_chain
+    built = ctx._built
     while len(chain) <= m:
-        n = len(chain)
-        xs = [f"x{k+1}" for k in range(n)]
-        passers = xs[1:] + ["k"]
+        xs, xvs = _binders(ctx, "x", len(chain))
+        passers = xs[1:] + ("k",)
         branches = []
-        for j in range(1, ctx.g + 1):
-            arj = ctx.arity(ctx.constructors[j - 1])
-            zs = [f"z{k+1}" for k in range(arj)]
-            rebuilt = apps(constructor_function(ctx, ctx.constructors[j - 1]),
-                           [Var(z) for z in zs])
-            branches.append(abss(zs + passers, apps(chain[-1], [Var(x) for x in xs[1:]]
-                                                    + [App(Var("k"), rebuilt)])))
-        fail = abss(passers, bottom(ctx))
-        chain.append(abss(xs + ["k"], apps(apps(Var(xs[0]), branches + [fail]),
-                                           [Var(v) for v in passers])))
+        for cname in ctx.constructors:
+            zs, zvs = _binders(ctx, "z", ctx.arity(cname))
+            # k applied to the scrutinee, rebuilt from its children z..
+            pass_on = ctx._pieces.get(("pass", cname))
+            if pass_on is None:
+                pass_on = ctx._pieces["pass", cname] = built.build(
+                    (), _K, (built.build((), constructor_function(ctx, cname), zvs),))
+            branches.append(built.build(zs + passers, chain[-1], xvs[1:] + (pass_on,)))
+        branches.append(_fail(ctx, passers))
+        chain.append(built.build(xs + ("k",), xvs[0], branches + list(xvs[1:]) + [_K]))
     return chain[m]
 
 
@@ -181,15 +253,19 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     # binder (a nullary constructor, no other variable) the adapted
     # continuation is delayed: applying it here would run its body before
     # the sequence's remaining columns are matched.
-    cname = ctx.constructors[j - 1]
-    arj = ctx.arity(cname)
-    avs = [f"a{k+1}" for k in range(before)]
-    bvs = [f"b{k+1}" for k in range(arj)]
-    cvs = [f"c{k+1}" for k in range(after)]
-    rebuilt = apps(constructor_function(ctx, cname), [Var(b) for b in bvs])
-    body = apps(Var("w"), [Var(a) for a in avs] + [rebuilt] + [Var(c) for c in cvs])
-    binders = avs + bvs + cvs
-    return Abs("w", abss(binders, body) if binders else _delay(body))
+    t = ctx._pieces.get(("wrap", j, before, after))
+    if t is None:
+        built = ctx._built
+        cname = ctx.constructors[j - 1]
+        avs, avvs = _binders(ctx, "a", before)
+        bvs, bvvs = _binders(ctx, "b", ctx.arity(cname))
+        cvs, cvvs = _binders(ctx, "c", after)
+        rebuilt = built.build((), constructor_function(ctx, cname), bvvs)
+        body = built.build((), _W, avvs + (rebuilt,) + cvvs)
+        binders = avs + bvs + cvs
+        t = ctx._pieces["wrap", j, before, after] = built.build(
+            ("w",), built.build(binders, body) if binders else _delay(ctx, body))
+    return t
 
 
 # stands for each child that a constructor brings into a column where a
@@ -204,62 +280,70 @@ def _match_term(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]], m: int,
     # in, and runs one sub-matcher per constructor.  Iterative: the
     # sub-matchers are built first, and deep patterns nest them deeper
     # than the recursion limit.
+    built = ctx._built
+    nvars: dict[int, int] = {}      # id of a pattern -> its number of variables
     results: list[lam.Term] = []
     todo: list[tuple] = [("go", alphas, m, delayed)]
     while todo:
         op, alphas, m, arg = todo.pop()
-        n = len(alphas)
-        xs = [f"x{k+1}" for k in range(m)]
-        ks = [f"k{k+1}" for k in range(n)]
+        xs, xvs = _binders(ctx, "x", m)
+        ks, kvs = _binders(ctx, "k", len(alphas))
         if op == "mk":
             col, parts = arg
             xs_rest = xs[:col] + xs[col + 1:]
             first = len(results) - len(parts)
             branches = []
-            for sub, (zs, conts) in zip(results[first:], parts):
-                body = apps(sub, [Var(x) for x in xs[:col]] + [Var(z) for z in zs]
-                            + [Var(x) for x in xs[col + 1:]] + conts)
-                branches.append(abss(zs + xs_rest + ks, body))
+            for sub, (zs, zvs, conts) in zip(results[first:], parts):
+                branches.append(built.build(zs + xs_rest + ks, sub,
+                                            xvs[:col] + zvs + xvs[col + 1:] + conts))
             del results[first:]
-            fail = abss(xs_rest + ks, bottom(ctx))
-            body = apps(apps(apps(Var(xs[col]), branches + [fail]),
-                             [Var(x) for x in xs_rest]), [Var(k) for k in ks])
-            results.append(abss(xs + ks, body))
+            branches.append(_fail(ctx, xs_rest + ks))
+            results.append(built.build(xs + ks, xvs[col],
+                                       branches + list(xvs[:col] + xvs[col + 1:] + kvs)))
             continue
-        if n == 0:
-            results.append(abss(xs, bottom(ctx)))
+        if not alphas:
+            results.append(_fail(ctx, xs))
             continue
         if not any(isinstance(pat, crs.Node) for a in alphas for pat in a):
-            if n > 1:
+            if len(alphas) > 1:
                 raise MatchOverlapError("distinct all-variable sequences overlap")
             results.append(_all_vars_matcher(ctx, m, arg[0]))
             continue
         col = next(i for i in range(m)
                    if any(isinstance(a[i], crs.Node) for a in alphas))
+        # the variables of a sequence with a variable in col: col of them
+        # before it, as every sequence has, and `after` it
+        after = {}
+        for pidx, a in enumerate(alphas):
+            if type(a[col]) is crs.Var:
+                n = 0
+                for q in a[col + 1:]:
+                    if id(q) not in nvars:
+                        nvars[id(q)] = len(crs.variables(q))
+                    n += nvars[id(q)]
+                after[pidx] = n
         parts = []
         subs = []
-        for j in range(1, ctx.g + 1):
-            cname = ctx.constructors[j - 1]
+        for j, cname in enumerate(ctx.constructors, 1):
             arj = ctx.arity(cname)
             betas: list[tuple[crs.Term, ...]] = []
             conts: list[lam.Term] = []
             delays: list[bool] = []
             for pidx, a in enumerate(alphas):
                 pat = a[col]
-                if isinstance(pat, crs.Node):
+                if pidx not in after:
                     if pat.symbol != cname:
                         continue
                     betas.append(a[:col] + pat.children + a[col + 1:])
-                    conts.append(App(Abs("w", Var("w")), Var(ks[pidx])))
+                    conts.append(built.build((), ctx._ident, (kvs[pidx],)))
                     delays.append(arg[pidx])
                 else:
                     betas.append(a[:col] + (_CHILD,) * arj + a[col + 1:])
-                    before = sum(len(crs.variables(q)) for q in a[:col])
-                    after = sum(len(crs.variables(q)) for q in a[col + 1:])
-                    conts.append(App(_rebuild_wrapper(ctx, j, before, after),
-                                     Var(ks[pidx])))
-                    delays.append(before + arj + after == 0)
-            parts.append(([f"z{k+1}" for k in range(arj)], conts))
+                    conts.append(built.build((), _rebuild_wrapper(ctx, j, col, after[pidx]),
+                                             (kvs[pidx],)))
+                    delays.append(col + arj + after[pidx] == 0)
+            zs, zvs = _binders(ctx, "z", arj)
+            parts.append((zs, zvs, tuple(conts)))
             subs.append(("go", betas, m - 1 + arj, delays))
         todo.append(("mk", alphas, m, (col, parts)))
         todo += reversed(subs)
@@ -307,16 +391,18 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
 def fixpoint_family(n: int) -> tuple[list[lam.Term], int]:
     """Terms H1..Hn with Hi V1..Vn reducing to
     Vi (\\x. H1 V1..Vn x) .. (\\x. Hn V1..Vn x) in at most 2n steps."""
+    return _fixpoint_family(_Built(), n)
+
+
+def _fixpoint_family(built: _Built, n: int) -> tuple[list[lam.Term], int]:
     if n < 1:
         raise ScottError("fixpoint family needs n >= 1")
-    xs = [f"x{k+1}" for k in range(n)]
-    ys = [f"y{k+1}" for k in range(n)]
-    ms = []
-    for j in range(n):
-        unfoldings = [Abs("z", apps(Var(xs[l]), [Var(v) for v in xs + ys] + [Var("z")]))
-                      for l in range(n)]
-        ms.append(abss(xs + ys, apps(Var(ys[j]), unfoldings)))
-    hs = [apps(ms[i], ms) for i in range(n)]
+    xs = tuple(f"x{k+1}" for k in range(n))
+    ys = tuple(f"y{k+1}" for k in range(n))
+    xys = tuple(map(Var, xs + ys)) + (Var("z"),)
+    unfoldings = [built.build(("z",), xys[l], xys) for l in range(n)]
+    ms = [built.build(xs + ys, xys[n + j], unfoldings) for j in range(n)]
+    hs = [built.build((), ms[i], ms) for i in range(n)]
     return hs, 2 * n
 
 
@@ -326,31 +412,40 @@ def _translate(ctx: ScottContext, t: crs.Term, head: Optional[Callable[[str], la
     # becomes head(f) applied to the images of the arguments.  With
     # values, a subterm of constructors only becomes its Scott value;
     # other constructor nodes go through strict_constructor.  Variables
-    # (of right-hand sides) stay as they are.
-    sig = ctx.system.signature
-    binders = [f"s{i+1}" for i in range(ctx.g)] + ["sz"]
-    results: list[tuple[lam.Term, bool]] = []  # an image, and if it is a Scott value
-    todo: list[tuple[crs.Term, bool]] = [(t, False)]
+    # (of right-hand sides) stay as they are.  Without values the image
+    # is a right-hand side's, part of a compiled function, and each
+    # application composes its free variables.
+    index = ctx._con_index
+    binders, svs = _binders(ctx, "s", ctx.g)
+    binders += ("sz",)
+    call = apps if values else lambda f, args: ctx._built.build((), f, args)
+    images: list[lam.Term] = []
+    encoded: list[bool] = []        # if each image is a Scott value
+    todo: list[Optional[crs.Term]] = [t]
     while todo:
-        node, done = todo.pop()
-        if isinstance(node, crs.Var):
-            results.append((Var(node.name), False))
-        elif not done:
-            todo.append((node, True))
-            todo += ((c, False) for c in reversed(node.children))
-        else:
-            first = len(results) - len(node.children)
-            kids = [image for image, _ in results[first:]]
-            encoded = values and all(value for _, value in results[first:])
-            del results[first:]
-            if not sig.is_constructor(node.symbol):
-                results.append((apps(head(node.symbol), kids), False))
-            elif encoded:
-                i = ctx.con_index(node.symbol)
-                results.append((abss(binders, apps(Var(f"s{i}"), kids)), True))
+        node = todo.pop()
+        if node is not None:        # first visit: its children go first
+            if type(node) is crs.Var:
+                images.append(Var(node.name))
+                encoded.append(False)
             else:
-                results.append((apps(strict_constructor(ctx, node.symbol), kids), False))
-    return results[0][0]
+                todo += (node, None)
+                todo += reversed(node.children)
+            continue
+        node = todo.pop()
+        first = len(images) - len(node.children)
+        kids = images[first:]
+        value = values and all(encoded[first:])
+        del images[first:], encoded[first:]
+        i = index.get(node.symbol)
+        if i is None:
+            images.append(call(head(node.symbol), kids))
+        elif value:
+            images.append(abss(binders, apps(svs[i - 1], kids)))
+        else:
+            images.append(call(strict_constructor(ctx, node.symbol), kids))
+        encoded.append(value and i is not None)
+    return images[0]
 
 
 def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
@@ -366,10 +461,12 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
     constructor) its continuation is the thunk \\u. rhs, passed to
     compile_match as delayed and forced there once the rule is selected.
 
-    The parts H1..Hh and V1..Vh are built on the first call and checked
-    closed once per context; every interpretation shares them, and
-    FV(Hi V1..Vh) is the union of the parts' free variables, so each
-    interpretation is closed.
+    The parts H1..Hh and V1..Vh are built on the first call, and every
+    interpretation shares them.  Each builder call composed the free
+    variables of what it built from those of its pieces (a piece no
+    builder made is walked once), so FV(H1..Hh V1..Vh), the union of the
+    parts' free variables, is read, not walked, and must be empty: then
+    each interpretation is closed.
     """
     cached = ctx._interp_cache.get(fname)
     if cached is not None:
@@ -378,8 +475,8 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
         raise ScottError(f"unknown function symbol {fname!r}")
     if ctx._parts is None:
         hs, vs = _build_parts(ctx)
-        # every part closed, in one walk: FV(p1 p2 .. pn) is their union
-        assert not lam._free_set_shared(apps(hs[0], hs[1:] + vs), {})
+        whole = ctx._built.build((), hs[0], hs[1:] + vs)
+        assert not ctx._built.free[id(whole)][1]
         ctx._parts = hs, vs
     hs, vs = ctx._parts
     term = ctx._interp_cache[fname] = apps(hs[ctx.functions.index(fname)], vs)
@@ -388,24 +485,24 @@ def interpret_function(ctx: ScottContext, fname: str) -> lam.Term:
 
 def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
     # H1..Hh and V1..Vh of interpret_function, Vj for the j-th symbol
+    built = ctx._built
     fixnames = ctx._fixnames
+    fixvars = dict(zip(ctx.functions, map(Var, fixnames)))
     vs = []
     for g in ctx.functions:
         rules = [r for r in ctx.system.rules if r.head == g]
-        ar = ctx.arity(g)
         ws = []
         delayed = []
         for r in rules:
             pvars = [v for pat in r.lhs for v in crs.variables(pat)]
-            rhs = _translate(ctx, r.rhs, lambda f: Var(fixnames[ctx.functions.index(f)]),
-                             False)
+            rhs = _translate(ctx, r.rhs, fixvars.__getitem__, False)
             delayed.append(not pvars and not isinstance(rhs, Abs))
-            ws.append(_delay(rhs) if delayed[-1] else abss(pvars, rhs))
+            ws.append(_delay(ctx, rhs) if delayed[-1] else built.build(pvars, rhs))
+        ar = ctx.arity(g)
         matcher = compile_match(ctx, [r.lhs for r in rules], ar, delayed)
-        avars = [f"arg{k+1}" for k in range(ar)]
-        vs.append(abss(list(fixnames) + avars,
-                       apps(matcher, [Var(a) for a in avars] + ws)))
-    hs, _ = fixpoint_family(len(ctx.functions))
+        avars, avvs = _binders(ctx, "arg", ar)
+        vs.append(built.build(fixnames + avars, matcher, avvs + tuple(ws)))
+    hs, _ = _fixpoint_family(built, len(ctx.functions))
     return hs, vs
 
 

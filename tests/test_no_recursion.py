@@ -133,6 +133,21 @@ def test_free_set_shared_walks_a_deep_chain():
     assert lam._free_set_shared(Abs("w", t), {}) == frozenset()
 
 
+def test_size_at_depth_and_at_dag_cost():
+    # lam.size of a 10^5-deep chain at the default limit, and of a DAG
+    # whose unfolding doubles with each of its 20 levels
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    t = Var("x")
+    for i in range(depth):
+        t = App(Abs("y", t), Var("z")) if i % 2 else Abs("y", t)
+    assert lam.size(t) == 1 + depth // 2 + 3 * (depth // 2)
+    d = Var("x")
+    for _ in range(20):
+        d = App(d, d)
+    assert lam.size(d) == 2 ** 21 - 1
+
+
 def test_term_equality_and_hash_at_depth():
     # == and hash of both kinds of term, 10^5 deep, at the default limit:
     # structural, exact-type, and equal terms hash equal

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -7,7 +9,8 @@ import pytest
 from normbench import crs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import cbv_step, nat_term
+from tests_util import (bench_workloads, cbv_step, nat_term, random_system,
+                        reference_free_set)
 
 
 def nat_system(extra_rules=(), extra_fns=None):
@@ -380,6 +383,21 @@ def test_rebuild_without_binders_waits_for_other_columns(term, kind):
     assert v.consistent is True
 
 
+@pytest.mark.parametrize("term,nf,beta", [("f(zero, succ(zero), b)", "succ(succ(zero))", 70),
+                                          ("f(succ(zero), zero, b)", "succ(zero)", 58)])
+def test_rebuild_after_variable_columns(term, nf, beta):
+    # the column decided is the second one, so the rebuild wrapper of
+    # f(y, z, b) passes the variable of the first column before the
+    # rebuilt scrutinee
+    c, t = load("constructor zero/0;\nconstructor succ/1;\nconstructor a/0;\n"
+                "constructor b/0;\nfunction f/3;\nrule f(x, zero, a) -> x;\n"
+                "rule f(y, z, b) -> succ(z);\n", term)
+    v = scott.simulate_and_check(c, t)
+    assert crs.term_to_str(v.crs_term) == nf
+    assert v.consistent is True
+    assert v.beta_steps == beta
+
+
 def test_delayed_rebuild_is_forced_once_selected():
     c, t = load(REBUILD + "rule h(y) -> y;\n", "f(c0, c0)")
     v = scott.simulate_and_check(c, t, 60)
@@ -474,6 +492,21 @@ def test_all_variable_rule_compiles_at_dag_cost():
     assert v.beta_steps == 256
 
 
+def test_compiled_size_costs_the_dag():
+    # the compiled f(b..b) for f(x0..x8) -> x0 over four nullary
+    # constructors unfolds to 5,971,117 nodes; lam.size counts them in
+    # one walk over its distinct objects
+    m = 9
+    xs = ", ".join(f"x{i}" for i in range(m))
+    text = ("constructor a/0;\nconstructor b/0;\nconstructor c/0;\nconstructor d/0;\n"
+            f"function f/{m};\nrule f({xs}) -> x0;\n")
+    c, t = load(text, f"f({', '.join(['b'] * m)})")
+    compiled = scott.term_to_lambda(c, t)
+    t0 = time.perf_counter()
+    assert lam.size(compiled) == 5_971_117
+    assert time.perf_counter() - t0 < 0.1
+
+
 @pytest.mark.parametrize("body,closed", [("oops", False), ("k", True)])
 def test_closedness_check_decides_free_variables(monkeypatch, body, closed):
     # a constructor function with a free variable: "k" is bound by the
@@ -505,6 +538,133 @@ def test_interpretations_share_their_parts():
         assert v_add is v_mul
     assert scott.bottom(c) is scott.bottom(c)
     assert scott.constructor_function(c, "succ") is scott.constructor_function(c, "succ")
+    # the pieces repeated within the parts are built once per context
+    assert scott._binders(c, "x", 2) is scott._binders(c, "x", 2)
+    assert scott._rebuilt_node(c, 1, "z", 0) is scott._rebuilt_node(c, 1, "z", 0)
+    assert scott._rebuild_wrapper(c, 2, 0, 1) is scott._rebuild_wrapper(c, 2, 0, 1)
+    assert scott._fail(c, ("x1", "k1")) is scott._fail(c, ("x1", "k1"))
+    # \w. w B_zero B_succ spill: the spill of the last argument is the
+    # error value, and the zero branch rebuilds zero from the shared node
+    succ = scott.strict_constructor(c, "succ")
+    assert succ.body.arg is scott.bottom(c)
+    assert succ.body.fun.fun.arg.arg is scott._rebuilt_node(c, 1, "z", 0)
+    # every continuation (\w. w) k.. passed on unchanged holds one \w. w
+    ident = lam.Abs("w", lam.Var("w"))
+    passed = {id(t.fun) for t in distinct_objects(fixpoint_args(add, 2))
+              if isinstance(t, App) and t.fun == ident}
+    assert passed == {id(c._ident)}
+
+
+def distinct_objects(terms):
+    """The objects the terms are made of, each once."""
+    seen = {}
+    todo = list(terms)
+    while todo:
+        s = todo.pop()
+        if id(s) not in seen:
+            seen[id(s)] = s
+            if isinstance(s, lam.Abs):
+                todo.append(s.body)
+            elif isinstance(s, App):
+                todo += (s.fun, s.arg)
+    return list(seen.values())
+
+
+def test_compiled_parts_share_repeated_pieces():
+    # flatten's parts H1 H2 V1 V2 hold 750 distinct objects when each
+    # builder call makes its own binder names, rebuilt nodes, wrappers
+    # and fail branches, against 473 structurally distinct subterms
+    c = scott.ScottContext(crs.parse_system(bench_workloads().SYSTEMS["flatten"]).system)
+    scott.interpret_function(c, "flatten")
+    hs, vs = c._parts
+    assert len(distinct_objects(hs + vs)) == 524
+
+
+def test_composed_free_sets_equal_the_unfolded_walk():
+    # every term a builder made, down to each branch, carries the free
+    # variables a walk over its unfolding finds: over the corpus systems,
+    # the benchmark's systems and seeded random ones
+    systems = [crs.parse_system(path.read_text()).system
+               for path in sorted(CRS_DIR.glob("*.trs"))]
+    systems += [crs.parse_system(bench_workloads().SYSTEMS[name]).system
+                for name in ("add", "mul", "reverse", "flatten", "b1")]
+    rng = random.Random(2606)
+    systems += [random_system(rng) for _ in range(60)]
+    parts = 0
+    for system in systems:
+        c = scott.ScottContext(system)
+        for fname in c.functions:
+            scott.interpret_function(c, fname)
+        for t, free in c._built.free.values():
+            assert free == reference_free_set(t), lam.to_str(t)
+            parts += 1
+    assert parts > 3_000
+
+
+def test_compiled_terms_and_beta_counts_unchanged():
+    # the printed interpretations and compiled start terms of the
+    # rewrite-scale inputs (seed 3), as they were compiled before the
+    # parts shared their repeated pieces, and their beta counts
+    workloads, rng = bench_workloads(), random.Random(3)
+    digest = hashlib.sha256()
+    steps = []
+    for fam in workloads.REWRITE_SCALE:
+        for n in fam.sizes:
+            f = crs.parse_system(workloads.rewrite_instance(fam.name, n, rng)[0])
+            c = scott.ScottContext(f.system)
+            for fname in c.functions:
+                digest.update(lam.to_str(scott.interpret_function(c, fname)).encode() + b"\n")
+            digest.update(lam.to_str(scott.term_to_lambda(c, f.term)).encode() + b"\n")
+            steps.append(scott.simulate_and_check(c, f.term).beta_steps)
+    assert digest.hexdigest() == (
+        "14398a4776f735e896de0873d795a82f8e1d36b8382af5fca4045ffc388715b3")
+    assert steps == [392, 760, 1496, 355, 1079, 3703, 117, 304, 945, 57, 304, 903, 61]
+
+
+# a system whose compiled f runs the builder site named
+NAT_DECL = "constructor zero/0;\nconstructor succ/1;\n"
+SITES = {
+    "strict_constructor": "rule f(x) -> succ(x);\n",
+    "_translate": "rule f(x) -> x;\n",
+    "_all_vars_matcher": "rule f(x) -> x;\n",
+    "_rebuild_wrapper": "rule f(zero, zero) -> zero;\nrule f(x, succ(y)) -> x;\n",
+}
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["built", "outside"])
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_free_variable_at_each_builder_site_is_found(monkeypatch, site, inside):
+    # the site's term gains a free variable, by a builder call that
+    # composes it or as a term no builder made, which is walked; each
+    # builder around the site carries it up to the check on H1..Hh V1..Vh
+    text = SITES[site]
+    arity = 1 if "f(x)" in text else 2
+    c = scott.ScottContext(crs.parse_system(
+        f"{NAT_DECL}function f/{arity};\n{text}").system)
+    assert lam.is_closed(scott.interpret_function(c, "f"))
+    original = getattr(scott, site)
+
+    def with_free_variable(ctx, *args):
+        t = original(ctx, *args)
+        if inside:
+            return ctx._built.build((), t, (lam.Var("oops"),))
+        return App(t, lam.Var("oops"))
+
+    monkeypatch.setattr(scott, site, with_free_variable)
+    c = scott.ScottContext(c.system)
+    with pytest.raises(AssertionError):
+        scott.interpret_function(c, "f")
+
+
+def test_unbound_right_side_variable_is_found():
+    # a rule the rewrite checker would reject: its right side's y is bound
+    # by nothing, and its set is its own name
+    sig = Signature({"zero": 0, "succ": 1}, {"f": 1})
+    system = types.SimpleNamespace(signature=sig, rules=(
+        Rule("f", (Node("zero"),), Node("zero")),
+        Rule("f", (Node("succ", (Var("x"),)),), Node("succ", (Var("y"),)))))
+    with pytest.raises(AssertionError):
+        scott.interpret_function(scott.ScottContext(system), "f")
 
 
 @pytest.mark.parametrize("path", sorted(CRS_DIR.glob("*.trs")), ids=lambda p: p.stem)
