@@ -158,16 +158,6 @@ def variables(t: Term) -> list[str]:
     return out
 
 
-def is_closed(t: Term) -> bool:
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Var):
-            return False
-        todo.extend(s.children)
-    return True
-
-
 def is_constructor_term(t: Term, sig: Signature) -> bool:
     """Built from constructors only (the values of CBV rewriting)."""
     todo = [t]

@@ -17,14 +17,17 @@ copies every node of the right side from the rule's build template
 (_template), whose variables read the program's slots; a template is
 compiled on its rule's first firing and kept on the system.
 
-graph_reduce converts the reachable part of its input once into linked
-node records (_records), runs on them alone and writes the dicts back
-once.  It keeps the redexes in an indexed list, fires one in place
-(build, redirect, collection by reference count) and searches only the
-nodes the firing built, so a step costs the size of its rule, as a CRS
-step does.  find_redex and fire_redex, which fires on the dicts, run
-the same programs and templates; they are for the tests, and
-find_redex and is_constructor_shared convert the graph to records first.
+graph_reduce runs on linked node records alone and writes the dicts
+back once.  It loads a closed term straight into records, one per
+symbol occurrence, in the walk that also decides them (_load); a tree
+needs no sharing check.  A TermGraph's reachable part it converts
+(_records), checks and decides.  It keeps the redexes in an indexed
+list, fires one in place (build, redirect, collection by reference
+count) and searches only the nodes the firing built, so a step costs
+the size of its rule, as a CRS step does.  find_redex and fire_redex,
+which fires on the dicts, run the same programs and templates; they
+are for the tests, and find_redex and is_constructor_shared convert
+the graph to records first.
 """
 
 from __future__ import annotations
@@ -344,18 +347,26 @@ class GraphOutcome:
     fires: tuple[int, ...] = ()                     # firings per rule position
 
 
-def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
+def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 10_000,
                  rng=None) -> GraphOutcome:
-    """Reduce a constructor-shared closed graph, leftmost-innermost by
-    default or at uniformly random redexes with rng.
+    """Reduce a closed term or a constructor-shared closed graph,
+    leftmost-innermost by default or at uniformly random redexes with rng.
 
-    The reachable part of g becomes records (_records), and a run of one
-    step or more writes label, succ, refs, root and _next back once
-    (_write_back); a run of 0 steps leaves g untouched.  A record's value
-    is True for a value; every other record has its one in-edge,
-    kids[index] of its parent (None at the root), and pending, its
-    non-value children.  The parent is cleared when a record becomes a
-    value or dies.
+    A term becomes records in one post-order walk (_load), which also
+    decides them for the first search: one record per symbol occurrence,
+    even where Node objects are shared, with the id term_to_graph gives
+    it, so the run is that of graph_reduce(term_to_graph(g), ...).  A
+    tree is constructor-shared by construction, so it needs no sharing
+    check.  Its records are written into a new TermGraph, the outcome's
+    graph, also after 0 steps.  Of a TermGraph, the reachable part
+    becomes records (_records), is checked and decided (_decide), and a
+    run of one step or more writes label, succ, refs, root and _next
+    back into g once (_write_back); a run of 0 steps leaves g untouched.
+
+    A record's value is True for a value; every other record has its one
+    in-edge, kids[index] of its parent (None at the root), and pending,
+    its non-value children.  The parent is cleared when a record becomes
+    a value or dies.
 
     The loop alternates a search and a firing.  A search tries the
     function records over values that the last firing made, or at the
@@ -387,9 +398,10 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
     child slots of the copies.  Each rule tried costs one step for its
     anchor and one per (slot, constructor) step it runs.
 
-    A reachable input node whose label the system's signature does not
+    A term with a variable raises GraphError.  Else the first reachable
+    input node in post-order whose label the system's signature does not
     declare, or whose child count is not its arity, raises
-    crs.UnknownSymbol or crs.ArityMismatch.  The input is checked for
+    crs.UnknownSymbol or crs.ArityMismatch.  A graph input is checked for
     constructor-sharedness, and every firing checks that no node it
     gives a second in-edge is a non-value; no other node can lose the
     property, since a redirect only rewires the parent of a function
@@ -401,17 +413,23 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
     sig = system.signature
     functions = sig.functions
     index, programs, templates = system._index, system._programs, system._graph_templates
-    rec = _records(g)
-    if not _shared_ok(rec, functions):
-        raise SharingViolation("input graph is not constructor-shared")
-    root, size = rec[g.root], len(rec)
-    del rec
-    sizes = [len(g.label)]
+    loaded = not isinstance(g, TermGraph)
+    if loaded:
+        root, tries, size = _load(g, sig)
+        g, sizes, w, top = TermGraph(), [size], size, size
+    else:
+        rec = _records(g)
+        if not _shared_ok(rec, functions):
+            raise SharingViolation("input graph is not constructor-shared")
+        root, size = rec[g.root], len(rec)
+        del rec
+        sizes = [len(g.label)]
+        tries, w = _decide(root, sig)
+        top = g._next
     work: list[int] = []
     fires = [0] * len(system.rules)
     reds: list[tuple] = []
-    tries, w = _decide(root, sig)
-    steps, top, k = 0, g._next, 0
+    steps, k = 0, 0
     while True:
         block: list[tuple] = []
         for u in tries:
@@ -497,7 +515,7 @@ def graph_reduce(g: TermGraph, system: crs.CrsSystem, budget: int = 10_000,
                 break
             parent[4] = True
             parent[5], parent = None, parent[5]
-    if steps:
+    if steps or loaded:
         _write_back(g, root, top)
     return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work, tuple(fires))
 
@@ -538,6 +556,55 @@ def _decide(root: list, sig: crs.Signature) -> tuple[list[list], int]:
         if stack:
             stack[-1][0][7] += 1
     return tries, arrived
+
+
+def _load(t: crs.Term, sig: crs.Signature) -> tuple[list, list[list], int]:
+    # The records of closed term t, decided as _decide decides them, in
+    # one post-order walk: one record per symbol occurrence, with the id
+    # term_to_graph gives it, and one in-edge each but the root's.
+    # Returns the root, the function records over values in post-order
+    # and the record count, which is also the first search's arrivals.
+    # A variable raises GraphError before any signature fault does.
+    cons, functions = sig.constructors, sig.functions
+    tries: list[list] = []
+    out: list[list] = []                # records of the finished subterms
+    top = 0
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the node below, once its children are done
+            s = todo.pop()
+        elif type(s) is crs.Var:
+            raise GraphError("term must be closed")
+        elif s.children:
+            todo += (s, None, *reversed(s.children))
+            continue
+        lab, n = s.symbol, len(s.children)
+        fun = lab in functions
+        if (functions[lab] if fun else cons.get(lab)) != n:
+            if crs.variables(t):
+                raise GraphError("term must be closed")
+            raise crs.ArityMismatch(lab, sig.arity(lab), n)   # or UnknownSymbol
+        k = len(out) - n
+        kids = out[k:]
+        del out[k:]
+        u = [lab, kids, 1, top, None, None, 0, 0]
+        top += 1
+        pending = 0
+        for j, c in enumerate(kids):
+            if not c[4]:
+                c[5], c[6] = u, j
+                pending += 1
+        if pending:
+            u[7] = pending
+        elif fun:
+            tries.append(u)
+        else:
+            u[4] = True
+        out.append(u)
+    root = out[0]
+    root[2] = 0
+    return root, tries, top
 
 
 def _write_back(g: TermGraph, root: list, top: int) -> None:

@@ -177,10 +177,6 @@ def free_vars(t: Term) -> tuple[str, ...]:
     return tuple(sorted(_free_set_shared(t, {})))
 
 
-def is_closed(t: Term) -> bool:
-    return not _free_set_shared(t, {})
-
-
 def fresh_name(base: str, avoid: set[str], counter: Iterator[int]) -> str:
     """A name not in `avoid`: `base` and the next free number of `counter`.
     Each top-level call numbers its fresh names from 0 on, so a result

@@ -411,7 +411,8 @@ def _translate(ctx: ScottContext, t: crs.Term, head: Optional[Callable[[str], la
     # The compositional image, children first.  A function symbol f
     # becomes head(f) applied to the images of the arguments.  With
     # values, a subterm of constructors only becomes its Scott value;
-    # other constructor nodes go through strict_constructor.  Variables
+    # other constructor nodes go through strict_constructor, and each
+    # nullary constructor's value is built once per context.  Variables
     # (of right-hand sides) stay as they are.  Without values the image
     # is a right-hand side's, part of a compiled function, and each
     # application composes its free variables.
@@ -440,6 +441,11 @@ def _translate(ctx: ScottContext, t: crs.Term, head: Optional[Callable[[str], la
         i = index.get(node.symbol)
         if i is None:
             images.append(call(head(node.symbol), kids))
+        elif value and not kids:    # a nullary constructor's value, one per context
+            leaf = ctx._pieces.get(("leaf", i))
+            if leaf is None:
+                leaf = ctx._pieces["leaf", i] = abss(binders, svs[i - 1])
+            images.append(leaf)
         elif value:
             images.append(abss(binders, apps(svs[i - 1], kids)))
         else:

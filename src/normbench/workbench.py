@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -68,8 +70,11 @@ def graph_run_dict(out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
 
 def graph_run(system: crs.CrsSystem, t: crs.Term, budget: int,
               rng=None) -> graphs.GraphOutcome:
-    """The graph engine on the graph of a closed term under a system's rules."""
-    return graphs.graph_reduce(graphs.term_to_graph(t), system, budget, rng=rng)
+    """The graph engine on a closed term under a system's rules: it loads
+    the term as its tree-shaped graph in one walk.  The call goes through
+    the module attribute, so a wrapper set on graphs.graph_reduce sees
+    every graph run."""
+    return graphs.graph_reduce(t, system, budget, rng=rng)
 
 
 def decide(runs: tuple, both: Callable[[], Optional[bool]], exhausted: Optional[bool],
@@ -129,7 +134,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
             cbv_graph, lambda: None if unfolded is None
             else lam.alpha_eq(encode.readback(unfolded, phi.registry), cbv.term), None),
         # graph size bound: nodes after step i bounded by (i+1)|M|
-        "graph_size_bound": all(sz <= (i + 1) * msize for i, sz in enumerate(graph.sizes)),
+        "graph_size_bound": all(map(operator.le, graph.sizes, itertools.count(msize, msize))),
         # CBN bounds n <= m <= 2n plus the bookkeeping split: psi cannot
         # finish within a budget CBN runs out of, but m <= 2n may exceed a
         # budget that n fits
@@ -189,9 +194,59 @@ def report_ok(report: dict) -> bool:
     return all(v is not False for v in report["checks"].values())
 
 
+def _float_text(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+# how json writes a scalar, by its type
+_SCALARS: dict[type, Callable] = {
+    str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__}
+
+
 def render_report(report: dict) -> str:
-    clean = {k: v for k, v in report.items() if not k.startswith("_")}
-    return json.dumps(clean, indent=2, sort_keys=True) + "\n"
+    """The report without its "_" keys, exactly as
+    json.dumps(clean, indent=2, sort_keys=True) + "\n" writes it, from
+    one explicit-stack walk.  A scalar is written where its container
+    is, and a list of plain ints, such as a graph run's size_series, is
+    joined in one call.  What the walk does not take apart (an empty or
+    non-str-keyed dict, an empty list, another type) json.dumps writes
+    at its indent."""
+    scalars, key = _SCALARS, json.encoder.encode_basestring_ascii
+    out: list[str] = []
+    todo: list = [({k: v for k, v in report.items() if not k.startswith("_")}, "\n")]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:           # written values and punctuation
+            out.append(item)
+            continue
+        v, nl = item                    # a container; nl: a newline and its indent
+        t, inner = type(v), nl + "  "
+        if t is dict and v and {*map(type, v)} == {str}:
+            keys = sorted(v)
+            items = zip([inner + key(k) + ": " for k in keys], map(v.__getitem__, keys))
+            out.append("{")
+            close = nl + "}"
+        elif (t is list or t is tuple) and v:
+            if {*map(type, v)} == {int}:
+                out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, v))}{nl}]")
+                continue
+            items = zip(itertools.repeat(inner), v)
+            out.append("[")
+            close = nl + "]"
+        else:
+            out.append(json.dumps(v, indent=2, sort_keys=True).replace("\n", nl))
+            continue
+        parts: list = []
+        for head, x in items:
+            if parts:
+                head = "," + head
+            text = scalars.get(type(x))
+            parts += (head + text(x),) if text else (head, (x, inner))
+        parts.append(close)
+        todo += reversed(parts)
+    out.append("\n")
+    return "".join(out)
 
 
 # --- corpus -----------------------------------------------------------------------------

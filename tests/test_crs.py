@@ -9,8 +9,8 @@ import pytest
 from normbench import crs, encode, lam, scott, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    apply_subst, bench_workloads, check_arities, crs_replace_at, is_pattern, match_args,
-    random_closed_term,
+    apply_subst, bench_workloads, check_arities, crs_is_closed, crs_replace_at, is_pattern,
+    match_args, random_closed_term,
     random_system, redexes, reference_first_overlap, reference_random_reduce, reference_validate,
     rewrite_step, term_size, two_pass_parse_term)
 
@@ -179,7 +179,7 @@ def test_closedness_preserved():
         nxt = rewrite_step(sys, t)
         if nxt is None:
             break
-        assert crs.is_closed(nxt)
+        assert crs_is_closed(nxt)
         t = nxt
 
 
@@ -191,8 +191,8 @@ def test_term_classes():
     assert not crs.is_constructor_term(Node("add", (nat(0), nat(0))), sig)
     assert is_pattern(Node("succ", (Var("x"),)), sig)
     assert not is_pattern(Node("add", (Var("x"), Var("y"))), sig)
-    assert crs.is_closed(nat(2))
-    assert not crs.is_closed(Var("x"))
+    assert crs_is_closed(nat(2))
+    assert not crs_is_closed(Var("x"))
 
 
 # --- text format -----------------------------------------------------------------
@@ -381,7 +381,7 @@ def test_parse_system_reports_term_faults_as_the_reference():
             got = (type(exc), str(exc))
         try:
             want = two_pass_parse_term(text, sig)
-            if not crs.is_closed(want):
+            if not crs_is_closed(want):
                 raise crs.CrsParseError(f"term declaration uses undeclared symbols: {text!r}")
             crs.CrsSystem(sig, crs.parse_system(PREAMBLE + rules).system.rules)
             check_arities(want, sig)
@@ -681,7 +681,7 @@ def test_deep_terms_no_recursion_blowup():
     assert term_size(t) == 50_001
     assert crs.is_constructor_term(t, sig)
     assert crs.count_symbol(t, "succ") == 50_000
-    assert crs.is_closed(t)
+    assert crs_is_closed(t)
 
 
 def test_reference_walk_is_iterative():
@@ -958,7 +958,7 @@ def random_value(rng, sig, depth):
 def largest_constants(t, sig):
     """The closed function-free subterms of t that are not below
     another, left to right."""
-    if crs.is_closed(t) and not crs.contains_function(t, sig):
+    if crs_is_closed(t) and not crs.contains_function(t, sig):
         return [t]
     if type(t) is Var:
         return []

@@ -977,6 +977,101 @@ def test_zero_step_runs_leave_the_graph_as_given():
         assert out.graph is g and same_graph(g, before)
 
 
+# --- loading a term ---------------------------------------------------------------
+
+def load_cases():
+    """(system, term) of the corpus .trs entries, the phi-images of the
+    corpus lambda terms, the benchmark families at several sizes and
+    seeded random systems."""
+    corpus = workbench.Corpus.load(CORPUS)
+    cases = [(e.system, e.term) for e in corpus.crs_entries]
+    for e in corpus.lambda_entries:
+        image = encode.encode_cbv(e.term)
+        cases.append((image.system, image.term))
+    workloads, rng = bench_workloads(), random.Random(7)
+    for name, sizes in (("add", (0, 1, 9)), ("mul", (0, 2, 5)), ("reverse", (0, 1, 7)),
+                        ("flatten", (1, 2, 6)), ("b1", (0,))):
+        for n in sizes:
+            f = crs.parse_system(workloads.rewrite_instance(name, n, rng)[0])
+            cases.append((f.system, f.term))
+    rng = random.Random(27)
+    for _ in range(60):
+        system = random_system(rng)
+        cases.append((system, random_closed_term(rng, system.signature, 4)))
+    return cases
+
+
+def same_run(system, t, budget, seed):
+    """graph_reduce on the term and on term_to_graph of it agree in the
+    outcome, the written-back dicts and the DOT output."""
+    outs = []
+    for g in (t, graphs.term_to_graph(t)):
+        rng = None if seed is None else random.Random(seed)
+        outs.append(graphs.graph_reduce(g, system, budget, rng=rng))
+    loaded, given = outs
+    case = (crs.term_to_str(t), budget, seed)
+    assert (loaded.kind, loaded.steps, loaded.sizes, loaded.work, loaded.fires) == (
+        given.kind, given.steps, given.sizes, given.work, given.fires), case
+    a, b = loaded.graph, given.graph
+    assert (a.label, a.succ, a.refs, a.root, a._next) == (
+        b.label, b.succ, b.refs, b.root, b._next), case
+    assert list(a.label) == list(b.label), case
+    assert graphs.to_dot(a) == graphs.to_dot(b), case
+    return loaded
+
+
+def test_term_load_runs_as_its_graph():
+    cases = load_cases()
+    assert len(cases) >= 8 + 62 + 13 + 60
+    for system, t in cases:
+        for budget in (0, 1, workbench.DEFAULT_BUDGET):
+            for seed in (None, 11):
+                same_run(system, t, budget, seed)
+
+
+def test_term_with_shared_nodes_loads_as_a_tree():
+    # a Node object that occurs twice is two nodes, as term_to_graph
+    # makes it: one record per occurrence, and no sharing to check
+    z = Node("zero")
+    sig = Signature({"zero": 0, "s": 2}, {"f": 1})
+    system = crs.validate_system(sig, [Rule("f", (Var("x"),), Node("s", (Var("x"), Var("x"))))])
+    t = Node("f", (Node("s", (z, z)),))
+    out = same_run(system, t, 10, None)
+    assert (out.kind, out.steps, out.sizes) == ("normal", 1, [4, 4])
+    for budget in (0, 10):
+        out = same_run(system, Node("s", (z, z)), budget, None)
+        assert (out.kind, out.steps, out.sizes) == ("normal", 0, [3])
+    # crs.reduce builds the right side s(x, x) with one object in both slots
+    mid = crs.reduce(system, Node("f", (Node("f", (z,)),)), 1).term
+    assert mid.children[0].children[0] is mid.children[0].children[1]
+    for budget in (0, 1, 10):
+        out = same_run(system, mid, budget, None)
+        assert out.sizes[0] == term_size(mid) == 4
+    assert (out.kind, out.steps, out.sizes) == ("normal", 1, [4, 4])
+
+
+@pytest.mark.parametrize("text, budget", [
+    ("add(succ(x), zero)", 10),          # a variable
+    ("add(foo(), x)", 10),               # a variable comes before a signature fault
+    ("add(succ(zero, zero), x)", 10),
+    ("add(foo(), succ(zero))", 10),      # an undeclared symbol
+    ("add(succ(zero))", 10),             # a wrong arity
+    ("add(succ(zero, zero), foo())", 10),  # both: the first in post-order
+    ("add(foo(), succ(zero, zero))", 10),
+    ("succ(zero, foo(zero, zero))", 10),
+    ("add(zero, zero)", -1),             # a negative budget
+])
+def test_term_load_faults_raise_as_the_graph_does(text, budget):
+    system = nat_system()
+    t = crs.parse_term(text, system.signature)
+    raised = []
+    for load in (lambda: t, lambda: graphs.term_to_graph(t)):
+        with pytest.raises(Exception) as info:
+            graphs.graph_reduce(load(), system, budget)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+
+
 def test_size_growth_bounded_by_rhs():
     system = nat_system()
     max_rhs = max(term_size(r.rhs) for r in system.rules)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from normbench import lam, workbench
 from normbench.lam import Abs, App, Var
 from tests_util import (
-    cbn_step, cbv_redexes, cbv_step, church_two, contract, random_closed, reference_cbv_reduce,
-    reference_free_set, replace_at, subterm_at, two_tower)
+    cbn_step, cbv_redexes, cbv_step, church_two, contract, lam_is_closed, random_closed,
+    reference_cbv_reduce, reference_free_set, replace_at, subterm_at, two_tower)
 
 
 def p(s):
@@ -29,7 +29,7 @@ def test_size():
 
 def test_free_vars_closed_identity():
     assert lam.free_vars(p("\\x. x")) == ()
-    assert lam.is_closed(p("\\x. x"))
+    assert lam_is_closed(p("\\x. x"))
 
 
 def test_free_vars_ordered():
@@ -300,13 +300,13 @@ def test_closedness_preserved():
     rng = random.Random(13)
     for _ in range(200):
         t = random_closed(rng, 20)
-        assert lam.is_closed(t)
+        assert lam_is_closed(t)
         nxt = cbv_step(t)
         if nxt is not None:
-            assert lam.is_closed(nxt)
+            assert lam_is_closed(nxt)
         nxt = cbn_step(t)
         if nxt is not None:
-            assert lam.is_closed(nxt)
+            assert lam_is_closed(nxt)
 
 
 def test_closed_cbv_never_needs_renaming():
@@ -319,7 +319,7 @@ def test_closed_cbv_never_needs_renaming():
             if path is None:
                 break
             redex = subterm_at(t, path)
-            assert lam.is_closed(redex.arg)
+            assert lam_is_closed(redex.arg)
             t = replace_at(t, path, contract(redex))
 
 

@@ -9,7 +9,7 @@ import pytest
 from normbench import crs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import (bench_workloads, cbv_step, nat_term, random_system,
+from tests_util import (bench_workloads, cbv_step, lam_is_closed, nat_term, random_system,
                         reference_free_set)
 
 
@@ -58,7 +58,7 @@ def test_scott_encode_injective(ctx):
     seen = []
     for t in [nat_term(0), nat_term(1), nat_term(2), nat_term(3)]:
         e = scott.scott_encode(ctx, t)
-        assert lam.is_closed(e)
+        assert lam_is_closed(e)
         assert not any(lam.alpha_eq(e, o) for o in seen)
         seen.append(e)
 
@@ -238,7 +238,7 @@ def test_fixpoint_pair():
 def test_fixpoint_unfoldings_are_values():
     hs, _ = scott.fixpoint_family(3)
     for h in hs:
-        assert lam.is_closed(h)
+        assert lam_is_closed(h)
     # the eta-guarded unfolding shape is an abstraction, hence a value
     v = [lam.parse("\\a. \\b. \\c. a")] * 3
     t = apps(hs[0], v)
@@ -465,7 +465,7 @@ def test_interpret_function_deep_pattern():
     system = crs.validate_system(sig, [Rule("f", (Node("zero"),), Node("zero")),
                                        Rule("f", (pat,), Var("x"))])
     ctx = scott.ScottContext(system)
-    assert lam.is_closed(scott.interpret_function(ctx, "f"))
+    assert lam_is_closed(scott.interpret_function(ctx, "f"))
     out = run(scott.term_to_lambda(ctx, Node("f", (nat_term(depth + 1),))), 1_000_000)
     assert out.kind == "normal"
     assert lam.alpha_eq(out.term, scott.scott_encode(ctx, nat_term(1)))
@@ -515,7 +515,7 @@ def test_closedness_check_decides_free_variables(monkeypatch, body, closed):
                         lambda ctx, name: lam.Abs("p1", lam.Var(body)))
     c = scott.ScottContext(nat_system())
     if closed:
-        assert lam.is_closed(scott.interpret_function(c, "add"))
+        assert lam_is_closed(scott.interpret_function(c, "add"))
     else:
         with pytest.raises(AssertionError):
             scott.interpret_function(c, "add")
@@ -641,7 +641,7 @@ def test_free_variable_at_each_builder_site_is_found(monkeypatch, site, inside):
     arity = 1 if "f(x)" in text else 2
     c = scott.ScottContext(crs.parse_system(
         f"{NAT_DECL}function f/{arity};\n{text}").system)
-    assert lam.is_closed(scott.interpret_function(c, "f"))
+    assert lam_is_closed(scott.interpret_function(c, "f"))
     original = getattr(scott, site)
 
     def with_free_variable(ctx, *args):
@@ -671,4 +671,4 @@ def test_unbound_right_side_variable_is_found():
 def test_corpus_interpretations_closed_by_unfolded_walk(path):
     c = scott.ScottContext(crs.parse_system(path.read_text()).system)
     for fname in c.functions:
-        assert lam.is_closed(scott.interpret_function(c, fname))
+        assert lam_is_closed(scott.interpret_function(c, fname))

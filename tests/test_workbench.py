@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from normbench import cli, crs, encode, graphs, lam, workbench
+from tests_util import lam_is_closed
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -66,6 +67,46 @@ def test_report_determinism():
     r1, r2 = (workbench.render_report(report) for report in reports)
     assert r1 == r2
     assert "_final_graph" not in r1
+
+
+def json_reference(report):
+    clean = {k: v for k, v in report.items() if not k.startswith("_")}
+    return json.dumps(clean, indent=2, sort_keys=True) + "\n"
+
+
+def test_render_report_writes_what_json_writes_on_the_corpus():
+    corpus = workbench.Corpus.load(CORPUS)
+    reports = [workbench.compare_engines(e.term) for e in corpus.lambda_entries]
+    reports += [workbench.roundtrip_check(e.system, e.term) for e in corpus.crs_entries]
+    assert len(reports) == 70
+    for report in reports:
+        assert workbench.render_report(report) == json_reference(report)
+
+
+def test_render_report_writes_what_json_writes_on_eval_reports(tmp_path, monkeypatch):
+    seen = []
+    render = workbench.render_report
+    monkeypatch.setattr(workbench, "render_report", lambda r: seen.append(r) or render(r))
+    for path in sorted((CORPUS / "crs").glob("*.trs")):
+        for engine in ("crs", "graph"):
+            cli.main(["eval", str(path), "--engine", engine, "--out", str(tmp_path / "r.json")])
+    assert len(seen) == 16
+    for report in seen:
+        assert render(report) == json_reference(report)
+
+
+def test_render_report_writes_what_json_writes_on_every_kind_of_value():
+    report = {
+        "empty": {}, "none": [], "tuple": (1, 2), "empty_tuple": (),
+        "scalars": [True, False, None, 0, -3, "", "x"], "ints_and_a_bool": [1, True, 2],
+        "bools": [False, True], "floats": [1e-7, 1e20, -0.0, float("nan"), float("inf"), 2.5],
+        "text": "caf\u00e9 \u2192 \u03bb\"q\"\n\\", "\u00fcber": {"b": 1, "a": [0]},
+        "nested": [[1, [2, [3, []]]], [], [[]], {"k": [{}]}],
+        "int_keys": {2: "b", 1: [1]}, "float": 0.1, "bool": True, "null": None,
+        "_hidden": [object()],
+    }
+    assert workbench.render_report(report) == json_reference(report)
+    assert workbench.render_report({}) == "{}\n"
 
 
 def test_roundtrip_add():
@@ -151,7 +192,7 @@ def test_corpus_loads_and_validates():
     assert len(corpus.lambda_entries) >= 50
     assert len(corpus.crs_entries) >= 5
     for entry in corpus.lambda_entries:
-        assert lam.is_closed(entry.term)
+        assert lam_is_closed(entry.term)
 
 
 def test_expectations_regenerate_deterministically(tmp_path):
@@ -282,7 +323,7 @@ def test_cli_encode_roundtrips(tmp_path, capsys):
     assert cli.main(["encode", "--to", "lambda",
                      str(CORPUS / "crs" / "nat_add.trs")]) == 0
     compiled = capsys.readouterr().out.strip()
-    assert lam.is_closed(lam.parse(compiled))
+    assert lam_is_closed(lam.parse(compiled))
 
 
 def test_cli_compare_corpus_file(capsys):

@@ -277,10 +277,24 @@ def abstraction_occurrences(t):
     return out
 
 
+def lam_is_closed(t: Term) -> bool:
+    return not lam.free_vars(t)
+
+
+def crs_is_closed(t: crs.Term) -> bool:
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, crs.Var):
+            return False
+        todo.extend(s.children)
+    return True
+
+
 def reference_encode_cbv(m):
     """(term, system, registry) of the CBV image, every abstraction
     occurrence of m registered by its own walks."""
-    if not lam.is_closed(m):
+    if not lam_is_closed(m):
         raise encode.OpenTermError(f"free variables: {lam.free_vars(m)}")
     reg = ReferenceRegistry()
     for sub in abstraction_occurrences(m):
@@ -291,7 +305,7 @@ def reference_encode_cbv(m):
 def reference_encode_cbn(m):
     """(term, system, registry, admin rule) of the CBN image, every
     abstraction occurrence of m registered by its own walks."""
-    if not lam.is_closed(m):
+    if not lam_is_closed(m):
         raise encode.OpenTermError(f"free variables: {lam.free_vars(m)}")
     reg = ReferenceRegistry()
     identity = reg.register(Abs("z", Var("z")))
