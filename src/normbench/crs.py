@@ -8,9 +8,9 @@ redexes are never nested and the step count to normal form does not depend
 on the position policy.
 
 `reduce` runs one loop for both position policies over an indexed
-list of the term's redexes: leftmost-innermost fires the list's
-leftmost entry, the random policy one picked uniformly, and a firing
-replaces its entry by the redexes it made.  Each rule is compiled once,
+list of the term's redexes, stored reversed: leftmost-innermost fires
+the list's last entry, the random policy one picked uniformly, and a
+firing replaces its entry by the redexes it made.  Each rule is compiled once,
 when its system is built, into a match program that fills numbered
 slots and a register template that builds its right-hand side with one
 fetch per node; the input is compiled to a template too.  Either way a

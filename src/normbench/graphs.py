@@ -18,16 +18,16 @@ copies every node of the right side from the rule's build template
 compiled on its rule's first firing and kept on the system.
 
 graph_reduce runs on linked node records alone and writes the dicts
-back once.  It loads a closed term straight into records, one per
-symbol occurrence, in the walk that also decides them (_load); a tree
-needs no sharing check.  A TermGraph's reachable part it converts
-(_records), checks and decides.  It keeps the redexes in an indexed
-list, fires one in place (build, redirect, collection by reference
-count) and searches only the nodes the firing built, so a step costs
-the size of its rule, as a CRS step does.  find_redex and fire_redex,
-which fires on the dicts, run the same programs and templates; they
-are for the tests, and find_redex and is_constructor_shared convert
-the graph to records first.
+back once.  One post-order walk (_load) makes, checks against the
+signature and decides for the first search the records of a closed
+term, one per symbol occurrence, or of a TermGraph's reachable nodes;
+a graph input with a shared non-value then fails the sharing check.
+graph_reduce keeps the redexes in an indexed list, fires one in place
+(build, redirect, collection by reference count) and searches only the
+nodes the firing built, so a step costs the size of its rule, as a CRS
+step does.  find_redex, fire_redex, which fires on the dicts, and
+is_constructor_shared, for the tests, read the same records and run
+the same programs and templates.
 """
 
 from __future__ import annotations
@@ -222,68 +222,17 @@ class Redex:
     slots: list[int]    # the graph node in each slot of the rule's match program
 
 
-# --- node records ----------------------------------------------------------------------
-
-def _records(g: TermGraph) -> dict[int, list]:
-    """The record [label, kids, refs, id, value, parent, index, pending]
-    of each node reachable from the root, by id.  kids holds records, refs
-    counts in-edges from reachable nodes, value memoises function-freeness
-    (None while unknown), and graph_reduce keeps the rest."""
-    rec = {v: [g.label[v], g.succ[v], 0, v, None, None, 0, 0] for v in g.reachable(g.root)}
-    for r in rec.values():
-        r[1] = kids = [rec[c] for c in r[1]]
-        for c in kids:
-            c[2] += 1
-    return rec
-
-
-def _function_free(v: list, functions: dict) -> bool:
-    # no function label at or below record v: the constructor-path condition
-    todo = [v]
-    trail = []
-    ok = True
-    while todo:
-        u = todo.pop()
-        if u[4] is not None:
-            if not u[4]:
-                ok = False
-                break
-            continue
-        if u[0] in functions:
-            ok = False
-            break
-        trail.append(u)
-        todo.extend(u[1])
-    if ok:
-        for u in trail:
-            u[4] = True
-    v[4] = ok
-    return ok
-
-
-def _shared_ok(rec: dict[int, list], functions: dict) -> bool:
-    # every record with two in-edges is function-free; the memo is cleared
-    ok = all(r[2] < 2 or _function_free(r, functions) for r in rec.values())
-    for r in rec.values():
-        r[4] = None
-    return ok
-
-
 def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
-    """Leftmost-innermost redex under system's rules: the first in
-    post-order from the root whose arguments are function-free and
-    which a rule's match program matches on the graph's records.
-    Orthogonality makes the rule at a given anchor unique; that is
-    asserted.  For the tests: graph_reduce never searches the whole
-    graph.  It stays a module attribute as bench/tracer.py wraps it."""
+    """Leftmost-innermost redex under system's rules: the first function
+    node over values in post-order from the root at which a rule's match
+    program matches on the records _load makes of g.  Orthogonality
+    makes the rule at a given anchor unique; that is asserted.  A
+    signature fault raises as in graph_reduce; sharing is not checked.
+    For the tests: graph_reduce never searches the whole graph.  It
+    stays a module attribute as bench/tracer.py wraps it."""
     index, programs = system._index, system._programs
-    functions = system.signature.functions
-    rec = _records(g)
-    for v in _post_order(g, g.root):
-        u = rec[v]
+    for u in _load(g, system.signature)[1]:
         lab, kids = u[0], u[1]
-        if lab not in functions or not all(_function_free(c, functions) for c in kids):
-            continue
         hits = []
         for r in index.get((lab, kids[0][0] if kids else None)) or index.get((lab, None), ()):
             slots = kids[:]
@@ -293,8 +242,8 @@ def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
                     break
                 slots += t[1]
             else:
-                hits.append(Redex(v, _template(system, r), [t[3] for t in slots]))
-        assert len(hits) <= 1, f"orthogonality violated at node {v}"
+                hits.append(Redex(u[3], _template(system, r), [t[3] for t in slots]))
+        assert len(hits) <= 1, f"orthogonality violated at node {u[3]}"
         if hits:
             return hits[0]
     return None
@@ -303,11 +252,12 @@ def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
 def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
     """Fire redex on g's dicts as a first step: copy the right side's
     nodes, point every in-edge of the anchor (a shared anchor has
-    several) and the root if it is the anchor at the replacement, keep
-    the reachable nodes (_write_back) and check sharedness at the nodes
-    that gained an in-edge: the children of each copy, then the
-    replacement.  Returns those nodes.  For the tests; it stays a module
-    attribute as bench/tracer.py wraps it."""
+    several) and the root if it is the anchor at the replacement, load
+    the result (_load, which raises a signature fault as graph_reduce
+    does), keep the reachable nodes (_write_back) and check that no node
+    that gained an in-edge, the children of each copy and then the
+    replacement, is a shared non-value.  Returns those nodes.  For the
+    tests; it stays a module attribute as bench/tracer.py wraps it."""
     tpl, v = redex.template, redex.anchor
     nodes = redex.slots + [g.new_node(c[0]) for c in tpl.copies]
     n = len(redex.slots)
@@ -319,19 +269,21 @@ def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
             g.set_children(u, tuple([new if c == v else c for c in kids]))
     if g.root == v:
         g.root = new
-    rec = _records(g)
-    _write_back(g, rec[g.root], g._next)
-    touched = [rec[nodes[r]] for c in tpl.copies for r in c[1]] + [rec[new]]
-    if any(u[2] >= 2 and not _function_free(u, sig.functions) for u in touched):
+    root, _, _, rec = _load(g, sig)
+    _write_back(g, root, g._next)
+    touched = [nodes[r] for c in tpl.copies for r in c[1]] + [new]
+    if any(rec[u][2] > 1 and not rec[u][4] for u in touched):
         raise SharingViolation("sharedness lost after step 1")
-    return [u[3] for u in touched]
+    return touched
 
 
 def is_constructor_shared(g: TermGraph, sig: crs.Signature) -> bool:
     """Every node reachable along two distinct paths heads only constructor
-    paths; on a rooted DAG it suffices to check the nodes with two
-    in-edges from reachable nodes (an unreachable node is no path)."""
-    return _shared_ok(_records(g), sig.functions)
+    paths, so it is a value; on a rooted DAG it suffices to check the
+    nodes with two in-edges from reachable nodes (an unreachable node is
+    no path), on the records _load makes of g.  A signature fault raises
+    as in graph_reduce."""
+    return all(u[2] < 2 or u[4] for u in _load(g, sig)[3].values())
 
 
 OutcomeKind = Literal["normal", "exhausted"]
@@ -352,16 +304,16 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     """Reduce a closed term or a constructor-shared closed graph,
     leftmost-innermost by default or at uniformly random redexes with rng.
 
-    A term becomes records in one post-order walk (_load), which also
-    decides them for the first search: one record per symbol occurrence,
-    even where Node objects are shared, with the id term_to_graph gives
-    it, so the run is that of graph_reduce(term_to_graph(g), ...).  A
-    tree is constructor-shared by construction, so it needs no sharing
-    check.  Its records are written into a new TermGraph, the outcome's
-    graph, also after 0 steps.  Of a TermGraph, the reachable part
-    becomes records (_records), is checked and decided (_decide), and a
-    run of one step or more writes label, succ, refs, root and _next
-    back into g once (_write_back); a run of 0 steps leaves g untouched.
+    The input becomes linked node records in one post-order walk (_load)
+    that also checks and decides them.  A term gets one record per symbol
+    occurrence, even where Node objects are shared, with the id
+    term_to_graph gives it, so the run is that of
+    graph_reduce(term_to_graph(g), ...); its records are written into a
+    new TermGraph, the outcome's graph, also after 0 steps.  A TermGraph
+    gets one record per node reachable from the root, with its own id,
+    and a run of one step or more writes label, succ, refs, root and
+    _next back into g once (_write_back); a run of 0 steps leaves g
+    untouched.
 
     A record's value is True for a value; every other record has its one
     in-edge, kids[index] of its parent (None at the root), and pending,
@@ -370,24 +322,24 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
 
     The loop alternates a search and a firing.  A search tries the
     function records over values that the last firing made, or at the
-    start all of them (_decide), in post-order: each tries the rules of
+    start all of them (_load), in post-order: each tries the rules of
     the system's first-argument index in rule order, running a rule's
     match program (system._programs) on the records, and the first that
     matches gives a redex (anchor, rule position, slots).  Every record
     below a value is a value, so a binding needs no check that it is
-    function-free, unlike find_redex's.  reds holds the redexes in
-    post-order, reversed so that the leftmost-innermost one is last; a
-    search's redexes take the place of the entry that fired.  A firing
-    takes that last entry, or with rng the entry that
-    reds[rng.randrange(len(reds))] would be in post-order.  It builds,
-    links and decides each copy of the rule's template (_template) in one
-    pass, redirects the anchor's in-edge, collects by reference count
-    from the anchor (refs count only in-edges from reachable nodes, so
-    this removes exactly what became unreachable, at step 1 also what
-    never was), and, when the replacement is a value, climbs to the first
-    function ancestor that value-ness reaches through constructor nodes,
-    which the next search tries.  A node becomes a value once, so this
-    climb is O(1) amortised, and a step costs the size of its rule.
+    function-free.  reds holds the redexes in post-order, reversed so
+    that the leftmost-innermost one is last; a search's redexes take the
+    place of the entry that fired.  A firing takes that last entry, or
+    with rng the entry that reds[rng.randrange(len(reds))] would be in
+    post-order.  It builds, links and decides each copy of the rule's
+    template (_template) in one pass, redirects the anchor's in-edge,
+    collects by reference count from the anchor (refs count only
+    in-edges from reachable nodes, so this removes exactly what became
+    unreachable, at step 1 also what never was), and, when the
+    replacement is a value, climbs to the first function ancestor that
+    value-ness reaches through constructor nodes, which the next search
+    tries.  A node becomes a value once, so this climb is O(1) amortised,
+    and a step costs the size of its rule.
 
     sizes holds the node count of the input and after every firing, and
     fires the firings of each rule position.  work holds, per search,
@@ -398,15 +350,17 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     child slots of the copies.  Each rule tried costs one step for its
     anchor and one per (slot, constructor) step it runs.
 
-    A term with a variable raises GraphError.  Else the first reachable
-    input node in post-order whose label the system's signature does not
-    declare, or whose child count is not its arity, raises
-    crs.UnknownSymbol or crs.ArityMismatch.  A graph input is checked for
-    constructor-sharedness, and every firing checks that no node it
-    gives a second in-edge is a non-value; no other node can lose the
-    property, since a redirect only rewires the parent of a function
-    node, which is unshared.  A violation aborts the run since it
-    indicates a bug, not an input error.
+    A term with a variable, or a graph with a cycle, raises GraphError.
+    Else the first reachable input node in post-order whose label the
+    system's signature does not declare (or that has none), or whose
+    child count is not its arity, raises crs.UnknownSymbol or
+    crs.ArityMismatch.  Only then is a graph input checked for
+    constructor-sharedness: a record with two in-edges must be a value,
+    which on well-formed records is a function-free node.  Every firing
+    checks that no node it gives a second in-edge is a non-value; no
+    other node can lose the property, since a redirect only rewires the
+    parent of a function node, which is unshared.  A violation raises
+    SharingViolation, since it indicates a bug, not an input error.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -414,18 +368,14 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     functions = sig.functions
     index, programs, templates = system._index, system._programs, system._graph_templates
     loaded = not isinstance(g, TermGraph)
+    root, tries, w, rec = _load(g, sig)
     if loaded:
-        root, tries, size = _load(g, sig)
-        g, sizes, w, top = TermGraph(), [size], size, size
+        g, size, sizes, top = TermGraph(), w, [w], w
     else:
-        rec = _records(g)
-        if not _shared_ok(rec, functions):
+        if not all(u[2] < 2 or u[4] for u in rec.values()):
             raise SharingViolation("input graph is not constructor-shared")
-        root, size = rec[g.root], len(rec)
-        del rec
-        sizes = [len(g.label)]
-        tries, w = _decide(root, sig)
-        top = g._next
+        size, sizes, top = len(rec), [len(g.label)], g._next
+    del rec
     work: list[int] = []
     fires = [0] * len(system.rules)
     reds: list[tuple] = []
@@ -520,75 +470,65 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work, tuple(fires))
 
 
-def _decide(root: list, sig: crs.Signature) -> tuple[list[list], int]:
-    # The first search's walk: decide every record reachable from root,
-    # children first, as a firing decides copies, checking each against
-    # sig.  Returns the function records over values in post-order, and
-    # the records arrived at: the root and every child slot.  A frame is
-    # [record, next child].
-    arrived = 1
-    functions = sig.functions
-    tries = []
-    stack = [[root, 0]]
-    while stack:
-        frame = stack[-1]
-        u, nxt = frame
-        kids = u[1]
-        if nxt < len(kids):
-            frame[1] = nxt + 1
-            arrived += 1
-            c = kids[nxt]
-            if not c[4]:
-                c[5], c[6] = u, nxt
-                stack.append([c, 0])
-            continue
-        stack.pop()
-        lab = u[0]
-        if (ar := sig.arity(lab)) != len(kids):
-            raise crs.ArityMismatch(lab, ar, len(kids))
-        if lab in functions:
-            if not u[7]:
-                tries.append(u)
-        elif not u[7]:
-            u[4] = True
-            u[5] = None
-            continue
-        if stack:
-            stack[-1][0][7] += 1
-    return tries, arrived
-
-
-def _load(t: crs.Term, sig: crs.Signature) -> tuple[list, list[list], int]:
-    # The records of closed term t, decided as _decide decides them, in
-    # one post-order walk: one record per symbol occurrence, with the id
-    # term_to_graph gives it, and one in-edge each but the root's.
-    # Returns the root, the function records over values in post-order
-    # and the record count, which is also the first search's arrivals.
-    # A variable raises GraphError before any signature fault does.
+def _load(x: TermGraph | crs.Term, sig: crs.Signature
+          ) -> tuple[list, list[list], int, dict[int, list]]:
+    # The records [label, kids, refs, id, value, parent, index, pending]
+    # of closed term or graph x, checked against sig and decided for the
+    # first search in one post-order walk: kids holds records, refs counts
+    # in-edges from reachable records, and graph_reduce keeps the rest.
+    # A term gets one record per symbol occurrence, with term_to_graph's
+    # ids; a graph, one per node reachable from the root, with its own
+    # id, which each later arrival gives an in-edge (an arrival before it
+    # is finished is a cycle).  Returns the root, the function records
+    # over values in post-order, the first search's arrivals (the root
+    # and every child slot) and a graph's records by id (none for a term).
+    # A term's variable raises GraphError before any signature fault.
     cons, functions = sig.constructors, sig.functions
+    graph = type(x) is TermGraph
+    if graph:
+        label, succ = x.label, x.succ
+    rec: dict[int, list] = {}
     tries: list[list] = []
     out: list[list] = []                # records of the finished subterms
-    top = 0
-    todo: list = [t]
+    top = again = 0
+    todo: list = [x.root if graph else x]
     while todo:
         s = todo.pop()
         if s is None:                   # the node below, once its children are done
             s = todo.pop()
+        elif graph:
+            if s in rec:
+                u = rec[s]
+                if u is None:
+                    raise GraphError("graph has a cycle")
+                u[2] += 1
+                again += 1
+                out.append(u)
+                continue
+            if succ[s]:
+                rec[s] = None           # entered, not finished
+                todo += (s, None, *reversed(succ[s]))
+                continue
         elif type(s) is crs.Var:
             raise GraphError("term must be closed")
         elif s.children:
             todo += (s, None, *reversed(s.children))
             continue
-        lab, n = s.symbol, len(s.children)
+        if graph:
+            lab, n = label[s], len(succ[s])
+        else:
+            lab, n = s.symbol, len(s.children)
         fun = lab in functions
         if (functions[lab] if fun else cons.get(lab)) != n:
-            if crs.variables(t):
+            if not graph and crs.variables(x):
                 raise GraphError("term must be closed")
             raise crs.ArityMismatch(lab, sig.arity(lab), n)   # or UnknownSymbol
         k = len(out) - n
         kids = out[k:]
         del out[k:]
-        u = [lab, kids, 1, top, None, None, 0, 0]
+        u = [lab, kids, 1, s if graph else top, None, None, 0, 0]
+        if graph:
+            rec[s] = u
         top += 1
         pending = 0
         for j, c in enumerate(kids):
@@ -604,7 +544,7 @@ def _load(t: crs.Term, sig: crs.Signature) -> tuple[list, list[list], int]:
         out.append(u)
     root = out[0]
     root[2] = 0
-    return root, tries, top
+    return root, tries, top + again, rec
 
 
 def _write_back(g: TermGraph, root: list, top: int) -> None:

@@ -316,24 +316,38 @@ def test_shared_constructor_leaf_ok():
     assert graphs.is_constructor_shared(g, sig)
 
 
-def test_sharing_control_one_vs_two_steps():
-    # shared a(a(c,c), a(c,c)) fires once where the term needs two steps
+def control_system():
     sig = Signature({"c": 0}, {"a": 2})
-    system = crs.validate_system(
-        sig, [Rule("a", (Node("c"), Node("c")), Node("c"))])
+    return crs.validate_system(sig, [Rule("a", (Node("c"), Node("c")), Node("c"))])
+
+
+def shared_control(top="a", leaves=()):
+    """top(i, i, *leaves) with i = a(c, c) one shared function node, and a
+    leaf node of each label in leaves: with the defaults, the acceptance-6
+    control, which is not constructor-shared."""
     g = graphs.TermGraph()
-    c1 = g.new_node("c")
-    c2 = g.new_node("c")
+    c1, c2 = g.new_node("c"), g.new_node("c")
     inner = g.new_node("a")
     g.set_children(inner, (c1, c2))
-    top = g.new_node("a")
-    g.set_children(top, (inner, inner))
-    g.root = top
+    g.root = g.new_node(top)
+    g.set_children(g.root, (inner, inner, *map(g.new_node, leaves)))
+    return g
+
+
+def test_sharing_control_one_vs_two_steps():
+    # shared a(a(c,c), a(c,c)) fires once where the term needs two steps;
+    # graph_reduce refuses it, find_redex and fire_redex take it a step
+    system = control_system()
+    sig = system.signature
+    g = shared_control()
     term = graphs.graph_to_term(g)
     assert term == crs.parse_term("a(a(c, c), a(c, c))", sig)
+    with pytest.raises(graphs.SharingViolation, match="^input graph is not constructor-shared$"):
+        graphs.graph_reduce(g, system, 10)
 
     redex = graphs.find_redex(g, system)
-    graphs.fire_redex(g, redex, sig)
+    assert (redex.anchor, redex.slots) == (2, [0, 1])
+    assert graphs.fire_redex(g, redex, sig) == [4]
     # one graph step reaches a(c, c), which the term needs two steps for;
     # the generic redirect moved both in-edges of the shared anchor
     assert graphs.graph_to_term(g) == crs.parse_term("a(c, c)", sig)
@@ -344,6 +358,42 @@ def test_sharing_control_one_vs_two_steps():
     assert out.steps + 1 == 2  # two graph steps in total
     assert graphs.graph_to_term(out.graph) == Node("c")
     assert out.graph.refs == in_degrees(out.graph)
+
+
+@pytest.mark.parametrize("top, leaves, error, text", [
+    ("d", (), crs.UnknownSymbol, "d"),              # an undeclared label
+    ("a", ("e",), crs.UnknownSymbol, "e"),          # before the top's wrong arity
+    ("a", ("c",), crs.ArityMismatch, "a"),          # a wrong arity
+    ("a", (None,), crs.UnknownSymbol, "None"),      # an unlabelled node
+])
+def test_signature_faults_come_before_the_sharing_fault(top, leaves, error, text):
+    # the shared function node would raise SharingViolation, but the first
+    # signature fault in post-order raises first, and the three reference
+    # functions raise it too; fire_redex, after firing the control's redex
+    system = control_system()
+    sig = system.signature
+    g = shared_control(top, leaves)
+    with pytest.raises(error, match=text) as fault:
+        graphs.graph_reduce(g, system, 10)
+    redex = graphs.find_redex(shared_control(), system)
+    for call in (lambda: graphs.find_redex(g, system),
+                 lambda: graphs.is_constructor_shared(g, sig),
+                 lambda: graphs.fire_redex(g, redex, sig)):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == str(fault.value)
+
+
+def test_reachable_unlabelled_node_is_an_unknown_symbol():
+    # a tree, so no sharing fault: the unlabelled zero is the first fault
+    system = nat_system()
+    g = graphs.term_to_graph(crs.parse_term("add(zero, succ(zero))", system.signature))
+    g.label[0] = None
+    for call in (lambda: graphs.graph_reduce(g, system, 10),
+                 lambda: graphs.find_redex(g, system),
+                 lambda: graphs.is_constructor_shared(g, system.signature)):
+        with pytest.raises(crs.UnknownSymbol, match="None"):
+            call()
 
 
 # --- full reduction ---------------------------------------------------------------------
@@ -584,26 +634,55 @@ def fire_redex_phases(g, rule, phi):
 # --- graph_reduce against the reference loop ----------------------------------------
 
 BUDGETS = (0, 1, 3, 7, 30)
+SHARED_BUDGETS = (0, 1, 1000)
 
 
-def agrees_with_reference(system, t, budgets=BUDGETS, seed=None):
+def shared_graph(t, sig):
+    """term_to_graph(t) with structurally equal function-free subgraphs
+    merged into the first of them in post-order, and the nodes that this
+    leaves unreachable dropped: a constructor-shared graph whose shared
+    nodes keep term_to_graph's ids."""
+    g = graphs.term_to_graph(t)
+    first, rep, free = {}, {}, set()
+    for v in sorted(g.label):           # term_to_graph numbers in post-order
+        kids = tuple(rep[c] for c in g.succ[v])
+        g.set_children(v, kids)
+        rep[v] = v
+        if sig.is_constructor(g.label[v]) and free.issuperset(kids):
+            rep[v] = first.setdefault((g.label[v], kids), v)
+            free.add(rep[v])
+    reference_collect(g)
+    return g
+
+
+def agrees_with_reference(system, t, budgets=BUDGETS, seed=None, shared=False):
     """graph_reduce equals the reference loop on the rule graphs in kind,
     steps, sizes, the number of work entries and the final graph with
-    its node ids."""
+    its node ids and in-degrees.  The input is term_to_graph(t), or with
+    shared its shared_graph."""
     grules = [rule_to_graph_rule(r) for r in system.rules]
     sig = system.signature
     for budget in budgets:
+        given = shared_graph(t, sig) if shared else graphs.term_to_graph(t)
         rng = None if seed is None else random.Random(seed)
-        ref_g = graphs.term_to_graph(t)
+        ref_g = copy(given)
         kind, steps, sizes, work = reference_graph_reduce(ref_g, grules, sig, budget, rng)
         rng = None if seed is None else random.Random(seed)
-        out = graphs.graph_reduce(graphs.term_to_graph(t), system, budget, rng=rng)
-        case = (crs.term_to_str(t), budget, seed)
+        out = graphs.graph_reduce(given, system, budget, rng=rng)
+        case = (crs.term_to_str(t), budget, seed, shared)
         assert (out.kind, out.steps, out.sizes, len(out.work)) == (
             kind, steps, sizes, len(work)), case
         assert graphs.to_dot(out.graph) == graphs.to_dot(ref_g), case
-        assert out.graph.refs == in_degrees(out.graph), case
+        assert out.graph.refs == ref_g.refs == in_degrees(out.graph), case
         assert out.graph._next == ref_g._next, case
+
+
+def agrees_with_reference_shared(system, t):
+    """agrees_with_reference on t's shared_graph, leftmost and at seed 5;
+    whether that graph has a shared node."""
+    for seed in (None, 5):
+        agrees_with_reference(system, t, SHARED_BUDGETS, seed, shared=True)
+    return max(shared_graph(t, system.signature).refs.values()) > 1
 
 
 def program_match(gr, program, anchor):
@@ -633,14 +712,14 @@ def compiled_rules_agree(system, t, budget=30):
     grules = [rule_to_graph_rule(r) for r in system.rules]
     g = graphs.term_to_graph(t)
     for _ in range(budget):
-        recs = graphs._records(g)
+        recs = graphs._load(g, sig)[3]
         for v, lab in list(g.label.items()):
             if not sig.is_function(lab):
                 continue
             kids = g.succ[v]
             first = g.label[kids[0]] if kids else None
             offered = system._index.get((lab, first)) or system._index.get((lab, None), [])
-            values = all(graphs._function_free(c, sig.functions) for c in recs[v][1])
+            values = all(c[4] for c in recs[v][1])
             for k, rule in enumerate(system.rules):
                 if rule.head != lab:
                     continue
@@ -669,35 +748,45 @@ def compiled_rules_agree(system, t, budget=30):
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_machine_matches_reference_on_random_systems(seed):
     rng = random.Random(seed)
+    shared = 0
     for _ in range(20):
         system = random_system(rng)
-        for _ in range(3):
+        for k in range(3):
             t = random_closed_term(rng, system.signature, 4)
             agrees_with_reference(system, t)
             for draws in range(4):
                 agrees_with_reference(system, t, seed=draws)
             compiled_rules_agree(system, t)
+            if k == 0:
+                shared += agrees_with_reference_shared(system, t)
+    assert shared >= 5
 
 
 def test_machine_matches_reference_on_corpus_systems():
     corpus = workbench.Corpus.load(CORPUS)
     assert len(corpus.crs_entries) >= 8
+    shared = 0
     for entry in corpus.crs_entries:
         agrees_with_reference(entry.system, entry.term)
         for seed in range(4):
             agrees_with_reference(entry.system, entry.term, seed=seed)
         compiled_rules_agree(entry.system, entry.term)
+        shared += agrees_with_reference_shared(entry.system, entry.term)
+    assert shared >= 5
 
 
 def test_machine_matches_reference_on_lambda_images():
     corpus = workbench.Corpus.load(CORPUS)
     assert len(corpus.lambda_entries) >= 60
+    shared = 0
     for entry in corpus.lambda_entries:
         image = encode.encode_cbv(entry.term)
         agrees_with_reference(image.system, image.term)
         for seed in range(4):
             agrees_with_reference(image.system, image.term, seed=seed)
         compiled_rules_agree(image.system, image.term)
+        shared += agrees_with_reference_shared(image.system, image.term)
+    assert shared >= 39
 
 
 def test_refcounts_exact_on_both_paths():
@@ -738,7 +827,7 @@ def engine_cases():
 
 
 def test_first_draw_is_the_leftmost_run():
-    # the leftmost policy fires the first entry of the redex list, so it
+    # the leftmost policy fires the first redex in post-order, so it
     # is the random policy under draws of 0, to the work counts
     for system, t in engine_cases():
         for budget in (*BUDGETS, 3000):
@@ -1113,3 +1202,16 @@ def test_acyclicity_check():
     g.root = b1
     with pytest.raises(graphs.GraphError):
         check_acyclic(g)
+    # the load meets b1 again before b1 is finished: every entry point
+    # refuses the cycle, also below a function node
+    sig = Signature({"b": 1}, {"f": 1})
+    system = crs.validate_system(sig, [Rule("f", (Var("x"),), Var("x"))])
+    for root in (b1, g.new_node("f")):
+        if root != b1:
+            g.set_children(root, (b1,))
+        g.root = root
+        for call in (lambda: graphs.graph_reduce(g, system, 10),
+                     lambda: graphs.find_redex(g, system),
+                     lambda: graphs.is_constructor_shared(g, sig)):
+            with pytest.raises(graphs.GraphError, match="^graph has a cycle$"):
+                call()
