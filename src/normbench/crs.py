@@ -10,21 +10,22 @@ on the position policy.
 `reduce` runs one loop for both position policies over an indexed
 list of the term's redexes, stored reversed: leftmost-innermost fires
 the list's last entry, the random policy one picked uniformly, and a
-firing replaces its entry by the redexes it made.  Each rule is compiled once,
-when its system is built, into a match program that fills numbered
-slots and a register template that builds its right-hand side with one
-fetch per node; the input is compiled to a template too.  Either way a
-step costs the size of its rule whatever the size of the term.  The
-outcome counts the firings of each rule; a caller that needs more can
-hook each step, which receives the rule, its match and a `state()` that
-builds the whole term only when called.
+firing replaces its entry by the redexes it made.  A node finds its rule
+by walking its head's match tree (_match_tree), so a match costs the
+tree's depth, not the head's rule count.  Each rule is compiled once,
+when its system is built, into the numbering of its slots and a register
+template that builds its right-hand side with one fetch per node; the
+input is compiled to a template too.  Either way a step costs the size
+of its rule whatever the size of the term.  The outcome counts the
+firings of each rule; a caller that needs more can hook each step, which
+receives the rule, its match and a `state()` that builds the whole term
+only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
 `CrsSystem` compiles the rules, which is what checks them (see
-`CrsSystem` for which fault a rule with several reports), and builds
-the first-argument index.  Graph reduction runs the same index and
-match programs, and keeps its build templates on the system.
+`CrsSystem` for which fault a rule with several reports).  Graph
+reduction walks the same trees, and the Scott matcher translates them.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ class CrsSystem:
     Construction compiles every rule, and the compile is the check.
     Rules are checked in order, and a rule raises at its first fault:
     its head (a function symbol of the right arity), then its left side
-    slot by slot in match-program order (the arguments left to right,
-    then the children of each constructor node in that order: an
+    slot by slot (_match_program: the arguments left to right, then
+    the children of each constructor node in that order: an
     undeclared symbol, a wrong arity, a function symbol, or a second
     occurrence of a variable), then its unbound right-side variables,
     then its right side in pre-order (an undeclared symbol or a wrong
@@ -202,21 +203,25 @@ class CrsSystem:
     constructors (`_first_overlap`), and the first overlapping pair is
     reported: heads by first appearance, then the least (i, j) in rule
     order, the pair a scan of every pair in that order meets first.
+
+    Overlap is not read off the match trees (`_match_tree`, built per
+    head on its first match): a tree copies a row with a variable into
+    every branch, exponentially often on some systems, where
+    `_first_overlap` compares it with the other rows instead.
     """
 
     def __init__(self, signature: Signature, rules: list[Rule]):
         self.signature = sig = signature
         self.rules = tuple(rules)
-        # each rule's match program and right-side register template
-        self._programs: list[tuple] = []
+        # each rule's (variable -> slot, number of slots) and right-side
+        # register template
+        self._slots: list[tuple[dict[str, int], int]] = []
         self._templates: list[tuple] = []
         for idx, rule in enumerate(self.rules):
-            steps, slot_of, nslots = _match_program(idx, rule, sig)
-            self._programs.append((steps, slot_of))
+            slot_of, nslots = _match_program(idx, rule, sig)
+            self._slots.append((slot_of, nslots))
             self._templates.append(_compile_term(rule.rhs, sig, slot_of, nslots, idx))
-        roots = [rule.lhs[0].symbol if rule.lhs and isinstance(rule.lhs[0], Node) else None
-                 for rule in self.rules]
-        self._index = _first_arg_index(zip((r.head for r in self.rules), roots))
+        self._trees = _Trees(self.rules)
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
         pair = _first_overlap([(rule.head, rule.lhs) for rule in self.rules])[0]
@@ -226,19 +231,18 @@ class CrsSystem:
     def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
         # (frame, rule position, slots) of the rule firing at a function
         # node frame whose arguments are values, or None
-        index, programs = self._index, self._programs
-        symbol, kids = frame[0], frame[1]
-        for r in index.get((symbol, kids[0].symbol if kids else None)) \
-                or index.get((symbol, None), ()):
-            slots = kids[:]
-            for s, c in programs[r][0]:
-                t = slots[s]
-                if t.symbol != c:
-                    break
-                slots += t.children
+        node = self._trees[frame[0]]
+        slots = frame[1][:]
+        while type(node) is list:
+            t = slots[node[0]]
+            sub = node[1].get(t.symbol)
+            if sub is None:
+                node = node[2]
             else:
-                return frame, r, slots
-        return None
+                slots += t.children
+                node = sub
+        return node and (frame, node[0], slots if node[1] is None else
+                         [slots[i] for i in node[1]])
 
 
 def _first_overlap(rules: Iterable[tuple[Optional[str], tuple[Term, ...]]]
@@ -342,23 +346,88 @@ def _rows_unify(a: Optional[tuple], b: Optional[tuple]) -> tuple[bool, int]:
     return True, steps
 
 
-_RuleIndex = dict[tuple[str, Optional[str]], list[int]]
+class _Trees(dict):
+    """Each head's match tree (_match_tree), built on its first lookup."""
+
+    def __init__(self, rules: tuple[Rule, ...]):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, head: str):
+        tree = self[head] = _match_tree(
+            [(r, rule.lhs) for r, rule in enumerate(self.rules) if rule.head == head])
+        return tree
 
 
-def _first_arg_index(keys: Iterable[tuple[str, Optional[str]]]) -> _RuleIndex:
-    """Rule positions keyed by (head, root of the first argument), from
-    each rule's (head, root of its first pattern or None) in rule order.
-    Key (head, c) holds, in rule order, the rules whose first pattern is
-    rooted at c or is a variable; (head, None) those with a variable,
-    and every rule of a nullary head.  A node tries its first argument's
-    key, else None.  Built in one pass, and a key's list by merging the
-    positions of its root with those of a variable."""
-    own: _RuleIndex = {}                # the positions of each key's root alone
-    for pos, (head, root) in enumerate(keys):
-        own.setdefault((head, None), [])
-        own.setdefault((head, root), []).append(pos)
-    return {(head, root): pos if root is None else sorted(pos + own[head, None])
-            for (head, root), pos in own.items()}
+def _match_tree(rows: list[tuple[int, tuple[Term, ...]]]):
+    """The decision tree that finds which of rows, (position, left side)
+    in rule order, matches a node's arguments (Maranget, "Compiling
+    pattern matching to good decision trees", ML 2008).  A walk's slots
+    start as the arguments.  A switch [slot, branches, default, positions
+    of its rows] reads the root in its slot: a constructor that branches
+    names leads there and appends its children as the next slots, any
+    other to default (None fails).  A leaf (position, order) has the
+    rule's own slots (_match_program) at order in the walk's, or at the
+    same places with order None.  A group of rows, whose columns are the
+    slots not yet read in place order, splits on the first column in
+    which some row has a constructor: a branch per constructor there
+    holds the rows with it, its children in its place, and those with a
+    variable, which the default holds alone.  A group whose first row has
+    no constructor is a leaf, its only row once rows pass _first_overlap."""
+    lhs_of = dict(rows)
+    m = len(rows[0][1]) if rows else 0
+    root: list = [None]
+    # (where the node goes, its group: (position, row as in _first_overlap,
+    # whether no branch gave it children of a variable), the slot of each
+    # column, slots so far, the (slot, slot of its first child) of each
+    # branch taken that gave children, and whether their slots increase);
+    # a split drops the columns before k, where every row has a variable
+    todo: list[tuple] = [(root, 0, [(p, _columns(lhs, None), True) for p, lhs in rows],
+                          tuple(range(m)), m, None, True)] if rows else []
+    while todo:
+        into, key, group, cols, n, path, rising = todo.pop()
+        p, row, exact = group[0]
+        if row is None:
+            if exact and rising:        # the walk read the row's slots in its order
+                into[key] = p, None
+                continue
+            first = {}
+            while path is not None:
+                (s, kid), path = path
+                first[s] = kid
+            pats, order = list(lhs_of[p]), list(range(m))
+            for j, q in enumerate(pats):
+                if type(q) is Node and q.children:
+                    kid = first[order[j]]
+                    order += range(kid, kid + len(q.children))
+                    pats += q.children
+            into[key] = p, None if order == list(range(n)) else tuple(order)
+            continue
+        k = min(row[0] for _, row, _ in group if row is not None)
+        split: dict[str, tuple[int, list]] = {}    # constructor -> (arity, rows)
+        var_rows = []                               # as group, rows after column k
+        for p, row, exact in group:
+            if row is not None and row[0] == k:
+                c = row[1]
+                if c.symbol not in split:
+                    ar = len(c.children)
+                    split[c.symbol] = ar, [(v, r and (r[0] + ar, r[1], r[2]), not ar and e)
+                                           for v, r, e in var_rows]
+                split[c.symbol][1].append((p, _columns(c.children, row[2]), exact))
+            else:
+                r = row and (row[0] - k - 1, row[1], row[2])
+                var_rows.append((p, r, exact))
+                for ar, sub in split.values():
+                    sub.append((p, r and (r[0] + ar, r[1], r[2]), not ar and exact))
+        s = cols[k]
+        node = into[key] = [s, {}, None, tuple(p for p, _, _ in group)]
+        for c, (ar, sub) in split.items():
+            todo.append((node[1], c, sub, tuple(range(n, n + ar)) + cols[k + 1:], n + ar,
+                         ((s, n), path) if ar else path,
+                         rising and (not ar or path is None or s > path[0][0])))
+        if var_rows:
+            todo.append((node, 2, var_rows, cols[k + 1:], n, path, rising))
+    return root[0]
 
 
 def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
@@ -366,22 +435,20 @@ def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:
     return CrsSystem(signature, rules)
 
 
-def _match_program(idx: int, rule: Rule,
-                   sig: Signature) -> tuple[list[tuple[int, str]], dict[str, int], int]:
-    # (steps, slot_of, number of slots) of rule idx's left side, checked
-    # against sig in the walk that numbers the slots.  A match starts with
-    # the slots holding the arguments; a step (slot, c) requires the term
-    # in that slot to be rooted at c and appends its children as the next
-    # slots.  slot_of names the slot that binds each variable.
+def _match_program(idx: int, rule: Rule, sig: Signature) -> tuple[dict[str, int], int]:
+    # (slot_of, number of slots) of rule idx's left side, checked against
+    # sig in the walk that numbers the slots.  The arguments are the first
+    # slots, and each constructor node appends its children as the next
+    # ones, as a walk of a match tree does; slot_of names the slot that
+    # binds each variable.
     if rule.head not in sig.functions:
         raise InvalidRule(f"rule {idx}: head {rule.head!r} is not a function symbol")
     ar = sig.functions[rule.head]
     if len(rule.lhs) != ar:
         raise ArityMismatch(rule.head, ar, len(rule.lhs))
     cons = sig.constructors
-    steps = []
     slot_of = {}
-    pats = list(rule.lhs)               # the pattern of each slot, grown as steps add slots
+    pats = list(rule.lhs)               # the pattern of each slot, grown as nodes add slots
     for s, p in enumerate(pats):
         if type(p) is Var:
             if p.name in slot_of:
@@ -391,9 +458,8 @@ def _match_program(idx: int, rule: Rule,
             _check_node(p, sig)         # raises, unless p is a function node
             raise InvalidRule(f"rule {idx}: lhs argument is not a pattern")
         else:
-            steps.append((s, p.symbol))
             pats += p.children
-    return steps, slot_of, len(pats)
+    return slot_of, len(pats)
 
 
 # the kinds of node a template builds: a value, a function frame over
@@ -531,7 +597,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    sig, rules, templates, programs = sys.signature, sys.rules, sys._templates, sys._programs
+    sig, rules, templates, bound = sys.signature, sys.rules, sys._templates, sys._slots
     cons, match = sig.constructors, sys._match
     reds: list[tuple] = []
     root = _build(match, _compile_term(t, sig, {}, 0), [], reds)
@@ -570,7 +636,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
         steps += 1
         fires[r] += 1
         if on_step is not None:
-            on_step(rules[r], {x: slots[s] for x, s in programs[r][1].items()},
+            on_step(rules[r], {x: slots[s] for x, s in bound[r][0].items()},
                     partial(_unframe, root))
     return CrsOutcome("constructor" if type(root) is Node else "stuck", _unframe(root), steps,
                       tuple(fires))

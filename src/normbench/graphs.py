@@ -10,12 +10,11 @@ steps in bijection with term steps.  It also makes the non-values
 anchor has one in-edge, a child slot, and the firing redirects it.
 
 The rules are those of a CrsSystem, which has checked and compiled
-them, and graph reduction runs that compile: a node tries the rules of
-its head that the system's first-argument index offers, in rule order,
-with each rule's match program of (slot, constructor) steps.  A firing
-copies every node of the right side from the rule's build template
-(_template), whose variables read the program's slots; a template is
-compiled on its rule's first firing and kept on the system.
+them, and graph reduction runs that compile: a node walks its head's
+match tree (crs._match_tree) to its rule and slots, and a firing copies
+every node of the right side from the rule's build template
+(_template), whose variables read those slots; a template is compiled
+on its rule's first firing and kept on the system.
 
 graph_reduce runs on linked node records alone and writes the dicts
 back once.  One post-order walk (_load) makes, checks against the
@@ -27,7 +26,7 @@ graph_reduce keeps the redexes in an indexed list, fires one in place
 nodes the firing built, so a step costs the size of its rule, as a CRS
 step does.  find_redex, fire_redex, which fires on the dicts, and
 is_constructor_shared, for the tests, read the same records and run
-the same programs and templates.
+the same trees and templates.
 """
 
 from __future__ import annotations
@@ -172,9 +171,9 @@ class Template(NamedTuple):
     The right side's nodes, its copies, are listed in post-order, so
     their ids come in that order; each is (label, kids, function?,
     positions of the kids that are copies).  A kid, and the right root,
-    is a reference: a slot of the system's match program for the rule,
-    or slots + k for the k-th copy.  work counts the walk that decides
-    the copies: the replacement and the child slots of the copies.
+    is a reference: one of the rule's slots (crs._match_program), or
+    slots + k for the k-th copy.  work counts the walk that decides the
+    copies: the replacement and the child slots of the copies.
     """
 
     copies: tuple[tuple[str, tuple[int, ...], bool, tuple[int, ...]], ...]
@@ -185,17 +184,15 @@ class Template(NamedTuple):
 def _template(system: crs.CrsSystem, r: int) -> Template:
     """The template of rule r of system, compiled on its first use and
     kept on the system: one post-order walk of the right side, whose
-    variables read the slots that the rule's match program binds."""
+    variables read the slots that bind them."""
     tpl = system._graph_templates[r]
     if tpl is not None:
         return tpl
-    rule = system.rules[r]
-    steps, slot_of = system._programs[r]
-    cons, functions = system.signature.constructors, system.signature.functions
-    n = len(rule.lhs) + sum(cons[c] for _, c in steps)
+    slot_of, n = system._slots[r]
+    functions = system.signature.functions
     copies: list[tuple] = []
     refs: list[int] = []
-    todo: list = [rule.rhs]
+    todo: list = [system.rules[r].rhs]
     while todo:
         t = todo.pop()
         if t is None:                   # the node below, once its children are done
@@ -219,34 +216,44 @@ def _template(system: crs.CrsSystem, r: int) -> Template:
 class Redex:
     anchor: int
     template: Template  # of the rule that matches there
-    slots: list[int]    # the graph node in each slot of the rule's match program
+    slots: list[int]    # the graph node in each of the rule's slots
 
 
 def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
     """Leftmost-innermost redex under system's rules: the first function
-    node over values in post-order from the root at which a rule's match
-    program matches on the records _load makes of g.  Orthogonality
-    makes the rule at a given anchor unique; that is asserted.  A
-    signature fault raises as in graph_reduce; sharing is not checked.
+    node over values in post-order from the root at which its head's
+    match tree finds a rule (_search), on the records _load makes of g.
+    A signature fault raises as in graph_reduce; sharing is not checked.
     For the tests: graph_reduce never searches the whole graph.  It
     stays a module attribute as bench/tracer.py wraps it."""
-    index, programs = system._index, system._programs
-    for u in _load(g, system.signature)[1]:
-        lab, kids = u[0], u[1]
-        hits = []
-        for r in index.get((lab, kids[0][0] if kids else None)) or index.get((lab, None), ()):
-            slots = kids[:]
-            for s, c in programs[r][0]:
-                t = slots[s]
-                if t[0] != c:
-                    break
-                slots += t[1]
+    block: list[tuple] = []
+    _search(system._trees, _load(g, system.signature)[1], block)
+    return next((Redex(u[3], _template(system, r), [t[3] for t in slots])
+                 for u, r, slots in block), None)
+
+
+def _search(trees: dict, tries: list[list], block: list[tuple]) -> int:
+    # Walk the match tree of each function record of tries, whose
+    # children are values, and append (record, rule position, slots in
+    # the rule's own order) to block for each that matches.  Returns the
+    # work: one per record and one per switch walked.
+    w = 0
+    for u in tries:
+        w += 1
+        node, slots = trees[u[0]], u[1][:]
+        while type(node) is list:
+            w += 1
+            t = slots[node[0]]
+            sub = node[1].get(t[0])
+            if sub is None:
+                node = node[2]
             else:
-                hits.append(Redex(u[3], _template(system, r), [t[3] for t in slots]))
-        assert len(hits) <= 1, f"orthogonality violated at node {u[3]}"
-        if hits:
-            return hits[0]
-    return None
+                slots += t[1]
+                node = sub
+        if node is not None:
+            block.append((u, node[0], slots if node[1] is None else
+                          [slots[i] for i in node[1]]))
+    return w
 
 
 def fire_redex(g: TermGraph, redex: Redex, sig: crs.Signature) -> list[int]:
@@ -295,7 +302,7 @@ class GraphOutcome:
     graph: TermGraph
     steps: int
     sizes: list[int] = field(default_factory=list)  # node count, initial first
-    work: list[int] = field(default_factory=list)   # nodes and match steps per search
+    work: list[int] = field(default_factory=list)   # nodes and switches per search
     fires: tuple[int, ...] = ()                     # firings per rule position
 
 
@@ -322,14 +329,12 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
 
     The loop alternates a search and a firing.  A search tries the
     function records over values that the last firing made, or at the
-    start all of them (_load), in post-order: each tries the rules of
-    the system's first-argument index in rule order, running a rule's
-    match program (system._programs) on the records, and the first that
-    matches gives a redex (anchor, rule position, slots).  Every record
-    below a value is a value, so a binding needs no check that it is
-    function-free.  reds holds the redexes in post-order, reversed so
-    that the leftmost-innermost one is last; a search's redexes take the
-    place of the entry that fired.  A firing takes that last entry, or
+    start all of them (_load), in post-order, walking its head's match
+    tree (_search); a leaf gives a redex (anchor, rule position, slots).
+    Every record below a value is a value, so a binding needs no check
+    that it is function-free.  reds holds the redexes in post-order,
+    reversed so that the leftmost-innermost one is last; a search's
+    redexes take the place of the entry that fired.  A firing takes that last entry, or
     with rng the entry that reds[rng.randrange(len(reds))] would be in
     post-order.  It builds, links and decides each copy of the rule's
     template (_template) in one pass, redirects the anchor's in-edge,
@@ -343,12 +348,12 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
 
     sizes holds the node count of the input and after every firing, and
     fires the firings of each rule position.  work holds, per search,
-    the graph nodes it arrived at and the match steps it ran: one entry
-    per firing, and one more for the last search when the run ends
+    the graph nodes it arrived at and the tree switches it walked: one
+    entry per firing, and one more for the last search when the run ends
     normal with steps < budget.  The first search arrives at the root and
     every child slot of the input; a later one at the replacement and the
-    child slots of the copies.  Each rule tried costs one step for its
-    anchor and one per (slot, constructor) step it runs.
+    child slots of the copies.  A record tried costs one for its anchor
+    and one per switch, however many rules its head has.
 
     A term with a variable, or a graph with a cycle, raises GraphError.
     Else the first reachable input node in post-order whose label the
@@ -366,7 +371,7 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
         raise ValueError("budget must be >= 0")
     sig = system.signature
     functions = sig.functions
-    index, programs, templates = system._index, system._programs, system._graph_templates
+    trees, templates = system._trees, system._graph_templates
     loaded = not isinstance(g, TermGraph)
     root, tries, w, rec = _load(g, sig)
     if loaded:
@@ -382,21 +387,7 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     steps, k = 0, 0
     while True:
         block: list[tuple] = []
-        for u in tries:
-            kids = u[1]
-            for r in index.get((u[0], kids[0][0] if kids else None)) \
-                    or index.get((u[0], None), ()):
-                w += 1
-                slots = kids[:]
-                for s, c in programs[r][0]:
-                    w += 1
-                    t = slots[s]
-                    if t[0] != c:
-                        break
-                    slots += t[1]
-                else:
-                    block.append((u, r, slots))
-                    break
+        w += _search(trees, tries, block)
         block.reverse()
         reds[k:k + 1] = block
         if steps < budget:

@@ -268,28 +268,23 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     return t
 
 
-# stands for each child that a constructor brings into a column where a
-# sequence has a variable: the matcher only counts the variables of a
-# pattern, it never reads their names
-_CHILD = crs.Var("_")
-
-
-def _match_term(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]], m: int,
-                delayed: list[bool]) -> lam.Term:
-    # A matcher decides the first column some sequence has a constructor
-    # in, and runs one sub-matcher per constructor.  Iterative: the
-    # sub-matchers are built first, and deep patterns nest them deeper
-    # than the recursion limit.
+def _match_term(ctx: ScottContext, tree, m: int, info: dict[int, tuple[int, bool]]) -> lam.Term:
+    # The matcher of a crs._match_tree over m columns, for the rows whose
+    # positions info maps to (number of variables, delayed?).  A switch
+    # decides the column that holds its slot (cols; None for a child no
+    # switch reads), a constructor by its branch, else the default, else
+    # the fail branch.  Every row has one variable in each column before
+    # that one.  Iterative: deep patterns nest sub-matchers deeper than
+    # the recursion limit.
     built = ctx._built
-    nvars: dict[int, int] = {}      # id of a pattern -> its number of variables
     results: list[lam.Term] = []
-    todo: list[tuple] = [("go", alphas, m, delayed)]
+    todo: list[tuple] = [("go", tree, tuple(range(m)), m, info)]
     while todo:
-        op, alphas, m, arg = todo.pop()
-        xs, xvs = _binders(ctx, "x", m)
-        ks, kvs = _binders(ctx, "k", len(alphas))
+        op, node, cols, n, info = todo.pop()
+        xs, xvs = _binders(ctx, "x", len(cols))
         if op == "mk":
-            col, parts = arg
+            col, parts, nrows = node
+            ks, kvs = _binders(ctx, "k", nrows)
             xs_rest = xs[:col] + xs[col + 1:]
             first = len(results) - len(parts)
             branches = []
@@ -301,53 +296,46 @@ def _match_term(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]], m: int,
             results.append(built.build(xs + ks, xvs[col],
                                        branches + list(xvs[:col] + xvs[col + 1:] + kvs)))
             continue
-        if not alphas:
-            results.append(_fail(ctx, xs))
+        if type(node) is not list:
+            results.append(_fail(ctx, xs) if node is None else
+                           _all_vars_matcher(ctx, len(cols), info[node[0]][1]))
             continue
-        if not any(isinstance(pat, crs.Node) for a in alphas for pat in a):
-            if len(alphas) > 1:
-                raise MatchOverlapError("distinct all-variable sequences overlap")
-            results.append(_all_vars_matcher(ctx, m, arg[0]))
-            continue
-        col = next(i for i in range(m)
-                   if any(isinstance(a[i], crs.Node) for a in alphas))
-        # the variables of a sequence with a variable in col: col of them
-        # before it, as every sequence has, and `after` it
-        after = {}
-        for pidx, a in enumerate(alphas):
-            if type(a[col]) is crs.Var:
-                n = 0
-                for q in a[col + 1:]:
-                    if id(q) not in nvars:
-                        nvars[id(q)] = len(crs.variables(q))
-                    n += nvars[id(q)]
-                after[pidx] = n
+        slot, branches, default, rows = node
+        col = cols.index(slot)
+        k_of = dict(zip(rows, _binders(ctx, "k", len(rows))[1]))
+        var_rows = set(_rows(default))
         parts = []
         subs = []
         for j, cname in enumerate(ctx.constructors, 1):
             arj = ctx.arity(cname)
-            betas: list[tuple[crs.Term, ...]] = []
-            conts: list[lam.Term] = []
-            delays: list[bool] = []
-            for pidx, a in enumerate(alphas):
-                pat = a[col]
-                if pidx not in after:
-                    if pat.symbol != cname:
-                        continue
-                    betas.append(a[:col] + pat.children + a[col + 1:])
-                    conts.append(built.build((), ctx._ident, (kvs[pidx],)))
-                    delays.append(arg[pidx])
+            sub = branches.get(cname)
+            if sub is None:
+                sub, kids, n_sub = default, (None,) * arj, n
+            else:
+                kids, n_sub = tuple(range(n, n + arj)), n + arj
+            conts = []
+            sub_info = {}
+            for q in _rows(sub):
+                nv, d = info[q]
+                if q in var_rows:
+                    conts.append(built.build((), _rebuild_wrapper(ctx, j, col, nv - col - 1),
+                                             (k_of[q],)))
+                    nv += arj - 1
+                    d = nv == 0
                 else:
-                    betas.append(a[:col] + (_CHILD,) * arj + a[col + 1:])
-                    conts.append(built.build((), _rebuild_wrapper(ctx, j, col, after[pidx]),
-                                             (kvs[pidx],)))
-                    delays.append(col + arj + after[pidx] == 0)
+                    conts.append(built.build((), ctx._ident, (k_of[q],)))
+                sub_info[q] = nv, d
             zs, zvs = _binders(ctx, "z", arj)
             parts.append((zs, zvs, tuple(conts)))
-            subs.append(("go", betas, m - 1 + arj, delays))
-        todo.append(("mk", alphas, m, (col, parts)))
+            subs.append(("go", sub, cols[:col] + kids + cols[col + 1:], n_sub, sub_info))
+        todo.append(("mk", (col, parts, len(rows)), cols, n, info))
         todo += reversed(subs)
     return results[0]
+
+
+def _rows(node) -> tuple[int, ...]:
+    # the positions of the rows of a match tree node
+    return () if node is None else node[3] if type(node) is list else node[:1]
 
 
 def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
@@ -357,8 +345,12 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     applied to the encoded bindings (in variable order), and to the error
     value when nothing matches or a scrutinee is the error value.
 
-    The number of steps to reach the continuation depends only on the
-    sequences and the constructors consumed, never on subterm sizes.
+    It translates the sequences' match tree, which the rewrite engines
+    walk (crs._match_tree): a switch, on the first column in which some
+    sequence has a constructor, becomes a case analysis with a branch per
+    constructor of the signature.  The number of steps to reach the
+    continuation depends only on the sequences and the constructors
+    consumed, never on subterm sizes.
 
     Continuations are call-by-value arguments, so each must be a value:
     a continuation's body runs only once its sequence has matched every
@@ -377,13 +369,14 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     delayed = list(delayed) if delayed is not None else [False] * len(alphas)
     if len(delayed) != len(alphas):
         raise ScottError(f"{len(delayed)} delay flags for {len(alphas)} sequences")
-    for a, d in zip(alphas, delayed):
-        if d and any(crs.variables(pat) for pat in a):
-            raise ScottError("a delayed continuation's sequence binds variables")
+    nvars = [sum(len(crs.variables(pat)) for pat in a) for a in alphas]
+    if any(d and n for d, n in zip(delayed, nvars)):
+        raise ScottError("a delayed continuation's sequence binds variables")
     pair = crs._first_overlap([(None, a) for a in alphas])[0]
     if pair is not None:
         raise MatchOverlapError("sequences %d and %d overlap" % pair)
-    return _match_term(ctx, alphas, m, delayed)
+    return _match_term(ctx, crs._match_tree(list(enumerate(alphas))), m,
+                       dict(enumerate(zip(nvars, delayed))))
 
 
 # --- recursion ------------------------------------------------------------------------
@@ -496,16 +489,16 @@ def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
     fixvars = dict(zip(ctx.functions, map(Var, fixnames)))
     vs = []
     for g in ctx.functions:
-        rules = [r for r in ctx.system.rules if r.head == g]
         ws = []
-        delayed = []
-        for r in rules:
-            pvars = [v for pat in r.lhs for v in crs.variables(pat)]
-            rhs = _translate(ctx, r.rhs, fixvars.__getitem__, False)
-            delayed.append(not pvars and not isinstance(rhs, Abs))
-            ws.append(_delay(ctx, rhs) if delayed[-1] else built.build(pvars, rhs))
+        rows = {}                   # rule position -> (variables, delayed?)
+        for pos, r in enumerate(ctx.system.rules):
+            if r.head == g:
+                pvars = [v for pat in r.lhs for v in crs.variables(pat)]
+                rhs = _translate(ctx, r.rhs, fixvars.__getitem__, False)
+                rows[pos] = len(pvars), not pvars and not isinstance(rhs, Abs)
+                ws.append(_delay(ctx, rhs) if rows[pos][1] else built.build(pvars, rhs))
         ar = ctx.arity(g)
-        matcher = compile_match(ctx, [r.lhs for r in rules], ar, delayed)
+        matcher = _match_term(ctx, ctx.system._trees[g], ar, rows)
         avars, avvs = _binders(ctx, "arg", ar)
         vs.append(built.build(fixnames + avars, matcher, avvs + tuple(ws)))
     hs, _ = _fixpoint_family(built, len(ctx.functions))

@@ -10,7 +10,7 @@ from normbench import crs, encode, lam, scott, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
     apply_subst, bench_workloads, check_arities, crs_is_closed, crs_replace_at, is_pattern,
-    match_args, random_closed_term,
+    match_args, random_closed_term, random_patterns_system, random_value,
     random_system, redexes, reference_first_overlap, reference_random_reduce, reference_validate,
     rewrite_step, term_size, two_pass_parse_term)
 
@@ -542,23 +542,6 @@ def test_compiling_a_system_checks_it_as_the_reference_does():
     assert met == set(FAULTS)
 
 
-def random_patterns_system(rng):
-    """(signature, rules) of random linear left sides full of variables
-    and with the same right side, so that only overlap can be at fault."""
-    sig = Signature({"a": 0, "b": 0, "s": 1, "p": 2}, {"f": 2, "g": 1, "h": 3, "k": 0})
-    fresh = iter(range(10**6))
-
-    def pattern(depth):
-        if not depth or rng.random() < 0.35:
-            return Var(f"x{next(fresh)}")
-        c = rng.choice(list(sig.constructors))
-        return Node(c, tuple(pattern(depth - 1) for _ in range(sig.constructors[c])))
-
-    heads = rng.choices(list(sig.functions), k=rng.randrange(1, 9))
-    return sig, [Rule(h, tuple(pattern(3) for _ in range(sig.functions[h])), Node("a"))
-                 for h in heads]
-
-
 def test_several_overlaps_raise_the_reference_pair():
     # systems whose only fault is overlap, with several overlapping pairs,
     # raise the pair that the scan of every pair meets first
@@ -900,8 +883,8 @@ def test_random_policy_deep_run():
 
 @pytest.mark.parametrize("rng", [None, 0])
 def test_deep_rule_sides(rng):
-    # the match program and the plan of 10^4-deep rule sides are built
-    # without recursion; the plan builder is the input's, which
+    # the slots, the match tree and the plan of 10^4-deep rule sides are
+    # built without recursion; the plan builder is the input's, which
     # test_machine_deep_run holds to linear time on a 10^5-deep input
     depth = 10_000
     assert depth > sys.getrecursionlimit()
@@ -945,14 +928,6 @@ def template_systems():
         m = lam.parse(workloads.church_instance(family, n, rng)[0])
         systems += [encode.encode_cbv(m).system, encode.encode_cbn(m).system]
     return systems + [random_system(rng) for _ in range(60)]
-
-
-def random_value(rng, sig, depth):
-    """A random constructor term over sig, at most depth deep; sig has a
-    nullary constructor."""
-    name = rng.choice([c for c, ar in sig.constructors.items() if ar == 0 or depth > 0])
-    return Node(name, tuple(random_value(rng, sig, depth - 1)
-                            for _ in range(sig.constructors[name])))
 
 
 def largest_constants(t, sig):

@@ -8,11 +8,11 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    GraphRule, apply_subst, bench_workloads, candidates, crs_replace_at, nat_term,
-    random_closed_term, random_system, redexes, reference_build_phase, reference_collect,
-    reference_compile_rule, reference_find_redex, reference_graph_reduce, reference_redirect,
-    reference_template, reference_try_match, rule_to_graph_rule, slot_nodes, term_size,
-    two_tower)
+    GraphRule, apply_subst, bench_workloads, crs_replace_at, match_args, nat_term,
+    random_closed_term, random_system, random_value, redexes, reference_build_phase,
+    reference_collect, reference_compile_rule, reference_find_redex, reference_graph_reduce,
+    reference_redirect, reference_template, reference_try_match, rule_to_graph_rule, slot_nodes,
+    term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -82,15 +82,17 @@ def test_graph_to_term_requires_labels():
 # --- rule compilation ----------------------------------------------------------------
 
 def template_agrees(system, r):
-    """Rule r's build template and match program are those of its rule
-    graph's compile, through the slot mapping; the copies that a firing
-    links under a parent copy are those of the rule graph's plan."""
+    """Rule r's build template and slots are those of its rule graph's
+    compile, through the slot mapping: the variables' slots, and the
+    constructors' in the others; the copies that a firing links under a
+    parent copy are those of the rule graph's plan."""
     gr = rule_to_graph_rule(system.rules[r])
     tpl = graphs._template(system, r)
     ref, (steps, variables) = reference_template(gr, system.signature)
     assert tpl == ref, system.rules[r]
-    program, slot_of = system._programs[r]
-    assert (program, set(slot_of.values())) == (steps, variables), system.rules[r]
+    slot_of, nslots = system._slots[r]
+    assert set(slot_of.values()) == variables, system.rules[r]
+    assert [s for s, _ in steps] == sorted(set(range(nslots)) - variables), system.rules[r]
     cr = reference_compile_rule(gr)[0]
     links = {(p - cr.slots, j) for _, p, j in cr.plan if p >= 0}
     assert links == {(k, j) for k, c in enumerate(tpl.copies) for j in c[3]}
@@ -142,7 +144,7 @@ def differential_systems():
 
 def test_template_matches_the_rule_graph_compile():
     # _template walks a rule's right side once, numbering its variables
-    # by the system's match program; the rule graph's compile walks the
+    # by the system's slots for the rule; the rule graph's compile walks the
     # graph of both sides in its own slot order.  Mapped slot for slot,
     # they give the same copies, kids and right root, and the copies'
     # ids come in the rule graphs' order.
@@ -151,11 +153,13 @@ def test_template_matches_the_rule_graph_compile():
     for system in systems:
         for r in range(len(system.rules)):
             template_agrees(system, r)
-    # add(succ(x), y) -> succ(add(x, y)): slots succ(x) 0, y 1 and x 2;
+    # add(succ(x), y) -> succ(add(x, y)): slots succ(x) 0, y 1 and x 2,
+    # which add's match tree reads in that order after testing slot 0;
     # the copies add(x, y) and succ(.) are references 3 and 4, and
     # deciding them walks the replacement and 3 child slots
     system = nat_system()
-    assert system._programs[1] == ([(0, "succ")], {"y": 1, "x": 2})
+    assert system._slots[1] == ({"y": 1, "x": 2}, 3)
+    assert system._trees["add"] == [0, {"zero": (0, None), "succ": (1, None)}, None, (0, 1)]
     assert graphs._template(system, 1) == graphs.Template(
         (("add", (2, 1), True, ()), ("succ", (3,), False, (0,))), 4, 4)
     assert system._graph_templates[1] is graphs._template(system, 1)
@@ -685,24 +689,17 @@ def agrees_with_reference_shared(system, t):
     return max(shared_graph(t, system.signature).refs.values()) > 1
 
 
-def program_match(gr, program, anchor):
-    """The match graph_reduce runs at record anchor, whose arguments are
-    values: the match program over the records, as rule node of gr ->
-    node id, or None."""
-    slots = anchor[1][:]
-    for s, c in program:
-        t = slots[s]
-        if t[0] != c:
-            return None
-        slots += t[1]
+def tree_phi(gr, anchor, slots):
+    """The match graph_reduce makes at record anchor from the slots of its
+    match tree's walk, as rule node of gr -> node id."""
     return {gr.left: anchor[3], **{rn: t[3] for rn, t in zip(slot_nodes(gr), slots)}}
 
 
 def compiled_rules_agree(system, t, budget=30):
     """At every state of the leftmost run up to budget: at each function
-    node over function-free arguments, every rule of the head that the
-    system's index offers matches on the records as the generic matcher
-    does on the rule graph (the same phi), and every rule it skips fails
+    node over function-free arguments, the rule that its head's match
+    tree finds matches on the records as the generic matcher does on the
+    rule graph (the same phi), and every other rule of the head fails
     there; find_redex finds the reference's redex; and fire_redex gives
     the node ids, edges and in-degrees of the reachability build, the
     generic redirect and the reachability collection, with the nodes that
@@ -714,20 +711,15 @@ def compiled_rules_agree(system, t, budget=30):
     for _ in range(budget):
         recs = graphs._load(g, sig)[3]
         for v, lab in list(g.label.items()):
-            if not sig.is_function(lab):
+            if not sig.is_function(lab) or not all(c[4] for c in recs[v][1]):
                 continue
-            kids = g.succ[v]
-            first = g.label[kids[0]] if kids else None
-            offered = system._index.get((lab, first)) or system._index.get((lab, None), [])
-            values = all(c[4] for c in recs[v][1])
+            block = []
+            graphs._search(system._trees, [recs[v]], block)
+            hit, slots = block[0][1:] if block else (None, None)
             for k, rule in enumerate(system.rules):
-                if rule.head != lab:
-                    continue
-                phi = reference_try_match(g, grules[k], v, sig, {}, [0])
-                if k not in offered:
-                    assert phi is None
-                elif values:
-                    assert program_match(grules[k], system._programs[k][0], recs[v]) == phi
+                if rule.head == lab:
+                    phi = reference_try_match(g, grules[k], v, sig, {}, [0])
+                    assert phi == (tree_phi(grules[k], recs[v], slots) if k == hit else None)
         redex = graphs.find_redex(g, system)
         hit = reference_find_redex(g, grules, sig)
         if redex is None:
@@ -898,6 +890,30 @@ def test_leftmost_work_shape():
         assert rand.work == out.work
 
 
+def test_step_work_does_not_grow_with_the_rule_count():
+    # f(z, y) -> y and R rules f(s(x), c_i) -> f(x, c_i), run on
+    # f(s^200(z), c_{R-1}): a node of f walks its match tree, two switches
+    # deep whatever R is, so both engines take the same steps with the
+    # same firings, and every search after the first does the same work
+    # at R = 1, 16 and 256
+    works = set()
+    for big in (1, 16, 256):
+        sig = Signature({"z": 0, "s": 1, **{f"c{i}": 0 for i in range(big)}}, {"f": 2})
+        rules = [Rule("f", (Node("z"), Var("y")), Var("y"))]
+        for c in (Node(f"c{i}") for i in range(big)):
+            rules.append(Rule("f", (Node("s", (Var("x"),)), c), Node("f", (Var("x"), c))))
+        system = crs.validate_system(sig, rules)
+        t = Node("z")
+        for _ in range(200):
+            t = Node("s", (t,))
+        t = Node("f", (t, Node(f"c{big - 1}")))
+        out, gout = crs.reduce(system, t, 1000), graphs.graph_reduce(t, system, 1000)
+        assert out.steps == gout.steps == 201 and out.fires == gout.fires
+        assert out.fires == (1,) + (0,) * (big - 1) + (200,)
+        works.add(tuple(gout.work[1:]))
+    assert len(works) == 1
+
+
 def shared_function_copy():
     """The rule graph of f(x) -> a(g, g) with one g node: its right side
     shares a function node, which no rule of a CrsSystem compiles to."""
@@ -930,16 +946,14 @@ def test_rule_sharing_a_function_node_is_caught(rng, monkeypatch):
                             rng=rng)
 
 
-def test_index_keeps_unlabelled_first_patterns():
-    # f(c, zero) -> d and f(x, succ(y)) -> f(x, y): at a node whose first
-    # argument is c, both rules are candidates, in rule order
+def test_match_tree_finds_the_rule_a_scan_finds():
+    # f(c, zero) -> d and f(x, succ(y)) -> f(x, y): a node whose first
+    # argument is c takes either rule, on its second argument
     sig = Signature({"c": 0, "d": 0, "zero": 0, "succ": 1}, {"f": 2})
     system = crs.validate_system(sig, [
         Rule("f", (Node("c"), Node("zero")), Node("d")),
         Rule("f", (Var("x"), Node("succ", (Var("y"),))), Node("f", (Var("x"), Var("y")))),
     ])
-    assert system._index["f", "c"] == [0, 1]
-    assert system._index["f", None] == [1]
     for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
                            ("f(d, succ(zero))", "stuck", 1)):
         t = crs.parse_term(t, sig)
@@ -949,30 +963,66 @@ def test_index_keeps_unlabelled_first_patterns():
         assert g.steps == steps and graphs.graph_to_term(g.graph) == out.term
         agrees_with_reference(system, t)
         compiled_rules_agree(system, t)
-
-
-def test_rule_index_offers_the_rules_that_can_fire():
-    # both engines look rules up in the system's index; at a node of each
-    # head over each first argument (a variable, a constructor, a function
-    # node) it offers, in rule order, the rules whose first pattern is a
-    # variable or has the argument's root
+    # at function nodes over values (instances of each rule, some with
+    # one subterm replaced, and random arguments) both engines' walks of
+    # the head's match tree find the rule and bindings that a scan of all
+    # the head's rules finds, and no rule where none matches
     corpus = workbench.Corpus.load(CORPUS)
-    systems = [e.system for e in corpus.crs_entries]
+    systems = [system] + [e.system for e in corpus.crs_entries]
     for e in corpus.lambda_entries[:12]:
         systems += [encode.encode_cbv(e.term).system, encode.encode_cbn(e.term).system]
     rng = random.Random(8)
     systems += [random_system(rng) for _ in range(40)]
+    found = missed = 0
     for system in systems:
         sig = system.signature
-        pos = {id(r): k for k, r in enumerate(system.rules)}
-        roots = [r.lhs[0].symbol if r.lhs and isinstance(r.lhs[0], Node) else None
-                 for r in system.rules]
+        assert 0 in sig.constructors.values()
+        nodes = []
+        for rule in system.rules:
+            subst = {x: random_value(rng, sig, 2) for p in rule.lhs for x in crs.variables(p)}
+            args = [apply_subst(p, subst) for p in rule.lhs]
+            nodes.append((rule.head, list(args)))
+            if args:
+                i = rng.randrange(len(args))
+                args[i] = replace_random_subterm(rng, args[i], random_value(rng, sig, 2))
+                nodes.append((rule.head, args))
         for head, arity in sig.functions.items():
-            for first in [None, *sig.constructors, head] if arity else [None]:
-                arg = (Var("x") if first is None else Node(first)) if arity else None
-                want = [k for k, r in enumerate(system.rules) if r.head == head
-                        and roots[k] in (None, first)]
-                assert [pos[id(r)] for r in candidates(system, head, arg)] == want
+            nodes += [(head, [random_value(rng, sig, 3) for _ in range(arity)])
+                      for _ in range(10)]
+        for head, args in nodes:
+            scan = [(k, subst) for k, rule in enumerate(system.rules) if rule.head == head
+                    for subst in [match_args(rule.lhs, args)] if subst is not None]
+            assert len(scan) <= 1
+            hit = system._match([head, list(args), None, 0, 0])
+            t = Node(head, tuple(args))
+            g = graphs.term_to_graph(t)
+            block = []
+            graphs._search(system._trees, [graphs._load(t, sig)[0]], block)
+            if not scan:
+                assert hit is None and not block
+                missed += 1
+                continue
+            k, subst = scan[0]
+            slot_of = system._slots[k][0]
+            _, r, slots = block[0]
+            assert hit[1] == r == k
+            assert {x: hit[2][s] for x, s in slot_of.items()} == subst
+            for x, s in slot_of.items():
+                g.root = slots[s][3]
+                assert graphs.graph_to_term(g) == subst[x]
+            found += 1
+    assert found > 1000 and missed > 150
+
+
+def replace_random_subterm(rng, t, new):
+    """t with a uniformly chosen subterm replaced by new."""
+    paths = [()]
+    for path in paths:
+        s = t
+        for i in path:
+            s = s.children[i]
+        paths += [path + (i,) for i in range(len(s.children))]
+    return crs_replace_at(t, rng.choice(paths), new)
 
 
 @pytest.mark.parametrize("text, error", [

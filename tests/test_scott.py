@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from normbench import crs, lam, scott
+from normbench import crs, graphs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import (bench_workloads, cbv_step, lam_is_closed, nat_term, random_system,
-                        reference_free_set)
+from tests_util import (bench_workloads, cbv_step, lam_is_closed, nat_term,
+                        random_patterns_system, random_system, reference_free_set)
 
 
 def nat_system(extra_rules=(), extra_fns=None):
@@ -466,9 +466,14 @@ def test_interpret_function_deep_pattern():
                                        Rule("f", (pat,), Var("x"))])
     ctx = scott.ScottContext(system)
     assert lam_is_closed(scott.interpret_function(ctx, "f"))
-    out = run(scott.term_to_lambda(ctx, Node("f", (nat_term(depth + 1),))), 1_000_000)
+    t = Node("f", (nat_term(depth + 1),))
+    out = run(scott.term_to_lambda(ctx, t), 1_000_000)
     assert out.kind == "normal"
     assert lam.alpha_eq(out.term, scott.scott_encode(ctx, nat_term(1)))
+    # both rewrite engines walk f's match tree, 6,400 switches deep
+    crs_out, graph_out = crs.reduce(system, t), graphs.graph_reduce(t, system)
+    assert crs_out.steps == graph_out.steps == 1 and crs_out.term == nat_term(1)
+    assert graphs.graph_to_term(graph_out.graph) == nat_term(1)
 
 
 # --- each part built and checked closed once per system ------------------------------
@@ -621,6 +626,33 @@ def test_compiled_terms_and_beta_counts_unchanged():
     assert steps == [392, 760, 1496, 355, 1079, 3703, 117, 304, 945, 57, 304, 903, 61]
 
 
+def test_compiled_matchers_unchanged():
+    # the printed matchers of seeded row sets deeper and wider than the
+    # rewrite-scale ones: the left sides of each head of
+    # random_patterns_system that overlap nowhere, nested up to depth 3
+    # in up to 3 columns, variables and constructors mixed, with a random
+    # half of the variable-free rows delayed
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    sets = rows = delayed = 0
+    for _ in range(600):
+        sig, rules = random_patterns_system(rng)
+        c = scott.ScottContext(crs.validate_system(sig, []))
+        by_head: dict[str, list] = {}
+        for rule in rules:
+            by_head.setdefault(rule.head, []).append(rule.lhs)
+        for head, alphas in by_head.items():
+            if len(alphas) < 2 or crs._first_overlap([(None, a) for a in alphas])[0]:
+                continue
+            flags = [not any(map(crs.variables, a)) and rng.random() < 0.5 for a in alphas]
+            m = scott.compile_match(c, alphas, sig.functions[head], flags)
+            digest.update(lam.to_str(m).encode() + b"\n")
+            sets, rows, delayed = sets + 1, rows + len(alphas), delayed + sum(flags)
+    assert (sets, rows, delayed) == (243, 536, 73)
+    assert digest.hexdigest() == (
+        "63c8fa8d24e2934a79d8e8b0d7bafe0d71dc5a1342baaaa92c3a8acb34d43ce4")
+
+
 # a system whose compiled f runs the builder site named
 NAT_DECL = "constructor zero/0;\nconstructor succ/1;\n"
 SITES = {
@@ -658,11 +690,12 @@ def test_free_variable_at_each_builder_site_is_found(monkeypatch, site, inside):
 
 def test_unbound_right_side_variable_is_found():
     # a rule the rewrite checker would reject: its right side's y is bound
-    # by nothing, and its set is its own name
+    # by nothing, and its set is its own name; the system's match trees
+    # are built as a CrsSystem builds them
     sig = Signature({"zero": 0, "succ": 1}, {"f": 1})
-    system = types.SimpleNamespace(signature=sig, rules=(
-        Rule("f", (Node("zero"),), Node("zero")),
-        Rule("f", (Node("succ", (Var("x"),)),), Node("succ", (Var("y"),)))))
+    rules = (Rule("f", (Node("zero"),), Node("zero")),
+             Rule("f", (Node("succ", (Var("x"),)),), Node("succ", (Var("y"),))))
+    system = types.SimpleNamespace(signature=sig, rules=rules, _trees=crs._Trees(rules))
     with pytest.raises(AssertionError):
         scott.interpret_function(scott.ScottContext(system), "f")
 

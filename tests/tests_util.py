@@ -345,6 +345,31 @@ def leaf_count(t):
     return n
 
 
+def random_patterns_system(rng):
+    """(signature, rules) of random linear left sides full of variables
+    and with the same right side, so that only overlap can be at fault."""
+    sig = crs.Signature({"a": 0, "b": 0, "s": 1, "p": 2}, {"f": 2, "g": 1, "h": 3, "k": 0})
+    fresh = iter(range(10**6))
+
+    def pattern(depth):
+        if not depth or rng.random() < 0.35:
+            return crs.Var(f"x{next(fresh)}")
+        c = rng.choice(list(sig.constructors))
+        return crs.Node(c, tuple(pattern(depth - 1) for _ in range(sig.constructors[c])))
+
+    heads = rng.choices(list(sig.functions), k=rng.randrange(1, 9))
+    return sig, [crs.Rule(h, tuple(pattern(3) for _ in range(sig.functions[h])), crs.Node("a"))
+                 for h in heads]
+
+
+def random_value(rng, sig, depth):
+    """A random constructor term over sig, at most depth deep; sig has a
+    nullary constructor."""
+    name = rng.choice([c for c, ar in sig.constructors.items() if ar == 0 or depth > 0])
+    return crs.Node(name, tuple(random_value(rng, sig, depth - 1)
+                                for _ in range(sig.constructors[name])))
+
+
 def match_args(patterns, args):
     """Plain left-linear matching: a variable binds whatever it meets."""
     subst = {}
@@ -383,22 +408,16 @@ def apply_subst(t, subst):
     return results[0]
 
 
-def candidates(system, head, first_arg):
-    """The rules of head that can fire at a node with this first argument,
-    in rule order, from the system's first-argument index."""
-    root = first_arg.symbol if isinstance(first_arg, crs.Node) else None
-    index = system._index
-    return [system.rules[r] for r in index.get((head, root)) or index.get((head, None), ())]
-
-
 def match_at(system, t):
     """The unique rule instance firing at the root of t, if any: a plain
-    match whose bindings are all constructor terms (the CBV condition)."""
+    match, tried with every rule of the head, whose bindings are all
+    constructor terms (the CBV condition)."""
     if not isinstance(t, crs.Node) or not system.signature.is_function(t.symbol):
         return None
     hits = []
-    first = t.children[0] if t.children else None
-    for rule in candidates(system, t.symbol, first):
+    for rule in system.rules:
+        if rule.head != t.symbol:
+            continue
         subst = match_args(rule.lhs, t.children)
         if subst is not None and all(crs.is_constructor_term(v, system.signature)
                                      for v in subst.values()):
@@ -790,9 +809,9 @@ def reference_compile_rule(gr):
 
 
 def slot_nodes(gr):
-    """The rule node in each slot of the system's match program for the
-    rule of gr: the arguments left to right, then the children of each
-    constructor slot in slot order."""
+    """The rule node in each of the system's slots for the rule of gr
+    (crs._match_program): the arguments left to right, then the children
+    of each constructor slot in slot order."""
     rg = gr.graph
     nodes = list(rg.succ[gr.left])
     i = 0
