@@ -946,14 +946,26 @@ def test_rule_sharing_a_function_node_is_caught(rng, monkeypatch):
                             rng=rng)
 
 
-def test_match_tree_finds_the_rule_a_scan_finds():
-    # f(c, zero) -> d and f(x, succ(y)) -> f(x, y): a node whose first
-    # argument is c takes either rule, on its second argument
+def index_system():
+    """f(c, zero) -> d and f(x, succ(y)) -> f(x, y)."""
     sig = Signature({"c": 0, "d": 0, "zero": 0, "succ": 1}, {"f": 2})
-    system = crs.validate_system(sig, [
+    return crs.validate_system(sig, [
         Rule("f", (Node("c"), Node("zero")), Node("d")),
         Rule("f", (Var("x"), Node("succ", (Var("y"),))), Node("f", (Var("x"), Var("y")))),
     ])
+
+
+def test_index_keeps_unlabelled_first_patterns():
+    # f(c, zero) -> d and f(x, succ(y)) -> f(x, y): a node whose first
+    # argument is c takes either rule, on its second argument, so the
+    # rule whose first pattern is a variable stays reachable past c
+    system = index_system()
+    sig = system.signature
+    for text, rule in (("f(c, zero)", 0), ("f(c, succ(zero))", 1), ("f(d, succ(zero))", 1),
+                       ("f(d, zero)", None)):
+        t = crs.parse_term(text, sig)
+        hit = system._match([t.symbol, list(t.children), None, 0, 0])
+        assert (None if hit is None else hit[1]) == rule
     for t, kind, steps in (("f(c, succ(succ(zero)))", "constructor", 3),
                            ("f(d, succ(zero))", "stuck", 1)):
         t = crs.parse_term(t, sig)
@@ -963,12 +975,15 @@ def test_match_tree_finds_the_rule_a_scan_finds():
         assert g.steps == steps and graphs.graph_to_term(g.graph) == out.term
         agrees_with_reference(system, t)
         compiled_rules_agree(system, t)
+
+
+def test_rule_index_offers_the_rules_that_can_fire():
     # at function nodes over values (instances of each rule, some with
     # one subterm replaced, and random arguments) both engines' walks of
     # the head's match tree find the rule and bindings that a scan of all
     # the head's rules finds, and no rule where none matches
     corpus = workbench.Corpus.load(CORPUS)
-    systems = [system] + [e.system for e in corpus.crs_entries]
+    systems = [index_system()] + [e.system for e in corpus.crs_entries]
     for e in corpus.lambda_entries[:12]:
         systems += [encode.encode_cbv(e.term).system, encode.encode_cbn(e.term).system]
     rng = random.Random(8)
