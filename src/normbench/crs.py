@@ -11,21 +11,24 @@ on the position policy.
 list of the term's redexes, stored reversed: leftmost-innermost fires
 the list's last entry, the random policy one picked uniformly, and a
 firing replaces its entry by the redexes it made.  A node finds its rule
-by walking its head's match tree (_match_tree), so a match costs the
-tree's depth, not the head's rule count.  Each rule is compiled once,
-when its system is built, into the numbering of its slots and a register
-template that builds its right-hand side with one fetch per node; the
-input is compiled to a template too.  Either way a step costs the size
-of its rule whatever the size of the term.  The outcome counts the
-firings of each rule; a caller that needs more can hook each step, which
-receives the rule, its match and a `state()` that builds the whole term
-only when called.
+by walking its head's match tree (_match_tree), which has at most one
+switch per constructor of the head's left sides and visits each at most
+once; where constructors tell the rules apart, a match reads only the
+constructors of the rule it finds, however many rules the head has.
+Each rule is compiled once, when its system is built, into the
+numbering of its slots and a register template that builds its
+right-hand side with one fetch per node; the input is compiled to a
+template too.  Either way a step costs the size of its rule whatever the
+size of the term.  The outcome counts the firings of each rule; a caller
+that needs more can hook each step, which receives the rule, its match
+and a `state()` that builds the whole term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
 `CrsSystem` compiles the rules, which is what checks them (see
 `CrsSystem` for which fault a rule with several reports).  Graph
-reduction walks the same trees, and the Scott matcher translates them.
+reduction walks the same trees, and the Scott matcher translates trees
+of the same builder that copy rather than backtrack.
 """
 
 from __future__ import annotations
@@ -204,10 +207,11 @@ class CrsSystem:
     reported: heads by first appearance, then the least (i, j) in rule
     order, the pair a scan of every pair in that order meets first.
 
-    Overlap is not read off the match trees (`_match_tree`, built per
-    head on its first match): a tree copies a row with a variable into
-    every branch, exponentially often on some systems, where
-    `_first_overlap` compares it with the other rows instead.
+    Then each head's match tree (`_match_tree`) is built from its left
+    sides.  Overlap is not read off the trees: a tree puts a row with a
+    variable only in a switch's default, where nothing compares it with
+    the rows in the branches, and a tree that copied it into every
+    branch would be exponential on some systems.
     """
 
     def __init__(self, signature: Signature, rules: list[Rule]):
@@ -221,28 +225,39 @@ class CrsSystem:
             slot_of, nslots = _match_program(idx, rule, sig)
             self._slots.append((slot_of, nslots))
             self._templates.append(_compile_term(rule.rhs, sig, slot_of, nslots, idx))
-        self._trees = _Trees(self.rules)
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
         pair = _first_overlap([(rule.head, rule.lhs) for rule in self.rules])[0]
         if pair is not None:
             raise OverlapError(*pair)
+        rows: dict[str, list] = {f: [] for f in sig.functions}
+        for idx, rule in enumerate(self.rules):
+            rows[rule.head].append((idx, rule.lhs))
+        self._trees = {f: _match_tree(group) for f, group in rows.items()}
 
     def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
         # (frame, rule position, slots) of the rule firing at a function
         # node frame whose arguments are values, or None
         node = self._trees[frame[0]]
         slots = frame[1][:]
-        while type(node) is list:
-            t = slots[node[0]]
-            sub = node[1].get(t.symbol)
-            if sub is None:
-                node = node[2]
-            else:
-                slots += t.children
-                node = sub
-        return node and (frame, node[0], slots if node[1] is None else
-                         [slots[i] for i in node[1]])
+        back = []                       # (default, slots there) of each branch taken
+        while True:
+            while type(node) is list:
+                t = slots[node[0]]
+                sub = node[1].get(t.symbol)
+                if sub is None:
+                    node = node[2]
+                else:
+                    if node[2] is not None:
+                        back.append((node[2], len(slots)))
+                    slots += t.children
+                    node = sub
+            if node is not None:
+                return frame, node, slots
+            if not back:
+                return None
+            node, n = back.pop()
+            del slots[n:]
 
 
 def _first_overlap(rules: Iterable[tuple[Optional[str], tuple[Term, ...]]]
@@ -346,87 +361,62 @@ def _rows_unify(a: Optional[tuple], b: Optional[tuple]) -> tuple[bool, int]:
     return True, steps
 
 
-class _Trees(dict):
-    """Each head's match tree (_match_tree), built on its first lookup."""
-
-    def __init__(self, rules: tuple[Rule, ...]):
-        super().__init__()
-        self.rules = rules
-
-    def __missing__(self, head: str):
-        tree = self[head] = _match_tree(
-            [(r, rule.lhs) for r, rule in enumerate(self.rules) if rule.head == head])
-        return tree
-
-
-def _match_tree(rows: list[tuple[int, tuple[Term, ...]]]):
+def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
     """The decision tree that finds which of rows, (position, left side)
     in rule order, matches a node's arguments (Maranget, "Compiling
     pattern matching to good decision trees", ML 2008).  A walk's slots
     start as the arguments.  A switch [slot, branches, default, positions
     of its rows] reads the root in its slot: a constructor that branches
     names leads there and appends its children as the next slots, any
-    other to default (None fails).  A leaf (position, order) has the
-    rule's own slots (_match_program) at order in the walk's, or at the
-    same places with order None.  A group of rows, whose columns are the
-    slots not yet read in place order, splits on the first column in
+    other to default (None fails).  A leaf is the position of its row.
+    A group of rows splits on the first slot, in the order below, at
     which some row has a constructor: a branch per constructor there
-    holds the rows with it, its children in its place, and those with a
-    variable, which the default holds alone.  A group whose first row has
-    no constructor is a leaf, its only row once rows pass _first_overlap."""
-    lhs_of = dict(rows)
-    m = len(rows[0][1]) if rows else 0
+    holds the rows with it, and the default the rows with a variable.  A
+    group in which no row has a constructor left is a leaf, its only row
+    once rows pass _first_overlap.
+
+    Without copy, the engines' tree, slots go by number, so a walk reads
+    a rule's slots in the order _match_program numbers them, and a walk
+    whose branch fails goes on at that switch's default with the slots it
+    had there (a backtracking automaton, Le Fessant and Maranget, ICFP
+    2001).  Each row is in one group at a time, so the tree is linear in
+    the size of the left sides.  With copy, Scott's tree, slots go by
+    place, a node's children taking its column, and each branch holds
+    the rows with a variable too, in rule order, so no walk backtracks;
+    copying can make the tree exponential in the number of rows."""
     root: list = [None]
-    # (where the node goes, its group: (position, row as in _first_overlap,
-    # whether no branch gave it children of a variable), the slot of each
-    # column, slots so far, the (slot, slot of its first child) of each
-    # branch taken that gave children, and whether their slots increase);
-    # a split drops the columns before k, where every row has a variable
-    todo: list[tuple] = [(root, 0, [(p, _columns(lhs, None), True) for p, lhs in rows],
-                          tuple(range(m)), m, None, True)] if rows else []
+    # (where the node goes, its group: (position, the constructors of the
+    # row not yet read, in order: (key, slot, node)), slots so far); the
+    # key is the slot, or with copy the node's path from the arguments
+    todo: list[tuple] = [(root, 0, [(p, [((j,) if copy else j, j, q)
+                                         for j, q in enumerate(lhs) if type(q) is Node])
+                                    for p, lhs in rows], len(rows[0][1]))] if rows else []
     while todo:
-        into, key, group, cols, n, path, rising = todo.pop()
-        p, row, exact = group[0]
-        if row is None:
-            if exact and rising:        # the walk read the row's slots in its order
-                into[key] = p, None
-                continue
-            first = {}
-            while path is not None:
-                (s, kid), path = path
-                first[s] = kid
-            pats, order = list(lhs_of[p]), list(range(m))
-            for j, q in enumerate(pats):
-                if type(q) is Node and q.children:
-                    kid = first[order[j]]
-                    order += range(kid, kid + len(q.children))
-                    pats += q.children
-            into[key] = p, None if order == list(range(n)) else tuple(order)
+        into, key, group, n = todo.pop()
+        heads = [row[0][:2] for _, row in group if row]
+        if not heads:
+            into[key] = group[0][0]
             continue
-        k = min(row[0] for _, row, _ in group if row is not None)
+        k, s = min(heads)
         split: dict[str, tuple[int, list]] = {}    # constructor -> (arity, rows)
-        var_rows = []                               # as group, rows after column k
-        for p, row, exact in group:
-            if row is not None and row[0] == k:
-                c = row[1]
+        var_rows = []
+        for p, row in group:
+            if row and row[0][1] == s:
+                c = row[0][2]
+                kids = [(k + (i,) if copy else n + i, n + i, q)
+                        for i, q in enumerate(c.children) if type(q) is Node]
                 if c.symbol not in split:
-                    ar = len(c.children)
-                    split[c.symbol] = ar, [(v, r and (r[0] + ar, r[1], r[2]), not ar and e)
-                                           for v, r, e in var_rows]
-                split[c.symbol][1].append((p, _columns(c.children, row[2]), exact))
+                    split[c.symbol] = len(c.children), var_rows[:] if copy else []
+                split[c.symbol][1].append((p, kids + row[1:] if copy else row[1:] + kids))
             else:
-                r = row and (row[0] - k - 1, row[1], row[2])
-                var_rows.append((p, r, exact))
-                for ar, sub in split.values():
-                    sub.append((p, r and (r[0] + ar, r[1], r[2]), not ar and exact))
-        s = cols[k]
-        node = into[key] = [s, {}, None, tuple(p for p, _, _ in group)]
-        for c, (ar, sub) in split.items():
-            todo.append((node[1], c, sub, tuple(range(n, n + ar)) + cols[k + 1:], n + ar,
-                         ((s, n), path) if ar else path,
-                         rising and (not ar or path is None or s > path[0][0])))
+                var_rows.append((p, row))
+                if copy:
+                    for _, sub in split.values():
+                        sub.append((p, row))
+        node = into[key] = [s, {}, None, tuple(p for p, _ in group)]
+        todo += [(node[1], c, sub, n + ar) for c, (ar, sub) in split.items()]
         if var_rows:
-            todo.append((node, 2, var_rows, cols[k + 1:], n, path, rising))
+            todo.append((node, 2, var_rows, n))
     return root[0]
 
 

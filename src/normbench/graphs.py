@@ -234,25 +234,32 @@ def find_redex(g: TermGraph, system: crs.CrsSystem) -> Optional[Redex]:
 
 def _search(trees: dict, tries: list[list], block: list[tuple]) -> int:
     # Walk the match tree of each function record of tries, whose
-    # children are values, and append (record, rule position, slots in
-    # the rule's own order) to block for each that matches.  Returns the
-    # work: one per record and one per switch walked.
+    # children are values, as CrsSystem._match walks it, and append
+    # (record, rule position, slots) to block for each that matches.
+    # Returns the work: one per record and one per switch walked.
     w = 0
     for u in tries:
         w += 1
-        node, slots = trees[u[0]], u[1][:]
-        while type(node) is list:
-            w += 1
-            t = slots[node[0]]
-            sub = node[1].get(t[0])
-            if sub is None:
-                node = node[2]
-            else:
-                slots += t[1]
-                node = sub
-        if node is not None:
-            block.append((u, node[0], slots if node[1] is None else
-                          [slots[i] for i in node[1]]))
+        node, slots, back = trees[u[0]], u[1][:], []
+        while True:
+            while type(node) is list:
+                w += 1
+                t = slots[node[0]]
+                sub = node[1].get(t[0])
+                if sub is None:
+                    node = node[2]
+                else:
+                    if node[2] is not None:
+                        back.append((node[2], len(slots)))
+                    slots += t[1]
+                    node = sub
+            if node is not None:
+                block.append((u, node, slots))
+            elif back:
+                node, n = back.pop()
+                del slots[n:]
+                continue
+            break
     return w
 
 
@@ -334,9 +341,9 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     Every record below a value is a value, so a binding needs no check
     that it is function-free.  reds holds the redexes in post-order,
     reversed so that the leftmost-innermost one is last; a search's
-    redexes take the place of the entry that fired.  A firing takes that last entry, or
-    with rng the entry that reds[rng.randrange(len(reds))] would be in
-    post-order.  It builds, links and decides each copy of the rule's
+    redexes take the place of the entry that fired.  A firing takes that
+    last entry, or with rng the entry that reds[rng.randrange(len(reds))]
+    would be in post-order.  It builds, links and decides each copy of the rule's
     template (_template) in one pass, redirects the anchor's in-edge,
     collects by reference count from the anchor (refs count only
     in-edges from reachable nodes, so this removes exactly what became
@@ -353,7 +360,7 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     normal with steps < budget.  The first search arrives at the root and
     every child slot of the input; a later one at the replacement and the
     child slots of the copies.  A record tried costs one for its anchor
-    and one per switch, however many rules its head has.
+    and one per switch it walks (crs._match_tree).
 
     A term with a variable, or a graph with a cycle, raises GraphError.
     Else the first reachable input node in post-order whose label the

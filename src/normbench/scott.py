@@ -269,8 +269,9 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
 
 
 def _match_term(ctx: ScottContext, tree, m: int, info: dict[int, tuple[int, bool]]) -> lam.Term:
-    # The matcher of a crs._match_tree over m columns, for the rows whose
-    # positions info maps to (number of variables, delayed?).  A switch
+    # The matcher of a crs._match_tree built with copy over m columns,
+    # for the rows whose positions info maps to (number of variables,
+    # delayed?).  A switch
     # decides the column that holds its slot (cols; None for a child no
     # switch reads), a constructor by its branch, else the default, else
     # the fail branch.  Every row has one variable in each column before
@@ -298,7 +299,7 @@ def _match_term(ctx: ScottContext, tree, m: int, info: dict[int, tuple[int, bool
             continue
         if type(node) is not list:
             results.append(_fail(ctx, xs) if node is None else
-                           _all_vars_matcher(ctx, len(cols), info[node[0]][1]))
+                           _all_vars_matcher(ctx, len(cols), info[node][1]))
             continue
         slot, branches, default, rows = node
         col = cols.index(slot)
@@ -335,7 +336,7 @@ def _match_term(ctx: ScottContext, tree, m: int, info: dict[int, tuple[int, bool
 
 def _rows(node) -> tuple[int, ...]:
     # the positions of the rows of a match tree node
-    return () if node is None else node[3] if type(node) is list else node[:1]
+    return () if node is None else node[3] if type(node) is list else (node,)
 
 
 def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
@@ -345,12 +346,13 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     applied to the encoded bindings (in variable order), and to the error
     value when nothing matches or a scrutinee is the error value.
 
-    It translates the sequences' match tree, which the rewrite engines
-    walk (crs._match_tree): a switch, on the first column in which some
-    sequence has a constructor, becomes a case analysis with a branch per
-    constructor of the signature.  The number of steps to reach the
-    continuation depends only on the sequences and the constructors
-    consumed, never on subterm sizes.
+    It translates the sequences' match tree, from the builder of the
+    rewrite engines' trees with copy (crs._match_tree): a switch, on the
+    first column in which some sequence has a constructor, becomes a case
+    analysis with a branch per constructor of the signature, which the
+    sequences with a variable there enter too.  The number of steps to
+    reach the continuation depends only on the sequences and the
+    constructors consumed, never on subterm sizes.
 
     Continuations are call-by-value arguments, so each must be a value:
     a continuation's body runs only once its sequence has matched every
@@ -375,7 +377,7 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     pair = crs._first_overlap([(None, a) for a in alphas])[0]
     if pair is not None:
         raise MatchOverlapError("sequences %d and %d overlap" % pair)
-    return _match_term(ctx, crs._match_tree(list(enumerate(alphas))), m,
+    return _match_term(ctx, crs._match_tree(list(enumerate(alphas)), copy=True), m,
                        dict(enumerate(zip(nvars, delayed))))
 
 
@@ -498,7 +500,8 @@ def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
                 rows[pos] = len(pvars), not pvars and not isinstance(rhs, Abs)
                 ws.append(_delay(ctx, rhs) if rows[pos][1] else built.build(pvars, rhs))
         ar = ctx.arity(g)
-        matcher = _match_term(ctx, ctx.system._trees[g], ar, rows)
+        tree = crs._match_tree([(pos, ctx.system.rules[pos].lhs) for pos in rows], copy=True)
+        matcher = _match_term(ctx, tree, ar, rows)
         avars, avvs = _binders(ctx, "arg", ar)
         vs.append(built.build(fixnames + avars, matcher, avvs + tuple(ws)))
     hs, _ = _fixpoint_family(built, len(ctx.functions))

@@ -159,7 +159,7 @@ def test_template_matches_the_rule_graph_compile():
     # deciding them walks the replacement and 3 child slots
     system = nat_system()
     assert system._slots[1] == ({"y": 1, "x": 2}, 3)
-    assert system._trees["add"] == [0, {"zero": (0, None), "succ": (1, None)}, None, (0, 1)]
+    assert system._trees["add"] == [0, {"zero": 0, "succ": 1}, None, (0, 1)]
     assert graphs._template(system, 1) == graphs.Template(
         (("add", (2, 1), True, ()), ("succ", (3,), False, (0,))), 4, 4)
     assert system._graph_templates[1] is graphs._template(system, 1)
@@ -912,6 +912,37 @@ def test_step_work_does_not_grow_with_the_rule_count():
         assert out.fires == (1,) + (0,) * (big - 1) + (200,)
         works.add(tuple(gout.work[1:]))
     assert len(works) == 1
+
+
+def test_match_tree_stays_linear_when_variables_share_columns():
+    # f over 25 arguments and 24 rules, rule i with T in argument i, c_i
+    # in the last and variables elsewhere: no two overlap, but the rows
+    # with a variable in a switch's argument would enter each of its
+    # branches in a tree that copied them, about 2^24 switches.  The tree
+    # keeps them in the default, and a walk whose branch fails goes on
+    # there, so both engines find rule 23 on f(U, T, ..., T, c23)
+    n = 24
+    sig = Signature({"T": 0, "U": 0, **{f"c{i}": 0 for i in range(n)}}, {"f": n + 1})
+    rules = [Rule("f", tuple(Node("T") if j == i else Var(f"x{j}") for j in range(n))
+                  + (Node(f"c{i}"),), Var(f"x{(i + 1) % n}")) for i in range(n)]
+    system = crs.validate_system(sig, rules)
+    switches, todo = 0, [system._trees["f"]]
+    while todo:
+        node = todo.pop()
+        if type(node) is list:
+            switches += 1
+            todo += [*node[1].values(), node[2]]
+    assert switches == 2 * n
+    t = Node("f", (Node("U"),) + (Node("T"),) * (n - 1) + (Node(f"c{n - 1}"),))
+    out, gout = crs.reduce(system, t, 10), graphs.graph_reduce(t, system, 10)
+    assert out.steps == gout.steps == 1 and out.term == Node("U")
+    assert out.fires == gout.fires == (0,) * (n - 1) + (1,)
+    assert graphs.graph_to_term(gout.graph) == Node("U")
+    # the first search: the root and its n + 1 child slots, the record of
+    # f, and 2n - 1 switches: argument 0's, which U leaves by its default,
+    # then T and the last argument's for each of arguments 1 to 23, which
+    # fails but for argument 23
+    assert gout.work == [(n + 2) + 1 + (2 * n - 1), 1]
 
 
 def shared_function_copy():

@@ -690,12 +690,11 @@ def test_free_variable_at_each_builder_site_is_found(monkeypatch, site, inside):
 
 def test_unbound_right_side_variable_is_found():
     # a rule the rewrite checker would reject: its right side's y is bound
-    # by nothing, and its set is its own name; the system's match trees
-    # are built as a CrsSystem builds them
+    # by nothing, and its set is its own name
     sig = Signature({"zero": 0, "succ": 1}, {"f": 1})
-    rules = (Rule("f", (Node("zero"),), Node("zero")),
-             Rule("f", (Node("succ", (Var("x"),)),), Node("succ", (Var("y"),))))
-    system = types.SimpleNamespace(signature=sig, rules=rules, _trees=crs._Trees(rules))
+    system = types.SimpleNamespace(signature=sig, rules=(
+        Rule("f", (Node("zero"),), Node("zero")),
+        Rule("f", (Node("succ", (Var("x"),)),), Node("succ", (Var("y"),)))))
     with pytest.raises(AssertionError):
         scott.interpret_function(scott.ScottContext(system), "f")
 
