@@ -83,16 +83,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _maybe_dot(graph, dest: str | None) -> None:
-    if dest and graph is not None:
-        _write(dest, graphs.to_dot(graph))
+def _maybe_dot(out: graphs.GraphOutcome | None, dest: str | None) -> None:
+    # a graph run's final graph as DOT; for a term input, reading
+    # out.graph is what writes the result's records into a TermGraph
+    if dest and out is not None:
+        _write(dest, graphs.to_dot(out.graph))
 
 
 def cmd_eval(args) -> int:
     kind, loaded, stanza = _load_input(args.input)
     rng = random.Random(args.seed) if args.policy == "random" else None
     timing: dict[str, float] = {}
-    final_graph = None
+    graph_out = None
     with workbench.timed(timing, "total"):
         if args.engine in ("lambda-cbv", "lambda-cbn"):
             if kind != "lam":
@@ -103,15 +105,15 @@ def cmd_eval(args) -> int:
             run = workbench.crs_run_dict(
                 crs.reduce(*_system_and_term(kind, loaded), args.budget, rng=rng))
         else:
-            out = workbench.graph_run(*_system_and_term(kind, loaded), args.budget, rng=rng)
-            run, _ = workbench.graph_run_dict(out)
-            final_graph = out.graph
+            graph_out = workbench.graph_run(*_system_and_term(kind, loaded), args.budget,
+                                            rng=rng)
+            run = workbench.graph_run_dict(graph_out)
     report = {"schema": workbench.SCHEMA, "command": "eval",
               "input": stanza, "budget": args.budget,
               "policy": args.policy, "runs": [{"engine": args.engine, **run}],
               "timing": timing}
     _emit(workbench.render_report(report), args.out)
-    _maybe_dot(final_graph, args.emit_dot)
+    _maybe_dot(graph_out, args.emit_dot)
     return EXIT_OK
 
 

@@ -17,9 +17,10 @@ once; where constructors tell the rules apart, a match reads only the
 constructors of the rule it finds, however many rules the head has.
 Each rule is compiled once, when its system is built, into the
 numbering of its slots and a register template that builds its
-right-hand side with one fetch per node; the input is compiled to a
-template too.  Either way a step costs the size of its rule whatever the
-size of the term.  The outcome counts the firings of each rule; a caller
+right-hand side with one fetch per node, so a step costs the size of its
+rule whatever the size of the term.  The input is not compiled: one
+post-order walk (_load) turns it into the values and frames a template
+builds.  The outcome counts the firings of each rule; a caller
 that needs more can hook each step, which receives the rule, its match
 and a `state()` that builds the whole term only when called.
 
@@ -458,17 +459,18 @@ _VALUE, _FUN, _NODE = range(3)
 
 
 def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int,
-                  idx: Optional[int] = None) -> tuple:
+                  idx: int) -> tuple:
     # The register template (consts, nodes, right) of t, rule idx's right
     # side, whose variables read the slots slot_of names among a match's
-    # nslots; with idx None, a reduction's input.  The registers are the
-    # slots, consts (the closed function-free subterms, shared whole),
-    # then the result of each entry (symbol, kind, get, positions of the
-    # frame children) of nodes, t's nodes in post-order; get fetches the
-    # children, earlier results counted from the end, in one call (a
-    # tuple, or a list if fewer than two).  Classes: 0 closed and
-    # function-free, 1 a value, 2 a frame.  Unbound variables raise, else
-    # the first node in pre-order with an undeclared symbol or a wrong arity.
+    # nslots; a reduction's input is loaded, not compiled (_load).  The
+    # registers are the slots, consts (the closed function-free subterms,
+    # shared whole), then the result of each entry (symbol, kind, get,
+    # positions of the frame children) of nodes, t's nodes in post-order;
+    # get fetches the children, earlier results counted from the end, in
+    # one call (a tuple, or a list if fewer than two).  Classes: 0 closed
+    # and function-free, 1 a value, 2 a frame.  Unbound variables raise,
+    # else the first node in pre-order with an undeclared symbol or a
+    # wrong arity.
     cons, funs = sig.constructors, sig.functions
     consts: list[Term] = []
     nodes: list[tuple] = []
@@ -510,8 +512,7 @@ def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int,
                 consts.append(s)
                 out.append((0, nslots + len(consts) - 1))
     if unbound:
-        raise CrsError("reduction input must be closed") if idx is None else \
-            InvalidRule(f"rule {idx}: rhs variables {sorted(unbound)} not bound in lhs")
+        raise InvalidRule(f"rule {idx}: rhs variables {sorted(unbound)} not bound in lhs")
     if fault is not None:
         _check_node(fault, sig)         # raises
     right = out[0][1]
@@ -543,6 +544,53 @@ def _build(match, template: tuple, regs: list, reds: list[tuple]):
                 kids[i][2], kids[i][3] = frame, i
         regs.append(frame)
     return regs[right]
+
+
+def _load(t: Term, sig: Signature, match, reds: list[tuple]):
+    # The value or frame of closed term t, as _build makes them, in one
+    # post-order walk: a function-free subterm is kept whole, and a
+    # function node over values that match matches is appended to reds,
+    # in post-order.  A variable raises first, else the first node in
+    # pre-order with an undeclared symbol or a wrong arity.
+    funs = sig.functions
+    arity = {**sig.constructors, **funs}
+    out: list = []                      # the value or frame of each done subterm
+    frames = 0                          # how many of them are frames
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:                   # the node below, once its children are done
+            s = todo.pop()
+            n = len(out) - len(s.children)
+            if s.symbol not in funs and not (frames and list in map(type, out[n:])):
+                out[n:] = (s,)
+                continue
+            kids = out[n:]
+            del out[n:]
+            frame = [s.symbol, kids, None, 0, 0]
+            for i, c in enumerate(kids):
+                if type(c) is list:
+                    c[2], c[3] = frame, i
+                    frame[4] += 1
+            frames += 1 - frame[4]
+            if not frame[4]:
+                hit = match(frame)
+                if hit is not None:
+                    reds.append(hit)
+            out.append(frame)
+        elif type(s) is Var:
+            raise CrsError("reduction input must be closed")
+        else:
+            kids = s.children
+            if arity.get(s.symbol) != len(kids):
+                if variables(t):
+                    raise CrsError("reduction input must be closed")
+                _check_node(s, sig)     # raises
+            if kids or s.symbol in funs:
+                todo += (s, None, *reversed(kids))
+            else:                       # a nullary constructor
+                out.append(s)
+    return out[0]
 
 
 NormalKind = Literal["constructor", "stuck", "exhausted"]
@@ -590,7 +638,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     sig, rules, templates, bound = sys.signature, sys.rules, sys._templates, sys._slots
     cons, match = sig.constructors, sys._match
     reds: list[tuple] = []
-    root = _build(match, _compile_term(t, sig, {}, 0), [], reds)
+    root = _load(t, sig, match, reds)
     reds.reverse()
     steps = 0
     fires = [0] * len(rules)

@@ -16,17 +16,19 @@ every node of the right side from the rule's build template
 (_template), whose variables read those slots; a template is compiled
 on its rule's first firing and kept on the system.
 
-graph_reduce runs on linked node records alone and writes the dicts
-back once.  One post-order walk (_load) makes, checks against the
-signature and decides for the first search the records of a closed
-term, one per symbol occurrence, or of a TermGraph's reachable nodes;
-a graph input with a shared non-value then fails the sharing check.
-graph_reduce keeps the redexes in an indexed list, fires one in place
-(build, redirect, collection by reference count) and searches only the
-nodes the firing built, so a step costs the size of its rule, as a CRS
-step does.  find_redex, fire_redex, which fires on the dicts, and
-is_constructor_shared, for the tests, read the same records and run
-the same trees and templates.
+graph_reduce runs on linked node records alone.  One post-order walk
+(_load) makes, checks against the signature and decides for the first
+search the records of a closed term, one per symbol occurrence, or of a
+TermGraph's reachable nodes; a graph input with a shared non-value then
+fails the sharing check.  graph_reduce keeps the redexes in an indexed
+list, fires one in place (build, redirect, collection by reference
+count) and searches only the nodes the firing built, so a step costs the
+size of its rule, as a CRS step does.  The outcome keeps the result's
+records: unfold_to_str prints the normal form from them, and their
+TermGraph, which a graph input gets back in place, is written for a
+term input only when it is first read (_write_back).  find_redex,
+fire_redex, which fires on the dicts, and is_constructor_shared, for the
+tests, read the same records and run the same trees and templates.
 """
 
 from __future__ import annotations
@@ -89,17 +91,6 @@ class TermGraph:
 
     def node_count(self) -> int:
         return len(self.label)
-
-    def reachable(self, start: int) -> set[int]:
-        seen = {start}
-        todo = [start]
-        while todo:
-            v = todo.pop()
-            for c in self.succ[v]:
-                if c not in seen:
-                    seen.add(c)
-                    todo.append(c)
-        return seen
 
 
 def term_to_graph(t: crs.Term) -> TermGraph:
@@ -305,12 +296,55 @@ OutcomeKind = Literal["normal", "exhausted"]
 
 @dataclass
 class GraphOutcome:
+    """A run's counts and its result: the root of the result's records
+    (_load's layout) and, from them, graph.  A graph input's graph is
+    the input itself; a term input's is written from the records on its
+    first read (_write_back), so a run that is only printed
+    (unfold_to_str) builds none."""
     kind: OutcomeKind
-    graph: TermGraph
     steps: int
-    sizes: list[int] = field(default_factory=list)  # node count, initial first
-    work: list[int] = field(default_factory=list)   # nodes and switches per search
-    fires: tuple[int, ...] = ()                     # firings per rule position
+    sizes: list[int]                # node count, initial first
+    work: list[int]                 # nodes and switches per search
+    fires: tuple[int, ...]          # firings per rule position
+    _root: list = field(repr=False, compare=False)
+    _next: int = field(repr=False, compare=False)      # the graph's next node id
+    _graph: Optional[TermGraph] = field(repr=False, compare=False)
+
+    @property
+    def graph(self) -> TermGraph:
+        if self._graph is None:
+            self._graph = TermGraph()
+            _write_back(self._graph, self._root, self._next)
+        return self._graph
+
+
+def unfold_to_str(out: GraphOutcome, max_size: int = 10_000) -> str:
+    """crs.term_to_str(graph_to_term(out.graph, max_size)), printed from
+    the result's records in one walk that builds neither the TermGraph
+    nor the term.  A node is counted at each visit, so a result whose
+    unfolding passes max_size nodes raises UnfoldTooLarge at visit
+    max_size + 1, with no size pass however large the unfolding is; the
+    exception's size, max_size + 1, is then a lower bound."""
+    text: list[str] = []
+    todo: list = [out._root]            # records, and literal text
+    left = max_size
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            text.append(u)
+            continue
+        if not left:
+            raise UnfoldTooLarge(max_size + 1, max_size)
+        left -= 1
+        if u[1]:
+            text.append(u[0] + "(")
+            todo.append(")")
+            for c in reversed(u[1]):
+                todo += (c, ", ")
+            todo.pop()                  # no separator before the first child
+        else:
+            text.append(u[0])
+    return "".join(text)
 
 
 def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 10_000,
@@ -322,12 +356,12 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     that also checks and decides them.  A term gets one record per symbol
     occurrence, even where Node objects are shared, with the id
     term_to_graph gives it, so the run is that of
-    graph_reduce(term_to_graph(g), ...); its records are written into a
-    new TermGraph, the outcome's graph, also after 0 steps.  A TermGraph
-    gets one record per node reachable from the root, with its own id,
-    and a run of one step or more writes label, succ, refs, root and
-    _next back into g once (_write_back); a run of 0 steps leaves g
-    untouched.
+    graph_reduce(term_to_graph(g), ...); the outcome keeps the result's
+    records, and its graph, a new TermGraph, is written from them on
+    first read, also after 0 steps.  A TermGraph gets one record per
+    node reachable from the root, with its own id, and a run of one step
+    or more writes label, succ, refs, root and _next back into g once
+    (_write_back); a run of 0 steps leaves g untouched.
 
     A record's value is True for a value; every other record has its one
     in-edge, kids[index] of its parent (None at the root), and pending,
@@ -382,7 +416,7 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     loaded = not isinstance(g, TermGraph)
     root, tries, w, rec = _load(g, sig)
     if loaded:
-        g, size, sizes, top = TermGraph(), w, [w], w
+        size, sizes, top = w, [w], w
     else:
         if not all(u[2] < 2 or u[4] for u in rec.values()):
             raise SharingViolation("input graph is not constructor-shared")
@@ -463,9 +497,10 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
                 break
             parent[4] = True
             parent[5], parent = None, parent[5]
-    if steps or loaded:
+    if steps and not loaded:
         _write_back(g, root, top)
-    return GraphOutcome("exhausted" if reds else "normal", g, steps, sizes, work, tuple(fires))
+    return GraphOutcome("exhausted" if reds else "normal", steps, sizes, work, tuple(fires),
+                        root, top, None if loaded else g)
 
 
 def _load(x: TermGraph | crs.Term, sig: crs.Signature

@@ -52,20 +52,20 @@ def crs_run_dict(out: crs.CrsOutcome) -> dict:
     return d
 
 
-def graph_run_dict(out: graphs.GraphOutcome) -> tuple[dict, Optional[crs.Term]]:
-    """The run's record, and the term a normal run unfolds to (None when
-    the run is exhausted or its unfolding is too large)."""
-    term = None
+def graph_run_dict(out: graphs.GraphOutcome) -> dict:
+    """The run's record.  A normal run's normal form is printed from the
+    result's node records (graphs.unfold_to_str), so the record builds
+    neither the result's TermGraph nor its term; unfolded is False when
+    the unfolding passes the size limit."""
     d = {"outcome": out.kind, "steps": out.steps,
-         "final_nodes": out.graph.node_count(), "size_series": list(out.sizes)}
+         "final_nodes": out.sizes[-1], "size_series": list(out.sizes)}
     if out.kind == "normal":
         try:
-            term = graphs.graph_to_term(out.graph)
-            d["normal_form"] = crs.term_to_str(term)
+            d["normal_form"] = graphs.unfold_to_str(out)
             d["unfolded"] = True
         except graphs.UnfoldTooLarge:
             d["unfolded"] = False
-    return d, term
+    return d
 
 
 def graph_run(system: crs.CrsSystem, t: crs.Term, budget: int,
@@ -113,7 +113,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     with timed(timing, "psi-crs"):
         psi_run = encode.run_psi(encode.encode_cbn(m, phi.registry.table), budget)
     phi_out, psi_out = phi_run.outcome, psi_run.outcome
-    graph_record, unfolded = graph_run_dict(graph)
+    graph_record = graph_run_dict(graph)
     runs = {"lambda-cbv": lam_run_dict(cbv), "phi-crs": crs_run_dict(phi_out),
             "phi-graph": graph_record, "lambda-cbn": lam_run_dict(cbn),
             "psi-crs": {**crs_run_dict(psi_out), "ordinary_steps": psi_run.ordinary_steps,
@@ -131,8 +131,9 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
         "graph_steps_equal": decide(
             cbv_graph, lambda: graph.steps == cbv.steps, True, (False, False)),
         "graph_readback_alpha_eq": decide(
-            cbv_graph, lambda: None if unfolded is None
-            else lam.alpha_eq(encode.readback(unfolded, phi.registry), cbv.term), None),
+            cbv_graph, lambda: lam.alpha_eq(
+                encode.readback(graphs.graph_to_term(graph.graph), phi.registry), cbv.term)
+            if graph_record["unfolded"] else None, None),
         # graph size bound: nodes after step i bounded by (i+1)|M|
         "graph_size_bound": all(map(operator.le, graph.sizes, itertools.count(msize, msize))),
         # CBN bounds n <= m <= 2n plus the bookkeeping split: psi cannot
@@ -157,7 +158,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
     }
     return {"schema": SCHEMA, "command": "compare", "budget": budget,
             "term_size": msize, "runs": _runs(runs), "relations": relations,
-            "checks": checks, "timing": timing, "_final_graph": graph.graph}
+            "checks": checks, "timing": timing, "_final_graph": graph}
 
 
 def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
@@ -170,7 +171,7 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
     with timed(timing, "graph"):
         graph = graph_run(system, t, budget)
     crs_out = crs.CrsOutcome(verdict.crs_kind, verdict.crs_term, verdict.crs_steps)
-    crs_record, graph_record = crs_run_dict(crs_out), graph_run_dict(graph)[0]
+    crs_record, graph_record = crs_run_dict(crs_out), graph_run_dict(graph)
     checks = {
         "scott_consistent": verdict.consistent,
         "graph_steps_equal": decide(
@@ -186,7 +187,7 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
             "graph": graph_record}
     return {"schema": SCHEMA, "command": "roundtrip", "budget": budget,
             "runs": _runs(runs), "checks": checks,
-            "measured_k": verdict.ratio, "timing": timing, "_final_graph": graph.graph}
+            "measured_k": verdict.ratio, "timing": timing, "_final_graph": graph}
 
 
 def report_ok(report: dict) -> bool:

@@ -981,9 +981,9 @@ def test_templates_build_the_instantiated_right_sides():
 
 
 @pytest.mark.parametrize("rng", [None, 0])
-def test_reduce_compiles_only_its_input(monkeypatch, rng):
+def test_reduce_compiles_nothing(monkeypatch, rng):
     # a system compiles each right side once, when it is built, and a run
-    # compiles only its input, however many steps it takes
+    # compiles nothing, however many steps it takes: its input is loaded
     compiled = []
     compile_term = crs._compile_term
     monkeypatch.setattr(crs, "_compile_term",
@@ -994,7 +994,28 @@ def test_reduce_compiles_only_its_input(monkeypatch, rng):
     t = Node("add", (nat(300), nat(2)))
     out = crs.reduce(system, t, 10_000, rng=None if rng is None else random.Random(rng))
     assert (out.kind, out.steps) == ("constructor", 301)
-    assert len(compiled) == 1 and compiled[0] is t
+    assert compiled == []
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("add(succ(x), zero)", crs.CrsError, "reduction input must be closed"),
+    # a variable comes before a signature fault
+    ("add(foo(), x)", crs.CrsError, "reduction input must be closed"),
+    ("add(foo(), succ(zero))", crs.UnknownSymbol, "symbol 'foo' is not declared"),
+    # else the first fault in pre-order
+    ("add(succ(zero))", crs.ArityMismatch, "symbol 'add' has arity 2, applied to 1 arguments"),
+    ("add(succ(zero, zero), foo())",
+     crs.ArityMismatch, "symbol 'succ' has arity 1, applied to 2 arguments"),
+    ("add(zero, succ(foo(zero), zero))",
+     crs.ArityMismatch, "symbol 'succ' has arity 1, applied to 2 arguments"),
+    ("add(add(zero, zero), succ(foo()))", crs.UnknownSymbol, "symbol 'foo' is not declared"),
+])
+@pytest.mark.parametrize("rng", [None, 0])
+def test_reduce_input_faults(text, error, message, rng):
+    t = crs.parse_term(text, nat_sig())
+    with pytest.raises(crs.CrsError) as exc:
+        crs.reduce(add_system(), t, 10, rng=None if rng is None else random.Random(rng))
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_parse_system_deep_term():

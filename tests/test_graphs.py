@@ -9,7 +9,7 @@ from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
     GraphRule, apply_subst, bench_workloads, crs_replace_at, match_args, nat_term,
-    random_closed_term, random_system, random_value, redexes, reference_build_phase,
+    random_closed_term, random_system, random_value, reachable, redexes, reference_build_phase,
     reference_collect, reference_compile_rule, reference_find_redex, reference_graph_reduce,
     reference_redirect, reference_template, reference_try_match, rule_to_graph_rule, slot_nodes,
     term_size, two_tower)
@@ -111,8 +111,8 @@ def test_rule_to_graph_rule_shares_variables():
     g = gr.graph
     unlabelled = [v for v in g.label if g.label[v] is None]
     assert len(unlabelled) == 2
-    left_nodes = g.reachable(gr.left)
-    right_nodes = g.reachable(gr.right)
+    left_nodes = reachable(g, gr.left)
+    right_nodes = reachable(g, gr.right)
     for v in unlabelled:
         assert v in left_nodes and v in right_nodes
     ynode = next(v for v in unlabelled if g.refs[v] == 3)  # lhs + 2 rhs uses
@@ -125,7 +125,7 @@ def test_rule_to_graph_rule_variable_right_root():
     gr = rule_to_graph_rule(system.rules[0])
     tpl = template_agrees(system, 0)
     assert gr.graph.label[gr.right] is None
-    assert gr.right in gr.graph.reachable(gr.left)
+    assert gr.right in reachable(gr.graph, gr.left)
     # add(zero, y) -> y: no copies, and the replacement is y's slot
     assert slot_nodes(gr)[tpl.right] == gr.right
     assert tpl == graphs.Template((), 1, 1)
@@ -609,7 +609,7 @@ def isomorphic(g1, g2):
         fwd[a] = b
         bwd[b] = a
         todo.extend(zip(g1.succ[a], g2.succ[b]))
-    return len(fwd) == len(g1.reachable(g1.root)) == len(g2.reachable(g2.root))
+    return len(fwd) == len(reachable(g1, g1.root)) == len(reachable(g2, g2.root))
 
 
 def unfold_size(g):
@@ -1212,6 +1212,74 @@ def test_term_load_runs_as_its_graph():
         for budget in (0, 1, workbench.DEFAULT_BUDGET):
             for seed in (None, 11):
                 same_run(system, t, budget, seed)
+
+
+# --- printing from the records -------------------------------------------------------
+
+def unfold_text(g, max_size=10_000):
+    """term_to_str of graph_to_term(g, max_size), or UnfoldTooLarge."""
+    try:
+        return crs.term_to_str(graphs.graph_to_term(g, max_size))
+    except graphs.UnfoldTooLarge as exc:
+        return type(exc)
+
+
+def printed(out, max_size=10_000):
+    """unfold_to_str(out, max_size), or UnfoldTooLarge."""
+    try:
+        return graphs.unfold_to_str(out, max_size)
+    except graphs.UnfoldTooLarge as exc:
+        return type(exc)
+
+
+def test_printer_equals_the_unfold():
+    # on the term, its tree graph and its shared graph: the text printed
+    # from the records is that of the unfolded write-back, and the last
+    # size is the write-back's node count
+    for system, t in load_cases():
+        for budget in (0, 1, workbench.DEFAULT_BUDGET):
+            for seed in (None, 11):
+                for given in (t, graphs.term_to_graph(t), shared_graph(t, system.signature)):
+                    rng = None if seed is None else random.Random(seed)
+                    out = graphs.graph_reduce(given, system, budget, rng=rng)
+                    case = (crs.term_to_str(t), budget, seed, type(given))
+                    assert printed(out) == unfold_text(out.graph), case
+                    assert out.sizes[-1] == out.graph.node_count(), case
+
+
+def test_printer_guard_at_the_limit():
+    # results of exactly 10,000 and 10,001 unfolded nodes: the printer
+    # refuses exactly where graph_to_term does
+    system = nat_system()
+    for n, too_large in ((9_999, False), (10_000, True)):
+        out = graphs.graph_reduce(Node("add", (nat_term(5_000), nat_term(n - 5_000))), system)
+        assert out.kind == "normal" and out.sizes[-1] == n + 1
+        if too_large:
+            assert printed(out) is unfold_text(out.graph) is graphs.UnfoldTooLarge
+        else:
+            assert printed(out) == unfold_text(out.graph) == crs.term_to_str(nat_term(n))
+
+
+def test_printer_stops_at_the_limit_on_a_shared_dag():
+    # f(x) -> s(x, x) thirteen times over: 14 records that unfold to
+    # 2^14 - 1 nodes.  graph_to_term sizes the whole unfolding first; the
+    # printer stops at visit max_size + 1, which is all its size tells
+    sig = Signature({"zero": 0, "s": 2}, {"f": 1})
+    system = crs.validate_system(sig, [Rule("f", (Var("x"),), Node("s", (Var("x"), Var("x"))))])
+    t = Node("zero")
+    for _ in range(13):
+        t = Node("f", (t,))
+    out = graphs.graph_reduce(t, system)
+    assert (out.kind, out.steps, out.sizes[-1]) == ("normal", 13, 14)
+    for max_size in (10_000, 100, 0):
+        with pytest.raises(graphs.UnfoldTooLarge) as printer:
+            graphs.unfold_to_str(out, max_size)
+        with pytest.raises(graphs.UnfoldTooLarge) as unfold:
+            graphs.graph_to_term(out.graph, max_size)
+        assert (printer.value.size, printer.value.limit) == (max_size + 1, max_size)
+        assert (unfold.value.size, unfold.value.limit) == (2 ** 14 - 1, max_size)
+    assert graphs.unfold_to_str(out, 2 ** 14 - 1) == crs.term_to_str(
+        graphs.graph_to_term(out.graph, 2 ** 14 - 1))
 
 
 def test_term_with_shared_nodes_loads_as_a_tree():

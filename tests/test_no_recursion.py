@@ -213,3 +213,23 @@ def test_repr_at_depth():
         t = App(Abs("x", t), Var("y"))
     assert repr(t) == ("App(fun=Abs(binder='x', body=" * depth + "Var(name='x')"
                        + "), arg=Var(name='y'))" * depth)
+
+
+def test_deep_inputs_load_and_print():
+    # crs.reduce loads its input in one walk, at depth 10^5: succ^n(zero)
+    # under a function, and a spine of n nested function nodes; the graph
+    # engine prints its deep result from its records
+    from normbench import crs, graphs
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    sig = crs.Signature({"zero": 0, "succ": 1}, {"f": 1})
+    system = crs.CrsSystem(sig, [crs.Rule("f", (crs.Var("x"),), crs.Var("x"))])
+    nat = spine = crs.Node("zero")
+    for _ in range(depth):
+        nat, spine = crs.Node("succ", (nat,)), crs.Node("f", (spine,))
+    out = crs.reduce(system, crs.Node("f", (nat,)))
+    assert (out.kind, out.steps) == ("constructor", 1) and out.term == nat
+    out = crs.reduce(system, spine, depth)
+    assert (out.kind, out.steps) == ("constructor", depth) and out.term == crs.Node("zero")
+    g = graphs.graph_reduce(crs.Node("f", (nat,)), system)
+    assert graphs.unfold_to_str(g, depth + 1) == crs.term_to_str(nat)

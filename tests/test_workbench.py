@@ -354,6 +354,45 @@ def test_cli_emit_dot(tmp_path, capsys):
     assert "digraph" in dest.read_text()
 
 
+@pytest.mark.parametrize("argv", [["eval", "--engine", "graph", "crs/nat_add.trs"],
+                                  ["eval", "--engine", "graph", "lambda/dup_drop.lam"],
+                                  ["eval", "--engine", "graph", "--policy", "random",
+                                   "crs/nat_add.trs"],
+                                  ["roundtrip", "crs/nat_add.trs"]])
+def test_graph_result_written_back_only_for_dot(tmp_path, monkeypatch, capsys, argv):
+    # the report prints the normal form from the result's records: the
+    # result becomes a TermGraph once, and only for --emit-dot
+    calls = []
+    write_back = graphs._write_back
+    monkeypatch.setattr(graphs, "_write_back",
+                        lambda *args: calls.append(args) or write_back(*args))
+    src = [*argv[:-1], str(CORPUS / argv[-1])]
+    assert cli.main(src) == 0
+    assert calls == []
+    report = json.loads(capsys.readouterr().out)
+    dest = tmp_path / "final.dot"
+    assert cli.main([*src, "--emit-dot", str(dest)]) == 0
+    assert len(calls) == 1 and dest.read_text().startswith("digraph")
+    with_dot = json.loads(capsys.readouterr().out)
+    report.pop("timing"), with_dot.pop("timing")
+    assert report == with_dot
+
+
+def test_final_graph_is_the_outcome(monkeypatch):
+    # the reports hold the graph run's outcome, not its graph, so that
+    # building them forces no write-back but compare's readback
+    calls = []
+    write_back = graphs._write_back
+    monkeypatch.setattr(graphs, "_write_back",
+                        lambda *args: calls.append(args) or write_back(*args))
+    f = crs.parse_system((CORPUS / "crs" / "nat_add.trs").read_text())
+    report = workbench.roundtrip_check(f.system, f.term)
+    assert isinstance(report["_final_graph"], graphs.GraphOutcome) and calls == []
+    report = workbench.compare_engines(p("(\\x. (\\y. x) x) (\\z. z)"), 1000)
+    assert isinstance(report["_final_graph"], graphs.GraphOutcome) and len(calls) == 1
+    assert report["checks"]["graph_readback_alpha_eq"] is True
+
+
 @pytest.mark.parametrize("name, argvs", [
     ("lambda/dup_drop.lam", [["eval", "--engine", "lambda-cbn"], ["eval", "--engine", "graph"],
                              ["compare"], ["encode", "--to", "crs-cbn"], ["graph-dot"]]),

@@ -778,7 +778,7 @@ def reference_compile_rule(gr):
         else:
             match.append((LABEL, parent, i, lab))
             todo.extend((c, s, j) for j, c in enumerate(rg.succ[rn]))
-    fresh = [v for v in sorted(rg.reachable(gr.right)) if v not in slot]
+    fresh = [v for v in sorted(reachable(rg, gr.right)) if v not in slot]
     labels = tuple(rg.label[v] for v in fresh)
     n = len(slot)
     ref = dict(slot)
@@ -935,8 +935,8 @@ def reference_build_phase(g, rule, phi):
     """Copy the right-only nodes, found by reachability on the rule graph,
     in ascending order; (replacement, nodes that gained an in-edge)."""
     rg = rule.graph
-    left_nodes = rg.reachable(rule.left)
-    fresh = [v for v in sorted(rg.reachable(rule.right)) if v not in left_nodes]
+    left_nodes = reachable(rg, rule.left)
+    fresh = [v for v in sorted(reachable(rg, rule.right)) if v not in left_nodes]
     copy = {v: g.new_node(rg.label[v]) for v in fresh}
     touched = []
     for v in fresh:
@@ -960,9 +960,21 @@ def reference_redirect(g, anchor, replacement):
         g.root = replacement
 
 
+def reachable(g, start):
+    """The nodes of TermGraph g reachable from start, start included."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for c in g.succ[todo.pop()]:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return seen
+
+
 def reference_collect(g):
     """Delete every node unreachable from the root."""
-    live = g.reachable(g.root)
+    live = reachable(g, g.root)
     dead = [v for v in g.label if v not in live]
     for v in dead:
         for c in g.succ[v]:
