@@ -27,7 +27,8 @@ and a `state()` that builds the whole term only when called.
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
 `CrsSystem` compiles the rules, which is what checks them (see
-`CrsSystem` for which fault a rule with several reports).  Graph
+`CrsSystem` for which fault a rule with several reports); building a
+head's match tree decides whether its left sides overlap.  Graph
 reduction walks the same trees, and the Scott matcher translates trees
 of the same builder that copy rather than backtrack.
 """
@@ -39,7 +40,7 @@ import string
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
-from typing import Iterable, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 from .frozen import Frozen
 
@@ -202,17 +203,12 @@ class CrsSystem:
     undeclared symbol, a wrong arity, a function symbol, or a second
     occurrence of a variable), then its unbound right-side variables,
     then its right side in pre-order (an undeclared symbol or a wrong
-    arity).  Once every rule compiles, overlap is decided head by head
-    in one pass over the left sides, which splits them on their
-    constructors (`_first_overlap`), and the first overlapping pair is
-    reported: heads by first appearance, then the least (i, j) in rule
-    order, the pair a scan of every pair in that order meets first.
-
-    Then each head's match tree (`_match_tree`) is built from its left
-    sides.  Overlap is not read off the trees: a tree puts a row with a
-    variable only in a switch's default, where nothing compares it with
-    the rows in the branches, and a tree that copied it into every
-    branch would be exponential on some systems.
+    arity).  Once every rule compiles, each head's match tree
+    (`_match_tree`) is built from its left sides, heads by first
+    appearance, and the build decides overlap: the first overlapping
+    pair is reported, the least (i, j) in rule order of the first head
+    that has one, the pair a scan of every pair in that order meets
+    first.
     """
 
     def __init__(self, signature: Signature, rules: list[Rule]):
@@ -228,13 +224,11 @@ class CrsSystem:
             self._templates.append(_compile_term(rule.rhs, sig, slot_of, nslots, idx))
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
-        pair = _first_overlap([(rule.head, rule.lhs) for rule in self.rules])[0]
-        if pair is not None:
-            raise OverlapError(*pair)
-        rows: dict[str, list] = {f: [] for f in sig.functions}
+        rows: dict[str, list] = {}
         for idx, rule in enumerate(self.rules):
-            rows[rule.head].append((idx, rule.lhs))
-        self._trees = {f: _match_tree(group) for f, group in rows.items()}
+            rows.setdefault(rule.head, []).append((idx, rule.lhs))
+        trees = {f: _match_tree(group) for f, group in rows.items()}
+        self._trees = {f: trees.get(f) for f in sig.functions}
 
     def _match(self, frame: list) -> Optional[tuple[list, int, list[Term]]]:
         # (frame, rule position, slots) of the rule firing at a function
@@ -261,107 +255,6 @@ class CrsSystem:
             del slots[n:]
 
 
-def _first_overlap(rules: Iterable[tuple[Optional[str], tuple[Term, ...]]]
-                   ) -> tuple[Optional[tuple[int, int]], int]:
-    """The first pair of (head, left side) rules whose heads are equal and
-    whose left sides unify, or None, with the work spent: a unit per row
-    of each group split, per pattern node it expands, per pair of rows
-    compared and per step of a comparison.  Heads go by first
-    appearance, and in a head the least pair (i, j) in rule order is the
-    first.
-
-    The left sides of a head are the rows of a pattern matrix, split as
-    in Maranget, "Warnings for pattern matching" (JFP 2007): a group of
-    rows splits on the first column that holds a constructor, into one
-    group per constructor there, whose rows take its children as columns
-    in its place.  A row with a variable in that column leaves the
-    split: it is compared with each other row of the group, on the
-    columns after it, rather than copied into every group, which can
-    copy it exponentially often.  Left sides are linear, so two rows
-    unify exactly when they agree wherever both hold a constructor.
-
-    A row is None when it holds no constructor, else (number of variable
-    columns before its first constructor, that constructor, the row
-    after it), so a row drops columns in O(1).  When constructors tell
-    the rules apart at every split, as in every encoder image, each row
-    is in one group at a time and the check is linear in the size of the
-    left sides; a pair of rows is compared at most once.  A group whose
-    first two rows form no pair less than one found is dropped."""
-    by_head: dict[Optional[str], list[tuple[int, Optional[tuple]]]] = {}
-    for idx, (head, lhs) in enumerate(rules):
-        by_head.setdefault(head, []).append((idx, _columns(lhs, None)))
-    work = 0
-    for group in by_head.values():
-        best: Optional[tuple[int, int]] = None
-        groups = [group] if len(group) > 1 else []
-        while groups:
-            group = groups.pop()
-            if best is not None and (group[0][0], group[1][0]) >= best:
-                continue
-            work += len(group)
-            k = min((row[0] for _, row in group if row is not None), default=None)
-            split: dict[str, list] = {}
-            var = False
-            for i, row in group:
-                if row is not None and row[0] == k:
-                    kids = row[1].children
-                    work += len(kids)
-                    split.setdefault(row[1].symbol, []).append((i, _columns(kids, row[2])))
-                else:
-                    var = True
-            groups += [sub for sub in split.values() if len(sub) > 1]
-            if not var:
-                continue
-            # (i, row after column k, with a variable there?)
-            after = [(i, row[2], False) if row is not None and row[0] == k
-                     else (i, row and (row[0] - k - 1, row[1], row[2]), True)
-                     for i, row in group]
-            for v, rv, var_v in after:
-                if not var_v:
-                    continue
-                for j, rj, var_j in after:  # the pairs of v in increasing order
-                    pair = (j, v) if j < v else (v, j)
-                    if best is not None and pair >= best:
-                        break
-                    if j == v or j < v and var_j:
-                        continue
-                    unify, steps = _rows_unify(rv, rj)
-                    work += 1 + steps
-                    if unify:
-                        best = pair
-                        break
-        if best is not None:
-            return best, work
-    return None, work
-
-
-def _columns(pats: tuple[Term, ...], rest: Optional[tuple]) -> Optional[tuple]:
-    # the row of the columns pats followed by the row rest
-    for p in reversed(pats):
-        if type(p) is Node:
-            rest = (0, p, rest)
-        elif rest is not None:
-            rest = (rest[0] + 1, rest[1], rest[2])
-    return rest
-
-
-def _rows_unify(a: Optional[tuple], b: Optional[tuple]) -> tuple[bool, int]:
-    # whether rows a and b agree wherever both hold a constructor, and
-    # the number of constructors compared
-    steps = 0
-    while a is not None and b is not None:
-        steps += 1
-        if a[0] < b[0]:                 # a's constructor meets a variable of b
-            a, b = a[2], (b[0] - a[0] - 1, b[1], b[2])
-        elif b[0] < a[0]:
-            a, b = (a[0] - b[0] - 1, a[1], a[2]), b[2]
-        elif a[1].symbol != b[1].symbol:
-            return False, steps
-        else:
-            a, b = _columns(a[1].children, a[2]), _columns(b[1].children, b[2])
-    return True, steps
-
-
 def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
     """The decision tree that finds which of rows, (position, left side)
     in rule order, matches a node's arguments (Maranget, "Compiling
@@ -373,8 +266,8 @@ def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
     A group of rows splits on the first slot, in the order below, at
     which some row has a constructor: a branch per constructor there
     holds the rows with it, and the default the rows with a variable.  A
-    group in which no row has a constructor left is a leaf, its only row
-    once rows pass _first_overlap.
+    group in which no row has a constructor left is a leaf, its first
+    row.
 
     Without copy, the engines' tree, slots go by number, so a walk reads
     a rule's slots in the order _match_program numbers them, and a walk
@@ -384,7 +277,20 @@ def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
     the size of the left sides.  With copy, Scott's tree, slots go by
     place, a node's children taking its column, and each branch holds
     the rows with a variable too, in rule order, so no walk backtracks;
-    copying can make the tree exponential in the number of rows."""
+    copying can make the tree exponential in the number of rows.
+
+    The build raises OverlapError for the least pair (i, j) of positions
+    whose rows unify, which linear left sides do exactly when they agree
+    wherever both hold a constructor.  The rows of a group have read the
+    same constructors in the same slots, so two rows that reach one leaf
+    unify, and two that take different branches do not; a leaf reports
+    its first two rows.  With copy, a row with a variable enters every
+    branch, so every unifying pair meets at a leaf.  Without copy, a row
+    that waits in a default is compared (_agree) with each row read into
+    a branch there, on the constructors both have left to read, keyed by
+    slot: a branch's new slots are none of the waiting row's.  Each pair
+    is compared at most once, and none once a lesser pair is found;
+    where constructors tell the rows apart, none waits and none is."""
     root: list = [None]
     # (where the node goes, its group: (position, the constructors of the
     # row not yet read, in order: (key, slot, node)), slots so far); the
@@ -392,11 +298,14 @@ def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
     todo: list[tuple] = [(root, 0, [(p, [((j,) if copy else j, j, q)
                                          for j, q in enumerate(lhs) if type(q) is Node])
                                     for p, lhs in rows], len(rows[0][1]))] if rows else []
+    best: Optional[tuple[int, int]] = None     # the least pair of rows found to unify
     while todo:
         into, key, group, n = todo.pop()
         heads = [row[0][:2] for _, row in group if row]
         if not heads:
             into[key] = group[0][0]
+            if len(group) > 1 and (best is None or (group[0][0], group[1][0]) < best):
+                best = group[0][0], group[1][0]
             continue
         k, s = min(heads)
         split: dict[str, tuple[int, list]] = {}    # constructor -> (arity, rows)
@@ -418,7 +327,32 @@ def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
         todo += [(node[1], c, sub, n + ar) for c, (ar, sub) in split.items()]
         if var_rows:
             todo.append((node, 2, var_rows, n))
+        if var_rows and not copy:
+            for j, jrow in group:       # each row read at s against the waiting rows
+                if jrow and jrow[0][1] == s:
+                    for v, vrow in var_rows:
+                        pair = (j, v) if j < v else (v, j)
+                        if best is not None and pair >= best:
+                            break
+                        if _agree(vrow, jrow):
+                            best = pair
+                            break
+    if best is not None:
+        raise OverlapError(*best)
     return root[0]
+
+
+def _agree(a: list, b: list) -> bool:
+    # whether rows a and b of a group, the (key, slot, node) of each
+    # constructor they have left to read, agree wherever both hold one
+    at = {s: q for _, s, q in a}
+    todo = [(at[s], q) for _, s, q in b if s in at]
+    while todo:
+        p, q = todo.pop()
+        if p.symbol != q.symbol:
+            return False
+        todo += [(x, y) for x, y in zip(p.children, q.children) if type(x) is Node is type(y)]
+    return True
 
 
 def validate_system(signature: Signature, rules: list[Rule]) -> CrsSystem:

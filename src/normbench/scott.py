@@ -352,7 +352,10 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     analysis with a branch per constructor of the signature, which the
     sequences with a variable there enter too.  The number of steps to
     reach the continuation depends only on the sequences and the
-    constructors consumed, never on subterm sizes.
+    constructors consumed, never on subterm sizes.  Overlapping
+    sequences raise MatchOverlapError for their least pair (i, j), which
+    the build of the engines' tree finds first: the copying tree can be
+    exponential in the number of overlapping sequences.
 
     Continuations are call-by-value arguments, so each must be a value:
     a continuation's body runs only once its sequence has matched every
@@ -374,10 +377,12 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     nvars = [sum(len(crs.variables(pat)) for pat in a) for a in alphas]
     if any(d and n for d, n in zip(delayed, nvars)):
         raise ScottError("a delayed continuation's sequence binds variables")
-    pair = crs._first_overlap([(None, a) for a in alphas])[0]
-    if pair is not None:
-        raise MatchOverlapError("sequences %d and %d overlap" % pair)
-    return _match_term(ctx, crs._match_tree(list(enumerate(alphas)), copy=True), m,
+    rows = list(enumerate(alphas))
+    try:
+        crs._match_tree(rows)
+    except crs.OverlapError as exc:
+        raise MatchOverlapError("sequences %d and %d overlap" % exc.rules) from None
+    return _match_term(ctx, crs._match_tree(rows, copy=True), m,
                        dict(enumerate(zip(nvars, delayed))))
 
 

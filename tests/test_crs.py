@@ -12,7 +12,7 @@ from tests_util import (
     apply_subst, bench_workloads, check_arities, crs_is_closed, crs_replace_at, is_pattern,
     match_args, random_closed_term, random_patterns_system, random_value,
     random_system, redexes, reference_first_overlap, reference_random_reduce, reference_validate,
-    rewrite_step, term_size, two_pass_parse_term)
+    rewrite_step, staircase, term_size, two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -565,26 +565,49 @@ def test_several_overlaps_raise_the_reference_pair():
     assert several > 1000
 
 
-def test_overlap_work_is_linear_on_image_systems():
-    # the psi images of compiled terms, of 943 and 1,747 rules: every row
-    # is in one group at a time, so the work stays within the number of
-    # pattern nodes, where the scan of every pair grows with its square
+def counted_overlap(monkeypatch, build, *args):
+    """(least overlapping pair or None, rows the build compared, what it
+    built or None) of build(*args), which builds match trees."""
+    agree, calls = crs._agree, []
+    with monkeypatch.context() as patch:
+        patch.setattr(crs, "_agree", lambda a, b: calls.append(1) or agree(a, b))
+        try:
+            return None, len(calls), build(*args)
+        except crs.OverlapError as exc:
+            return exc.rules, len(calls), None
+
+
+def test_overlap_work_is_linear_on_image_systems(monkeypatch):
+    # the psi images of compiled terms, of 943 and 1,747 rules: no row
+    # waits in a default, so building the trees compares no rows and
+    # makes no more switches than the left sides have pattern nodes,
+    # where the scan of every pair grows with its square
     corpus = {e.name: e for e in workbench.Corpus.load(CORPUS).crs_entries}
     for name in ("list_append", "tree_flatten"):
         e = corpus[name]
-        rules = encode.encode_cbn(scott.term_to_lambda(scott.ScottContext(e.system),
-                                                       e.term)).system.rules
+        system = encode.encode_cbn(scott.term_to_lambda(scott.ScottContext(e.system),
+                                                        e.term)).system
+        rules = system.rules
         assert len(rules) >= 900
-        pair, work = crs._first_overlap([(r.head, r.lhs) for r in rules])
-        assert pair is None
-        assert work <= sum(term_size(p) for rule in rules for p in rule.lhs)
-        assert reference_first_overlap(rules)[1] > 100 * work
+        pair, compared, built = counted_overlap(monkeypatch, crs.CrsSystem,
+                                                system.signature, rules)
+        want, work = reference_first_overlap(rules)
+        assert pair is want is None and compared == 0
+        switches, todo = 0, list(built._trees.values())
+        while todo:
+            node = todo.pop()
+            if type(node) is list:
+                switches += 1
+                todo += [*node[1].values(), node[2]]
+        assert switches <= sum(term_size(p) for rule in rules for p in rule.lhs)
+        assert work > 100 * switches
 
 
-def test_overlap_work_on_variable_heavy_left_sides():
-    # rows with a variable where others hold constructors are compared
-    # pair by pair, never copied into every group: the work stays within
-    # the scan of every pair's on families built from such rows
+def test_overlap_work_on_variable_heavy_left_sides(monkeypatch):
+    # rows with a variable where others hold constructors wait in a
+    # default and are compared there pair by pair, never copied into
+    # every branch: the tree build compares no more pairs than the scan
+    # of every pair tries on families built from such rows
     def rows_against_columns(k):
         # f(c_i, d) and f(x, c_i): every second row has a variable first
         cs = [Node(f"c{i}") for i in range(k)]
@@ -601,23 +624,17 @@ def test_overlap_work_on_variable_heavy_left_sides():
         return ([Rule("f", (chain("a", i), Node("e")), Node("d")) for i in range(k)]
                 + [Rule("f", (Var("x"), chain("b", i)), Node("d")) for i in range(k)])
 
-    def staircase(k):
-        # row i holds a in column i, b in column i + 1 and variables
-        # elsewhere: copying rows into every group is exponential here
-        rules = []
-        for i in range(k):
-            pats = [Var(f"x{j}") for j in range(k)]
-            pats[i], pats[(i + 1) % k] = Node("a"), Node("b")
-            rules.append(Rule("f", tuple(pats), Node("d")))
-        return rules
-
     for family in (rows_against_columns, chains, staircase):
         for k in (16, 32, 64):
             rules = family(k)
-            pair, work = crs._first_overlap([(r.head, r.lhs) for r in rules])
-            want, pairwise = reference_first_overlap(rules)
+            pair, compared, _ = counted_overlap(
+                monkeypatch, crs._match_tree, [(i, r.lhs) for i, r in enumerate(rules)])
+            want = reference_first_overlap(rules)[0]
             assert pair == want
-            assert work <= pairwise, (family.__name__, k)
+            # the pairs (i, j) the scan tries in order until it meets want
+            pairs = [(i, j) for i in range(len(rules)) for j in range(i + 1, len(rules))]
+            tried = pairs.index(want) + 1 if want else len(pairs)
+            assert compared <= tried, (family.__name__, k)
 
 
 def test_several_faults_are_rejected_as_by_the_reference():

@@ -10,7 +10,8 @@ from normbench import crs, graphs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
 from tests_util import (bench_workloads, cbv_step, lam_is_closed, nat_term,
-                        random_patterns_system, random_system, reference_free_set)
+                        random_patterns_system, random_system, reference_first_overlap,
+                        reference_free_set, staircase)
 
 
 def nat_system(extra_rules=(), extra_fns=None):
@@ -154,16 +155,22 @@ def test_match_rejects_overlap(ctx):
         scott.compile_match(ctx, [(Var("x"),), (Node("zero"),)], 1)
 
 
-def _patterns_unify(p, q):
-    # linear patterns unify when they agree wherever both hold a constructor
-    todo = [(p, q)]
-    while todo:
-        p, q = todo.pop()
-        if isinstance(p, Node) and isinstance(q, Node):
-            if p.symbol != q.symbol:
-                return False
-            todo.extend(zip(p.children, q.children))
-    return True
+def test_match_rejects_overlap_before_copying_rows(ctx, monkeypatch):
+    # 64 sequences of which 0 and 2 are the least overlapping pair: a
+    # tree that copies each variable row into every branch takes
+    # hundreds of thousands of switches for 16 of them, so none is built
+    build = crs._match_tree
+
+    def without_copying(rows, copy=False):
+        assert not copy, "the copying tree was built"
+        return build(rows)
+
+    monkeypatch.setattr(crs, "_match_tree", without_copying)
+    alphas = [rule.lhs for rule in staircase(64)]
+    t0 = time.perf_counter()
+    with pytest.raises(scott.MatchOverlapError, match="^sequences 0 and 2 overlap$"):
+        scott.compile_match(ctx, alphas, 64)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_match_overlap_is_the_first_pair_a_pairwise_scan_meets():
@@ -185,9 +192,7 @@ def test_match_overlap_is_the_first_pair_a_pairwise_scan_meets():
     for _ in range(400):
         m = rng.randint(0, 3)
         alphas = [tuple(pattern(3) for _ in range(m)) for _ in range(rng.randint(1, 8))]
-        want = next(((i, j) for i in range(len(alphas)) for j in range(i + 1, len(alphas))
-                     if all(_patterns_unify(p, q) for p, q in zip(alphas[i], alphas[j]))),
-                    None)
+        want = reference_first_overlap([Rule("f", a, Node("zero")) for a in alphas])[0]
         if want is None:
             scott.compile_match(c, alphas, m)
             compiled += 1
@@ -640,9 +645,10 @@ def test_compiled_matchers_unchanged():
         c = scott.ScottContext(crs.validate_system(sig, []))
         by_head: dict[str, list] = {}
         for rule in rules:
-            by_head.setdefault(rule.head, []).append(rule.lhs)
-        for head, alphas in by_head.items():
-            if len(alphas) < 2 or crs._first_overlap([(None, a) for a in alphas])[0]:
+            by_head.setdefault(rule.head, []).append(rule)
+        for head, group in by_head.items():
+            alphas = [rule.lhs for rule in group]
+            if len(alphas) < 2 or reference_first_overlap(group)[0]:
                 continue
             flags = [not any(map(crs.variables, a)) and rng.random() < 0.5 for a in alphas]
             m = scott.compile_match(c, alphas, sig.functions[head], flags)

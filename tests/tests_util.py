@@ -201,6 +201,19 @@ def reference_first_overlap(rules):
     return None, work
 
 
+def staircase(k):
+    """k rules f(...) -> d over k arguments: rule i holds a in argument i,
+    b in argument i + 1 (mod k) and variables elsewhere, so rules 0 and 2
+    are the least overlapping pair.  A match tree that copied each rule
+    with a variable into every branch would be exponential here."""
+    rules = []
+    for i in range(k):
+        pats = [crs.Var(f"x{j}") for j in range(k)]
+        pats[i], pats[(i + 1) % k] = crs.Node("a"), crs.Node("b")
+        rules.append(crs.Rule("f", tuple(pats), crs.Node("d")))
+    return rules
+
+
 # --- per-occurrence registration: the reference for the encoders' table ---------
 
 def canonical_form(t: Term) -> str:
