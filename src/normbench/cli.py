@@ -105,8 +105,8 @@ def cmd_eval(args) -> int:
             run = workbench.crs_run_dict(
                 crs.reduce(*_system_and_term(kind, loaded), args.budget, rng=rng))
         else:
-            graph_out = workbench.graph_run(*_system_and_term(kind, loaded), args.budget,
-                                            rng=rng)
+            system, t = _system_and_term(kind, loaded)
+            graph_out = graphs.graph_reduce(t, system, args.budget, rng=rng)
             run = workbench.graph_run_dict(graph_out)
     report = {"schema": workbench.SCHEMA, "command": "eval",
               "input": stanza, "budget": args.budget,

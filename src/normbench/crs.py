@@ -42,7 +42,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Literal, Optional, Union
 
-from .frozen import Frozen
+from .frozen import Frozen, distinct_nodes
 
 
 class Var(Frozen):
@@ -139,16 +139,13 @@ class Rule:
 
 
 def count_symbol(t: Term, symbol: str) -> int:
-    """Number of occurrences of `symbol` in t."""
-    n = 0
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Node):
-            if s.symbol == symbol:
-                n += 1
-            todo.extend(s.children)
-    return n
+    """Number of occurrences of `symbol` in t: a shared subterm counts
+    at each of its occurrences, but is walked once."""
+    counts: dict[int, int] = {}     # id of an object done -> its count
+    for s in distinct_nodes(t):
+        counts[id(s)] = 0 if type(s) is Var else (
+            (s.symbol == symbol) + sum([counts[id(c)] for c in s.children]))
+    return counts[id(t)]
 
 
 def variables(t: Term) -> list[str]:
@@ -166,24 +163,11 @@ def variables(t: Term) -> list[str]:
 
 def is_constructor_term(t: Term, sig: Signature) -> bool:
     """Built from constructors only (the values of CBV rewriting)."""
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Var) or not sig.is_constructor(s.symbol):
-            return False
-        todo.extend(s.children)
-    return True
+    return all(type(s) is Node and sig.is_constructor(s.symbol) for s in distinct_nodes(t))
 
 
 def contains_function(t: Term, sig: Signature) -> bool:
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Node):
-            if sig.is_function(s.symbol):
-                return True
-            todo.extend(s.children)
-    return False
+    return any(type(s) is Node and sig.is_function(s.symbol) for s in distinct_nodes(t))
 
 
 def _check_node(s: Node, sig: Signature) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import crs, lam
+from .frozen import distinct_nodes
 
 APP = "app"
 CAPP = "capp"
@@ -246,20 +247,12 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
     of its name; otherwise it raises OpenTermError."""
     closures: dict[int, tuple | list] = {}  # id(node) -> closure; t keeps nodes alive
     nullary: dict[str, tuple] = {}      # one closure per nullary constructor, read once
-    todo: list = [t]
-    while todo:
-        s = todo.pop()
-        if s is not None:               # s, then None once its children are read
-            if type(s) is crs.Var:
-                if not variables:
-                    raise OpenTermError(f"free variable {s.name} in readback")
-                closures[id(s)] = (lam.Var(s.name), None)
-            elif id(s) not in closures:
-                todo.append(s)
-                todo.append(None)
-                todo.extend(s.children)
+    for s in distinct_nodes(t):
+        if type(s) is crs.Var:
+            if not variables:
+                raise OpenTermError(f"free variable {s.name} in readback")
+            closures[id(s)] = (lam.Var(s.name), None)
             continue
-        s = todo.pop()
         kids = [closures[id(c)] for c in s.children]
         if s.symbol in (APP, CAPP):
             arity, closure = 2, kids
@@ -288,29 +281,19 @@ def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:
     """Constructor term, or app of two canonical terms.  A variable
     counts as a constructor term: on a rule's rhs this says that every
     instance under a match binding constructor values is canonical."""
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, crs.Var):
-            continue
-        if s.symbol == APP:
-            todo.extend(s.children)
-        elif crs.contains_function(s, sig):
-            return False
-    return True
+    # that is, a function node is an app with app nodes alone above it:
+    # no node but app is a function node or has one as a child
+    return not any(type(s) is crs.Node and s.symbol != APP and (
+        sig.is_function(s.symbol)
+        or any(type(c) is crs.Node and sig.is_function(c.symbol) for c in s.children))
+        for s in distinct_nodes(t))
 
 
 def check_provenance(t: crs.Term, reg: Registry) -> bool:
     """Every constructor in t names an abstraction registered from the
     source (hence an alpha-class of one of its subterms)."""
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, crs.Node):
-            if s.symbol not in (APP, CAPP) and s.symbol not in reg.by_name:
-                return False
-            todo.extend(s.children)
-    return True
+    return all(type(s) is crs.Var or s.symbol in (APP, CAPP) or s.symbol in reg.by_name
+               for s in distinct_nodes(t))
 
 
 # --- call-by-name ----------------------------------------------------------------

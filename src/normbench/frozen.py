@@ -1,5 +1,6 @@
 """The base of the term classes of `lam` and `crs`: slotted nodes that
-stay frozen, compared, hashed, printed and copied in one walk each.
+stay frozen, and the one walk over a term's distinct nodes that the
+per-node folds use.
 
 A subclass declares its fields, in order, as both `__slots__` and
 `__match_args__`, and its `__init__` stores each field through the
@@ -8,21 +9,26 @@ a node at slot cost, where a frozen dataclass sets each field through
 `object.__setattr__`.  Assigning or deleting a field raises
 `dataclasses.FrozenInstanceError`, as on a frozen dataclass.
 
-Terms grow deeper than the recursion limit, so `==`, `hash`, `repr`,
-deepcopy and pickle each walk the fields with an explicit stack: a term
-field is walked, a tuple field item by item, and any other value is
-compared, hashed or printed as itself.  Equality is structural and
-checks the exact type of each node, so terms of different classes are
-never equal, and a term compared with a non-term gives NotImplemented.
-`repr` prints the dataclass text.  `copy.copy` makes a new node with
-the same fields; deepcopy and pickle go through a flat post-order list
-of the term's distinct nodes, which `_rebuild` turns back into an equal
-term that shares what the original shares.
+Terms grow deeper than the recursion limit and share subterms, so each
+walk uses an explicit stack, and the per-node folds run over one of
+them, `distinct_nodes`, at the cost of the distinct nodes: `hash`, a
+Merkle hash that sharing does not change, and the folds of `lam`, `crs`
+and `encode`.  The children of a node are the terms among its fields
+and among the items of its tuple fields; any other value is compared,
+hashed or printed as itself.  Equality walks two terms in pairs,
+entering each pair of nodes once, and checks the exact type of each
+node, so terms of different classes are never equal, and a term
+compared with a non-term gives NotImplemented.  `repr` prints the
+dataclass text.  `copy.copy` makes a new node with the same fields;
+deepcopy and pickle go through a flat post-order list of the term's
+distinct nodes, which `_rebuild` turns back into an equal term that
+shares what the original shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from typing import Container, Iterator
 
 
 class Frozen:
@@ -37,6 +43,7 @@ class Frozen:
     def __eq__(self, other: object):
         if not isinstance(other, Frozen):
             return NotImplemented
+        entered: set[tuple[int, int]] = set()  # ids of the node pairs walked
         todo: list = [(self, other)]
         while todo:
             a, b = todo.pop()
@@ -45,8 +52,10 @@ class Frozen:
             if isinstance(a, Frozen):
                 if type(a) is not type(b):
                     return False
-                for f in a.__match_args__:
-                    todo.append((getattr(a, f), getattr(b, f)))
+                if (id(a), id(b)) not in entered:
+                    entered.add((id(a), id(b)))
+                    for f in a.__match_args__:
+                        todo.append((getattr(a, f), getattr(b, f)))
             elif type(a) is tuple:
                 if type(b) is not tuple or len(a) != len(b):
                     return False
@@ -56,22 +65,20 @@ class Frozen:
         return True
 
     def __hash__(self) -> int:
-        # the hash of the node classes, tuple lengths and other values met
-        # in pre-order, last field first; equal terms hash equal
-        out: list = []
-        todo: list = [self]
-        while todo:
-            s = todo.pop()
-            if isinstance(s, Frozen):
-                out.append(type(s))
-                for f in s.__match_args__:
-                    todo.append(getattr(s, f))
-            elif type(s) is tuple:
-                out.append(len(s))
-                todo += s
-            else:
-                out.append(s)
-        return hash(tuple(out))
+        # each distinct node's hash is that of its class and its fields,
+        # with every term in them replaced by its hash
+        hashes: dict[int, int] = {}
+        for s in distinct_nodes(self):
+            key = [type(s)]
+            for f in s.__match_args__:
+                v = getattr(s, f)
+                if isinstance(v, Frozen):
+                    v = hashes[id(v)]
+                elif type(v) is tuple:
+                    v = tuple([hashes[id(c)] if isinstance(c, Frozen) else c for c in v])
+                key.append(v)
+            hashes[id(s)] = hash(tuple(key))
+        return hashes[id(self)]
 
     def __copy__(self) -> Frozen:
         # a new node with the same fields, as copy.copy of a dataclass
@@ -136,6 +143,30 @@ class Frozen:
                 if i:
                     todo.append(", ")
         return "".join(out)
+
+
+def distinct_nodes(t: Frozen, known: Container[int] = ()) -> Iterator[Frozen]:
+    """Each term object reachable from t once, children before parents.
+    An object whose id is in `known` is neither entered nor yielded: a
+    fold that kept its value from an earlier walk reads it there."""
+    seen: set[int] = set()
+    todo: list = [t]
+    while todo:
+        s = todo.pop()
+        if s is None:               # the node below: its children are done
+            yield todo.pop()
+        elif (i := id(s)) not in seen and i not in known:
+            seen.add(i)
+            todo.append(s)
+            todo.append(None)
+            for f in s.__match_args__:
+                v = getattr(s, f)
+                if isinstance(v, Frozen):
+                    todo.append(v)
+                elif type(v) is tuple:
+                    for c in v:
+                        if isinstance(c, Frozen):
+                            todo.append(c)
 
 
 def _rebuild(ops: list, values: list) -> Frozen:

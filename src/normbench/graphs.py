@@ -2,12 +2,14 @@
 
 Graphs are rooted DAGs with ordered out-edges and a partial labelling;
 a term needs every reachable node labelled.  A TermGraph keeps its
-nodes in id-keyed dicts: label, succ and refs, the in-degree, which is
-all that collection needs.  Constructor-sharedness, the invariant that
-every shared node heads only constructor paths, is what keeps graph
-steps in bijection with term steps.  It also makes the non-values
-(nodes with a function node at or below them) a tree, so a redex's
-anchor has one in-edge, a child slot, and the firing redirects it.
+nodes in id-keyed dicts: label, succ and refs, the in-degree.
+Collection does not read refs: it runs on a run's node records
+(_load), which count their own in-edges.  Constructor-sharedness, the
+invariant that every shared node heads only constructor paths, is what
+keeps graph steps in bijection with term steps.  It also makes the
+non-values (nodes with a function node at or below them) a tree, so a
+redex's anchor has one in-edge, a child slot, and the firing redirects
+it.
 
 The rules are those of a CrsSystem, which has checked and compiled
 them, and graph reduction runs that compile: a node walks its head's

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Union
 
-from .frozen import Frozen
+from .frozen import Frozen, distinct_nodes
 
 
 class Var(Frozen):
@@ -66,28 +66,18 @@ Term = Union[Var, Abs, App]
 def size(t: Term) -> int:
     """Length of a term: |x|=1, |\\x.M|=|M|+1, |M N|=|M|+|N|+1.
 
-    That is the size of the unfolded term, but it costs the DAG: one
-    post-order walk sizes each distinct object once, from the sizes of
-    its children, which compiled terms share."""
-    sizes: dict[int, int] = {}      # id of an Abs or App done -> its size
-    todo: list[Optional[Term]] = [t]
-    while todo:
-        s = todo.pop()
-        if s is None:               # the object below: its children are done
-            s = todo.pop()
-            if type(s) is Abs:
-                n = 1 if type(s.body) is Var else sizes[id(s.body)]
-            else:
-                n = ((1 if type(s.fun) is Var else sizes[id(s.fun)])
-                     + (1 if type(s.arg) is Var else sizes[id(s.arg)]))
-            sizes[id(s)] = n + 1
-        elif type(s) is Var or id(s) in sizes:
-            continue
+    That is the size of the unfolded term, but it costs the DAG: a fold
+    over `distinct_nodes` sizes each distinct object once, from the sizes
+    of its children, which compiled terms share."""
+    sizes: dict[int, int] = {}      # id of an object done -> its size
+    for s in distinct_nodes(t):
+        if type(s) is Var:
+            sizes[id(s)] = 1
         elif type(s) is Abs:
-            todo += (s, None, s.body)
+            sizes[id(s)] = sizes[id(s.body)] + 1
         else:
-            todo += (s, None, s.arg, s.fun)
-    return sizes.get(id(t), 1)
+            sizes[id(s)] = sizes[id(s.fun)] + sizes[id(s.arg)] + 1
+    return sizes[id(t)]
 
 
 def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[str]:
@@ -152,24 +142,9 @@ def _free_set_shared(t: Term, shared: dict[int, frozenset[str]]) -> frozenset[st
 
 
 def _names(t: Term) -> set[str]:
-    # every variable and binder name of t; a subterm object that t shares
-    # is visited once
-    names: set[str] = set()
-    seen: set[int] = set()
-    todo = [t]
-    while todo:
-        s = todo.pop()
-        if type(s) is Var:
-            names.add(s.name)
-        elif id(s) not in seen:
-            seen.add(id(s))
-            if type(s) is Abs:
-                names.add(s.binder)
-                todo.append(s.body)
-            else:
-                todo.append(s.fun)
-                todo.append(s.arg)
-    return names
+    # every variable and binder name of t
+    return {s.name if type(s) is Var else s.binder
+            for s in distinct_nodes(t) if type(s) is not App}
 
 
 def free_vars(t: Term) -> tuple[str, ...]:
@@ -258,21 +233,14 @@ def substitute(t: Term, x: str, v: Term) -> Term:
 
 def _mark_free(t: Term, x: str, x_free: dict[int, bool]) -> None:
     # record in x_free, by id, whether x occurs free in t and in each of
-    # its subterms not recorded yet: one post-order pass
-    todo: list[tuple[Term, bool]] = [(t, False)]
-    while todo:
-        s, done = todo.pop()
-        if isinstance(s, Var):
+    # its subterms not recorded yet
+    for s in distinct_nodes(t, x_free):
+        if type(s) is Var:
             x_free[id(s)] = s.name == x
-        elif done:
-            x_free[id(s)] = (s.binder != x and x_free[id(s.body)] if isinstance(s, Abs)
-                             else x_free[id(s.fun)] or x_free[id(s.arg)])
-        elif id(s) not in x_free:
-            todo.append((s, True))
-            if isinstance(s, Abs):
-                todo.append((s.body, False))
-            else:
-                todo += ((s.arg, False), (s.fun, False))
+        elif type(s) is Abs:
+            x_free[id(s)] = s.binder != x and x_free[id(s.body)]
+        else:
+            x_free[id(s)] = x_free[id(s.fun)] or x_free[id(s.arg)]
 
 
 def alpha_eq(s: Term, t: Term) -> bool:

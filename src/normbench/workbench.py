@@ -68,15 +68,6 @@ def graph_run_dict(out: graphs.GraphOutcome) -> dict:
     return d
 
 
-def graph_run(system: crs.CrsSystem, t: crs.Term, budget: int,
-              rng=None) -> graphs.GraphOutcome:
-    """The graph engine on a closed term under a system's rules: it loads
-    the term as its tree-shaped graph in one walk.  The call goes through
-    the module attribute, so a wrapper set on graphs.graph_reduce sees
-    every graph run."""
-    return graphs.graph_reduce(t, system, budget, rng=rng)
-
-
 def decide(runs: tuple, both: Callable[[], Optional[bool]], exhausted: Optional[bool],
            split: tuple[Optional[bool], Optional[bool]] = (None, None)) -> Optional[bool]:
     """The value of a check that relates two runs given the same budget.
@@ -107,7 +98,7 @@ def compare_engines(m: lam.Term, budget: int = DEFAULT_BUDGET) -> dict:
         phi = encode.encode_cbv(m)
         phi_run = encode.run_phi(phi, budget)
     with timed(timing, "phi-graph"):
-        graph = graph_run(phi.system, phi.term, budget)
+        graph = graphs.graph_reduce(phi.term, phi.system, budget)
     with timed(timing, "lambda-cbn"):
         cbn = lam.reduce(m, "cbn", budget)
     with timed(timing, "psi-crs"):
@@ -169,7 +160,7 @@ def roundtrip_check(system: crs.CrsSystem, t: crs.Term,
     with timed(timing, "scott"):
         verdict = scott.simulate_and_check(ctx, t, budget)
     with timed(timing, "graph"):
-        graph = graph_run(system, t, budget)
+        graph = graphs.graph_reduce(t, system, budget)
     crs_out = crs.CrsOutcome(verdict.crs_kind, verdict.crs_term, verdict.crs_steps)
     crs_record, graph_record = crs_run_dict(crs_out), graph_run_dict(graph)
     checks = {

@@ -161,6 +161,24 @@ def test_count_symbol():
     assert crs.count_symbol(nat(2), "nil") == 0
 
 
+def test_term_predicates_cost_the_dag():
+    # pair(d, d) over 20 levels: 21 distinct nodes, 2^20 occurrences of z
+    # in the unfolding; count_symbol still counts those occurrences
+    sig = Signature({"z": 0, "pair": 2}, {"f": 1})
+    d = Node("z")
+    for _ in range(20):
+        d = Node("pair", (d, d))
+    for check, expected in ((lambda: crs.count_symbol(d, "z"), 2 ** 20),
+                            (lambda: crs.is_constructor_term(d, sig), True),
+                            (lambda: crs.contains_function(d, sig), False)):
+        t0 = time.perf_counter()
+        assert check() == expected
+        assert time.perf_counter() - t0 < 0.1
+    f = Node("pair", (d, Node("f", (d,))))
+    assert crs.count_symbol(f, "z") == 2 ** 21 and crs.count_symbol(f, "f") == 1
+    assert not crs.is_constructor_term(f, sig) and crs.contains_function(f, sig)
+
+
 def test_policy_invariance_of_step_count():
     sys = add_system()
     t = Node("add", (Node("add", (nat(2), nat(1))), Node("add", (nat(1), nat(2)))))

@@ -10,6 +10,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from normbench import crs, lam
+from normbench.frozen import distinct_nodes
 from tests_util import same_structure
 
 # each class with a term of it, its fields, and the repr text the frozen
@@ -119,3 +120,39 @@ def test_same_structure_tells_term_kinds_and_fires_apart():
     b = crs.CrsOutcome("constructor", crs.Node("z"), 2, (2, 0))
     assert a == b and not same_structure(a, b)
     assert same_structure(a, crs.CrsOutcome("constructor", crs.Node("z"), 2, (1, 1)))
+
+
+# per kind: the leaf, a binary node, a unary one, and another leaf
+KINDS = {
+    "lam": (lam.Var("x"), lam.App, lambda t: lam.Abs("y", t), lam.Var("w")),
+    "crs": (crs.Node("z"), lambda a, b: crs.Node("pair", (a, b)),
+            lambda t: crs.Node("s", (t,)), crs.Node("o")),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sharing_does_not_change_equality_or_hash(kind):
+    # a 12-level DAG whose children are one object, against its unfolding
+    # built with a new object per occurrence: equal both ways and hash
+    # equal; an unfolding whose leftmost leaf, one of the deepest, differs
+    # is not equal
+    leaf, binary, unary, other_leaf = KINDS[kind]
+    levels = 12
+    dag = leaf
+    for i in range(levels):
+        half = unary(dag) if i % 2 else dag
+        dag = binary(half, half)
+
+    def tree(n, first_leaf):
+        if n == 0:
+            return copy.copy(first_leaf)
+        left, right = tree(n - 1, first_leaf), tree(n - 1, leaf)
+        if (n - 1) % 2:
+            left, right = unary(left), unary(right)
+        return binary(left, right)
+
+    same, other = tree(levels, leaf), tree(levels, other_leaf)
+    assert len(list(distinct_nodes(dag))) == levels + levels // 2 + 1
+    assert len(list(distinct_nodes(same))) > 2 ** levels
+    assert dag == same and same == dag and hash(dag) == hash(same)
+    assert dag != other and other != dag and not dag == other

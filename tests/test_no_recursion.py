@@ -10,7 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from normbench import lam
+from normbench import crs, lam
+from normbench.frozen import distinct_nodes
 from normbench.lam import Abs, App, Var
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "normbench"
@@ -146,6 +147,34 @@ def test_size_at_depth_and_at_dag_cost():
     for _ in range(20):
         d = App(d, d)
     assert lam.size(d) == 2 ** 21 - 1
+
+
+
+def _children(s):
+    return ([c for c in s.children if isinstance(c, crs.Node)] if type(s) is crs.Node
+            else [s.body] if type(s) is Abs else [s.fun, s.arg] if type(s) is App else [])
+
+
+def test_distinct_nodes_yields_each_object_once_children_first():
+    # shared subterms of both kinds, a chain 10^5 deep at the default
+    # limit, and a node with foreign values among its children
+    depth = 100_000
+    assert depth > sys.getrecursionlimit()
+    x, y = Var("x"), Abs("y", Var("y"))
+    z = crs.Node("z")
+    chain = crs.Node("s", (z, z))
+    for i in range(depth):
+        chain = crs.Node("s", (chain, z)) if i % 2 else crs.Node("s", (chain,))
+    for t, expected in ((App(App(x, y), App(y, x)), 6),
+                        (crs.Node("f", (z, "z", 1, (), chain)), depth + 3),
+                        (chain, depth + 2)):
+        order = list(distinct_nodes(t))
+        assert len(order) == len({id(s) for s in order}) == expected
+        place = {id(s): i for i, s in enumerate(order)}
+        assert order[-1] is t
+        assert all(place[id(c)] < place[id(s)] for s in order for c in _children(s))
+    # an object whose id is known is neither entered nor yielded
+    assert [type(s) for s in distinct_nodes(App(App(x, y), y), {id(y)})] == [Var, App, App]
 
 
 def test_term_equality_and_hash_at_depth():

@@ -502,18 +502,37 @@ def test_all_variable_rule_compiles_at_dag_cost():
     assert v.beta_steps == 256
 
 
-def test_compiled_size_costs_the_dag():
-    # the compiled f(b..b) for f(x0..x8) -> x0 over four nullary
-    # constructors unfolds to 5,971,117 nodes; lam.size counts them in
-    # one walk over its distinct objects
-    m = 9
-    xs = ", ".join(f"x{i}" for i in range(m))
+def compiled_projection(*args):
+    """The compiled term of f(args) for f(x0..x8) -> x0 over four nullary
+    constructors; f(b..b) unfolds to 5,971,117 nodes."""
+    xs = ", ".join(f"x{i}" for i in range(9))
     text = ("constructor a/0;\nconstructor b/0;\nconstructor c/0;\nconstructor d/0;\n"
-            f"function f/{m};\nrule f({xs}) -> x0;\n")
-    c, t = load(text, f"f({', '.join(['b'] * m)})")
-    compiled = scott.term_to_lambda(c, t)
+            f"function f/9;\nrule f({xs}) -> x0;\n")
+    return scott.term_to_lambda(*load(text, f"f({', '.join(args)})"))
+
+
+def test_compiled_size_costs_the_dag():
+    # lam.size counts the 5,971,117 nodes of the compiled f(b..b) in one
+    # walk over its distinct objects
+    compiled = compiled_projection(*"bbbbbbbbb")
     t0 = time.perf_counter()
     assert lam.size(compiled) == 5_971_117
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_compiled_term_compares_and_hashes_at_dag_cost():
+    # hash of the compiled f(b..b), and == against a second build, each
+    # in one walk over its distinct objects; the build for f(c, b..b)
+    # differs from it
+    first, second, other = (compiled_projection(*args)
+                            for args in ("bbbbbbbbb", "bbbbbbbbb", "cbbbbbbbb"))
+    assert first is not second
+    t0 = time.perf_counter()
+    hash(first)
+    assert time.perf_counter() - t0 < 0.1
+    t0 = time.perf_counter()
+    assert first == second and hash(first) == hash(second)
+    assert first != other and other != first
     assert time.perf_counter() - t0 < 0.1
 
 

@@ -302,7 +302,7 @@ def test_engines_refuse_a_negative_budget(engine, policy):
         elif engine == "crs":
             crs.reduce(image.system, image.term, -1, rng)
         else:
-            workbench.graph_run(image.system, image.term, -1, rng=rng)
+            graphs.graph_reduce(image.term, image.system, -1, rng=rng)
 
 
 def test_lam_reduce_refuses_an_unknown_strategy():
