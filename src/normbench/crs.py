@@ -624,6 +624,10 @@ _TOKEN_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_']*|[(),]|\S")
 # a token is an identifier iff it starts with an ASCII letter: _TOKEN_RE
 # reads an identifier whole and anything else one character at a time
 _IDENT_START = frozenset(string.ascii_letters)
+# the three statements of the declaration format, tried in this order
+_DECL_RE = re.compile(r"(constructor|function)\s+([a-zA-Z][a-zA-Z0-9_']*)\s*/\s*(\d+)")
+_RULE_RE = re.compile(r"rule\s+(.*?)\s*->\s*(.*)", re.DOTALL)
+_TERM_RE = re.compile(r"term\s+(.*)", re.DOTALL)
 
 
 class CrsParseError(ValueError):
@@ -740,7 +744,7 @@ def parse_system(text: str) -> CrsFile:
         stmt = stmt.strip()
         if not stmt:
             continue
-        m = re.fullmatch(r"(constructor|function)\s+([a-zA-Z][a-zA-Z0-9_']*)\s*/\s*(\d+)", stmt)
+        m = _DECL_RE.fullmatch(stmt)
         if m:
             kind, name, ar = m.group(1), m.group(2), int(m.group(3))
             table = constructors if kind == "constructor" else functions
@@ -748,11 +752,11 @@ def parse_system(text: str) -> CrsFile:
                 raise CrsParseError(f"symbol {name!r} declared twice")
             table[name] = ar
             continue
-        m = re.fullmatch(r"rule\s+(.*?)\s*->\s*(.*)", stmt, re.DOTALL)
+        m = _RULE_RE.fullmatch(stmt)
         if m:
             raw_rules.append((m.group(1), m.group(2)))
             continue
-        m = re.fullmatch(r"term\s+(.*)", stmt, re.DOTALL)
+        m = _TERM_RE.fullmatch(stmt)
         if m:
             if term_src is not None:
                 raise CrsParseError("multiple term declarations")

@@ -11,7 +11,16 @@ so alpha-equivalent subterms share one constructor and one rule.  That
 form and the abstraction's free variables are computed once per distinct
 abstraction object of the source, in an `AbstractionTable` that both
 images register their constructors from: `compare` builds it once, with
-the CBV image, and hands it to the CBN image.
+the CBV image, and hands it to the CBN image.  The table also names
+each key once (`lam_` and the start of its sha256), so the two images
+hash no key twice.
+
+The checked runs decide each invariant where it cannot change.  The CBV
+image's provenance and canonicity are decided in `run_phi`, once per
+image, in one walk over the distinct nodes of its input term and rule
+right sides.  The CBN administrative rule is the same in every image:
+`ADMIN_RULE`, whose property is decided once, when this module is
+imported, and which `run_psi` asks each image to carry.
 """
 
 from __future__ import annotations
@@ -93,6 +102,7 @@ class AbstractionTable:
         self.term = m
         self.abstractions: list[lam.Abs] = []
         self._entries: dict[int, tuple[str, tuple[str, ...]]] = {}
+        self._names: dict[str, str] = {}    # key -> constructor name
         seen: set[int] = set()
         queue = [m]
         for s in queue:
@@ -123,6 +133,13 @@ class AbstractionTable:
         got = self._entries.get(id(t))
         return _canonical(t) if got is None else got
 
+    def name(self, key: str) -> str:
+        """The constructor name of a canonical key, hashed once per key."""
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = "lam_" + hashlib.sha256(key.encode()).hexdigest()[:10]
+        return name
+
 
 @dataclass(frozen=True)
 class AbsConstructor:
@@ -143,9 +160,10 @@ class AbsConstructor:
 
 class Registry:
     """Stable names for abstraction constructors, collision-checked, keyed
-    through the abstraction table of the source."""
+    and named through the abstraction table of the source.  Without a
+    table it registers nothing and looks up no constructor."""
 
-    def __init__(self, table: AbstractionTable):
+    def __init__(self, table: Optional[AbstractionTable]):
         self.table = table
         self.by_name: dict[str, AbsConstructor] = {}
         self._by_key: dict[str, str] = {}
@@ -155,7 +173,7 @@ class Registry:
         name = self._by_key.get(key)
         if name is not None:
             return self.by_name[name]
-        name = "lam_" + hashlib.sha256(key.encode()).hexdigest()[:10]
+        name = self.table.name(key)
         if name in self.by_name:
             raise EncodeError(f"constructor name collision on {name}")
         con = AbsConstructor(name, t.binder, t.body, free)
@@ -277,23 +295,31 @@ def readback(t: crs.Term, reg: Registry, variables: bool = False) -> lam.Term:
     return lam.readback(root, names)
 
 
+def _node_is_canonical(s: crs.Term, sig: crs.Signature) -> bool:
+    # a term is canonical when each of its nodes is: a function node is
+    # an app with app nodes alone above it, that is, no node but app is a
+    # function node or has one as a child
+    return type(s) is crs.Var or s.symbol == APP or not (
+        sig.is_function(s.symbol)
+        or any(type(c) is crs.Node and sig.is_function(c.symbol) for c in s.children))
+
+
+def _node_is_registered(s: crs.Term, reg: Registry) -> bool:
+    # the provenance of one node: app, capp or a registered constructor
+    return type(s) is crs.Var or s.symbol in (APP, CAPP) or s.symbol in reg.by_name
+
+
 def is_canonical(t: crs.Term, sig: crs.Signature) -> bool:
     """Constructor term, or app of two canonical terms.  A variable
     counts as a constructor term: on a rule's rhs this says that every
     instance under a match binding constructor values is canonical."""
-    # that is, a function node is an app with app nodes alone above it:
-    # no node but app is a function node or has one as a child
-    return not any(type(s) is crs.Node and s.symbol != APP and (
-        sig.is_function(s.symbol)
-        or any(type(c) is crs.Node and sig.is_function(c.symbol) for c in s.children))
-        for s in distinct_nodes(t))
+    return all(_node_is_canonical(s, sig) for s in distinct_nodes(t))
 
 
 def check_provenance(t: crs.Term, reg: Registry) -> bool:
     """Every constructor in t names an abstraction registered from the
     source (hence an alpha-class of one of its subterms)."""
-    return all(type(s) is crs.Var or s.symbol in (APP, CAPP) or s.symbol in reg.by_name
-               for s in distinct_nodes(t))
+    return all(_node_is_registered(s, reg) for s in distinct_nodes(t))
 
 
 # --- call-by-name ----------------------------------------------------------------
@@ -356,12 +382,10 @@ def _psi_image(m: lam.Term, reg,
         if not isinstance(con.body, lam.Var):
             lhs = (crs.Node(name, tuple(crs.Var(v) for v in con.free)), crs.Var(con.binder))
             rules.append(crs.Rule(APP, lhs, _image_term(con.body, reg, CAPP)))
-    admin = crs.Rule(APP, (crs.Node(CAPP, (crs.Var("x"), crs.Var("y"))), crs.Var("z")),
-                     crs.Node(APP, (crs.Node(APP, (crs.Var("x"), crs.Var("y"))), crs.Var("z"))))
-    rules.append(admin)
+    rules.append(ADMIN_RULE)
     assert list(reg.by_name) == names
     sig = crs.Signature({CAPP: 2, **{c.name: c.arity for c in reg.by_name.values()}}, {APP: 2})
-    return term, crs.validate_system(sig, rules), admin
+    return term, crs.validate_system(sig, rules), ADMIN_RULE
 
 
 def psi_is_canonical(t: crs.Term, sig: crs.Signature, reg: Registry) -> bool:
@@ -389,7 +413,7 @@ class PhiRun:
 
 def run_phi(image: PhiImage, budget: int = 10_000) -> PhiRun:
     """Reduce the image, with canonicity and constructor provenance
-    checked once per image, where the simulation closes them.
+    decided once per image, where the simulation closes them.
 
     Provenance: the input term and every rule's rhs name only registered
     constructors (and app).  A step copies bindings out of the term and
@@ -398,12 +422,22 @@ def run_phi(image: PhiImage, budget: int = 10_000) -> PhiRun:
     standing for the constructor values the machine binds them to.  In a
     canonical term a redex has only app nodes above it, and a step leaves
     that context as it is, so every reached term is canonical.  A step
-    therefore costs no whole-term work."""
+    therefore costs no whole-term work.
+
+    Both are properties of each node, those of `check_provenance` and
+    `is_canonical`, so one walk decides them: over the input term and
+    each rule's rhs in turn, sharing the nodes already decided."""
     sig = image.system.signature
     reg = image.registry
+    known: set[int] = set()         # ids of the nodes decided; the image keeps them alive
     for t in (image.term, *(rule.rhs for rule in image.system.rules)):
-        assert check_provenance(t, reg), "unregistered constructor"
-        assert is_canonical(t, sig), "canonicity lost"
+        registered = canonical = True
+        for s in distinct_nodes(t, known):
+            known.add(id(s))
+            registered = registered and _node_is_registered(s, reg)
+            canonical = canonical and _node_is_canonical(s, sig)
+        assert registered, "unregistered constructor"
+        assert canonical, "canonicity lost"
     out = crs.reduce(image.system, image.term, budget)
     rb = None
     if out.kind != "exhausted":
@@ -421,16 +455,31 @@ class PsiRun:
     ordinary_steps: int
 
 
-def _admin_rule_ok(rule: crs.Rule, reg: Registry) -> bool:
-    # Linear and keeping each variable once, so an instance's rhs has one
-    # more app than its lhs exactly when the patterns do; readback is
-    # compositional, so every instance reads back alpha-equal to its lhs
-    # when the patterns do, their variables read as free lambda variables.
+def _admin_rule_ok(rule: crs.Rule) -> bool:
+    """Whether every instance of an administrative rule keeps the readback
+    and adds exactly one app: the rule is linear and keeps each variable
+    once, so an instance's rhs has one more app than its lhs exactly when
+    the patterns do; readback is compositional, so every instance reads
+    back alpha-equal to its lhs when the patterns do, their variables read
+    as free lambda variables.  The rule names app and capp alone, so its
+    readback looks up no constructor: it reads through an empty registry,
+    in which another constructor raises UnknownConstructor."""
     lhs = crs.Node(rule.head, rule.lhs)
+    reg = Registry(None)
     return (sorted(crs.variables(rule.rhs)) == sorted(crs.variables(lhs))
             and crs.count_symbol(rule.rhs, APP) == crs.count_symbol(lhs, APP) + 1
             and lam.alpha_eq(readback(lhs, reg, variables=True),
                              readback(rule.rhs, reg, variables=True)))
+
+
+# The administrative rule of every CBN image, app(capp(x, y), z) ->
+# app(app(x, y), z): it unfreezes an argument that reached head position.
+# Its property is decided here, once.
+ADMIN_RULE = crs.Rule(
+    APP, (crs.Node(CAPP, (crs.Var("x"), crs.Var("y"))), crs.Var("z")),
+    crs.Node(APP, (crs.Node(APP, (crs.Var("x"), crs.Var("y"))), crs.Var("z"))))
+assert _admin_rule_ok(ADMIN_RULE), \
+    "administrative rule changes the readback or adds other than one app"
 
 
 def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
@@ -438,14 +487,15 @@ def run_psi(image: PsiImage, budget: int = 10_000) -> PsiRun:
 
     An administrative step must keep the readback fixed and add exactly
     one occurrence of app.  Both are properties of the administrative
-    rule, checked once per image: it is linear and keeps each of its
-    variables once, its rhs has one more app than its lhs (head counted),
-    and the two read back alpha-equal with their variables read as free
-    lambda variables.  These carry over to every instance, and a step
-    leaves the context of its redex as it is, so to every reached term.
-    So the run takes no step hook: the administrative steps are the
-    firings of the rule's position, read from the outcome."""
-    assert _admin_rule_ok(image.admin_rule, image.registry), \
+    rule (see `_admin_rule_ok`), decided once for `ADMIN_RULE` when this
+    module is imported; an image is run only when its administrative rule
+    equals that rule, so a rule that differs even in the names of its
+    variables is rejected.  The properties carry over to every instance,
+    and a step leaves the context of its redex as it is, so to every
+    reached term.  So the run takes no step hook: the administrative
+    steps are the firings of the rule's position, read from the
+    outcome."""
+    assert image.admin_rule == ADMIN_RULE, \
         "administrative rule changes the readback or adds other than one app"
     assert psi_is_canonical(image.term, image.system.signature, image.registry)
     out = crs.reduce(image.system, image.term, budget)

@@ -464,6 +464,76 @@ def test_checked_runs_build_no_whole_term(monkeypatch):
     assert len(builds) == run.outcome.steps > 0
 
 
+# --- invariants decided once ------------------------------------------------------------
+
+ADMIN_SOURCE = "(\\x. x (\\z. z)) ((\\y. y) (\\w. w))"   # one administrative step
+
+
+def test_admin_rule_is_one_constant():
+    assert encode._admin_rule_ok(encode.ADMIN_RULE)
+    for entry in workbench.Corpus.load(CORPUS).lambda_entries:
+        image = encode.encode_cbn(entry.term)
+        assert image.system.rules[-1] is image.admin_rule is encode.ADMIN_RULE
+
+
+def test_admin_rule_with_renamed_variables_rejected():
+    # the rule keeps the property, but run_psi accepts only ADMIN_RULE
+    img = encode.encode_cbn(p(ADMIN_SOURCE))
+    a, b, c = crs.Var("a"), crs.Var("b"), crs.Var("c")
+    renamed = crs.Rule(APP, (Node(CAPP, (a, b)), c), Node(APP, (Node(APP, (a, b)), c)))
+    assert encode._admin_rule_ok(renamed)
+    image = encode.PsiImage(img.term, replace_rule(img, img.admin_rule, renamed),
+                            img.registry, img.source, renamed)
+    assert reference_run_psi(image, 10).admin_steps == 1
+    with pytest.raises(AssertionError):
+        encode.run_psi(image, 10)
+
+
+def test_compare_decides_no_admin_rule(monkeypatch):
+    decided = []
+    admin_rule_ok = encode._admin_rule_ok
+    monkeypatch.setattr(encode, "_admin_rule_ok",
+                        lambda *args: decided.append(args) or admin_rule_ok(*args))
+    entry = next(e for e in workbench.Corpus.load(CORPUS).lambda_entries
+                 if e.name == "church_mult")
+    assert workbench.compare_engines(entry.term)["relations"]["psi_admin_steps"] == 2
+    assert decided == []
+
+
+def test_run_phi_walks_each_root_once(monkeypatch):
+    # the input term and each rule's rhs are walked once for both
+    # predicates; readback's walk of the result is not counted
+    walks = []
+    walk = encode.distinct_nodes
+
+    def counted(t, known=()):
+        if sys._getframe(1).f_code is not encode.readback.__code__:
+            walks.append(t)
+        return walk(t, known)
+
+    monkeypatch.setattr(encode, "distinct_nodes", counted)
+    for m in (church_mult(3), p(ADMIN_SOURCE), p("(\\x. \\y. x) (\\z. z)")):
+        image = encode.encode_cbv(m)
+        walks.clear()
+        encode.run_phi(image)
+        assert 0 < len(walks) <= len(image.system.rules) + 1
+
+
+def test_names_hash_each_key_once(monkeypatch):
+    import hashlib
+    hashed = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    identity = encode._canonical(lam.Abs("z", lam.Var("z")))[0]
+    for entry in workbench.Corpus.load(CORPUS).lambda_entries:
+        hashed.clear()
+        phi = encode.encode_cbv(entry.term)
+        encode.encode_cbn(entry.term, phi.registry.table)
+        table = phi.registry.table
+        keys = {table.entry(t)[0] for t in table.abstractions} | {identity}
+        assert sorted(hashed) == sorted(k.encode() for k in keys), entry.name
+
+
 # --- CBN encoding --------------------------------------------------------------------
 
 def test_encode_cbn_simple():
