@@ -15,10 +15,11 @@ by walking its head's match tree (_match_tree), which has at most one
 switch per constructor of the head's left sides and visits each at most
 once; where constructors tell the rules apart, a match reads only the
 constructors of the rule it finds, however many rules the head has.
-Each rule is compiled once, when its system is built, into the
-numbering of its slots and a register template that builds its
-right-hand side with one fetch per node, so a step costs the size of its
-rule whatever the size of the term.  The input is not compiled: one
+Each rule's left side is numbered into slots when its system is built;
+its right side is compiled into a register template that builds it
+with one fetch per node when the rule first fires (_template), so a
+step costs the size of its rule whatever the size of the term, and a
+run pays for no rule it does not fire.  The input is not compiled: one
 post-order walk (_load) turns it into the values and frames a template
 builds.  The outcome counts the firings of each rule; a caller
 that needs more can hook each step, which receives the rule, its match
@@ -26,11 +27,11 @@ and a `state()` that builds the whole term only when called.
 
 A system is taken in once: `parse_term` reads a term under its
 signature, so an undeclared atom is a variable as it is read, and
-`CrsSystem` compiles the rules, which is what checks them (see
-`CrsSystem` for which fault a rule with several reports); building a
-head's match tree decides whether its left sides overlap.  Graph
-reduction walks the same trees, and the Scott matcher translates trees
-of the same builder that copy rather than backtrack.
+`CrsSystem` checks every rule when it is built, though it compiles no
+right side (see `CrsSystem` for which fault a rule with several
+reports); building a head's match tree decides whether its left sides
+overlap.  Graph reduction walks the same trees, and the Scott matcher
+translates trees of the same builder that copy rather than backtrack.
 """
 
 from __future__ import annotations
@@ -179,15 +180,17 @@ def _check_node(s: Node, sig: Signature) -> None:
 class CrsSystem:
     """A validated orthogonal constructor rewrite system.
 
-    Construction compiles every rule, and the compile is the check.
-    Rules are checked in order, and a rule raises at its first fault:
-    its head (a function symbol of the right arity), then its left side
-    slot by slot (_match_program: the arguments left to right, then
-    the children of each constructor node in that order: an
-    undeclared symbol, a wrong arity, a function symbol, or a second
-    occurrence of a variable), then its unbound right-side variables,
-    then its right side in pre-order (an undeclared symbol or a wrong
-    arity).  Once every rule compiles, each head's match tree
+    Construction checks every rule, whether it will fire or not, and
+    numbers its left side's slots; a rule's right side is compiled into
+    its register template when the rule first fires (_template).  Rules
+    are checked in order, and a rule raises at its first fault: its head
+    (a function symbol of the right arity), then its left side slot by
+    slot (_match_program: the arguments left to right, then the
+    children of each constructor node in that order: an undeclared
+    symbol, a wrong arity, a function symbol, or a second occurrence of
+    a variable), then its unbound right-side variables, then its right
+    side in pre-order (_check_rhs: an undeclared symbol or a wrong
+    arity).  Once every rule is checked, each head's match tree
     (`_match_tree`) is built from its left sides, heads by first
     appearance, and the build decides overlap: the first overlapping
     pair is reported, the least (i, j) in rule order of the first head
@@ -198,14 +201,14 @@ class CrsSystem:
     def __init__(self, signature: Signature, rules: list[Rule]):
         self.signature = sig = signature
         self.rules = tuple(rules)
-        # each rule's (variable -> slot, number of slots) and right-side
-        # register template
+        # each rule's (variable -> slot, number of slots)
         self._slots: list[tuple[dict[str, int], int]] = []
-        self._templates: list[tuple] = []
         for idx, rule in enumerate(self.rules):
             slot_of, nslots = _match_program(idx, rule, sig)
+            _check_rhs(idx, rule.rhs, sig, slot_of)
             self._slots.append((slot_of, nslots))
-            self._templates.append(_compile_term(rule.rhs, sig, slot_of, nslots, idx))
+        # each rule's register template, compiled on its first firing
+        self._templates: list[Optional[tuple]] = [None] * len(self.rules)
         # each rule's graph build template, compiled by graphs on first use
         self._graph_templates: list = [None] * len(self.rules)
         rows: dict[str, list] = {}
@@ -371,29 +374,56 @@ def _match_program(idx: int, rule: Rule, sig: Signature) -> tuple[dict[str, int]
     return slot_of, len(pats)
 
 
+def _check_rhs(idx: int, t: Term, sig: Signature, slot_of: dict[str, int]) -> None:
+    # Rule idx's right side t, checked in one pre-order walk: its unbound
+    # variables raise first, else its first node with an undeclared
+    # symbol or a wrong arity.
+    cons, funs = sig.constructors, sig.functions
+    unbound: set[str] = set()
+    fault: Optional[Node] = None
+    todo: list[Term] = [t]
+    while todo:
+        s = todo.pop()
+        if type(s) is Var:
+            if s.name not in slot_of:
+                unbound.add(s.name)
+        else:
+            if fault is None and cons.get(s.symbol, funs.get(s.symbol)) != len(s.children):
+                fault = s
+            todo += reversed(s.children)
+    if unbound:
+        raise InvalidRule(f"rule {idx}: rhs variables {sorted(unbound)} not bound in lhs")
+    if fault is not None:
+        _check_node(fault, sig)         # raises
+
+
 # the kinds of node a template builds: a value, a function frame over
 # values, a frame with frame children
 _VALUE, _FUN, _NODE = range(3)
 
 
-def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int,
-                  idx: int) -> tuple:
-    # The register template (consts, nodes, right) of t, rule idx's right
-    # side, whose variables read the slots slot_of names among a match's
-    # nslots; a reduction's input is loaded, not compiled (_load).  The
-    # registers are the slots, consts (the closed function-free subterms,
-    # shared whole), then the result of each entry (symbol, kind, get,
-    # positions of the frame children) of nodes, t's nodes in post-order;
-    # get fetches the children, earlier results counted from the end, in
-    # one call (a tuple, or a list if fewer than two).  Classes: 0 closed
-    # and function-free, 1 a value, 2 a frame.  Unbound variables raise,
-    # else the first node in pre-order with an undeclared symbol or a
-    # wrong arity.
-    cons, funs = sig.constructors, sig.functions
+def _template(system: CrsSystem, r: int) -> tuple:
+    """The register template of rule r of system, compiled on its first
+    firing and kept on the system; construction has checked the rule."""
+    slot_of, nslots = system._slots[r]
+    tpl = system._templates[r] = _compile_term(system.rules[r].rhs, system.signature,
+                                               slot_of, nslots)
+    return tpl
+
+
+def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int) -> tuple:
+    # The register template (consts, nodes, right) of t, a checked rule's
+    # right side, whose variables read the slots slot_of names among a
+    # match's nslots; a reduction's input is loaded, not compiled (_load).
+    # The registers are the slots, consts (the closed function-free
+    # subterms, shared whole), then the result of each entry (symbol,
+    # kind, get, positions of the frame children) of nodes, t's nodes in
+    # post-order; get fetches the children, earlier results counted from
+    # the end, in one call (a tuple, or a list if fewer than two).
+    # Classes: 0 closed and function-free, 1 a value, 2 a frame.
+    funs = sig.functions
     consts: list[Term] = []
     nodes: list[tuple] = []
-    unbound: set[str] = set()
-    fault: Optional[Node] = None
     out: list[tuple] = []               # (class, register) of each done subterm
     todo: list = [t]
     while todo:
@@ -418,21 +448,12 @@ def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int,
             nodes.append((s.symbol, kind, get, pending))
             out.append((1 if kind == _VALUE else 2, -1 - j))
         elif type(s) is Var:
-            if s.name not in slot_of:
-                unbound.add(s.name)
-            out.append((1, slot_of.get(s.name, 0)))
-        else:
-            if cons.get(s.symbol, funs.get(s.symbol)) != len(s.children) and fault is None:
-                fault = s
-            if s.children or s.symbol in funs:
-                todo += (s, None, *reversed(s.children))
-            else:                       # a nullary constructor
-                consts.append(s)
-                out.append((0, nslots + len(consts) - 1))
-    if unbound:
-        raise InvalidRule(f"rule {idx}: rhs variables {sorted(unbound)} not bound in lhs")
-    if fault is not None:
-        _check_node(fault, sig)         # raises
+            out.append((1, slot_of[s.name]))
+        elif s.children or s.symbol in funs:
+            todo += (s, None, *reversed(s.children))
+        else:                           # a nullary constructor
+            consts.append(s)
+            out.append((0, nslots + len(consts) - 1))
     right = out[0][1]
     return tuple(consts), tuple(nodes), right if right >= 0 else -1 - right - len(nodes)
 
@@ -536,14 +557,15 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     indexed list in leftmost-innermost (post-order) order, stored
     reversed, and fires the last entry (leftmost-innermost) or, with an
     rng, the entry that `reds[rng.randrange(len(reds))]` would be in
-    post-order.  A firing builds the rule's right side from its template and
-    changes the list only at that entry: it becomes the redexes of the
-    contractum or, when that is a value, the first function ancestor
-    that value-ness reaches through constructor nodes, if that now
-    matches.  A node becomes a value once, so this climb is O(1)
-    amortised, and a step costs the size of its rule whatever the size
-    of the term.  The outcome's `fires` counts the firings of each rule
-    position; it takes no part in the outcome's equality.
+    post-order.  A firing builds the rule's right side from its template,
+    compiled when the rule first fires, and changes the list only at that
+    entry: it becomes the redexes of the contractum or, when that is a
+    value, the first function ancestor that value-ness reaches through
+    constructor nodes, if that now matches.  A node becomes a value once,
+    so this climb is O(1) amortised, and a step costs the size of its
+    rule whatever the size of the term.  The outcome's `fires` counts the
+    firings of each rule position; it takes no part in the outcome's
+    equality.
 
     `on_step(rule, subst, state)` is invoked after each firing, with the
     rule and the match it fired under.  `state()` returns the whole term
@@ -568,7 +590,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
             k -= rng.randrange(k + 1)
         frame, r, slots = reds[k]
         block: list[tuple] = []
-        val = _build(match, templates[r], slots, block)
+        val = _build(match, templates[r] or _template(sys, r), slots, block)
         parent, i = frame[2], frame[3]
         while True:                     # val takes the slot, and a value climbs
             if parent is None:

@@ -18,9 +18,11 @@ hash no key twice.
 The checked runs decide each invariant where it cannot change.  The CBV
 image's provenance and canonicity are decided in `run_phi`, once per
 image, in one walk over the distinct nodes of its input term and rule
-right sides.  The CBN administrative rule is the same in every image:
-`ADMIN_RULE`, whose property is decided once, when this module is
-imported, and which `run_psi` asks each image to carry.
+right sides.  The CBN image's canonicity is decided in one walk over
+the distinct nodes of each term checked.  The CBN administrative rule
+is the same in every image: `ADMIN_RULE`, whose property is decided
+once, when this module is imported, and which `run_psi` asks each
+image to carry.
 """
 
 from __future__ import annotations
@@ -353,16 +355,17 @@ def _psi_image(m: lam.Term, reg,
     # in the order of their rules.
     term = _image_term(m, reg, CAPP)
     names = list(reg.by_name)
+    # the pattern c(v1..vk) of each constructor, the identity's among
+    # them, built once for every rule that enumerates the constructors
+    pattern = {name: crs.Node(name, tuple(crs.Var(f"v{i+1}") for i in range(con.arity)))
+               for name, con in reg.by_name.items()}
+    ident = pattern[identity.name]
     rules: list[crs.Rule] = []
     # identity: unfreeze or return its argument
-    rules.append(crs.Rule(APP, (crs.Node(identity.name),
-                                crs.Node(CAPP, (crs.Var("w"), crs.Var("f")))),
+    rules.append(crs.Rule(APP, (ident, crs.Node(CAPP, (crs.Var("w"), crs.Var("f")))),
                           crs.Node(APP, (crs.Var("w"), crs.Var("f")))))
     for name in names:
-        con = reg.by_name[name]
-        argvars = tuple(crs.Var(f"v{i+1}") for i in range(con.arity))
-        rules.append(crs.Rule(APP, (crs.Node(identity.name), crs.Node(name, argvars)),
-                              crs.Node(name, argvars)))
+        rules.append(crs.Rule(APP, (ident, pattern[name]), pattern[name]))
     # variable bodies other than the binder: return the stored binding
     for name in names:
         con = reg.by_name[name]
@@ -371,11 +374,8 @@ def _psi_image(m: lam.Term, reg,
             rules.append(crs.Rule(APP, (vb, crs.Var("h")),
                                   crs.Node(APP, (crs.Var("f"), crs.Var("g")))))
             for name2 in names:
-                con2 = reg.by_name[name2]
-                argvars = tuple(crs.Var(f"v{i+1}") for i in range(con2.arity))
-                rules.append(crs.Rule(
-                    APP, (crs.Node(name, (crs.Node(name2, argvars),)), crs.Var("h")),
-                    crs.Node(name2, argvars)))
+                rules.append(crs.Rule(APP, (crs.Node(name, (pattern[name2],)), crs.Var("h")),
+                                      pattern[name2]))
     # abstraction and application bodies: beta via the main image
     for name in names:
         con = reg.by_name[name]
@@ -390,15 +390,34 @@ def _psi_image(m: lam.Term, reg,
 
 def psi_is_canonical(t: crs.Term, sig: crs.Signature, reg: Registry) -> bool:
     """Abstraction-constructor term, or app of a canonical term and a
-    constructor term (a frozen capp at the root is not canonical)."""
+    constructor term (a frozen capp at the root is not canonical).  A
+    variable is function-free, but no constructor term.
+
+    One walk over t's distinct nodes decides two predicates of each node
+    from its children: whether it is a constructor term, and whether it
+    is a node of no function symbol with a function child, which no
+    canonical term has.  Then the left spine is read: apps over
+    constructor terms down to a registered constructor, which the walk
+    has shown function-free."""
+    funs, cons, names = sig.functions, sig.constructors, reg.by_name
+    impure: set[int] = set()            # ids of the nodes that are no constructor term
+    for s in distinct_nodes(t):
+        if type(s) is crs.Var or s.symbol in funs:
+            impure.add(id(s))
+            continue
+        if s.symbol not in cons:
+            impure.add(id(s))
+        for c in s.children:
+            if id(c) in impure:
+                if type(c) is crs.Node and c.symbol in funs:
+                    return False
+                impure.add(id(s))
     while True:
-        if isinstance(t, crs.Var):
+        if type(t) is crs.Var:
             return False
-        if t.symbol in reg.by_name:
-            return not crs.contains_function(t, sig)
-        if t.symbol != APP:
-            return False
-        if not crs.is_constructor_term(t.children[1], sig):
+        if t.symbol in names:
+            return t.symbol not in funs
+        if t.symbol != APP or id(t.children[1]) in impure:
             return False
         t = t.children[0]
 

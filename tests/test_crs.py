@@ -693,6 +693,23 @@ def test_which_fault_a_rule_with_several_reports(rules, error, message):
     assert (type(exc.value), str(exc.value)) == (error, message)
 
 
+@pytest.mark.parametrize("rhs, error, message", [
+    (Node("succ", (Node("zero"), Var("y"))),
+     crs.InvalidRule, "rule 2: rhs variables ['y'] not bound in lhs"),
+    (Node("succ", (Node("zero"), Var("x"))),
+     crs.ArityMismatch, "symbol 'succ' has arity 1, applied to 2 arguments"),
+])
+def test_a_rule_that_never_fires_is_checked_when_built(rhs, error, message):
+    # templates wait for a rule's first firing, but its checks do not
+    sig = nat_sig(never=1)
+    rules = ADD_RULES + [Rule("never", (Var("x"),), rhs)]
+    with pytest.raises(crs.CrsError) as exc:
+        crs.CrsSystem(sig, rules)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+    fixed = crs.CrsSystem(sig, rules[:2] + [Rule("never", (Var("x"),), Var("x"))])
+    assert crs.reduce(fixed, Node("add", (nat(3), nat(2)))).fires == (1, 3, 0)
+
+
 def test_deep_terms_no_recursion_blowup():
     sig = nat_sig()
     t = nat(50_000)
@@ -992,10 +1009,11 @@ def test_templates_build_the_instantiated_right_sides():
             subst = {x: random_value(rng, sig, 2) for p in rule.lhs for x in crs.variables(p)}
             hit = system._match([rule.head, [apply_subst(p, subst) for p in rule.lhs], None, 0, 0])
             assert hit is not None and hit[1] == r
-            assert list(map(id, system._templates[r][0])) == \
+            template = system._templates[r] or crs._template(system, r)
+            assert list(map(id, template[0])) == \
                 list(map(id, largest_constants(rule.rhs, sig)))
             reds = []
-            val = crs._build(system._match, system._templates[r], hit[2], reds)
+            val = crs._build(system._match, template, hit[2], reds)
             want = apply_subst(rule.rhs, subst)
             assert crs._unframe(val) == want
             todo = [val]
@@ -1017,19 +1035,25 @@ def test_templates_build_the_instantiated_right_sides():
 
 @pytest.mark.parametrize("rng", [None, 0])
 def test_reduce_compiles_nothing(monkeypatch, rng):
-    # a system compiles each right side once, when it is built, and a run
-    # compiles nothing, however many steps it takes: its input is loaded
+    # building a system compiles no right side, and a run compiles each
+    # rule it fires once, however many steps it takes: its input is
+    # loaded; a second run compiles nothing
     compiled = []
     compile_term = crs._compile_term
     monkeypatch.setattr(crs, "_compile_term",
                         lambda t, *args: compiled.append(t) or compile_term(t, *args))
+    policy = None if rng is None else random.Random(rng)
     system = add_system()
-    assert list(map(id, compiled)) == [id(rule.rhs) for rule in ADD_RULES]
+    assert compiled == []
+    out = crs.reduce(system, Node("add", (nat(0), nat(2))), 10_000, rng=policy)
+    assert (out.steps, list(map(id, compiled))) == (1, [id(ADD_RULES[0].rhs)])
+    system = add_system()
     compiled.clear()
     t = Node("add", (nat(300), nat(2)))
-    out = crs.reduce(system, t, 10_000, rng=None if rng is None else random.Random(rng))
-    assert (out.kind, out.steps) == ("constructor", 301)
-    assert compiled == []
+    for _ in range(2):
+        out = crs.reduce(system, t, 10_000, rng=policy)
+        assert (out.kind, out.steps, out.fires) == ("constructor", 301, (1, 300))
+        assert list(map(id, compiled)) == [id(ADD_RULES[1].rhs), id(ADD_RULES[0].rhs)]
 
 
 @pytest.mark.parametrize("text, error, message", [

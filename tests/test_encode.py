@@ -519,6 +519,125 @@ def test_run_phi_walks_each_root_once(monkeypatch):
         assert 0 < len(walks) <= len(image.system.rules) + 1
 
 
+def reference_psi_is_canonical(t, sig, reg):
+    """psi_is_canonical down the left spine, with one walk per argument
+    and one for the head constructor."""
+    while True:
+        if isinstance(t, crs.Var):
+            return False
+        if t.symbol in reg.by_name:
+            return not crs.contains_function(t, sig)
+        if t.symbol != APP:
+            return False
+        if not crs.is_constructor_term(t.children[1], sig):
+            return False
+        t = t.children[0]
+
+
+def random_psi_term(rng, sig, reg, depth):
+    """A random term over the symbols of a CBN image, variables and an
+    undeclared symbol, which shares some of its subterms."""
+    symbols = [(APP, 2), (CAPP, 2), ("bogus", 1),
+               *((name, con.arity) for name, con in reg.by_name.items())]
+    made = []
+
+    def term(d):
+        if made and rng.random() < 0.2:
+            return rng.choice(made)
+        if d <= 0 or rng.random() < 0.15:
+            return crs.Var("x") if rng.random() < 0.3 else Node(next(iter(reg.by_name)))
+        name, ar = rng.choice(symbols)
+        t = Node(name, tuple(term(d - 1) for _ in range(ar)))
+        made.append(t)
+        return t
+
+    # most random terms fail at the root; spines of app reach deeper
+    t = term(depth)
+    for _ in range(rng.randrange(4)):
+        t = Node(APP, (t, term(depth)))
+    return t
+
+
+def test_psi_canonicity_in_one_walk(monkeypatch):
+    # the same verdict as the spine walk on every corpus image's input and
+    # outcome, the mutants' and random terms, from one walk of each
+    walks = []
+    walk = encode.distinct_nodes
+    for module in (encode, crs):
+        monkeypatch.setattr(module, "distinct_nodes",
+                            lambda t, known=(): walks.append(t) or walk(t, known))
+    images = [encode.encode_cbn(e.term) for e in workbench.Corpus.load(CORPUS).lambda_entries]
+    images += [image for _, image in psi_mutants()]
+    rng = random.Random(36)
+    verdicts = set()
+    for image in images:
+        sig, reg = image.system.signature, image.registry
+        out = crs.reduce(image.system, image.term, workbench.DEFAULT_BUDGET)
+        terms = [image.term, out.term] + [random_psi_term(rng, sig, reg, 4) for _ in range(30)]
+        for t in terms:
+            walks.clear()
+            got = encode.psi_is_canonical(t, sig, reg)
+            assert len(walks) == 1
+            assert got is reference_psi_is_canonical(t, sig, reg), crs.term_to_str(t)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def psi_rules_node_by_node(reg, identity):
+    """The rules of a CBN image with every constructor pattern built
+    afresh where a rule names it."""
+    names = list(reg.by_name)
+    w, f, g, h = crs.Var("w"), crs.Var("f"), crs.Var("g"), crs.Var("h")
+    rules = [crs.Rule(APP, (Node(identity.name), Node(CAPP, (w, f))), Node(APP, (w, f)))]
+    for name in names:
+        argvars = tuple(crs.Var(f"v{i+1}") for i in range(reg.by_name[name].arity))
+        rules.append(crs.Rule(APP, (Node(identity.name), Node(name, argvars)),
+                              Node(name, argvars)))
+    for name in names:
+        con = reg.by_name[name]
+        if isinstance(con.body, lam.Var) and con.body.name != con.binder:
+            rules.append(crs.Rule(APP, (Node(name, (Node(CAPP, (f, g)),)), h),
+                                  Node(APP, (f, g))))
+            for name2 in names:
+                argvars = tuple(crs.Var(f"v{i+1}") for i in range(reg.by_name[name2].arity))
+                rules.append(crs.Rule(APP, (Node(name, (Node(name2, argvars),)), h),
+                                      Node(name2, argvars)))
+    for name in names:
+        con = reg.by_name[name]
+        if not isinstance(con.body, lam.Var):
+            lhs = (Node(name, tuple(crs.Var(v) for v in con.free)), crs.Var(con.binder))
+            rules.append(crs.Rule(APP, lhs, encode._image_term(con.body, reg, CAPP)))
+    return rules + [encode.ADMIN_RULE]
+
+
+def test_psi_enumeration_rules_share_one_pattern_per_constructor():
+    # the rules that enumerate the constructors, the identity's and the
+    # variable bodies', name one object per constructor pattern, and
+    # equal the rules built node by node
+    shared = 0
+    for entry in workbench.Corpus.load(CORPUS).lambda_entries:
+        image = encode.encode_cbn(entry.term)
+        reg = image.registry
+        identity = reg.by_name[next(iter(reg.by_name))]
+        assert identity.abstraction() == lam.Abs("z", lam.Var("z"))
+        assert list(image.system.rules) == psi_rules_node_by_node(reg, identity)
+        patterns: dict[str, set[int]] = {}
+        for rule in image.system.rules:
+            arg, rhs = rule.lhs[0], rule.rhs
+            if arg.symbol == identity.name:
+                named = [arg] + ([rule.lhs[1], rhs] if rhs.symbol != APP else [])
+            elif len(arg.children) == 1 and type(arg.children[0]) is Node \
+                    and arg.children[0].symbol != CAPP:
+                named = [arg.children[0], rhs]
+            else:
+                continue
+            for t in named:
+                patterns.setdefault(t.symbol, set()).add(id(t))
+        assert all(len(ids) == 1 for ids in patterns.values()), entry.name
+        shared += len(patterns)
+    assert shared > 200
+
+
 def test_names_hash_each_key_once(monkeypatch):
     import hashlib
     hashed = []

@@ -354,6 +354,14 @@ def test_cli_emit_dot(tmp_path, capsys):
     assert "digraph" in dest.read_text()
 
 
+def count_write_backs(monkeypatch) -> list:
+    calls = []
+    write_back = graphs._write_back
+    monkeypatch.setattr(graphs, "_write_back",
+                        lambda *args: calls.append(args) or write_back(*args))
+    return calls
+
+
 @pytest.mark.parametrize("argv", [["eval", "--engine", "graph", "crs/nat_add.trs"],
                                   ["eval", "--engine", "graph", "lambda/dup_drop.lam"],
                                   ["eval", "--engine", "graph", "--policy", "random",
@@ -362,10 +370,7 @@ def test_cli_emit_dot(tmp_path, capsys):
 def test_graph_result_written_back_only_for_dot(tmp_path, monkeypatch, capsys, argv):
     # the report prints the normal form from the result's records: the
     # result becomes a TermGraph once, and only for --emit-dot
-    calls = []
-    write_back = graphs._write_back
-    monkeypatch.setattr(graphs, "_write_back",
-                        lambda *args: calls.append(args) or write_back(*args))
+    calls = count_write_backs(monkeypatch)
     src = [*argv[:-1], str(CORPUS / argv[-1])]
     assert cli.main(src) == 0
     assert calls == []
@@ -380,17 +385,57 @@ def test_graph_result_written_back_only_for_dot(tmp_path, monkeypatch, capsys, a
 
 def test_final_graph_is_the_outcome(monkeypatch):
     # the reports hold the graph run's outcome, not its graph, so that
-    # building them forces no write-back but compare's readback
-    calls = []
-    write_back = graphs._write_back
-    monkeypatch.setattr(graphs, "_write_back",
-                        lambda *args: calls.append(args) or write_back(*args))
+    # building them forces no write-back: compare reads the graph verdict
+    # off the phi run, whose result prints the same
+    calls = count_write_backs(monkeypatch)
     f = crs.parse_system((CORPUS / "crs" / "nat_add.trs").read_text())
     report = workbench.roundtrip_check(f.system, f.term)
     assert isinstance(report["_final_graph"], graphs.GraphOutcome) and calls == []
     report = workbench.compare_engines(p("(\\x. (\\y. x) x) (\\z. z)"), 1000)
-    assert isinstance(report["_final_graph"], graphs.GraphOutcome) and len(calls) == 1
+    assert isinstance(report["_final_graph"], graphs.GraphOutcome) and calls == []
     assert report["checks"]["graph_readback_alpha_eq"] is True
+
+
+def full_graph_alpha_eq(m, report):
+    """graph_readback_alpha_eq decided from the graph result itself:
+    written back, unfolded, read back and compared with the CBV result."""
+    cbv = lam.reduce(m, "cbv", report["budget"])
+    graph = report["_final_graph"]
+    record = next(r for r in report["runs"] if r["engine"] == "phi-graph")
+    registry = encode.encode_cbv(m).registry
+    return workbench.decide(
+        (cbv, graph), lambda: lam.alpha_eq(
+            encode.readback(graphs.graph_to_term(graph.graph), registry), cbv.term)
+        if record["unfolded"] else None, None)
+
+
+def test_graph_verdict_from_the_phi_run_on_the_corpus(monkeypatch):
+    calls = count_write_backs(monkeypatch)
+    entries = workbench.Corpus.load(CORPUS).lambda_entries
+    decided = 0
+    for entry in entries:
+        report = workbench.compare_engines(entry.term)
+        assert calls == [], entry.name
+        got = report["checks"]["graph_readback_alpha_eq"]
+        assert got is full_graph_alpha_eq(entry.term, report), entry.name
+        calls.clear()
+        decided += got is not None
+    assert len(entries) == 62 and decided > 40
+
+
+def test_graph_verdict_when_the_prints_differ(monkeypatch):
+    # a phi run patched to end elsewhere prints another normal form: the
+    # graph result is then read back itself, and its verdict is not the
+    # phi run's
+    calls = count_write_backs(monkeypatch)
+    run_phi = encode.run_phi
+    other = encode.encode_cbv(p("(\\x. x) (\\y. \\w. y)"))
+    monkeypatch.setattr(encode, "run_phi", lambda image, budget: run_phi(other, budget))
+    m = p("(\\x. (\\y. x) x) (\\z. z)")
+    report = workbench.compare_engines(m, 1000)
+    checks = report["checks"]
+    assert (checks["phi_readback_alpha_eq"], checks["graph_readback_alpha_eq"]) == (False, True)
+    assert len(calls) == 1 and full_graph_alpha_eq(m, report) is True
 
 
 @pytest.mark.parametrize("name, argvs", [
