@@ -10,11 +10,16 @@ on the position policy.
 `reduce` runs one loop for both position policies over an indexed
 list of the term's redexes, stored reversed: leftmost-innermost fires
 the list's last entry, the random policy one picked uniformly, and a
-firing replaces its entry by the redexes it made.  A node finds its rule
+firing replaces its entry by the redexes it made, in place when it made
+one and by deleting the entry when it made none.  A node finds its rule
 by walking its head's match tree (_match_tree), which has at most one
 switch per constructor of the head's left sides and visits each at most
 once; where constructors tell the rules apart, a match reads only the
 constructors of the rule it finds, however many rules the head has.
+A function node that a right side builds walks its tree inside the
+build (_build), so a step makes no call per node it builds; the input's
+nodes (_load) and an ancestor that a firing's value reaches
+(`reduce`'s climb) are matched by CrsSystem._match.
 Each rule's left side is numbered into slots when its system is built;
 its right side is compiled into a register template that builds it
 with one fetch per node when the rule first fires (_template), so a
@@ -458,13 +463,15 @@ def _compile_term(t: Term, sig: Signature, slot_of: dict[str, int], nslots: int)
     return tuple(consts), tuple(nodes), right if right >= 0 else -1 - right - len(nodes)
 
 
-def _build(match, template: tuple, regs: list, reds: list[tuple]):
+def _build(trees: dict, template: tuple, regs: list, reds: list[tuple]):
     # Run a register template over regs, a match's slots, to which it
     # appends its registers: the value or frame it builds.  A frame
     # [symbol, kids, parent frame, index there, number of kids that are
     # frames] is a node that is not a value; values are Nodes.  A function
-    # node over values that the system's `_match` matches is appended to
-    # reds as its match, (frame, rule position, slots), in post-order.
+    # node over values walks its head's match tree in trees here, as
+    # CrsSystem._match does, with no call per frame, and if a rule
+    # matches it is appended to reds as its match, (frame, rule position,
+    # slots), in post-order.
     consts, nodes, right = template
     regs += consts
     for symbol, kind, get, pending in nodes:
@@ -474,14 +481,30 @@ def _build(match, template: tuple, regs: list, reds: list[tuple]):
             continue
         kids = list(kids)
         frame = [symbol, kids, None, 0, len(pending)]
-        if kind == _FUN:
-            hit = match(frame)
-            if hit is not None:
-                reds.append(hit)
-        else:
+        regs.append(frame)
+        if kind == _NODE:
             for i in pending:
                 kids[i][2], kids[i][3] = frame, i
-        regs.append(frame)
+            continue
+        node, slots, back = trees[symbol], kids[:], []
+        while True:
+            while type(node) is list:
+                t = slots[node[0]]
+                sub = node[1].get(t.symbol)
+                if sub is None:
+                    node = node[2]
+                else:
+                    if node[2] is not None:
+                        back.append((node[2], len(slots)))
+                    slots += t.children
+                    node = sub
+            if node is not None:
+                reds.append((frame, node, slots))
+            elif back:
+                node, n = back.pop()
+                del slots[n:]
+                continue
+            break
     return regs[right]
 
 
@@ -558,14 +581,16 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     reversed, and fires the last entry (leftmost-innermost) or, with an
     rng, the entry that `reds[rng.randrange(len(reds))]` would be in
     post-order.  A firing builds the rule's right side from its template,
-    compiled when the rule first fires, and changes the list only at that
-    entry: it becomes the redexes of the contractum or, when that is a
-    value, the first function ancestor that value-ness reaches through
-    constructor nodes, if that now matches.  A node becomes a value once,
-    so this climb is O(1) amortised, and a step costs the size of its
-    rule whatever the size of the term.  The outcome's `fires` counts the
-    firings of each rule position; it takes no part in the outcome's
-    equality.
+    compiled when the rule first fires, and matches each function node
+    over values that it builds as it builds it (_build).  It changes the
+    list only at that entry: it becomes the redexes of the contractum or,
+    when that is a value, the first function ancestor that value-ness
+    reaches through constructor nodes, if that now matches.  One such
+    redex takes the entry's place, none deletes it, and several are
+    spliced in.  A node becomes a value once, so this climb is O(1)
+    amortised, and a step costs the size of its rule whatever the size
+    of the term.  The outcome's `fires` counts the firings of each rule
+    position; it takes no part in the outcome's equality.
 
     `on_step(rule, subst, state)` is invoked after each firing, with the
     rule and the match it fired under.  `state()` returns the whole term
@@ -576,7 +601,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
     if budget < 0:
         raise ValueError("budget must be >= 0")
     sig, rules, templates, bound = sys.signature, sys.rules, sys._templates, sys._slots
-    cons, match = sig.constructors, sys._match
+    cons, match, trees = sig.constructors, sys._match, sys._trees
     reds: list[tuple] = []
     root = _load(t, sig, match, reds)
     reds.reverse()
@@ -590,7 +615,7 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
             k -= rng.randrange(k + 1)
         frame, r, slots = reds[k]
         block: list[tuple] = []
-        val = _build(match, templates[r] or _template(sys, r), slots, block)
+        val = _build(trees, templates[r] or _template(sys, r), slots, block)
         parent, i = frame[2], frame[3]
         while True:                     # val takes the slot, and a value climbs
             if parent is None:
@@ -609,8 +634,13 @@ def reduce(sys: CrsSystem, t: Term, budget: int = 10_000, rng=None,
                     block.append(hit)
                 break
             val, parent, i = Node(parent[0], tuple(parent[1])), parent[2], parent[3]
-        block.reverse()
-        reds[k:k + 1] = block
+        if len(block) == 1:
+            reds[k] = block[0]
+        elif not block:
+            del reds[k]
+        else:
+            block.reverse()
+            reds[k:k + 1] = block
         steps += 1
         fires[r] += 1
         if on_step is not None:

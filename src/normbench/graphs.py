@@ -376,11 +376,13 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     tree (_search); a leaf gives a redex (anchor, rule position, slots).
     Every record below a value is a value, so a binding needs no check
     that it is function-free.  reds holds the redexes in post-order,
-    reversed so that the leftmost-innermost one is last; a search's
-    redexes take the place of the entry that fired.  A firing takes that
-    last entry, or with rng the entry that reds[rng.randrange(len(reds))]
-    would be in post-order.  It builds, links and decides each copy of the rule's
-    template (_template) in one pass, redirects the anchor's in-edge,
+    reversed so that the leftmost-innermost one is last.  The first
+    search fills it; a later search's redexes take the place of the entry
+    that fired: one takes its place, none deletes it, and several are
+    spliced in.  A firing takes that last entry, or with rng the entry
+    that reds[rng.randrange(len(reds))] would be in post-order.  It
+    builds, links and decides each copy of the rule's template
+    (_template) in one pass, redirects the anchor's in-edge,
     collects by reference count from the anchor (refs count only
     in-edges from reachable nodes, so this removes exactly what became
     unreachable, at step 1 also what never was), and, when the
@@ -427,12 +429,10 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
     work: list[int] = []
     fires = [0] * len(system.rules)
     reds: list[tuple] = []
-    steps, k = 0, 0
+    w += _search(trees, tries, reds)
+    reds.reverse()
+    steps = 0
     while True:
-        block: list[tuple] = []
-        w += _search(trees, tries, block)
-        block.reverse()
-        reds[k:k + 1] = block
         if steps < budget:
             work.append(w)
         if not reds or steps >= budget:
@@ -499,6 +499,15 @@ def graph_reduce(g: TermGraph | crs.Term, system: crs.CrsSystem, budget: int = 1
                 break
             parent[4] = True
             parent[5], parent = None, parent[5]
+        block: list[tuple] = []
+        w += _search(trees, tries, block)
+        if len(block) == 1:
+            reds[k] = block[0]
+        elif not block:
+            del reds[k]
+        else:
+            block.reverse()
+            reds[k:k + 1] = block
     if steps and not loaded:
         _write_back(g, root, top)
     return GraphOutcome("exhausted" if reds else "normal", steps, sizes, work, tuple(fires),

@@ -388,13 +388,9 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
 
 # --- recursion ------------------------------------------------------------------------
 
-def fixpoint_family(n: int) -> tuple[list[lam.Term], int]:
-    """Terms H1..Hn with Hi V1..Vn reducing to
-    Vi (\\x. H1 V1..Vn x) .. (\\x. Hn V1..Vn x) in at most 2n steps."""
-    return _fixpoint_family(_Built(), n)
-
-
 def _fixpoint_family(built: _Built, n: int) -> tuple[list[lam.Term], int]:
+    """Terms H1..Hn, made by built, with Hi V1..Vn reducing to
+    Vi (\\x. H1 V1..Vn x) .. (\\x. Hn V1..Vn x) in at most 2n steps."""
     if n < 1:
         raise ScottError("fixpoint family needs n >= 1")
     xs = tuple(f"x{k+1}" for k in range(n))

@@ -13,7 +13,7 @@ import pytest
 
 from normbench import cli, crs, encode, graphs, lam, scott, workbench
 from normbench.lam import apps
-from tests_util import cbv_step, leaf_count, term_size, two_tower
+from tests_util import cbv_step, fixpoint_family, leaf_count, term_size, two_tower
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 BUDGET = 10_000
@@ -188,7 +188,7 @@ def test_acceptance_4_fixpoint_bound():
     rng = random.Random(42)
     trials = 0
     for n in range(1, 9):
-        hs, bound = scott.fixpoint_family(n)
+        hs, bound = fixpoint_family(n)
         assert bound == 2 * n
         for _ in range(14):
             vals = [lam.abss([f"q{j}" for j in range(rng.randrange(1, n + 2))],

@@ -9,10 +9,10 @@ import pytest
 from normbench import crs, encode, lam, scott, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    apply_subst, bench_workloads, check_arities, crs_is_closed, crs_replace_at, is_pattern,
-    match_args, random_closed_term, random_patterns_system, random_value,
-    random_system, redexes, reference_first_overlap, reference_random_reduce, reference_validate,
-    rewrite_step, staircase, term_size, two_pass_parse_term)
+    apply_subst, backtracking_system, bench_workloads, check_arities, crs_is_closed,
+    crs_replace_at, is_pattern, match_args, random_closed_term, random_patterns_system,
+    random_value, random_system, redexes, reference_first_overlap, reference_random_reduce,
+    reference_validate, rewrite_step, run_backtracks, staircase, term_size, two_pass_parse_term)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -858,6 +858,25 @@ def test_random_policy_matches_reference_on_lambda_images():
     assert compared >= 120
 
 
+def test_both_policies_match_reference_on_backtracking_systems():
+    # nested multi-column left sides, some rows waiting in a default, and
+    # right sides that build function nodes: both policies agree with the
+    # reference loop on runs whose matches go back to a default hundreds
+    # of times at the frames a right side builds
+    rng = random.Random(40)
+    compared = loaded = built = 0
+    for _ in range(40):
+        system = backtracking_system(rng)
+        for _ in range(4):
+            t = random_closed_term(rng, system.signature, 4)
+            if agrees_with_reference(system, t) and random_agrees_with_reference(system, t):
+                compared += 1
+                at_load, at_build = run_backtracks(system, t, BUDGETS[-1])
+                loaded += at_load
+                built += at_build
+    assert compared > 140 and loaded >= 150 and built >= 300, (compared, loaded, built)
+
+
 def test_stuck_subterm_left_of_redex():
     sig = Signature({"zero": 0, "succ": 1, "pair": 2}, {"add": 2, "f": 1})
     sys = crs.validate_system(sig, ADD_RULES + [
@@ -1013,7 +1032,7 @@ def test_templates_build_the_instantiated_right_sides():
             assert list(map(id, template[0])) == \
                 list(map(id, largest_constants(rule.rhs, sig)))
             reds = []
-            val = crs._build(system._match, template, hit[2], reds)
+            val = crs._build(system._trees, template, hit[2], reds)
             want = apply_subst(rule.rhs, subst)
             assert crs._unframe(val) == want
             todo = [val]
@@ -1054,6 +1073,28 @@ def test_reduce_compiles_nothing(monkeypatch, rng):
         out = crs.reduce(system, t, 10_000, rng=policy)
         assert (out.kind, out.steps, out.fires) == ("constructor", 301, (1, 300))
         assert list(map(id, compiled)) == [id(ADD_RULES[1].rhs), id(ADD_RULES[0].rhs)]
+
+
+@pytest.mark.parametrize("rng", [None, 0])
+def test_build_matches_its_frames_without_a_call(monkeypatch, rng):
+    # a step walks the match tree of each function frame that its right
+    # side builds in _build itself: CrsSystem._match is called only by
+    # _load, at the input's function nodes over values, and by reduce's
+    # climb, at an ancestor that a value leaves with no frame child
+    callers = []
+    match = crs.CrsSystem._match
+    monkeypatch.setattr(crs.CrsSystem, "_match", lambda self, frame: callers.append(
+        sys._getframe(1).f_code.co_name) or match(self, frame))
+    policy = None if rng is None else random.Random(rng)
+    out = crs.reduce(add_system(), Node("add", (nat(300), nat(2))), 10_000, rng=policy)
+    assert (out.kind, out.steps) == ("constructor", 301)
+    assert callers == ["_load"]
+    callers.clear()
+    phi = encode.encode_cbv(lam.parse(
+        "(\\m. \\n. \\f. m (n f)) (\\f. \\x. f (f x)) (\\f. \\x. f (f (f x))) (\\a. a) (\\b. b)"))
+    out = crs.reduce(phi.system, phi.term, 10_000, rng=policy)
+    assert (out.kind, out.steps) == ("constructor", 14)
+    assert set(callers) == {"_load", "reduce"} and len(callers) < out.steps, callers
 
 
 @pytest.mark.parametrize("text, error, message", [

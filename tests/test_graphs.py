@@ -8,11 +8,11 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    GraphRule, apply_subst, bench_workloads, crs_replace_at, match_args, nat_term,
-    random_closed_term, random_system, random_value, reachable, redexes, reference_build_phase,
-    reference_collect, reference_compile_rule, reference_find_redex, reference_graph_reduce,
-    reference_redirect, reference_template, reference_try_match, rule_to_graph_rule, slot_nodes,
-    term_size, two_tower)
+    GraphRule, apply_subst, backtracking_system, bench_workloads, crs_replace_at, match_args,
+    nat_term, random_closed_term, random_system, random_value, reachable, redexes,
+    reference_build_phase, reference_collect, reference_compile_rule, reference_find_redex,
+    reference_graph_reduce, reference_redirect, reference_template, reference_try_match,
+    rule_to_graph_rule, run_backtracks, slot_nodes, term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -752,6 +752,23 @@ def test_machine_matches_reference_on_random_systems(seed):
             if k == 0:
                 shared += agrees_with_reference_shared(system, t)
     assert shared >= 5
+
+
+def test_machine_matches_reference_on_backtracking_systems():
+    # nested multi-column left sides, some rows waiting in a default, and
+    # right sides that build function nodes: both policies agree with the
+    # reference machine on runs whose searches go back to a default
+    # hundreds of times at the nodes a right side builds
+    rng = random.Random(42)
+    built = 0
+    for _ in range(40):
+        system = backtracking_system(rng)
+        for _ in range(4):
+            t = random_closed_term(rng, system.signature, 4)
+            agrees_with_reference(system, t)
+            agrees_with_reference(system, t, seed=0)
+            built += run_backtracks(system, t, BUDGETS[-1])[1]
+    assert built >= 300, built
 
 
 def test_machine_matches_reference_on_corpus_systems():

@@ -9,7 +9,7 @@ import pytest
 from normbench import crs, graphs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import (bench_workloads, cbv_step, lam_is_closed, nat_term,
+from tests_util import (bench_workloads, cbv_step, fixpoint_family, lam_is_closed, nat_term,
                         random_patterns_system, random_system, reference_first_overlap,
                         reference_free_set, staircase)
 
@@ -223,7 +223,7 @@ def test_match_steps_independent_of_scrutinee_size(ctx):
 # --- fixed points -----------------------------------------------------------------
 
 def test_fixpoint_single():
-    hs, bound = scott.fixpoint_family(1)
+    hs, bound = fixpoint_family(1)
     assert bound == 2
     v = lam.parse("\\u. u")
     target = App(v, lam.Abs("x", apps(hs[0], [v, lam.Var("x")])))
@@ -231,7 +231,7 @@ def test_fixpoint_single():
 
 
 def test_fixpoint_pair():
-    hs, bound = scott.fixpoint_family(2)
+    hs, bound = fixpoint_family(2)
     assert bound == 4
     v1 = lam.parse("\\u. \\w. u")
     v2 = lam.parse("\\u. \\w. w u")
@@ -241,7 +241,7 @@ def test_fixpoint_pair():
 
 
 def test_fixpoint_unfoldings_are_values():
-    hs, _ = scott.fixpoint_family(3)
+    hs, _ = fixpoint_family(3)
     for h in hs:
         assert lam_is_closed(h)
     # the eta-guarded unfolding shape is an abstraction, hence a value
@@ -254,7 +254,7 @@ def test_fixpoint_unfoldings_are_values():
 def test_fixpoint_bound_randomized():
     rng = random.Random(3)
     for n in range(1, 6):
-        hs, bound = scott.fixpoint_family(n)
+        hs, bound = fixpoint_family(n)
         vals = [abss([f"q{j}" for j in range(n + 1)], lam.Var(f"q{rng.randrange(n + 1)}"))
                 for _ in range(n)]
         i = rng.randrange(n)

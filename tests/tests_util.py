@@ -10,7 +10,7 @@ from typing import Iterator, NamedTuple, Optional
 from hypothesis import strategies as st
 
 from make_corpus import church_two, random_closed, two_tower  # noqa: F401  (corpus builder)
-from normbench import crs, encode, graphs, lam
+from normbench import crs, encode, graphs, lam, scott
 from normbench.lam import Abs, App, Term, Var
 
 
@@ -375,6 +375,55 @@ def random_patterns_system(rng):
                  for h in heads]
 
 
+def backtracking_system(rng):
+    """Random orthogonal system whose match trees backtrack.  Each head
+    takes two or three arguments, and its left sides are nested
+    constructor patterns with variables, each drawn at random and kept
+    if it overlaps no left side kept before.  The first one drawn has a
+    variable first, so it waits in the default of the root switch while
+    the rows with a constructor there read on.  Right sides build
+    function nodes over the rule's variables, half of them over some
+    left side whose variables are filled in, so that a built node goes
+    some way down a branch before it fails or matches."""
+    sig = crs.Signature({"c0": 0, "c1": 1, "c2": 2},
+                        {f"f{i}": rng.randrange(2, 4) for i in range(rng.randrange(1, 3))})
+    fresh = iter(range(10**6))
+
+    def pattern(depth):
+        if not depth or rng.random() < 0.3:
+            return crs.Var(f"x{next(fresh)}")
+        c = rng.choice(list(sig.constructors))
+        return crs.Node(c, tuple(pattern(depth - 1) for _ in range(sig.constructors[c])))
+
+    lefts = []
+    for head, ar in sig.functions.items():
+        for k in range(rng.randrange(6, 14)):
+            lhs = (pattern(0 if k == 0 else 2),) + tuple(pattern(2) for _ in range(ar - 1))
+            try:
+                crs.validate_system(sig, [crs.Rule(h, ps, crs.Node("c0"))
+                                          for h, ps in lefts + [(head, lhs)]])
+            except crs.OverlapError:
+                continue
+            lefts.append((head, lhs))
+
+    def rhs(names, depth):
+        kind = rng.choice(["var", "con", "fun", "fun"] if depth else ["var"])
+        if kind == "var":
+            return crs.Var(rng.choice(names)) if names else crs.Node("c0")
+        if kind == "fun" and rng.random() < 0.5:
+            head, lhs = rng.choice(lefts)
+            return crs.Node(head, tuple(
+                apply_subst(p, {x: rhs(names, depth - 1) for x in crs.variables(p)})
+                for p in lhs))
+        table = sig.constructors if kind == "con" else sig.functions
+        name = rng.choice(list(table))
+        return crs.Node(name, tuple(rhs(names, depth - 1) for _ in range(table[name])))
+
+    return crs.validate_system(sig, [
+        crs.Rule(head, lhs, rhs([x for p in lhs for x in crs.variables(p)], rng.randrange(1, 3)))
+        for head, lhs in lefts])
+
+
 def random_value(rng, sig, depth):
     """A random constructor term over sig, at most depth deep; sig has a
     nullary constructor."""
@@ -477,6 +526,58 @@ def rewrite_step(system, t):
         return None
     path, rule, subst = hit
     return crs_replace_at(t, path, apply_subst(rule.rhs, subst))
+
+
+def tree_backtracks(system, t):
+    """How many times the walk of the match tree of t's head, t a
+    function node over constructor terms, goes back to a default after a
+    branch it took fails (CrsSystem._match's walk)."""
+    node, slots, back, n = system._trees[t.symbol], list(t.children), [], 0
+    while True:
+        while type(node) is list:
+            sub = node[1].get(slots[node[0]].symbol)
+            if sub is None:
+                node = node[2]
+            else:
+                if node[2] is not None:
+                    back.append((node[2], len(slots)))
+                slots += slots[node[0]].children
+                node = sub
+        if node is not None or not back:
+            return n
+        node, k = back.pop()
+        del slots[k:]
+        n += 1
+
+
+def run_backtracks(system, t, budget, max_nodes=400):
+    """How many times the matches of the leftmost run of t, up to budget
+    steps or until the term passes max_nodes nodes, backtrack
+    (tree_backtracks), as (at load, at build): the matches of the function
+    nodes over constructor terms in t, which the engines match as they
+    load it, and in each contractum, which they match as they build it."""
+    sig = system.signature
+
+    def count(s):
+        n, todo = 0, [s]
+        while todo:
+            u = todo.pop()
+            if sig.is_function(u.symbol) and all(crs.is_constructor_term(c, sig)
+                                                 for c in u.children):
+                n += tree_backtracks(system, u)
+            todo += u.children
+        return n
+
+    loaded, built = count(t), 0
+    for _ in range(budget):
+        hit = next(redexes(system, t), None)
+        if hit is None or term_size(t) > max_nodes:
+            break
+        path, rule, subst = hit
+        new = apply_subst(rule.rhs, subst)
+        built += count(new)
+        t = crs_replace_at(t, path, new)
+    return loaded, built
 
 
 def reference_random_reduce(system, t, budget, rng, max_nodes=None):
@@ -686,6 +787,13 @@ def reference_cbv_reduce(t: Term, budget: int, rng) -> lam.ReductionOutcome:
         steps += 1
     kind = "normal" if next(cbv_redexes(t), None) is None else "exhausted"
     return lam.ReductionOutcome(kind, t, steps)
+
+
+def fixpoint_family(n: int) -> tuple[list[Term], int]:
+    """The Scott compiler's fixed-point terms H1..Hn, built by a fresh
+    builder, and their bound 2n: Hi V1..Vn reduces to
+    Vi (\\x. H1 V1..Vn x) .. (\\x. Hn V1..Vn x) in at most 2n steps."""
+    return scott._fixpoint_family(scott._Built(), n)
 
 
 # --- rule graphs and the generic graph machine: the reference for graphs ----
