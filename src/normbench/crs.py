@@ -36,7 +36,7 @@ signature, so an undeclared atom is a variable as it is read, and
 right side (see `CrsSystem` for which fault a rule with several
 reports); building a head's match tree decides whether its left sides
 overlap.  Graph reduction walks the same trees, and the Scott matcher
-translates trees of the same builder that copy rather than backtrack.
+(scott.compile_match) builds one to check its rows for overlap.
 """
 
 from __future__ import annotations
@@ -247,81 +247,67 @@ class CrsSystem:
             del slots[n:]
 
 
-def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
+def _match_tree(rows: list[tuple[int, tuple[Term, ...]]]):
     """The decision tree that finds which of rows, (position, left side)
     in rule order, matches a node's arguments (Maranget, "Compiling
     pattern matching to good decision trees", ML 2008).  A walk's slots
-    start as the arguments.  A switch [slot, branches, default, positions
-    of its rows] reads the root in its slot: a constructor that branches
-    names leads there and appends its children as the next slots, any
-    other to default (None fails).  A leaf is the position of its row.
-    A group of rows splits on the first slot, in the order below, at
-    which some row has a constructor: a branch per constructor there
-    holds the rows with it, and the default the rows with a variable.  A
-    group in which no row has a constructor left is a leaf, its first
-    row.
-
-    Without copy, the engines' tree, slots go by number, so a walk reads
-    a rule's slots in the order _match_program numbers them, and a walk
-    whose branch fails goes on at that switch's default with the slots it
-    had there (a backtracking automaton, Le Fessant and Maranget, ICFP
-    2001).  Each row is in one group at a time, so the tree is linear in
-    the size of the left sides.  With copy, Scott's tree, slots go by
-    place, a node's children taking its column, and each branch holds
-    the rows with a variable too, in rule order, so no walk backtracks;
-    copying can make the tree exponential in the number of rows.
+    start as the arguments.  A switch [slot, branches, default] reads the
+    root in its slot: a constructor that branches names leads there and
+    appends its children as the next slots, any other to default (None
+    fails).  A leaf is the position of its row.  A group of rows splits
+    on the least slot at which some row has a constructor: a branch per
+    constructor there holds the rows with it, and the default the rows
+    with a variable.  A group in which no row has a constructor left is
+    a leaf, its first row.  Slots go by number, so a walk reads a rule's
+    slots in the order _match_program numbers them, and a walk whose
+    branch fails goes on at that switch's default with the slots it had
+    there (a backtracking automaton, Le Fessant and Maranget, ICFP 2001).
+    Each row is in one group at a time, so the tree is linear in the
+    size of the left sides.
 
     The build raises OverlapError for the least pair (i, j) of positions
     whose rows unify, which linear left sides do exactly when they agree
     wherever both hold a constructor.  The rows of a group have read the
     same constructors in the same slots, so two rows that reach one leaf
     unify, and two that take different branches do not; a leaf reports
-    its first two rows.  With copy, a row with a variable enters every
-    branch, so every unifying pair meets at a leaf.  Without copy, a row
-    that waits in a default is compared (_agree) with each row read into
-    a branch there, on the constructors both have left to read, keyed by
-    slot: a branch's new slots are none of the waiting row's.  Each pair
-    is compared at most once, and none once a lesser pair is found;
-    where constructors tell the rows apart, none waits and none is."""
+    its first two rows.  A row that waits in a default is compared
+    (_agree) with each row read into a branch there, on the constructors
+    both have left to read, by slot: a branch's new slots are none of
+    the waiting row's.  Each pair is compared at most once, and none
+    once a lesser pair is found; where constructors tell the rows apart,
+    none waits and none is."""
     root: list = [None]
     # (where the node goes, its group: (position, the constructors of the
-    # row not yet read, in order: (key, slot, node)), slots so far); the
-    # key is the slot, or with copy the node's path from the arguments
-    todo: list[tuple] = [(root, 0, [(p, [((j,) if copy else j, j, q)
-                                         for j, q in enumerate(lhs) if type(q) is Node])
+    # row not yet read, in slot order: (slot, node)), slots so far)
+    todo: list[tuple] = [(root, 0, [(p, [(j, q) for j, q in enumerate(lhs) if type(q) is Node])
                                     for p, lhs in rows], len(rows[0][1]))] if rows else []
     best: Optional[tuple[int, int]] = None     # the least pair of rows found to unify
     while todo:
         into, key, group, n = todo.pop()
-        heads = [row[0][:2] for _, row in group if row]
+        heads = [row[0][0] for _, row in group if row]
         if not heads:
             into[key] = group[0][0]
             if len(group) > 1 and (best is None or (group[0][0], group[1][0]) < best):
                 best = group[0][0], group[1][0]
             continue
-        k, s = min(heads)
+        s = min(heads)
         split: dict[str, tuple[int, list]] = {}    # constructor -> (arity, rows)
         var_rows = []
         for p, row in group:
-            if row and row[0][1] == s:
-                c = row[0][2]
-                kids = [(k + (i,) if copy else n + i, n + i, q)
-                        for i, q in enumerate(c.children) if type(q) is Node]
+            if row and row[0][0] == s:
+                c = row[0][1]
                 if c.symbol not in split:
-                    split[c.symbol] = len(c.children), var_rows[:] if copy else []
-                split[c.symbol][1].append((p, kids + row[1:] if copy else row[1:] + kids))
+                    split[c.symbol] = len(c.children), []
+                kids = [(n + i, q) for i, q in enumerate(c.children) if type(q) is Node]
+                split[c.symbol][1].append((p, row[1:] + kids))
             else:
                 var_rows.append((p, row))
-                if copy:
-                    for _, sub in split.values():
-                        sub.append((p, row))
-        node = into[key] = [s, {}, None, tuple(p for p, _ in group)]
+        node = into[key] = [s, {}, None]
         todo += [(node[1], c, sub, n + ar) for c, (ar, sub) in split.items()]
         if var_rows:
             todo.append((node, 2, var_rows, n))
-        if var_rows and not copy:
             for j, jrow in group:       # each row read at s against the waiting rows
-                if jrow and jrow[0][1] == s:
+                if jrow and jrow[0][0] == s:
                     for v, vrow in var_rows:
                         pair = (j, v) if j < v else (v, j)
                         if best is not None and pair >= best:
@@ -335,10 +321,10 @@ def _match_tree(rows: list[tuple[int, tuple[Term, ...]]], copy: bool = False):
 
 
 def _agree(a: list, b: list) -> bool:
-    # whether rows a and b of a group, the (key, slot, node) of each
+    # whether rows a and b of a group, the (slot, node) of each
     # constructor they have left to read, agree wherever both hold one
-    at = {s: q for _, s, q in a}
-    todo = [(at[s], q) for _, s, q in b if s in at]
+    at = dict(a)
+    todo = [(at[s], q) for s, q in b if s in at]
     while todo:
         p, q = todo.pop()
         if p.symbol != q.symbol:

@@ -268,77 +268,6 @@ def _rebuild_wrapper(ctx: ScottContext, j: int, before: int, after: int) -> lam.
     return t
 
 
-def _match_term(ctx: ScottContext, tree, m: int, info: dict[int, tuple[int, bool]]) -> lam.Term:
-    # The matcher of a crs._match_tree built with copy over m columns,
-    # for the rows whose positions info maps to (number of variables,
-    # delayed?).  A switch
-    # decides the column that holds its slot (cols; None for a child no
-    # switch reads), a constructor by its branch, else the default, else
-    # the fail branch.  Every row has one variable in each column before
-    # that one.  Iterative: deep patterns nest sub-matchers deeper than
-    # the recursion limit.
-    built = ctx._built
-    results: list[lam.Term] = []
-    todo: list[tuple] = [("go", tree, tuple(range(m)), m, info)]
-    while todo:
-        op, node, cols, n, info = todo.pop()
-        xs, xvs = _binders(ctx, "x", len(cols))
-        if op == "mk":
-            col, parts, nrows = node
-            ks, kvs = _binders(ctx, "k", nrows)
-            xs_rest = xs[:col] + xs[col + 1:]
-            first = len(results) - len(parts)
-            branches = []
-            for sub, (zs, zvs, conts) in zip(results[first:], parts):
-                branches.append(built.build(zs + xs_rest + ks, sub,
-                                            xvs[:col] + zvs + xvs[col + 1:] + conts))
-            del results[first:]
-            branches.append(_fail(ctx, xs_rest + ks))
-            results.append(built.build(xs + ks, xvs[col],
-                                       branches + list(xvs[:col] + xvs[col + 1:] + kvs)))
-            continue
-        if type(node) is not list:
-            results.append(_fail(ctx, xs) if node is None else
-                           _all_vars_matcher(ctx, len(cols), info[node][1]))
-            continue
-        slot, branches, default, rows = node
-        col = cols.index(slot)
-        k_of = dict(zip(rows, _binders(ctx, "k", len(rows))[1]))
-        var_rows = set(_rows(default))
-        parts = []
-        subs = []
-        for j, cname in enumerate(ctx.constructors, 1):
-            arj = ctx.arity(cname)
-            sub = branches.get(cname)
-            if sub is None:
-                sub, kids, n_sub = default, (None,) * arj, n
-            else:
-                kids, n_sub = tuple(range(n, n + arj)), n + arj
-            conts = []
-            sub_info = {}
-            for q in _rows(sub):
-                nv, d = info[q]
-                if q in var_rows:
-                    conts.append(built.build((), _rebuild_wrapper(ctx, j, col, nv - col - 1),
-                                             (k_of[q],)))
-                    nv += arj - 1
-                    d = nv == 0
-                else:
-                    conts.append(built.build((), ctx._ident, (k_of[q],)))
-                sub_info[q] = nv, d
-            zs, zvs = _binders(ctx, "z", arj)
-            parts.append((zs, zvs, tuple(conts)))
-            subs.append(("go", sub, cols[:col] + kids + cols[col + 1:], n_sub, sub_info))
-        todo.append(("mk", (col, parts, len(rows)), cols, n, info))
-        todo += reversed(subs)
-    return results[0]
-
-
-def _rows(node) -> tuple[int, ...]:
-    # the positions of the rows of a match tree node
-    return () if node is None else node[3] if type(node) is list else (node,)
-
-
 def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
                   m: int, delayed: Optional[list[bool]] = None) -> lam.Term:
     """Matching combinator: applied to m encoded scrutinees and then one
@@ -346,16 +275,20 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     applied to the encoded bindings (in variable order), and to the error
     value when nothing matches or a scrutinee is the error value.
 
-    It translates the sequences' match tree, from the builder of the
-    rewrite engines' trees with copy (crs._match_tree): a switch, on the
-    first column in which some sequence has a constructor, becomes a case
-    analysis with a branch per constructor of the signature, which the
-    sequences with a variable there enter too.  The number of steps to
-    reach the continuation depends only on the sequences and the
-    constructors consumed, never on subterm sizes.  Overlapping
-    sequences raise MatchOverlapError for their least pair (i, j), which
-    the build of the engines' tree finds first: the copying tree can be
-    exponential in the number of overlapping sequences.
+    Overlapping sequences raise MatchOverlapError for their least pair
+    (i, j), which building the rewrite engines' match tree finds
+    (crs._match_tree) before anything is translated.  Then it splits
+    the sequences itself, copying: a group of sequences becomes a case
+    analysis of the first column in which one has a constructor, with a
+    branch per constructor of the signature, in which that constructor's
+    children take its column and the sequences with a variable there
+    enter too, so the matcher never backtracks.  The number of steps to reach the
+    continuation depends only on the sequences and the constructors
+    consumed, never on subterm sizes.  Each distinct group, with its
+    columns and what its continuations expect, is translated once, so
+    the constructors of one arity that no sequence names share one
+    translation of the sequences with a variable there; the split itself
+    can still be exponential in the number of sequences.
 
     Continuations are call-by-value arguments, so each must be a value:
     a continuation's body runs only once its sequence has matched every
@@ -377,13 +310,72 @@ def compile_match(ctx: ScottContext, alphas: list[tuple[crs.Term, ...]],
     nvars = [sum(len(crs.variables(pat)) for pat in a) for a in alphas]
     if any(d and n for d, n in zip(delayed, nvars)):
         raise ScottError("a delayed continuation's sequence binds variables")
-    rows = list(enumerate(alphas))
     try:
-        crs._match_tree(rows)
+        crs._match_tree(list(enumerate(alphas)))
     except crs.OverlapError as exc:
         raise MatchOverlapError("sequences %d and %d overlap" % exc.rules) from None
-    return _match_term(ctx, crs._match_tree(rows, copy=True), m,
-                       dict(enumerate(zip(nvars, delayed))))
+    # A group is its number of columns and its rows (position, number of
+    # variables, delayed?, the pattern in each column, or None in a
+    # column below a variable).  A row's continuation takes one binding per
+    # variable, and every row has a variable in each column before the
+    # one its group decides.  Iterative: deep patterns nest sub-matchers
+    # deeper than the recursion limit.
+    built = ctx._built
+    done: dict[tuple, lam.Term] = {}    # the matcher of each distinct group
+    results: list[lam.Term] = []
+    todo: list[tuple] = [("go", m, tuple(
+        (p, nv, d, a) for p, (a, nv, d) in enumerate(zip(alphas, nvars, delayed))))]
+    while todo:
+        op, n, *task = todo.pop()
+        xs, xvs = _binders(ctx, "x", n)
+        if op == "mk":
+            key, col, ks, kvs, parts = task
+            xs_rest = xs[:col] + xs[col + 1:]
+            first = len(results) - len(parts)
+            branches = []
+            for sub, (zs, zvs, conts) in zip(results[first:], parts):
+                branches.append(built.build(zs + xs_rest + ks, sub,
+                                            xvs[:col] + zvs + xvs[col + 1:] + conts))
+            del results[first:]
+            branches.append(_fail(ctx, xs_rest + ks))
+            results.append(built.build(xs + ks, xvs[col],
+                                       branches + list(xvs[:col] + xvs[col + 1:] + kvs)))
+            done[key] = results[-1]
+            continue
+        group, = task
+        col = next((i for i in range(n) if any(type(row[3][i]) is crs.Node for row in group)),
+                   None)
+        if col is None:
+            results.append(_all_vars_matcher(ctx, n, group[0][2]) if group else
+                           _fail(ctx, xs))
+            continue
+        key = tuple((p, nv, d, *map(id, pats)) for p, nv, d, pats in group)
+        if key in done:
+            results.append(done[key])
+            continue
+        ks, kvs = _binders(ctx, "k", len(group))
+        parts = []
+        subs = []
+        for j, cname in enumerate(ctx.constructors, 1):
+            arj = ctx.arity(cname)
+            conts = []
+            sub = []
+            for (p, nv, d, pats), k in zip(group, kvs):
+                q = pats[col]
+                if type(q) is not crs.Node:
+                    conts.append(built.build((), _rebuild_wrapper(ctx, j, col, nv - col - 1),
+                                             (k,)))
+                    sub.append((p, nv + arj - 1, nv + arj == 1,
+                                pats[:col] + (None,) * arj + pats[col + 1:]))
+                elif q.symbol == cname:
+                    conts.append(built.build((), ctx._ident, (k,)))
+                    sub.append((p, nv, d, pats[:col] + q.children + pats[col + 1:]))
+            zs, zvs = _binders(ctx, "z", arj)
+            parts.append((zs, zvs, tuple(conts)))
+            subs.append(("go", n + arj - 1, tuple(sub)))
+        todo.append(("mk", n, key, col, ks, kvs, parts))
+        todo += reversed(subs)
+    return results[0]
 
 
 # --- recursion ------------------------------------------------------------------------
@@ -492,19 +484,18 @@ def _build_parts(ctx: ScottContext) -> tuple[list[lam.Term], list[lam.Term]]:
     fixvars = dict(zip(ctx.functions, map(Var, fixnames)))
     vs = []
     for g in ctx.functions:
-        ws = []
-        rows = {}                   # rule position -> (variables, delayed?)
-        for pos, r in enumerate(ctx.system.rules):
+        ws, lhss, delayed = [], [], []
+        for r in ctx.system.rules:
             if r.head == g:
                 pvars = [v for pat in r.lhs for v in crs.variables(pat)]
                 rhs = _translate(ctx, r.rhs, fixvars.__getitem__, False)
-                rows[pos] = len(pvars), not pvars and not isinstance(rhs, Abs)
-                ws.append(_delay(ctx, rhs) if rows[pos][1] else built.build(pvars, rhs))
+                delayed.append(not pvars and not isinstance(rhs, Abs))
+                ws.append(_delay(ctx, rhs) if delayed[-1] else built.build(pvars, rhs))
+                lhss.append(r.lhs)
         ar = ctx.arity(g)
-        tree = crs._match_tree([(pos, ctx.system.rules[pos].lhs) for pos in rows], copy=True)
-        matcher = _match_term(ctx, tree, ar, rows)
         avars, avvs = _binders(ctx, "arg", ar)
-        vs.append(built.build(fixnames + avars, matcher, avvs + tuple(ws)))
+        vs.append(built.build(fixnames + avars, compile_match(ctx, lhss, ar, delayed),
+                              avvs + tuple(ws)))
     hs, _ = _fixpoint_family(built, len(ctx.functions))
     return hs, vs
 

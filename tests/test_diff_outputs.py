@@ -5,6 +5,10 @@ import json
 from pathlib import Path
 
 import diff_outputs
+from normbench import crs
+from tests_util import default_staircase
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_normalised_drops_only_the_timing_of_a_report(tmp_path):
@@ -54,3 +58,17 @@ def test_jobs_cover_every_command_once():
         if argv[0] in ("eval", "compare", "roundtrip"):
             assert argv[-2:] == ["--emit-dot", "{out}.dot"], argv
         assert "--out" in argv, argv
+
+
+def test_inputs_include_the_staircases_and_their_compiled_terms(tmp_path):
+    # no corpus or bench system has a row that waits in a default, so the
+    # staircases are written as inputs, each compiled as well
+    _, files, compiled = diff_outputs.inputs(ROOT, tmp_path, 3)
+    stairs = [path for path in files if path.parent.name == "staircase"]
+    assert [path.name for path in stairs] == ["staircase_3.trs", "staircase_4.trs"]
+    assert [path.name for path in compiled if path.stem.startswith("staircase_")] == [
+        "staircase_staircase_3.lam", "staircase_staircase_4.lam"]
+    for n, path in zip((3, 4), stairs):
+        parsed = crs.parse_system(path.read_text())
+        system, t = default_staircase(n)
+        assert (parsed.system.rules, parsed.term) == (system.rules, t)

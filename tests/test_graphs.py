@@ -8,11 +8,11 @@ import pytest
 from normbench import crs, encode, graphs, lam, workbench
 from normbench.crs import Node, Rule, Signature, Var
 from tests_util import (
-    GraphRule, apply_subst, backtracking_system, bench_workloads, crs_replace_at, match_args,
-    nat_term, random_closed_term, random_system, random_value, reachable, redexes,
-    reference_build_phase, reference_collect, reference_compile_rule, reference_find_redex,
-    reference_graph_reduce, reference_redirect, reference_template, reference_try_match,
-    rule_to_graph_rule, run_backtracks, slot_nodes, term_size, two_tower)
+    GraphRule, apply_subst, backtracking_system, bench_workloads, crs_replace_at,
+    default_staircase, match_args, nat_term, random_closed_term, random_system, random_value,
+    reachable, redexes, reference_build_phase, reference_collect, reference_compile_rule,
+    reference_find_redex, reference_graph_reduce, reference_redirect, reference_template,
+    reference_try_match, rule_to_graph_rule, run_backtracks, slot_nodes, term_size, two_tower)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -159,7 +159,7 @@ def test_template_matches_the_rule_graph_compile():
     # deciding them walks the replacement and 3 child slots
     system = nat_system()
     assert system._slots[1] == ({"y": 1, "x": 2}, 3)
-    assert system._trees["add"] == [0, {"zero": 0, "succ": 1}, None, (0, 1)]
+    assert system._trees["add"] == [0, {"zero": 0, "succ": 1}, None]
     assert graphs._template(system, 1) == graphs.Template(
         (("add", (2, 1), True, ()), ("succ", (3,), False, (0,))), 4, 4)
     assert system._graph_templates[1] is graphs._template(system, 1)
@@ -939,10 +939,7 @@ def test_match_tree_stays_linear_when_variables_share_columns():
     # keeps them in the default, and a walk whose branch fails goes on
     # there, so both engines find rule 23 on f(U, T, ..., T, c23)
     n = 24
-    sig = Signature({"T": 0, "U": 0, **{f"c{i}": 0 for i in range(n)}}, {"f": n + 1})
-    rules = [Rule("f", tuple(Node("T") if j == i else Var(f"x{j}") for j in range(n))
-                  + (Node(f"c{i}"),), Var(f"x{(i + 1) % n}")) for i in range(n)]
-    system = crs.validate_system(sig, rules)
+    system, t = default_staircase(n)
     switches, todo = 0, [system._trees["f"]]
     while todo:
         node = todo.pop()
@@ -950,7 +947,6 @@ def test_match_tree_stays_linear_when_variables_share_columns():
             switches += 1
             todo += [*node[1].values(), node[2]]
     assert switches == 2 * n
-    t = Node("f", (Node("U"),) + (Node("T"),) * (n - 1) + (Node(f"c{n - 1}"),))
     out, gout = crs.reduce(system, t, 10), graphs.graph_reduce(t, system, 10)
     assert out.steps == gout.steps == 1 and out.term == Node("U")
     assert out.fires == gout.fires == (0,) * (n - 1) + (1,)

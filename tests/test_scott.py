@@ -9,9 +9,9 @@ import pytest
 from normbench import crs, graphs, lam, scott
 from normbench.crs import Node, Rule, Signature, Var
 from normbench.lam import App, abss, apps
-from tests_util import (bench_workloads, cbv_step, fixpoint_family, lam_is_closed, nat_term,
-                        random_patterns_system, random_system, reference_first_overlap,
-                        reference_free_set, staircase)
+from tests_util import (bench_workloads, cbv_step, default_staircase, fixpoint_family,
+                        lam_is_closed, nat_term, random_patterns_system, random_system,
+                        reference_first_overlap, reference_free_set, staircase)
 
 
 def nat_system(extra_rules=(), extra_fns=None):
@@ -157,20 +157,46 @@ def test_match_rejects_overlap(ctx):
 
 def test_match_rejects_overlap_before_copying_rows(ctx, monkeypatch):
     # 64 sequences of which 0 and 2 are the least overlapping pair: a
-    # tree that copies each variable row into every branch takes
-    # hundreds of thousands of switches for 16 of them, so none is built
-    build = crs._match_tree
+    # split that copies each variable row into every branch takes
+    # hundreds of thousands of groups for 16 of them, so none is
+    # translated; the translation of the first group takes its binders
+    def no_translation(*args):
+        raise AssertionError("a group was translated")
 
-    def without_copying(rows, copy=False):
-        assert not copy, "the copying tree was built"
-        return build(rows)
-
-    monkeypatch.setattr(crs, "_match_tree", without_copying)
+    monkeypatch.setattr(scott, "_binders", no_translation)
     alphas = [rule.lhs for rule in staircase(64)]
     t0 = time.perf_counter()
     with pytest.raises(scott.MatchOverlapError, match="^sequences 0 and 2 overlap$"):
         scott.compile_match(ctx, alphas, 64)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_rows_waiting_in_a_default_are_translated_once_per_group():
+    # the staircase of test_match_tree_stays_linear_when_variables_share_columns
+    # at n rows: each switch's rows with a variable enter every branch of
+    # the copying split, and the constructors that no row names there
+    # share one translation of them.  The printed terms at 3 to 5 rows
+    # are those of a split that translated them once per constructor,
+    # which took 17 s to compile 6 rows
+    digests = {
+        3: "de7fc73c5cb05e6a6b70962ce3e895ed392c33ff0808c41681979d906b5dc6f9",
+        4: "7e6e8a471373a75c6177aed22abdc945d703687e5e270cbf62659f0db4ce0ed5",
+        5: "6f2640081933d34f7f32fab4646ee46b0f7680c18af51a4101ff9b2452713d55",
+    }
+    for n, beta_steps in zip(range(3, 7), (77, 121, 176, 242)):
+        system, t = default_staircase(n)
+        c = scott.ScottContext(system)
+        verdict = scott.simulate_and_check(c, t)
+        assert (verdict.consistent, verdict.beta_steps) == (True, beta_steps)
+        if n in digests:
+            printed = lam.to_str(scott.term_to_lambda(c, t)).encode()
+            assert hashlib.sha256(printed).hexdigest() == digests[n]
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        scott.term_to_lambda(scott.ScottContext(system), t)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 1.0
 
 
 def test_match_overlap_is_the_first_pair_a_pairwise_scan_meets():

@@ -214,6 +214,19 @@ def staircase(k):
     return rules
 
 
+def default_staircase(n):
+    """(system, term): f over n + 1 arguments and n rules, rule i with T
+    in argument i, c_i in the last and variables elsewhere, and
+    f(U, T, .., T, c_{n-1}), which rule n - 1 rewrites.  No two rules
+    overlap, but each switch's rows with a variable wait in its default,
+    so a matcher that copied them into every branch is exponential."""
+    sig = crs.Signature({"T": 0, "U": 0, **{f"c{i}": 0 for i in range(n)}}, {"f": n + 1})
+    rules = [crs.Rule("f", tuple(crs.Node("T") if j == i else crs.Var(f"x{j}") for j in range(n))
+                      + (crs.Node(f"c{i}"),), crs.Var(f"x{(i + 1) % n}")) for i in range(n)]
+    t = crs.Node("f", (crs.Node("U"),) + (crs.Node("T"),) * (n - 1) + (crs.Node(f"c{n - 1}"),))
+    return crs.validate_system(sig, rules), t
+
+
 # --- per-occurrence registration: the reference for the encoders' table ---------
 
 def canonical_form(t: Term) -> str:

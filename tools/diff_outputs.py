@@ -3,11 +3,12 @@
 
     python tools/diff_outputs.py OLD NEW [--seed N]
 
-OLD and NEW are checkout roots.  The inputs are NEW's corpus and the
+OLD and NEW are checkout roots.  The inputs are NEW's corpus, the
 inputs that NEW's bench/workloads.py writes for all four workloads under
-the seed, written once into a temporary directory so that both
-checkouts read the same files.  On every input each checkout runs, in
-one subprocess that imports its own src/:
+the seed, and the staircases at 3 and 4 rows (staircase), written once
+into a temporary directory so that both checkouts read the same files.
+On every input each checkout runs, in one subprocess that imports its
+own src/:
 
 - eval with the crs and graph engines, under the leftmost and the random
   policy, with the final graph as DOT;
@@ -16,8 +17,8 @@ one subprocess that imports its own src/:
 - encode (to crs and crs-cbn for a .lam input, to lambda for a .trs
   input) and graph-dot;
 - encode to crs and crs-cbn on the compiled term of each .trs input of
-  the corpus and of rewrite-scale, which NEW writes once with encode
-  --to lambda: large lambda terms that share subterms;
+  the corpus, of rewrite-scale and of the staircases, which NEW writes
+  once with encode --to lambda: large lambda terms that share subterms;
 - and, once, the corpus sidecars regenerated by
   workbench.regenerate_expectations.
 
@@ -79,6 +80,21 @@ def load_workloads(root: Path):
     return module
 
 
+def staircase(n: int) -> str:
+    """The .trs text of f over n + 1 arguments and n rules, rule i with T
+    in argument i, c_i in the last and variables elsewhere, applied to
+    f(U, T, .., T, c_{n-1}).  No two rules overlap, but each switch's
+    rows with a variable wait in its default, which no corpus or bench
+    system has."""
+    lines = [f"constructor {c}/0;" for c in ["T", "U"] + [f"c{i}" for i in range(n)]]
+    lines.append(f"function f/{n + 1};")
+    for i in range(n):
+        args = ["T" if j == i else f"x{j}" for j in range(n)] + [f"c{i}"]
+        lines.append(f"rule f({', '.join(args)}) -> x{(i + 1) % n};")
+    lines.append(f"term f({', '.join(['U'] + ['T'] * (n - 1) + [f'c{n - 1}'])});")
+    return "\n".join(lines) + "\n"
+
+
 def inputs(new: Path, work: Path, seed: int) -> tuple[Path, list[Path], list[Path]]:
     """The corpus copy, every input file and the compiled terms, written
     under work."""
@@ -91,10 +107,15 @@ def inputs(new: Path, work: Path, seed: int) -> tuple[Path, list[Path], list[Pat
         d.mkdir()
         workloads.build_ops(name, seed, corpus, d)
         files += sorted(d.iterdir())
+    d = work / "staircase"
+    d.mkdir()
+    for n in (3, 4):
+        files.append(d / f"staircase_{n}.trs")
+        files[-1].write_text(staircase(n))
     d = work / "compiled"
     d.mkdir()
-    pairs = [(path, d / f"{path.parent.name}_{path.stem}.lam") for path in files
-             if path.suffix == ".trs" and path.parent.name in ("crs", "rewrite-scale")]
+    pairs = [(path, d / f"{path.parent.name}_{path.stem}.lam") for path in files if
+             path.suffix == ".trs" and path.parent.name in ("crs", "rewrite-scale", "staircase")]
     subprocess.run([sys.executable, "-c", COMPILE, *(str(p) for pair in pairs for p in pair)],
                    env={**os.environ, "PYTHONPATH": str(new / "src")}, check=True)
     return corpus, files, [dst for _, dst in pairs]
